@@ -1,14 +1,16 @@
 (* Benchmark & reproduction harness.
 
    For every table and figure of the paper this prints the corresponding
-   reproduction (same rows/series, our measured values), and registers one
-   Bechamel micro-benchmark for the computation that generates it:
+   reproduction (same rows/series, our measured values):
 
      TABLE-1   area & standby leakage of the three techniques, circuits A/B
      FIG-1     MT-cell characterization (delay / leakage / area by flavour)
      FIG-2/3   conventional vs improved transform on the same logic
      FIG-4     the improved flow stage by stage
      ABLATION  the design-choice sweeps DESIGN.md calls out
+
+   Runtime is measured by the repo benchmark in perfbench/ (end-to-end and
+   per-layer, with per-update arrival-eval quantiles), not here.
 
    Sections are independent, so they run through the deterministic domain
    pool (SMT_JOBS controls the width): each section renders into its own
@@ -644,116 +646,6 @@ let system buf =
      barely leaked. That asymmetry is the 'selective' in Selective-MT.)"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table / figure         *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches buf =
-  section buf "BECHAMEL: runtime of each experiment's generator";
-  let open Bechamel in
-  let open Toolkit in
-  (* Named workloads, used twice: once instrumented (counter deltas per
-     single run) and once under the bechamel timer. *)
-  let workload_table1 () = ignore (Flow.run Flow.Improved_smt (Suite.circuit_a lib)) in
-  let workload_fig1 () =
-    List.iter
-      (fun kind ->
-        ignore (Cell.delay (Library.variant lib kind Vth.Low Vth.Mt_vgnd) ~load_ff:8.0))
-      Library.comb_kinds
-  in
-  let workload_fig23 () =
-    ignore (transform `Improved (Generators.multiplier ~name:"m8b" ~bits:8 lib))
-  in
-  let workload_fig4 () = ignore (Flow.run Flow.Improved_smt (Suite.circuit_b lib)) in
-  let workload_ablation =
-    let nl = Generators.multiplier ~name:"m8c" ~bits:8 lib in
-    let probe = 1e6 in
-    let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Sta.wns sta) *. 1.05 in
-    ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-    ignore (Mt_replace.replace Mt_replace.Improved nl);
-    let place = Placement.place nl in
-    let ins = Switch_insert.insert place in
-    fun () -> ignore (Cluster.build place ~mte_net:ins.Switch_insert.mte_net)
-  in
-  let workloads =
-    [
-      ("table1-improved-flow-circuit-a", workload_table1);
-      ("fig1-cell-characterization", workload_fig1);
-      ("fig23-improved-transform-mult8", workload_fig23);
-      ("fig4-staged-flow-circuit-b", workload_fig4);
-      ("ablation-cluster-build-mult8", workload_ablation);
-    ]
-  in
-  (* What each benchmark actually does, from the observability registry:
-     the counters that moved during one run of the workload. *)
-  let tracked =
-    [
-      ("sta.analyses", "STA runs");
-      ("sta.arrival_evals", "Arrival evals");
-      ("place.iterations", "Place iters");
-      ("cluster.clusters_formed", "Clusters");
-      ("eco.hold_buffers_added", "ECO bufs");
-    ]
-  in
-  let counter_value name = Metrics.counter_value (Metrics.counter name) in
-  (* Arrival-evals per timing update, as quantiles of the sta.update_evals
-     histogram.  Read as before/after hit-count deltas so each row is the
-     distribution of that workload's own updates — identical whether the
-     section runs on a fresh worker store or inline on the shared one. *)
-  let h_update = Metrics.histogram "sta.update_evals" in
-  let instrumented =
-    List.map
-      (fun (name, f) ->
-        let before = List.map (fun (c, _) -> counter_value c) tracked in
-        let hits0 = Metrics.histogram_hits h_update in
-        f ();
-        let after = List.map (fun (c, _) -> counter_value c) tracked in
-        let hits = Array.map2 ( - ) (Metrics.histogram_hits h_update) hits0 in
-        let counters =
-          name :: List.map2 (fun a b -> string_of_int (a - b)) after before
-        in
-        let updates = Array.fold_left ( + ) 0 hits in
-        let q p =
-          if updates = 0 then "-"
-          else Printf.sprintf "%.0f" (Metrics.quantile_of_hits h_update hits p)
-        in
-        (counters, [ name; string_of_int updates; q 0.5; q 0.9; q 0.99 ]))
-      workloads
-  in
-  let counter_rows = List.map fst instrumented in
-  bline buf "per-benchmark counters (one untimed run each):";
-  bline buf
-    (Text_table.render ~header:("Benchmark" :: List.map snd tracked) counter_rows);
-  bnl buf;
-  bline buf "arrival evals per STA update (same untimed runs):";
-  bline buf
-    (Text_table.render
-       ~header:[ "Benchmark"; "Updates"; "Evals p50"; "Evals p90"; "Evals p99" ]
-       (List.map snd instrumented));
-  bnl buf;
-  let test =
-    Test.make_grouped ~name:"selective-mt"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) workloads)
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let time_ns =
-        match Analyze.OLS.estimates result with Some (t :: _) -> t | Some [] | None -> nan
-      in
-      rows := [ name; Printf.sprintf "%.3f ms" (time_ns /. 1e6) ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  bline buf (Text_table.render ~header:[ "Benchmark"; "Time per run" ] rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -802,7 +694,6 @@ let () =
         ("ablation", ablation);
         ("extensions", extensions);
         ("system", system);
-        ("bechamel", bechamel_benches);
       ]
   in
   (* Buffers print in input order: stdout is identical at any job count. *)

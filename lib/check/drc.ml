@@ -1,5 +1,4 @@
 module Netlist = Smt_netlist.Netlist
-module Nl_check = Smt_netlist.Check
 module Placement = Smt_place.Placement
 module Cell = Smt_cell.Cell
 module Func = Smt_cell.Func
@@ -18,8 +17,8 @@ let infer_phase nl =
         post := true);
   if !post then Post_mt else Pre_mt
 
-(* Mirrors the pin-completeness contract of Smt_netlist.Check: logic inputs,
-   plus the control pins each kind carries. *)
+(* The pin-completeness contract: logic inputs, plus the control pins
+   each kind carries. *)
 let required_pins (cell : Cell.t) =
   let logic = Array.to_list (Func.input_names cell.Cell.kind) in
   let mte = if Vth.style_equal cell.Cell.style Vth.Mt_embedded then [ "MTE" ] else [] in
@@ -96,7 +95,7 @@ let check ?phase ?place ?(expect_buffered_mte = true) nl =
       match phase with
       | Pre_mt -> ()
       | Post_mt ->
-        if Nl_check.holder_required nl nid && Netlist.holder_of nl nid = None then
+        if Walk.holder_required nl nid && Netlist.holder_of nl nid = None then
           emit V.Error V.Missing_holder loc ~hint:"insert an output holder"
             "MT-driven value crosses into awake logic with no holder");
   (* MTE fanout cap: the buffering stage must keep every stage under the
@@ -211,12 +210,10 @@ let check_library lib =
 
 let has_errors vs = List.exists (fun v -> v.V.severity = V.Error) vs
 
-(* String shim for the callers that grew up on the retired
-   [Smt_netlist.Check.validate]: same contract (empty list = well-formed,
-   lines are human-readable), but every line is now a rendered typed
-   violation.  Error severity only — the old checker had no advisory
-   tier, so surfacing warnings here would break "validates to []"
-   callers on designs that are merely suspicious. *)
+(* String view for callers that only ask "is it well-formed?" (empty
+   list = well-formed, lines are human-readable rendered violations).
+   Error severity only, so a design that is merely suspicious still
+   validates to []. *)
 let validate ?phase nl =
   List.map V.to_string (V.errors (check ?phase ~expect_buffered_mte:false nl))
 

@@ -11,8 +11,7 @@
 
     Every finding is a typed {!Violation.t} so callers can branch on
     severity and class — the flow's guard mode and the fault-injection
-    tests both do.  The bare-string validator that used to live in
-    [Smt_netlist.Check] is now the thin {!validate} shim over [check]. *)
+    tests both do; {!validate} is a string view of the errors. *)
 
 type phase =
   | Pre_mt  (** before switch insertion: VGND ports must not exist yet *)
@@ -40,9 +39,8 @@ val check_library : Smt_cell.Library.t -> Violation.t list
 val has_errors : Violation.t list -> bool
 
 val validate : ?phase:phase -> Smt_netlist.Netlist.t -> string list
-(** Legacy string view of [check]: the Error-severity findings rendered
-    with {!Violation.to_string} (empty list = well-formed).  Replaces the
-    retired [Smt_netlist.Check.validate]; the MTE fanout-cap advisory is
-    suppressed, matching the old validator's scope. *)
+(** String view of [check]: the Error-severity findings rendered with
+    {!Violation.to_string} (empty list = well-formed).  The MTE
+    fanout-cap advisory is suppressed. *)
 
 val is_valid : ?phase:phase -> Smt_netlist.Netlist.t -> bool

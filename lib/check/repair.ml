@@ -1,5 +1,4 @@
 module Netlist = Smt_netlist.Netlist
-module Nl_check = Smt_netlist.Check
 module Placement = Smt_place.Placement
 module Cell = Smt_cell.Cell
 module Func = Smt_cell.Func
@@ -196,7 +195,7 @@ let repair ?place ?(clamp_width = 10.0) nl violations =
     violations;
   Hashtbl.iter
     (fun nid () ->
-      if Nl_check.holder_required nl nid && Netlist.holder_of nl nid = None then begin
+      if Walk.holder_required nl nid && Netlist.holder_of nl nid = None then begin
         let mte = mte_net_of nl in
         let name = Netlist.fresh_inst_name nl "holder_repair" in
         let h = Netlist.add_inst nl ~name (Library.holder lib) [ ("MTE", mte); ("Z", nid) ] in

@@ -51,3 +51,21 @@ let holder_pins nl =
         | Some nid -> if not (Hashtbl.mem tbl nid) then Hashtbl.add tbl nid iid
         | None -> ());
   tbl
+
+let mt_inst nl iid = Cell.is_mt (Netlist.cell nl iid)
+
+(* Only VGND-style MT-cells need external holders: the conventional
+   embedded MT-cell carries its own (paper Fig. 1a). *)
+let floating_driver nl iid =
+  match (Netlist.cell nl iid).Cell.style with
+  | Vth.Mt_vgnd | Vth.Mt_no_vgnd -> true
+  | Vth.Plain | Vth.Mt_embedded -> false
+
+let holder_required nl nid =
+  match Netlist.driver nl nid with
+  | None -> false
+  | Some d ->
+    floating_driver nl d.Netlist.inst
+    && (Netlist.is_po nl nid
+       || List.exists (fun (p : Netlist.pin) -> not (mt_inst nl p.Netlist.inst))
+            (Netlist.sinks nl nid))

@@ -1,11 +1,11 @@
 (** Shared reachability walks over the MT support structure.
 
     [Drc] (structural rules), [Repair] (fix-up candidates), and the
-    semantic standby verifier ([Smt_verify]) all need the same three
-    questions answered: does an MT-cell's VGND reach a live switch, which
-    switches actually gate members, and which holder instance really sits
-    on a net.  The answers live here so the three passes cannot drift
-    apart.
+    semantic standby verifier ([Smt_verify]) all need the same questions
+    answered: does an MT-cell's VGND reach a live switch, which switches
+    actually gate members, which holder instance really sits on a net,
+    and which nets need one.  The answers live here so the passes cannot
+    drift apart.
 
     Everything works from the {e wires}, not from bookkeeping records
     where the two can disagree: [holder_pins] keys holders by the net
@@ -46,3 +46,11 @@ val holder_pins : Netlist.t -> (Netlist.net_id, Netlist.inst_id) Hashtbl.t
 (** Live HOLDER instances keyed by the net their Z pin is wired to — the
     electrical truth, independent of the [holder_of] records.  When two
     holders share a net the one from the earlier instance id wins. *)
+
+val holder_required : Netlist.t -> Netlist.net_id -> bool
+(** The paper's holder rule: an output holder is unnecessary exactly
+    when all fanouts of the MT-cell are themselves MT-cells (their inputs
+    float together in standby).  Primary outputs and plain sinks need the
+    value held.  False for nets not driven by a VGND-style MT-cell.  The
+    MT transformations (switch insertion, holder minimization, repair)
+    consult it while they run, and the DRC enforces it afterwards. *)

@@ -238,7 +238,7 @@ let multi_domain ?(domains = 3) ~name lib =
   (* output holders wherever a held value leaves MT logic, enabled by
      the source domain's own enable *)
   Netlist.iter_nets nl (fun nid ->
-      if Smt_netlist.Check.holder_required nl nid && Netlist.holder_of nl nid = None then
+      if Smt_check.Walk.holder_required nl nid && Netlist.holder_of nl nid = None then
         match Netlist.driver nl nid with
         | Some dp -> (
           match Netlist.inst_domain nl dp.Netlist.inst with
@@ -251,7 +251,6 @@ let multi_domain ?(domains = 3) ~name lib =
                  [ ("MTE", e); ("Z", nid) ])
           | None -> ())
         | None -> ());
-  ignore (Netlist.drain_touched nl);
   nl
 
 let all =

@@ -120,7 +120,7 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
     if candidates = [] then keep_going := false
     else begin
       List.iter (fun (iid, cell', _) -> Netlist.replace_cell nl iid cell') candidates;
-      sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _) -> iid) candidates);
+      sta := Sta.update !sta;
       let this_pass = ref (List.length candidates) in
       let remaining = ref (List.rev candidates) in
       while Sta.wns !sta < 0.0 && !remaining <> [] do
@@ -136,7 +136,7 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
             Hashtbl.replace frozen iid ();
             decr this_pass)
           chunk;
-        sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _) -> iid) chunk)
+        sta := Sta.update !sta
       done;
       resized := !resized + !this_pass;
       if !this_pass = 0 then keep_going := false

@@ -40,7 +40,7 @@ let convert ?(safety = 1.5) cfg nl =
   in
   List.iter (fun (iid, _, _, _) -> Netlist.replace_cell nl iid ret) candidates;
   converted := List.length candidates;
-  sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _, _) -> iid) candidates);
+  sta := Sta.update !sta;
   (* rollback the tightest conversions if the batch overshot *)
   let remaining = ref (List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) candidates) in
   while Sta.wns !sta < 0.0 && !remaining <> [] do
@@ -52,6 +52,6 @@ let convert ?(safety = 1.5) cfg nl =
         Netlist.replace_cell nl iid original;
         decr converted)
       chunk;
-    sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _, _) -> iid) chunk)
+    sta := Sta.update !sta
   done;
   { converted = !converted; sta = !sta }

@@ -3,7 +3,7 @@ module Placement = Smt_place.Placement
 module Cell = Smt_cell.Cell
 module Vth = Smt_cell.Vth
 module Library = Smt_cell.Library
-module Check = Smt_netlist.Check
+module Walk = Smt_check.Walk
 module Geom = Smt_util.Geom
 
 type result = {
@@ -47,7 +47,7 @@ let insert ?(minimize_holders = true) ?(initial_width = 10.0) place =
   Netlist.iter_nets nl (fun nid ->
       match Netlist.driver nl nid with
       | Some d when Cell.is_mt (Netlist.cell nl d.Netlist.inst) ->
-        let needed = Check.holder_required nl nid in
+        let needed = Walk.holder_required nl nid in
         if needed || not minimize_holders then begin
           let name = Netlist.fresh_inst_name nl "holder" in
           let h = Netlist.add_inst nl ~name holder_cell [ ("MTE", mte); ("Z", nid) ] in

@@ -55,7 +55,7 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
     if candidates = [] then keep_going := false
     else begin
       List.iter (fun (iid, hv, _) -> Netlist.replace_cell nl iid hv) candidates;
-      sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _) -> iid) candidates);
+      sta := Sta.update !sta;
       let this_pass = ref (List.length candidates) in
       (* Rollback: revert the tightest-slack swaps in chunks until timing
          is met again. Reverted cells are frozen so the loop terminates. *)
@@ -71,7 +71,7 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
             Hashtbl.replace frozen iid ();
             decr this_pass)
           chunk;
-        sta := Sta.update !sta ~changed:(List.map (fun (iid, _, _) -> iid) chunk)
+        sta := Sta.update !sta
       done;
       swapped_total := !swapped_total + !this_pass;
       if !this_pass = 0 then keep_going := false

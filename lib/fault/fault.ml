@@ -1,5 +1,5 @@
 module Netlist = Smt_netlist.Netlist
-module Nl_check = Smt_netlist.Check
+module Walk = Smt_check.Walk
 module Cell = Smt_cell.Cell
 module Func = Smt_cell.Func
 module Vth = Smt_cell.Vth
@@ -110,7 +110,7 @@ let inject ~seed nl fault =
     let held = ref [] in
     Netlist.iter_nets nl (fun nid ->
         match Netlist.holder_of nl nid with
-        | Some h when Nl_check.holder_required nl nid -> held := (nid, h) :: !held
+        | Some h when Walk.holder_required nl nid -> held := (nid, h) :: !held
         | Some _ | None -> ());
     match pick_opt rng !held with
     | None -> None
@@ -192,7 +192,7 @@ let inject ~seed nl fault =
     let held = ref [] in
     Netlist.iter_nets nl (fun nid ->
         match Netlist.holder_of nl nid with
-        | Some h when Nl_check.holder_required nl nid && not (Netlist.is_dead nl h) ->
+        | Some h when Walk.holder_required nl nid && not (Netlist.is_dead nl h) ->
           held := (nid, h) :: !held
         | Some _ | None -> ());
     match pick_opt rng (List.rev !held) with
@@ -248,7 +248,7 @@ let inject ~seed nl fault =
     Netlist.iter_insts nl (fun iid ->
         if Netlist.is_isolation nl iid then
           match Netlist.pin_net nl iid "Z" with
-          | Some nid when not (Nl_check.holder_required nl nid) ->
+          | Some nid when not (Walk.holder_required nl nid) ->
             isos := (nid, iid) :: !isos
           | Some _ | None -> ());
     match pick_opt rng (List.rev !isos) with

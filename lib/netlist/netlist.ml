@@ -17,6 +17,8 @@ type net = {
   mutable n_is_clock : bool;
   mutable sinks : pin list;
   mutable holder : inst_id option;
+  (* journal stamp: the netlist [version] of this net's last touch *)
+  mutable stamp : int;
 }
 
 type instance = {
@@ -45,10 +47,12 @@ type t = {
   (* Power-domain table, in declaration order (newest first, reversed by
      [domains]); [None] = an always-on domain with no sleep enable. *)
   mutable doms : (string * net_id option) list;
-  (* Touched-net journal: every structural mutation records the nets whose
-     standby value could change, so an incremental re-analysis knows where
-     to re-seed.  Drained (and cleared) by [drain_touched]. *)
-  touched : (net_id, unit) Hashtbl.t;
+  (* Touched-net journal: every structural mutation bumps the version and
+     stamps the nets whose standby value or load could change with it, so
+     an incremental re-analysis knows where to re-seed.  Reading it
+     ([touched_since]) clears nothing: each analysis keeps its own
+     version. *)
+  mutable version : int;
 }
 
 exception Combinational_cycle of string
@@ -66,7 +70,7 @@ let create ~name ~lib =
     clock = None;
     uniq = 0;
     doms = [];
-    touched = Hashtbl.create 97;
+    version = 0;
   }
 
 let design_name t = t.d_name
@@ -74,12 +78,18 @@ let lib t = t.d_lib
 
 (* --- touched-net journal --- *)
 
-let touch t nid = Hashtbl.replace t.touched nid ()
+let touch t nid =
+  t.version <- t.version + 1;
+  (Vec.get t.nets nid).stamp <- t.version
 
-let drain_touched t =
-  let acc = Hashtbl.fold (fun nid () acc -> nid :: acc) t.touched [] in
-  Hashtbl.reset t.touched;
-  List.sort_uniq compare acc
+let version t = t.version
+
+let touched_since t v =
+  let acc = ref [] in
+  for nid = Vec.length t.nets - 1 downto 0 do
+    if (Vec.get t.nets nid).stamp > v then acc := nid :: !acc
+  done;
+  !acc
 
 (* --- nets --- *)
 
@@ -96,6 +106,7 @@ let add_net ?(clock = false) t name =
         n_is_clock = clock;
         sinks = [];
         holder = None;
+        stamp = 0;
       }
   in
   Hashtbl.add t.net_index name id;

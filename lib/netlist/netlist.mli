@@ -139,18 +139,22 @@ val is_isolation : t -> inst_id -> bool
 
 (** {1 Touched-net journal}
 
-    Every structural mutation (pin attach/detach, cell swap, switch or
-    holder rewiring, domain assignment) records the nets whose standby
-    value could have changed.  An incremental analysis drains the
-    journal to learn where to re-seed; see [Smt_verify.Verify.update]. *)
+    Every mutator above (net creation, pin attach/detach, cell swap,
+    switch or holder rewiring, domain assignment) advances the netlist's
+    {!version} and stamps with it each net whose standby value or driver
+    load could have changed — a cell swap stamps every net the cell pins.
+    The journal is a read-only cursor: an incremental analysis remembers
+    the version it last saw and asks for the nets touched after it, so
+    any number of analyses ([Smt_sta.Sta.update],
+    [Smt_verify.Verify.update]) can follow one netlist without consuming
+    each other's edits. *)
 
-val touch : t -> net_id -> unit
-(** Record a net as dirty (mutators call this themselves; exposed for
-    callers that invalidate analysis state out of band). *)
+val version : t -> int
+(** The current journal stamp; it grows with every touch. *)
 
-val drain_touched : t -> net_id list
-(** The dirty nets accumulated since the last drain, sorted and
-    deduplicated; clears the journal. *)
+val touched_since : t -> int -> net_id list
+(** The nets touched after the given version, ascending.  Reading never
+    clears anything. *)
 
 (** {1 Traversal} *)
 

@@ -63,6 +63,7 @@ type t = {
   from_net : int array;  (* worst predecessor net, -1 if source *)
   via_inst : int array;  (* instance between from_net and this net, -1 at sources *)
   eps : endpoint list;
+  version : int;  (* the netlist journal version these arrays reflect *)
 }
 
 let netlist t = t.nl
@@ -95,8 +96,8 @@ let cell_delay cfg nl iid =
 
 (* Per-net loads for one (re)analysis: every [gate_timing] call during
    seed/forward used to re-fold its output net's sink list; one pass here
-   makes that an array read, and [update] invalidates only the nets
-   adjacent to the changed instances. *)
+   makes that an array read, and [update] re-folds only the touched
+   nets. *)
 let compute_loads cfg nl =
   let loads = Array.make (Netlist.net_count nl) 0.0 in
   Netlist.iter_nets nl (fun nid -> loads.(nid) <- load_of_net cfg nl nid);
@@ -286,6 +287,7 @@ let backward cfg nl order ~rat ~inst_delay =
 
 let analyze cfg nl =
   Metrics.incr m_analyses;
+  let version = Netlist.version nl in
   let order = Netlist.topo_order nl in
   let nnets = Netlist.net_count nl in
   let at_max = Array.make nnets neg_infinity in
@@ -301,69 +303,63 @@ let analyze cfg nl =
     ~mask:None;
   let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat in
   backward cfg nl order ~rat ~inst_delay;
-  { cfg; nl; order; loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps }
+  {
+    cfg; nl; order; loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps;
+    version;
+  }
 
-(* The downstream combinational cone of the changed instances, extended
-   upstream by one step through load coupling: a changed cell's new input
-   capacitance alters the delay of whatever drives it. *)
-let affected_insts nl changed =
-  let n = Netlist.inst_count nl in
-  let touched = Array.make n false in
+(* The downstream combinational cone of the touched nets' drivers.  A cell
+   swap touches every net the cell pins, so the seeds are the cell itself
+   (through its output net) and the drivers of its input nets, whose
+   delay the swapped cell's new input capacitance alters. *)
+let affected_insts nl touched_nets =
+  let affected = Array.make (Netlist.inst_count nl) false in
   let queue = Queue.create () in
   let enqueue iid =
-    if iid >= 0 && iid < n && not touched.(iid) then begin
-      touched.(iid) <- true;
+    if not affected.(iid) then begin
+      affected.(iid) <- true;
       Queue.add iid queue
     end
   in
   List.iter
-    (fun iid ->
-      enqueue iid;
-      (* drivers of the changed instance's input nets see a new load *)
-      List.iter enqueue (Netlist.fanin_insts nl iid))
-    changed;
+    (fun nid -> Option.iter (fun (p : Netlist.pin) -> enqueue p.Netlist.inst) (Netlist.driver nl nid))
+    touched_nets;
   while not (Queue.is_empty queue) do
-    let iid = Queue.pop queue in
-    List.iter enqueue (Netlist.fanout_insts nl iid)
+    List.iter enqueue (Netlist.fanout_insts nl (Queue.pop queue))
   done;
-  touched
+  affected
 
-let update t ~changed =
-  Metrics.incr m_incremental;
-  let evals0 = Metrics.counter_value m_arrival_evals in
+let update t =
   let { cfg; nl; order; _ } = t in
-  let touched = affected_insts nl changed in
-  let mask iid = iid < Array.length touched && touched.(iid) in
-  let at_max = Array.copy t.at_max in
-  let at_min = Array.copy t.at_min in
-  let at_slew = Array.copy t.at_slew in
-  let inst_delay = Array.copy t.inst_delay in
-  let from_net = Array.copy t.from_net in
-  let via_inst = Array.copy t.via_inst in
-  let rat = Array.make (Array.length t.rat) infinity in
-  (* A replaced cell changes the load of every net it pins (its new input
-     caps, or its holder cap); only those nets need re-folding.  A grown
-     netlist (shouldn't happen under [update]'s contract) falls back to a
-     full recompute rather than indexing out of bounds. *)
-  let loads =
-    if Netlist.net_count nl <> Array.length t.loads then compute_loads cfg nl
-    else begin
-      let loads = Array.copy t.loads in
-      List.iter
-        (fun iid ->
-          List.iter (fun (_, nid) -> loads.(nid) <- load_of_net cfg nl nid) (Netlist.conns nl iid))
-        changed;
-      loads
-    end
-  in
-  seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask:(Some mask);
-  forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst
-    ~mask:(Some mask);
-  let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat in
-  backward cfg nl order ~rat ~inst_delay;
-  Metrics.observe m_update_evals
-    (float_of_int (Metrics.counter_value m_arrival_evals - evals0));
-  { t with loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps }
+  (* Arrays sized for the old netlist cannot index a grown one: an added
+     net or instance (a buffer splice) takes the full analysis. *)
+  if Netlist.net_count nl <> Array.length t.loads
+     || Netlist.inst_count nl <> Array.length t.inst_delay
+  then analyze cfg nl
+  else begin
+    Metrics.incr m_incremental;
+    let evals0 = Metrics.counter_value m_arrival_evals in
+    let version = Netlist.version nl in
+    let touched_nets = Netlist.touched_since nl t.version in
+    let mask = Some (Array.get (affected_insts nl touched_nets)) in
+    let at_max = Array.copy t.at_max in
+    let at_min = Array.copy t.at_min in
+    let at_slew = Array.copy t.at_slew in
+    let inst_delay = Array.copy t.inst_delay in
+    let from_net = Array.copy t.from_net in
+    let via_inst = Array.copy t.via_inst in
+    let rat = Array.make (Array.length t.rat) infinity in
+    (* only a touched net can have gained or lost pin capacitance *)
+    let loads = Array.copy t.loads in
+    List.iter (fun nid -> loads.(nid) <- load_of_net cfg nl nid) touched_nets;
+    seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask;
+    forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst ~mask;
+    let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat in
+    backward cfg nl order ~rat ~inst_delay;
+    Metrics.observe m_update_evals
+      (float_of_int (Metrics.counter_value m_arrival_evals - evals0));
+    { t with loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps; version }
+  end
 
 let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
 

@@ -136,10 +136,18 @@ val endpoint_name : t -> endpoint -> string
 (** [inst/D] for a flip-flop data pin, the port name for a primary
     output. *)
 
-val update : t -> changed:Smt_netlist.Netlist.inst_id list -> t
-(** Incremental re-analysis after cell swaps that do not alter connectivity
-    (Vth/MT restyling, drive resizing): arrivals are recomputed only inside
-    the downstream cone of the changed instances — plus the fanin cones of
-    cells whose load changed — and required times are rebuilt.  The result
-    equals [analyze cfg nl] on the mutated netlist.  Topology changes
-    (added/removed instances or rewired pins) require a fresh [analyze]. *)
+val update : t -> t
+(** Incremental re-analysis after cell swaps that do not alter
+    connectivity (Vth/MT restyling, drive resizing, DFF/retention swaps).
+    The edits come from the netlist's touched-net journal
+    ({!Smt_netlist.Netlist.touched_since} the version this analysis
+    saw), so nothing the caller forgot can be missed.  Seed rule: the
+    drivers of the touched nets — for a swapped cell, the cell itself
+    through its output net and its fanin drivers through its input nets,
+    whose load changed.  Loads are re-folded for exactly the touched
+    nets, arrivals are recomputed only inside the downstream cone of the
+    seeds, and required times are rebuilt.  The result equals
+    [analyze cfg nl] on the mutated netlist.  A netlist that grew (added
+    nets or instances, e.g. a buffer splice) is re-analyzed in full.
+    Rewiring existing nets (moved sinks, removed instances) still needs a
+    fresh [analyze]: the stored topological order may be stale. *)

@@ -853,19 +853,21 @@ type session = {
   s_nl : Netlist.t;
   mutable s_states : state list;
   mutable s_mode_names : string list;
+  mutable s_version : int;  (* the netlist journal version the stores reflect *)
 }
 
 let start ?(jobs = 1) nl =
   Trace.with_span "Verify.start" ~args:[ ("circuit", Netlist.design_name nl) ]
   @@ fun () ->
   Metrics.incr m_runs;
+  let version = Netlist.version nl in
   let sf = run_all ~jobs nl in
-  ignore (Netlist.drain_touched nl);
   let s =
     {
       s_nl = nl;
       s_states = List.map fst sf;
       s_mode_names = List.map (fun (st, _) -> st.mode.m_name) sf;
+      s_version = version;
     }
   in
   (s, finish nl sf)
@@ -933,17 +935,17 @@ let update_mode st info ~dirty ~deepest =
   let findings = eval_rules st ~deepest in
   (st, findings)
 
-let update ?(jobs = 1) ?dirty s =
+let update ?(jobs = 1) s =
   Trace.with_span "Verify.update" ~args:[ ("circuit", Netlist.design_name s.s_nl) ]
   @@ fun () ->
   Metrics.incr m_updates;
   let nl = s.s_nl in
-  let dirty = match dirty with Some d -> d | None -> Netlist.drain_touched nl in
+  let dirty = Netlist.touched_since nl s.s_version in
+  s.s_version <- Netlist.version nl;
   let names = List.map (fun m -> m.m_name) (modes_of nl) in
   if names <> s.s_mode_names then begin
     (* the domain table itself changed: mode vector is different, restart *)
     let sf = run_all ~jobs nl in
-    ignore (Netlist.drain_touched nl);
     s.s_states <- List.map fst sf;
     s.s_mode_names <- names;
     finish nl sf

@@ -49,8 +49,8 @@
     into the [lint.mode_dedup] metric.
 
     Findings are reported against the {!Rules} catalog.  The analysis
-    never mutates the netlist (it does consume the touched-net journal
-    in {!start} / {!update}).
+    never mutates the netlist ({!update} only reads its touched-net
+    journal).
 
     Emits [lint.runs] / [lint.updates] / [lint.transfers] /
     [lint.widened] / [lint.mode_dedup] metrics and
@@ -85,12 +85,14 @@ val value_of : result -> string -> Lattice.v option
 (** {1 Incremental re-analysis}
 
     A session keeps the per-mode fixpoint stores alive between runs so
-    an ECO-sized edit re-analyzes only its cone.  {!update} takes the
-    set of nets whose standby value may have changed (by default the
-    netlist's touched-net journal, which every structural mutator
-    feeds), closes it forward over data, supply, and holder-enable
-    edges, re-seeds and re-propagates just that cone, then re-evaluates
-    rules over the whole store.
+    an ECO-sized edit re-analyzes only its cone.  {!update} reads the
+    nets whose standby value may have changed from the netlist's
+    touched-net journal ({!Smt_netlist.Netlist.touched_since} the
+    version the session last saw — reading clears nothing, so other
+    analyses such as [Smt_sta.Sta.update] can follow the same netlist),
+    closes that set forward over data, supply, and holder-enable edges,
+    re-seeds and re-propagates just that cone, then re-evaluates rules
+    over the whole store.
 
     {b Soundness of the incremental step}: the cone is forward-closed,
     so every transfer that could read a changed value has its output
@@ -106,10 +108,9 @@ val value_of : result -> string -> Lattice.v option
 type session
 
 val start : ?jobs:int -> Smt_netlist.Netlist.t -> session * result
-(** Full analysis that also retains its stores; drains the netlist's
-    touched-net journal so a following {!update} starts clean. *)
+(** Full analysis that also retains its stores and the netlist's journal
+    version, so a following {!update} sees only later edits. *)
 
-val update : ?jobs:int -> ?dirty:Smt_netlist.Netlist.net_id list -> session -> result
-(** Re-analyze after netlist edits.  [dirty] defaults to draining the
-    netlist's touched-net journal; pass it explicitly only if it covers
-    {e every} net touched since the last run. *)
+val update : ?jobs:int -> session -> result
+(** Re-analyze after the netlist edits made since the session's last
+    run. *)

@@ -168,7 +168,7 @@ let test_incremental_matches_full () =
       let c = Netlist.cell nl iid in
       Netlist.replace_cell nl iid (Library.restyle lib c Vth.High Vth.Plain))
     batch;
-  let incremental = Sta.update sta ~changed:batch in
+  let incremental = Sta.update sta in
   let full = Sta.analyze cfg nl in
   agree "hv swap" incremental full
 
@@ -186,7 +186,7 @@ let test_incremental_resize () =
   List.iter
     (fun iid -> Netlist.replace_cell nl iid (Library.resize lib (Netlist.cell nl iid) 4))
     some;
-  agree "resize" (Sta.update sta ~changed:some) (Sta.analyze cfg nl)
+  agree "resize" (Sta.update sta) (Sta.analyze cfg nl)
 
 let test_incremental_chain () =
   (* several successive updates stay exact *)
@@ -209,9 +209,31 @@ let test_incremental_chain () =
         if Library.has_variant ~drive:c.Cell.drive lib c.Cell.kind vth c.Cell.style then
           Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style))
       batch;
-    sta := Sta.update !sta ~changed:batch
+    sta := Sta.update !sta
   done;
   agree "chained updates" !sta (Sta.analyze cfg nl)
+
+let test_incremental_buffer_splice () =
+  (* An ECO-style hold-buffer splice grows the netlist by a net and an
+     instance: [update] must re-analyze in full rather than index past
+     the arrays it sized for the smaller netlist. *)
+  let nl = Generators.multiplier ~name:"mult4" ~bits:4 lib in
+  let cfg = Sta.config ~clock_period:(period_for nl 0.2) () in
+  let sta = Sta.analyze cfg nl in
+  let victim =
+    List.find
+      (fun iid ->
+        (not (Func.is_sequential (Netlist.cell nl iid).Cell.kind))
+        && Netlist.pin_net nl iid "A" <> None)
+      (Netlist.live_insts nl)
+  in
+  let from_net = Option.get (Netlist.pin_net nl victim "A") in
+  let new_net = Netlist.fresh_net nl "eco" in
+  Netlist.move_sink nl ~from_net { Netlist.inst = victim; pin_name = "A" } ~to_net:new_net;
+  ignore
+    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf") (Library.hold_buffer lib)
+       [ ("A", from_net); ("Z", new_net) ]);
+  agree "buffer splice" (Sta.update sta) (Sta.analyze cfg nl)
 
 (* --- corners --- *)
 
@@ -607,6 +629,7 @@ let () =
           Alcotest.test_case "matches full (vth swaps)" `Quick test_incremental_matches_full;
           Alcotest.test_case "matches full (resize)" `Quick test_incremental_resize;
           Alcotest.test_case "chained updates" `Quick test_incremental_chain;
+          Alcotest.test_case "buffer splice re-analyzes" `Quick test_incremental_buffer_splice;
         ] );
       ( "corners",
         [

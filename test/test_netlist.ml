@@ -403,12 +403,12 @@ let test_holder_required_rule () =
   let z = Netlist.add_output nl "z" in
   ignore (Netlist.add_inst nl ~name:"m1" (mt_cell Func.Inv) [ ("A", a); ("Z", mid) ]);
   ignore (Netlist.add_inst nl ~name:"m2" (mt_cell Func.Inv) [ ("A", mid); ("Z", z) ]);
-  Alcotest.(check bool) "all-MT fanout: unnecessary" false (Smt_netlist.Check.holder_required nl mid);
-  Alcotest.(check bool) "PO fanout: required" true (Smt_netlist.Check.holder_required nl z);
+  Alcotest.(check bool) "all-MT fanout: unnecessary" false (Smt_check.Walk.holder_required nl mid);
+  Alcotest.(check bool) "PO fanout: required" true (Smt_check.Walk.holder_required nl z);
   (* add a plain sink on mid *)
   let z2 = Netlist.add_output nl "z2" in
   ignore (Netlist.add_inst nl ~name:"p1" (lv Func.Inv) [ ("A", mid); ("Z", z2) ]);
-  Alcotest.(check bool) "plain fanout: required" true (Smt_netlist.Check.holder_required nl mid)
+  Alcotest.(check bool) "plain fanout: required" true (Smt_check.Walk.holder_required nl mid)
 
 let test_post_mt_validation () =
   let nl = fresh "post" in
@@ -515,22 +515,24 @@ let test_touched_journal () =
   let nl = fresh "j" in
   let a = Netlist.add_input nl "a" in
   let z = Netlist.add_output nl "z" in
-  (* creation touches are part of building; drain to a clean slate *)
-  ignore (Netlist.drain_touched nl);
-  Alcotest.(check (list int)) "empty after drain" [] (Netlist.drain_touched nl);
+  let v0 = Netlist.version nl in
+  Alcotest.(check (list int)) "creation touches, ascending" [ a; z ] (Netlist.touched_since nl 0);
+  Alcotest.(check (list int)) "nothing after the current version" [] (Netlist.touched_since nl v0);
   let g = Netlist.add_inst nl ~name:"g" (lv Func.Inv) [ ("A", a); ("Z", z) ] in
-  let touched = Netlist.drain_touched nl in
-  Alcotest.(check bool) "attach journals both pins" true
-    (List.mem a touched && List.mem z touched);
-  Alcotest.(check bool) "sorted and deduped" true
-    (List.sort_uniq compare touched = touched);
-  Alcotest.(check (list int)) "drain clears" [] (Netlist.drain_touched nl);
+  Alcotest.(check (list int)) "attach journals both pins" [ a; z ] (Netlist.touched_since nl v0);
+  Alcotest.(check (list int)) "a read clears nothing" [ a; z ] (Netlist.touched_since nl v0);
+  (* two cursors at different versions each see only their own later edits *)
+  let v1 = Netlist.version nl in
+  let b = Netlist.add_input nl "b" in
+  let v2 = Netlist.version nl in
+  Alcotest.(check bool) "versions grow" true (v0 < v1 && v1 < v2);
   Netlist.replace_cell nl g (mt_cell Func.Inv);
-  Alcotest.(check bool) "replace_cell journals the conns" true
-    (List.mem z (Netlist.drain_touched nl));
+  Alcotest.(check (list int)) "older cursor sees both edits" [ a; z; b ] (Netlist.touched_since nl v1);
+  Alcotest.(check (list int)) "replace_cell journals the conns" [ a; z ] (Netlist.touched_since nl v2);
+  let v3 = Netlist.version nl in
   Netlist.remove_inst nl g;
-  Alcotest.(check bool) "remove_inst journals the conns" true
-    (List.mem z (Netlist.drain_touched nl))
+  Alcotest.(check (list int)) "remove_inst journals the conns" [ a; z ] (Netlist.touched_since nl v3);
+  Alcotest.(check (list int)) "the older cursors are unaffected" [ a; z; b ] (Netlist.touched_since nl v1)
 
 let test_roundtrip_preserves_domains () =
   let nl = fresh "dm" in

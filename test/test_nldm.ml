@@ -157,7 +157,7 @@ let test_slew_aware_incremental () =
     (fun iid ->
       Netlist.replace_cell nl iid (Library.restyle lib (Netlist.cell nl iid) Vth.High Vth.Plain))
     victims;
-  let incr = Sta.update sta ~changed:victims in
+  let incr = Sta.update sta in
   let full = Sta.analyze cfg nl in
   Netlist.iter_nets nl (fun nid ->
       Alcotest.(check (float 1e-6)) "arrival agrees" (Sta.arrival full nid)

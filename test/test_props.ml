@@ -9,10 +9,8 @@ module Placement = Smt_place.Placement
 module Parasitics = Smt_route.Parasitics
 module Sta = Smt_sta.Sta
 module Geom = Smt_util.Geom
-module Heap = Smt_util.Heap
 module Stats = Smt_util.Stats
 module Rng = Smt_util.Rng
-module Union_find = Smt_util.Union_find
 module Library = Smt_cell.Library
 module Generators = Smt_circuits.Generators
 
@@ -21,32 +19,6 @@ let lib = Library.default ()
 let qtest = QCheck_alcotest.to_alcotest
 
 (* --- util properties --- *)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.of_array ~cmp:compare (Array.of_list xs) in
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_push_pop_min =
-  QCheck2.Test.make ~name:"heap pop is the minimum" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.pop h = Some (List.fold_left min (List.hd xs) xs))
-
-let prop_union_find_transitive =
-  QCheck2.Test.make ~name:"union-find transitivity" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 60) (pair (int_range 0 19) (int_range 0 19)))
-    (fun pairs ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> Union_find.union uf a b) pairs;
-      (* find is consistent with same *)
-      List.for_all
-        (fun (a, b) -> Union_find.same uf a b = (Union_find.find uf a = Union_find.find uf b))
-        pairs)
 
 let prop_percentile_bounded =
   QCheck2.Test.make ~name:"percentile within min/max" ~count:200
@@ -300,43 +272,66 @@ let prop_nldm_lookup_bounded =
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
 let prop_incremental_sta_exact =
+  (* Chained rounds of cell swaps -- Vth flips, drive steps and DFF <->
+     retention-DFF swaps -- each followed by [Sta.update], which reads the
+     swaps from the netlist's journal: every round must equal a
+     from-scratch analysis. *)
   QCheck2.Test.make ~name:"incremental STA equals full re-analysis" ~count:12
     ~print:string_of_int seed_gen
     (fun seed ->
+      let module Cell = Smt_cell.Cell in
+      let module Func = Smt_cell.Func in
+      let module Vth = Smt_cell.Vth in
       let nl = random_netlist seed in
       let cfg = Sta.config ~clock_period:1e5 () in
-      let sta = Sta.analyze cfg nl in
       let rng = Rng.create seed in
-      let lib = Smt_netlist.Netlist.lib nl in
-      let victims =
-        Netlist.live_insts nl
-        |> List.filter (fun iid ->
-               let c = Netlist.cell nl iid in
-               (not (Smt_cell.Func.is_sequential c.Smt_cell.Cell.kind))
-               && (not (Smt_cell.Func.is_infrastructure c.Smt_cell.Cell.kind))
-               && Smt_cell.Library.has_variant ~drive:c.Smt_cell.Cell.drive lib
-                    c.Smt_cell.Cell.kind Smt_cell.Vth.High c.Smt_cell.Cell.style)
-        |> List.filter (fun _ -> Rng.chance rng 0.3)
+      let retention = Library.retention_dff lib in
+      let plain_ffs = Hashtbl.create 17 in
+      let swap iid =
+        let c = Netlist.cell nl iid in
+        let has ~drive vth = Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style in
+        if c.Cell.kind = Func.Dff then begin
+          match Hashtbl.find_opt plain_ffs iid with
+          | Some plain ->
+            Hashtbl.remove plain_ffs iid;
+            Netlist.replace_cell nl iid plain
+          | None ->
+            Hashtbl.replace plain_ffs iid c;
+            Netlist.replace_cell nl iid retention
+        end
+        else if Func.is_infrastructure c.Cell.kind then ()
+        else if Rng.chance rng 0.5 then begin
+          let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
+          if has ~drive:c.Cell.drive vth then
+            Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
+        end
+        else
+          let other d = d <> c.Cell.drive && has ~drive:d c.Cell.vth in
+          match Array.of_list (List.filter other Library.drives) with
+          | [||] -> ()
+          | ds -> Netlist.replace_cell nl iid (Library.resize lib c (Rng.pick rng ds))
       in
-      if victims = [] then true
-      else begin
-        List.iter
-          (fun iid ->
-            let c = Netlist.cell nl iid in
-            Netlist.replace_cell nl iid
-              (Smt_cell.Library.restyle lib c Smt_cell.Vth.High c.Smt_cell.Cell.style))
-          victims;
-        let incr = Sta.update sta ~changed:victims in
+      (* infinities (no endpoints of a kind) must compare equal, not nan *)
+      let feq a b = a = b || Float.abs (a -. b) < 1e-6 in
+      let exact incr =
         let full = Sta.analyze cfg nl in
-        (* infinities (no endpoints of a kind) must compare equal, not nan *)
-        let feq a b = a = b || Float.abs (a -. b) < 1e-6 in
-        let ok = ref true in
+        let ok =
+          ref
+            (feq (Sta.wns incr) (Sta.wns full)
+            && feq (Sta.worst_hold_slack incr) (Sta.worst_hold_slack full))
+        in
         Netlist.iter_nets nl (fun nid ->
             if not (feq (Sta.arrival incr nid) (Sta.arrival full nid)) then ok := false);
         !ok
-        && feq (Sta.wns incr) (Sta.wns full)
-        && feq (Sta.worst_hold_slack incr) (Sta.worst_hold_slack full)
-      end)
+      in
+      let sta = ref (Sta.analyze cfg nl) in
+      let ok = ref true in
+      for _round = 1 to 4 do
+        List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl);
+        sta := Sta.update !sta;
+        if not (exact !sta) then ok := false
+      done;
+      !ok)
 
 let prop_compose_sound =
   QCheck2.Test.make ~name:"composition validates and counts add" ~count:10
@@ -571,9 +566,6 @@ let () =
     [
       ( "util",
         [
-          qtest prop_heap_sorts;
-          qtest prop_heap_push_pop_min;
-          qtest prop_union_find_transitive;
           qtest prop_percentile_bounded;
           qtest prop_spanning_vs_bbox;
           qtest prop_rng_int_uniformish;

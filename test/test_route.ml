@@ -1,7 +1,6 @@
 module Netlist = Smt_netlist.Netlist
 module Placement = Smt_place.Placement
 module Parasitics = Smt_route.Parasitics
-module Crosstalk = Smt_route.Crosstalk
 module Wire = Smt_sta.Wire
 module Library = Smt_cell.Library
 module Tech = Smt_cell.Tech
@@ -121,24 +120,6 @@ let test_spef_rejects_bad () =
        false
      with Failure _ -> true)
 
-let test_crosstalk_monotone () =
-  let prev = ref (-1.0) in
-  List.iter
-    (fun len ->
-      let f = Crosstalk.coupling_fraction ~length:len in
-      Alcotest.(check bool) "in [0,1)" true (f >= 0.0 && f < 1.0);
-      Alcotest.(check bool) "monotone" true (f >= !prev);
-      prev := f)
-    [ 0.0; 10.0; 50.0; 100.0; 500.0; 5000.0 ]
-
-let test_vgnd_length_rule () =
-  Alcotest.(check bool) "short ok" true
-    (Crosstalk.vgnd_ok tech ~length:(tech.Tech.vgnd_length_limit -. 1.0));
-  Alcotest.(check bool) "long rejected" false
-    (Crosstalk.vgnd_ok tech ~length:(tech.Tech.vgnd_length_limit +. 1.0));
-  Alcotest.(check bool) "noise grows" true
-    (Crosstalk.noise_mv tech ~length:300.0 > Crosstalk.noise_mv tech ~length:30.0)
-
 let () =
   Alcotest.run "smt_route"
     [
@@ -157,10 +138,5 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_spef_roundtrip;
           Alcotest.test_case "rejects bad input" `Quick test_spef_rejects_bad;
-        ] );
-      ( "crosstalk",
-        [
-          Alcotest.test_case "coupling monotone" `Quick test_crosstalk_monotone;
-          Alcotest.test_case "vgnd length rule" `Quick test_vgnd_length_rule;
         ] );
     ]

@@ -1,6 +1,4 @@
 module Rng = Smt_util.Rng
-module Union_find = Smt_util.Union_find
-module Heap = Smt_util.Heap
 module Geom = Smt_util.Geom
 module Stats = Smt_util.Stats
 module Vec = Smt_util.Vec
@@ -110,68 +108,6 @@ let test_rng_pick_empty () =
   let r = Rng.create 1 in
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick r [||]))
-
-(* --- Union_find --- *)
-
-let test_uf_initial () =
-  let uf = Union_find.create 5 in
-  Alcotest.(check int) "5 singletons" 5 (Union_find.count uf);
-  Alcotest.(check bool) "separate" false (Union_find.same uf 0 1);
-  Alcotest.(check int) "size 1" 1 (Union_find.size uf 3)
-
-let test_uf_union () =
-  let uf = Union_find.create 6 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 2 3;
-  Union_find.union uf 1 2;
-  Alcotest.(check bool) "0~3" true (Union_find.same uf 0 3);
-  Alcotest.(check bool) "0!~4" false (Union_find.same uf 0 4);
-  Alcotest.(check int) "sets" 3 (Union_find.count uf);
-  Alcotest.(check int) "size 4" 4 (Union_find.size uf 3)
-
-let test_uf_idempotent_union () =
-  let uf = Union_find.create 3 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 0 1;
-  Alcotest.(check int) "still 2 sets" 2 (Union_find.count uf)
-
-let test_uf_groups () =
-  let uf = Union_find.create 4 in
-  Union_find.union uf 0 2;
-  let groups = Union_find.groups uf in
-  let non_empty = Array.to_list groups |> List.filter (( <> ) []) in
-  Alcotest.(check int) "3 groups" 3 (List.length non_empty);
-  let total = List.fold_left (fun acc g -> acc + List.length g) 0 non_empty in
-  Alcotest.(check int) "all members covered" 4 total
-
-(* --- Heap --- *)
-
-let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 5; 9; 2; 6 ];
-  Alcotest.(check (list int)) "ascending" [ 1; 1; 2; 4; 5; 5; 6; 9 ] (Heap.to_sorted_list h)
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h)
-
-let test_heap_peek_stable () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "length unchanged" 2 (Heap.length h)
-
-let test_heap_of_array () =
-  let h = Heap.of_array ~cmp:compare [| 3; 1; 2 |] in
-  Alcotest.(check (list int)) "heapify" [ 1; 2; 3 ] (Heap.to_sorted_list h)
-
-let test_heap_custom_order () =
-  let h = Heap.create ~cmp:(fun a b -> compare b a) in
-  List.iter (Heap.push h) [ 1; 3; 2 ];
-  Alcotest.(check (list int)) "descending" [ 3; 2; 1 ] (Heap.to_sorted_list h)
 
 (* --- Geom --- *)
 
@@ -346,21 +282,6 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "initial" `Quick test_uf_initial;
-          Alcotest.test_case "union" `Quick test_uf_union;
-          Alcotest.test_case "idempotent" `Quick test_uf_idempotent_union;
-          Alcotest.test_case "groups" `Quick test_uf_groups;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorts" `Quick test_heap_sorts;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek stable" `Quick test_heap_peek_stable;
-          Alcotest.test_case "of_array" `Quick test_heap_of_array;
-          Alcotest.test_case "custom order" `Quick test_heap_custom_order;
         ] );
       ( "geom",
         [

@@ -588,6 +588,70 @@ let test_incremental_domain_change_restarts () =
     (List.map Rules.to_string ru.Verify.findings);
   Alcotest.(check bool) "values agree" true (ru.Verify.values = rf.Verify.values)
 
+let test_incremental_sta_and_verify_share_journal () =
+  (* One timing analysis and one verifier session follow the same
+     netlist through interleaved cell swaps.  Both read the netlist's
+     journal, at different moments: neither may take the other's edits,
+     and each must equal its from-scratch analysis after every step. *)
+  let module Sta = Smt_sta.Sta in
+  let module Rng = Smt_util.Rng in
+  let nl = Suite.multi_domain ~domains:2 ~name:"shj" lib in
+  let cfg = Sta.config ~clock_period:1e5 () in
+  let sta = ref (Sta.analyze cfg nl) in
+  let session, _ = Verify.start nl in
+  let gates =
+    Array.of_list
+      (List.filter
+         (fun iid ->
+           let k = (Netlist.cell nl iid).Cell.kind in
+           k = Func.Nand2 || k = Func.Nor2)
+         (Netlist.live_insts nl))
+  in
+  let rng = Rng.create 7 in
+  (* a gate-flavour swap (changes standby values and timing) or a Vth
+     flip (changes timing only) *)
+  let edit () =
+    let iid = gates.(Rng.int rng (Array.length gates)) in
+    let c = Netlist.cell nl iid in
+    let drive = c.Cell.drive in
+    let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
+    if Rng.chance rng 0.5 && Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style then
+      Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
+    else
+      let k' = if c.Cell.kind = Func.Nand2 then Func.Nor2 else Func.Nand2 in
+      Netlist.replace_cell nl iid (Library.variant ~drive lib k' c.Cell.vth c.Cell.style)
+  in
+  let check_sta step =
+    sta := Sta.update !sta;
+    let full = Sta.analyze cfg nl in
+    Netlist.iter_nets nl (fun nid ->
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "step %d: arrival of %s" step (Netlist.net_name nl nid))
+          (Sta.arrival full nid) (Sta.arrival !sta nid));
+    Alcotest.(check (float 1e-9)) (Printf.sprintf "step %d: wns" step) (Sta.wns full) (Sta.wns !sta)
+  in
+  let check_verify step =
+    let ru = Verify.update session in
+    let rf = Verify.analyze nl in
+    Alcotest.(check (list string))
+      (Printf.sprintf "step %d: findings" step)
+      (List.map Rules.to_string rf.Verify.findings)
+      (List.map Rules.to_string ru.Verify.findings);
+    Alcotest.(check bool) (Printf.sprintf "step %d: values" step) true
+      (ru.Verify.values = rf.Verify.values)
+  in
+  for step = 1 to 6 do
+    edit ();
+    let first, second =
+      if step mod 2 = 0 then (check_sta, check_verify) else (check_verify, check_sta)
+    in
+    first step;
+    (* an edit between the two reads: the second reader sees it now, the
+       first one at the next step *)
+    edit ();
+    second step
+  done
+
 (* --- rule catalog golden snapshot --- *)
 
 let test_rule_catalog_golden () =
@@ -797,6 +861,8 @@ let () =
             test_incremental_faster_on_small_delta;
           Alcotest.test_case "domain change restarts transparently" `Quick
             test_incremental_domain_change_restarts;
+          Alcotest.test_case "sta and verify follow one journal" `Quick
+            test_incremental_sta_and_verify_share_journal;
         ] );
       ( "catalog",
         [ Alcotest.test_case "rule catalog golden" `Quick test_rule_catalog_golden ] );
