@@ -90,8 +90,9 @@ let profile_arg =
     & info [ "profile" ]
         ~doc:
           "Attribute GC/heap cost (minor/major words, collections, peak heap) to each \
-           flow stage; surfaces as prof.* gauges, a per-stage column block in reports, \
-           and the ledger's per-stage attribution.")
+           flow stage; surfaces as GC args on the stage trace spans, a per-stage \
+           column block in reports, and the per-stage attribution of ledger and \
+           snapshot workloads.")
 
 let ledger_arg =
   Arg.(
@@ -149,26 +150,6 @@ let ledger_append obs ~kind ?(tag = "") ?(circuit = "-") ?(technique = "-")
     in
     Ledger.append path r;
     Printf.eprintf "ledger: appended record %s to %s\n%!" r.Ledger.r_id path
-
-(* The run-ledger form of one completed flow report: QoR fields, counter
-   deltas over the run, stage wall-clock, and — when profiling — the
-   per-stage GC attribution. *)
-let ledger_workload_of_report ~name ~before (r : Flow.report) =
-  let workload =
-    Smt_obs.Snapshot.workload ~name
-      ~qor:(Smt_core.Qor.qor_of r)
-      ~counters:(Smt_core.Qor.counter_delta ~before ~after:(Metrics.counters ()))
-      ~stage_ms:
-        (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages)
-  in
-  {
-    Ledger.lw_workload = workload;
-    Ledger.lw_prof =
-      List.filter_map
-        (fun (s : Flow.stage) ->
-          Option.map (fun p -> (s.Flow.stage_name, p)) s.Flow.stage_prof)
-        r.Flow.stages;
-  }
 
 let generator_of name =
   match List.assoc_opt name Suite.all with
@@ -301,7 +282,7 @@ let run_cmd =
         in
         ledger_append obs ~kind:"run" ~circuit ~technique:(Smt_core.Qor.technique_slug t)
           ~guard:(Flow.guard_name guard)
-          [ ledger_workload_of_report ~name ~before report ];
+          [ Smt_core.Qor.workload_of_report ~name ~before report ];
         finish obs;
         if guard <> Flow.Guard_off && Drc.has_errors (Drc.check nl) then exit 1
       | exception Flow.Flow_error e ->
@@ -393,7 +374,7 @@ let stages_cmd =
       in
       print_endline (Smt_util.Text_table.render ~header rows);
       ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
-        [ ledger_workload_of_report ~name:(circuit ^ "/improved") ~before report ];
+        [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/improved") ~before report ];
       finish obs
   in
   Cmd.v (Cmd.info "stages" ~doc:"Show per-stage metrics of the improved flow (the paper's Fig. 4)")
@@ -505,13 +486,13 @@ let explain_cmd =
 let bench_snapshot_cmd =
   let run obs seed jobs tag out =
     let jobs = jobs_of jobs in
-    let snap, workloads = Smt_core.Qor.collect_ledger ~seed ~jobs ~tag () in
+    let snap = Smt_core.Qor.collect ~seed ~jobs ~tag () in
     let path = match out with Some p -> p | None -> Printf.sprintf "BENCH_%s.json" tag in
     Smt_obs.Snapshot.write path snap;
     Printf.printf "snapshot %s (%d workloads) written to %s\n" tag
       (List.length snap.Smt_obs.Snapshot.s_workloads)
       path;
-    ledger_append obs ~kind:"bench" ~tag ~jobs workloads;
+    ledger_append obs ~kind:"bench" ~tag ~jobs snap.Smt_obs.Snapshot.s_workloads;
     finish obs
   in
   let tag_arg =
@@ -944,17 +925,13 @@ let lint_cmd =
     ledger_append obs ~kind:"lint" ~technique:(if raw then "raw" else technique) ~jobs
       (List.map
          (fun (wl : Sarif.workload) ->
-           {
-             Ledger.lw_workload =
-               Smt_obs.Snapshot.workload ~name:wl.Sarif.wl_name
-                 ~qor:
-                   [
-                     ("findings", float_of_int (List.length wl.Sarif.wl_findings));
-                     ("waived", float_of_int (List.length wl.Sarif.wl_waived));
-                   ]
-                 ~counters:[] ~stage_ms:[];
-             Ledger.lw_prof = [];
-           })
+           Smt_obs.Snapshot.workload ~name:wl.Sarif.wl_name
+             ~qor:
+               [
+                 ("findings", float_of_int (List.length wl.Sarif.wl_findings));
+                 ("waived", float_of_int (List.length wl.Sarif.wl_waived));
+               ]
+             ~counters:[] ~stage_ms:[])
          workloads);
     finish obs;
     (* With a baseline, only findings absent from it gate the exit code:
@@ -1240,12 +1217,14 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
     else Sys.executable_name
   in
   (* Cross-process telemetry: when the supervisor was asked for any
-     observability output, workers record their own spans/metrics/prof
-     and leave a sidecar next to the checkpoint; the supervisor absorbs
-     each sidecar onto the shard's stable tid (2 + matrix slot — a pure
-     function of the manifest, so retries and resumes land on the same
-     trace row).  Dedup by (job, attempt): retries overwrite the sidecar
-     and resumes re-see old ones, but nothing is double-counted. *)
+     observability output, workers run profiled (stage spans carry GC
+     args, checkpoints carry the workload's GC attribution), record their
+     own spans and metrics, and leave a sidecar next to the checkpoint;
+     the supervisor absorbs each sidecar onto the shard's stable tid
+     (2 + matrix slot — a pure function of the manifest, so retries and
+     resumes land on the same trace row).  Dedup by (job, attempt):
+     retries overwrite the sidecar and resumes re-see old ones, but
+     nothing is double-counted. *)
   let telemetry = obs.obs_trace <> None || obs.obs_metrics <> None || obs.obs_profile in
   let slots = Cman.slots man in
   let tid_of id = 2 + (match List.assoc_opt id slots with Some i -> i | None -> 0) in
@@ -1301,7 +1280,6 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
           cp_time = Ledger.clock ();
           cp_duration_s = 0.;
           cp_workload = None;
-          cp_prof = [];
         })
     (Csup.quarantined summary);
   match Cmerge.of_dir dir with
@@ -1709,16 +1687,7 @@ let campaign_worker_cmd =
             match Flow.run ~options t nl with
             | report ->
               let workload =
-                Smt_obs.Snapshot.workload ~name:(Cjob.name job)
-                  ~qor:(Smt_core.Qor.qor_of report)
-                  ~counters:
-                    (Smt_core.Qor.counter_delta ~before
-                       ~after:(Metrics.counters ()))
-                  ~stage_ms:
-                    (List.map
-                       (fun (s : Flow.stage) ->
-                         (s.Flow.stage_name, s.Flow.stage_ms))
-                       report.Flow.stages)
+                Smt_core.Qor.workload_of_report ~name:(Cjob.name job) ~before report
               in
               Ckpt.write ~dir
                 {
@@ -1728,13 +1697,6 @@ let campaign_worker_cmd =
                   cp_attempt = attempt;
                   cp_time = Ledger.clock ();
                   cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_prof =
-                    List.filter_map
-                      (fun (s : Flow.stage) ->
-                        Option.map
-                          (fun p -> (s.Flow.stage_name, p))
-                          s.Flow.stage_prof)
-                      report.Flow.stages;
                   cp_workload = Some workload;
                 };
               sidecar ();
@@ -1752,7 +1714,6 @@ let campaign_worker_cmd =
                   cp_attempt = attempt;
                   cp_time = Ledger.clock ();
                   cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_prof = [];
                   cp_workload = None;
                 };
               sidecar ();
@@ -1768,9 +1729,10 @@ let campaign_worker_cmd =
       value & flag
       & info [ "telemetry" ]
           ~doc:
-            "Record this shard's Trace spans, Metrics store, and Prof deltas \
-             to an atomic $(i,job).telemetry.json sidecar for the supervisor \
-             to absorb.")
+            "Record this shard's Trace spans (with per-stage GC args) and \
+             Metrics store to an atomic $(i,job).telemetry.json sidecar for \
+             the supervisor to absorb, and per-stage GC attribution in the \
+             checkpoint's workload.")
   in
   Cmd.v
     (Cmd.info "worker"
@@ -1882,8 +1844,7 @@ let runs_show_cmd =
       Printf.printf "  jobs      %d\n" r.Ledger.r_jobs;
       Printf.printf "  args_hash %s\n" r.Ledger.r_args_hash;
       List.iter
-        (fun (lw : Ledger.workload) ->
-          let w = lw.Ledger.lw_workload in
+        (fun (w : Smt_obs.Snapshot.workload) ->
           Printf.printf "\nworkload %s\n" w.Smt_obs.Snapshot.w_name;
           List.iter
             (fun (k, v) -> Printf.printf "  qor.%s = %s\n" k (time_str v))
@@ -1894,7 +1855,7 @@ let runs_show_cmd =
           List.iter
             (fun (stage, ms) ->
               let prof =
-                match List.assoc_opt stage lw.Ledger.lw_prof with
+                match List.assoc_opt stage w.Smt_obs.Snapshot.w_prof with
                 | None -> ""
                 | Some (p : Prof.stats) ->
                   Printf.sprintf " [minor %.2f Mw, major %.2f Mw, gc %d/%d]"

@@ -13,7 +13,6 @@ type t = {
   cp_time : float;
   cp_duration_s : float;
   cp_workload : Snapshot.workload option;
-  cp_prof : (string * Smt_obs.Prof.stats) list;
 }
 
 let suffix = ".ckpt.json"
@@ -35,17 +34,10 @@ let to_json cp =
         ("time", J.num_exact cp.cp_time);
         ("duration_s", J.num_exact cp.cp_duration_s);
       ]
-    @ (match cp.cp_workload with
-      | Some w -> [ ("workload", Snapshot.workload_json w) ]
-      | None -> [])
     @
-    match cp.cp_prof with
-    | [] -> []
-    | prof ->
-      [
-        ( "prof",
-          J.obj (List.map (fun (stage, st) -> (stage, Smt_obs.Prof.stats_json st)) prof) );
-      ]
+    match cp.cp_workload with
+    | Some w -> [ ("workload", Snapshot.workload_json w) ]
+    | None -> []
   in
   J.obj fields
 
@@ -111,20 +103,6 @@ let of_json doc =
       | Some d -> d
       | None -> 0.
     in
-    let* prof =
-      match J.member "prof" doc with
-      | None -> Ok []
-      | Some (J.Obj fields) ->
-        let rec go = function
-          | [] -> Ok []
-          | (stage, v) :: rest ->
-            let* st = Smt_obs.Prof.stats_of_json v in
-            let* tl = go rest in
-            Ok ((stage, st) :: tl)
-        in
-        go fields
-      | Some _ -> Error "checkpoint: prof is not an object"
-    in
     let* workload =
       match (status, J.member "workload" doc) with
       | Done, Some w ->
@@ -142,16 +120,9 @@ let of_json doc =
         cp_time = time;
         cp_duration_s = duration_s;
         cp_workload = workload;
-        cp_prof = prof;
       }
 
-let load file =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match J.parse (String.trim contents) with
-    | Error e -> Error e
-    | Ok doc -> of_json doc)
+let load file = Result.bind (J.of_file file) of_json
 
 type scan_result = {
   sc_checkpoints : (string * t) list;

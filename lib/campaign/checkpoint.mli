@@ -13,11 +13,15 @@
 
     {b Payload.}  A [Done] checkpoint embeds the job's result as an
     {!Smt_obs.Snapshot.workload} (the exact object snapshots and ledger
-    records carry), so the merge step only reassembles payloads it never
-    recomputes.  The envelope (attempt count, timestamp) is deliberately
-    excluded from merged snapshots: it records how the shard got there,
-    which may legitimately differ between an interrupted and an
-    uninterrupted campaign. *)
+    records carry, including a profiled worker's per-stage GC
+    attribution in [w_prof]), so the merge step only reassembles
+    payloads it never recomputes.  The envelope (attempt count,
+    timestamp, duration) is deliberately excluded from merged snapshots,
+    as are the workload's wall-clock and GC fields: they record how the
+    shard got there, which may legitimately differ between an
+    interrupted and an uninterrupted campaign.  A checkpoint in the
+    older layout, with a top-level ["prof"] beside ["workload"], still
+    loads; that field is ignored. *)
 
 val schema_version : int
 
@@ -36,10 +40,6 @@ type t = {
           written before the field existed.  Envelope data (feeds the
           status view's ETA, never merged snapshots). *)
   cp_workload : Smt_obs.Snapshot.workload option;  (** [Some] iff [Done] *)
-  cp_prof : (string * Smt_obs.Prof.stats) list;
-      (** per-stage GC attribution from the producing worker, the
-          [Ledger.workload.lw_prof] payload; empty when the worker ran
-          unprofiled or predates the field *)
 }
 
 val suffix : string

@@ -1,5 +1,4 @@
 module Snapshot = Smt_obs.Snapshot
-module Ledger = Smt_obs.Ledger
 
 type state = Sdone | Sfailed of string | Smissing
 
@@ -13,7 +12,7 @@ type job_state = {
 type t = {
   mg_tag : string;
   mg_snapshot : Snapshot.t;
-  mg_workloads : Ledger.workload list;
+  mg_workloads : Snapshot.workload list;
   mg_states : job_state list;
   mg_done : int;
   mg_failed : int;
@@ -21,11 +20,11 @@ type t = {
   mg_unreadable : int;
 }
 
-(* Wall-clock is the one worker-recorded field that differs run to run;
-   everything else in a workload is a deterministic function of the job. *)
-let strip_wallclock (w : Snapshot.workload) =
-  Snapshot.workload ~name:w.Snapshot.w_name ~qor:w.Snapshot.w_qor
-    ~counters:w.Snapshot.w_counters ~stage_ms:[]
+(* Wall-clock and GC attribution are the worker-recorded fields that
+   differ run to run; everything else in a workload is a deterministic
+   function of the job. *)
+let strip_measurements (w : Snapshot.workload) =
+  { w with Snapshot.w_stage_ms = []; w_prof = [] }
 
 let of_dir dir =
   match Manifest.load dir with
@@ -58,44 +57,30 @@ let of_dir dir =
               { js_job = job; js_state = Smissing; js_attempt = 0; js_duration_s = 0. })
           (Manifest.jobs man)
       in
-      let done_checkpoints =
+      (* The ledger form keeps what the snapshot strips: per-stage
+         wall-clock and the worker's GC attribution are exactly what
+         [runs show] reads back.  Sorted like the snapshot so ledger
+         records are independent of scan order. *)
+      let done_workloads =
         List.filter_map
           (fun js ->
             match js.js_state with
-            | Sdone -> (
-              match List.assoc_opt (Job.id js.js_job) sc_checkpoints with
-              | Some ({ Checkpoint.cp_workload = Some _; _ } as cp) -> Some cp
-              | _ -> None)
+            | Sdone ->
+              Option.bind
+                (List.assoc_opt (Job.id js.js_job) sc_checkpoints)
+                (fun cp -> cp.Checkpoint.cp_workload)
             | _ -> None)
           states
-      in
-      let done_workloads =
-        List.filter_map
-          (fun cp -> Option.map strip_wallclock cp.Checkpoint.cp_workload)
-          done_checkpoints
-      in
-      (* Ledger form keeps what the snapshot strips: per-stage wall-clock
-         and the worker's GC attribution are exactly what [runs show] and
-         [runs gc] read back.  Sorted like the snapshot so ledger records
-         are independent of scan order. *)
-      let ledger_workloads =
-        List.filter_map
-          (fun cp ->
-            Option.map
-              (fun w ->
-                { Ledger.lw_workload = w; Ledger.lw_prof = cp.Checkpoint.cp_prof })
-              cp.Checkpoint.cp_workload)
-          done_checkpoints
-        |> List.sort (fun a b ->
-               compare a.Ledger.lw_workload.Snapshot.w_name
-                 b.Ledger.lw_workload.Snapshot.w_name)
+        |> List.sort (fun a b -> compare a.Snapshot.w_name b.Snapshot.w_name)
       in
       let count p = List.length (List.filter p states) in
       Ok
         {
           mg_tag = man.Manifest.m_tag;
-          mg_snapshot = Snapshot.make ~tag:man.Manifest.m_tag done_workloads;
-          mg_workloads = ledger_workloads;
+          mg_snapshot =
+            Snapshot.make ~tag:man.Manifest.m_tag
+              (List.map strip_measurements done_workloads);
+          mg_workloads = done_workloads;
           mg_states = states;
           mg_done = count (fun js -> js.js_state = Sdone);
           mg_failed =

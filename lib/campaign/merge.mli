@@ -7,9 +7,10 @@
 
     - workloads are keyed by job name and sorted by {!Smt_obs.Snapshot.make}
       (scan order never leaks through);
-    - per-stage wall-clock ([stage_ms]) is stripped — it is the one
-      nondeterministic field a worker records, advisory by the snapshot
-      contract, and still available in the individual checkpoints;
+    - per-stage wall-clock ([stage_ms]) and GC attribution ([prof]) are
+      stripped — they are the nondeterministic fields a worker records,
+      never gate inputs by the snapshot contract, and still available in
+      the individual checkpoints and in [mg_workloads];
     - QoR fields and work counters come from the flow, which is a
       deterministic function of the job coordinates, and floats
       round-trip exactly ([num_exact]).
@@ -35,11 +36,11 @@ type job_state = {
 type t = {
   mg_tag : string;  (** from the manifest *)
   mg_snapshot : Smt_obs.Snapshot.t;  (** [Done] workloads only *)
-  mg_workloads : Smt_obs.Ledger.workload list;
-      (** [Done] workloads in run-ledger form, sorted by workload name:
-          unlike [mg_snapshot] these keep per-stage wall-clock and carry
-          the worker's per-stage GC attribution ([cp_prof]) — envelope
-          data that never enters the byte-compared snapshot *)
+  mg_workloads : Smt_obs.Snapshot.workload list;
+      (** [Done] workloads as the workers recorded them, sorted by
+          workload name: unlike [mg_snapshot] these keep per-stage
+          wall-clock and the worker's per-stage GC attribution — data
+          that never enters the byte-compared snapshot *)
   mg_states : job_state list;  (** canonical matrix order *)
   mg_done : int;
   mg_failed : int;
@@ -54,11 +55,10 @@ val of_dir : string -> (t, string) result
 val complete : t -> bool
 (** Every matrix job has a [Done] checkpoint. *)
 
-val workloads : t -> Smt_obs.Ledger.workload list
-(** [mg_workloads]: the merged workloads in run-ledger form, with real
-    per-stage wall-clock and GC attribution threaded through from the
-    worker checkpoints — what [campaign run] appends to the run ledger,
-    so [runs show]/[runs gc]-style analysis works on campaign records
+val workloads : t -> Smt_obs.Snapshot.workload list
+(** [mg_workloads]: the merged workloads with real per-stage wall-clock
+    and GC attribution from the worker checkpoints — what [campaign run]
+    appends to the run ledger, so [runs show] works on campaign records
     exactly as on single-process runs. *)
 
 val render_status : t -> string

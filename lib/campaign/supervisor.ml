@@ -58,7 +58,8 @@ let m_chaos_kills = Metrics.counter "campaign.chaos_kills"
 let m_timeouts = Metrics.counter "campaign.timeouts"
 let m_stalls = Metrics.counter "campaign.stalls"
 
-(* Mirrors [Prof.slug]: job ids become metric-name components. *)
+(* Mirrors [Flow.slug] (stage names in metric names): job ids become
+   metric-name components. *)
 let slug name =
   String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_')
     (String.lowercase_ascii name)

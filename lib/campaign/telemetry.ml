@@ -1,5 +1,5 @@
 (* The cross-process observability channel.  A worker cannot hand its
-   in-memory Trace/Metrics/Prof state back to the supervisor — it is a
+   in-memory Trace/Metrics state back to the supervisor — it is a
    fork/exec'd OS process — so it serializes the collected state into a
    sidecar file next to its checkpoint, and the supervisor absorbs the
    sidecar after the exit is verified.  The file carries the worker's
@@ -13,7 +13,6 @@
 module J = Smt_obs.Obs_json
 module Trace = Smt_obs.Trace
 module Metrics = Smt_obs.Metrics
-module Prof = Smt_obs.Prof
 
 let schema_version = 1
 
@@ -24,7 +23,6 @@ type t = {
   tl_epoch_unix_s : float;
   tl_events : Trace.event list;
   tl_metrics : Metrics.portable;
-  tl_prof : (string * Prof.stats) list;
 }
 
 let suffix = ".telemetry.json"
@@ -38,7 +36,6 @@ let capture ~job ~attempt =
     tl_epoch_unix_s = Trace.epoch_unix_s ();
     tl_events = Trace.events ();
     tl_metrics = Metrics.export ();
-    tl_prof = Prof.spans ();
   }
 
 let to_json t =
@@ -50,8 +47,6 @@ let to_json t =
       ("epoch_unix_s", J.num_exact t.tl_epoch_unix_s);
       ("events", J.arr (List.map Trace.event_json t.tl_events));
       ("metrics", Metrics.portable_json t.tl_metrics);
-      ( "prof",
-        J.obj (List.map (fun (stage, st) -> (stage, Prof.stats_json st)) t.tl_prof) );
     ]
 
 let write ~dir t =
@@ -111,17 +106,6 @@ let of_json doc =
       | Some m -> Metrics.portable_of_json m
       | None -> Ok { Metrics.p_counters = []; p_gauges = []; p_hists = [] }
     in
-    let* prof =
-      match J.member "prof" doc with
-      | None -> Ok []
-      | Some (J.Obj fields) ->
-        map_result
-          (fun (stage, v) ->
-            let* st = Prof.stats_of_json v in
-            Ok (stage, st))
-          fields
-      | Some _ -> Error "telemetry: prof is not an object"
-    in
     Ok
       {
         tl_version = version;
@@ -130,16 +114,9 @@ let of_json doc =
         tl_epoch_unix_s = epoch;
         tl_events = events;
         tl_metrics = metrics;
-        tl_prof = prof;
       }
 
-let load file =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match J.parse (String.trim contents) with
-    | Error e -> Error e
-    | Ok doc -> of_json doc)
+let load file = Result.bind (J.of_file file) of_json
 
 let shift_events ~from_epoch ~to_epoch ~attempt evs =
   let shift_us = (from_epoch -. to_epoch) *. 1e6 in
@@ -158,5 +135,4 @@ let absorb ?(tid = Trace.main_tid) t =
     Trace.absorb ~tid
       (shift_events ~from_epoch:t.tl_epoch_unix_s ~to_epoch:(Trace.epoch_unix_s ())
          ~attempt:t.tl_attempt t.tl_events);
-  Metrics.absorb t.tl_metrics;
-  Prof.absorb t.tl_prof
+  Metrics.absorb t.tl_metrics

@@ -1,13 +1,15 @@
 (** Worker-to-supervisor telemetry sidecars: the cross-process
     counterpart of {!Smt_obs.Trace.collect}/[absorb].
 
-    A worker process serializes its collected trace spans, metrics
-    store, and per-stage GC profile into [<job-id>.telemetry.json] next
-    to its checkpoint; the supervisor absorbs the sidecar after each
-    verified exit, remapping spans onto the shard's stable tid and
-    merging metrics/prof with the in-process semantics.  The result is
-    one Chrome trace and one metrics registry for the whole campaign,
-    assembled from as many OS processes as the matrix had jobs.
+    A worker process serializes its collected trace spans and metrics
+    store into [<job-id>.telemetry.json] next to its checkpoint; the
+    supervisor absorbs the sidecar after each verified exit, remapping
+    spans onto the shard's stable tid and merging metrics with the
+    in-process semantics.  The result is one Chrome trace and one
+    metrics registry for the whole campaign, assembled from as many OS
+    processes as the matrix had jobs.  Per-stage GC attribution needs no
+    field of its own: a profiled worker's stage spans carry it as args,
+    and its checkpoint's workload carries it as [w_prof].
 
     {b Clock normalization.}  Each sidecar is stamped with the absolute
     unix time of its writer's [ts_us = 0] ({!Smt_obs.Trace.epoch_unix_s});
@@ -32,7 +34,6 @@ type t = {
       (** absolute unix time of [ts_us = 0] in the writing process *)
   tl_events : Smt_obs.Trace.event list;
   tl_metrics : Smt_obs.Metrics.portable;
-  tl_prof : (string * Smt_obs.Prof.stats) list;
 }
 
 val suffix : string
@@ -42,8 +43,8 @@ val path : dir:string -> string -> string
 (** [path ~dir id] — [<dir>/<id>.telemetry.json]. *)
 
 val capture : job:string -> attempt:int -> t
-(** Snapshot the calling process's current trace buffer, metrics store,
-    and prof accumulator into a sidecar value. *)
+(** Snapshot the calling process's current trace buffer and metrics
+    store into a sidecar value. *)
 
 val write : dir:string -> t -> unit
 (** Atomic: temp + fsync + rename, overwriting any earlier attempt's
@@ -69,6 +70,6 @@ val absorb : ?tid:int -> t -> unit
     stamped with the attempt, retagged to [tid] (default
     {!Smt_obs.Trace.main_tid}), and appended to the trace buffer (only
     while tracing is enabled); metrics merge by name with
-    {!Smt_obs.Metrics.absorb}; prof merges additively.  Absorbing the
+    {!Smt_obs.Metrics.absorb}.  Absorbing the
     same sidecar twice double-counts — callers dedupe by
     [(tl_job, tl_attempt)]. *)

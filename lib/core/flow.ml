@@ -362,6 +362,8 @@ let run_with_artifacts ?(options = default_options) technique nl =
     let wns = Sta.wns sta in
     let now = Trace.now_us () in
     let dur_us = now -. !mark in
+    let pstats = Prof.record !pmark in
+    pmark := Prof.mark ();
     let d_area, d_standby, d_wns =
       match !prev with
       | None -> (0.0, 0.0, 0.0)
@@ -375,18 +377,31 @@ let run_with_artifacts ?(options = default_options) technique nl =
     Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".area_delta_um2")) d_area;
     Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".standby_delta_nw")) d_standby;
     Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".wns_delta_ps")) d_wns;
+    (* With profiling on, the stage's GC delta rides its span as args. *)
+    let gc_args =
+      match pstats with
+      | None -> []
+      | Some p ->
+        [
+          ("minor_words", Printf.sprintf "%.0f" p.Prof.minor_words);
+          ("major_words", Printf.sprintf "%.0f" p.Prof.major_words);
+          ("minor_collections", string_of_int p.Prof.minor_collections);
+          ("major_collections", string_of_int p.Prof.major_collections);
+        ]
+    in
     Trace.complete ~name ~ts_us:!mark ~dur_us
       ~args:
-        [
-          ("area_um2", Printf.sprintf "%.1f" area);
-          ("area_delta_um2", Printf.sprintf "%.1f" d_area);
-          ("standby_nw", Printf.sprintf "%.1f" standby);
-          ("standby_delta_nw", Printf.sprintf "%.1f" d_standby);
-          ("wns_ps", Printf.sprintf "%.1f" wns);
-          ("worst_bounce_v", Printf.sprintf "%.4f" bounce);
-          ("switches", string_of_int stats.Nl_stats.sleep_switches);
-          ("holders", string_of_int stats.Nl_stats.holders);
-        ]
+        ([
+           ("area_um2", Printf.sprintf "%.1f" area);
+           ("area_delta_um2", Printf.sprintf "%.1f" d_area);
+           ("standby_nw", Printf.sprintf "%.1f" standby);
+           ("standby_delta_nw", Printf.sprintf "%.1f" d_standby);
+           ("wns_ps", Printf.sprintf "%.1f" wns);
+           ("worst_bounce_v", Printf.sprintf "%.4f" bounce);
+           ("switches", string_of_int stats.Nl_stats.sleep_switches);
+           ("holders", string_of_int stats.Nl_stats.holders);
+         ]
+        @ gc_args)
       ();
     if Log.enabled Log.Debug then
       Log.debug "flow" ("stage: " ^ name)
@@ -398,8 +413,6 @@ let run_with_artifacts ?(options = default_options) technique nl =
             ("wns", Printf.sprintf "%.1f" wns);
           ];
     mark := now;
-    let pstats = Prof.record name !pmark in
-    pmark := Prof.mark ();
     stages :=
       {
         stage_name = name;

@@ -114,7 +114,10 @@ type stage = {
   stage_ms : float;  (** wall-clock time from the previous snapshot to this one *)
   stage_prof : Smt_obs.Prof.stats option;
       (** GC/heap cost over the same interval; [None] unless profiling
-          ({!Smt_obs.Prof.enable}, CLI [--profile]) was on *)
+          ({!Smt_obs.Prof.enable}, CLI [--profile]) was on.  When [Some],
+          the stage's trace span also carries it as [minor_words],
+          [major_words], [minor_collections] and [major_collections]
+          args. *)
 }
 
 type report = {

@@ -35,31 +35,24 @@ let qor_of (r : Flow.report) =
     ("total_switch_width", r.Flow.total_switch_width);
   ]
 
-let run_workload ~options (name, gen, t) =
-  let before = Metrics.counters () in
-  let r = Flow.run ~options t (gen (Library.default ())) in
-  let after = Metrics.counters () in
-  let workload =
-    Snapshot.workload ~name ~qor:(qor_of r)
-      ~counters:(counter_delta ~before ~after)
-      ~stage_ms:
-        (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages)
-  in
+let workload_of_report ~name ~before (r : Flow.report) =
   {
-    Smt_obs.Ledger.lw_workload = workload;
-    Smt_obs.Ledger.lw_prof =
+    (Snapshot.workload ~name ~qor:(qor_of r)
+       ~counters:(counter_delta ~before ~after:(Metrics.counters ()))
+       ~stage_ms:
+         (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages))
+    with
+    Snapshot.w_prof =
       List.filter_map
-        (fun (s : Flow.stage) ->
-          Option.map (fun p -> (s.Flow.stage_name, p)) s.Flow.stage_prof)
+        (fun (s : Flow.stage) -> Option.map (fun p -> (s.Flow.stage_name, p)) s.Flow.stage_prof)
         r.Flow.stages;
   }
 
-let collect_ledger ?(seed = 1) ?(jobs = 1) ~tag () =
+let collect ?(seed = 1) ?(jobs = 1) ~tag () =
   let options = { Flow.default_options with Flow.seed } in
-  let workloads = Smt_obs.Par.map ~jobs (run_workload ~options) default_workloads in
-  let snapshot =
-    Snapshot.make ~tag (List.map (fun lw -> lw.Smt_obs.Ledger.lw_workload) workloads)
-  in
-  (snapshot, workloads)
-
-let collect ?seed ?jobs ~tag () = fst (collect_ledger ?seed ?jobs ~tag ())
+  Snapshot.make ~tag
+    (Smt_obs.Par.map ~jobs
+       (fun (name, gen, t) ->
+         let before = Metrics.counters () in
+         workload_of_report ~name ~before (Flow.run ~options t (gen (Library.default ()))))
+       default_workloads)

@@ -5,8 +5,9 @@
     A and B under each of the three techniques — and freezes, per
     workload, the headline QoR fields of the report, the {!Smt_obs.Metrics}
     counter deltas attributable to that run alone (registry diffed before
-    and after, so concurrent sections cannot contaminate each other), and
-    the per-stage wall-clock times.
+    and after, so concurrent sections cannot contaminate each other), the
+    per-stage wall-clock times, and — with profiling on — the per-stage
+    GC attribution.
 
     The result is a {!Smt_obs.Snapshot.t} ready for [Snapshot.write] /
     [Snapshot.compare] — the payload behind [smt_flow bench-snapshot] and
@@ -29,21 +30,20 @@ val qor_of : Flow.report -> (string * float) list
 (** The snapshot's QoR fields for one report: area, standby leakage, WNS,
     cluster/switch/holder/MT-cell counts, total switch width. *)
 
-val collect_ledger :
-  ?seed:int ->
-  ?jobs:int ->
-  tag:string ->
-  unit ->
-  Smt_obs.Snapshot.t * Smt_obs.Ledger.workload list
-(** [collect] plus the same workloads in run-ledger form, carrying the
-    per-stage GC attribution from {!Smt_obs.Prof} when profiling was on
-    (empty attribution otherwise).  This is what [bench-snapshot
-    --ledger] appends. *)
+val workload_of_report :
+  name:string -> before:(string * int) list -> Flow.report -> Smt_obs.Snapshot.workload
+(** The one workload record of a completed flow: {!qor_of} the report,
+    the counter delta from [before] to now, per-stage wall-clock, and —
+    when profiling was on — per-stage GC attribution from
+    [Flow.stage_prof].  Call it right after the run so [before]..now
+    covers the run alone.  What snapshots, ledger lines and campaign
+    checkpoints all store. *)
 
 val collect : ?seed:int -> ?jobs:int -> tag:string -> unit -> Smt_obs.Snapshot.t
 (** Run every default workload (seed 1 by default) and assemble the
     snapshot.  Mutates the calling domain's metrics store as a side
     effect of running the flows.  [jobs] (default 1) runs the six
     workloads concurrently via {!Smt_obs.Par}; each job's counters are
-    collected in a scoped store, so the per-workload deltas — and the
-    snapshot JSON — are identical at any job count. *)
+    collected in a scoped store, so the per-workload deltas are identical
+    at any job count, and with profiling off so is the snapshot JSON
+    (profiled workloads also carry GC attribution, which varies). *)

@@ -9,11 +9,6 @@
 
 let schema_version = 1
 
-type workload = {
-  lw_workload : Snapshot.workload;
-  lw_prof : (string * Prof.stats) list;  (* stage name -> GC attribution *)
-}
-
 type record = {
   r_version : int;
   r_id : string;  (* 12-hex digest of the canonical payload *)
@@ -26,7 +21,7 @@ type record = {
   r_guard : string;
   r_jobs : int;
   r_args_hash : string;
-  r_workloads : workload list;
+  r_workloads : Snapshot.workload list;
 }
 
 let default_path () = Sys.getenv_opt "SMT_LEDGER"
@@ -43,18 +38,6 @@ let clock () =
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let workload_json w =
-  let base = Snapshot.workload_json w.lw_workload in
-  match w.lw_prof with
-  | [] -> base
-  | prof ->
-    (* Splice the prof object into the workload object: the base emitter
-       closes with '}', the prof block rides behind the last field. *)
-    let prof_json =
-      Obs_json.obj (List.map (fun (stage, st) -> (stage, Prof.stats_json st)) prof)
-    in
-    String.sub base 0 (String.length base - 1) ^ ",\"prof\":" ^ prof_json ^ "}"
-
 let payload_json r =
   Obs_json.obj
     [
@@ -68,7 +51,7 @@ let payload_json r =
       ("guard", Obs_json.str r.r_guard);
       ("jobs", string_of_int r.r_jobs);
       ("args_hash", Obs_json.str r.r_args_hash);
-      ("workloads", Obs_json.arr (List.map workload_json r.r_workloads));
+      ("workloads", Obs_json.arr (List.map Snapshot.workload_json r.r_workloads));
     ]
 
 let to_json r =
@@ -122,21 +105,6 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
-let workload_of_json doc =
-  let* w = Snapshot.workload_of_json doc in
-  let* prof =
-    match Obs_json.member "prof" doc with
-    | None -> Ok []
-    | Some (Obs_json.Obj fields) ->
-      map_result
-        (fun (stage, v) ->
-          let* st = Prof.stats_of_json v in
-          Ok (stage, st))
-        fields
-    | Some _ -> Error "ledger: workload prof is not an object"
-  in
-  Ok { lw_workload = w; lw_prof = prof }
-
 let of_json doc =
   let* version = num_of "schema_version" doc in
   let* id = str_of "id" doc in
@@ -151,7 +119,7 @@ let of_json doc =
   let* args_hash = str_of "args_hash" doc in
   let* workloads =
     match Obs_json.member "workloads" doc with
-    | Some (Obs_json.Arr items) -> map_result workload_of_json items
+    | Some (Obs_json.Arr items) -> map_result Snapshot.workload_of_json items
     | Some _ -> Error "ledger: workloads is not an array"
     | None -> Error "ledger: missing field \"workloads\""
   in
@@ -248,23 +216,21 @@ let append path r =
 type read_result = { records : record list; skipped : int }
 
 let read path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let records = ref [] and skipped = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
+  Result.map
+    (fun text ->
+      let records, skipped =
+        List.fold_left
+          (fun (records, skipped) line ->
+            if String.trim line = "" then (records, skipped)
+            else
               match of_line line with
-              | Ok r -> records := r :: !records
-              | Error _ -> incr skipped
-          done
-        with End_of_file -> ());
-    Ok { records = List.rev !records; skipped = !skipped }
+              | Ok r -> (r :: records, skipped)
+              | Error _ -> (records, skipped + 1))
+          ([], 0)
+          (String.split_on_char '\n' text)
+      in
+      { records = List.rev records; skipped })
+    (Obs_json.read_file path)
 
 let find path id =
   match read path with
@@ -278,23 +244,9 @@ type gc_result = { kept : int; dropped_malformed : int; dropped_old : int }
 
 let gc ?keep path =
   with_lock path (fun () ->
-      match open_in path with
-      | exception Sys_error e -> Error e
-      | ic ->
-        let records = ref [] and malformed = ref 0 in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            try
-              while true do
-                let line = input_line ic in
-                if String.trim line <> "" then
-                  match of_line line with
-                  | Ok r -> records := r :: !records
-                  | Error _ -> incr malformed
-              done
-            with End_of_file -> ());
-        let records = List.rev !records in
+      match read path with
+      | Error e -> Error e
+      | Ok { records; skipped = malformed } ->
         let dropped_old, records =
           match keep with
           | Some k when k >= 0 && List.length records > k ->
@@ -313,4 +265,4 @@ let gc ?keep path =
                 output_char oc '\n')
               records);
         Sys.rename tmp path;
-        Ok { kept = List.length records; dropped_malformed = !malformed; dropped_old })
+        Ok { kept = List.length records; dropped_malformed = malformed; dropped_old })

@@ -6,8 +6,9 @@
     circuit, technique, guard, job count, an argv hash, and an injected
     timestamp) plus the run's payload: per-workload QoR fields, work
     counters, per-stage wall-clock, and — when profiling was on — the
-    per-stage GC attribution from {!Prof}.  The workload payload reuses
-    {!Snapshot.workload} verbatim, so everything {!Snapshot.compare} can
+    per-stage GC attribution.  The payload is a list of
+    {!Snapshot.workload} records written with {!Snapshot.workload_json}
+    (one record type, one codec), so everything {!Snapshot.compare} can
     gate on, {!Trend} can chart over time.
 
     {b Concurrency.}  Appends serialize on an advisory lock over a
@@ -23,7 +24,8 @@
 
     {b Robustness.}  [read] skips lines that do not parse — typically the
     truncated tail of a run that died mid-append — and reports how many
-    it skipped; [gc] rewrites the file without them.
+    it skipped; [gc] rewrites the file without them.  An unreadable path
+    (missing, a directory) is an [Error], never an exception.
 
     {b Determinism.}  The caller injects the clock ([make ~time]); with a
     fixed time the id (a digest of the canonical payload) and the whole
@@ -32,12 +34,6 @@
     the same purpose, via {!clock}. *)
 
 val schema_version : int
-
-type workload = {
-  lw_workload : Snapshot.workload;
-  lw_prof : (string * Prof.stats) list;
-      (** stage name -> GC attribution; empty when profiling was off *)
-}
 
 type record = {
   r_version : int;
@@ -51,7 +47,7 @@ type record = {
   r_guard : string;
   r_jobs : int;
   r_args_hash : string;  (** 12-hex digest of the invocation's argv *)
-  r_workloads : workload list;
+  r_workloads : Snapshot.workload list;
 }
 
 val default_path : unit -> string option
@@ -71,7 +67,7 @@ val make :
   ?jobs:int ->
   ?args:string list ->
   kind:string ->
-  workload list ->
+  Snapshot.workload list ->
   record
 (** Assemble a record; [time] defaults to {!clock}[ ()], the id and
     args-hash are computed here. *)

@@ -194,13 +194,11 @@ let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 let to_num = function Num f -> Some f | Null -> Some Float.nan | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 
-let of_file path =
-  match open_in path with
+(* The whole read sits inside the one handler: [open_in] succeeds on a
+   directory, and the error only surfaces at the first read. *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse contents
+  | contents -> Ok contents
+
+let of_file path = Result.bind (read_file path) parse

@@ -65,5 +65,9 @@ val to_num : t -> float option
 
 val to_str : t -> string option
 
+val read_file : string -> (string, string) result
+(** A whole file's contents; every I/O error (missing file, a directory,
+    a failing read) comes back as [Error]. *)
+
 val of_file : string -> (t, string) result
-(** Read and parse a file; I/O errors come back as [Error]. *)
+(** {!read_file} then {!parse}. *)

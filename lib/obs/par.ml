@@ -3,23 +3,15 @@ let map ~jobs f xs =
   else begin
     let packed =
       Smt_util.Pool.map ~jobs
-        (fun x ->
-          let ((y, mcol), tev), pcol =
-            Prof.collect (fun () ->
-                Trace.collect (fun () -> Metrics.collect (fun () -> f x)))
-          in
-          (y, mcol, tev, pcol))
+        (fun x -> Trace.collect (fun () -> Metrics.collect (fun () -> f x)))
         xs
     in
     (* Merge in input order: additive instruments are order-independent,
-       gauges become last-write-wins exactly as in a sequential run.
-       Prof merges after Metrics so the re-published prof gauges reflect
-       the accumulated totals, not the last job's slice. *)
+       gauges become last-write-wins exactly as in a sequential run. *)
     List.mapi
-      (fun idx (y, mcol, tev, pcol) ->
+      (fun idx ((y, mcol), tev) ->
         Metrics.merge mcol;
         Trace.absorb ~tid:(2 + idx) tev;
-        Prof.merge pcol;
         y)
       packed
   end

@@ -2,14 +2,14 @@
     bookkeeping that keeps parallel runs indistinguishable from sequential
     ones to the metrics and trace consumers.
 
-    Each job runs under {!Metrics.collect}, {!Trace.collect}, and
-    {!Prof.collect}; the job stores are merged back on the caller {e in
-    input order}, so counter and histogram totals are identical at any job
-    count and gauges resolve exactly as they would have sequentially.
-    Worker trace buffers are absorbed with [tid = 2 + input index], giving
-    one Chrome trace row per job next to the caller's own [tid 1] row.
-    Per-stage GC attribution sums across jobs (peak heap by max) and the
-    [prof.*] gauges are re-published from the merged totals.
+    Each job runs under {!Metrics.collect} and {!Trace.collect}; the job
+    stores are merged back on the caller {e in input order}, so counter
+    and histogram totals are identical at any job count and gauges
+    resolve exactly as they would have sequentially.  Worker trace
+    buffers are absorbed with [tid = 2 + input index], giving one Chrome
+    trace row per job next to the caller's own [tid 1] row.  Per-stage
+    GC attribution needs no scope: it travels in each job's result and
+    in its trace spans' args.
 
     [jobs <= 1] is a plain [List.map] on the calling domain — no domains,
     no collection scopes, byte-identical to the pre-parallel behaviour. *)

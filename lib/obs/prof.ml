@@ -1,9 +1,8 @@
-(* Like [Trace], the on/off switch is global (one [--profile] flag governs
-   every domain) and the accumulator is per-domain, so concurrent workers
-   attribute GC work without contention.  A span's cost is the difference
-   of two [Gc.quick_stat] samples; [quick_stat] reads the calling domain's
-   allocation counters without walking the heap, so an enabled profile
-   stays cheap enough to leave on for whole benchmark sweeps. *)
+(* The on/off switch is global (one [--profile] flag governs every
+   domain); a delta is the difference of two [Gc.quick_stat] samples,
+   which read the calling domain's allocation counters without walking
+   the heap, so an enabled profile stays cheap enough to leave on for
+   whole benchmark sweeps. *)
 
 type stats = {
   minor_words : float;
@@ -12,72 +11,24 @@ type stats = {
   minor_collections : int;
   major_collections : int;
   compactions : int;
-  top_heap_words : int;  (* peak heap observed at span close, words *)
+  top_heap_words : int;  (* peak heap observed at interval close, words *)
 }
-
-let zero =
-  {
-    minor_words = 0.0;
-    promoted_words = 0.0;
-    major_words = 0.0;
-    minor_collections = 0;
-    major_collections = 0;
-    compactions = 0;
-    top_heap_words = 0;
-  }
-
-let add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    major_words = a.major_words +. b.major_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-    compactions = a.compactions + b.compactions;
-    top_heap_words = max a.top_heap_words b.top_heap_words;
-  }
 
 let recording = Atomic.make false
 
 let enable () = Atomic.set recording true
 let disable () = Atomic.set recording false
-let enabled () = Atomic.get recording
-
-(* Per-domain accumulator: span name -> running stats. *)
-
-type store = (string, stats) Hashtbl.t
-
-type collected = store
-
-let store_key : store Domain.DLS.key = Domain.DLS.new_key (fun () -> Hashtbl.create 17)
-let store () = Domain.DLS.get store_key
 
 type mark = Gc.stat option
 
 let mark () = if Atomic.get recording then Some (Gc.quick_stat ()) else None
 
-(* Mirrors [Flow.slug]: stage names become metric-name components. *)
-let slug name =
-  String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_')
-    (String.lowercase_ascii name)
-
-let gauges name st =
-  let s = slug name in
-  let set field v = Metrics.set (Metrics.gauge ("prof." ^ s ^ "." ^ field)) v in
-  set "minor_words" st.minor_words;
-  set "promoted_words" st.promoted_words;
-  set "major_words" st.major_words;
-  set "minor_collections" (float_of_int st.minor_collections);
-  set "major_collections" (float_of_int st.major_collections);
-  set "compactions" (float_of_int st.compactions);
-  set "top_heap_words" (float_of_int st.top_heap_words)
-
-let record name m =
+let record m =
   match m with
   | None -> None
   | Some (s0 : Gc.stat) ->
     let s1 = Gc.quick_stat () in
-    let d =
+    Some
       {
         minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
         promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
@@ -87,60 +38,6 @@ let record name m =
         compactions = s1.Gc.compactions - s0.Gc.compactions;
         top_heap_words = s1.Gc.top_heap_words;
       }
-    in
-    let st = store () in
-    let acc = match Hashtbl.find_opt st name with Some a -> add a d | None -> d in
-    Hashtbl.replace st name acc;
-    gauges name acc;
-    Some d
-
-let with_span name f =
-  if not (Atomic.get recording) then f ()
-  else begin
-    let m = mark () in
-    Fun.protect ~finally:(fun () -> ignore (record name m)) f
-  end
-
-let spans () =
-  Hashtbl.fold (fun name st acc -> (name, st) :: acc) (store ()) []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let reset () = Hashtbl.reset (store ())
-
-let collect f =
-  let saved = Domain.DLS.get store_key in
-  let fresh : store = Hashtbl.create 17 in
-  Domain.DLS.set store_key fresh;
-  match f () with
-  | y ->
-    Domain.DLS.set store_key saved;
-    (y, fresh)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Domain.DLS.set store_key saved;
-    Printexc.raise_with_backtrace e bt
-
-let merge (col : collected) =
-  let st = store () in
-  Hashtbl.iter
-    (fun name d ->
-      let acc = match Hashtbl.find_opt st name with Some a -> add a d | None -> d in
-      Hashtbl.replace st name acc;
-      (* Re-publish from the merged totals: the gauge writes that rode the
-         job's Metrics scope carried only that job's view. *)
-      gauges name acc)
-    col
-
-(* Cross-process form of [merge]: sidecar spans arrive as an association
-   list (the [spans] wire shape), not a live hashtable. *)
-let absorb spans =
-  let col : store = Hashtbl.create 17 in
-  List.iter
-    (fun (name, d) ->
-      let acc = match Hashtbl.find_opt col name with Some a -> add a d | None -> d in
-      Hashtbl.replace col name acc)
-    spans;
-  merge col
 
 let stats_json st =
   Obs_json.obj
@@ -179,6 +76,3 @@ let stats_of_json doc =
       compactions = int_of_float compactions;
       top_heap_words = int_of_float top_heap_words;
     }
-
-let to_json () =
-  Obs_json.obj (List.map (fun (name, st) -> (name, stats_json st)) (spans ()))

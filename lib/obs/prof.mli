@@ -1,31 +1,25 @@
-(** Per-span resource profiling: GC and heap cost attributed to named
-    flow stages.
+(** Per-stage resource profiling: the GC and heap cost of an interval.
 
-    A profiled span samples [Gc.quick_stat] at open and close and charges
-    the difference — minor/major/promoted words, collection counts,
-    compactions, and the peak heap observed — to the span's name.
+    A profiled interval samples [Gc.quick_stat] at open ({!mark}) and
+    close ({!record}) and returns the difference — minor/major/promoted
+    words, collection counts, compactions, and the peak heap observed.
     [quick_stat] reads the calling domain's counters without walking the
     heap, so profiling is cheap enough to stay enabled across whole
     benchmark sweeps; with the switch off (the default), [mark] and
     [record] are no-ops and runs are bit-identical to an unprofiled
     build.
 
-    Each recorded span also publishes [prof.<slug>.minor_words],
-    [prof.<slug>.major_words], ... {!Metrics} gauges, so profile data
-    rides every existing metrics dump.
-
-    {b Domain safety.}  The on/off switch is global (atomic); the
-    accumulator is per-domain.  Parallel drivers scope each job with
-    {!collect} and fold the result back with {!merge} in input order,
-    exactly like {!Metrics} — stats are additive (peak heap merges by
-    [max]).
+    Nothing is accumulated here: the caller owns each delta.  [Flow]
+    keeps it as the stage's [stage_prof], adds it to the stage's trace
+    span as args, and the workload record ({!Snapshot.workload}'s
+    [w_prof]) carries it into ledgers and checkpoints.
 
     {b Determinism.}  OCaml allocation is deterministic for a
     deterministic program, so minor-word attribution is reproducible
     run-to-run; collection counts and promoted words depend on minor-heap
-    state at span entry and may drift a little between job placements.
-    Nothing here feeds QoR comparison — profile numbers are attribution,
-    not gate inputs. *)
+    state at interval entry and may drift a little between job
+    placements.  Nothing here feeds QoR comparison — profile numbers are
+    attribution, not gate inputs. *)
 
 type stats = {
   minor_words : float;
@@ -34,59 +28,21 @@ type stats = {
   minor_collections : int;
   major_collections : int;
   compactions : int;
-  top_heap_words : int;  (** peak heap at span close (words), merged by max *)
+  top_heap_words : int;  (** peak heap at interval close (words) *)
 }
-
-val zero : stats
-val add : stats -> stats -> stats
-(** Field-wise sum; [top_heap_words] is the max of the two. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
+(** The switch is global (atomic): one [--profile] governs every domain. *)
 
 type mark
-(** An open-span sample.  Opaque; [None]-like when profiling is off. *)
+(** An open-interval sample.  Opaque; [None]-like when profiling is off. *)
 
 val mark : unit -> mark
 (** Sample the current GC counters (no-op value when disabled). *)
 
-val record : string -> mark -> stats option
-(** [record name m] charges the cost since [m] to [name]: accumulates into
-    the per-domain store, refreshes the [prof.<slug>.*] gauges, and
-    returns this span's own delta.  [None] when profiling was off at
-    [mark] time. *)
-
-val with_span : string -> (unit -> 'a) -> 'a
-(** [mark]/[record] around a thunk, for lexically scoped stages.  The cost
-    is recorded even if the thunk raises. *)
-
-val spans : unit -> (string * stats) list
-(** Accumulated per-span stats of the calling domain, sorted by name. *)
-
-val reset : unit -> unit
-(** Drop the calling domain's accumulator (recording state unchanged). *)
-
-type collected
-(** The profile a {!collect} scope accumulated. *)
-
-val collect : (unit -> 'a) -> 'a * collected
-(** Run the thunk against a fresh, empty accumulator and hand it back;
-    the caller's own accumulator is untouched and restored (also on
-    exception, discarding the scope with the re-raise). *)
-
-val merge : collected -> unit
-(** Fold a collected accumulator into the calling domain's store
-    (additive; peak heap by max). *)
-
-val absorb : (string * stats) list -> unit
-(** {!merge} for spans that arrived as data rather than a live scope —
-    the {!spans} shape, e.g. deserialized from another process's
-    telemetry sidecar.  Additive; peak heap by max; also refreshes the
-    [prof.<slug>.*] gauges from the merged totals. *)
+val record : mark -> stats option
+(** The cost since [m]; [None] when profiling was off at [mark] time. *)
 
 val stats_json : stats -> string
 val stats_of_json : Obs_json.t -> (stats, string) result
-val to_json : unit -> string
-(** The calling domain's accumulator as one JSON object, span name to
-    stats, sorted. *)

@@ -5,6 +5,7 @@ type workload = {
   w_qor : (string * float) list;
   w_counters : (string * int) list;
   w_stage_ms : (string * float) list;
+  w_prof : (string * Prof.stats) list;
 }
 
 type t = { s_version : int; s_tag : string; s_workloads : workload list }
@@ -12,7 +13,13 @@ type t = { s_version : int; s_tag : string; s_workloads : workload list }
 let sort_fields l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
 let workload ~name ~qor ~counters ~stage_ms =
-  { w_name = name; w_qor = sort_fields qor; w_counters = sort_fields counters; w_stage_ms = stage_ms }
+  {
+    w_name = name;
+    w_qor = sort_fields qor;
+    w_counters = sort_fields counters;
+    w_stage_ms = stage_ms;
+    w_prof = [];
+  }
 
 let make ~tag workloads =
   {
@@ -26,19 +33,28 @@ let make ~tag workloads =
 (* ------------------------------------------------------------------ *)
 
 let workload_json w =
+  (* GC attribution trails the other fields, and only when recorded, so
+     unprofiled workloads keep their bytes. *)
+  let prof =
+    match w.w_prof with
+    | [] -> []
+    | prof ->
+      [ ("prof", Obs_json.obj (List.map (fun (stage, st) -> (stage, Prof.stats_json st)) prof)) ]
+  in
   Obs_json.obj
-    [
-      ("name", Obs_json.str w.w_name);
-      ("qor", Obs_json.obj (List.map (fun (k, v) -> (k, Obs_json.num_exact v)) w.w_qor));
-      ( "counters",
-        Obs_json.obj (List.map (fun (k, v) -> (k, string_of_int v)) w.w_counters) );
-      ( "stage_ms",
-        Obs_json.arr
-          (List.map
-             (fun (stage, ms) ->
-               Obs_json.obj [ ("stage", Obs_json.str stage); ("ms", Obs_json.num ms) ])
-             w.w_stage_ms) );
-    ]
+    ([
+       ("name", Obs_json.str w.w_name);
+       ("qor", Obs_json.obj (List.map (fun (k, v) -> (k, Obs_json.num_exact v)) w.w_qor));
+       ( "counters",
+         Obs_json.obj (List.map (fun (k, v) -> (k, string_of_int v)) w.w_counters) );
+       ( "stage_ms",
+         Obs_json.arr
+           (List.map
+              (fun (stage, ms) ->
+                Obs_json.obj [ ("stage", Obs_json.str stage); ("ms", Obs_json.num ms) ])
+              w.w_stage_ms) );
+     ]
+    @ prof)
 
 let to_json s =
   Obs_json.obj
@@ -105,10 +121,20 @@ let workload_of_json doc =
         items
     | _ -> Error "snapshot: stage_ms is not an array"
   in
-  Ok (workload ~name ~qor ~counters ~stage_ms)
+  let* prof =
+    match Obs_json.member "prof" doc with
+    | None -> Ok []
+    | Some (Obs_json.Obj fields) ->
+      map_result
+        (fun (stage, v) ->
+          let* st = Prof.stats_of_json v in
+          Ok (stage, st))
+        fields
+    | Some _ -> Error "snapshot: prof is not an object"
+  in
+  Ok { (workload ~name ~qor ~counters ~stage_ms) with w_prof = prof }
 
-let of_json s =
-  let* doc = Obs_json.parse s in
+let of_doc doc =
   let* version = num_of "schema_version" doc in
   let* tag = str_of "tag" doc in
   let* workloads =
@@ -119,16 +145,8 @@ let of_json s =
   in
   Ok { s_version = int_of_float version; s_tag = tag; s_workloads = workloads }
 
-let read path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_json contents
+let of_json s = Result.bind (Obs_json.parse s) of_doc
+let read path = Result.bind (Obs_json.of_file path) of_doc
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -9,7 +9,12 @@
       ([sta.arrival_evals], [place.iterations], ...) diffed over the
       workload, so "how much work" is tracked independently of "how long";
     - {b per-stage wall-clock} — milliseconds per flow stage, advisory
-      only (machines differ; work counters are the portable proxy).
+      only (machines differ; work counters are the portable proxy);
+    - {b per-stage GC attribution} — present only when profiling was on,
+      never compared.
+
+    The same workload record is the payload of run-ledger lines and of
+    campaign checkpoints, so one codec serves all three files.
 
     [compare] classifies every difference against a baseline with
     per-field tolerances: QoR and counters must match exactly (QoR up to
@@ -30,6 +35,10 @@ type workload = {
   w_qor : (string * float) list;  (** sorted by field name *)
   w_counters : (string * int) list;  (** sorted by counter name *)
   w_stage_ms : (string * float) list;  (** flow order preserved *)
+  w_prof : (string * Prof.stats) list;
+      (** stage name -> GC delta, flow order; empty unless profiling was
+          on.  Serialized as a trailing ["prof"] object only when
+          non-empty; {!compare} ignores it. *)
 }
 
 type t = {
@@ -44,6 +53,7 @@ val workload :
   counters:(string * int) list ->
   stage_ms:(string * float) list ->
   workload
+(** [w_prof] starts empty; set it with a record update. *)
 
 val make : tag:string -> workload list -> t
 (** A snapshot at the current {!schema_version}; workloads are sorted. *)
@@ -57,7 +67,8 @@ val read : string -> (t, string) result
 
 val workload_json : workload -> string
 (** One workload as a JSON object — the element format of [to_json]'s
-    [workloads] array, reused verbatim by the run ledger. *)
+    [workloads] array, reused verbatim by the run ledger and campaign
+    checkpoints. *)
 
 val workload_of_json : Obs_json.t -> (workload, string) result
 

@@ -50,10 +50,7 @@ let of_snapshot_dir dir =
           | Ok snap ->
             Some
               (Ledger.make ~time:(float_of_int i) ~tag:snap.Snapshot.s_tag
-                 ~kind:"snapshot"
-                 (List.map
-                    (fun w -> { Ledger.lw_workload = w; Ledger.lw_prof = [] })
-                    snap.Snapshot.s_workloads)))
+                 ~kind:"snapshot" snap.Snapshot.s_workloads))
         names
       |> List.filter_map Fun.id
     in
@@ -79,8 +76,8 @@ let workload_names ?(filter = "") records =
   List.fold_left
     (fun acc (r : Ledger.record) ->
       List.fold_left
-        (fun acc (lw : Ledger.workload) ->
-          let n = lw.Ledger.lw_workload.Snapshot.w_name in
+        (fun acc (w : Snapshot.workload) ->
+          let n = w.Snapshot.w_name in
           if List.mem n acc then acc else n :: acc)
         acc r.Ledger.r_workloads)
     [] records
@@ -95,11 +92,9 @@ let transitions ~workload records =
     List.filter_map
       (fun (r : Ledger.record) ->
         List.find_opt
-          (fun (lw : Ledger.workload) ->
-            lw.Ledger.lw_workload.Snapshot.w_name = workload)
+          (fun (w : Snapshot.workload) -> w.Snapshot.w_name = workload)
           r.Ledger.r_workloads
-        |> Option.map (fun lw ->
-               (r.Ledger.r_id, Snapshot.make ~tag:r.Ledger.r_id [ lw.Ledger.lw_workload ])))
+        |> Option.map (fun w -> (r.Ledger.r_id, Snapshot.make ~tag:r.Ledger.r_id [ w ])))
       (ordered records)
   in
   let rec pairs = function
@@ -128,11 +123,9 @@ let analyze_workload ?(metric = "") ?(qor_only = true) records wname =
         List.filter_map
           (fun (r : Ledger.record) ->
             List.find_opt
-              (fun (lw : Ledger.workload) ->
-                lw.Ledger.lw_workload.Snapshot.w_name = wname)
+              (fun (w : Snapshot.workload) -> w.Snapshot.w_name = wname)
               r.Ledger.r_workloads
-            |> Option.map (fun lw ->
-                   (r.Ledger.r_time, r.Ledger.r_id, workload_fields lw.Ledger.lw_workload)))
+            |> Option.map (fun w -> (r.Ledger.r_time, r.Ledger.r_id, workload_fields w)))
           records
       in
       let fields =

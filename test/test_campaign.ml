@@ -59,8 +59,7 @@ let done_checkpoint ?(attempt = 1) ?(duration = 0.) ?(prof = []) j =
     cp_attempt = attempt;
     cp_time = 1000.0;
     cp_duration_s = duration;
-    cp_prof = prof;
-    cp_workload = Some (sample_workload (Job.name j));
+    cp_workload = Some { (sample_workload (Job.name j)) with Snapshot.w_prof = prof };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -126,7 +125,6 @@ let test_checkpoint_failed_roundtrip () =
       cp_attempt = 3;
       cp_time = 2000.0;
       cp_duration_s = 0.25;
-      cp_prof = [];
       cp_workload = None;
     };
   match Ckpt.load (Ckpt.path ~dir j) with
@@ -395,7 +393,6 @@ let test_merge_partial_coverage () =
       cp_attempt = 3;
       cp_time = 1.0;
       cp_duration_s = 0.;
-      cp_prof = [];
       cp_workload = None;
     };
   (* a checkpoint outside the matrix must be ignored, not merged *)
@@ -419,30 +416,56 @@ let test_merge_partial_coverage () =
 (* Checkpoint forward compatibility                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A checkpoint written before the duration/prof envelope fields existed
-   (same schema version, fewer fields) must load with neutral defaults —
-   campaign directories survive binary upgrades mid-campaign. *)
+(* Checkpoints written by older binaries (same schema version) must
+   load — campaign directories survive binary upgrades mid-campaign:
+   - before the duration envelope field existed, with neutral defaults;
+   - with per-stage GC attribution as a top-level "prof" beside the
+     workload (the layout before it moved into the workload), which is
+     ignored and merges to exactly the snapshot bytes of the current
+     layout. *)
 let test_checkpoint_old_format_defaults () =
-  with_temp_dir @@ fun dir ->
   let j = job "circuit_a" "dual" "off" 1 in
-  let old_json =
+  let old_json extra =
     Obs_json.obj
-      [
-        ("schema_version", string_of_int Ckpt.schema_version);
-        ("job", Job.to_json j);
-        ("status", Obs_json.str "done");
-        ("attempt", "1");
-        ("time", "1000");
-        ("workload", Snapshot.workload_json (sample_workload (Job.name j)));
-      ]
+      ([
+         ("schema_version", string_of_int Ckpt.schema_version);
+         ("job", Job.to_json j);
+         ("status", Obs_json.str "done");
+         ("attempt", "1");
+         ("time", "1000");
+         ("workload", Snapshot.workload_json (sample_workload (Job.name j)));
+       ]
+      @ extra)
   in
-  Out_channel.with_open_bin (Ckpt.path ~dir j) (fun oc ->
-      Out_channel.output_string oc (old_json ^ "\n"));
-  match Ckpt.load (Ckpt.path ~dir j) with
-  | Error e -> Alcotest.fail e
-  | Ok cp ->
-    Alcotest.(check (float 0.)) "duration defaults to 0" 0. cp.Ckpt.cp_duration_s;
-    Alcotest.(check int) "prof defaults to empty" 0 (List.length cp.Ckpt.cp_prof)
+  let top_level_prof =
+    [
+      ("duration_s", "0.5");
+      ("prof", Obs_json.obj [ ("replace", Prof.stats_json sample_stats) ]);
+    ]
+  in
+  let merged ?(duration = 0.) write =
+    with_temp_dir @@ fun dir ->
+    write_campaign dir [];
+    write dir;
+    (match Ckpt.load (Ckpt.path ~dir j) with
+    | Error e -> Alcotest.fail e
+    | Ok cp ->
+      Alcotest.(check bool) "loads as done" true (cp.Ckpt.cp_status = Ckpt.Done);
+      Alcotest.(check (float 0.)) "duration (0 when absent)" duration
+        cp.Ckpt.cp_duration_s);
+    match Merge.of_dir dir with
+    | Error e -> Alcotest.fail e
+    | Ok m -> Snapshot.to_json m.Merge.mg_snapshot
+  in
+  let write_raw json dir =
+    Out_channel.with_open_bin (Ckpt.path ~dir j) (fun oc ->
+        Out_channel.output_string oc (json ^ "\n"))
+  in
+  let current = merged (fun dir -> Ckpt.write ~dir (done_checkpoint j)) in
+  Alcotest.(check string) "pre-envelope layout merges identically" current
+    (merged (write_raw (old_json [])));
+  Alcotest.(check string) "top-level prof layout merges identically" current
+    (merged ~duration:0.5 (write_raw (old_json top_level_prof)))
 
 let test_checkpoint_envelope_roundtrip () =
   with_temp_dir @@ fun dir ->
@@ -453,8 +476,8 @@ let test_checkpoint_envelope_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok cp ->
     Alcotest.(check (float 1e-12)) "duration round-trips" 1.75 cp.Ckpt.cp_duration_s;
-    (match cp.Ckpt.cp_prof with
-    | [ (stage, st) ] ->
+    (match Option.map (fun w -> w.Snapshot.w_prof) cp.Ckpt.cp_workload with
+    | Some [ (stage, st) ] ->
       Alcotest.(check string) "prof stage" "replace" stage;
       Alcotest.(check (float 1e-9)) "minor words" 1000. st.Prof.minor_words;
       Alcotest.(check int) "top heap" 4096 st.Prof.top_heap_words
@@ -485,7 +508,6 @@ let sample_sidecar ?(attempt = 1) ?(epoch = Trace.epoch_unix_s ()) ?(events = []
     tl_epoch_unix_s = epoch;
     tl_events = events;
     tl_metrics = empty_metrics;
-    tl_prof = [];
   }
 
 let test_telemetry_roundtrip () =
@@ -503,7 +525,6 @@ let test_telemetry_roundtrip () =
           p_gauges = [ ("campaign.pending", 2.) ];
           p_hists = [];
         };
-      tl_prof = [ ("replace", sample_stats) ];
     }
   in
   Telemetry.write ~dir t;
@@ -520,9 +541,7 @@ let test_telemetry_roundtrip () =
         (List.assoc "stage" ev.Trace.ev_args)
     | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
     Alcotest.(check int) "counters survive" 3
-      (List.assoc "flow.runs" t'.Telemetry.tl_metrics.Metrics.p_counters);
-    Alcotest.(check (float 1e-9)) "prof survives" 1000.
-      (List.assoc "replace" t'.Telemetry.tl_prof).Prof.minor_words
+      (List.assoc "flow.runs" t'.Telemetry.tl_metrics.Metrics.p_counters)
 
 (* Torn sidecars must be tolerated exactly like torn checkpoints: load
    as [Error], never raise — the supervisor just skips the overlay. *)
@@ -764,14 +783,13 @@ let test_merge_workloads_carry_prof () =
         js.Merge.js_duration_s
     | _ -> Alcotest.fail "expected one job state");
     match Merge.workloads m with
-    | [ lw ] ->
-      Alcotest.(check string) "named after the job" (Job.name j)
-        lw.Smt_obs.Ledger.lw_workload.Snapshot.w_name;
+    | [ w ] ->
+      Alcotest.(check string) "named after the job" (Job.name j) w.Snapshot.w_name;
       Alcotest.(check bool) "stage wall-clock kept (unlike the snapshot)" true
-        (List.length lw.Smt_obs.Ledger.lw_workload.Snapshot.w_stage_ms > 0);
+        (List.length w.Snapshot.w_stage_ms > 0);
       Alcotest.(check (float 1e-9)) "per-stage GC attribution threaded through"
         1000.
-        (List.assoc "replace" lw.Smt_obs.Ledger.lw_prof).Prof.minor_words
+        (List.assoc "replace" w.Snapshot.w_prof).Prof.minor_words
     | ws -> Alcotest.failf "expected 1 ledger workload, got %d" (List.length ws))
 
 (* ------------------------------------------------------------------ *)

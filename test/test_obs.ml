@@ -375,6 +375,14 @@ let test_obs_json_rejects_malformed () =
   | exception Obs_json.Parse_error _ -> ()
   | _ -> Alcotest.fail "parse_exn did not raise"
 
+(* [open_in] succeeds on a directory: the failing read after it must be
+   an [Error] (flame and lint --baseline exit 2), not an escaped
+   [Sys_error]. *)
+let test_obs_json_of_file_directory () =
+  match Obs_json.of_file (Filename.get_temp_dir_name ()) with
+  | Ok _ -> Alcotest.fail "parsed a directory"
+  | Error _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -499,6 +507,8 @@ let () =
           Alcotest.test_case "emit/parse round-trip" `Quick test_obs_json_roundtrip;
           Alcotest.test_case "num_exact round-trips" `Quick test_obs_json_num_exact;
           Alcotest.test_case "rejects malformed input" `Quick test_obs_json_rejects_malformed;
+          Alcotest.test_case "of_file on a directory is an error" `Quick
+            test_obs_json_of_file_directory;
         ] );
       ( "metrics",
         [

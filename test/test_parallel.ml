@@ -166,14 +166,10 @@ let test_ledger_parallel_append_integrity () =
     (Par.map ~jobs:6
        (fun i ->
          let w =
-           {
-             Ledger.lw_workload =
-               Snapshot.workload
-                 ~name:(Printf.sprintf "w%02d" i)
-                 ~qor:[ ("value", float_of_int i) ]
-                 ~counters:[] ~stage_ms:[];
-             Ledger.lw_prof = [];
-           }
+           Snapshot.workload
+             ~name:(Printf.sprintf "w%02d" i)
+             ~qor:[ ("value", float_of_int i) ]
+             ~counters:[] ~stage_ms:[]
          in
          Ledger.append path (Ledger.make ~time:(float_of_int i) ~kind:"run" [ w ]))
        (List.init n Fun.id));
@@ -186,10 +182,7 @@ let test_ledger_parallel_append_integrity () =
       List.sort compare
         (List.concat_map
            (fun (r : Ledger.record) ->
-             List.map
-               (fun (lw : Ledger.workload) ->
-                 lw.Ledger.lw_workload.Snapshot.w_name)
-               r.Ledger.r_workloads)
+             List.map (fun (w : Snapshot.workload) -> w.Snapshot.w_name) r.Ledger.r_workloads)
            records)
     in
     Alcotest.(check (list string)) "payloads intact"

@@ -57,6 +57,53 @@ let test_write_read_file () =
   | Ok _ -> Alcotest.fail "reading a missing file succeeded"
   | Error _ -> ()
 
+(* [open_in] succeeds on a directory; the failing read after it must come
+   back as [Error] (bench-compare's exit 2), not escape as [Sys_error]. *)
+let test_read_directory () =
+  match Snapshot.read (Filename.get_temp_dir_name ()) with
+  | Ok _ -> Alcotest.fail "read a directory as a snapshot"
+  | Error _ -> ()
+
+(* Per-stage GC attribution rides the workload as a trailing "prof"
+   object, only when recorded, and never gates. *)
+let test_prof_serialized_not_compared () =
+  let s = base () in
+  let stats minor =
+    {
+      Smt_obs.Prof.minor_words = minor;
+      promoted_words = 0.;
+      major_words = 8.;
+      minor_collections = 1;
+      major_collections = 0;
+      compactions = 0;
+      top_heap_words = 1024;
+    }
+  in
+  let profiled minor =
+    {
+      s with
+      Snapshot.s_workloads =
+        List.map
+          (fun w -> { w with Snapshot.w_prof = [ ("replace", stats minor) ] })
+          s.Snapshot.s_workloads;
+    }
+  in
+  let plain = Snapshot.workload_json (wl "a/dual") in
+  Alcotest.(check string) "prof trails the other fields"
+    (String.sub plain 0 (String.length plain - 1)
+    ^ ",\"prof\":{\"replace\":" ^ Smt_obs.Prof.stats_json (stats 100.) ^ "}}")
+    (Snapshot.workload_json { (wl "a/dual") with Snapshot.w_prof = [ ("replace", stats 100.) ] });
+  Alcotest.(check bool) "unprofiled ends at stage_ms, no prof key" true
+    (String.ends_with ~suffix:"]}" plain);
+  (match Snapshot.of_json (Snapshot.to_json (profiled 100.)) with
+  | Error e -> Alcotest.fail e
+  | Ok s' ->
+    Alcotest.(check bool) "prof round-trips" true (s' = profiled 100.));
+  check_clean "prof never compared"
+    (Snapshot.compare ~baseline:(profiled 100.) ~current:(profiled 900.));
+  check_clean "profiled vs unprofiled compares clean"
+    (Snapshot.compare ~baseline:s ~current:(profiled 900.))
+
 let test_workload_fields_sorted () =
   let w =
     Snapshot.workload ~name:"w"
@@ -189,6 +236,9 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_roundtrip;
           Alcotest.test_case "file write/read" `Quick test_write_read_file;
+          Alcotest.test_case "read of a directory is an error" `Quick test_read_directory;
+          Alcotest.test_case "prof serialized, never compared" `Quick
+            test_prof_serialized_not_compared;
           Alcotest.test_case "field ordering" `Quick test_workload_fields_sorted;
         ] );
       ( "compare",

@@ -1,6 +1,6 @@
 (* Tests for the persistent telemetry layer: histogram quantiles, GC
-   profiling spans, the append-only run ledger, trend analysis over it,
-   and the folded-stacks flame export. *)
+   profiling (deltas and the flow's stage-span args), the append-only run
+   ledger, trend analysis over it, and the folded-stacks flame export. *)
 
 module Metrics = Smt_obs.Metrics
 module Prof = Smt_obs.Prof
@@ -73,35 +73,82 @@ let alloc_some () =
 
 let test_prof_disabled_is_noop () =
   Prof.disable ();
-  Prof.reset ();
   let m = Prof.mark () in
   alloc_some ();
-  Alcotest.(check bool) "record gives None when off" true (Prof.record "off" m = None);
-  Alcotest.(check (list (pair string reject))) "nothing accumulated" [] (Prof.spans ())
+  Alcotest.(check bool) "record gives None when off" true (Prof.record m = None)
 
 let test_prof_span_records_allocation () =
   Prof.enable ();
-  Prof.reset ();
-  Prof.with_span "alloc" alloc_some;
-  let st = List.assoc "alloc" (Prof.spans ()) in
-  Alcotest.(check bool) "words charged to the span" true
-    (st.Prof.minor_words +. st.Prof.major_words > 0.0);
-  Alcotest.(check bool) "peak heap observed" true (st.Prof.top_heap_words > 0);
-  Prof.disable ()
+  let m = Prof.mark () in
+  alloc_some ();
+  let st = Prof.record m in
+  Prof.disable ();
+  match st with
+  | None -> Alcotest.fail "no delta while profiling was on"
+  | Some st ->
+    Alcotest.(check bool) "words charged to the interval" true
+      (st.Prof.minor_words +. st.Prof.major_words > 0.0);
+    Alcotest.(check bool) "peak heap observed" true (st.Prof.top_heap_words > 0)
 
-let test_prof_collect_merge_additive () =
-  Prof.enable ();
-  Prof.reset ();
-  Prof.with_span "alloc" alloc_some;
-  let words (st : Prof.stats) = st.Prof.minor_words +. st.Prof.major_words in
-  let before = words (List.assoc "alloc" (Prof.spans ())) in
-  let (), col = Prof.collect (fun () -> Prof.with_span "alloc" alloc_some) in
-  Alcotest.(check (float 1e-9)) "collect scope left the caller untouched" before
-    (words (List.assoc "alloc" (Prof.spans ())));
-  Prof.merge col;
-  Alcotest.(check bool) "merge folds the scope in additively" true
-    (words (List.assoc "alloc" (Prof.spans ())) > before);
-  Prof.disable ()
+(* The flow's stage spans carry exactly the eight QoR args unprofiled;
+   profiled, the four GC args ride along and equal the stage's
+   [stage_prof], so a trace alone answers "where did the allocation go". *)
+let test_stage_span_gc_args () =
+  let module Flow = Smt_core.Flow in
+  let module Trace = Smt_obs.Trace in
+  let qor_keys =
+    [
+      "area_um2"; "area_delta_um2"; "standby_nw"; "standby_delta_nw"; "wns_ps";
+      "worst_bounce_v"; "switches"; "holders";
+    ]
+  in
+  let gc_keys = [ "minor_words"; "major_words"; "minor_collections"; "major_collections" ] in
+  let run ~profile =
+    if profile then Prof.enable () else Prof.disable ();
+    Trace.enable ();
+    Trace.clear ();
+    let report =
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.disable ();
+          Prof.disable ())
+        (fun () ->
+          Flow.run Flow.Improved_smt
+            (Smt_circuits.Suite.tiny (Smt_cell.Library.default ())))
+    in
+    let spans = Trace.events () in
+    List.map
+      (fun (s : Flow.stage) ->
+        match List.find_opt (fun ev -> ev.Trace.ev_name = s.Flow.stage_name) spans with
+        | Some ev -> (s, ev.Trace.ev_args)
+        | None -> Alcotest.failf "no span for stage %S" s.Flow.stage_name)
+      report.Flow.stages
+  in
+  let off = run ~profile:false in
+  Alcotest.(check bool) "stages ran" true (off <> []);
+  List.iter
+    (fun ((s : Flow.stage), args) ->
+      Alcotest.(check (list string)) (s.Flow.stage_name ^ ": unprofiled keys") qor_keys
+        (List.map fst args))
+    off;
+  List.iter
+    (fun ((s : Flow.stage), args) ->
+      let name = s.Flow.stage_name in
+      Alcotest.(check (list string)) (name ^ ": profiled keys") (qor_keys @ gc_keys)
+        (List.map fst args);
+      match s.Flow.stage_prof with
+      | None -> Alcotest.failf "%s: no stage_prof while profiling" name
+      | Some p ->
+        let arg k = float_of_string (List.assoc k args) in
+        Alcotest.(check (float 0.)) (name ^ ": minor words") p.Prof.minor_words
+          (arg "minor_words");
+        Alcotest.(check (float 0.)) (name ^ ": major words") p.Prof.major_words
+          (arg "major_words");
+        Alcotest.(check int) (name ^ ": minor collections") p.Prof.minor_collections
+          (int_of_float (arg "minor_collections"));
+        Alcotest.(check int) (name ^ ": major collections") p.Prof.major_collections
+          (int_of_float (arg "major_collections")))
+    (run ~profile:true)
 
 let test_prof_stats_json_roundtrip () =
   let st =
@@ -128,12 +175,23 @@ let test_prof_stats_json_roundtrip () =
 
 let sample_workload ?(prof = []) name v =
   {
-    Ledger.lw_workload =
-      Snapshot.workload ~name
-        ~qor:[ ("area_um2", v); ("standby_nw", v /. 2.0) ]
-        ~counters:[ ("sta.arrival_evals", int_of_float v) ]
-        ~stage_ms:[ ("replace", 1.5) ];
-    Ledger.lw_prof = prof;
+    (Snapshot.workload ~name
+       ~qor:[ ("area_um2", v); ("standby_nw", v /. 2.0) ]
+       ~counters:[ ("sta.arrival_evals", int_of_float v) ]
+       ~stage_ms:[ ("replace", 1.5) ])
+    with
+    Snapshot.w_prof = prof;
+  }
+
+let stats minor promoted major minor_gc major_gc top_heap =
+  {
+    Prof.minor_words = minor;
+    promoted_words = promoted;
+    major_words = major;
+    minor_collections = minor_gc;
+    major_collections = major_gc;
+    compactions = 0;
+    top_heap_words = top_heap;
   }
 
 let sample_record ?prof ~time v =
@@ -151,12 +209,7 @@ let with_temp_ledger f =
     (fun () -> f path)
 
 let test_ledger_line_roundtrip () =
-  let prof =
-    [
-      ( "replace",
-        { Prof.zero with Prof.minor_words = 42.0; minor_collections = 2 } );
-    ]
-  in
+  let prof = [ ("replace", stats 42.0 0. 0. 2 0 0) ] in
   let r = sample_record ~prof ~time:1000.0 123.0 in
   match Ledger.of_line (Ledger.to_json r) with
   | Error e -> Alcotest.fail e
@@ -171,11 +224,44 @@ let test_ledger_line_roundtrip () =
     Alcotest.(check string) "args hash" r.Ledger.r_args_hash r'.Ledger.r_args_hash;
     let w = List.hd r'.Ledger.r_workloads in
     Alcotest.(check string) "workload name" "circuit_a/improved"
-      w.Ledger.lw_workload.Snapshot.w_name;
+      w.Snapshot.w_name;
     Alcotest.(check (float 1e-9)) "qor survives exactly" 123.0
-      (List.assoc "area_um2" w.Ledger.lw_workload.Snapshot.w_qor);
-    let p = List.assoc "replace" w.Ledger.lw_prof in
+      (List.assoc "area_um2" w.Snapshot.w_qor);
+    let p = List.assoc "replace" w.Snapshot.w_prof in
     Alcotest.(check (float 1e-9)) "prof rides along" 42.0 p.Prof.minor_words
+
+(* Pins the ledger line format byte for byte: a record id is a digest of
+   the line, so a codec change that moved one byte would orphan every id
+   already in a ledger. *)
+let golden_line =
+  {|{"id":"a4d55a531fe3","schema_version":1,"time":1000.25,"tool":"smt_flow 1.0.0","kind":"run","tag":"golden","circuit":"circuit_a","technique":"improved","guard":"off","jobs":1,"args_hash":"fbc0dbc8e0d3","workloads":[{"name":"circuit_a/improved","qor":{"area_um2":10712.106000000033,"standby_nw":1367.84499999999},"counters":{"flow.runs":1,"sta.arrival_evals":5120},"stage_ms":[{"stage":"physical-synthesis (all low-Vth)","ms":12.5},{"stage":"high-Vth replacement","ms":3.25}],"prof":{"physical-synthesis (all low-Vth)":{"minor_words":1.23457e+06,"promoted_words":2048,"major_words":4096,"minor_collections":5,"major_collections":1,"compactions":0,"top_heap_words":262144},"high-Vth replacement":{"minor_words":98765.5,"promoted_words":0,"major_words":12,"minor_collections":1,"major_collections":0,"compactions":0,"top_heap_words":262144}}}]}|}
+
+let test_ledger_golden_line () =
+  let w =
+    {
+      (Snapshot.workload ~name:"circuit_a/improved"
+         ~qor:[ ("standby_nw", 1367.84499999999); ("area_um2", 10712.106000000033) ]
+         ~counters:[ ("sta.arrival_evals", 5120); ("flow.runs", 1) ]
+         ~stage_ms:[ ("physical-synthesis (all low-Vth)", 12.5); ("high-Vth replacement", 3.25) ])
+      with
+      Snapshot.w_prof =
+        [
+          ("physical-synthesis (all low-Vth)", stats 1234567. 2048. 4096. 5 1 262144);
+          ("high-Vth replacement", stats 98765.5 0. 12. 1 0 262144);
+        ];
+    }
+  in
+  let r =
+    Ledger.make ~time:1000.25 ~tool:"smt_flow 1.0.0" ~tag:"golden" ~circuit:"circuit_a"
+      ~technique:"improved" ~guard:"off" ~jobs:1
+      ~args:[ "run"; "-c"; "circuit_a"; "--ledger"; "L.jsonl" ]
+      ~kind:"run" [ w ]
+  in
+  Alcotest.(check string) "ledger line bytes" golden_line (Ledger.to_json r);
+  match Ledger.of_line golden_line with
+  | Error e -> Alcotest.fail e
+  | Ok r' ->
+    Alcotest.(check string) "re-emitted from the parse" golden_line (Ledger.to_json r')
 
 let test_ledger_id_deterministic () =
   let a = sample_record ~time:1000.0 123.0 in
@@ -223,6 +309,26 @@ let test_ledger_gc_keep_and_find () =
   | Ok r -> Alcotest.(check string) "newest is findable" last.Ledger.r_id r.Ledger.r_id);
   match Ledger.find path (List.hd rs).Ledger.r_id with
   | Ok _ -> Alcotest.fail "gc'd record still findable"
+  | Error _ -> ()
+
+(* [open_in] succeeds on a directory; the read after it must not escape
+   as [Sys_error], for [read] and for [gc]'s rewrite alike. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "smt_ledger_dir" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> Unix.rmdir dir) (fun () -> f dir)
+
+let test_ledger_read_directory () =
+  with_temp_dir @@ fun dir ->
+  match Ledger.read dir with
+  | Ok _ -> Alcotest.fail "read a directory as a ledger"
+  | Error _ -> ()
+
+let test_ledger_gc_directory () =
+  with_temp_dir @@ fun dir ->
+  match Ledger.gc dir with
+  | Ok _ -> Alcotest.fail "gc rewrote a directory"
   | Error _ -> ()
 
 (* A holder SIGKILLed between lock create and unlink leaves the .lock
@@ -470,14 +576,18 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_prof_disabled_is_noop;
           Alcotest.test_case "span records allocation" `Quick
             test_prof_span_records_allocation;
-          Alcotest.test_case "collect/merge additive" `Quick
-            test_prof_collect_merge_additive;
+          Alcotest.test_case "stage spans carry GC args" `Quick test_stage_span_gc_args;
           Alcotest.test_case "stats json round-trip" `Quick
             test_prof_stats_json_roundtrip;
         ] );
       ( "ledger",
         [
           Alcotest.test_case "line round-trip" `Quick test_ledger_line_roundtrip;
+          Alcotest.test_case "golden line bytes" `Quick test_ledger_golden_line;
+          Alcotest.test_case "read of a directory is an error" `Quick
+            test_ledger_read_directory;
+          Alcotest.test_case "gc of a directory is an error" `Quick
+            test_ledger_gc_directory;
           Alcotest.test_case "deterministic ids" `Quick test_ledger_id_deterministic;
           Alcotest.test_case "truncated tail tolerated" `Quick
             test_ledger_truncated_tail;
