@@ -8,6 +8,8 @@
      FIG-2/3   conventional vs improved transform on the same logic
      FIG-4     the improved flow stage by stage
      ABLATION  the design-choice sweeps DESIGN.md calls out
+     EXTENSIONS / SYSTEM  corners, retention, NLDM timing, gate sizing,
+               routing detour, sleep protocol, sign-off, scaling, all-MT
 
    Runtime is measured by the repo benchmark in perfbench/ (end-to-end and
    per-layer, with per-update arrival-eval quantiles), not here.
@@ -15,7 +17,7 @@
    Sections are independent, so they run through the deterministic domain
    pool (SMT_JOBS controls the width): each section renders into its own
    buffer and the buffers are printed in input order, so stdout is the
-   same at any job count. *)
+   same at any job count (CI compares SMT_JOBS=1 with SMT_JOBS=4). *)
 
 module Netlist = Smt_netlist.Netlist
 module Clone = Smt_netlist.Clone
@@ -301,11 +303,11 @@ let ablation buf =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: corners, wake-up, retention, sizing                     *)
+(* Extensions: corners, retention, NLDM timing, sizing                 *)
 (* ------------------------------------------------------------------ *)
 
 let extensions buf =
-  section buf "EXTENSIONS: corners, wake-up cost, retention, gate sizing";
+  section buf "EXTENSIONS: corners, retention, NLDM timing, gate sizing";
   (* leakage vs temperature per technique: why standby leakage is the
      battery killer precisely where phones live (warm pockets) *)
   bline buf "standby leakage vs temperature (circuit B, nW):";
@@ -327,35 +329,6 @@ let extensions buf =
       reports
   in
   bline buf (Text_table.render ~header rows);
-  (* wake-up cost vs cluster size: the trade-off that bounds sharing *)
-  bline buf "\nwake-up cost vs cells-per-switch (improved transform of mult8):";
-  let rows =
-    List.map
-      (fun cap ->
-        let nl = Generators.multiplier ~name:"m8w" ~bits:8 lib in
-        let probe = 1e6 in
-        let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-        let period = (probe -. Sta.wns sta) *. 1.05 in
-        ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-        ignore (Mt_replace.replace Mt_replace.Improved nl);
-        let place = Placement.place nl in
-        let ins = Switch_insert.insert place in
-        let params = { (Cluster.default_params tech) with Cluster.cell_limit = cap } in
-        let built = Cluster.build ~params place ~mte_net:ins.Switch_insert.mte_net in
-        let wire_length_of = Cluster.vgnd_lengths place in
-        let wake = Smt_power.Wakeup.analyze nl ~wire_length_of in
-        [
-          string_of_int cap;
-          string_of_int (List.length built.Cluster.clusters);
-          Printf.sprintf "%.1f" (Smt_power.Wakeup.worst_wake_time wake);
-          Printf.sprintf "%.1f" (Smt_power.Wakeup.total_wake_energy wake);
-        ])
-      [ 2; 4; 8; 16; 24 ]
-  in
-  bline buf
-    (Text_table.render
-       ~header:[ "Cells/switch"; "Clusters"; "Worst wake (ps)"; "Wake energy (fJ)" ]
-       rows);
   (* retention registers: removing the sequential leakage floor *)
   bline buf "\nretention registers (improved flow, circuit B):";
   let base = Flow.run Flow.Improved_smt (Suite.circuit_b lib) in
@@ -386,34 +359,6 @@ let extensions buf =
       (fun () -> Suite.circuit_b lib)
   in
   bline buf (Compare.render [ nldm_row ]);
-  (* statistical leakage under process variation *)
-  bline buf "\nstandby leakage under process variation (circuit B, 500 samples, sigma 0.35):";
-  let nl_by_tech =
-    List.map
-      (fun technique ->
-        let nl = Suite.circuit_b lib in
-        ignore (Flow.run technique nl);
-        (technique, nl))
-      [ Flow.Dual_vth; Flow.Conventional_smt; Flow.Improved_smt ]
-  in
-  let rows =
-    List.map
-      (fun (technique, nl) ->
-        let s = Smt_power.Variation.sample_standby nl in
-        [
-          Flow.technique_name technique;
-          Printf.sprintf "%.0f" s.Smt_power.Variation.deterministic;
-          Printf.sprintf "%.0f" s.Smt_power.Variation.mean;
-          Printf.sprintf "%.0f" s.Smt_power.Variation.p95;
-          Printf.sprintf "%.1f%%"
-            (100.0 *. s.Smt_power.Variation.stddev /. s.Smt_power.Variation.mean);
-        ])
-      nl_by_tech
-  in
-  bline buf
-    (Text_table.render
-       ~header:[ "Technique"; "Nominal nW"; "Mean nW"; "P95 nW"; "Rel sigma" ]
-       rows);
   (* gate sizing on an X2-mapped netlist *)
   bline buf "\ngate sizing (X2-mapped mult8, Dual-Vth flow):";
   let x2_mult () =
@@ -444,11 +389,11 @@ let extensions buf =
        [ row unsized "as mapped (X2)"; row sized "with drive recovery" ])
 
 (* ------------------------------------------------------------------ *)
-(* System: router-measured detours, sleep protocol, power domains      *)
+(* System: router-measured detours, sleep protocol, sign-off, scale    *)
 (* ------------------------------------------------------------------ *)
 
 let system buf =
-  section buf "SYSTEM: measured routing detour, sleep protocol, power domains";
+  section buf "SYSTEM: measured routing detour, sleep protocol, sign-off, scalability";
   (* circuit inventory *)
   bline buf "circuit inventory (improved flow on each):";
   let rows =
@@ -501,40 +446,8 @@ let system buf =
     (Smt_core.Standby.mte_tree_delay
        (Sta.config ~clock_period:report.Flow.clock_period ())
        nl);
-  (* power domains: the partial-standby states a single MTE cannot express *)
-  let nl = Generators.multiplier ~name:"m8pd" ~bits:8 lib in
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-  ignore (Mt_replace.replace Mt_replace.Improved nl);
-  let place = Placement.place nl in
-  ignore (Switch_insert.insert place);
-  let d = Smt_core.Domains.partition ~domains:2 place in
-  bline buf "two power domains on mult8:";
-  let rows =
-    List.map
-      (fun (label, asleep) ->
-        [ label; Printf.sprintf "%.1f" (Smt_core.Domains.standby_leakage d ~asleep) ])
-      [
-        ("all awake", []); ("domain 0 asleep", [ 0 ]); ("domain 1 asleep", [ 1 ]);
-        ("full standby", [ 0; 1 ]);
-      ]
-  in
-  bline buf (Text_table.render ~header:[ "State"; "Leakage nW" ] rows);
-  (* sleep-vector selection: the state of the cells left powered matters *)
-  let nl_sv = Generators.multiplier ~name:"m8sv" ~bits:8 lib in
-  ignore (Flow.run Flow.Dual_vth nl_sv);
-  let sv = Smt_power.Sleep_vector.search ~tries:64 nl_sv in
-  bpf buf
-    "\nsleep-vector search (Dual-Vth mult8, 64 vectors): best %.0f nW, average %.0f nW, \
-     worst %.0f nW — parking the inputs well saves %.1f%% of standby leakage for free\n\n"
-    sv.Smt_power.Sleep_vector.best_nw sv.Smt_power.Sleep_vector.average_nw
-    sv.Smt_power.Sleep_vector.worst_nw
-    (100.0
-    *. (sv.Smt_power.Sleep_vector.worst_nw -. sv.Smt_power.Sleep_vector.best_nw)
-    /. sv.Smt_power.Sleep_vector.worst_nw);
   (* VGND lengths measured on the congestion map vs the assumed detour *)
+  let probe = 1e6 in
   let nl_vg = Generators.multiplier ~name:"m8vg" ~bits:8 lib in
   let sta_vg = Sta.analyze (Sta.config ~clock_period:probe ()) nl_vg in
   let period_vg = (probe -. Sta.wns sta_vg) *. 1.05 in
@@ -562,10 +475,8 @@ let system buf =
   (* multi-corner sign-off of the finished improved block *)
   bline buf "\nmulti-corner sign-off (improved mult8):";
   let nl_so = Generators.multiplier ~name:"m8so" ~bits:8 lib in
-  let rep_so = Flow.run Flow.Improved_smt nl_so in
-  let so =
-    Smt_core.Signoff.run (Sta.config ~clock_period:rep_so.Flow.clock_period ()) nl_so
-  in
+  let _, art_so = Flow.run_with_artifacts Flow.Improved_smt nl_so in
+  let so = Smt_core.Signoff.run art_so.Flow.art_cfg nl_so in
   bline buf (Smt_core.Signoff.render so);
   (* scalability of the flow infrastructure *)
   bline buf "\nflow scalability (improved flow on multipliers):";
@@ -574,10 +485,8 @@ let system buf =
     List.map
       (fun bits ->
         let nl = Generators.multiplier ~name:(Printf.sprintf "m%dsc" bits) ~bits lib in
-        let t0 = Unix.gettimeofday () in
         let e0 = Metrics.counter_value evals in
         let r = Flow.run Flow.Improved_smt nl in
-        let dt = Unix.gettimeofday () -. t0 in
         let e1 = Metrics.counter_value evals in
         let stats = Smt_netlist.Nl_stats.compute nl in
         [
@@ -585,7 +494,6 @@ let system buf =
           string_of_int stats.Smt_netlist.Nl_stats.instances;
           string_of_int r.Flow.n_mt_cells;
           string_of_int r.Flow.n_clusters;
-          Printf.sprintf "%.0f ms" (dt *. 1000.0);
           string_of_int (e1 - e0);
           (if r.Flow.timing_met then "met" else "VIOLATED");
         ])
@@ -594,7 +502,7 @@ let system buf =
   bline buf
     (Text_table.render
        ~header:
-         [ "Circuit"; "Instances"; "MT cells"; "Clusters"; "Flow time"; "STA evals"; "Timing" ]
+         [ "Circuit"; "Instances"; "MT cells"; "Clusters"; "STA evals"; "Timing" ]
        rows);
   (* the all-MT strawman, apples to apples: identical mini-pipelines
      (Vth assignment -> replacement -> insertion -> clustering), the only
@@ -615,106 +523,35 @@ let system buf =
     ignore (Cluster.build ~activity:act place ~mte_net:ins.Switch_insert.mte_net);
     let stats = Smt_netlist.Nl_stats.compute nl in
     let leak = (Smt_power.Leakage.standby nl).Smt_power.Leakage.total in
-    let wakes =
-      Smt_power.Wakeup.analyze nl ~wire_length_of:(Cluster.vgnd_lengths place)
-    in
-    let wake = Smt_power.Wakeup.worst_wake_time wakes in
-    let rush =
-      List.fold_left (fun acc w -> acc +. w.Smt_power.Wakeup.rush_current_ua) 0.0 wakes
-    in
-    let energy = Smt_power.Wakeup.total_wake_energy wakes in
     [
       (if all then "all-MT" else "improved Selective-MT");
       string_of_int n;
       Printf.sprintf "%.0f" stats.Smt_netlist.Nl_stats.area_total;
       Printf.sprintf "%.0f" leak;
       string_of_int stats.Smt_netlist.Nl_stats.holders;
-      Printf.sprintf "%.0f" wake;
-      Printf.sprintf "%.0f" rush;
-      Printf.sprintf "%.0f" energy;
     ]
   in
   bline buf
     (Text_table.render
-       ~header:
-         [ "Style"; "MT cells"; "Area"; "Standby nW"; "Holders"; "Wake ps"; "Rush uA";
-           "Wake fJ" ]
+       ~header:[ "Style"; "MT cells"; "Area"; "Standby nW"; "Holders" ]
        [ mini ~all:false "m8sel"; mini ~all:true "m8all" ]);
   bline buf
-    "(gating everything buys a few percent of leakage but gates twice the cells:\n\
-     more area, a larger wake-up charge and rush-current surge — for logic that\n\
-     barely leaked. That asymmetry is the 'selective' in Selective-MT.)"
+    "(gating everything buys a few percent of leakage but gates twice the cells\n\
+     and costs more area — for logic that barely leaked. That asymmetry is the\n\
+     'selective' in Selective-MT.)"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Each section's counter readout is the delta its own work produced, not
-   the accumulation of everything before it. Computing before/after deltas
-   (instead of resetting the registry per section) gives the same numbers
-   whether sections run sequentially or spread across pool workers, where
-   each job already starts against a fresh domain-local store. *)
-let run_sections ~jobs sections =
-  let run_one (name, f) =
-    let before = Metrics.counters () in
-    let buf = Buffer.create 8192 in
-    f buf;
-    let after = Metrics.counters () in
-    let delta =
-      List.filter_map
-        (fun (c, v) ->
-          let v0 = Option.value (List.assoc_opt c before) ~default:0 in
-          if v - v0 <> 0 then Some (c, v - v0) else None)
-        after
-    in
-    (name, Buffer.contents buf, delta)
-  in
-  Par.map ~jobs run_one sections
-
-let sections_json per_section =
-  let module J = Smt_obs.Obs_json in
-  J.obj
-    (List.map
-       (fun (name, _, counters) ->
-         ( name,
-           J.obj
-             (List.map (fun (c, v) -> (c, string_of_int v))
-                (List.sort compare counters)) ))
-       per_section)
-
 let () =
-  let jobs = Pool.default_jobs () in
-  let per_section =
-    run_sections ~jobs
-      [
-        ("table1", table1);
-        ("fig1", fig1);
-        ("fig23", fig23);
-        ("fig4", fig4);
-        ("ablation", ablation);
-        ("extensions", extensions);
-        ("system", system);
-      ]
+  let render section =
+    let buf = Buffer.create 8192 in
+    section buf;
+    Buffer.contents buf
   in
+  let sections = [ table1; fig1; fig23; fig4; ablation; extensions; system ] in
   (* Buffers print in input order: stdout is identical at any job count. *)
-  List.iter (fun (_, out, _) -> print_string out) per_section;
-  (* SMT_METRICS=FILE dumps one counter object per section — regression
-     tracking of how much work each reproduction does, not just how long. *)
-  (match Sys.getenv_opt "SMT_METRICS" with
-  | Some path ->
-    Smt_obs.Obs_json.to_file path (sections_json per_section);
-    Printf.eprintf "per-section metrics written to %s\n%!" path
-  | None -> ());
-  (* Freeze the QoR snapshot the regression gate compares against
-     (SMT_BENCH_OUT overrides the path). *)
-  let bench_out =
-    Option.value (Sys.getenv_opt "SMT_BENCH_OUT") ~default:"BENCH_seed.json"
-  in
-  Metrics.reset ();
-  let snap = Smt_core.Qor.collect ~jobs ~tag:"seed" () in
-  Smt_obs.Snapshot.write bench_out snap;
-  Printf.eprintf "QoR snapshot (%d workloads) written to %s\n%!"
-    (List.length snap.Smt_obs.Snapshot.s_workloads)
-    bench_out;
+  List.iter print_string (Par.map ~jobs:(Pool.default_jobs ()) render sections);
   print_newline ();
   print_endline "all reproduction sections complete."

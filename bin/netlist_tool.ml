@@ -1,19 +1,20 @@
-(* Netlist utility: inspect, validate, optimize, diff, and export.
+(* Netlist utility: generate, inspect, validate, diff, and export.
 
      netlist_tool gen -c mult8 -o mult8.v          # generate & dump
      netlist_tool stats mult8.v
      netlist_tool validate mult8.v --post-mt
-     netlist_tool optimize mult8.v -o slim.v
-     netlist_tool equiv mult8.v slim.v
-     netlist_tool liberty -o cells.lib
-     netlist_tool route -c circuit_a               # congestion snapshot *)
+     netlist_tool equiv mult8.v other.v
+     netlist_tool route -c circuit_a               # congestion snapshot
+     netlist_tool json -c circuit_a                # Table-1 row as JSON
 
-module Netlist = Smt_netlist.Netlist
+   Exit codes: 0 ok, 1 check failed (validate, equiv), 2 bad input — an
+   unknown circuit, a malformed netlist (reported as file:line:column) or
+   an unreadable/unwritable path. *)
+
 module Parser = Smt_netlist.Parser
 module Writer = Smt_netlist.Writer
 module Check = Smt_check.Drc
 module Nl_stats = Smt_netlist.Nl_stats
-module Optimize = Smt_netlist.Optimize
 module Equiv = Smt_sim.Equiv
 module Placement = Smt_place.Placement
 module Global_router = Smt_route.Global_router
@@ -79,17 +80,6 @@ let validate_cmd =
   Cmd.v (Cmd.info "validate" ~doc:"Structural validation")
     Term.(const run $ file_arg 0 "Netlist file." $ post_mt_arg)
 
-let optimize_cmd =
-  let run path out =
-    let nl = load path in
-    let r = Optimize.run nl in
-    Printf.printf "removed %d dead cells, collapsed %d buffers (%d iterations)\n"
-      r.Optimize.dead_removed r.Optimize.buffers_collapsed r.Optimize.iterations;
-    emit out (Writer.to_string nl)
-  in
-  Cmd.v (Cmd.info "optimize" ~doc:"Dead-logic removal and buffer collapsing")
-    Term.(const run $ file_arg 0 "Netlist file." $ out_arg)
-
 let equiv_cmd =
   let run a b =
     let na = load a and nb = load b in
@@ -103,11 +93,6 @@ let equiv_cmd =
   in
   Cmd.v (Cmd.info "equiv" ~doc:"Simulation-based equivalence check of two netlists")
     Term.(const run $ file_arg 0 "First netlist." $ file_arg 1 "Second netlist.")
-
-let liberty_cmd =
-  let run out = emit out (Smt_cell.Liberty.to_string lib) in
-  Cmd.v (Cmd.info "liberty" ~doc:"Export the cell library as .lib text")
-    Term.(const run $ out_arg)
 
 let route_cmd =
   let run circuit =
@@ -129,18 +114,6 @@ let route_cmd =
   Cmd.v (Cmd.info "route" ~doc:"Global-routing congestion snapshot of a generated circuit")
     Term.(const run $ circuit_arg)
 
-let sdf_cmd =
-  let run path out =
-    let nl = load path in
-    let probe = 1e6 in
-    let sta0 = Smt_sta.Sta.analyze (Smt_sta.Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Smt_sta.Sta.wns sta0) *. 1.1 in
-    let sta = Smt_sta.Sta.analyze (Smt_sta.Sta.config ~clock_period:period ()) nl in
-    emit out (Smt_sta.Sdf.to_string ~t:sta ~design:(Netlist.design_name nl))
-  in
-  Cmd.v (Cmd.info "sdf" ~doc:"Export analyzed delays as SDF")
-    Term.(const run $ file_arg 0 "Netlist file." $ out_arg)
-
 let json_cmd =
   let run circuit out =
     match List.assoc_opt circuit Suite.all with
@@ -157,9 +130,19 @@ let json_cmd =
 let main =
   Cmd.group
     (Cmd.info "netlist_tool" ~version:"1.0.0" ~doc:"Netlist utilities for the Selective-MT flow")
-    [
-      gen_cmd; stats_cmd; validate_cmd; optimize_cmd; equiv_cmd; liberty_cmd; route_cmd;
-      sdf_cmd; json_cmd;
-    ]
+    [ gen_cmd; stats_cmd; validate_cmd; equiv_cmd; route_cmd; json_cmd ]
 
-let () = exit (Cmd.eval main)
+(* A malformed netlist or an unopenable path is bad input (exit 2, located
+   message); any other exception is a bug and keeps cmdliner's
+   internal-error exit. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception (Parser.Parse_error msg | Sys_error msg) ->
+      Printf.eprintf "netlist_tool: %s\n%!" msg;
+      2
+    | exception e ->
+      Printf.eprintf "netlist_tool: internal error, uncaught exception:\n%s\n%s%!"
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

@@ -13,7 +13,7 @@
      smt_flow lint -c circuit_a --waivers waivers.txt --sarif lint.sarif
 
    Exit codes: 0 clean, 1 Error-severity violations (check, or run with a
-   guard enabled), 2 usage errors. *)
+   guard enabled), 2 usage errors and unopenable paths. *)
 
 module Flow = Smt_core.Flow
 module Cluster = Smt_core.Cluster
@@ -306,15 +306,12 @@ let corners_cmd =
     | Ok gen, Ok t ->
       let options = { Flow.default_options with Flow.seed } in
       let nl = gen (lib ()) in
-      let report = Flow.run ~options t nl in
+      let report, art = Flow.run_with_artifacts ~options t nl in
       Printf.printf "multi-corner sign-off of %s (%s), clock %.1f ps:\n\n"
         report.Flow.circuit
         (Flow.technique_name report.Flow.technique)
         report.Flow.clock_period;
-      let cfg =
-        Smt_sta.Sta.config ~clock_period:report.Flow.clock_period ()
-      in
-      print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run cfg nl));
+      print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run art.Flow.art_cfg nl));
       finish obs
   in
   Cmd.v (Cmd.info "corners" ~doc:"Multi-corner timing & leakage sign-off")
@@ -419,9 +416,8 @@ let report_cmd =
     | Ok gen, Ok t ->
       let options = { Flow.default_options with Flow.seed } in
       let nl = gen (lib ()) in
-      let r = Flow.run ~options t nl in
-      let cfg = Smt_sta.Sta.config ~clock_period:r.Flow.clock_period () in
-      let sta = Smt_sta.Sta.analyze cfg nl in
+      let _, art = Flow.run_with_artifacts ~options t nl in
+      let sta = art.Flow.art_sta in
       print_endline (Smt_core.Report.summary sta);
       print_newline ();
       print_endline (Smt_core.Report.timing ~paths:2 sta);
@@ -2029,4 +2025,17 @@ let main =
       flame_cmd; campaign_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* An unopenable input or output path is bad input (exit 2, naming the
+   path); any other exception is a bug and keeps cmdliner's internal-error
+   exit. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Sys_error msg ->
+      Printf.eprintf "smt_flow: %s\n%!" msg;
+      2
+    | exception e ->
+      Printf.eprintf "smt_flow: internal error, uncaught exception:\n%s\n%s%!"
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

@@ -57,15 +57,4 @@ let () =
     "area price: conventional Selective-MT pays %+.1f%% area over Dual-Vth; the improved\n\
      style pays only %+.1f%% — the paper's area-efficiency claim.\n"
     (con.Compare.area_pct -. 100.0)
-    (imp.Compare.area_pct -. 100.0);
-  (* and the active side of the power budget, for perspective *)
-  let lib2 = Smt_cell.Library.default () in
-  let nl = Smt_circuits.Suite.circuit_a lib2 in
-  let r = Flow.run Flow.Improved_smt nl in
-  let clock_mhz = 1e6 /. r.Flow.clock_period in
-  let dyn = Smt_power.Dynamic.estimate ~clock_mhz nl in
-  Printf.printf
-    "\nactive power at %.0f MHz: %.2f mW switching + %.3f mW leakage floor;\n\
-     standby: %.4f mW — gating wins where the phone spends its life: doing nothing.\n"
-    clock_mhz dyn.Smt_power.Dynamic.switching_mw dyn.Smt_power.Dynamic.leakage_mw
-    (r.Flow.standby_nw /. 1e6)
+    (imp.Compare.area_pct -. 100.0)

@@ -67,8 +67,8 @@ val vgnd_lengths :
   Smt_place.Placement.t -> Smt_netlist.Netlist.inst_id -> float
 (** Precomputed [vgnd_length] for every current switch in one netlist
     pass — the efficient [wire_length_of] callback for
-    {!Smt_power.Bounce.analyze} / {!Smt_power.Wakeup.analyze}.  Switches
-    added after the call fall back to the direct scan. *)
+    {!Smt_power.Bounce.analyze}.  Switches added after the call fall back
+    to the direct scan. *)
 
 val refine :
   ?activity:Smt_sim.Activity.t ->

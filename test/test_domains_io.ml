@@ -1,123 +1,16 @@
-(* Tests for multi-domain power gating, Liberty export, and placement
-   save/restore. *)
+(* Tests for netlist composition and placement save/restore. *)
 
 module Netlist = Smt_netlist.Netlist
 module Check = Smt_check.Drc
 module Placement = Smt_place.Placement
 module Sta = Smt_sta.Sta
-module Leakage = Smt_power.Leakage
-module Domains = Smt_core.Domains
 module Mt_replace = Smt_core.Mt_replace
 module Vth_assign = Smt_core.Vth_assign
 module Switch_insert = Smt_core.Switch_insert
 module Library = Smt_cell.Library
-module Liberty = Smt_cell.Liberty
-module Cell = Smt_cell.Cell
 module Generators = Smt_circuits.Generators
 
 let lib = Library.default ()
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec loop i = i + nn <= nh && (String.sub hay i nn = needle || loop (i + 1)) in
-  loop 0
-
-(* --- domains --- *)
-
-let domain_fixture () =
-  let nl = Generators.multiplier ~name:"md" ~bits:8 lib in
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-  ignore (Mt_replace.replace Mt_replace.Improved nl);
-  let place = Placement.place nl in
-  ignore (Switch_insert.insert place);
-  (nl, place)
-
-let test_partition_covers_all () =
-  let nl, place = domain_fixture () in
-  let d = Domains.partition ~domains:3 place in
-  Alcotest.(check int) "three domains" 3 (Domains.count d);
-  let mt = Mt_replace.mt_cells nl in
-  let assigned =
-    List.concat (List.init 3 (fun i -> Domains.members d i))
-  in
-  Alcotest.(check int) "all cells assigned" (List.length mt) (List.length assigned);
-  Alcotest.(check int) "no duplicates" (List.length assigned)
-    (List.length (List.sort_uniq compare assigned));
-  (* every MT cell hangs from a switch of its own domain *)
-  List.iter
-    (fun iid ->
-      match (Domains.domain_of d iid, Netlist.vgnd_switch nl iid) with
-      | Some dom, Some sw ->
-        Alcotest.(check bool) "switch belongs to the domain" true
-          (List.mem sw (Domains.switches d dom))
-      | _ -> Alcotest.fail "unassigned MT cell")
-    mt
-
-let test_partition_own_enables () =
-  let nl, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let m0 = Domains.mte_net d 0 and m1 = Domains.mte_net d 1 in
-  Alcotest.(check bool) "distinct enables" true (m0 <> m1);
-  Alcotest.(check bool) "both primary inputs" true
-    (Netlist.is_pi nl m0 && Netlist.is_pi nl m1);
-  (* switches sit on their own domain's enable *)
-  List.iter
-    (fun dom ->
-      List.iter
-        (fun sw ->
-          Alcotest.(check (option int)) "switch on domain enable"
-            (Some (Domains.mte_net d dom))
-            (Netlist.pin_net nl sw "MTE"))
-        (Domains.switches d dom))
-    [ 0; 1 ]
-
-let test_partition_geometric () =
-  (* domains should be geometrically coherent: the bounding boxes of the
-     two domains overlap less than either spans the die *)
-  let _, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let centroid i = Placement.centroid place (Domains.members d i) in
-  let c0 = centroid 0 and c1 = centroid 1 in
-  Alcotest.(check bool) "centroids separated" true (Smt_util.Geom.manhattan c0 c1 > 5.0)
-
-let test_partial_sleep_leakage_ordering () =
-  let _, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let awake = Domains.standby_leakage d ~asleep:[] in
-  let half0 = Domains.standby_leakage d ~asleep:[ 0 ] in
-  let half1 = Domains.standby_leakage d ~asleep:[ 1 ] in
-  let full = Domains.standby_leakage d ~asleep:[ 0; 1 ] in
-  Alcotest.(check bool) "sleeping saves (domain 0)" true (half0 < awake);
-  Alcotest.(check bool) "sleeping saves (domain 1)" true (half1 < awake);
-  Alcotest.(check bool) "full sleep saves most" true (full < Float.min half0 half1);
-  (* full sleep equals the ordinary standby accounting *)
-  let nl = Placement.netlist place in
-  Alcotest.(check bool) "full sleep ~ global standby" true
-    (Float.abs (full -. (Leakage.standby nl).Leakage.total) /. full < 0.2)
-
-let test_partition_validates () =
-  let nl, place = domain_fixture () in
-  ignore (Domains.partition ~domains:2 place);
-  Alcotest.(check (list string)) "netlist valid post-MT" []
-    (Check.validate ~phase:Check.Post_mt nl)
-
-let test_partition_bad_args () =
-  let _, place = domain_fixture () in
-  Alcotest.(check bool) "zero domains rejected" true
-    (try
-       ignore (Domains.partition ~domains:0 place);
-       false
-     with Invalid_argument _ -> true);
-  let plain = Generators.c17 lib in
-  let plain_place = Placement.place plain in
-  Alcotest.(check bool) "no MT cells rejected" true
-    (try
-       ignore (Domains.partition plain_place);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- composition --- *)
 
@@ -195,57 +88,6 @@ let test_soc_runs_the_flow () =
   Alcotest.(check bool) "flow completes on the composed SoC" true (r.Smt_core.Flow.area > 0.0);
   Alcotest.(check bool) "timing met" true r.Smt_core.Flow.timing_met
 
-(* --- liberty --- *)
-
-let test_liberty_structure () =
-  let text = Liberty.to_string lib in
-  Alcotest.(check bool) "library header" true (contains text "library(selective_mt)");
-  Alcotest.(check bool) "nand2 lvt present" true (contains text "cell(NAND2_LVT)");
-  Alcotest.(check bool) "mt variant present" true (contains text "cell(NAND2_MTV)");
-  Alcotest.(check bool) "retention ff present" true (contains text "cell(DFF_RET)");
-  Alcotest.(check bool) "ff block present" true (contains text "ff(IQ, IQN)");
-  Alcotest.(check bool) "timing arcs present" true (contains text "intrinsic_rise");
-  Alcotest.(check bool) "leakage attribute" true (contains text "cell_leakage_power")
-
-let test_liberty_balanced_braces () =
-  let text = Liberty.to_string lib in
-  let opens = ref 0 and closes = ref 0 in
-  String.iter
-    (fun c -> if c = '{' then incr opens else if c = '}' then incr closes)
-    text;
-  Alcotest.(check int) "braces balanced" !opens !closes;
-  Alcotest.(check bool) "covers the library" true
-    (Liberty.cell_count lib > 60)
-
-let test_liberty_numbers_match () =
-  let text = Liberty.to_string lib in
-  let nand2 = Library.variant lib Smt_cell.Func.Nand2 Smt_cell.Vth.Low Smt_cell.Vth.Plain in
-  Alcotest.(check bool) "area appears" true
-    (contains text (Printf.sprintf "area : %.4f;" nand2.Cell.area))
-
-let test_liberty_parse_roundtrip () =
-  let text = Liberty.to_string lib in
-  let cells = Liberty.parse text in
-  Alcotest.(check int) "every cell parsed" (Liberty.cell_count lib) (List.length cells);
-  (* spot-check a cell's numbers against the library *)
-  let nand2 = Library.variant lib Smt_cell.Func.Nand2 Smt_cell.Vth.Low Smt_cell.Vth.Plain in
-  let parsed = List.find (fun c -> c.Liberty.p_name = "NAND2_LVT") cells in
-  Alcotest.(check (float 1e-3)) "area round-trips" nand2.Cell.area parsed.Liberty.p_area;
-  Alcotest.(check (float 1e-5)) "leakage round-trips" nand2.Cell.leak_standby
-    parsed.Liberty.p_leakage;
-  Alcotest.(check int) "two inputs" 2 (List.length parsed.Liberty.p_input_pins);
-  Alcotest.(check (list string)) "one output" [ "Z" ] parsed.Liberty.p_output_pins;
-  List.iter
-    (fun (_, cap) -> Alcotest.(check (float 1e-4)) "pin cap" nand2.Cell.input_cap cap)
-    parsed.Liberty.p_input_pins
-
-let test_liberty_parse_rejects_garbage () =
-  Alcotest.(check bool) "garbage raises" true
-    (try
-       ignore (Liberty.parse "cell ( { ;");
-       false
-     with Failure _ -> true)
-
 (* --- placement io --- *)
 
 let test_placement_roundtrip () =
@@ -284,15 +126,6 @@ let test_placement_io_errors () =
 let () =
   Alcotest.run "smt_domains_io"
     [
-      ( "domains",
-        [
-          Alcotest.test_case "covers all cells" `Quick test_partition_covers_all;
-          Alcotest.test_case "own enables" `Quick test_partition_own_enables;
-          Alcotest.test_case "geometric coherence" `Quick test_partition_geometric;
-          Alcotest.test_case "partial sleep ordering" `Quick test_partial_sleep_leakage_ordering;
-          Alcotest.test_case "validates" `Quick test_partition_validates;
-          Alcotest.test_case "bad arguments" `Quick test_partition_bad_args;
-        ] );
       ( "compose",
         [
           Alcotest.test_case "structure" `Quick test_compose_structure;
@@ -300,14 +133,6 @@ let () =
           Alcotest.test_case "vgnd preserved" `Quick test_compose_preserves_vgnd;
           Alcotest.test_case "bad arguments" `Quick test_compose_bad_args;
           Alcotest.test_case "soc through the flow" `Quick test_soc_runs_the_flow;
-        ] );
-      ( "liberty",
-        [
-          Alcotest.test_case "structure" `Quick test_liberty_structure;
-          Alcotest.test_case "balanced braces" `Quick test_liberty_balanced_braces;
-          Alcotest.test_case "numbers match" `Quick test_liberty_numbers_match;
-          Alcotest.test_case "parse roundtrip" `Quick test_liberty_parse_roundtrip;
-          Alcotest.test_case "parse rejects garbage" `Quick test_liberty_parse_rejects_garbage;
         ] );
       ( "placement-io",
         [

@@ -1,19 +1,16 @@
 (* Tests for the extension features: drive-strength sizing, incremental
-   STA, PVT corners, wake-up analysis, retention registers, the netlist
-   optimizer, VCD dumping, and the extra generators. *)
+   STA, PVT corners, retention registers, the setup ECO, and the extra
+   generators. *)
 
 module Netlist = Smt_netlist.Netlist
 module Builder = Smt_netlist.Builder
 module Check = Smt_check.Drc
 module Clone = Smt_netlist.Clone
-module Optimize = Smt_netlist.Optimize
 module Sta = Smt_sta.Sta
 module Placement = Smt_place.Placement
 module Leakage = Smt_power.Leakage
-module Wakeup = Smt_power.Wakeup
 module Logic = Smt_sim.Logic
 module Simulator = Smt_sim.Simulator
-module Vcd = Smt_sim.Vcd
 module Equiv = Smt_sim.Equiv
 module Gate_sizing = Smt_core.Gate_sizing
 module Retention = Smt_core.Retention
@@ -271,47 +268,6 @@ let test_corner_leakage_scaling () =
     (hot.Leakage.total /. base.Leakage.total)
     (hot.Leakage.low_vth_logic /. base.Leakage.low_vth_logic)
 
-(* --- wakeup --- *)
-
-let mt_cluster_fixture n width =
-  let nl = Netlist.create ~name:"wake" ~lib in
-  let mte = Netlist.add_input nl "MTE" in
-  let a = Netlist.add_input nl "a" in
-  let mt = Library.variant lib Func.Inv Vth.Low Vth.Mt_vgnd in
-  let members =
-    List.init n (fun i ->
-        let z = Netlist.add_output nl (Printf.sprintf "z%d" i) in
-        Netlist.add_inst nl ~name:(Printf.sprintf "m%d" i) mt [ ("A", a); ("Z", z) ])
-  in
-  let sw = Netlist.add_inst nl ~name:"sw0" (Library.switch lib ~width) [ ("MTE", mte) ] in
-  List.iter (fun m -> Netlist.set_vgnd_switch nl m (Some sw)) members;
-  nl
-
-let test_wakeup_scales_with_members () =
-  let small = Wakeup.analyze (mt_cluster_fixture 2 4.0) ~wire_length_of:(fun _ -> 10.0) in
-  let large = Wakeup.analyze (mt_cluster_fixture 20 4.0) ~wire_length_of:(fun _ -> 10.0) in
-  Alcotest.(check bool) "more members, slower wake" true
-    (Wakeup.worst_wake_time large > Wakeup.worst_wake_time small);
-  Alcotest.(check bool) "more members, more energy" true
-    (Wakeup.total_wake_energy large > Wakeup.total_wake_energy small)
-
-let test_wakeup_wider_switch_faster () =
-  let narrow = Wakeup.analyze (mt_cluster_fixture 10 1.0) ~wire_length_of:(fun _ -> 10.0) in
-  let wide = Wakeup.analyze (mt_cluster_fixture 10 8.0) ~wire_length_of:(fun _ -> 10.0) in
-  Alcotest.(check bool) "wider switch wakes faster" true
-    (Wakeup.worst_wake_time wide < Wakeup.worst_wake_time narrow);
-  (* but rushes more current *)
-  (match (narrow, wide) with
-  | [ n ], [ w ] ->
-    Alcotest.(check bool) "rush current grows" true
-      (w.Wakeup.rush_current_ua > n.Wakeup.rush_current_ua)
-  | _ -> Alcotest.fail "one cluster each")
-
-let test_wakeup_empty () =
-  let nl = Generators.c17 lib in
-  Alcotest.(check (float 1e-9)) "no switches, no wake" 0.0
-    (Wakeup.block_wake_time nl ~wire_length_of:(fun _ -> 0.0))
-
 (* --- retention --- *)
 
 let test_retention_cell () =
@@ -350,107 +306,6 @@ let test_retention_flow_knob () =
   Alcotest.(check bool) "leakage lower with retention" true
     (ret.Flow.standby_nw < base.Flow.standby_nw);
   Alcotest.(check bool) "timing met" true ret.Flow.timing_met
-
-(* --- optimizer --- *)
-
-let test_dead_logic_removal () =
-  let b = Builder.create ~name:"dead" ~lib () in
-  let a = Builder.input b "a" in
-  let keep = Builder.not_ b a in
-  let o = Builder.output b "o" in
-  Builder.gate_into b Func.Buf [ keep ] o;
-  (* a dead cone: three cells feeding nothing *)
-  let d1 = Builder.not_ b a in
-  let d2 = Builder.and_ b d1 keep in
-  let _d3 = Builder.not_ b d2 in
-  let nl = Builder.netlist b in
-  let live_before = List.length (Netlist.live_insts nl) in
-  let removed = Optimize.remove_dead_logic nl in
-  Alcotest.(check int) "three dead cells" 3 removed;
-  Alcotest.(check int) "live count" (live_before - 3) (List.length (Netlist.live_insts nl));
-  Alcotest.(check (list string)) "valid after" [] (Check.validate nl)
-
-let test_buffer_collapse () =
-  let b = Builder.create ~name:"bufs" ~lib () in
-  let a = Builder.input b "a" in
-  let x = Builder.not_ b a in
-  let b1 = Builder.gate b Func.Buf [ x ] in
-  let b2 = Builder.gate b Func.Buf [ b1 ] in
-  let y = Builder.not_ b b2 in
-  let o = Builder.output b "o" in
-  Builder.gate_into b Func.Buf [ y ] o;
-  let nl = Builder.netlist b in
-  let golden = Clone.copy nl in
-  let collapsed = Optimize.collapse_buffers nl in
-  Alcotest.(check int) "two internal buffers gone" 2 collapsed;
-  Alcotest.(check (list string)) "valid after" [] (Check.validate nl);
-  Alcotest.(check bool) "equivalent" true (Equiv.equivalent golden nl)
-
-let test_optimize_preserves_flow_result () =
-  let nl = Generators.multiplier ~name:"m6" ~bits:6 lib in
-  ignore (Flow.run Flow.Improved_smt nl);
-  let golden = Clone.copy nl in
-  let r = Optimize.run nl in
-  Alcotest.(check bool) "terminates" true (r.Optimize.iterations >= 1);
-  Alcotest.(check (list string)) "still post-MT valid" []
-    (Check.validate ~phase:Check.Post_mt nl);
-  Alcotest.(check bool) "equivalent" true (Equiv.equivalent ~vectors:24 golden nl)
-
-let test_infrastructure_protected () =
-  let nl = Generators.multiplier ~name:"m6" ~bits:6 lib in
-  ignore (Flow.run Flow.Improved_smt nl);
-  let count_infra () =
-    List.length
-      (List.filter
-         (fun iid ->
-           let name = Netlist.inst_name nl iid in
-           String.length name >= 6
-           && (String.sub name 0 6 = "ctsbuf" || String.sub name 0 6 = "mtebuf"
-              || String.sub name 0 6 = "ecobuf"))
-         (Netlist.live_insts nl))
-  in
-  let before = count_infra () in
-  ignore (Optimize.run nl);
-  Alcotest.(check int) "cts/mte/eco buffers untouched" before (count_infra ())
-
-(* --- VCD --- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec loop i = i + nn <= nh && (String.sub hay i nn = needle || loop (i + 1)) in
-  loop 0
-
-let test_vcd_output () =
-  let nl = Generators.counter ~name:"cnt" ~bits:3 lib in
-  let sim = Simulator.create nl in
-  Simulator.reset sim;
-  let vcd = Vcd.of_ports nl in
-  Simulator.set_inputs sim [ ("en", Logic.T) ];
-  for time = 0 to 7 do
-    Simulator.propagate sim;
-    Vcd.sample vcd sim ~time;
-    Simulator.clock_edge sim
-  done;
-  let text = Vcd.to_string vcd in
-  Alcotest.(check bool) "has header" true (contains text "$enddefinitions");
-  Alcotest.(check bool) "declares count0" true (contains text "count0");
-  Alcotest.(check bool) "has timestamps" true (contains text "#0");
-  Alcotest.(check bool) "value changes recorded" true (contains text "#3")
-
-let test_vcd_dedup_and_changes_only () =
-  let nl = Generators.c17 lib in
-  let nid = Option.get (Netlist.find_net nl "G22") in
-  let vcd = Vcd.create nl ~nets:[ nid; nid ] in
-  let sim = Simulator.create nl in
-  Simulator.set_inputs sim
-    (List.map (fun (n, _) -> (n, Logic.F)) (Netlist.inputs nl));
-  Simulator.propagate sim;
-  Vcd.sample vcd sim ~time:0;
-  Vcd.sample vcd sim ~time:1;
-  (* unchanged value: no second event *)
-  let text = Vcd.to_string vcd in
-  Alcotest.(check bool) "time 0 present" true (contains text "#0");
-  Alcotest.(check bool) "time 1 absent (no change)" false (contains text "#1")
 
 (* --- new generators --- *)
 
@@ -539,35 +394,6 @@ let test_crc_period () =
   in
   Alcotest.(check int) "maximal period 15" 15 (run 1)
 
-(* --- statistical leakage --- *)
-
-let test_variation_stats () =
-  let nl = Generators.multiplier ~name:"mv" ~bits:6 lib in
-  let s = Smt_power.Variation.sample_standby ~samples:400 ~seed:5 nl in
-  Alcotest.(check int) "samples" 400 s.Smt_power.Variation.samples;
-  Alcotest.(check bool) "mean tracks deterministic" true
-    (Float.abs (s.Smt_power.Variation.mean -. s.Smt_power.Variation.deterministic)
-     /. s.Smt_power.Variation.deterministic
-    < 0.05);
-  Alcotest.(check bool) "percentiles ordered" true
-    (s.Smt_power.Variation.p5 <= s.Smt_power.Variation.p50
-    && s.Smt_power.Variation.p50 <= s.Smt_power.Variation.p95);
-  Alcotest.(check bool) "spread exists" true (s.Smt_power.Variation.stddev > 0.0)
-
-let test_variation_deterministic_by_seed () =
-  let nl = Generators.c17 lib in
-  let a = Smt_power.Variation.sample_standby ~seed:9 nl in
-  let b = Smt_power.Variation.sample_standby ~seed:9 nl in
-  Alcotest.(check (float 1e-12)) "same mean" a.Smt_power.Variation.mean
-    b.Smt_power.Variation.mean
-
-let test_variation_sigma_widens () =
-  let nl = Generators.multiplier ~name:"mw" ~bits:5 lib in
-  let narrow = Smt_power.Variation.sample_standby ~sigma:0.1 ~seed:3 nl in
-  let wide = Smt_power.Variation.sample_standby ~sigma:0.6 ~seed:3 nl in
-  Alcotest.(check bool) "bigger sigma, wider distribution" true
-    (wide.Smt_power.Variation.stddev > narrow.Smt_power.Variation.stddev)
-
 (* --- setup ECO --- *)
 
 let test_fix_setup_repairs () =
@@ -638,29 +464,11 @@ let () =
           Alcotest.test_case "process" `Quick test_corner_process;
           Alcotest.test_case "leakage scaling" `Quick test_corner_leakage_scaling;
         ] );
-      ( "wakeup",
-        [
-          Alcotest.test_case "scales with members" `Quick test_wakeup_scales_with_members;
-          Alcotest.test_case "width helps" `Quick test_wakeup_wider_switch_faster;
-          Alcotest.test_case "empty design" `Quick test_wakeup_empty;
-        ] );
       ( "retention",
         [
           Alcotest.test_case "cell" `Quick test_retention_cell;
           Alcotest.test_case "conversion" `Quick test_retention_conversion;
           Alcotest.test_case "flow knob" `Quick test_retention_flow_knob;
-        ] );
-      ( "optimizer",
-        [
-          Alcotest.test_case "dead logic removal" `Quick test_dead_logic_removal;
-          Alcotest.test_case "buffer collapse" `Quick test_buffer_collapse;
-          Alcotest.test_case "preserves flow result" `Quick test_optimize_preserves_flow_result;
-          Alcotest.test_case "infrastructure protected" `Quick test_infrastructure_protected;
-        ] );
-      ( "vcd",
-        [
-          Alcotest.test_case "output format" `Quick test_vcd_output;
-          Alcotest.test_case "dedup & change-only" `Quick test_vcd_dedup_and_changes_only;
         ] );
       ( "generators",
         [
@@ -668,12 +476,6 @@ let () =
           Alcotest.test_case "prefix vs ripple depth" `Quick test_kogge_stone_shallower_than_ripple;
           Alcotest.test_case "crc maximal period" `Quick test_crc_period;
           Alcotest.test_case "pipeline structure" `Quick test_pipeline_structure;
-        ] );
-      ( "variation",
-        [
-          Alcotest.test_case "statistics" `Quick test_variation_stats;
-          Alcotest.test_case "deterministic" `Quick test_variation_deterministic_by_seed;
-          Alcotest.test_case "sigma widens" `Quick test_variation_sigma_widens;
         ] );
       ( "setup-eco",
         [

@@ -165,109 +165,6 @@ let test_embedded_bounce_at_limit () =
   Alcotest.(check bool) "within the limit (guardbanded)" true
     (b <= tech.Tech.bounce_limit +. 1e-9)
 
-(* --- dynamic power --- *)
-
-module Dynamic = Smt_power.Dynamic
-
-let test_dynamic_scales_with_frequency () =
-  let nl = Generators.multiplier ~name:"dp" ~bits:5 lib in
-  let slow = Dynamic.estimate ~clock_mhz:100.0 nl in
-  let fast = Dynamic.estimate ~clock_mhz:400.0 nl in
-  Alcotest.(check (float 1e-9)) "switching linear in f"
-    (4.0 *. slow.Dynamic.switching_mw) fast.Dynamic.switching_mw;
-  Alcotest.(check (float 1e-9)) "leakage floor frequency-independent"
-    slow.Dynamic.leakage_mw fast.Dynamic.leakage_mw;
-  Alcotest.(check (float 1e-9)) "total adds up"
-    (fast.Dynamic.switching_mw +. fast.Dynamic.leakage_mw) fast.Dynamic.total_mw
-
-let test_dynamic_with_activity () =
-  let nl = Generators.multiplier ~name:"dq" ~bits:5 lib in
-  let act = Activity.estimate ~cycles:64 nl in
-  let measured = Dynamic.estimate ~activity:act ~clock_mhz:200.0 nl in
-  let assumed = Dynamic.estimate ~clock_mhz:200.0 nl in
-  Alcotest.(check bool) "both positive" true
-    (measured.Dynamic.switching_mw > 0.0 && assumed.Dynamic.switching_mw > 0.0)
-
-let test_dynamic_untouched_by_mt () =
-  (* the MT transform keeps dynamic power essentially unchanged: same
-     logic, same activity, slightly different pin caps only *)
-  let gen () = Generators.multiplier ~name:"dr" ~bits:5 lib in
-  let plain = gen () in
-  let gated = gen () in
-  ignore (Smt_core.Flow.run Smt_core.Flow.Improved_smt gated);
-  let p = Dynamic.estimate ~clock_mhz:200.0 plain in
-  let g = Dynamic.estimate ~clock_mhz:200.0 gated in
-  Alcotest.(check bool) "within 35%" true
-    (Float.abs (g.Dynamic.switching_mw -. p.Dynamic.switching_mw)
-     /. p.Dynamic.switching_mw
-    < 0.35);
-  (* while standby leakage collapsed by an order of magnitude *)
-  Alcotest.(check bool) "standby story unchanged" true
-    ((Leakage.standby gated).Leakage.total < (Leakage.standby plain).Leakage.total /. 5.0)
-
-(* --- sleep vectors (state-dependent leakage) --- *)
-
-module Sleep_vector = Smt_power.Sleep_vector
-module Logic = Smt_sim.Logic
-
-let test_state_factor_bounds () =
-  List.iter
-    (fun kind ->
-      let arity = Func.arity kind in
-      for mask = 0 to (1 lsl arity) - 1 do
-        let inputs =
-          List.init arity (fun i -> Logic.of_bool (mask land (1 lsl i) <> 0))
-        in
-        let f = Sleep_vector.state_factor kind inputs in
-        Alcotest.(check bool) "within [0.4, 1.0]" true (f >= 0.4 && f <= 1.0)
-      done)
-    [ Func.Nand2; Func.Nor3; Func.Xor2; Func.Mux2; Func.Inv ];
-  (* all-ones stack: no series-off transistor, full leak *)
-  Alcotest.(check (float 1e-9)) "all-high leaks fully" 1.0
-    (Sleep_vector.state_factor Func.Nand2 [ Logic.T; Logic.T ]);
-  (* each zero adds stack effect *)
-  Alcotest.(check bool) "zeros reduce" true
-    (Sleep_vector.state_factor Func.Nand2 [ Logic.F; Logic.F ]
-    < Sleep_vector.state_factor Func.Nand2 [ Logic.F; Logic.T ]);
-  Alcotest.(check (float 1e-9)) "sequential unaffected" 1.0
-    (Sleep_vector.state_factor Func.Dff [ Logic.F ])
-
-let test_vector_changes_leakage () =
-  let nl = Smt_circuits.Generators.c17 lib in
-  let names = [ "G1"; "G2"; "G3"; "G4"; "G5" ] in
-  let all v = List.map (fun n -> (n, v)) names in
-  let zeros = Sleep_vector.standby_with_vector nl ~vector:(all Logic.F) in
-  let ones = Sleep_vector.standby_with_vector nl ~vector:(all Logic.T) in
-  Alcotest.(check bool) "state matters" true (Float.abs (zeros -. ones) > 1e-6);
-  let nominal = (Leakage.standby nl).Leakage.total in
-  Alcotest.(check bool) "state-aware is below the stateless worst case" true
-    (zeros <= nominal +. 1e-9 && ones <= nominal +. 1e-9)
-
-let test_sleep_vector_search () =
-  let nl = Smt_circuits.Generators.ripple_adder ~registered:false ~name:"sv" ~bits:6 lib in
-  let s = Sleep_vector.search ~tries:48 ~seed:4 nl in
-  Alcotest.(check bool) "best <= average" true (s.Sleep_vector.best_nw <= s.Sleep_vector.average_nw);
-  Alcotest.(check bool) "average <= worst" true
-    (s.Sleep_vector.average_nw <= s.Sleep_vector.worst_nw);
-  Alcotest.(check bool) "search finds spread" true
-    (s.Sleep_vector.worst_nw > s.Sleep_vector.best_nw);
-  (* the reported best vector + state reproduces the reported leakage *)
-  Alcotest.(check (float 1e-9)) "best vector reproduces" s.Sleep_vector.best_nw
-    (Sleep_vector.standby_with_vector ~ff_state:s.Sleep_vector.best_state nl
-       ~vector:s.Sleep_vector.best_vector);
-  let s2 = Sleep_vector.search ~tries:48 ~seed:4 nl in
-  Alcotest.(check (float 1e-12)) "deterministic" s.Sleep_vector.best_nw s2.Sleep_vector.best_nw
-
-let test_sleep_vector_ignores_gated_cells () =
-  (* MT cells leak their residual regardless of state *)
-  let nl = Netlist.create ~name:"g" ~lib in
-  let a = Netlist.add_input nl "a" in
-  let z = Netlist.add_output nl "z" in
-  ignore (Netlist.add_inst nl ~name:"m" (mtv Func.Inv) [ ("A", a); ("Z", z) ]);
-  let l0 = Sleep_vector.standby_with_vector nl ~vector:[ ("a", Logic.F) ] in
-  let l1 = Sleep_vector.standby_with_vector nl ~vector:[ ("a", Logic.T) ] in
-  Alcotest.(check (float 1e-9)) "gated cell state-independent" l0 l1
-
 (* --- attribution --- *)
 
 let share_total shares =
@@ -376,19 +273,6 @@ let () =
           Alcotest.test_case "per-instance bounce fn" `Quick test_bounce_of_fn;
           Alcotest.test_case "embedded at limit" `Quick test_embedded_bounce_at_limit;
           Alcotest.test_case "vgnd wire res" `Quick test_vgnd_wire_res;
-        ] );
-      ( "dynamic",
-        [
-          Alcotest.test_case "linear in frequency" `Quick test_dynamic_scales_with_frequency;
-          Alcotest.test_case "activity-aware" `Quick test_dynamic_with_activity;
-          Alcotest.test_case "untouched by MT" `Quick test_dynamic_untouched_by_mt;
-        ] );
-      ( "sleep-vector",
-        [
-          Alcotest.test_case "state factor bounds" `Quick test_state_factor_bounds;
-          Alcotest.test_case "vector changes leakage" `Quick test_vector_changes_leakage;
-          Alcotest.test_case "search" `Quick test_sleep_vector_search;
-          Alcotest.test_case "gated cells immune" `Quick test_sleep_vector_ignores_gated_cells;
         ] );
       ( "attribution",
         [

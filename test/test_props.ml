@@ -9,7 +9,6 @@ module Placement = Smt_place.Placement
 module Parasitics = Smt_route.Parasitics
 module Sta = Smt_sta.Sta
 module Geom = Smt_util.Geom
-module Stats = Smt_util.Stats
 module Rng = Smt_util.Rng
 module Library = Smt_cell.Library
 module Generators = Smt_circuits.Generators
@@ -19,14 +18,6 @@ let lib = Library.default ()
 let qtest = QCheck_alcotest.to_alcotest
 
 (* --- util properties --- *)
-
-let prop_percentile_bounded =
-  QCheck2.Test.make ~name:"percentile within min/max" ~count:200
-    QCheck2.Gen.(pair (list_size (int_range 1 40) (float_range (-100.) 100.)) (float_range 0. 100.))
-    (fun (xs, p) ->
-      let v = Stats.percentile xs p in
-      let lo, hi = Stats.min_max xs in
-      v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
 let prop_spanning_vs_bbox =
   (* the rectilinear MST is at least as long as the larger bbox side and at
@@ -235,14 +226,6 @@ let prop_router_sound =
             if Smt_route.Global_router.net_length r nid <= 0.0 then ok := false);
       !ok && Smt_route.Global_router.detour_factor r place >= 1.0)
 
-let prop_optimizer_safe =
-  QCheck2.Test.make ~name:"optimizer preserves function and validity" ~count:10 seed_gen
-    (fun seed ->
-      let nl = random_netlist seed in
-      let golden = Clone.copy nl in
-      ignore (Smt_netlist.Optimize.run nl);
-      Check.validate nl = [] && Smt_sim.Equiv.equivalent ~vectors:12 ~cycles:4 golden nl)
-
 let prop_placement_io_roundtrip =
   QCheck2.Test.make ~name:"placement io roundtrip" ~count:10 seed_gen
     (fun seed ->
@@ -343,15 +326,6 @@ let prop_compose_sound =
       Check.validate top = []
       && (Nl_stats.compute top).Nl_stats.instances
          = sa.Nl_stats.instances + sb.Nl_stats.instances)
-
-let prop_sleep_vector_bounded =
-  QCheck2.Test.make ~name:"state-aware leakage never exceeds stateless" ~count:12 seed_gen
-    (fun seed ->
-      let nl = random_netlist seed in
-      let s = Smt_power.Sleep_vector.search ~tries:8 ~seed nl in
-      let stateless = (Smt_power.Leakage.standby nl).Smt_power.Leakage.total in
-      s.Smt_power.Sleep_vector.best_nw <= s.Smt_power.Sleep_vector.worst_nw +. 1e-9
-      && s.Smt_power.Sleep_vector.worst_nw <= stateless +. 1e-9)
 
 let prop_standby_protocol_holds =
   QCheck2.Test.make ~name:"standby protocol invariants on random circuits" ~count:6
@@ -566,7 +540,6 @@ let () =
     [
       ( "util",
         [
-          qtest prop_percentile_bounded;
           qtest prop_spanning_vs_bbox;
           qtest prop_rng_int_uniformish;
         ] );
@@ -597,12 +570,10 @@ let () =
       ( "extensions",
         [
           qtest prop_router_sound;
-          qtest prop_optimizer_safe;
           qtest prop_placement_io_roundtrip;
           qtest prop_nldm_lookup_bounded;
           qtest prop_standby_protocol_holds;
           qtest prop_incremental_sta_exact;
           qtest prop_compose_sound;
-          qtest prop_sleep_vector_bounded;
         ] );
     ]

@@ -128,31 +128,7 @@ let test_summary () =
   let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
   Alcotest.(check bool) "summary says MET" true (contains (Report.summary sta) "MET")
 
-(* --- SDF & JSON exports --- *)
-
-let test_sdf_export () =
-  let nl, _ = Lazy.force flow_report in
-  let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
-  let text = Smt_sta.Sdf.to_string ~t:sta ~design:"m6r" in
-  Alcotest.(check bool) "has header" true (contains text "DELAYFILE");
-  Alcotest.(check bool) "names the design" true (contains text "(DESIGN \"m6r\")");
-  Alcotest.(check bool) "has IOPATHs" true (contains text "IOPATH");
-  (* one CELL entry per output-bearing instance *)
-  let cells = ref 0 in
-  String.iter (fun _ -> ()) text;
-  let rec count i =
-    match String.index_from_opt text i '(' with
-    | Some j ->
-      if j + 6 <= String.length text && String.sub text j 6 = "(CELL " then incr cells;
-      count (j + 1)
-    | None -> ()
-  in
-  count 0;
-  Alcotest.(check int) "cell entries" (Smt_sta.Sdf.instance_count sta) !cells;
-  (* balanced parens = plausibly well-formed *)
-  let opens = ref 0 and closes = ref 0 in
-  String.iter (fun c -> if c = '(' then incr opens else if c = ')' then incr closes) text;
-  Alcotest.(check int) "balanced" !opens !closes
+(* --- JSON export --- *)
 
 let test_json_export () =
   let nl, r = Lazy.force flow_report in
@@ -373,7 +349,6 @@ let () =
         ] );
       ( "exports",
         [
-          Alcotest.test_case "sdf" `Quick test_sdf_export;
           Alcotest.test_case "json" `Quick test_json_export;
         ] );
       ( "robustness",

@@ -1,6 +1,5 @@
 module Rng = Smt_util.Rng
 module Geom = Smt_util.Geom
-module Stats = Smt_util.Stats
 module Vec = Smt_util.Vec
 module Text_table = Smt_util.Text_table
 
@@ -84,7 +83,9 @@ let test_rng_gaussian_moments () =
   let r = Rng.create 13 in
   let n = 20_000 in
   let xs = List.init n (fun _ -> Rng.gaussian r ~mean:3.0 ~sigma:2.0) in
-  let m = Stats.mean xs and s = Stats.stddev xs in
+  let mean ys = List.fold_left ( +. ) 0.0 ys /. float_of_int n in
+  let m = mean xs in
+  let s = sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) xs)) in
   Alcotest.(check bool) "mean near 3" true (Float.abs (m -. 3.0) < 0.1);
   Alcotest.(check bool) "sigma near 2" true (Float.abs (s -. 2.0) < 0.1)
 
@@ -168,40 +169,6 @@ let test_geom_spanning_star () =
 let test_geom_midpoint () =
   let m = Geom.midpoint (p 0.0 0.0) (p 4.0 2.0) in
   Alcotest.(check bool) "midpoint" true (feq m.Geom.x 2.0 && feq m.Geom.y 1.0)
-
-(* --- Stats --- *)
-
-let test_stats_mean () =
-  check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
-  check_float "empty mean" 0.0 (Stats.mean [])
-
-let test_stats_stddev () =
-  check_float "constant" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check_float "spread" 2.0 (Stats.stddev [ 2.0; 6.0 ])
-
-let test_stats_min_max () =
-  let lo, hi = Stats.min_max [ 3.0; -1.0; 2.0 ] in
-  check_float "min" (-1.0) lo;
-  check_float "max" 3.0 hi
-
-let test_stats_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p50" 3.0 (Stats.percentile xs 50.0);
-  check_float "p100" 5.0 (Stats.percentile xs 100.0);
-  check_float "p25" 2.0 (Stats.percentile xs 25.0)
-
-let test_stats_ratio () =
-  check_float "pct" 50.0 (Stats.ratio_pct 1.0 2.0);
-  Alcotest.(check bool) "nan on zero base" true (Float.is_nan (Stats.ratio_pct 1.0 0.0))
-
-let test_stats_histogram () =
-  let h = Stats.histogram ~bins:2 [ 0.0; 1.0; 9.0; 10.0 ] in
-  Alcotest.(check int) "2 bins" 2 (List.length h);
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
-  Alcotest.(check int) "all counted" 4 total;
-  Alcotest.(check (list int)) "empty hist" []
-    (List.map (fun (_, _, c) -> c) (Stats.histogram ~bins:3 []))
 
 (* --- Vec --- *)
 
@@ -296,15 +263,6 @@ let () =
           Alcotest.test_case "spanning line" `Quick test_geom_spanning_line;
           Alcotest.test_case "spanning star" `Quick test_geom_spanning_star;
           Alcotest.test_case "midpoint" `Quick test_geom_midpoint;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "mean" `Quick test_stats_mean;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-          Alcotest.test_case "min_max" `Quick test_stats_min_max;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "ratio_pct" `Quick test_stats_ratio;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
         ] );
       ( "vec",
         [
