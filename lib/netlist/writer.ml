@@ -17,10 +17,11 @@ let to_string nl =
        (String.concat ", " port_names));
   List.iter (fun (name, _) -> Buffer.add_string b (Printf.sprintf "  input %s;\n" name)) ins;
   List.iter (fun (name, _) -> Buffer.add_string b (Printf.sprintf "  output %s;\n" name)) outs;
-  let is_port name = List.exists (fun (p, _) -> String.equal p name) (ins @ outs) in
+  let ports = Hashtbl.create (List.length port_names) in
+  List.iter (fun name -> Hashtbl.replace ports name ()) port_names;
   Netlist.iter_nets nl (fun nid ->
       let name = Netlist.net_name nl nid in
-      if not (is_port name) then Buffer.add_string b (Printf.sprintf "  wire %s;\n" name));
+      if not (Hashtbl.mem ports name) then Buffer.add_string b (Printf.sprintf "  wire %s;\n" name));
   List.iter
     (fun (name, nid) ->
       if Netlist.is_clock_net nl nid then

@@ -12,24 +12,26 @@ let estimate ?(cycles = 200) ?(seed = 7) nl =
   let n = Netlist.inst_count nl in
   let toggles = Array.make n 0 in
   let last = Array.make n Logic.X in
-  let names =
+  let inputs =
     Netlist.inputs nl
-    |> List.filter (fun (_, nid) -> not (Netlist.is_clock_net nl nid))
-    |> List.map fst
+    |> List.filter_map (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
+    |> Array.of_list
   in
+  (* Every instance that drives a net, with that net. *)
+  let watched =
+    Netlist.live_insts nl
+    |> List.filter_map (fun iid -> Option.map (fun out -> (iid, out)) (Netlist.output_net nl iid))
+  in
+  let insts = Array.of_list (List.map fst watched) and nets = Array.of_list (List.map snd watched) in
   Simulator.reset sim;
   for cycle = 0 to cycles - 1 do
-    let vector = List.map (fun name -> (name, Logic.of_bool (Rng.bool rng))) names in
-    Simulator.set_inputs sim vector;
+    Array.iter (fun nid -> Simulator.set_input sim nid (Logic.of_bool (Rng.bool rng))) inputs;
     Simulator.propagate sim;
-    Netlist.iter_insts nl (fun iid ->
-        match Netlist.output_net nl iid with
-        | None -> ()
-        | Some out ->
-          let v = Simulator.value sim out in
-          if cycle > 0 && (not (Logic.equal v last.(iid))) then
-            toggles.(iid) <- toggles.(iid) + 1;
-          last.(iid) <- v);
+    for w = 0 to Array.length nets - 1 do
+      let iid = insts.(w) and v = Simulator.value sim nets.(w) in
+      if cycle > 0 && v <> last.(iid) then toggles.(iid) <- toggles.(iid) + 1;
+      last.(iid) <- v
+    done;
     Simulator.clock_edge sim
   done;
   let denom = float_of_int (max 1 (cycles - 1)) in

@@ -11,7 +11,12 @@ type t = {
 }
 
 val estimate : ?cycles:int -> ?seed:int -> Smt_netlist.Netlist.t -> t
-(** Random primary-input sequences; counts output toggles per instance. *)
+(** Random primary-input sequences on a {!Simulator} from reset; counts
+    output toggles per instance.  Each cycle draws one [Rng.bool] per
+    non-clock primary input, in [Netlist.inputs] order, then settles and
+    clocks; clock inputs stay X.  The draw order is part of the contract:
+    the same netlist and seed give the same factors, so cluster sizing and
+    the flow's QoR stay stable. *)
 
 val factor : t -> Smt_netlist.Netlist.inst_id -> float
 (** Toggle probability of the instance's output per cycle (0 for

@@ -374,6 +374,116 @@ let random_mt_netlist seed =
     Some (nl, place)
   end
 
+(* --- compiled simulator vs a direct interpreter --- *)
+
+module Logic = Smt_sim.Logic
+module Simulator = Smt_sim.Simulator
+
+(* The oracle: fold [Logic.eval] over [Netlist.topo_order] with live
+   [pin_net] lookups, flip-flop state kept by instance. *)
+type reference = { r_values : Logic.value array; r_state : (Netlist.inst_id, Logic.value) Hashtbl.t }
+
+let reference_ffs nl =
+  List.filter
+    (fun iid -> (Netlist.cell nl iid).Smt_cell.Cell.kind = Smt_cell.Func.Dff)
+    (Netlist.live_insts nl)
+
+let reference_state r iid = Option.value (Hashtbl.find_opt r.r_state iid) ~default:Logic.F
+
+let reference_propagate ~standby nl r =
+  List.iter
+    (fun iid ->
+      match Netlist.pin_net nl iid "Q" with
+      | Some q -> r.r_values.(q) <- reference_state r iid
+      | None -> ())
+    (reference_ffs nl);
+  List.iter
+    (fun iid ->
+      let cell = Netlist.cell nl iid in
+      match (cell.Smt_cell.Cell.kind, Netlist.output_net nl iid) with
+      | (Smt_cell.Func.Dff | Smt_cell.Func.Sleep_switch | Smt_cell.Func.Holder), _ | _, None -> ()
+      | kind, Some out ->
+        let read pin =
+          match Netlist.pin_net nl iid pin with Some nid -> r.r_values.(nid) | None -> Logic.X
+        in
+        let v = Logic.eval kind (Array.map read (Smt_cell.Func.input_names kind)) in
+        r.r_values.(out) <-
+          (if not standby then v
+           else
+             match cell.Smt_cell.Cell.style with
+             | Smt_cell.Vth.Plain -> v
+             | Smt_cell.Vth.Mt_embedded -> Logic.T
+             | Smt_cell.Vth.Mt_vgnd | Smt_cell.Vth.Mt_no_vgnd ->
+               if Netlist.holder_of nl out <> None then Logic.T else Logic.X))
+    (Netlist.topo_order nl)
+
+let reference_clock_edge nl r =
+  List.iter
+    (fun iid ->
+      match Netlist.pin_net nl iid "D" with
+      | Some d -> Hashtbl.replace r.r_state iid r.r_values.(d)
+      | None -> ())
+    (reference_ffs nl)
+
+(* Runs the compiled simulator and the oracle side by side from a reset to
+   [state]: [active] clocked cycles of random 3-valued inputs, then, if
+   [standby], one standby settle.  After every settle, every net value and
+   every flip-flop state must agree. *)
+let simulators_agree ~seed ~state ~active ~standby nl =
+  let sim = Simulator.create nl in
+  let r = { r_values = Array.make (Netlist.net_count nl) Logic.X; r_state = Hashtbl.create 16 } in
+  Simulator.reset ~state sim;
+  List.iter (fun iid -> Hashtbl.replace r.r_state iid state) (reference_ffs nl);
+  let rng = Rng.create seed in
+  let agree () =
+    let nets_ok = ref true in
+    Netlist.iter_nets nl (fun nid ->
+        if not (Logic.equal (Simulator.value sim nid) r.r_values.(nid)) then nets_ok := false);
+    !nets_ok
+    && List.for_all
+         (fun iid -> Logic.equal (Simulator.ff_state sim iid) (reference_state r iid))
+         (reference_ffs nl)
+  in
+  let settle ~standby =
+    Simulator.propagate ~mode:(if standby then Simulator.Standby else Simulator.Active) sim;
+    reference_propagate ~standby nl r;
+    agree ()
+  in
+  let rec cycles k =
+    k = 0
+    || begin
+         List.iter
+           (fun (_, nid) ->
+             let v = [| Logic.F; Logic.T; Logic.X |].(Rng.int rng 3) in
+             Simulator.set_input sim nid v;
+             r.r_values.(nid) <- v)
+           (Netlist.inputs nl);
+         settle ~standby:false
+         && begin
+              Simulator.clock_edge sim;
+              reference_clock_edge nl r;
+              agree () && cycles (k - 1)
+            end
+       end
+  in
+  cycles active && ((not standby) || settle ~standby:true)
+
+let prop_simulator_matches_reference_active =
+  QCheck2.Test.make ~name:"simulator active = Logic.eval oracle" ~count:40
+    seed_gen
+    (fun seed ->
+      let state = if seed mod 3 = 0 then Logic.X else Logic.F in
+      simulators_agree ~seed ~state ~active:(3 + (seed mod 4)) ~standby:false
+        (random_netlist seed))
+
+let prop_simulator_matches_reference_standby =
+  QCheck2.Test.make ~name:"simulator standby = Logic.eval oracle" ~count:8
+    (QCheck2.Gen.int_range 0 1000)
+    (fun seed ->
+      match random_mt_netlist seed with
+      | None -> true
+      | Some (nl, _) -> simulators_agree ~seed ~state:Logic.F ~active:2 ~standby:true nl)
+
 let prop_checker_clean_on_generated =
   QCheck2.Test.make ~name:"checker finds no errors in generated netlists" ~count:25
     seed_gen
@@ -573,6 +683,8 @@ let () =
           qtest prop_placement_io_roundtrip;
           qtest prop_nldm_lookup_bounded;
           qtest prop_standby_protocol_holds;
+          qtest prop_simulator_matches_reference_active;
+          qtest prop_simulator_matches_reference_standby;
           qtest prop_incremental_sta_exact;
           qtest prop_compose_sound;
         ] );

@@ -150,7 +150,17 @@ let test_ff_state_access () =
   Simulator.set_inputs sim [ ("d", Logic.F) ];
   Simulator.propagate sim;
   Alcotest.check value "state visible" Logic.T (List.assoc "o" (Simulator.output_values sim));
-  Alcotest.check value "ff_state reads back" Logic.T (Simulator.ff_state sim ff)
+  Alcotest.check value "ff_state reads back" Logic.T (Simulator.ff_state sim ff);
+  let buf =
+    List.find
+      (fun iid -> (Netlist.cell nl iid).Smt_cell.Cell.kind = Func.Buf)
+      (Netlist.live_insts nl)
+  in
+  let rejects f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "ff_state on a non-flip-flop rejected" true
+    (rejects (fun () -> ignore (Simulator.ff_state sim buf)));
+  Alcotest.(check bool) "set_ff_state on a non-flip-flop rejected" true
+    (rejects (fun () -> Simulator.set_ff_state sim buf Logic.T))
 
 (* --- standby mode: the floating-net hazard and holders --- *)
 
@@ -335,6 +345,31 @@ let test_activity_deterministic () =
       Alcotest.(check (float 1e-12)) "same seed, same activity"
         (Activity.factor a1 iid) (Activity.factor a2 iid))
 
+(* The flow's activity settings (128 cycles, seed 1) pinned to exact
+   counts: the total of per-instance toggle counts and the number of
+   instances that toggle at all, on the paper's circuits as generated and
+   after the improved flow. *)
+let test_activity_pinned () =
+  let counts nl =
+    let act = Activity.estimate ~cycles:128 ~seed:1 nl in
+    let toggles iid = int_of_float (Float.round (Activity.factor act iid *. 127.0)) in
+    let total = ref 0 and toggling = ref 0 in
+    Netlist.iter_insts nl (fun iid ->
+        total := !total + toggles iid;
+        if toggles iid > 0 then incr toggling);
+    (!total, !toggling)
+  in
+  List.iter
+    (fun (name, gen, fresh, flowed) ->
+      let nl = gen lib in
+      Alcotest.(check (pair int int)) (name ^ " fresh") fresh (counts nl);
+      ignore (Smt_core.Flow.run Smt_core.Flow.Improved_smt nl);
+      Alcotest.(check (pair int int)) (name ^ " after the improved flow") flowed (counts nl))
+    [
+      ("circuit_a", Smt_circuits.Suite.circuit_a, (55_150, 1_231), (82_625, 1_629));
+      ("circuit_b", Smt_circuits.Suite.circuit_b, (31_393, 670), (60_182, 1_126));
+    ]
+
 let () =
   Alcotest.run "smt_sim"
     [
@@ -375,5 +410,6 @@ let () =
         [
           Alcotest.test_case "bounds" `Quick test_activity_bounds;
           Alcotest.test_case "deterministic" `Quick test_activity_deterministic;
+          Alcotest.test_case "pinned counts" `Quick test_activity_pinned;
         ] );
     ]
