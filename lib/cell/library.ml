@@ -1,6 +1,13 @@
+module Names = Map.Make (String)
+
+(* The fixed catalogue is filled by [default] and only read afterwards.
+   Switch cells are created on demand, possibly by several domains at
+   once, so they live in an immutable map swapped atomically: a reader
+   always sees a complete map, and no resize can race a lookup. *)
 type t = {
   tech : Tech.t;
   table : (string, Cell.t) Hashtbl.t;
+  switches : Cell.t Names.t Atomic.t;
 }
 
 let tech t = t.tech
@@ -213,7 +220,7 @@ let make_retention tech : Cell.t =
   }
 
 let default ?(tech = Tech.default) () =
-  let t = { tech; table = Hashtbl.create 97 } in
+  let t = { tech; table = Hashtbl.create 97; switches = Atomic.make Names.empty } in
   let add_kind kind =
     List.iter
       (fun drive ->
@@ -235,17 +242,20 @@ let default ?(tech = Tech.default) () =
   add t (make_retention tech);
   t
 
-let find t name =
+let find_opt t name =
   match Hashtbl.find_opt t.table name with
+  | Some _ as c -> c
+  | None -> Names.find_opt name (Atomic.get t.switches)
+
+let find t name =
+  match find_opt t name with
   | Some c -> c
   | None -> raise Not_found
-
-let find_opt t name = Hashtbl.find_opt t.table name
 
 let variant ?drive t kind vth style = find t (variant_name ?drive kind vth style)
 
 let has_variant ?drive t kind vth style =
-  Hashtbl.mem t.table (variant_name ?drive kind vth style)
+  Option.is_some (find_opt t (variant_name ?drive kind vth style))
 
 let restyle t cell vth style = variant ~drive:cell.Cell.drive t cell.Cell.kind vth style
 
@@ -254,12 +264,16 @@ let resize t cell drive = variant ~drive t cell.Cell.kind cell.Cell.vth cell.Cel
 let switch t ~width =
   let width = Float.max 0.1 (quantize_width width) in
   let name = switch_name width in
-  match Hashtbl.find_opt t.table name with
-  | Some c -> c
-  | None ->
-    let c = make_switch t.tech ~width in
-    add t c;
-    c
+  let rec intern () =
+    let known = Atomic.get t.switches in
+    match Names.find_opt name known with
+    | Some c -> c
+    | None ->
+      let c = make_switch t.tech ~width in
+      if Atomic.compare_and_set t.switches known (Names.add name c known) then c
+      else intern ()
+  in
+  intern ()
 
 let holder t = find t "HOLDER"
 
@@ -275,4 +289,6 @@ let clock_buffer t = find t (variant_name Func.Clkbuf Vth.High Vth.Plain)
 
 let hold_buffer t = variant t Func.Buf Vth.High Vth.Plain
 
-let cells t = Hashtbl.fold (fun _ c acc -> c :: acc) t.table []
+let cells t =
+  Hashtbl.fold (fun _ c acc -> c :: acc) t.table []
+  @ List.map snd (Names.bindings (Atomic.get t.switches))

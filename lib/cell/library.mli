@@ -48,7 +48,9 @@ val drives : int list
 
 val switch : t -> width:float -> Cell.t
 (** A sleep-switch (footer) cell of the given width, created on demand and
-    cached; widths are quantized to 0.1. *)
+    cached; widths are quantized to 0.1.  Safe to call while other domains
+    look cells up in the same library: the fixed catalogue is never
+    written after {!default}, and switch cells are published atomically. *)
 
 val holder : t -> Cell.t
 (** The output-holder cell. *)

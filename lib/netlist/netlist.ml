@@ -428,53 +428,56 @@ let is_comb_kind kind =
 let topo_order t =
   (* Kahn levelization over the combinational frame: flip-flop outputs and
      primary inputs are sources; flip-flop inputs and primary outputs are
-     sinks.  Remaining instances at the end expose a combinational cycle. *)
+     sinks.  Remaining instances at the end expose a combinational cycle.
+     A combinational cell's one output pin is [Z] and every other pin it
+     has connected is an input ([attach] and [replace_cell] reject
+     anything else), so no pin needs its direction looked up. *)
   let n = Vec.length t.insts in
   let pending = Array.make n 0 in
   let comb = Array.make n false in
+  let is_live_comb inst = (not inst.i_dead) && is_comb_kind inst.i_cell.Cell.kind in
   Vec.iteri
     (fun i inst ->
-      if (not inst.i_dead) && is_comb_kind inst.i_cell.Cell.kind then begin
+      if is_live_comb inst then begin
         comb.(i) <- true;
-        let deps =
+        pending.(i) <-
           List.fold_left
             (fun acc (pin_name, nid) ->
-              match pin_dir inst.i_cell pin_name with
-              | Dir_in -> (
+              if String.equal pin_name "Z" then acc
+              else
                 match (Vec.get t.nets nid).driver with
-                | Some p ->
-                  let d = Vec.get t.insts p.inst in
-                  if (not d.i_dead) && is_comb_kind d.i_cell.Cell.kind then acc + 1 else acc
-                | None -> acc)
-              | Dir_out | Dir_holder_z -> acc)
+                | Some p when is_live_comb (Vec.get t.insts p.inst) -> acc + 1
+                | Some _ | None -> acc)
             0 inst.i_conns
-        in
-        pending.(i) <- deps
       end)
     t.insts;
-  let queue = Queue.create () in
+  (* FIFO over one array: [order.(0 .. tail - 1)] is the order so far *)
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  let push i =
+    order.(!tail) <- i;
+    incr tail
+  in
   for i = 0 to n - 1 do
-    if comb.(i) && pending.(i) = 0 then Queue.add i queue
+    if comb.(i) && pending.(i) = 0 then push i
   done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order := i :: !order;
-    incr seen;
-    (match output_net t i with
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    match List.assoc_opt "Z" (Vec.get t.insts i).i_conns with
     | None -> ()
     | Some nid ->
       List.iter
         (fun p ->
           if comb.(p.inst) then begin
             pending.(p.inst) <- pending.(p.inst) - 1;
-            if pending.(p.inst) = 0 then Queue.add p.inst queue
+            if pending.(p.inst) = 0 then push p.inst
           end)
-        (Vec.get t.nets nid).sinks)
+        (Vec.get t.nets nid).sinks
   done;
   let total = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 comb in
-  if !seen <> total then begin
+  if !tail <> total then begin
     let stuck = ref "" in
     for i = 0 to n - 1 do
       if comb.(i) && pending.(i) > 0 && String.equal !stuck "" then
@@ -482,7 +485,7 @@ let topo_order t =
     done;
     raise (Combinational_cycle !stuck)
   end;
-  List.rev !order
+  List.init !tail (Array.get order)
 
 let switch_members t sw_id =
   let acc = ref [] in

@@ -20,7 +20,17 @@ val place :
   Smt_netlist.Netlist.t ->
   t
 (** Place all live instances. Defaults: seed 1, utilization 0.65, 12
-    refinement passes. *)
+    refinement passes.
+
+    The refinement is compiled once per call: each cell's neighbours (the
+    instances and port pads on its non-clock nets, in the order
+    [pin_points] lists them, repeats included) become int arrays over
+    float coordinate arrays, and every pass and every legalization works
+    on those arrays in place.  A pass moves each cell halfway to the mean
+    of its neighbours' current positions, reading the cells already moved
+    in the same pass.  Any neighbour that sits exactly on the cell's own
+    position is left out of that mean, whether or not it is the cell
+    itself; a cell with no neighbour left stays put. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 val die : t -> Smt_util.Geom.bbox

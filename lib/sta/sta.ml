@@ -63,6 +63,7 @@ type t = {
   from_net : int array;  (* worst predecessor net, -1 if source *)
   via_inst : int array;  (* instance between from_net and this net, -1 at sources *)
   eps : endpoint list;
+  d_slack : float array;  (* per inst, the slack of its D endpoints (infinity if none) *)
   version : int;  (* the netlist journal version these arrays reflect *)
 }
 
@@ -212,8 +213,9 @@ let forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~
       end)
     order
 
-(* Endpoint list plus seed of the required-time array. *)
-let endpoints_and_rat cfg nl ~at_max ~at_min ~rat =
+(* Endpoint list plus seed of the required-time array; [d_slack] collects
+   each flip-flop's D-endpoint slack for [inst_slack]. *)
+let endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack =
   let eps = ref [] in
   Netlist.iter_insts nl (fun iid ->
       let cell = Netlist.cell nl iid in
@@ -233,17 +235,11 @@ let endpoints_and_rat cfg nl ~at_max ~at_min ~rat =
           let lat = cfg.clock_latency iid in
           let req = cfg.clock_period +. lat -. cell.Cell.setup in
           let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
+          let slack = req -. a in
           rat.(d_net) <- Float.min rat.(d_net) (req -. cfg.wire.Wire.net_delay d_net pin);
-          eps :=
-            {
-              kind = Ff_data iid;
-              net = d_net;
-              arrival = a;
-              required = req;
-              slack = req -. a;
-              hold_slack;
-            }
-            :: !eps);
+          d_slack.(iid) <- Float.min d_slack.(iid) slack;
+          eps := { kind = Ff_data iid; net = d_net; arrival = a; required = req; slack; hold_slack }
+                 :: !eps);
   List.iter
     (fun (name, nid) ->
       if not (Netlist.is_clock_net nl nid) then begin
@@ -301,11 +297,12 @@ let analyze cfg nl =
   seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask:None;
   forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst
     ~mask:None;
-  let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat in
+  let d_slack = Array.make (Netlist.inst_count nl) infinity in
+  let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack in
   backward cfg nl order ~rat ~inst_delay;
   {
     cfg; nl; order; loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps;
-    version;
+    d_slack; version;
   }
 
 (* The downstream combinational cone of the touched nets' drivers.  A cell
@@ -354,11 +351,15 @@ let update t =
     List.iter (fun nid -> loads.(nid) <- load_of_net cfg nl nid) touched_nets;
     seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask;
     forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst ~mask;
-    let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat in
+    let d_slack = Array.make (Array.length t.d_slack) infinity in
+    let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack in
     backward cfg nl order ~rat ~inst_delay;
     Metrics.observe m_update_evals
       (float_of_int (Metrics.counter_value m_arrival_evals - evals0));
-    { t with loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps; version }
+    {
+      t with
+      loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps; d_slack; version;
+    }
   end
 
 let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
@@ -376,17 +377,10 @@ let net_slack t nid =
 let inst_slack t iid =
   let cell = Netlist.cell t.nl iid in
   if cell.Cell.kind = Func.Dff then begin
-    let d_slack =
-      List.fold_left
-        (fun acc ep -> match ep.kind with
-          | Ff_data i when i = iid -> Float.min acc ep.slack
-          | Ff_data _ | Primary_output _ -> acc)
-        infinity t.eps
-    in
     let q_slack =
       match Netlist.pin_net t.nl iid "Q" with Some q -> net_slack t q | None -> infinity
     in
-    Float.min d_slack q_slack
+    Float.min t.d_slack.(iid) q_slack
   end
   else
     match Netlist.output_net t.nl iid with

@@ -59,7 +59,9 @@ val net_slack : t -> Smt_netlist.Netlist.net_id -> float
 
 val inst_slack : t -> Smt_netlist.Netlist.inst_id -> float
 (** Setup slack of the instance's output net; [infinity] when it has none
-    (flip-flops report the min of their D-endpoint and Q-net slacks). *)
+    (flip-flops report the min of their D-endpoint and Q-net slacks).
+    O(1): the D-endpoint slacks are recorded per instance when the
+    endpoints are built. *)
 
 val endpoints : t -> endpoint list
 val wns : t -> float

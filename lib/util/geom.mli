@@ -41,6 +41,17 @@ val overlap : bbox -> bbox -> bool
 val clamp : float -> lo:float -> hi:float -> float
 
 val spanning_length : point list -> float
-(** Length of a rectilinear spanning tree over the points (Prim on
+(** Length of a rectilinear minimum spanning tree over the points (on
     Manhattan distance); the VGND-line length model. Empty or singleton
-    lists give [0.]. *)
+    lists give [0.].
+
+    The input size alone picks one of two paths.  Up to 1,024 points, dense
+    Prim in O(n{^2}) time: every EM-capped cluster is far below that, so
+    cluster lengths and switch widths come from this path.  Above it, the
+    octant nearest-neighbour graph (Zhou, Shenoy and Nicholls, 2002) is
+    built by a sweep and Kruskal runs over it, in O(n log n) time and O(n)
+    memory; this serves the one-switch structure that spans every MT cell.
+    Both paths take each edge weight from [manhattan] on the given points,
+    and every minimum spanning tree has the same multiset of edge weights.
+    So the two paths add the same weights, and only the order of the
+    summation differs (within 1e-13 relative in practice). *)

@@ -235,6 +235,54 @@ let test_qor_collect_deterministic () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Library                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One library is shared by every job of a parallel sweep, and the flow
+   creates sized switch cells on demand.  While one domain interns 2,000
+   switch widths, lookups of the fixed catalogue from another domain must
+   never miss. *)
+let test_library_switch_interning_is_domain_safe () =
+  let trials = 20 and widths = 2000 in
+  let lost = ref 0 and lookups = ref 0 in
+  for _ = 1 to trials do
+    let lib = Library.default () in
+    let go = Atomic.make false and done_ = Atomic.make false in
+    let creator =
+      Domain.spawn (fun () ->
+          while not (Atomic.get go) do
+            Domain.cpu_relax ()
+          done;
+          for i = 1 to widths do
+            ignore (Library.switch lib ~width:(float_of_int i /. 10.0))
+          done;
+          Atomic.set done_ true)
+    in
+    Atomic.set go true;
+    while not (Atomic.get done_) do
+      incr lookups;
+      match
+        Library.variant lib Smt_cell.Func.Nand2 Smt_cell.Vth.High Smt_cell.Vth.Plain
+      with
+      | _ -> ()
+      | exception Not_found -> incr lost
+    done;
+    Domain.join creator;
+    (* every interned width is visible afterwards, once *)
+    let switches =
+      List.filter
+        (fun (c : Smt_cell.Cell.t) -> c.Smt_cell.Cell.kind = Smt_cell.Func.Sleep_switch)
+        (Library.cells lib)
+    in
+    Alcotest.(check int) "all switch cells listed" widths (List.length switches);
+    Alcotest.(check bool) "switch found by name" true
+      (Library.find_opt lib "SW_W123p4" <> None)
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "lookups lost of %d" !lookups)
+    0 !lost
+
 let () =
   Alcotest.run "parallel"
     [
@@ -249,6 +297,11 @@ let () =
           Alcotest.test_case "nested maps degrade" `Quick test_pool_nested_degrades;
           Alcotest.test_case "default_jobs positive" `Quick test_default_jobs_positive;
           Alcotest.test_case "SMT_JOBS parsing" `Quick test_default_jobs_env_parsing;
+        ] );
+      ( "library",
+        [
+          Alcotest.test_case "switch interning is domain-safe" `Quick
+            test_library_switch_interning_is_domain_safe;
         ] );
       ( "ledger",
         [

@@ -374,6 +374,413 @@ let random_mt_netlist seed =
     Some (nl, place)
   end
 
+(* --- topological order vs the walk it replaced --- *)
+
+(* Kahn over the combinational frame with every pin's direction looked up
+   from [Func]'s pin names (an embedded MT-cell's MTE pin is an input),
+   and a [Queue]. *)
+let reference_topo_order nl =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  let n = Netlist.inst_count nl in
+  let comb =
+    Array.init n (fun iid ->
+        let k = (Netlist.cell nl iid).Cell.kind in
+        (not (Netlist.is_dead nl iid)) && (not (Func.is_sequential k))
+        && not (Func.is_infrastructure k))
+  in
+  let is_input (cell : Cell.t) pin =
+    (not (Array.mem pin (Func.output_names cell.Cell.kind)))
+    && (Array.mem pin (Func.input_names cell.Cell.kind)
+       || String.equal pin "MTE"
+          && Smt_cell.Vth.style_equal cell.Cell.style Smt_cell.Vth.Mt_embedded)
+  in
+  let pending = Array.make n 0 in
+  for iid = 0 to n - 1 do
+    if comb.(iid) then
+      pending.(iid) <-
+        List.fold_left
+          (fun acc (pin, nid) ->
+            if not (is_input (Netlist.cell nl iid) pin) then acc
+            else
+              match Netlist.driver nl nid with
+              | Some p when comb.(p.Netlist.inst) -> acc + 1
+              | Some _ | None -> acc)
+          0 (Netlist.conns nl iid)
+  done;
+  let queue = Queue.create () in
+  for iid = 0 to n - 1 do
+    if comb.(iid) && pending.(iid) = 0 then Queue.add iid queue
+  done;
+  let order = ref [] in
+  while not (Queue.is_empty queue) do
+    let iid = Queue.pop queue in
+    order := iid :: !order;
+    match Netlist.output_net nl iid with
+    | None -> ()
+    | Some nid ->
+      List.iter
+        (fun (p : Netlist.pin) ->
+          let s = p.Netlist.inst in
+          if comb.(s) then begin
+            pending.(s) <- pending.(s) - 1;
+            if pending.(s) = 0 then Queue.add s queue
+          end)
+        (Netlist.sinks nl nid)
+  done;
+  List.rev !order
+
+let prop_topo_matches_reference =
+  (* fresh circuits, improved-MT netlists with switches and holders, and
+     finished flow products (conventional ones carry MTE pins driven by
+     the enable tree) *)
+  QCheck2.Test.make ~name:"topological order = Func-directed Kahn walk" ~count:30
+    QCheck2.Gen.(pair seed_gen (int_range 0 3))
+    (fun (seed, which) ->
+      let flow technique =
+        let nl = random_netlist ((seed * 4) + 2) in
+        let options = { Flow.default_options with Flow.seed; Flow.activity_cycles = 32 } in
+        ignore (Flow.run ~options technique nl);
+        Some nl
+      in
+      let fixture =
+        match which with
+        | 0 -> Some (random_netlist seed)
+        | 1 -> Option.map fst (random_mt_netlist seed)
+        | 2 -> flow Flow.Conventional_smt
+        | _ -> flow Flow.Improved_smt
+      in
+      match fixture with
+      | None -> true
+      | Some nl -> Netlist.topo_order nl = reference_topo_order nl)
+
+(* --- spanning length: the large-set path vs dense Prim --- *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Geom.spanning_length] switches from dense Prim to the octant sweep
+   above this many points (see geom.mli). *)
+let large_set = 1024
+
+let reference_prim points =
+  let pts = Array.of_list points in
+  let n = Array.length pts in
+  if n < 2 then 0.0
+  else begin
+    let in_tree = Array.make n false and dist = Array.make n infinity in
+    in_tree.(0) <- true;
+    for j = 1 to n - 1 do
+      dist.(j) <- Geom.manhattan pts.(0) pts.(j)
+    done;
+    let total = ref 0.0 in
+    for _ = 1 to n - 1 do
+      let best = ref (-1) in
+      for j = 0 to n - 1 do
+        if (not in_tree.(j)) && (!best = -1 || dist.(j) < dist.(!best)) then best := j
+      done;
+      in_tree.(!best) <- true;
+      total := !total +. dist.(!best);
+      for j = 0 to n - 1 do
+        if not in_tree.(j) then dist.(j) <- Float.min dist.(j) (Geom.manhattan pts.(!best) pts.(j))
+      done
+    done;
+    !total
+  end
+
+(* Exact at or below the crossover, within 1e-9 relative above it. *)
+let spanning_matches_prim points =
+  let got = Geom.spanning_length points and want = reference_prim points in
+  if List.length points <= large_set then same_float got want
+  else Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want)
+
+(* Sizes straddle the crossover. *)
+let size_gen =
+  QCheck2.Gen.(
+    oneof [ int_range (large_set - 3) (large_set + 3); int_range 2 40; int_range 1100 2500 ])
+
+let prop_spanning_uniform =
+  QCheck2.Test.make ~name:"spanning length = dense Prim (uniform points)" ~count:12
+    QCheck2.Gen.(pair seed_gen size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let coord () = float_of_int (Rng.int rng 1_000_000) /. 997.0 in
+      spanning_matches_prim (List.init n (fun _ -> Geom.point (coord ()) (coord ()))))
+
+let prop_spanning_row_grid =
+  (* few columns and rows: many equal distances and duplicate points *)
+  QCheck2.Test.make ~name:"spanning length = dense Prim (row grid, ties, duplicates)" ~count:12
+    QCheck2.Gen.(pair seed_gen size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      spanning_matches_prim
+        (List.init n (fun _ ->
+             Geom.point
+               (0.4 *. float_of_int (Rng.int rng 60))
+               ((float_of_int (Rng.int rng 25) +. 0.5) *. 1.8))))
+
+let test_spanning_legalized () =
+  (* every placed cell of circuit_a and of two composed circuit_b copies,
+     and prefixes at the crossover *)
+  List.iter
+    (fun nl ->
+      let place = Placement.place nl in
+      let pts = List.map (Placement.inst_point place) (Netlist.live_insts nl) in
+      Alcotest.(check bool) "above the crossover" true (List.length pts > large_set + 1);
+      List.iter
+        (fun k ->
+          let prefix = List.filteri (fun i _ -> i < k) pts in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d points" (Netlist.design_name nl) k)
+            true (spanning_matches_prim prefix))
+        [ large_set; large_set + 1; List.length pts ])
+    [
+      Suite.circuit_a lib;
+      Smt_netlist.Compose.merge ~name:"b2"
+        [ ("u0", Suite.circuit_b lib); ("u1", Suite.circuit_b lib) ];
+    ]
+
+(* --- compiled placement refinement vs the list-based placer --- *)
+
+module Metrics = Smt_obs.Metrics
+
+(* The list-based placer, on the public API: constructive sweep, then
+   passes that rebuild every cell's neighbour points from [pin_points]
+   lists and move it halfway to their centroid, then row legalization. *)
+module Reference_placer = struct
+  type t = {
+    nl : Netlist.t;
+    die : Geom.bbox;
+    rows : int;
+    row_height : float;
+    coords : (Netlist.inst_id, Geom.point) Hashtbl.t;
+    ports : (string, Geom.point) Hashtbl.t;
+  }
+
+  let clamp_into die (p : Geom.point) =
+    {
+      Geom.x = Geom.clamp p.Geom.x ~lo:die.Geom.lx ~hi:die.Geom.hx;
+      Geom.y = Geom.clamp p.Geom.y ~lo:die.Geom.ly ~hi:die.Geom.hy;
+    }
+
+  let pin_points t nid =
+    let nl = t.nl in
+    let of_inst iid = Hashtbl.find_opt t.coords iid in
+    let driver =
+      match Netlist.driver nl nid with
+      | Some p -> (match of_inst p.Netlist.inst with Some pt -> [ pt ] | None -> [])
+      | None -> []
+    in
+    let sinks =
+      List.filter_map (fun (p : Netlist.pin) -> of_inst p.Netlist.inst) (Netlist.sinks nl nid)
+    in
+    let holder =
+      match Netlist.holder_of nl nid with
+      | Some h -> (match of_inst h with Some pt -> [ pt ] | None -> [])
+      | None -> []
+    in
+    let pads =
+      if Netlist.is_pi nl nid || Netlist.is_po nl nid then
+        match Hashtbl.find_opt t.ports (Netlist.net_name nl nid) with
+        | Some p -> [ p ]
+        | None -> []
+      else []
+    in
+    driver @ sinks @ holder @ pads
+
+  let levels nl =
+    let level = Array.make (Netlist.inst_count nl) 0 in
+    List.iter
+      (fun iid ->
+        level.(iid) <-
+          List.fold_left
+            (fun acc pred -> max acc (level.(pred) + 1))
+            0 (Netlist.fanin_insts nl iid))
+      (Netlist.topo_order nl);
+    level
+
+  let legalize t order_hint =
+    let rows = Array.make t.rows [] in
+    let cell_width iid = (Netlist.cell t.nl iid).Smt_cell.Cell.area /. t.row_height in
+    List.iter
+      (fun iid ->
+        match Hashtbl.find_opt t.coords iid with
+        | None -> ()
+        | Some p ->
+          let row =
+            int_of_float ((p.Geom.y -. t.die.Geom.ly) /. t.row_height)
+            |> max 0 |> min (t.rows - 1)
+          in
+          rows.(row) <- (iid, p.Geom.x) :: rows.(row))
+      order_hint;
+    let capacity = Geom.width t.die in
+    let ordered =
+      Array.to_list rows
+      |> List.concat_map (fun members ->
+             List.sort (fun (_, x1) (_, x2) -> compare x1 x2) members)
+    in
+    let repacked = Array.make t.rows [] in
+    let row = ref 0 and used = ref 0.0 in
+    List.iter
+      (fun (iid, x) ->
+        let w = cell_width iid in
+        if !used +. w > capacity && !row < t.rows - 1 && repacked.(!row) <> [] then begin
+          incr row;
+          used := 0.0
+        end;
+        repacked.(!row) <- (iid, x) :: repacked.(!row);
+        used := !used +. w)
+      ordered;
+    Array.iteri
+      (fun r members ->
+        let y = t.die.Geom.ly +. ((float_of_int r +. 0.5) *. t.row_height) in
+        let x = ref t.die.Geom.lx in
+        List.iter
+          (fun (iid, _) ->
+            let w = cell_width iid in
+            Hashtbl.replace t.coords iid { Geom.x = !x +. (w /. 2.0); Geom.y = y };
+            x := !x +. w)
+          (List.rev members))
+      repacked
+
+  (* Returns the placement and its count of cell moves. *)
+  let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
+    let rng = Rng.create seed in
+    let row_height = (Library.tech (Netlist.lib nl)).Smt_cell.Tech.row_height in
+    let side = Float.max (4.0 *. row_height) (sqrt (Netlist.total_area nl /. utilization)) in
+    let rows = max 2 (int_of_float (side /. row_height)) in
+    let die =
+      { Geom.lx = 0.0; Geom.ly = 0.0; Geom.hx = side; Geom.hy = float_of_int rows *. row_height }
+    in
+    let t = { nl; die; rows; row_height; coords = Hashtbl.create 997; ports = Hashtbl.create 97 } in
+    let spread edge_x ports =
+      let n = List.length ports in
+      List.iteri
+        (fun i (name, _) ->
+          let y =
+            die.Geom.ly +. ((float_of_int i +. 1.0) /. (float_of_int n +. 1.0) *. Geom.height die)
+          in
+          Hashtbl.replace t.ports name { Geom.x = edge_x; Geom.y })
+        ports
+    in
+    spread die.Geom.lx (Netlist.inputs nl);
+    spread die.Geom.hx (Netlist.outputs nl);
+    let level = levels nl in
+    let keyed =
+      List.map (fun iid -> (iid, (level.(iid), Rng.int rng 1000))) (Netlist.live_insts nl)
+      |> List.sort (fun (_, k1) (_, k2) -> compare k1 k2)
+      |> List.map fst
+    in
+    let per_row = max 1 ((List.length keyed + rows - 1) / rows) in
+    List.iteri
+      (fun i iid ->
+        let row = i / per_row in
+        let pos = i mod per_row in
+        let pos = if row mod 2 = 1 then per_row - 1 - pos else pos in
+        let x =
+          die.Geom.lx +. ((float_of_int pos +. 0.5) /. float_of_int per_row *. Geom.width die)
+        in
+        let y = die.Geom.ly +. ((float_of_int (row mod rows) +. 0.5) *. row_height) in
+        Hashtbl.replace t.coords iid { Geom.x; Geom.y })
+      keyed;
+    let neighbours iid =
+      List.concat_map
+        (fun (_, nid) ->
+          if Netlist.is_clock_net nl nid then []
+          else
+            let pts = pin_points t nid in
+            match Hashtbl.find_opt t.coords iid with
+            | None -> pts
+            | Some p -> List.filter (fun q -> q <> p) pts)
+        (Netlist.conns nl iid)
+    in
+    let moved = ref 0 in
+    for _pass = 1 to iterations do
+      List.iter
+        (fun iid ->
+          match neighbours iid with
+          | [] -> ()
+          | pts ->
+            let n = float_of_int (List.length pts) in
+            let sx = List.fold_left (fun acc p -> acc +. p.Geom.x) 0.0 pts in
+            let sy = List.fold_left (fun acc p -> acc +. p.Geom.y) 0.0 pts in
+            let cur = Hashtbl.find t.coords iid in
+            let next =
+              clamp_into die
+                {
+                  Geom.x = (cur.Geom.x +. (sx /. n)) /. 2.0;
+                  Geom.y = (cur.Geom.y +. (sy /. n)) /. 2.0;
+                }
+            in
+            if next <> cur then incr moved;
+            Hashtbl.replace t.coords iid next)
+        keyed;
+      legalize t keyed
+    done;
+    (t, !moved)
+end
+
+let m_place_moves = Metrics.counter "place.moves"
+
+let same_point (a : Geom.point) (b : Geom.point) =
+  same_float a.Geom.x b.Geom.x && same_float a.Geom.y b.Geom.y
+
+(* Every coordinate, every pad, the die and the move count, bit for bit. *)
+let placement_matches_reference ?seed ?iterations nl =
+  let r, ref_moves = Reference_placer.place ?seed ?iterations nl in
+  let moves0 = Metrics.counter_value m_place_moves in
+  let p = Placement.place ?seed ?iterations nl in
+  let moves = Metrics.counter_value m_place_moves - moves0 in
+  let die = Placement.die p in
+  moves = ref_moves
+  && Placement.row_count p = r.Reference_placer.rows
+  && same_float die.Geom.lx r.Reference_placer.die.Geom.lx
+  && same_float die.Geom.hx r.Reference_placer.die.Geom.hx
+  && same_float die.Geom.hy r.Reference_placer.die.Geom.hy
+  && List.for_all
+       (fun iid ->
+         match (Placement.inst_point_opt p iid, Hashtbl.find_opt r.Reference_placer.coords iid) with
+         | Some a, Some b -> same_point a b
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       (List.init (Netlist.inst_count nl) Fun.id)
+  && List.for_all
+       (fun (name, _) ->
+         match (Placement.port_point p name, Hashtbl.find_opt r.Reference_placer.ports name) with
+         | Some a, Some b -> same_point a b
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       (Netlist.inputs nl @ Netlist.outputs nl)
+
+let prop_placement_matches_reference =
+  (* fresh circuits, and every third case an improved-MT netlist with its
+     switch, holders and MTE port placed again *)
+  QCheck2.Test.make ~name:"compiled refinement = list-based placer" ~count:40
+    QCheck2.Gen.(pair seed_gen (int_range 0 14))
+    (fun (seed, iterations) ->
+      let nl =
+        if seed mod 3 = 0 then Option.map fst (random_mt_netlist seed)
+        else Some (random_netlist seed)
+      in
+      match nl with
+      | None -> true
+      | Some nl -> placement_matches_reference ~seed ~iterations nl)
+
+(* The paper's circuits as placed by the flow, and circuit_a's improved
+   flow product (switches, holders, MTE and ECO buffers, clock tree)
+   placed again. *)
+let test_placement_paper_circuits () =
+  List.iter
+    (fun (name, nl) ->
+      Alcotest.(check bool) (name ^ " bit-identical") true (placement_matches_reference nl))
+    [
+      ("circuit_a", Suite.circuit_a lib);
+      ("circuit_b", Suite.circuit_b lib);
+      ( "circuit_a improved product",
+        let nl = Suite.circuit_a lib in
+        ignore (Flow.run Flow.Improved_smt nl);
+        nl );
+    ]
+
 (* --- compiled simulator vs a direct interpreter --- *)
 
 module Logic = Smt_sim.Logic
@@ -651,18 +1058,26 @@ let () =
       ( "util",
         [
           qtest prop_spanning_vs_bbox;
+          qtest prop_spanning_uniform;
+          qtest prop_spanning_row_grid;
+          Alcotest.test_case "spanning length = dense Prim (legalized placements)" `Quick
+            test_spanning_legalized;
           qtest prop_rng_int_uniformish;
         ] );
       ( "netlist",
         [
           qtest prop_generated_valid;
           qtest prop_topo_respects_edges;
+          qtest prop_topo_matches_reference;
           qtest prop_roundtrip_preserves_stats;
           qtest prop_roundtrip_equivalent;
         ] );
       ( "physical",
         [
           qtest prop_placement_in_die;
+          qtest prop_placement_matches_reference;
+          Alcotest.test_case "circuit_a/b placement = list-based placer" `Quick
+            test_placement_paper_circuits;
           qtest prop_sta_arrivals_monotone;
           qtest prop_extraction_nonnegative;
           qtest prop_leakage_positive;

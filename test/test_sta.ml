@@ -305,6 +305,47 @@ let test_inst_slack () =
     (Sta.net_slack sta (Option.get (Netlist.find_net nl "o")))
     (Sta.inst_slack sta g)
 
+(* A flip-flop's slack is the min of its D-endpoint slacks and its Q-net
+   slack: checked against a fold over [endpoints] for every flip-flop of
+   circuit_a's improved flow product, on the flow's final analysis and on
+   an incremental update after restyling one flip-flop. *)
+let ff_slack_by_fold sta nl iid =
+  let d =
+    List.fold_left
+      (fun acc (ep : Sta.endpoint) ->
+        match ep.Sta.kind with
+        | Sta.Ff_data i when i = iid -> Float.min acc ep.Sta.slack
+        | Sta.Ff_data _ | Sta.Primary_output _ -> acc)
+      infinity (Sta.endpoints sta)
+  in
+  let q = match Netlist.pin_net nl iid "Q" with Some q -> Sta.net_slack sta q | None -> infinity in
+  Float.min d q
+
+let test_ff_inst_slack_matches_endpoints () =
+  let nl = Smt_circuits.Suite.circuit_a lib in
+  let _, art = Smt_core.Flow.run_with_artifacts Smt_core.Flow.Improved_smt nl in
+  let ffs =
+    List.filter (fun iid -> (Netlist.cell nl iid).Cell.kind = Func.Dff) (Netlist.live_insts nl)
+  in
+  Alcotest.(check bool) "has flip-flops" true (ffs <> []);
+  let check sta =
+    List.iter
+      (fun iid ->
+        let expected = ff_slack_by_fold sta nl iid and got = Sta.inst_slack sta iid in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %h = %h" (Netlist.inst_name nl iid) got expected)
+          true
+          (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float expected)))
+      ffs
+  in
+  let sta = art.Smt_core.Flow.art_sta in
+  check sta;
+  let ff = List.hd ffs in
+  let c = Netlist.cell nl ff in
+  Netlist.replace_cell nl ff
+    (Library.restyle lib c (if c.Cell.vth = Vth.High then Vth.Low else Vth.High) Vth.Plain);
+  check (Sta.update sta)
+
 let test_input_arrival_shifts () =
   let nl = single_inv () in
   let base = Sta.analyze (Sta.config ~clock_period:1000.0 ()) nl in
@@ -398,6 +439,8 @@ let () =
           Alcotest.test_case "worst paths structure" `Quick test_worst_paths_structure;
           Alcotest.test_case "endpoint names" `Quick test_endpoint_name_forms;
           Alcotest.test_case "inst slack" `Quick test_inst_slack;
+          Alcotest.test_case "flip-flop inst slack = endpoint fold" `Quick
+            test_ff_inst_slack_matches_endpoints;
           Alcotest.test_case "used delay" `Quick test_used_delay;
         ] );
       ( "config-knobs",
