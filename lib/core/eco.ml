@@ -23,17 +23,17 @@ let fix_hold ?(max_iterations = 10) cfg place =
   let nl = Placement.netlist place in
   let lib = Netlist.lib nl in
   let buf_cell = Library.hold_buffer lib in
-  let sta = ref (Sta.analyze cfg nl) in
-  let hold_before = Sta.worst_hold_slack !sta in
+  let sta = Sta.analyze cfg nl in
+  let hold_before = Sta.worst_hold_slack sta in
   let added = ref 0 in
   let iterations = ref 0 in
   let progress = ref true in
   (* A delay buffer slows the same path for setup as it pads for hold: only
      insert where the endpoint's setup slack affords it (with margin). *)
   let setup_guard = 5.0 in
-  while (not (Sta.meets_hold !sta)) && !iterations < max_iterations && !progress do
+  while (not (Sta.meets_hold sta)) && !iterations < max_iterations && !progress do
     incr iterations;
-    let before = Sta.worst_hold_slack !sta in
+    let before = Sta.worst_hold_slack sta in
     let violating =
       List.filter_map
         (fun (ep : Sta.endpoint) ->
@@ -46,7 +46,7 @@ let fix_hold ?(max_iterations = 10) cfg place =
             if ep.Sta.slack >= buf_delay +. setup_guard then Some (ff, ep.Sta.net)
             else None (* padding here would break setup: leave for skew rework *)
           | Sta.Ff_data _ | Sta.Primary_output _ -> None)
-        (Sta.endpoints !sta)
+        (Sta.endpoints sta)
     in
     List.iter
       (fun (ff, d_net) ->
@@ -60,8 +60,8 @@ let fix_hold ?(max_iterations = 10) cfg place =
         | None -> ());
         incr added)
       violating;
-    sta := Sta.analyze cfg nl;
-    progress := violating <> [] && Sta.worst_hold_slack !sta > before +. 1e-9
+    Sta.update sta;
+    progress := violating <> [] && Sta.worst_hold_slack sta > before +. 1e-9
   done;
   Metrics.incr ~by:!iterations m_iterations;
   Metrics.incr ~by:!added m_buffers;
@@ -73,14 +73,14 @@ let fix_hold ?(max_iterations = 10) cfg place =
           ("iterations", string_of_int !iterations);
           ("buffers_added", string_of_int !added);
           ("hold_before", Printf.sprintf "%.1f" hold_before);
-          ("hold_after", Printf.sprintf "%.1f" (Sta.worst_hold_slack !sta));
+          ("hold_after", Printf.sprintf "%.1f" (Sta.worst_hold_slack sta));
         ];
   {
     buffers_added = !added;
     iterations = !iterations;
     hold_before;
-    hold_after = Sta.worst_hold_slack !sta;
-    setup_after = Sta.wns !sta;
+    hold_after = Sta.worst_hold_slack sta;
+    setup_after = Sta.wns sta;
   }
 
 type setup_result = {

@@ -431,7 +431,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
   in
   snapshot "physical-synthesis (all low-Vth)";
   (* Stage: Dual-Vth-style replacement (all techniques). *)
-  let assign = Vth_assign.assign assign_cfg nl in
+  let swapped = (Vth_assign.assign assign_cfg nl).Vth_assign.swapped in
   snapshot "high-Vth replacement";
   let downsized =
     if options.gate_sizing then begin
@@ -600,7 +600,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
     n_mte_buffers = mte_buffers;
     n_cts_buffers = Cts.buffer_count cts;
     n_hold_buffers = eco.Eco.buffers_added;
-    swapped_to_high_vth = assign.Vth_assign.swapped;
+    swapped_to_high_vth = swapped;
     cells_downsized = downsized;
     ffs_retained = retained;
     reopt_resized = (match !reopt_stats with Some r -> r.Reopt.resized | None -> 0);

@@ -100,7 +100,7 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
   let frozen = Hashtbl.create 97 in
   let resized = ref 0 in
   let passes = ref 0 in
-  let sta = ref (Sta.analyze cfg nl) in
+  let sta = Sta.analyze cfg nl in
   let keep_going = ref true in
   while !keep_going && !passes < max_passes do
     incr passes;
@@ -110,7 +110,7 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
       |> List.filter_map (fun iid ->
              match candidate_cell nl false iid with
              | Some cell' ->
-               let slack = Sta.inst_slack !sta iid in
+               let slack = Sta.inst_slack sta iid in
                let delta = move_delta cfg nl iid cell' in
                if slack > 0.0 && slack >= safety *. delta then Some (iid, cell', slack)
                else None
@@ -120,10 +120,10 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
     if candidates = [] then keep_going := false
     else begin
       List.iter (fun (iid, cell', _) -> Netlist.replace_cell nl iid cell') candidates;
-      sta := Sta.update !sta;
+      Sta.update sta;
       let this_pass = ref (List.length candidates) in
       let remaining = ref (List.rev candidates) in
-      while Sta.wns !sta < 0.0 && !remaining <> [] do
+      while Sta.wns sta < 0.0 && !remaining <> [] do
         let chunk_size = max 1 (List.length !remaining / 8) in
         let chunk = List.filteri (fun i _ -> i < chunk_size) !remaining in
         remaining := List.filteri (fun i _ -> i >= chunk_size) !remaining;
@@ -136,10 +136,10 @@ let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
             Hashtbl.replace frozen iid ();
             decr this_pass)
           chunk;
-        sta := Sta.update !sta
+        Sta.update sta
       done;
       resized := !resized + !this_pass;
       if !this_pass = 0 then keep_going := false
     end
   done;
-  { resized = !resized; passes = !passes; sta = !sta }
+  { resized = !resized; passes = !passes; sta }

@@ -17,7 +17,7 @@ let retention_registers nl =
 let convert ?(safety = 1.5) cfg nl =
   let lib = Netlist.lib nl in
   let ret = Library.retention_dff lib in
-  let sta = ref (Sta.analyze cfg nl) in
+  let sta = Sta.analyze cfg nl in
   let converted = ref 0 in
   let candidates =
     Netlist.live_insts nl
@@ -29,7 +29,7 @@ let convert ?(safety = 1.5) cfg nl =
                ret.Cell.intrinsic_delay -. c.Cell.intrinsic_delay
                +. (ret.Cell.setup -. c.Cell.setup)
              in
-             let slack = Sta.inst_slack !sta iid in
+             let slack = Sta.inst_slack sta iid in
              if slack >= safety *. Float.max 0.0 delta then
                Some (iid, c, c.Cell.leak_standby -. ret.Cell.leak_standby, slack)
              else None
@@ -40,10 +40,10 @@ let convert ?(safety = 1.5) cfg nl =
   in
   List.iter (fun (iid, _, _, _) -> Netlist.replace_cell nl iid ret) candidates;
   converted := List.length candidates;
-  sta := Sta.update !sta;
+  Sta.update sta;
   (* rollback the tightest conversions if the batch overshot *)
   let remaining = ref (List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) candidates) in
-  while Sta.wns !sta < 0.0 && !remaining <> [] do
+  while Sta.wns sta < 0.0 && !remaining <> [] do
     let chunk_size = max 1 (List.length !remaining / 8) in
     let chunk = List.filteri (fun i _ -> i < chunk_size) !remaining in
     remaining := List.filteri (fun i _ -> i >= chunk_size) !remaining;
@@ -52,6 +52,6 @@ let convert ?(safety = 1.5) cfg nl =
         Netlist.replace_cell nl iid original;
         decr converted)
       chunk;
-    sta := Sta.update !sta
+    Sta.update sta
   done;
-  { converted = !converted; sta = !sta }
+  { converted = !converted; sta }

@@ -34,7 +34,7 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
   let frozen = Hashtbl.create 97 in
   let swapped_total = ref 0 in
   let passes = ref 0 in
-  let sta = ref (Sta.analyze cfg nl) in
+  let sta = Sta.analyze cfg nl in
   let keep_going = ref true in
   while !keep_going && !passes < max_passes do
     incr passes;
@@ -45,7 +45,7 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
              let c = Netlist.cell nl iid in
              if Library.has_variant ~drive:c.Cell.drive lib c.Cell.kind Vth.High Vth.Plain then begin
                let hv = Library.variant ~drive:c.Cell.drive lib c.Cell.kind Vth.High Vth.Plain in
-               let slack = Sta.inst_slack !sta iid in
+               let slack = Sta.inst_slack sta iid in
                let delta = self_delta cfg nl iid hv in
                if slack >= safety *. delta && slack > 0.0 then Some (iid, hv, slack) else None
              end
@@ -55,12 +55,12 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
     if candidates = [] then keep_going := false
     else begin
       List.iter (fun (iid, hv, _) -> Netlist.replace_cell nl iid hv) candidates;
-      sta := Sta.update !sta;
+      Sta.update sta;
       let this_pass = ref (List.length candidates) in
       (* Rollback: revert the tightest-slack swaps in chunks until timing
          is met again. Reverted cells are frozen so the loop terminates. *)
       let remaining = ref (List.rev candidates) (* ascending slack *) in
-      while Sta.wns !sta < 0.0 && !remaining <> [] do
+      while Sta.wns sta < 0.0 && !remaining <> [] do
         let chunk_size = max 1 (List.length !remaining / 8) in
         let chunk = List.filteri (fun i _ -> i < chunk_size) !remaining in
         remaining := List.filteri (fun i _ -> i >= chunk_size) !remaining;
@@ -71,10 +71,10 @@ let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
             Hashtbl.replace frozen iid ();
             decr this_pass)
           chunk;
-        sta := Sta.update !sta
+        Sta.update sta
       done;
       swapped_total := !swapped_total + !this_pass;
       if !this_pass = 0 then keep_going := false
     end
   done;
-  { swapped = !swapped_total; passes = !passes; sta = !sta }
+  { swapped = !swapped_total; passes = !passes; sta }

@@ -50,21 +50,48 @@ type endpoint = {
   hold_slack : float;
 }
 
+(* A timing session: the netlist's timing graph compiled into flat
+   arrays, and the values propagated over it.  Arrays indexed by net or
+   instance id can be longer than [n_nets] / [n_insts]: they grow with
+   headroom as [update] follows a growing netlist. *)
 type t = {
   cfg : config;
   nl : Netlist.t;
-  order : Netlist.inst_id list;
-  loads : float array;  (* per net, capacitive load seen by the driver *)
-  at_max : float array;  (* per net, at driver output *)
-  at_min : float array;
-  at_slew : float array;  (* per net, output slew at the driver *)
-  inst_delay : float array;  (* per inst, the delay forward used *)
-  rat : float array;  (* per net, setup-based required *)
-  from_net : int array;  (* worst predecessor net, -1 if source *)
-  via_inst : int array;  (* instance between from_net and this net, -1 at sources *)
-  eps : endpoint list;
-  d_slack : float array;  (* per inst, the slack of its D endpoints (infinity if none) *)
-  version : int;  (* the netlist journal version these arrays reflect *)
+  tech : Smt_cell.Tech.t;
+  mutable version : int;  (* the netlist journal version these arrays reflect *)
+  mutable n_nets : int;
+  mutable n_insts : int;
+  (* per net *)
+  mutable loads : float array;  (* capacitive load seen by the driver *)
+  mutable at_max : float array;  (* at driver output *)
+  mutable at_min : float array;
+  mutable at_slew : float array;  (* output slew at the driver *)
+  mutable rat : float array;  (* setup-based required *)
+  mutable from_net : int array;  (* worst predecessor net, -1 if source *)
+  mutable via_inst : int array;  (* the gate or flip-flop that timed the net, -1 at sources *)
+  mutable readers : int array;  (* data-pin slots on the net *)
+  mutable net_mark : Bytes.t;  (* scratch: [touched] / [retimed], zero between calls *)
+  (* per instance *)
+  mutable inst_delay : float array;  (* the delay forward used *)
+  mutable d_slack : float array;  (* the slack of its D endpoint (infinity if none) *)
+  mutable out : int array;  (* timed output net: Z (-1 on a clock net) or Q; -1 if none *)
+  mutable row : int array;  (* data-pin slots of instance i: row.(i) .. row.(i + 1) - 1 *)
+  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [seeded], zero between calls *)
+  (* the combinational instances, fanin first *)
+  mutable order : int array;
+  mutable n_order : int;
+  (* data-pin slots: each connected data input, in [Func.input_names]
+     order per instance *)
+  mutable slot_net : int array;
+  mutable slot_wire : float array;  (* wire delay from the net's driver to the pin *)
+  mutable n_slots : int;
+  (* the flip-flops, ascending id (one removed since the last compile
+     keeps its slot, inert: it has no D and no Q) *)
+  mutable ffs : int array;
+  mutable ff_d : int array;  (* D net, -1 if unconnected *)
+  mutable ff_wire : float array;  (* wire delay into D *)
+  mutable n_ffs : int;
+  mutable eps : endpoint list;
 }
 
 let netlist t = t.nl
@@ -95,157 +122,259 @@ let cell_delay cfg nl iid =
     (Smt_cell.Library.tech (Netlist.lib nl))
     cell ~load_ff:load ~bounce_v:(cfg.bounce_of iid)
 
-(* Per-net loads for one (re)analysis: every [gate_timing] call during
-   seed/forward used to re-fold its output net's sink list; one pass here
-   makes that an array read, and [update] re-folds only the touched
-   nets. *)
-let compute_loads cfg nl =
-  let loads = Array.make (Netlist.net_count nl) 0.0 in
-  Netlist.iter_nets nl (fun nid -> loads.(nid) <- load_of_net cfg nl nid);
-  loads
+(* --- scratch marks --- *)
 
-(* Gate delay and output slew under the configured model, at the given
-   worst input slew.  The VGND bounce derate applies to either model. *)
-let gate_timing cfg nl ~loads iid ~in_slew =
-  Metrics.incr m_arrival_evals;
-  let cell = Netlist.cell nl iid in
-  let load = match Netlist.output_net nl iid with
-    | Some out -> loads.(out)
-    | None -> 0.0
-  in
-  let tech = Smt_cell.Library.tech (Netlist.lib nl) in
+let touched = 1 (* net: stamped since [t.version] *)
+let retimed = 2 (* net: its arrival was recomputed by this update *)
+let checked = 1 (* instance: re-read by this update *)
+let seeded = 2 (* instance: drives a touched net *)
+
+let marked b i bit = Char.code (Bytes.get b i) land bit <> 0
+let mark b i bit = Bytes.set b i (Char.unsafe_chr (Char.code (Bytes.get b i) lor bit))
+
+(* --- growth --- *)
+
+(* [a] with room for [n] entries: the first [len] kept, the rest [fill].
+   Grows by half again, so a netlist growing edit by edit reallocates
+   rarely. *)
+let grow a ~len n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (Array.length a + (Array.length a / 2) + 16)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let grow_bytes b n =
+  if n <= Bytes.length b then b
+  else begin
+    let c = Bytes.make (max n (Bytes.length b + (Bytes.length b / 2) + 16)) '\000' in
+    Bytes.blit b 0 c 0 (Bytes.length b);
+    c
+  end
+
+let grow_nets t n =
+  if n > t.n_nets then begin
+    let len = t.n_nets in
+    t.loads <- grow t.loads ~len n 0.0;
+    t.at_max <- grow t.at_max ~len n neg_infinity;
+    t.at_min <- grow t.at_min ~len n infinity;
+    t.at_slew <- grow t.at_slew ~len n 0.0;
+    t.rat <- grow t.rat ~len n infinity;
+    t.from_net <- grow t.from_net ~len n (-1);
+    t.via_inst <- grow t.via_inst ~len n (-1);
+    t.readers <- grow t.readers ~len n 0;
+    t.net_mark <- grow_bytes t.net_mark n;
+    t.n_nets <- n
+  end
+
+let grow_insts t n =
+  if n > t.n_insts then begin
+    let len = t.n_insts in
+    t.inst_delay <- grow t.inst_delay ~len n 0.0;
+    t.d_slack <- grow t.d_slack ~len n infinity;
+    t.out <- grow t.out ~len n (-1);
+    t.row <- grow t.row ~len:(len + 1) (n + 1) 0;
+    t.inst_mark <- grow_bytes t.inst_mark n;
+    t.n_insts <- n
+  end
+
+(* --- compiling instances --- *)
+
+let is_comb (c : Cell.t) =
+  (not (Func.is_sequential c.Cell.kind)) && not (Func.is_infrastructure c.Cell.kind)
+
+(* The net an instance's timing writes: a flip-flop's Q, or a
+   combinational output unless it is a clock net (which stays a clock
+   source). *)
+let timed_out nl iid =
+  match Netlist.output_net nl iid with
+  | Some o when Func.is_sequential (Netlist.cell nl iid).Cell.kind || not (Netlist.is_clock_net nl o)
+    -> o
+  | Some _ | None -> -1
+
+let pin_wire t iid nid pin_name = t.cfg.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name }
+
+let push_slot t iid nid pin_name =
+  let k = t.n_slots in
+  t.slot_net <- grow t.slot_net ~len:k (k + 1) 0;
+  t.slot_wire <- grow t.slot_wire ~len:k (k + 1) 0.0;
+  t.slot_net.(k) <- nid;
+  t.slot_wire.(k) <- pin_wire t iid nid pin_name;
+  t.readers.(nid) <- t.readers.(nid) + 1;
+  t.n_slots <- k + 1
+
+let push_ff t iid =
+  let k = t.n_ffs in
+  t.ffs <- grow t.ffs ~len:k (k + 1) 0;
+  t.ff_d <- grow t.ff_d ~len:k (k + 1) (-1);
+  t.ff_wire <- grow t.ff_wire ~len:k (k + 1) 0.0;
+  t.ffs.(k) <- iid;
+  (match Netlist.pin_net t.nl iid "D" with
+  | Some d ->
+    t.ff_d.(k) <- d;
+    t.ff_wire.(k) <- pin_wire t iid d "D"
+  | None -> ());
+  t.n_ffs <- k + 1
+
+(* Compiles instance [iid], the next id after those compiled: its timed
+   output, its data-pin row if combinational, its D slot if a flip-flop.
+   The caller places a combinational instance in [order]. *)
+let add_inst t iid =
+  let nl = t.nl in
+  if not (Netlist.is_dead nl iid) then begin
+    let c = Netlist.cell nl iid in
+    if Func.is_sequential c.Cell.kind then begin
+      t.out.(iid) <- timed_out nl iid;
+      push_ff t iid
+    end
+    else if is_comb c then begin
+      t.out.(iid) <- timed_out nl iid;
+      Array.iter
+        (fun pin_name ->
+          match Netlist.pin_net nl iid pin_name with
+          | Some nid -> push_slot t iid nid pin_name
+          | None -> ())
+        (Func.input_names c.Cell.kind)
+    end
+  end;
+  t.row.(iid + 1) <- t.n_slots
+
+let push_order t iid =
+  let k = t.n_order in
+  t.order <- grow t.order ~len:k (k + 1) 0;
+  t.order.(k) <- iid;
+  t.n_order <- k + 1
+
+(* --- propagation --- *)
+
+(* The analysis-start state of a net: clock nets at 0, primary inputs at
+   [input_arrival], anything else unreached until its driver is timed. *)
+let reset_net t nid =
+  let nl = t.nl in
+  t.from_net.(nid) <- -1;
+  t.via_inst.(nid) <- -1;
+  if Netlist.is_clock_net nl nid || Netlist.is_pi nl nid then begin
+    let a = if Netlist.is_clock_net nl nid then 0.0 else t.cfg.input_arrival in
+    t.at_max.(nid) <- a;
+    t.at_min.(nid) <- a;
+    t.at_slew.(nid) <- Nldm.default_input_slew
+  end
+  else begin
+    t.at_max.(nid) <- neg_infinity;
+    t.at_min.(nid) <- infinity;
+    t.at_slew.(nid) <- 0.0
+  end
+
+(* Gate delay under the configured model at the given worst input slew,
+   the VGND bounce derate included; writes the output slew of [out]. *)
+let gate_delay t iid out ~in_slew =
+  let cell = Netlist.cell t.nl iid in
+  let load = t.loads.(out) in
   let derate =
-    if Cell.is_mt cell then Cell.bounce_derate tech ~bounce_v:(cfg.bounce_of iid) else 1.0
+    if Cell.is_mt cell then Cell.bounce_derate t.tech ~bounce_v:(t.cfg.bounce_of iid) else 1.0
   in
-  match cfg.slew_model with
-  | None -> (Cell.delay cell ~load_ff:load *. derate, Nldm.default_input_slew)
+  match t.cfg.slew_model with
+  | None ->
+    t.at_slew.(out) <- Nldm.default_input_slew;
+    Cell.delay cell ~load_ff:load *. derate
   | Some store ->
     let arcs = Nldm.arcs_of store cell in
-    ( Nldm.lookup arcs.Nldm.delay ~slew:in_slew ~load *. derate,
-      Nldm.lookup arcs.Nldm.out_slew ~slew:in_slew ~load )
+    t.at_slew.(out) <- Nldm.lookup arcs.Nldm.out_slew ~slew:in_slew ~load;
+    Nldm.lookup arcs.Nldm.delay ~slew:in_slew ~load *. derate
 
-(* Data pins of an instance: logic inputs (D for flip-flops); CK and MTE are
-   not data. *)
-let data_input_pins cell = Func.input_names cell.Cell.kind
+(* A flip-flop launches Q from its clock pin. *)
+let time_ff t ff q =
+  let d = gate_delay t ff q ~in_slew:Nldm.default_input_slew in
+  let lat = t.cfg.clock_latency ff in
+  t.inst_delay.(ff) <- d;
+  t.at_max.(q) <- lat +. d;
+  t.at_min.(q) <- lat +. (Netlist.cell t.nl ff).Cell.intrinsic_delay;
+  t.via_inst.(q) <- ff
 
-(* Seed flip-flop Q arrivals from the clock; [mask] limits the work to a
-   subset of flip-flops (None = all). *)
-let seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask =
-  Netlist.iter_nets nl (fun nid ->
-      if Netlist.is_clock_net nl nid then begin
-        at_max.(nid) <- 0.0;
-        at_min.(nid) <- 0.0;
-        at_slew.(nid) <- Nldm.default_input_slew
-      end
-      else if Netlist.is_pi nl nid then begin
-        at_max.(nid) <- cfg.input_arrival;
-        at_min.(nid) <- cfg.input_arrival;
-        at_slew.(nid) <- Nldm.default_input_slew
-      end);
-  Netlist.iter_insts nl (fun iid ->
-      let include_ff = match mask with None -> true | Some f -> f iid in
-      let cell = Netlist.cell nl iid in
-      if include_ff && cell.Cell.kind = Func.Dff then
-        match Netlist.pin_net nl iid "Q" with
-        | Some q ->
-          let d, out_slew = gate_timing cfg nl ~loads iid ~in_slew:Nldm.default_input_slew in
-          let lat = cfg.clock_latency iid in
-          inst_delay.(iid) <- d;
-          at_max.(q) <- lat +. d;
-          at_min.(q) <- lat +. cell.Cell.intrinsic_delay;
-          at_slew.(q) <- out_slew;
-          via_inst.(q) <- iid
-        | None -> ())
+(* A combinational gate from its data pins: worst (first-max) and
+   earliest arrival plus wire, and the worst input slew. *)
+let time_gate t g out =
+  let input_arrival = t.cfg.input_arrival in
+  let worst = ref neg_infinity and worst_src = ref (-1) in
+  let earliest = ref infinity in
+  let worst_slew = ref 0.0 in
+  for s = t.row.(g) to t.row.(g + 1) - 1 do
+    let nid = t.slot_net.(s) and w = t.slot_wire.(s) in
+    let a = (if t.at_max.(nid) = neg_infinity then input_arrival else t.at_max.(nid)) +. w in
+    if a > !worst then begin
+      worst := a;
+      worst_src := nid
+    end;
+    let sl = if t.at_slew.(nid) > 0.0 then t.at_slew.(nid) else Nldm.default_input_slew in
+    if sl > !worst_slew then worst_slew := sl;
+    let e = (if t.at_min.(nid) = infinity then input_arrival else t.at_min.(nid)) +. w in
+    if e < !earliest then earliest := e
+  done;
+  let in_slew = if !worst_slew > 0.0 then !worst_slew else Nldm.default_input_slew in
+  let d = gate_delay t g out ~in_slew in
+  let base_max = if !worst = neg_infinity then input_arrival else !worst in
+  let base_min = if !earliest = infinity then input_arrival else !earliest in
+  t.inst_delay.(g) <- d;
+  t.at_max.(out) <- base_max +. d;
+  t.at_min.(out) <- base_min +. (Netlist.cell t.nl g).Cell.intrinsic_delay;
+  t.from_net.(out) <- !worst_src;
+  t.via_inst.(out) <- g
 
-(* Forward propagation restricted to instances passing [mask]. *)
-let forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst ~mask =
-  let pin_arrival_max nid pin =
-    if at_max.(nid) = neg_infinity then cfg.input_arrival +. cfg.wire.Wire.net_delay nid pin
-    else at_max.(nid) +. cfg.wire.Wire.net_delay nid pin
-  in
-  let pin_arrival_min nid pin =
-    if at_min.(nid) = infinity then cfg.input_arrival +. cfg.wire.Wire.net_delay nid pin
-    else at_min.(nid) +. cfg.wire.Wire.net_delay nid pin
-  in
-  List.iter
-    (fun iid ->
-      let included = match mask with None -> true | Some f -> f iid in
-      if included then begin
-        let cell = Netlist.cell nl iid in
-        match Netlist.output_net nl iid with
-        | None -> ()
-        | Some out ->
-          if not (Netlist.is_clock_net nl out) then begin
-            let worst = ref neg_infinity and worst_src = ref (-1) in
-            let earliest = ref infinity in
-            let worst_slew = ref 0.0 in
-            Array.iter
-              (fun pin_name ->
-                match Netlist.pin_net nl iid pin_name with
-                | None -> ()
-                | Some nid ->
-                  let pin = { Netlist.inst = iid; Netlist.pin_name } in
-                  let a = pin_arrival_max nid pin in
-                  if a > !worst then begin
-                    worst := a;
-                    worst_src := nid
-                  end;
-                  let s =
-                    if at_slew.(nid) > 0.0 then at_slew.(nid) else Nldm.default_input_slew
-                  in
-                  if s > !worst_slew then worst_slew := s;
-                  let e = pin_arrival_min nid pin in
-                  if e < !earliest then earliest := e)
-              (data_input_pins cell);
-            let in_slew =
-              if !worst_slew > 0.0 then !worst_slew else Nldm.default_input_slew
-            in
-            let d, out_slew = gate_timing cfg nl ~loads iid ~in_slew in
-            let base_max = if !worst = neg_infinity then cfg.input_arrival else !worst in
-            let base_min = if !earliest = infinity then cfg.input_arrival else !earliest in
-            inst_delay.(iid) <- d;
-            at_max.(out) <- base_max +. d;
-            at_min.(out) <- base_min +. cell.Cell.intrinsic_delay;
-            at_slew.(out) <- out_slew;
-            from_net.(out) <- !worst_src;
-            via_inst.(out) <- iid
-          end
-      end)
-    order
+let rec reads_retimed t s stop =
+  s < stop && (marked t.net_mark t.slot_net.(s) retimed || reads_retimed t (s + 1) stop)
+
+(* Times the combinational frame in order: every gate with [all], else
+   the cone of the seeded gates (a gate is retimed when seeded or when a
+   data pin reads a retimed net).  Returns the gates timed. *)
+let forward t ~all =
+  let timed = ref 0 in
+  for k = 0 to t.n_order - 1 do
+    let g = t.order.(k) in
+    let out = t.out.(g) in
+    if out >= 0
+       && (all || marked t.inst_mark g seeded || reads_retimed t t.row.(g) t.row.(g + 1))
+    then begin
+      time_gate t g out;
+      incr timed;
+      if not all then mark t.net_mark out retimed
+    end
+  done;
+  !timed
 
 (* Endpoint list plus seed of the required-time array; [d_slack] collects
    each flip-flop's D-endpoint slack for [inst_slack]. *)
-let endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack =
+let time_endpoints t =
+  let cfg = t.cfg and nl = t.nl in
+  Array.fill t.rat 0 t.n_nets infinity;
+  Array.fill t.d_slack 0 t.n_insts infinity;
   let eps = ref [] in
-  Netlist.iter_insts nl (fun iid ->
-      let cell = Netlist.cell nl iid in
-      if cell.Cell.kind = Func.Dff then
-        match Netlist.pin_net nl iid "D" with
-        | None -> ()
-        | Some d_net ->
-          let pin = { Netlist.inst = iid; Netlist.pin_name = "D" } in
-          let a =
-            (if at_max.(d_net) = neg_infinity then cfg.input_arrival else at_max.(d_net))
-            +. cfg.wire.Wire.net_delay d_net pin
-          in
-          let a_min =
-            (if at_min.(d_net) = infinity then cfg.input_arrival else at_min.(d_net))
-            +. cfg.wire.Wire.net_delay d_net pin
-          in
-          let lat = cfg.clock_latency iid in
-          let req = cfg.clock_period +. lat -. cell.Cell.setup in
-          let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
-          let slack = req -. a in
-          rat.(d_net) <- Float.min rat.(d_net) (req -. cfg.wire.Wire.net_delay d_net pin);
-          d_slack.(iid) <- Float.min d_slack.(iid) slack;
-          eps := { kind = Ff_data iid; net = d_net; arrival = a; required = req; slack; hold_slack }
-                 :: !eps);
+  for k = 0 to t.n_ffs - 1 do
+    let ff = t.ffs.(k) and d_net = t.ff_d.(k) in
+    if d_net >= 0 then begin
+      let cell = Netlist.cell nl ff and w = t.ff_wire.(k) in
+      let a =
+        (if t.at_max.(d_net) = neg_infinity then cfg.input_arrival else t.at_max.(d_net)) +. w
+      in
+      let a_min =
+        (if t.at_min.(d_net) = infinity then cfg.input_arrival else t.at_min.(d_net)) +. w
+      in
+      let lat = cfg.clock_latency ff in
+      let req = cfg.clock_period +. lat -. cell.Cell.setup in
+      let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
+      let slack = req -. a in
+      t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
+      t.d_slack.(ff) <- Float.min t.d_slack.(ff) slack;
+      eps := { kind = Ff_data ff; net = d_net; arrival = a; required = req; slack; hold_slack }
+             :: !eps
+    end
+  done;
   List.iter
     (fun (name, nid) ->
       if not (Netlist.is_clock_net nl nid) then begin
-        let a = if at_max.(nid) = neg_infinity then cfg.input_arrival else at_max.(nid) in
+        let a = if t.at_max.(nid) = neg_infinity then cfg.input_arrival else t.at_max.(nid) in
         let req = cfg.clock_period -. cfg.output_margin in
-        rat.(nid) <- Float.min rat.(nid) req;
+        t.rat.(nid) <- Float.min t.rat.(nid) req;
         eps :=
           {
             kind = Primary_output name;
@@ -258,108 +387,258 @@ let endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack =
           :: !eps
       end)
     (Netlist.outputs nl);
-  List.rev !eps
+  t.eps <- List.rev !eps
 
-let backward cfg nl order ~rat ~inst_delay =
-  List.iter
-    (fun iid ->
-      let cell = Netlist.cell nl iid in
-      match Netlist.output_net nl iid with
-      | None -> ()
-      | Some out ->
-        if not (Netlist.is_clock_net nl out) then begin
-          let d = inst_delay.(iid) in
-          Array.iter
-            (fun pin_name ->
-              match Netlist.pin_net nl iid pin_name with
-              | None -> ()
-              | Some nid ->
-                let pin = { Netlist.inst = iid; Netlist.pin_name } in
-                let r = rat.(out) -. d -. cfg.wire.Wire.net_delay nid pin in
-                rat.(nid) <- Float.min rat.(nid) r)
-            (data_input_pins cell)
-        end)
-    (List.rev order)
+let backward t =
+  for k = t.n_order - 1 downto 0 do
+    let g = t.order.(k) in
+    let out = t.out.(g) in
+    if out >= 0 then begin
+      let r = t.rat.(out) -. t.inst_delay.(g) in
+      for s = t.row.(g) to t.row.(g + 1) - 1 do
+        let nid = t.slot_net.(s) in
+        t.rat.(nid) <- Float.min t.rat.(nid) (r -. t.slot_wire.(s))
+      done
+    end
+  done
+
+(* Compiles the whole netlist into [t] and times it from scratch.  Until
+   it completes, [t.version] is -1: a session whose recompile raised has
+   nothing left to extend. *)
+let compile t =
+  Metrics.incr m_analyses;
+  let nl = t.nl in
+  t.version <- -1;
+  let order = Netlist.topo_order nl in
+  let nnets = Netlist.net_count nl and ninsts = Netlist.inst_count nl in
+  let max_slots = ref 0 in
+  Netlist.iter_insts nl (fun iid ->
+      let c = Netlist.cell nl iid in
+      if is_comb c then max_slots := !max_slots + Array.length (Func.input_names c.Cell.kind));
+  t.n_nets <- nnets;
+  t.n_insts <- ninsts;
+  t.loads <- Array.init nnets (load_of_net t.cfg nl);
+  t.at_max <- Array.make nnets neg_infinity;
+  t.at_min <- Array.make nnets infinity;
+  t.at_slew <- Array.make nnets 0.0;
+  t.rat <- Array.make nnets infinity;
+  t.from_net <- Array.make nnets (-1);
+  t.via_inst <- Array.make nnets (-1);
+  t.readers <- Array.make nnets 0;
+  t.net_mark <- Bytes.make nnets '\000';
+  t.inst_delay <- Array.make ninsts 0.0;
+  t.d_slack <- Array.make ninsts infinity;
+  t.out <- Array.make ninsts (-1);
+  t.row <- Array.make (ninsts + 1) 0;
+  t.inst_mark <- Bytes.make ninsts '\000';
+  t.order <- Array.make (List.length order) 0;
+  t.n_order <- 0;
+  List.iter (push_order t) order;
+  t.slot_net <- Array.make !max_slots 0;
+  t.slot_wire <- Array.make !max_slots 0.0;
+  t.n_slots <- 0;
+  t.ffs <- [||];
+  t.ff_d <- [||];
+  t.ff_wire <- [||];
+  t.n_ffs <- 0;
+  for iid = 0 to ninsts - 1 do
+    add_inst t iid
+  done;
+  for nid = 0 to nnets - 1 do
+    reset_net t nid
+  done;
+  let evals = ref 0 in
+  for k = 0 to t.n_ffs - 1 do
+    let ff = t.ffs.(k) in
+    if t.out.(ff) >= 0 then begin
+      time_ff t ff t.out.(ff);
+      incr evals
+    end
+  done;
+  evals := !evals + forward t ~all:true;
+  Metrics.incr ~by:!evals m_arrival_evals;
+  time_endpoints t;
+  backward t;
+  t.version <- Netlist.version nl
 
 let analyze cfg nl =
-  Metrics.incr m_analyses;
-  let version = Netlist.version nl in
-  let order = Netlist.topo_order nl in
-  let nnets = Netlist.net_count nl in
-  let at_max = Array.make nnets neg_infinity in
-  let at_min = Array.make nnets infinity in
-  let at_slew = Array.make nnets 0.0 in
-  let inst_delay = Array.make (Netlist.inst_count nl) 0.0 in
-  let rat = Array.make nnets infinity in
-  let from_net = Array.make nnets (-1) in
-  let via_inst = Array.make nnets (-1) in
-  let loads = compute_loads cfg nl in
-  seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask:None;
-  forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst
-    ~mask:None;
-  let d_slack = Array.make (Netlist.inst_count nl) infinity in
-  let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack in
-  backward cfg nl order ~rat ~inst_delay;
-  {
-    cfg; nl; order; loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps;
-    d_slack; version;
-  }
-
-(* The downstream combinational cone of the touched nets' drivers.  A cell
-   swap touches every net the cell pins, so the seeds are the cell itself
-   (through its output net) and the drivers of its input nets, whose
-   delay the swapped cell's new input capacitance alters. *)
-let affected_insts nl touched_nets =
-  let affected = Array.make (Netlist.inst_count nl) false in
-  let queue = Queue.create () in
-  let enqueue iid =
-    if not affected.(iid) then begin
-      affected.(iid) <- true;
-      Queue.add iid queue
-    end
+  let t =
+    {
+      cfg;
+      nl;
+      tech = Smt_cell.Library.tech (Netlist.lib nl);
+      version = 0;
+      n_nets = 0;
+      n_insts = 0;
+      loads = [||];
+      at_max = [||];
+      at_min = [||];
+      at_slew = [||];
+      rat = [||];
+      from_net = [||];
+      via_inst = [||];
+      readers = [||];
+      net_mark = Bytes.empty;
+      inst_delay = [||];
+      d_slack = [||];
+      out = [||];
+      row = [||];
+      inst_mark = Bytes.empty;
+      order = [||];
+      n_order = 0;
+      slot_net = [||];
+      slot_wire = [||];
+      n_slots = 0;
+      ffs = [||];
+      ff_d = [||];
+      ff_wire = [||];
+      n_ffs = 0;
+      eps = [];
+    }
   in
-  List.iter
-    (fun nid -> Option.iter (fun (p : Netlist.pin) -> enqueue p.Netlist.inst) (Netlist.driver nl nid))
-    touched_nets;
-  while not (Queue.is_empty queue) do
-    List.iter enqueue (Netlist.fanout_insts nl (Queue.pop queue))
+  compile t;
+  t
+
+(* --- incremental update --- *)
+
+exception Stale
+
+(* Re-reads an old instance: its timed output must be the compiled one
+   (a removed instance has none), and a combinational gate's data-pin
+   nets must be its compiled row; the wire delays of its pins on touched
+   nets are refreshed. *)
+let recheck t g =
+  if not (marked t.inst_mark g checked) then begin
+    mark t.inst_mark g checked;
+    let nl = t.nl in
+    if timed_out nl g <> t.out.(g) then raise_notrace Stale;
+    let c = Netlist.cell nl g in
+    if is_comb c then begin
+      let s = ref t.row.(g) and stop = t.row.(g + 1) in
+      Array.iter
+        (fun pin_name ->
+          match Netlist.pin_net nl g pin_name with
+          | Some nid ->
+            if !s >= stop || t.slot_net.(!s) <> nid then raise_notrace Stale;
+            if marked t.net_mark nid touched then t.slot_wire.(!s) <- pin_wire t g nid pin_name;
+            incr s
+          | None -> ())
+        (Func.input_names c.Cell.kind);
+      if !s <> stop then raise_notrace Stale
+    end
+  end
+
+(* Brings the compiled graph up to the netlist when the edits since
+   [t.version] keep it valid (the splice rule in sta.mli); raises
+   [Stale] when one breaks it.  [ninsts0] and [nnets0] are the sizes the
+   graph was compiled for. *)
+let extend t ~ninsts0 ~nnets0 touched_nets =
+  let nl = t.nl in
+  (* New instances append in id order.  A new gate reads nets driven
+     before it and drives a new net, so the order stays topological. *)
+  for iid = ninsts0 to Netlist.inst_count nl - 1 do
+    if not (Netlist.is_dead nl iid) then begin
+      (match Netlist.output_net nl iid with
+      | Some o when o < nnets0 -> raise_notrace Stale
+      | Some _ | None -> ());
+      let c = Netlist.cell nl iid in
+      if is_comb c then begin
+        Array.iter
+          (fun pin_name ->
+            match Netlist.pin_net nl iid pin_name with
+            | Some nid -> (
+              match Netlist.driver nl nid with
+              | Some p when p.Netlist.inst >= iid -> raise_notrace Stale
+              | Some _ | None -> ())
+            | None -> ())
+          (Func.input_names c.Cell.kind);
+        push_order t iid
+      end
+    end;
+    add_inst t iid
   done;
-  affected
+  (* Old instances on a touched net re-read their pins: the net's
+     compiled driver and its driver now, and its data-pin readers, which
+     must be exactly its compiled slots. *)
+  List.iter
+    (fun nid ->
+      if t.via_inst.(nid) >= 0 then recheck t t.via_inst.(nid);
+      (match Netlist.driver nl nid with
+      | Some p when p.Netlist.inst < ninsts0 -> recheck t p.Netlist.inst
+      | Some _ | None -> ());
+      let readers = ref 0 in
+      List.iter
+        (fun (p : Netlist.pin) ->
+          let c = Netlist.cell nl p.Netlist.inst in
+          if is_comb c && Array.mem p.Netlist.pin_name (Func.input_names c.Cell.kind) then begin
+            incr readers;
+            if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst
+          end)
+        (Netlist.sinks nl nid);
+      if !readers <> t.readers.(nid) then raise_notrace Stale)
+    touched_nets;
+  (* Flip-flops re-read D. *)
+  for k = 0 to t.n_ffs - 1 do
+    let ff = t.ffs.(k) in
+    match Netlist.pin_net nl ff "D" with
+    | Some d ->
+      if d <> t.ff_d.(k) || marked t.net_mark d touched then t.ff_wire.(k) <- pin_wire t ff d "D";
+      t.ff_d.(k) <- d
+    | None -> t.ff_d.(k) <- -1
+  done
+
+(* Re-times the cone of the touched nets' drivers over the extended
+   graph.  Returns the arrival evaluations. *)
+let retime t touched_nets =
+  let nl = t.nl in
+  let evals = ref 0 in
+  List.iter
+    (fun nid ->
+      t.loads.(nid) <- load_of_net t.cfg nl nid;
+      let a = t.at_max.(nid) and e = t.at_min.(nid) and s = t.at_slew.(nid) in
+      reset_net t nid;
+      (* a driverless net that became a clock net reads differently *)
+      if not (Float.equal a t.at_max.(nid) && Float.equal e t.at_min.(nid)
+              && Float.equal s t.at_slew.(nid))
+      then mark t.net_mark nid retimed)
+    touched_nets;
+  List.iter
+    (fun nid ->
+      match Netlist.driver nl nid with
+      | Some p ->
+        let d = p.Netlist.inst in
+        if Func.is_sequential (Netlist.cell nl d).Cell.kind then begin
+          time_ff t d nid;
+          incr evals;
+          mark t.net_mark nid retimed
+        end
+        else mark t.inst_mark d seeded
+      | None -> ())
+    touched_nets;
+  !evals + forward t ~all:false
 
 let update t =
-  let { cfg; nl; order; _ } = t in
-  (* Arrays sized for the old netlist cannot index a grown one: an added
-     net or instance (a buffer splice) takes the full analysis. *)
-  if Netlist.net_count nl <> Array.length t.loads
-     || Netlist.inst_count nl <> Array.length t.inst_delay
-  then analyze cfg nl
+  let nl = t.nl in
+  let ninsts0 = t.n_insts and nnets0 = t.n_nets in
+  let touched_nets = Netlist.touched_since nl t.version in
+  grow_nets t (Netlist.net_count nl);
+  grow_insts t (Netlist.inst_count nl);
+  List.iter (fun nid -> mark t.net_mark nid touched) touched_nets;
+  let extended =
+    t.version >= 0
+    && match extend t ~ninsts0 ~nnets0 touched_nets with () -> true | exception Stale -> false
+  in
+  if not extended then compile t
   else begin
     Metrics.incr m_incremental;
-    let evals0 = Metrics.counter_value m_arrival_evals in
-    let version = Netlist.version nl in
-    let touched_nets = Netlist.touched_since nl t.version in
-    let mask = Some (Array.get (affected_insts nl touched_nets)) in
-    let at_max = Array.copy t.at_max in
-    let at_min = Array.copy t.at_min in
-    let at_slew = Array.copy t.at_slew in
-    let inst_delay = Array.copy t.inst_delay in
-    let from_net = Array.copy t.from_net in
-    let via_inst = Array.copy t.via_inst in
-    let rat = Array.make (Array.length t.rat) infinity in
-    (* only a touched net can have gained or lost pin capacitance *)
-    let loads = Array.copy t.loads in
-    List.iter (fun nid -> loads.(nid) <- load_of_net cfg nl nid) touched_nets;
-    seed_sources cfg nl ~loads ~at_max ~at_min ~at_slew ~inst_delay ~via_inst ~mask;
-    forward cfg nl order ~loads ~at_max ~at_min ~at_slew ~inst_delay ~from_net ~via_inst ~mask;
-    let d_slack = Array.make (Array.length t.d_slack) infinity in
-    let eps = endpoints_and_rat cfg nl ~at_max ~at_min ~rat ~d_slack in
-    backward cfg nl order ~rat ~inst_delay;
-    Metrics.observe m_update_evals
-      (float_of_int (Metrics.counter_value m_arrival_evals - evals0));
-    {
-      t with
-      loads; at_max; at_min; at_slew; inst_delay; rat; from_net; via_inst; eps; d_slack; version;
-    }
+    t.version <- Netlist.version nl;
+    let evals = retime t touched_nets in
+    Bytes.fill t.net_mark 0 t.n_nets '\000';
+    Bytes.fill t.inst_mark 0 t.n_insts '\000';
+    Metrics.incr ~by:evals m_arrival_evals;
+    Metrics.observe m_update_evals (float_of_int evals);
+    time_endpoints t;
+    backward t
   end
 
 let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
@@ -368,7 +647,7 @@ let slew t nid =
   if t.at_slew.(nid) > 0.0 then t.at_slew.(nid) else Nldm.default_input_slew
 
 let used_delay t iid =
-  if iid >= 0 && iid < Array.length t.inst_delay then t.inst_delay.(iid) else 0.0
+  if iid >= 0 && iid < t.n_insts then t.inst_delay.(iid) else 0.0
 let required t nid = t.rat.(nid)
 
 let net_slack t nid =

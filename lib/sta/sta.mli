@@ -41,9 +41,14 @@ type endpoint = {
 }
 
 type t
+(** A timing session over one netlist: its compiled timing graph and the
+    values propagated over it.  {!update} refreshes it in place, the way
+    [Smt_verify.Verify.update] refreshes a verification session. *)
 
 val analyze : config -> Smt_netlist.Netlist.t -> t
-(** Raises [Smt_netlist.Netlist.Combinational_cycle] on cyclic logic. *)
+(** Compiles and times the netlist from scratch.  Raises
+    [Smt_netlist.Netlist.Combinational_cycle] on cyclic logic (as does
+    {!update} when an edit closes a cycle). *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -138,18 +143,38 @@ val endpoint_name : t -> endpoint -> string
 (** [inst/D] for a flip-flop data pin, the port name for a primary
     output. *)
 
-val update : t -> t
-(** Incremental re-analysis after cell swaps that do not alter
-    connectivity (Vth/MT restyling, drive resizing, DFF/retention swaps).
-    The edits come from the netlist's touched-net journal
-    ({!Smt_netlist.Netlist.touched_since} the version this analysis
-    saw), so nothing the caller forgot can be missed.  Seed rule: the
-    drivers of the touched nets — for a swapped cell, the cell itself
-    through its output net and its fanin drivers through its input nets,
-    whose load changed.  Loads are re-folded for exactly the touched
-    nets, arrivals are recomputed only inside the downstream cone of the
-    seeds, and required times are rebuilt.  The result equals
-    [analyze cfg nl] on the mutated netlist.  A netlist that grew (added
-    nets or instances, e.g. a buffer splice) is re-analyzed in full.
-    Rewiring existing nets (moved sinks, removed instances) still needs a
-    fresh [analyze]: the stored topological order may be stale. *)
+val update : t -> unit
+(** Refreshes the session in place after any edit to its netlist, so it
+    equals [analyze cfg nl] on the edited netlist bit for bit.  The edits
+    come from the netlist's touched-net journal
+    ({!Smt_netlist.Netlist.touched_since} the version [t] last saw), so
+    nothing the caller forgot can be missed.
+
+    [analyze] compiles the timing graph once into [t]: the combinational
+    instances in topological order, each gate's data-pin nets with the
+    wire delay of each pin, and the flip-flops with their D pins.
+    [update] keeps that graph when the edits are only
+    - cell swaps that keep the same pins (Vth/MT restyling, drive
+      resizing, DFF/retention swaps);
+    - new nets;
+    - new instances whose combinational fanin drivers are older
+      instances (or new ones with a smaller id) and whose output, if
+      any, is a new net: they are appended to the order in id order,
+      which stays topological (the hold ECO's buffer splice);
+    - flip-flop D pins moved to other nets.
+    It checks this from the journal: every old instance that drove,
+    drives or reads a touched net re-reads its output and data-pin nets,
+    which must be the compiled ones (so no old gate gained a pin there
+    and every flip-flop keeps its Q), and each touched net must have
+    exactly its compiled number of data-pin readers.  Any other edit (a
+    gate input moved between existing nets, a removed gate, a moved Q, a
+    new gate driving an old net) recompiles [t] from scratch, which
+    counts as an analysis.
+
+    Loads are re-folded and wire delays re-read for the touched nets;
+    the wire model must therefore give the same delay into a pin as long
+    as neither the net nor the pin's cell was touched.  Arrivals are
+    recomputed from the drivers of the touched nets through their
+    combinational fanout only: a flip-flop re-launches when it drives a
+    touched net, never because its D moved, since Q depends on the clock
+    and not on D.  Required times and endpoints are rebuilt. *)

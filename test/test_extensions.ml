@@ -165,9 +165,9 @@ let test_incremental_matches_full () =
       let c = Netlist.cell nl iid in
       Netlist.replace_cell nl iid (Library.restyle lib c Vth.High Vth.Plain))
     batch;
-  let incremental = Sta.update sta in
+  Sta.update sta;
   let full = Sta.analyze cfg nl in
-  agree "hv swap" incremental full
+  agree "hv swap" sta full
 
 let test_incremental_resize () =
   let nl = Generators.ripple_adder ~name:"ra" ~bits:8 lib in
@@ -183,13 +183,14 @@ let test_incremental_resize () =
   List.iter
     (fun iid -> Netlist.replace_cell nl iid (Library.resize lib (Netlist.cell nl iid) 4))
     some;
-  agree "resize" (Sta.update sta) (Sta.analyze cfg nl)
+  Sta.update sta;
+  agree "resize" sta (Sta.analyze cfg nl)
 
 let test_incremental_chain () =
   (* several successive updates stay exact *)
   let nl = Generators.multiplier ~name:"m5" ~bits:5 lib in
   let cfg = Sta.config ~clock_period:(period_for nl 0.3) () in
-  let sta = ref (Sta.analyze cfg nl) in
+  let sta = Sta.analyze cfg nl in
   let rng = Smt_util.Rng.create 4 in
   for _round = 1 to 5 do
     let victims =
@@ -206,14 +207,27 @@ let test_incremental_chain () =
         if Library.has_variant ~drive:c.Cell.drive lib c.Cell.kind vth c.Cell.style then
           Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style))
       batch;
-    sta := Sta.update !sta
+    Sta.update sta
   done;
-  agree "chained updates" !sta (Sta.analyze cfg nl)
+  agree "chained updates" sta (Sta.analyze cfg nl)
+
+let m_analyses = Smt_obs.Metrics.counter "sta.analyses"
+let m_incremental = Smt_obs.Metrics.counter "sta.incremental_updates"
+
+(* Runs [Sta.update] and returns how many analyses and incremental
+   updates it counted. *)
+let counted_update sta =
+  let a0 = Smt_obs.Metrics.counter_value m_analyses in
+  let i0 = Smt_obs.Metrics.counter_value m_incremental in
+  Sta.update sta;
+  ( Smt_obs.Metrics.counter_value m_analyses - a0,
+    Smt_obs.Metrics.counter_value m_incremental - i0 )
 
 let test_incremental_buffer_splice () =
-  (* An ECO-style hold-buffer splice grows the netlist by a net and an
-     instance: [update] must re-analyze in full rather than index past
-     the arrays it sized for the smaller netlist. *)
+  (* A buffer spliced before a gate input moves an old gate onto a new
+     net that the buffer, appended after it, drives: the stored order
+     would time the gate before its fanin, so [update] must recompile
+     (counted as an analysis) rather than extend the graph. *)
   let nl = Generators.multiplier ~name:"mult4" ~bits:4 lib in
   let cfg = Sta.config ~clock_period:(period_for nl 0.2) () in
   let sta = Sta.analyze cfg nl in
@@ -230,7 +244,58 @@ let test_incremental_buffer_splice () =
   ignore
     (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf") (Library.hold_buffer lib)
        [ ("A", from_net); ("Z", new_net) ]);
-  agree "buffer splice" (Sta.update sta) (Sta.analyze cfg nl)
+  Alcotest.(check (pair int int)) "recompiled" (1, 0) (counted_update sta);
+  agree "buffer splice" sta (Sta.analyze cfg nl)
+
+let test_incremental_ff_splice () =
+  (* The hold ECO's edit: a buffer spliced before a flip-flop's D pin.
+     The buffer reads an old net and drives a new one that only the D
+     pin reads, so [update] appends it to the stored order: an
+     incremental update, not an analysis. *)
+  let nl = Generators.counter ~name:"cnt4" ~bits:4 lib in
+  let cfg = Sta.config ~clock_period:(period_for nl 0.2) () in
+  let sta = Sta.analyze cfg nl in
+  let ff =
+    List.find
+      (fun iid ->
+        (Netlist.cell nl iid).Cell.kind = Func.Dff && Netlist.pin_net nl iid "D" <> None)
+      (Netlist.live_insts nl)
+  in
+  let d_net = Option.get (Netlist.pin_net nl ff "D") in
+  let new_net = Netlist.fresh_net nl "eco" in
+  Netlist.move_sink nl ~from_net:d_net { Netlist.inst = ff; pin_name = "D" } ~to_net:new_net;
+  ignore
+    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf") (Library.hold_buffer lib)
+       [ ("A", d_net); ("Z", new_net) ]);
+  Alcotest.(check (pair int int)) "extended in place" (0, 1) (counted_update sta);
+  agree "flip-flop D splice" sta (Sta.analyze cfg nl)
+
+let test_incremental_cycle_recovers () =
+  (* An edit that closes a combinational cycle makes [update] raise, as
+     [analyze] does; once the edit is undone, the next update recompiles
+     and is exact again. *)
+  let nl = Generators.multiplier ~name:"m4c" ~bits:4 lib in
+  let cfg = Sta.config ~clock_period:(period_for nl 0.2) () in
+  let sta = Sta.analyze cfg nl in
+  let comb iid = not (Func.is_sequential (Netlist.cell nl iid).Cell.kind) in
+  let g, h =
+    List.find_map
+      (fun g ->
+        match (Netlist.pin_net nl g "A", List.filter comb (Netlist.fanout_insts nl g)) with
+        | Some _, h :: _ -> Some (g, h)
+        | _ -> None)
+      (Netlist.topo_order nl)
+    |> Option.get
+  in
+  let pin = { Netlist.inst = g; pin_name = "A" } in
+  let from_net = Option.get (Netlist.pin_net nl g "A") in
+  let loop_net = Option.get (Netlist.output_net nl h) in
+  Netlist.move_sink nl ~from_net pin ~to_net:loop_net;
+  Alcotest.(check bool) "raises on the cycle" true
+    (match Sta.update sta with () -> false | exception Netlist.Combinational_cycle _ -> true);
+  Netlist.move_sink nl ~from_net:loop_net pin ~to_net:from_net;
+  Sta.update sta;
+  agree "cycle undone" sta (Sta.analyze cfg nl)
 
 (* --- corners --- *)
 
@@ -456,6 +521,10 @@ let () =
           Alcotest.test_case "matches full (resize)" `Quick test_incremental_resize;
           Alcotest.test_case "chained updates" `Quick test_incremental_chain;
           Alcotest.test_case "buffer splice re-analyzes" `Quick test_incremental_buffer_splice;
+          Alcotest.test_case "flip-flop D splice extends in place" `Quick
+            test_incremental_ff_splice;
+          Alcotest.test_case "recovers after a cycle-closing edit" `Quick
+            test_incremental_cycle_recovers;
         ] );
       ( "corners",
         [

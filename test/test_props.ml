@@ -254,68 +254,6 @@ let prop_nldm_lookup_bounded =
       in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
-let prop_incremental_sta_exact =
-  (* Chained rounds of cell swaps -- Vth flips, drive steps and DFF <->
-     retention-DFF swaps -- each followed by [Sta.update], which reads the
-     swaps from the netlist's journal: every round must equal a
-     from-scratch analysis. *)
-  QCheck2.Test.make ~name:"incremental STA equals full re-analysis" ~count:12
-    ~print:string_of_int seed_gen
-    (fun seed ->
-      let module Cell = Smt_cell.Cell in
-      let module Func = Smt_cell.Func in
-      let module Vth = Smt_cell.Vth in
-      let nl = random_netlist seed in
-      let cfg = Sta.config ~clock_period:1e5 () in
-      let rng = Rng.create seed in
-      let retention = Library.retention_dff lib in
-      let plain_ffs = Hashtbl.create 17 in
-      let swap iid =
-        let c = Netlist.cell nl iid in
-        let has ~drive vth = Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style in
-        if c.Cell.kind = Func.Dff then begin
-          match Hashtbl.find_opt plain_ffs iid with
-          | Some plain ->
-            Hashtbl.remove plain_ffs iid;
-            Netlist.replace_cell nl iid plain
-          | None ->
-            Hashtbl.replace plain_ffs iid c;
-            Netlist.replace_cell nl iid retention
-        end
-        else if Func.is_infrastructure c.Cell.kind then ()
-        else if Rng.chance rng 0.5 then begin
-          let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
-          if has ~drive:c.Cell.drive vth then
-            Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
-        end
-        else
-          let other d = d <> c.Cell.drive && has ~drive:d c.Cell.vth in
-          match Array.of_list (List.filter other Library.drives) with
-          | [||] -> ()
-          | ds -> Netlist.replace_cell nl iid (Library.resize lib c (Rng.pick rng ds))
-      in
-      (* infinities (no endpoints of a kind) must compare equal, not nan *)
-      let feq a b = a = b || Float.abs (a -. b) < 1e-6 in
-      let exact incr =
-        let full = Sta.analyze cfg nl in
-        let ok =
-          ref
-            (feq (Sta.wns incr) (Sta.wns full)
-            && feq (Sta.worst_hold_slack incr) (Sta.worst_hold_slack full))
-        in
-        Netlist.iter_nets nl (fun nid ->
-            if not (feq (Sta.arrival incr nid) (Sta.arrival full nid)) then ok := false);
-        !ok
-      in
-      let sta = ref (Sta.analyze cfg nl) in
-      let ok = ref true in
-      for _round = 1 to 4 do
-        List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl);
-        sta := Sta.update !sta;
-        if not (exact !sta) then ok := false
-      done;
-      !ok)
-
 let prop_compose_sound =
   QCheck2.Test.make ~name:"composition validates and counts add" ~count:10
     (QCheck2.Gen.pair seed_gen seed_gen)
@@ -891,6 +829,567 @@ let prop_simulator_matches_reference_standby =
       | None -> true
       | Some (nl, _) -> simulators_agree ~seed ~state:Logic.F ~active:2 ~standby:true nl)
 
+(* --- compiled STA vs the list-based analysis --- *)
+
+module Nldm = Smt_cell.Nldm
+module Wire = Smt_sta.Wire
+module Eco = Smt_core.Eco
+module Writer = Smt_netlist.Writer
+
+(* Everything an analysis reports, every float as its bits: arrival,
+   required time and slew of each net, the delay used for each instance,
+   each flip-flop's slack, and each endpoint with its worst path. *)
+type sta_view = {
+  v_nets : (int64 * int64 * int64) array;
+  v_used : int64 array;
+  v_ff_slack : int64 list;
+  v_endpoints : (Sta.endpoint_kind * int * int64 list * (int option * int * int64) list) list;
+}
+
+let sta_view nl ~arrival ~required ~slew ~used_delay ~inst_slack ~endpoints ~path_to =
+  let bits = Int64.bits_of_float in
+  {
+    v_nets =
+      Array.init (Netlist.net_count nl) (fun n -> (bits (arrival n), bits (required n), bits (slew n)));
+    v_used = Array.init (Netlist.inst_count nl) (fun i -> bits (used_delay i));
+    v_ff_slack = List.map (fun i -> bits (inst_slack i)) (reference_ffs nl);
+    v_endpoints =
+      List.map
+        (fun (ep : Sta.endpoint) ->
+          ( ep.Sta.kind,
+            ep.Sta.net,
+            List.map bits [ ep.Sta.arrival; ep.Sta.required; ep.Sta.slack; ep.Sta.hold_slack ],
+            List.map
+              (fun (s : Sta.path_step) -> (s.Sta.step_inst, s.Sta.step_net, bits s.Sta.step_arrival))
+              (path_to ep) ))
+        endpoints;
+  }
+
+let view_of_sta sta =
+  sta_view (Sta.netlist sta) ~arrival:(Sta.arrival sta) ~required:(Sta.required sta)
+    ~slew:(Sta.slew sta) ~used_delay:(Sta.used_delay sta) ~inst_slack:(Sta.inst_slack sta)
+    ~endpoints:(Sta.endpoints sta) ~path_to:(Sta.path_to sta)
+
+(* The list-based analysis the compiled one replaced, on the public API:
+   per-net loads, flip-flops launched from the clock, then the
+   topological order walked with live [pin_net] lookups and one
+   wire-delay call per use of a pin, endpoints, and required times
+   backwards over the reversed order. *)
+module Reference_sta = struct
+  module Cell = Smt_cell.Cell
+  module Func = Smt_cell.Func
+
+  let gate_timing (cfg : Sta.config) nl ~loads iid ~in_slew =
+    let cell = Netlist.cell nl iid in
+    let load = match Netlist.output_net nl iid with Some out -> loads.(out) | None -> 0.0 in
+    let tech = Library.tech (Netlist.lib nl) in
+    let derate =
+      if Cell.is_mt cell then Cell.bounce_derate tech ~bounce_v:(cfg.Sta.bounce_of iid) else 1.0
+    in
+    match cfg.Sta.slew_model with
+    | None -> (Cell.delay cell ~load_ff:load *. derate, Nldm.default_input_slew)
+    | Some store ->
+      let arcs = Nldm.arcs_of store cell in
+      ( Nldm.lookup arcs.Nldm.delay ~slew:in_slew ~load *. derate,
+        Nldm.lookup arcs.Nldm.out_slew ~slew:in_slew ~load )
+
+  let view (cfg : Sta.config) nl =
+    let input_arrival = cfg.Sta.input_arrival in
+    let wire nid iid pin_name = cfg.Sta.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name } in
+    let order = Netlist.topo_order nl in
+    let nnets = Netlist.net_count nl and ninsts = Netlist.inst_count nl in
+    let at_max = Array.make nnets neg_infinity in
+    let at_min = Array.make nnets infinity in
+    let at_slew = Array.make nnets 0.0 in
+    let inst_delay = Array.make ninsts 0.0 in
+    let rat = Array.make nnets infinity in
+    let from_net = Array.make nnets (-1) in
+    let via_inst = Array.make nnets (-1) in
+    let d_slack = Array.make ninsts infinity in
+    let loads = Array.init nnets (Sta.load_of_net cfg nl) in
+    Netlist.iter_nets nl (fun nid ->
+        if Netlist.is_clock_net nl nid then begin
+          at_max.(nid) <- 0.0;
+          at_min.(nid) <- 0.0;
+          at_slew.(nid) <- Nldm.default_input_slew
+        end
+        else if Netlist.is_pi nl nid then begin
+          at_max.(nid) <- input_arrival;
+          at_min.(nid) <- input_arrival;
+          at_slew.(nid) <- Nldm.default_input_slew
+        end);
+    Netlist.iter_insts nl (fun iid ->
+        let cell = Netlist.cell nl iid in
+        if cell.Cell.kind = Func.Dff then
+          match Netlist.pin_net nl iid "Q" with
+          | Some q ->
+            let d, out_slew = gate_timing cfg nl ~loads iid ~in_slew:Nldm.default_input_slew in
+            let lat = cfg.Sta.clock_latency iid in
+            inst_delay.(iid) <- d;
+            at_max.(q) <- lat +. d;
+            at_min.(q) <- lat +. cell.Cell.intrinsic_delay;
+            at_slew.(q) <- out_slew;
+            via_inst.(q) <- iid
+          | None -> ());
+    List.iter
+      (fun iid ->
+        let cell = Netlist.cell nl iid in
+        match Netlist.output_net nl iid with
+        | Some out when not (Netlist.is_clock_net nl out) ->
+          let worst = ref neg_infinity and worst_src = ref (-1) in
+          let earliest = ref infinity and worst_slew = ref 0.0 in
+          Array.iter
+            (fun pin_name ->
+              match Netlist.pin_net nl iid pin_name with
+              | None -> ()
+              | Some nid ->
+                let a =
+                  if at_max.(nid) = neg_infinity then input_arrival +. wire nid iid pin_name
+                  else at_max.(nid) +. wire nid iid pin_name
+                in
+                if a > !worst then begin
+                  worst := a;
+                  worst_src := nid
+                end;
+                let s = if at_slew.(nid) > 0.0 then at_slew.(nid) else Nldm.default_input_slew in
+                if s > !worst_slew then worst_slew := s;
+                let e =
+                  if at_min.(nid) = infinity then input_arrival +. wire nid iid pin_name
+                  else at_min.(nid) +. wire nid iid pin_name
+                in
+                if e < !earliest then earliest := e)
+            (Func.input_names cell.Cell.kind);
+          let in_slew = if !worst_slew > 0.0 then !worst_slew else Nldm.default_input_slew in
+          let d, out_slew = gate_timing cfg nl ~loads iid ~in_slew in
+          let base_max = if !worst = neg_infinity then input_arrival else !worst in
+          let base_min = if !earliest = infinity then input_arrival else !earliest in
+          inst_delay.(iid) <- d;
+          at_max.(out) <- base_max +. d;
+          at_min.(out) <- base_min +. cell.Cell.intrinsic_delay;
+          at_slew.(out) <- out_slew;
+          from_net.(out) <- !worst_src;
+          via_inst.(out) <- iid
+        | Some _ | None -> ())
+      order;
+    let eps = ref [] in
+    Netlist.iter_insts nl (fun iid ->
+        let cell = Netlist.cell nl iid in
+        if cell.Cell.kind = Func.Dff then
+          match Netlist.pin_net nl iid "D" with
+          | None -> ()
+          | Some d_net ->
+            let a =
+              (if at_max.(d_net) = neg_infinity then input_arrival else at_max.(d_net))
+              +. wire d_net iid "D"
+            in
+            let a_min =
+              (if at_min.(d_net) = infinity then input_arrival else at_min.(d_net))
+              +. wire d_net iid "D"
+            in
+            let lat = cfg.Sta.clock_latency iid in
+            let req = cfg.Sta.clock_period +. lat -. cell.Cell.setup in
+            let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.Sta.hold_margin) in
+            let slack = req -. a in
+            rat.(d_net) <- Float.min rat.(d_net) (req -. wire d_net iid "D");
+            d_slack.(iid) <- Float.min d_slack.(iid) slack;
+            eps :=
+              { Sta.kind = Sta.Ff_data iid; net = d_net; arrival = a; required = req; slack; hold_slack }
+              :: !eps);
+    List.iter
+      (fun (name, nid) ->
+        if not (Netlist.is_clock_net nl nid) then begin
+          let a = if at_max.(nid) = neg_infinity then input_arrival else at_max.(nid) in
+          let req = cfg.Sta.clock_period -. cfg.Sta.output_margin in
+          rat.(nid) <- Float.min rat.(nid) req;
+          eps :=
+            {
+              Sta.kind = Sta.Primary_output name;
+              net = nid;
+              arrival = a;
+              required = req;
+              slack = req -. a;
+              hold_slack = infinity;
+            }
+            :: !eps
+        end)
+      (Netlist.outputs nl);
+    List.iter
+      (fun iid ->
+        let cell = Netlist.cell nl iid in
+        match Netlist.output_net nl iid with
+        | Some out when not (Netlist.is_clock_net nl out) ->
+          let d = inst_delay.(iid) in
+          Array.iter
+            (fun pin_name ->
+              match Netlist.pin_net nl iid pin_name with
+              | None -> ()
+              | Some nid ->
+                rat.(nid) <- Float.min rat.(nid) (rat.(out) -. d -. wire nid iid pin_name))
+            (Func.input_names cell.Cell.kind)
+        | Some _ | None -> ())
+      (List.rev order);
+    let arrival nid = if at_max.(nid) = neg_infinity then input_arrival else at_max.(nid) in
+    let net_slack nid = if rat.(nid) = infinity then infinity else rat.(nid) -. arrival nid in
+    let path_to (ep : Sta.endpoint) =
+      let rec backtrace nid acc =
+        let inst = if via_inst.(nid) >= 0 then Some via_inst.(nid) else None in
+        let step = { Sta.step_inst = inst; step_net = nid; step_arrival = arrival nid } in
+        if from_net.(nid) >= 0 then backtrace from_net.(nid) (step :: acc) else step :: acc
+      in
+      backtrace ep.Sta.net []
+    in
+    sta_view nl ~arrival ~required:(Array.get rat)
+      ~slew:(fun nid -> if at_slew.(nid) > 0.0 then at_slew.(nid) else Nldm.default_input_slew)
+      ~used_delay:(Array.get inst_delay)
+      ~inst_slack:(fun iid ->
+        let q = match Netlist.pin_net nl iid "Q" with Some q -> net_slack q | None -> infinity in
+        Float.min d_slack.(iid) q)
+      ~endpoints:(List.rev !eps) ~path_to
+end
+
+(* Extracted wires over the placement, per-flip-flop clock latencies,
+   per-instance VGND bounce, a hold margin and a late input arrival; NLDM
+   timing on every other seed. *)
+let oracle_config ~seed nl place =
+  let wire = Parasitics.wire_model (Parasitics.extract place) nl in
+  {
+    (Sta.config ~wire ~slew_aware:(seed mod 2 = 0) ~clock_period:(400.0 +. float_of_int (seed mod 9 * 60)) ())
+    with
+    Sta.clock_latency = (fun iid -> float_of_int (((iid * 7919) + seed) mod 23) *. 1.5);
+    Sta.bounce_of = (fun iid -> float_of_int (((iid * 31) + seed) mod 11) *. 0.01);
+    Sta.hold_margin = 3.0;
+    Sta.input_arrival = 7.0;
+  }
+
+(* A random circuit placed, or every third seed an improved-MT netlist
+   with its switches and holders. *)
+let oracle_fixture seed =
+  if seed mod 3 = 0 then random_mt_netlist seed
+  else
+    let nl = random_netlist seed in
+    Some (nl, Placement.place ~seed nl)
+
+let prop_sta_matches_reference =
+  QCheck2.Test.make ~name:"compiled STA = list-based analysis" ~count:40 ~print:string_of_int
+    seed_gen
+    (fun seed ->
+      match oracle_fixture seed with
+      | None -> true
+      | Some (nl, place) ->
+        let cfg = oracle_config ~seed nl place in
+        view_of_sta (Sta.analyze cfg nl) = Reference_sta.view cfg nl)
+
+(* The flow's own sign-off timing of the paper's circuits: clock-tree
+   latencies, extracted wires, VGND bounce, MTE and ECO buffers. *)
+let test_sta_paper_products () =
+  List.iter
+    (fun (name, make) ->
+      let _, art = Flow.run_with_artifacts Flow.Improved_smt (make lib) in
+      let sta = art.Flow.art_sta in
+      Alcotest.(check bool)
+        (name ^ " bit-identical") true
+        (view_of_sta sta = Reference_sta.view art.Flow.art_cfg (Sta.netlist sta)))
+    [ ("circuit_a", Suite.circuit_a); ("circuit_b", Suite.circuit_b) ]
+
+(* --- incremental STA over swaps, splices and rewires --- *)
+
+let is_comb_inst nl iid =
+  let k = (Netlist.cell nl iid).Smt_cell.Cell.kind in
+  (not (Netlist.is_dead nl iid))
+  && (not (Smt_cell.Func.is_sequential k))
+  && not (Smt_cell.Func.is_infrastructure k)
+
+(* A hold buffer between [pin] and the net it reads. *)
+let splice_buffer nl (pin : Netlist.pin) =
+  match Netlist.pin_net nl pin.Netlist.inst pin.Netlist.pin_name with
+  | None -> ()
+  | Some from_net ->
+    let new_net = Netlist.fresh_net nl "eco" in
+    Netlist.move_sink nl ~from_net pin ~to_net:new_net;
+    ignore
+      (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf") (Library.hold_buffer lib)
+         [ ("A", from_net); ("Z", new_net) ])
+
+let connected_data_pins nl iid =
+  List.filter
+    (fun pin_name -> Netlist.pin_net nl iid pin_name <> None)
+    (Array.to_list (Smt_cell.Func.input_names (Netlist.cell nl iid).Smt_cell.Cell.kind))
+
+(* The gate's combinational fanout cone, itself included. *)
+let comb_cone nl g =
+  let cone = Hashtbl.create 16 in
+  let rec visit iid =
+    if not (Hashtbl.mem cone iid) then begin
+      Hashtbl.add cone iid ();
+      match Netlist.output_net nl iid with
+      | Some o ->
+        List.iter
+          (fun (p : Netlist.pin) -> if is_comb_inst nl p.Netlist.inst then visit p.Netlist.inst)
+          (Netlist.sinks nl o)
+      | None -> ()
+    end
+  in
+  visit g;
+  cone
+
+(* [nid] may feed a pin of gate [g] without closing a cycle. *)
+let can_feed nl g nid =
+  match Netlist.driver nl nid with
+  | Some p -> not (Hashtbl.mem (comb_cone nl g) p.Netlist.inst)
+  | None -> true
+
+(* Moves one data pin of a gate onto the output of a gate after it in
+   the topological order and outside its combinational fanout cone, so
+   no cycle closes but the stored order goes stale. *)
+let move_input_later nl rng =
+  let order = Array.of_list (Netlist.topo_order nl) in
+  let n = Array.length order in
+  if n >= 2 then begin
+    let i = Rng.int rng (n - 1) in
+    let g = order.(i) in
+    let later =
+      List.filter_map
+        (fun h ->
+          match Netlist.output_net nl h with
+          | Some y when can_feed nl g y && not (Netlist.is_clock_net nl y) -> Some y
+          | Some _ | None -> None)
+        (Array.to_list (Array.sub order (i + 1) (n - i - 1)))
+    in
+    match (connected_data_pins nl g, later) with
+    | pin_name :: _, _ :: _ ->
+      let to_net = Rng.pick rng (Array.of_list later) in
+      let from_net = Option.get (Netlist.pin_net nl g pin_name) in
+      if from_net <> to_net then
+        Netlist.move_sink nl ~from_net { Netlist.inst = g; pin_name } ~to_net
+    | _ -> ()
+  end
+
+(* Two gates trade an input net each: the pin counts per net stay, only
+   the compiled rows go stale. *)
+let trade_inputs nl rng gates =
+  if Array.length gates >= 2 then begin
+    let g1 = Rng.pick rng gates and g2 = Rng.pick rng gates in
+    match (connected_data_pins nl g1, connected_data_pins nl g2) with
+    | p1 :: _, p2 :: _ when g1 <> g2 ->
+      let x = Option.get (Netlist.pin_net nl g1 p1) and y = Option.get (Netlist.pin_net nl g2 p2) in
+      if x <> y && can_feed nl g1 y && can_feed nl g2 x then begin
+        Netlist.move_sink nl ~from_net:x { Netlist.inst = g1; pin_name = p1 } ~to_net:y;
+        Netlist.move_sink nl ~from_net:y { Netlist.inst = g2; pin_name = p2 } ~to_net:x
+      end
+    | _ -> ()
+  end
+
+let prop_incremental_sta_exact =
+  (* Chained rounds of edits, each followed by [Sta.update] (which reads
+     the edits from the netlist's journal) and compared bit for bit with
+     a from-scratch analysis.  Each case runs every edit kind once, in a
+     seed-rotated order.  Cell swaps (Vth flips, drive steps, DFF <->
+     retention-DFF with a heavier D pin) and flip-flop D buffer splices,
+     single or a chain of two on one D, keep the stored graph.  The rest
+     break it, so [update] must notice and recompile: a buffer spliced
+     before a gate input, a gate input moved onto a net driven later in
+     the order, a removed gate, a gate input or output disconnected, two
+     gates trading input nets, two buffers spliced before a D pin in
+     reverse creation order, a new buffer driving a net left undriven, a
+     driverless primary input turned into a clock net, and a gate whose
+     output was disconnected driving a fresh net. *)
+  QCheck2.Test.make ~name:"incremental STA equals full re-analysis" ~count:40
+    ~print:string_of_int seed_gen
+    (fun seed ->
+      let module Cell = Smt_cell.Cell in
+      let module Func = Smt_cell.Func in
+      let module Vth = Smt_cell.Vth in
+      match oracle_fixture seed with
+      | None -> true
+      | Some (nl, place) ->
+        let cfg = oracle_config ~seed nl place in
+        let rng = Rng.create seed in
+        let retention = Library.retention_dff lib in
+        let retention = { retention with Cell.input_cap = retention.Cell.input_cap +. 1.5 } in
+        let plain_ffs = Hashtbl.create 17 in
+        let swap iid =
+          let c = Netlist.cell nl iid in
+          let has ~drive vth = Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style in
+          if c.Cell.kind = Func.Dff then begin
+            match Hashtbl.find_opt plain_ffs iid with
+            | Some plain ->
+              Hashtbl.remove plain_ffs iid;
+              Netlist.replace_cell nl iid plain
+            | None ->
+              Hashtbl.replace plain_ffs iid c;
+              Netlist.replace_cell nl iid retention
+          end
+          else if Func.is_infrastructure c.Cell.kind then ()
+          else if Rng.chance rng 0.5 then begin
+            let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
+            if has ~drive:c.Cell.drive vth then
+              Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
+          end
+          else
+            let other d = d <> c.Cell.drive && has ~drive:d c.Cell.vth in
+            match Array.of_list (List.filter other Library.drives) with
+            | [||] -> ()
+            | ds -> Netlist.replace_cell nl iid (Library.resize lib c (Rng.pick rng ds))
+        in
+        let ffs () =
+          Array.of_list
+            (List.filter (fun iid -> Netlist.pin_net nl iid "D" <> None) (reference_ffs nl))
+        in
+        let d_pin ff = { Netlist.inst = ff; pin_name = "D" } in
+        let gates () = Array.of_list (List.filter (is_comb_inst nl) (Netlist.live_insts nl)) in
+        let with_one arr f = if Array.length arr > 0 then f (Rng.pick rng arr) in
+        let with_pin g f = match connected_data_pins nl g with p :: _ -> f p | [] -> () in
+        (* outputs of removed or disconnected gates, for a new driver *)
+        let undriven = ref [] in
+        let orphan g =
+          Option.iter (fun o -> undriven := o :: !undriven) (Netlist.output_net nl g)
+        in
+        let outputless = ref [] in
+        let data_inputs () =
+          Array.of_list
+            (List.filter_map
+               (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
+               (Netlist.inputs nl))
+        in
+        let edit = function
+          | 0 -> List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl)
+          | 1 -> Array.iter (fun ff -> if Rng.chance rng 0.3 then splice_buffer nl (d_pin ff)) (ffs ())
+          | 2 ->
+            with_one (ffs ()) (fun ff ->
+                splice_buffer nl (d_pin ff);
+                splice_buffer nl (d_pin ff))
+          | 3 ->
+            with_one (gates ()) (fun g ->
+                with_pin g (fun pin_name -> splice_buffer nl { Netlist.inst = g; pin_name }))
+          | 4 -> move_input_later nl rng
+          | 5 ->
+            with_one (gates ()) (fun g ->
+                orphan g;
+                Netlist.remove_inst nl g)
+          | 6 -> with_one (gates ()) (fun g -> with_pin g (Netlist.disconnect nl g))
+          | 7 ->
+            with_one (gates ()) (fun g ->
+                orphan g;
+                outputless := g :: !outputless;
+                Netlist.disconnect nl g "Z")
+          | 8 -> trade_inputs nl rng (gates ())
+          | 9 ->
+            with_one (ffs ()) (fun ff ->
+                let d_net = Option.get (Netlist.pin_net nl ff "D") in
+                let mid = Netlist.fresh_net nl "eco" and out = Netlist.fresh_net nl "eco" in
+                let buf from_net to_net =
+                  ignore
+                    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+                       (Library.hold_buffer lib) [ ("A", from_net); ("Z", to_net) ])
+                in
+                buf mid out;
+                buf d_net mid;
+                Netlist.move_sink nl ~from_net:d_net (d_pin ff) ~to_net:out)
+          | 10 -> (
+            match List.filter (fun o -> Netlist.driver nl o = None) !undriven with
+            | o :: _ ->
+              with_one (data_inputs ()) (fun pi ->
+                  ignore
+                    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+                       (Library.hold_buffer lib) [ ("A", pi); ("Z", o) ]))
+            | [] -> ())
+          | 11 -> with_one (data_inputs ()) (Netlist.mark_clock nl)
+          | _ -> (
+            match List.filter (fun g -> Netlist.output_net nl g = None) !outputless with
+            | g :: _ -> Netlist.connect nl g "Z" (Netlist.fresh_net nl "eco")
+            | [] -> ())
+        in
+        let sta = Sta.analyze cfg nl in
+        List.for_all
+          (fun round ->
+            edit ((seed + round) mod 13);
+            Sta.update sta;
+            view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
+          (List.init 13 Fun.id))
+
+(* --- the hold ECO vs re-analysis after every batch --- *)
+
+(* The hold-fix loop as it was before the ECO updated its analysis: the
+   same batches, with a from-scratch [Sta.analyze] after each. *)
+let reference_fix_hold ~max_iterations cfg place =
+  let nl = Placement.netlist place in
+  let buf_cell = Library.hold_buffer (Netlist.lib nl) in
+  let sta = ref (Sta.analyze cfg nl) in
+  let hold_before = Sta.worst_hold_slack !sta in
+  let added = ref 0 and iterations = ref 0 and progress = ref true in
+  let setup_guard = 5.0 in
+  while (not (Sta.meets_hold !sta)) && !iterations < max_iterations && !progress do
+    incr iterations;
+    let before = Sta.worst_hold_slack !sta in
+    let violating =
+      List.filter_map
+        (fun (ep : Sta.endpoint) ->
+          match ep.Sta.kind with
+          | Sta.Ff_data ff when ep.Sta.hold_slack < 0.0 ->
+            let buf_delay =
+              Smt_cell.Cell.delay buf_cell
+                ~load_ff:(Netlist.cell nl ff).Smt_cell.Cell.input_cap
+            in
+            if ep.Sta.slack >= buf_delay +. setup_guard then Some (ff, ep.Sta.net) else None
+          | Sta.Ff_data _ | Sta.Primary_output _ -> None)
+        (Sta.endpoints !sta)
+    in
+    List.iter
+      (fun (ff, d_net) ->
+        let new_net = Netlist.fresh_net nl "eco" in
+        let name = Netlist.fresh_inst_name nl "ecobuf" in
+        let pin = { Netlist.inst = ff; Netlist.pin_name = "D" } in
+        Netlist.move_sink nl ~from_net:d_net pin ~to_net:new_net;
+        let buf = Netlist.add_inst nl ~name buf_cell [ ("A", d_net); ("Z", new_net) ] in
+        (match Placement.inst_point_opt place ff with
+        | Some p -> Placement.place_inst place buf p
+        | None -> ());
+        incr added)
+      violating;
+    sta := Sta.analyze cfg nl;
+    progress := violating <> [] && Sta.worst_hold_slack !sta > before +. 1e-9
+  done;
+  {
+    Eco.buffers_added = !added;
+    iterations = !iterations;
+    hold_before;
+    hold_after = Sta.worst_hold_slack !sta;
+    setup_after = Sta.wns !sta;
+  }
+
+(* Two identical pre-ECO products (the flow with its ECO capped at zero
+   iterations): one fixed by [Eco.fix_hold], one by the re-analyzing
+   loop.  Same netlist bytes, same result bits. *)
+let test_eco_matches_reanalysis () =
+  let max_iterations = Flow.default_options.Flow.max_hold_iterations in
+  let options = { Flow.default_options with Flow.max_hold_iterations = 0 } in
+  List.iter
+    (fun (name, make) ->
+      let product () = snd (Flow.run_with_artifacts ~options Flow.Improved_smt (make lib)) in
+      let a = product () and b = product () in
+      let r = Eco.fix_hold ~max_iterations a.Flow.art_cfg a.Flow.art_place in
+      let want = reference_fix_hold ~max_iterations b.Flow.art_cfg b.Flow.art_place in
+      Alcotest.(check bool) (name ^ ": the ECO iterates") true (r.Eco.iterations > 0);
+      Alcotest.(check string)
+        (name ^ ": netlist")
+        (Writer.to_string (Placement.netlist b.Flow.art_place))
+        (Writer.to_string (Placement.netlist a.Flow.art_place));
+      Alcotest.(check (pair int int))
+        (name ^ ": buffers, iterations")
+        (want.Eco.buffers_added, want.Eco.iterations)
+        (r.Eco.buffers_added, r.Eco.iterations);
+      List.iter
+        (fun (field, got, expected) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s %h = %h" name field got expected)
+            true (same_float got expected))
+        [
+          ("hold_before", r.Eco.hold_before, want.Eco.hold_before);
+          ("hold_after", r.Eco.hold_after, want.Eco.hold_after);
+          ("setup_after", r.Eco.setup_after, want.Eco.setup_after);
+        ])
+    [ ("circuit_a", Suite.circuit_a); ("circuit_b", Suite.circuit_b) ]
+
 let prop_checker_clean_on_generated =
   QCheck2.Test.make ~name:"checker finds no errors in generated netlists" ~count:25
     seed_gen
@@ -1100,7 +1599,12 @@ let () =
           qtest prop_standby_protocol_holds;
           qtest prop_simulator_matches_reference_active;
           qtest prop_simulator_matches_reference_standby;
+          qtest prop_sta_matches_reference;
+          Alcotest.test_case "circuit_a/b flow timing = list-based analysis" `Quick
+            test_sta_paper_products;
           qtest prop_incremental_sta_exact;
+          Alcotest.test_case "hold ECO updates = re-analysis per iteration" `Quick
+            test_eco_matches_reanalysis;
           qtest prop_compose_sound;
         ] );
     ]

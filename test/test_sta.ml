@@ -344,7 +344,8 @@ let test_ff_inst_slack_matches_endpoints () =
   let c = Netlist.cell nl ff in
   Netlist.replace_cell nl ff
     (Library.restyle lib c (if c.Cell.vth = Vth.High then Vth.Low else Vth.High) Vth.Plain);
-  check (Sta.update sta)
+  Sta.update sta;
+  check sta
 
 let test_input_arrival_shifts () =
   let nl = single_inv () in

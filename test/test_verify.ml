@@ -597,7 +597,7 @@ let test_incremental_sta_and_verify_share_journal () =
   let module Rng = Smt_util.Rng in
   let nl = Suite.multi_domain ~domains:2 ~name:"shj" lib in
   let cfg = Sta.config ~clock_period:1e5 () in
-  let sta = ref (Sta.analyze cfg nl) in
+  let sta = Sta.analyze cfg nl in
   let session, _ = Verify.start nl in
   let gates =
     Array.of_list
@@ -622,13 +622,13 @@ let test_incremental_sta_and_verify_share_journal () =
       Netlist.replace_cell nl iid (Library.variant ~drive lib k' c.Cell.vth c.Cell.style)
   in
   let check_sta step =
-    sta := Sta.update !sta;
+    Sta.update sta;
     let full = Sta.analyze cfg nl in
     Netlist.iter_nets nl (fun nid ->
         Alcotest.(check (float 1e-9))
           (Printf.sprintf "step %d: arrival of %s" step (Netlist.net_name nl nid))
-          (Sta.arrival full nid) (Sta.arrival !sta nid));
-    Alcotest.(check (float 1e-9)) (Printf.sprintf "step %d: wns" step) (Sta.wns full) (Sta.wns !sta)
+          (Sta.arrival full nid) (Sta.arrival sta nid));
+    Alcotest.(check (float 1e-9)) (Printf.sprintf "step %d: wns" step) (Sta.wns full) (Sta.wns sta)
   in
   let check_verify step =
     let ru = Verify.update session in
