@@ -41,8 +41,6 @@ module Ckpt = Smt_campaign.Checkpoint
 module Cman = Smt_campaign.Manifest
 module Csup = Smt_campaign.Supervisor
 module Cmerge = Smt_campaign.Merge
-module Ctele = Smt_campaign.Telemetry
-module Cheart = Smt_campaign.Heartbeat
 
 open Cmdliner
 
@@ -1100,17 +1098,6 @@ let timeout_arg =
         ~doc:"Wall-clock limit per shard attempt; a shard past it is SIGKILLed and \
               the attempt counts as failed.")
 
-let stall_timeout_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "stall-timeout" ] ~docv:"S"
-        ~doc:
-          "Heartbeat liveness limit: SIGKILL a shard whose heartbeat file stops \
-           advancing for $(docv) seconds — hung, not just slow — and retry it \
-           immediately instead of waiting out $(b,--timeout).  0 disables.  Keep \
-           it well above the heartbeat interval (SMT_HB_INTERVAL_MS, default \
-           200 ms).")
-
 let max_attempts_arg =
   Arg.(
     value & opt int 3
@@ -1153,15 +1140,11 @@ let chaos_delay_arg =
     & info [ "chaos-delay-ms" ] ~docv:"MS"
         ~doc:"Chaos kills land uniformly within this delay of the shard's spawn.")
 
-let campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
-    chaos_seed chaos_delay =
+let campaign_config jobs timeout max_attempts retry_base retry_cap chaos chaos_seed
+    chaos_delay =
   let jobs = jobs_of jobs in
   if timeout <= 0. then begin
     prerr_endline "--timeout must be positive";
-    exit 2
-  end;
-  if stall_timeout < 0. then begin
-    prerr_endline "--stall-timeout must be >= 0";
     exit 2
   end;
   if max_attempts < 1 then begin
@@ -1176,7 +1159,6 @@ let campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
     Csup.default_config with
     Csup.sv_jobs = jobs;
     Csup.sv_timeout_s = timeout;
-    Csup.sv_stall_timeout_s = stall_timeout;
     Csup.sv_max_attempts = max_attempts;
     Csup.sv_retry_base_ms = retry_base;
     Csup.sv_retry_cap_ms = retry_cap;
@@ -1212,32 +1194,9 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
       Filename.concat (Unix.getcwd ()) Sys.executable_name
     else Sys.executable_name
   in
-  (* Cross-process telemetry: when the supervisor was asked for any
-     observability output, workers run profiled (stage spans carry GC
-     args, checkpoints carry the workload's GC attribution), record their
-     own spans and metrics, and leave a sidecar next to the checkpoint;
-     the supervisor absorbs each sidecar onto the shard's stable tid
-     (2 + matrix slot — a pure function of the manifest, so retries and
-     resumes land on the same trace row).  Dedup by (job, attempt):
-     retries overwrite the sidecar and resumes re-see old ones, but
-     nothing is double-counted. *)
-  let telemetry = obs.obs_trace <> None || obs.obs_metrics <> None || obs.obs_profile in
-  let slots = Cman.slots man in
-  let tid_of id = 2 + (match List.assoc_opt id slots with Some i -> i | None -> 0) in
-  let absorbed : (string * int, unit) Hashtbl.t = Hashtbl.create 17 in
-  let absorb_sidecar id =
-    match Ctele.load (Ctele.path ~dir id) with
-    | Error _ -> () (* absent or torn: telemetry is an overlay, never fatal *)
-    | Ok t ->
-      let key = (id, t.Ctele.tl_attempt) in
-      if not (Hashtbl.mem absorbed key) then begin
-        Hashtbl.add absorbed key ();
-        Ctele.absorb ~tid:(tid_of id) t
-      end
-  in
-  (* A resumed campaign's unified trace covers the already-done shards
-     too — their sidecars are still on disk. *)
-  if telemetry then List.iter absorb_sidecar done_ids;
+  (* A job's measurements travel in its checkpoint: a profiled
+     supervisor (--profile, or --ledger) runs profiled workers, so the
+     ledger record carries each job's per-stage GC attribution. *)
   let command ~id ~attempt =
     let j = List.assoc id byid in
     Array.append
@@ -1246,7 +1205,7 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
         "--technique"; j.Cjob.jb_technique; "--guard"; j.Cjob.jb_guard; "--seed";
         string_of_int j.Cjob.jb_seed; "--attempt"; string_of_int attempt;
       |]
-      (if telemetry then [| "--telemetry" |] else [||])
+      (if obs.obs_profile then [| "--profile" |] else [||])
   in
   let verify id =
     let j = List.assoc id byid in
@@ -1257,11 +1216,7 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
     | Error e -> Error ("no valid checkpoint: " ^ e)
   in
   let log_path id = Filename.concat dir (id ^ ".log") in
-  let hb_path id = Cheart.path ~dir id in
-  let on_exit ~id ~attempt:_ = if telemetry then absorb_sidecar id in
-  let summary =
-    Csup.run cfg ~command ~verify ~log_path ~hb_path ~on_exit (List.map Cjob.id todo)
-  in
+  let summary = Csup.run cfg ~command ~verify ~log_path (List.map Cjob.id todo) in
   (* Persist the quarantine list: status/resume/merge must see terminal
      failures without re-supervising (a later resume grants a fresh
      attempt budget by re-running every failed checkpoint). *)
@@ -1286,10 +1241,10 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
     Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
     print_endline (Cmerge.render_status m);
     Printf.printf
-      "retries %d, chaos kills %d, timeouts %d, stalls %d; merged snapshot (%d \
-       workloads) written to %s\n"
+      "retries %d, chaos kills %d, timeouts %d; merged snapshot (%d workloads) \
+       written to %s\n"
       summary.Csup.sm_retries summary.Csup.sm_chaos_kills summary.Csup.sm_timeouts
-      summary.Csup.sm_stalls m.Cmerge.mg_done out;
+      m.Cmerge.mg_done out;
     let only = function [ x ] -> x | _ -> "-" in
     ledger_append obs ~kind:"campaign" ~tag:man.Cman.m_tag
       ~circuit:(only man.Cman.m_circuits) ~technique:(only man.Cman.m_techniques)
@@ -1298,14 +1253,14 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
     exit (if Cmerge.complete m then 0 else 1)
 
 let campaign_run_cmd =
-  let run obs dir circuits techniques guards seeds jobs timeout stall_timeout
-      max_attempts retry_base retry_cap chaos chaos_seed chaos_delay tag out =
+  let run obs dir circuits techniques guards seeds jobs timeout max_attempts retry_base
+      retry_cap chaos chaos_seed chaos_delay tag out =
     let circuits, techniques, guards, seeds =
       campaign_matrix circuits techniques guards seeds
     in
     let cfg =
-      campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
-        chaos chaos_seed chaos_delay
+      campaign_config jobs timeout max_attempts retry_base retry_cap chaos chaos_seed
+        chaos_delay
     in
     mkdir_p dir;
     if Sys.file_exists (Cman.path dir) then begin
@@ -1356,13 +1311,13 @@ let campaign_run_cmd =
           campaign finished partial (quarantined jobs), 2 on infrastructure failure.")
     Term.(
       const run $ obs_term $ campaign_dir_arg $ circuits_arg $ techniques_arg
-      $ guards_arg $ seeds_arg $ jobs_arg $ timeout_arg $ stall_timeout_arg
-      $ max_attempts_arg $ retry_base_arg $ retry_cap_arg $ chaos_arg $ chaos_seed_arg
-      $ chaos_delay_arg $ tag_arg $ campaign_out_arg)
+      $ guards_arg $ seeds_arg $ jobs_arg $ timeout_arg $ max_attempts_arg
+      $ retry_base_arg $ retry_cap_arg $ chaos_arg $ chaos_seed_arg $ chaos_delay_arg
+      $ tag_arg $ campaign_out_arg)
 
 let campaign_resume_cmd =
-  let run obs dir jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
-      chaos_seed chaos_delay out =
+  let run obs dir jobs timeout max_attempts retry_base retry_cap chaos chaos_seed
+      chaos_delay out =
     match Cman.load dir with
     | Error e ->
       Printf.eprintf "campaign: %s (is %s a campaign directory?)\n" e dir;
@@ -1370,8 +1325,8 @@ let campaign_resume_cmd =
     | Ok man ->
       Metrics.incr (Metrics.counter "campaign.resumes");
       let cfg =
-        campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
-          chaos chaos_seed chaos_delay
+        campaign_config jobs timeout max_attempts retry_base retry_cap chaos chaos_seed
+          chaos_delay
       in
       campaign_supervise obs ~dir ~out:(campaign_out_of dir out) cfg man
   in
@@ -1385,233 +1340,37 @@ let campaign_resume_cmd =
           uninterrupted run's.  Same exit contract as $(b,run).")
     Term.(
       const run $ obs_term $ campaign_dir_arg $ jobs_arg $ timeout_arg
-      $ stall_timeout_arg $ max_attempts_arg $ retry_base_arg $ retry_cap_arg
-      $ chaos_arg $ chaos_seed_arg $ chaos_delay_arg $ campaign_out_arg)
+      $ max_attempts_arg $ retry_base_arg $ retry_cap_arg $ chaos_arg $ chaos_seed_arg
+      $ chaos_delay_arg $ campaign_out_arg)
 
-(* --- live campaign status: checkpoints + heartbeats, no supervisor --- *)
+(* --- campaign status: checkpoints alone, no supervisor --- *)
 
-type shard_row = {
-  sr_id : string;
-  sr_state : string;  (* done | failed | running | queued *)
-  sr_attempt : int;
-  sr_stage : string;
-  sr_detail : string;
-}
-
-(* A job with no checkpoint is [running] when its heartbeat file is being
-   actively rewritten (mtime within a few beat intervals), else [queued].
-   Reading files the shards rewrite concurrently is safe: both heartbeat
-   and checkpoint writes are atomic renames. *)
-let campaign_rows dir (m : Cmerge.t) =
-  let now = Unix.gettimeofday () in
-  let fresh_s = Float.max 1.0 (4. *. Cheart.interval_s ()) in
-  List.map
-    (fun (js : Cmerge.job_state) ->
-      let id = Cjob.id js.Cmerge.js_job in
-      let hb =
-        match Cheart.read (Cheart.path ~dir id) with Ok h -> Some h | Error _ -> None
-      in
-      let stage =
-        match hb with Some h -> h.Cheart.hb_stage | None -> ""
-      in
-      match js.Cmerge.js_state with
-      | Cmerge.Sdone ->
-        {
-          sr_id = id;
-          sr_state = "done";
-          sr_attempt = js.Cmerge.js_attempt;
-          sr_stage = "";
-          sr_detail = Printf.sprintf "%.2fs" js.Cmerge.js_duration_s;
-        }
-      | Cmerge.Sfailed e ->
-        {
-          sr_id = id;
-          sr_state = "failed";
-          sr_attempt = js.Cmerge.js_attempt;
-          sr_stage = "";
-          sr_detail = e;
-        }
-      | Cmerge.Smissing ->
-        let live =
-          match Unix.stat (Cheart.path ~dir id) with
-          | st -> now -. st.Unix.st_mtime < fresh_s
-          | exception Unix.Unix_error _ -> false
-        in
-        {
-          sr_id = id;
-          sr_state = (if live then "running" else "queued");
-          sr_attempt = 0;
-          sr_stage = stage;
-          sr_detail = "";
-        })
-    m.Cmerge.mg_states
-
-let count_state rows s = List.length (List.filter (fun r -> r.sr_state = s) rows)
-
-(* ETA: remaining jobs x the mean wall-clock of completed ones — an
-   aggregate-compute estimate (shard count is not knowable from the
-   directory alone).  NaN-free: zero until the first job lands. *)
-let campaign_eta (m : Cmerge.t) rows =
-  let durations =
-    List.filter_map
-      (fun (js : Cmerge.job_state) ->
-        if js.Cmerge.js_state = Cmerge.Sdone && js.Cmerge.js_duration_s > 0. then
-          Some js.Cmerge.js_duration_s
-        else None)
-      m.Cmerge.mg_states
-  in
-  let avg =
-    match durations with
-    | [] -> 0.
-    | ds -> List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
-  in
-  let remaining = count_state rows "running" + count_state rows "queued" in
-  (avg, remaining, avg *. float_of_int remaining)
-
-let campaign_status_json (m : Cmerge.t) rows =
-  let avg, remaining, eta = campaign_eta m rows in
-  J.obj
-    [
-      ("tag", J.str m.Cmerge.mg_tag);
-      ("total", string_of_int (List.length rows));
-      ("done", string_of_int m.Cmerge.mg_done);
-      ("failed", string_of_int m.Cmerge.mg_failed);
-      ("running", string_of_int (count_state rows "running"));
-      ("queued", string_of_int (count_state rows "queued"));
-      ("unreadable", string_of_int m.Cmerge.mg_unreadable);
-      ("complete", J.boolean (Cmerge.complete m));
-      ("avg_job_s", J.num avg);
-      ("remaining", string_of_int remaining);
-      ("eta_s", J.num eta);
-      ( "jobs",
-        J.arr
-          (List.map
-             (fun r ->
-               J.obj
-                 [
-                   ("id", J.str r.sr_id);
-                   ("state", J.str r.sr_state);
-                   ("attempt", string_of_int r.sr_attempt);
-                   ("stage", J.str r.sr_stage);
-                   ("detail", J.str r.sr_detail);
-                 ])
-             rows) );
-    ]
-
-let campaign_status_text (m : Cmerge.t) rows =
-  let header = [ "Job"; "State"; "Attempt"; "Stage"; "Detail" ] in
-  let table =
-    List.map
-      (fun r ->
-        [
-          r.sr_id;
-          r.sr_state;
-          (if r.sr_attempt = 0 then "-" else string_of_int r.sr_attempt);
-          (if r.sr_stage = "" then "-" else r.sr_stage);
-          r.sr_detail;
-        ])
-      rows
-  in
-  let avg, remaining, eta = campaign_eta m rows in
-  let progress =
-    Printf.sprintf "campaign %s: %d/%d done, %d failed, %d running, %d queued%s"
-      m.Cmerge.mg_tag m.Cmerge.mg_done (List.length rows) m.Cmerge.mg_failed
-      (count_state rows "running") (count_state rows "queued")
-      (if m.Cmerge.mg_unreadable = 0 then ""
-       else
-         Printf.sprintf " (%d unreadable checkpoint%s treated as missing)"
-           m.Cmerge.mg_unreadable
-           (if m.Cmerge.mg_unreadable = 1 then "" else "s"))
-  in
-  let eta_line =
-    if remaining = 0 then ""
-    else if avg = 0. then "\nno completed jobs yet; ETA unknown"
-    else
-      Printf.sprintf "\n~%.1fs of shard compute remaining (%d jobs x %.2fs avg)" eta
-        remaining avg
-  in
-  Smt_util.Text_table.render ~header table ^ "\n" ^ progress ^ eta_line
-
-let campaign_interval_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "interval" ] ~docv:"S" ~doc:"Refresh period of $(b,--follow).")
-
-let campaign_json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Machine-readable status: one JSON object (per refresh under \
-           $(b,--follow)) with per-job state, stage, and the ETA estimate.")
-
-let campaign_status_run ~follow dir json interval =
-  let interval = Float.max 0.1 interval in
-  let render () =
+let campaign_status_cmd =
+  let run dir json =
     match Cmerge.of_dir dir with
     | Error e ->
       Printf.eprintf "campaign: %s\n" e;
       exit 2
     | Ok m ->
-      let rows = campaign_rows dir m in
-      if json then print_endline (campaign_status_json m rows)
-      else begin
-        (* In-place refresh: home the cursor and clear below, so a follow
-           session reads like a dashboard rather than a scroll. *)
-        if follow then print_string "\027[H\027[2J";
-        print_endline (campaign_status_text m rows)
-      end;
-      flush stdout;
-      m
+      print_endline (if json then Cmerge.status_json m else Cmerge.render_status m);
+      exit (if Cmerge.complete m then 0 else 1)
   in
-  if not follow then begin
-    let m = render () in
-    exit (if Cmerge.complete m then 0 else 1)
-  end
-  else begin
-    let rec loop () =
-      let m = render () in
-      if m.Cmerge.mg_done + m.Cmerge.mg_failed >= List.length m.Cmerge.mg_states then
-        exit (if Cmerge.complete m then 0 else 1)
-      else begin
-        Unix.sleepf interval;
-        loop ()
-      end
-    in
-    loop ()
-  end
-
-let campaign_follow_arg =
-  Arg.(
-    value & flag
-    & info [ "follow" ]
-        ~doc:
-          "Keep re-rendering until every job reaches a terminal state (done or \
-           failed), then exit under the status contract.")
-
-let campaign_status_doc =
-  "Report per-job campaign state from the checkpoint directory alone: done / \
-   failed from checkpoints, running / queued from heartbeat liveness, plus \
-   per-shard current stage and an ETA from completed-job durations.  \
-   $(b,--follow) re-renders in place until the campaign reaches a terminal \
-   state; $(b,--json) emits the same view as one JSON object per render.  Exit \
-   0 when complete, 1 when partial or in progress, 2 on infrastructure failure \
-   (unreadable directory or manifest)."
-
-let campaign_status_cmd =
-  let run dir json follow interval = campaign_status_run ~follow dir json interval in
+  let json_arg =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:"Machine-readable status: one JSON object with the counts, the ETA \
+                estimate and per-job state.")
+  in
   Cmd.v
-    (Cmd.info "status" ~doc:campaign_status_doc)
-    Term.(
-      const run $ campaign_dir_arg $ campaign_json_arg $ campaign_follow_arg
-      $ campaign_interval_arg)
-
-let campaign_watch_cmd =
-  let run dir json interval = campaign_status_run ~follow:true dir json interval in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:("Alias for $(b,status --follow).  " ^ campaign_status_doc))
-    Term.(const run $ campaign_dir_arg $ campaign_json_arg $ campaign_interval_arg)
+    (Cmd.info "status"
+       ~doc:
+         "Report per-job campaign state from the checkpoint directory alone: done, \
+          failed or missing, with attempts, each done job's duration, and an ETA \
+          from the completed jobs' durations.  Exit 0 when complete, 1 when partial \
+          or in progress, 2 on infrastructure failure (unreadable directory or \
+          manifest).")
+    Term.(const run $ campaign_dir_arg $ json_arg)
 
 let campaign_merge_cmd =
   let run dir out =
@@ -1636,18 +1395,16 @@ let campaign_merge_cmd =
     Term.(const run $ campaign_dir_arg $ campaign_out_arg)
 
 (* The shard body: one flow run, one atomic checkpoint.  Spawned by the
-   supervisor — not intended for interactive use, but safe for it. *)
+   supervisor — not intended for interactive use, but safe for it.  The
+   checkpoint is the job's only record: QoR, counters, per-stage
+   wall-clock and, when profiled, per-stage GC. *)
 let campaign_worker_cmd =
-  let run dir circuit technique guard seed attempt telemetry =
+  let run obs dir circuit technique guard seed attempt =
     match (generator_of circuit, technique_of technique) with
     | Error e, _ | _, Error e ->
       prerr_endline e;
       exit 2
     | Ok gen, Ok t ->
-      if telemetry then begin
-        Trace.enable ();
-        Prof.enable ()
-      end;
       let guard_mode = guard_of guard in
       let job =
         {
@@ -1657,88 +1414,52 @@ let campaign_worker_cmd =
           jb_seed = seed;
         }
       in
-      let id = Cjob.id job in
-      let hb = Cheart.start ~path:(Cheart.path ~dir id) in
-      let options =
-        {
-          Flow.default_options with
-          Flow.seed;
-          Flow.guard = guard_mode;
-          Flow.on_stage = Some (fun stage -> Cheart.set_stage hb stage);
-        }
-      in
+      let options = { Flow.default_options with Flow.seed; Flow.guard = guard_mode } in
       let nl = gen (lib ()) in
       let before = Metrics.counters () in
       let t0 = Unix.gettimeofday () in
-      (* The checkpoint is the durable decision and lands first; the
-         telemetry sidecar is best-effort enrichment.  A kill between the
-         two writes loses spans, never results. *)
-      let sidecar () =
-        if telemetry then Ctele.write ~dir (Ctele.capture ~job:id ~attempt)
+      let checkpoint status workload =
+        Ckpt.write ~dir
+          {
+            Ckpt.cp_version = Ckpt.schema_version;
+            cp_job = job;
+            cp_status = status;
+            cp_attempt = attempt;
+            cp_time = Ledger.clock ();
+            cp_duration_s = Unix.gettimeofday () -. t0;
+            cp_workload = workload;
+          }
       in
       let ok =
-        Fun.protect
-          ~finally:(fun () -> Cheart.stop hb)
-          (fun () ->
-            match Flow.run ~options t nl with
-            | report ->
-              let workload =
-                Smt_core.Qor.workload_of_report ~name:(Cjob.name job) ~before report
-              in
-              Ckpt.write ~dir
-                {
-                  Ckpt.cp_version = Ckpt.schema_version;
-                  cp_job = job;
-                  cp_status = Ckpt.Done;
-                  cp_attempt = attempt;
-                  cp_time = Ledger.clock ();
-                  cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_workload = Some workload;
-                };
-              sidecar ();
-              true
-            | exception Flow.Flow_error e ->
-              Ckpt.write ~dir
-                {
-                  Ckpt.cp_version = Ckpt.schema_version;
-                  cp_job = job;
-                  cp_status =
-                    Ckpt.Failed
-                      (Printf.sprintf "flow aborted at stage %S: %s"
-                         e.Flow.fe_stage
-                         (String.concat "; " e.Flow.fe_diagnostics));
-                  cp_attempt = attempt;
-                  cp_time = Ledger.clock ();
-                  cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_workload = None;
-                };
-              sidecar ();
-              false)
+        match Flow.run ~options t nl with
+        | report ->
+          checkpoint Ckpt.Done
+            (Some (Smt_core.Qor.workload_of_report ~name:(Cjob.name job) ~before report));
+          true
+        | exception Flow.Flow_error e ->
+          checkpoint
+            (Ckpt.Failed
+               (Printf.sprintf "flow aborted at stage %S: %s" e.Flow.fe_stage
+                  (String.concat "; " e.Flow.fe_diagnostics)))
+            None;
+          false
       in
+      finish obs;
       if not ok then exit 1
   in
   let attempt_arg =
     Arg.(value & opt int 1 & info [ "attempt" ] ~docv:"N" ~doc:"Supervisor attempt number.")
   in
-  let telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ]
-          ~doc:
-            "Record this shard's Trace spans (with per-stage GC args) and \
-             Metrics store to an atomic $(i,job).telemetry.json sidecar for \
-             the supervisor to absorb, and per-stage GC attribution in the \
-             checkpoint's workload.")
-  in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
          "Internal: run one campaign job (one circuit, one technique, one guard, one \
-          seed) and persist its result as an atomic checkpoint, beating a heartbeat \
-          file while it runs.  Exec'd per shard by $(b,campaign run)/$(b,resume).")
+          seed) and persist its result as an atomic checkpoint.  Exec'd per shard by \
+          $(b,campaign run)/$(b,resume), with $(b,--profile) when the campaign is \
+          profiled.")
     Term.(
-      const run $ campaign_dir_arg $ circuit_arg $ technique_arg $ guard_arg
-      $ seed_arg $ attempt_arg $ telemetry_arg)
+      const run $ obs_term $ campaign_dir_arg $ circuit_arg $ technique_arg $ guard_arg
+      $ seed_arg $ attempt_arg)
 
 let campaign_cmd =
   Cmd.group
@@ -1749,8 +1470,8 @@ let campaign_cmd =
           backoff, quarantine, and seeded chaos injection; checkpoint every job \
           atomically; merge byte-deterministically.")
     [
-      campaign_run_cmd; campaign_status_cmd; campaign_watch_cmd; campaign_resume_cmd;
-      campaign_merge_cmd; campaign_worker_cmd;
+      campaign_run_cmd; campaign_status_cmd; campaign_resume_cmd; campaign_merge_cmd;
+      campaign_worker_cmd;
     ]
 
 (* --- run-ledger inspection: smt_flow runs {list,show,trend,gc} --- *)

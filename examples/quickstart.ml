@@ -12,7 +12,7 @@ let () =
 
   (* 1. Build a netlist: a tiny registered datapath. Generators for larger
      circuits live in Smt_circuits. *)
-  let b = Builder.create ~name:"quickstart" ~lib () in
+  let b = Builder.create ~name:"quickstart" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let x = Builder.input b "x" in
   let y = Builder.input b "y" in

@@ -41,22 +41,9 @@ let to_json cp =
   in
   J.obj fields
 
-(* Stage + fsync + rename: after a crash at any instruction the final path
-   holds either the previous checkpoint or the complete new one, never a
-   prefix.  The temp name carries the pid so two processes retrying the
-   same job cannot corrupt each other's staging file. *)
-let write ~dir cp =
-  let final = path ~dir cp.cp_job in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  let fd = Unix.openfile tmp [ Unix.O_CREAT; Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let b = Bytes.of_string (to_json cp ^ "\n") in
-      let n = Unix.write fd b 0 (Bytes.length b) in
-      if n <> Bytes.length b then failwith "checkpoint: short write";
-      Unix.fsync fd);
-  Sys.rename tmp final
+(* After a crash at any instruction the final path holds either the
+   previous checkpoint or the complete new one, never a prefix. *)
+let write ~dir cp = J.write_durable (path ~dir cp.cp_job) (to_json cp ^ "\n")
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

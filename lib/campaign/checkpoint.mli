@@ -50,8 +50,9 @@ val path : dir:string -> Job.t -> string
 (** [<dir>/<job-id>.ckpt.json]. *)
 
 val write : dir:string -> t -> unit
-(** Atomic: temp file + fsync + rename.  Overwrites any previous
-    checkpoint of the same job (a retry superseding a failure). *)
+(** Atomic: {!Smt_obs.Obs_json.write_durable} (temp file + fsync +
+    rename).  Overwrites any previous checkpoint of the same job (a retry
+    superseding a failure). *)
 
 val load : string -> (t, string) result
 

@@ -25,11 +25,6 @@ let jobs m =
   Job.matrix ~circuits:m.m_circuits ~techniques:m.m_techniques ~guards:m.m_guards
     ~seeds:m.m_seeds
 
-(* The slot table is what keeps absorbed telemetry stable: a job's index
-   in the canonical matrix depends only on the manifest, so the tid its
-   spans land on survives retries, resumes, and shard-count changes. *)
-let slots m = List.mapi (fun i job -> (Job.id job, i)) (jobs m)
-
 let path dir = Filename.concat dir "campaign.json"
 
 let to_json m =
@@ -43,16 +38,7 @@ let to_json m =
       ("seeds", J.arr (List.map string_of_int m.m_seeds));
     ]
 
-let write dir m =
-  let final = path dir in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json m);
-      output_char oc '\n');
-  Sys.rename tmp final
+let write dir m = J.write_durable (path dir) (to_json m ^ "\n")
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

@@ -32,18 +32,12 @@ val make :
 val jobs : t -> Job.t list
 (** The full matrix in canonical order ({!Job.matrix}). *)
 
-val slots : t -> (string * int) list
-(** Job id -> 0-based index in the canonical matrix: the job's stable
-    {e shard slot}.  A pure function of the manifest — independent of
-    scheduling, attempts, and resume cycles — which is what makes it the
-    right basis for per-shard Chrome-trace tids (telemetry absorption
-    uses [2 + slot]; tid 1 is the supervisor). *)
-
 val path : string -> string
 (** [<dir>/campaign.json]. *)
 
 val write : string -> t -> unit
-(** Atomic (temp + rename), like checkpoints. *)
+(** Durable, like checkpoints: {!Smt_obs.Obs_json.write_durable} (temp +
+    fsync + rename).  [resume] cannot work without the manifest. *)
 
 val load : string -> (t, string) result
 (** Load from a campaign directory. *)

@@ -1,4 +1,5 @@
 module Snapshot = Smt_obs.Snapshot
+module J = Smt_obs.Obs_json
 
 type state = Sdone | Sfailed of string | Smissing
 
@@ -93,24 +94,46 @@ let complete m = m.mg_failed = 0 && m.mg_missing = 0
 
 let workloads m = m.mg_workloads
 
+type eta = { avg_job_s : float; remaining : int; eta_s : float }
+
+(* Checkpoints without a duration (older binaries) do not count toward
+   the mean. *)
+let eta m =
+  let durations =
+    List.filter_map
+      (fun js ->
+        if js.js_state = Sdone && js.js_duration_s > 0. then Some js.js_duration_s
+        else None)
+      m.mg_states
+  in
+  let avg_job_s =
+    match durations with
+    | [] -> 0.
+    | ds -> List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
+  in
+  { avg_job_s; remaining = m.mg_missing; eta_s = avg_job_s *. float_of_int m.mg_missing }
+
+(* One row per matrix job: id, state, attempts, detail (the duration of
+   a done job, the last error of a failed one). *)
+let status_rows m =
+  List.map
+    (fun js ->
+      let state, detail =
+        match js.js_state with
+        | Sdone -> ("done", Printf.sprintf "%.2fs" js.js_duration_s)
+        | Sfailed e -> ("failed", e)
+        | Smissing -> ("missing", "")
+      in
+      (Job.id js.js_job, state, js.js_attempt, detail))
+    m.mg_states
+
 let render_status m =
   let header = [ "Job"; "State"; "Attempts"; "Detail" ] in
   let rows =
     List.map
-      (fun js ->
-        let state, detail =
-          match js.js_state with
-          | Sdone -> ("done", "")
-          | Sfailed e -> ("failed", e)
-          | Smissing -> ("missing", "")
-        in
-        [
-          Job.id js.js_job;
-          state;
-          (if js.js_attempt = 0 then "-" else string_of_int js.js_attempt);
-          detail;
-        ])
-      m.mg_states
+      (fun (id, state, attempt, detail) ->
+        [ id; state; (if attempt = 0 then "-" else string_of_int attempt); detail ])
+      (status_rows m)
   in
   let summary =
     Printf.sprintf "campaign %s: %d/%d done, %d failed, %d missing%s" m.mg_tag
@@ -123,4 +146,40 @@ let render_status m =
            m.mg_unreadable
            (if m.mg_unreadable = 1 then "" else "s"))
   in
-  Smt_util.Text_table.render ~header rows ^ "\n" ^ summary
+  let e = eta m in
+  let eta_line =
+    if e.remaining = 0 then ""
+    else if e.avg_job_s = 0. then "\nno completed jobs yet; ETA unknown"
+    else
+      Printf.sprintf "\n~%.1fs of shard compute remaining (%d jobs x %.2fs avg)" e.eta_s
+        e.remaining e.avg_job_s
+  in
+  Smt_util.Text_table.render ~header rows ^ "\n" ^ summary ^ eta_line
+
+let status_json m =
+  let e = eta m in
+  J.obj
+    [
+      ("tag", J.str m.mg_tag);
+      ("total", string_of_int (List.length m.mg_states));
+      ("done", string_of_int m.mg_done);
+      ("failed", string_of_int m.mg_failed);
+      ("missing", string_of_int m.mg_missing);
+      ("unreadable", string_of_int m.mg_unreadable);
+      ("complete", J.boolean (complete m));
+      ("avg_job_s", J.num e.avg_job_s);
+      ("remaining", string_of_int e.remaining);
+      ("eta_s", J.num e.eta_s);
+      ( "jobs",
+        J.arr
+          (List.map
+             (fun (id, state, attempt, detail) ->
+               J.obj
+                 [
+                   ("id", J.str id);
+                   ("state", J.str state);
+                   ("attempt", string_of_int attempt);
+                   ("detail", J.str detail);
+                 ])
+             (status_rows m)) );
+    ]

@@ -29,8 +29,8 @@ type job_state = {
   js_attempt : int;  (** attempts recorded in the checkpoint; 0 when missing *)
   js_duration_s : float;
       (** wall seconds of the producing attempt (checkpoint envelope);
-          0 when missing or written by a pre-duration binary.  Feeds the
-          status view's throughput/ETA. *)
+          0 when missing or written by a pre-duration binary.  Feeds
+          the status view's ETA. *)
 }
 
 type t = {
@@ -62,4 +62,15 @@ val workloads : t -> Smt_obs.Snapshot.workload list
     exactly as on single-process runs. *)
 
 val render_status : t -> string
-(** Per-job state table plus a one-line summary. *)
+(** The campaign status view, read from checkpoints alone: a per-job
+    table (state done / failed / missing, attempts, and the duration of a
+    done job or the error of a failed one), the summary line
+    ["campaign <tag>: <d>/<n> done, <f> failed, <m> missing"], and, while
+    jobs are missing, an ETA: the missing jobs times the mean
+    [duration_s] of the done checkpoints that record one — shard compute,
+    not wall time, since the shard count is not in the directory. *)
+
+val status_json : t -> string
+(** The same view as one JSON object: the counts, [complete], the ETA
+    inputs and result ([avg_job_s], [remaining], [eta_s]) and one
+    [{id, state, attempt, detail}] object per job. *)

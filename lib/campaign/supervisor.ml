@@ -6,7 +6,6 @@ module Log = Smt_obs.Log
 type config = {
   sv_jobs : int;
   sv_timeout_s : float;
-  sv_stall_timeout_s : float;
   sv_max_attempts : int;
   sv_retry_base_ms : float;
   sv_retry_cap_ms : float;
@@ -20,7 +19,6 @@ let default_config =
   {
     sv_jobs = 2;
     sv_timeout_s = 60.;
-    sv_stall_timeout_s = 0.;
     sv_max_attempts = 3;
     sv_retry_base_ms = 100.;
     sv_retry_cap_ms = 2000.;
@@ -39,7 +37,6 @@ type summary = {
   sm_retries : int;
   sm_chaos_kills : int;
   sm_timeouts : int;
-  sm_stalls : int;
 }
 
 let quarantined sm =
@@ -56,13 +53,6 @@ let m_retries = Metrics.counter "campaign.retries"
 let m_quarantined = Metrics.counter "campaign.quarantined"
 let m_chaos_kills = Metrics.counter "campaign.chaos_kills"
 let m_timeouts = Metrics.counter "campaign.timeouts"
-let m_stalls = Metrics.counter "campaign.stalls"
-
-(* Mirrors [Flow.slug] (stage names in metric names): job ids become
-   metric-name components. *)
-let slug name =
-  String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_')
-    (String.lowercase_ascii name)
 
 (* Per-(job, attempt) randomness: a fresh splitmix stream keyed on the
    campaign seed and the attempt's identity.  [Hashtbl.hash] is the
@@ -104,10 +94,6 @@ type running = {
   rn_kill_at_s : float option;
   mutable rn_chaos_killed : bool;
   mutable rn_timed_out : bool;
-  mutable rn_stalled : bool;
-  mutable rn_beat : int;  (* last heartbeat counter observed; -1 = none yet *)
-  mutable rn_beat_seen_s : float;  (* when the counter last advanced *)
-  mutable rn_next_hb_s : float;  (* next heartbeat poll (throttled) *)
 }
 
 let rec take n = function
@@ -120,15 +106,11 @@ let rec drop n = function
 
 let sigkill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
-let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
+let run cfg ~command ~verify ?log_path ids =
   let n = List.length ids in
   Metrics.incr ~by:n m_jobs_total;
   let outcomes : outcome option array = Array.make n None in
-  let retries = ref 0 and chaos_kills = ref 0 and timeouts = ref 0 and stalls = ref 0 in
-  (* Heartbeat polls are throttled well below the reap cadence: liveness
-     needs stall-timeout resolution, not poll-interval resolution, and a
-     stat+read per shard per 2 ms would dwarf the work supervised. *)
-  let hb_check_s = Float.max 0.05 (cfg.sv_stall_timeout_s /. 10.) in
+  let retries = ref 0 and chaos_kills = ref 0 and timeouts = ref 0 in
   let pending =
     ref
       (List.mapi
@@ -171,25 +153,13 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
             (chaos_kill_delay cfg p.pd_id p.pd_attempt);
         rn_chaos_killed = false;
         rn_timed_out = false;
-        rn_stalled = false;
-        rn_beat = -1;
-        rn_beat_seen_s = now;
-        rn_next_hb_s = now +. hb_check_s;
       }
       :: !running
   in
   let finish_attempt rn status =
     let dur_us = Trace.now_us () -. rn.rn_start_us in
-    (* Give the caller its look at the exit (e.g. sidecar absorption)
-       before the outcome is decided: telemetry of failed attempts is
-       still telemetry. *)
-    (match on_exit with
-    | Some f -> f ~id:rn.rn_id ~attempt:rn.rn_attempt
-    | None -> ());
     let cause () =
       if rn.rn_chaos_killed then "chaos-kill"
-      else if rn.rn_stalled then
-        Printf.sprintf "stalled: no heartbeat progress for %.1fs" cfg.sv_stall_timeout_s
       else if rn.rn_timed_out then
         Printf.sprintf "timeout after %.1fs" cfg.sv_timeout_s
       else
@@ -212,7 +182,6 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
       let err = Printf.sprintf "%s (%s)" (cause ()) reason in
       let label =
         if rn.rn_chaos_killed then "chaos-kill"
-        else if rn.rn_stalled then "stall"
         else if rn.rn_timed_out then "timeout"
         else "failed"
       in
@@ -223,10 +192,6 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
       if rn.rn_chaos_killed then begin
         incr chaos_kills;
         Metrics.incr m_chaos_kills
-      end;
-      if rn.rn_stalled then begin
-        incr stalls;
-        Metrics.incr m_stalls
       end;
       if rn.rn_timed_out then begin
         incr timeouts;
@@ -276,13 +241,12 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
         pending := drop slots due @ not_due;
         List.iter spawn launch
       end;
-      (* Deliver overdue kills: the chaos schedule first, then stalls,
-         then timeouts. *)
+      (* Deliver overdue kills: the chaos schedule first, then timeouts. *)
       List.iter
         (fun rn ->
-          let live = (not rn.rn_chaos_killed) && (not rn.rn_stalled) && not rn.rn_timed_out in
+          let live () = (not rn.rn_chaos_killed) && not rn.rn_timed_out in
           (match rn.rn_kill_at_s with
-          | Some t when now >= t && live ->
+          | Some t when now >= t && live () ->
             rn.rn_chaos_killed <- true;
             Trace.instant "campaign.kill"
               ~args:
@@ -292,42 +256,7 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
                 ];
             sigkill rn.rn_pid
           | _ -> ());
-          (* Heartbeat liveness: a beat counter that stops advancing for
-             sv_stall_timeout_s marks the shard hung — wedged compute, a
-             dead beater, or a SIGSTOPped process — and it is killed now
-             instead of waiting out the wall clock.  A shard that never
-             produced a heartbeat file counts from spawn time, so a
-             worker wedged before its first beat stalls too. *)
-          (match hb_path with
-          | Some hb
-            when cfg.sv_stall_timeout_s > 0.
-                 && (not rn.rn_chaos_killed) && (not rn.rn_stalled)
-                 && (not rn.rn_timed_out) && now >= rn.rn_next_hb_s -> (
-            rn.rn_next_hb_s <- now +. hb_check_s;
-            (match Heartbeat.read (hb rn.rn_id) with
-            | Ok h ->
-              Metrics.set
-                (Metrics.gauge ("campaign.shard." ^ slug rn.rn_id ^ ".last_stage"))
-                (float_of_int h.Heartbeat.hb_stages_done);
-              if h.Heartbeat.hb_beat <> rn.rn_beat then begin
-                rn.rn_beat <- h.Heartbeat.hb_beat;
-                rn.rn_beat_seen_s <- now
-              end
-            | Error _ -> ());
-            if now -. rn.rn_beat_seen_s > cfg.sv_stall_timeout_s then begin
-              rn.rn_stalled <- true;
-              Trace.instant "campaign.kill"
-                ~args:
-                  [
-                    ("job", rn.rn_id); ("attempt", string_of_int rn.rn_attempt);
-                    ("cause", "stall");
-                  ];
-              sigkill rn.rn_pid
-            end)
-          | _ -> ());
-          if now >= rn.rn_deadline_s && (not rn.rn_timed_out)
-             && (not rn.rn_chaos_killed) && not rn.rn_stalled
-          then begin
+          if now >= rn.rn_deadline_s && live () then begin
             rn.rn_timed_out <- true;
             Trace.instant "campaign.kill"
               ~args:
@@ -366,5 +295,4 @@ let run cfg ~command ~verify ?log_path ?hb_path ?on_exit ids =
     sm_retries = !retries;
     sm_chaos_kills = !chaos_kills;
     sm_timeouts = !timeouts;
-    sm_stalls = !stalls;
   }

@@ -31,29 +31,22 @@
     deterministic functions of their job coordinates, any mix of kills,
     retries, and resume cycles converges to byte-identical results.
 
-    {b Stall detection.}  With [hb_path] given and [sv_stall_timeout_s]
-    positive, the reap loop also polls each running shard's
-    {!Heartbeat} file (throttled to ~a tenth of the stall timeout): a
-    beat counter that stops advancing for the stall window — including
-    a shard that never beats at all — marks the shard {e hung} rather
-    than slow, and it is SIGKILLed and retried immediately instead of
-    waiting out [sv_timeout_s].  Each read also refreshes the
-    per-shard [campaign.shard.<slug>.last_stage] gauge from the
-    heartbeat's completed-stage count.
+    {b Hung shards.}  [sv_timeout_s] is the one kill path for a shard
+    that stops making progress: past it the attempt is SIGKILLed and
+    retried like any other failure.
 
     {b Metrics.}  Emits the [campaign.*] counter group
     ([jobs_total]/[jobs_done]/[retries]/[quarantined]/[chaos_kills]/
-    [timeouts]/[stalls]) and, when tracing is enabled, one span per
-    shard attempt ([shard <id>], args [attempt]/[outcome]), a
-    [campaign.kill] instant per delivered kill (args [cause] =
-    chaos|stall|timeout), plus a [campaign.supervise] envelope span. *)
+    [timeouts]) and, when tracing is enabled, one span per shard attempt
+    ([shard <id>], args [attempt]/[outcome]), a [campaign.kill] instant
+    per delivered kill (args [cause] = chaos|timeout), plus a
+    [campaign.supervise] envelope span.  Workers' own spans and metrics
+    stay in the worker process; what a job measured reaches the caller
+    through its checkpoint. *)
 
 type config = {
   sv_jobs : int;  (** concurrent worker processes *)
   sv_timeout_s : float;  (** wall-clock limit per attempt; SIGKILL past it *)
-  sv_stall_timeout_s : float;
-      (** SIGKILL an attempt whose heartbeat stops advancing this long;
-          0 disables (needs [hb_path] to matter) *)
   sv_max_attempts : int;  (** quarantine after this many failed attempts *)
   sv_retry_base_ms : float;  (** backoff of the first retry *)
   sv_retry_cap_ms : float;  (** backoff ceiling (pre-jitter) *)
@@ -65,7 +58,7 @@ type config = {
 
 val default_config : config
 (** 2 shards, 60 s timeout, 3 attempts, 100 ms base / 2 s cap backoff,
-    chaos off, stall detection off, 2 ms polling. *)
+    chaos off, 2 ms polling. *)
 
 type outcome =
   | Completed of { attempts : int }
@@ -76,7 +69,6 @@ type summary = {
   sm_retries : int;
   sm_chaos_kills : int;
   sm_timeouts : int;
-  sm_stalls : int;  (** attempts killed by heartbeat stall detection *)
 }
 
 val quarantined : summary -> (string * int * string) list
@@ -87,21 +79,14 @@ val run :
   command:(id:string -> attempt:int -> string array) ->
   verify:(string -> (unit, string) result) ->
   ?log_path:(string -> string) ->
-  ?hb_path:(string -> string) ->
-  ?on_exit:(id:string -> attempt:int -> unit) ->
   string list ->
   summary
 (** Supervise the given job ids to completion or quarantine.  [command]
     builds the argv to exec (argv.(0) is the program path); [verify id]
     decides, after a child exits, whether the job's durable result is in
     place; [log_path] redirects each shard's stdout+stderr to a per-job
-    file (truncated per attempt; default: /dev/null); [hb_path] names
-    each job's heartbeat file, enabling stall detection when
-    [sv_stall_timeout_s > 0]; [on_exit] runs on the supervisor after
-    every child exit — before the outcome is decided — the hook the
-    caller uses to absorb telemetry sidecars (of failed attempts too).
-    Every spawned child is reaped before [run] returns — no zombies, no
-    orphans.
+    file (truncated per attempt; default: /dev/null).  Every spawned
+    child is reaped before [run] returns — no zombies, no orphans.
 
     @raise Unix.Unix_error on infrastructure failure (e.g. fork denied);
     jobs whose exec fails inside the child surface as ordinary attempt

@@ -8,9 +8,8 @@ type t = {
 
 let typical (tech : Tech.t) = { process = Typical; temperature_c = 25.0; vdd = tech.Tech.vdd }
 
-let make ?(process = Typical) ?(temperature_c = 25.0) ?vdd tech =
-  let vdd = match vdd with Some v -> v | None -> tech.Tech.vdd in
-  { process; temperature_c; vdd }
+let make ?(process = Typical) ?(temperature_c = 25.0) (tech : Tech.t) =
+  { process; temperature_c; vdd = tech.Tech.vdd }
 
 let process_leak_factor = function Slow -> 0.5 | Typical -> 1.0 | Fast -> 2.5
 let process_speed_factor = function Slow -> 1.15 | Typical -> 1.0 | Fast -> 0.9

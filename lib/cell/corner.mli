@@ -23,7 +23,8 @@ type t = {
 val typical : Tech.t -> t
 (** TT, 25C, nominal supply. *)
 
-val make : ?process:process -> ?temperature_c:float -> ?vdd:float -> Tech.t -> t
+val make : ?process:process -> ?temperature_c:float -> Tech.t -> t
+(** Nominal supply ([tech.vdd]). *)
 
 val leakage_factor : Tech.t -> t -> float
 (** Multiplier on standby/active leakage (1.0 at [typical]). *)

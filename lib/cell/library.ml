@@ -219,7 +219,8 @@ let make_retention tech : Cell.t =
        matters in standby *)
   }
 
-let default ?(tech = Tech.default) () =
+let default () =
+  let tech = Tech.default in
   let t = { tech; table = Hashtbl.create 97; switches = Atomic.make Names.empty } in
   let add_kind kind =
     List.iter
@@ -260,6 +261,8 @@ let has_variant ?drive t kind vth style =
 let restyle t cell vth style = variant ~drive:cell.Cell.drive t cell.Cell.kind vth style
 
 let resize t cell drive = variant ~drive t cell.Cell.kind cell.Cell.vth cell.Cell.style
+
+let initial_switch_width = 10.0
 
 let switch t ~width =
   let width = Float.max 0.1 (quantize_width width) in

@@ -17,8 +17,8 @@
 
 type t
 
-val default : ?tech:Tech.t -> unit -> t
-(** Build the library for a technology ([Tech.default] if omitted). *)
+val default : unit -> t
+(** Build the library for {!Tech.default}. *)
 
 val tech : t -> Tech.t
 
@@ -45,6 +45,10 @@ val resize : t -> Cell.t -> int -> Cell.t
 
 val drives : int list
 (** Available drive strengths, ascending. *)
+
+val initial_switch_width : float
+(** 10.0 um: the footer width of the temporary single switch that switch
+    insertion creates, and of the switches repair creates or clamps. *)
 
 val switch : t -> width:float -> Cell.t
 (** A sleep-switch (footer) cell of the given width, created on demand and

@@ -41,7 +41,7 @@ let place_near place nl iid near =
     ignore nl;
     Placement.place_inst p iid pt
 
-let repair ?place ?(clamp_width = 10.0) nl violations =
+let repair ?place nl violations =
   let lib = Netlist.lib nl in
   let actions = ref [] in
   let act fmt = Printf.ksprintf (fun s -> actions := s :: !actions) fmt in
@@ -87,8 +87,9 @@ let repair ?place ?(clamp_width = 10.0) nl violations =
             let c = Netlist.cell nl iid in
             if not (Float.is_finite c.Cell.switch_width && c.Cell.switch_width > 0.0)
             then begin
-              Netlist.replace_cell nl iid (Library.switch lib ~width:clamp_width);
-              act "clamped switch %s width to %g" (Netlist.inst_name nl iid) clamp_width
+              let width = Library.initial_switch_width in
+              Netlist.replace_cell nl iid (Library.switch lib ~width);
+              act "clamped switch %s width to %g" (Netlist.inst_name nl iid) width
             end)
       | _ -> ())
     violations;
@@ -137,13 +138,13 @@ let repair ?place ?(clamp_width = 10.0) nl violations =
     let candidates =
       if candidates <> [] then candidates
       else begin
-        let sw_cell = Library.switch lib ~width:clamp_width in
+        let sw_cell = Library.switch lib ~width:Library.initial_switch_width in
         let name = Netlist.fresh_inst_name nl "sw_repair" in
         let sw = Netlist.add_inst nl ~name sw_cell [ ("MTE", mte_net_of nl) ] in
         (match place with
         | Some p -> Placement.place_inst p sw (Placement.centroid p orphans)
         | None -> ());
-        act "created replacement switch %s (width %g)" name clamp_width;
+        act "created replacement switch %s (width %g)" name Library.initial_switch_width;
         [ sw ]
       end
     in

@@ -12,7 +12,9 @@
     - missing or broken output holders are (re-)inserted next to the
       driving cell;
     - degenerate footer widths (zero, negative, NaN) are clamped to
-      [clamp_width];
+      {!Smt_cell.Library.initial_switch_width}, the flow's
+      initial-structure footer width, which also sizes replacement
+      switches;
     - instances whose cell data went bad (NaN/negative fields) are restored
       to the canonical library cell of the same name, when that cell is
       itself sane;
@@ -28,12 +30,6 @@ type result = {
   actions : string list;  (** human-readable description of each action *)
 }
 
-val repair :
-  ?place:Smt_place.Placement.t ->
-  ?clamp_width:float ->
-  Smt_netlist.Netlist.t ->
-  Violation.t list ->
-  result
+val repair : ?place:Smt_place.Placement.t -> Smt_netlist.Netlist.t -> Violation.t list -> result
 (** Mutates the netlist (and placement, when given: new/clamped cells are
-    placed).  [clamp_width] (default 10.0, the flow's initial-structure
-    footer width) sizes replacement and clamped switches. *)
+    placed). *)

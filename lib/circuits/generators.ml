@@ -4,7 +4,7 @@ module Func = Smt_cell.Func
 module Rng = Smt_util.Rng
 
 let c17 lib =
-  let b = Builder.create ~name:"c17" ~lib () in
+  let b = Builder.create ~name:"c17" ~lib in
   let i1 = Builder.input b "G1" in
   let i2 = Builder.input b "G2" in
   let i3 = Builder.input b "G3" in
@@ -30,7 +30,7 @@ let comb_pool =
 let layered ?(seed = 11) ?min_depth ~name ~inputs ~outputs ~width ~depth lib =
   let min_depth = match min_depth with Some d -> max 1 (min d depth) | None -> depth in
   let rng = Rng.create seed in
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let ins = List.init inputs (fun i -> Builder.input b (Printf.sprintf "in%d" i)) in
   (* Register the inputs. *)
@@ -82,7 +82,7 @@ let layered ?(seed = 11) ?min_depth ~name ~inputs ~outputs ~width ~depth lib =
   Builder.netlist b
 
 let ripple_adder ?(registered = true) ~name ~bits lib =
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = if registered then Some (Builder.input ~clock:true b "clk") else None in
   let reg d = match clk with Some clk -> Builder.dff b ~d ~clk | None -> d in
   let a = List.init bits (fun i -> reg (Builder.input b (Printf.sprintf "a%d" i))) in
@@ -107,7 +107,7 @@ let ripple_adder ?(registered = true) ~name ~bits lib =
   Builder.netlist b
 
 let multiplier ?(registered = true) ~name ~bits lib =
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = if registered then Some (Builder.input ~clock:true b "clk") else None in
   let reg d = match clk with Some clk -> Builder.dff b ~d ~clk | None -> d in
   let a = Array.init bits (fun i -> reg (Builder.input b (Printf.sprintf "a%d" i))) in
@@ -160,7 +160,7 @@ let multiplier ?(registered = true) ~name ~bits lib =
 let alu ?(seed = 5) ~name ~bits lib =
   let rng = Rng.create seed in
   ignore rng;
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let reg d = Builder.dff b ~d ~clk in
   let a = Array.init bits (fun i -> reg (Builder.input b (Printf.sprintf "a%d" i))) in
@@ -204,7 +204,7 @@ let alu ?(seed = 5) ~name ~bits lib =
   Builder.netlist b
 
 let counter ~name ~bits lib =
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let en = Builder.input b "en" in
   let nl = Builder.netlist b in
@@ -225,7 +225,7 @@ let counter ~name ~bits lib =
   nl
 
 let kogge_stone ?(registered = true) ~name ~bits lib =
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = if registered then Some (Builder.input ~clock:true b "clk") else None in
   let reg d = match clk with Some clk -> Builder.dff b ~d ~clk | None -> d in
   let a = Array.init bits (fun i -> reg (Builder.input b (Printf.sprintf "a%d" i))) in
@@ -263,7 +263,7 @@ let kogge_stone ?(registered = true) ~name ~bits lib =
   Builder.netlist b
 
 let crc ~name ~bits ~taps lib =
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let din = Builder.input b "din" in
   let nl = Builder.netlist b in
@@ -289,7 +289,7 @@ let crc ~name ~bits ~taps lib =
 
 let pipeline ?(seed = 17) ~name ~stages ~width ~stage_depth lib =
   let rng = Rng.create seed in
-  let b = Builder.create ~name ~lib () in
+  let b = Builder.create ~name ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let ins = List.init width (fun i -> Builder.input b (Printf.sprintf "in%d" i)) in
   let bank nets = List.map (fun d -> Builder.dff b ~d ~clk) nets in

@@ -84,7 +84,7 @@ let circuit_b lib =
 let tiny lib = Generators.ripple_adder ~registered:true ~name:"tiny_adder" ~bits:4 lib
 
 let fig23_example lib =
-  let b = Builder.create ~name:"fig23" ~lib () in
+  let b = Builder.create ~name:"fig23" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d0 = Builder.input b "d0" in
   let d1 = Builder.input b "d1" in

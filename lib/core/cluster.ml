@@ -14,7 +14,6 @@ module Log = Smt_obs.Log
 let m_builds = Metrics.counter "cluster.builds"
 let m_formed = Metrics.counter "cluster.clusters_formed"
 let m_cells = Metrics.counter "cluster.cells_clustered"
-let m_refine_moves = Metrics.counter "cluster.refine_moves"
 
 type params = {
   bounce_limit : float;
@@ -134,7 +133,7 @@ let sweep_order place members =
   in
   List.sort (fun a b -> compare (key a) (key b)) members
 
-let build ?activity ?load_of ?params ?(dissolve = true) ?cells place ~mte_net =
+let build ?activity ?load_of ?params place ~mte_net =
   Trace.with_span "Cluster.build" @@ fun () ->
   Metrics.incr m_builds;
   let nl = Placement.netlist place in
@@ -142,18 +141,14 @@ let build ?activity ?load_of ?params ?(dissolve = true) ?cells place ~mte_net =
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> default_params tech in
   (* Dissolve the existing switch structure. *)
-  if dissolve then
-    List.iter
-      (fun (sw, members) ->
-        List.iter (fun m -> Netlist.set_vgnd_switch nl m None) members;
-        Netlist.remove_inst nl sw)
-      (Netlist.switch_groups nl);
+  List.iter
+    (fun (sw, members) ->
+      List.iter (fun m -> Netlist.set_vgnd_switch nl m None) members;
+      Netlist.remove_inst nl sw)
+    (Netlist.switch_groups nl);
   let cells =
-    match cells with
-    | Some l -> l
-    | None ->
-      Netlist.live_insts nl
-      |> List.filter (fun iid -> (Netlist.cell nl iid).Cell.style = Vth.Mt_vgnd)
+    Netlist.live_insts nl
+    |> List.filter (fun iid -> (Netlist.cell nl iid).Cell.style = Vth.Mt_vgnd)
   in
   let ordered = sweep_order place cells in
   (* Greedy packing along the sweep. *)
@@ -231,119 +226,4 @@ let build ?activity ?load_of ?params ?(dissolve = true) ?cells place ~mte_net =
           ("clusters", string_of_int (List.length clusters));
           ("total_width", Printf.sprintf "%.1f" total_width);
         ];
-  { clusters; total_switch_width = total_width; total_switch_area = total_area }
-
-(* --- refinement --- *)
-
-(* Required width of a member set at its own centroid, or None when the
-   set violates a constraint. *)
-let group_width ?activity ?load_of place p members =
-  match members with
-  | [] -> Some 0.0
-  | _ ->
-    if not (feasible ?activity ?load_of place p members) then None
-    else begin
-      let nl = Placement.netlist place in
-      let tech = Library.tech (Netlist.lib nl) in
-      let centroid = Placement.centroid place members in
-      let length = cluster_length ~switch_at:centroid place p members in
-      let current = sim_current ?activity ?load_of p nl members in
-      required_width tech p ~current_ua:current ~wire_length:length
-    end
-
-let refine ?activity ?load_of ?params ?(passes = 2) place =
-  let nl = Placement.netlist place in
-  let lib = Netlist.lib nl in
-  let tech = Library.tech lib in
-  let p = match params with Some p -> p | None -> default_params tech in
-  let membership = Hashtbl.create 97 in
-  List.iter
-    (fun (sw, members) -> Hashtbl.replace membership sw members)
-    (Netlist.switch_groups nl);
-  let switch_ids () = Hashtbl.fold (fun k _ acc -> k :: acc) membership [] in
-  let centroid_of sw = Placement.centroid place (Hashtbl.find membership sw) in
-  let width_of members = group_width ?activity ?load_of place p members in
-  for _pass = 1 to passes do
-    let ids = switch_ids () in
-    List.iter
-      (fun sw ->
-        List.iter
-          (fun cell ->
-            (* still a member? (it may have moved this pass) *)
-            let members = Hashtbl.find membership sw in
-            if List.mem cell members && List.length members > 1 then begin
-              match Placement.inst_point_opt place cell with
-              | None -> ()
-              | Some at -> (
-                (* nearest other cluster *)
-                let best = ref None in
-                List.iter
-                  (fun other ->
-                    if other <> sw then begin
-                      let d = Smt_util.Geom.manhattan at (centroid_of other) in
-                      match !best with
-                      | Some (_, bd) when bd <= d -> ()
-                      | Some _ | None -> best := Some (other, d)
-                    end)
-                  ids;
-                match !best with
-                | None -> ()
-                | Some (other, _) -> (
-                  let from_now = List.filter (( <> ) cell) members in
-                  let to_now = cell :: Hashtbl.find membership other in
-                  match
-                    ( width_of members, width_of (Hashtbl.find membership other),
-                      width_of from_now, width_of to_now )
-                  with
-                  | Some w_from, Some w_to, Some w_from', Some w_to'
-                    when w_from' +. w_to' < w_from +. w_to -. 1e-6 ->
-                    Metrics.incr m_refine_moves;
-                    Hashtbl.replace membership sw from_now;
-                    Hashtbl.replace membership other to_now;
-                    Netlist.set_vgnd_switch nl cell (Some other)
-                  | _ -> ()))
-            end)
-          (Hashtbl.find membership sw))
-      ids
-  done;
-  (* drop emptied clusters, re-size and re-centre the rest *)
-  let clusters =
-    Hashtbl.fold
-      (fun sw members acc ->
-        match members with
-        | [] ->
-          Netlist.remove_inst nl sw;
-          acc
-        | _ ->
-          let centroid = Placement.centroid place members in
-          Placement.place_inst place sw centroid;
-          let length = cluster_length ~switch_at:centroid place p members in
-          let current = sim_current ?activity ?load_of p nl members in
-          let sustained = Bounce.sustained_current ?activity ?load_of nl ~members in
-          let width =
-            match required_width tech p ~current_ua:current ~wire_length:length with
-            | Some w -> w
-            | None -> (Netlist.cell nl sw).Cell.switch_width
-          in
-          Netlist.replace_cell nl sw (Library.switch lib ~width);
-          let actual = (Netlist.cell nl sw).Cell.switch_width in
-          let bounce =
-            Bounce.bounce_v tech ~switch_width:actual ~wire_length:length ~current_ua:current
-          in
-          {
-            switch = sw;
-            members;
-            width = actual;
-            wire_length = length;
-            sim_current_ua = current;
-            sustained_ua = sustained;
-            bounce;
-          }
-          :: acc)
-      membership []
-  in
-  let total_width = List.fold_left (fun acc c -> acc +. c.width) 0.0 clusters in
-  let total_area =
-    List.fold_left (fun acc c -> acc +. Tech.switch_area tech ~width:c.width) 0.0 clusters
-  in
   { clusters; total_switch_width = total_width; total_switch_area = total_area }

@@ -70,33 +70,15 @@ val vgnd_lengths :
     {!Smt_power.Bounce.analyze}.  Switches added after the call fall back
     to the direct scan. *)
 
-val refine :
-  ?activity:Smt_sim.Activity.t ->
-  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  ?params:params ->
-  ?passes:int ->
-  Smt_place.Placement.t ->
-  result
-(** Local improvement over an existing switch structure: consider moving
-    each MT-cell to the geometrically nearest neighbouring cluster and
-    accept the move when it reduces the sum of the two footers' required
-    widths without violating any constraint; then re-size every footer and
-    re-centre the switches.  Total switch width never increases.  Returns
-    the refined structure summary. *)
-
 val build :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
   ?params:params ->
-  ?dissolve:bool ->
-  ?cells:Smt_netlist.Netlist.inst_id list ->
   Smt_place.Placement.t ->
   mte_net:Smt_netlist.Netlist.net_id ->
   result
-(** Dissolves any existing switch structure (e.g. the single initial
-    switch) unless [dissolve:false], builds clusters over the given
-    [cells] (default: every VGND-style MT-cell), creates and places one
-    sized footer per cluster on the MTE net. Raises [Invalid_argument]
-    when a single cell cannot satisfy the constraints. The multi-domain
-    extension calls this once per domain with [dissolve:false] and that
-    domain's cell list and enable net. *)
+(** Dissolves the existing switch structure (e.g. the single initial
+    switch), clusters every VGND-style MT-cell, and creates and places
+    one sized footer per cluster on the MTE net.  Raises
+    [Invalid_argument] when a single cell cannot satisfy the
+    constraints. *)

@@ -8,7 +8,6 @@ module Log = Smt_obs.Log
 
 let m_iterations = Metrics.counter "eco.hold_iterations"
 let m_buffers = Metrics.counter "eco.hold_buffers_added"
-let m_upsized = Metrics.counter "eco.setup_cells_upsized"
 
 type result = {
   buffers_added : int;
@@ -82,22 +81,3 @@ let fix_hold ?(max_iterations = 10) cfg place =
     hold_after = Sta.worst_hold_slack sta;
     setup_after = Sta.wns sta;
   }
-
-type setup_result = {
-  upsized : int;
-  wns_before : float;
-  wns_after : float;
-}
-
-let fix_setup cfg nl =
-  let before = Sta.wns (Sta.analyze cfg nl) in
-  if before >= 0.0 then { upsized = 0; wns_before = before; wns_after = before }
-  else begin
-    let r = Gate_sizing.upsize_critical cfg nl in
-    Metrics.incr ~by:r.Gate_sizing.resized m_upsized;
-    {
-      upsized = r.Gate_sizing.resized;
-      wns_before = before;
-      wns_after = Sta.wns r.Gate_sizing.sta;
-    }
-  end

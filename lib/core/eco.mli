@@ -28,14 +28,3 @@ val fix_hold :
   result
 (** Mutates netlist and placement. Stops early if an iteration cannot
     improve the worst hold slack. *)
-
-type setup_result = {
-  upsized : int;
-  wns_before : float;
-  wns_after : float;
-}
-
-val fix_setup : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> setup_result
-(** Post-route setup repair: strengthen cells on violating paths
-    (drive-strength upsizing under the final wire/bounce/latency model).
-    No-op when timing is already met. *)

@@ -98,7 +98,6 @@ type options = {
   cts_max_fanout : int;
   max_hold_iterations : int;
   guard : guard;
-  on_stage : (string -> unit) option;
 }
 
 let default_options =
@@ -120,7 +119,6 @@ let default_options =
     cts_max_fanout = 8;
     max_hold_iterations = 10;
     guard = Guard_off;
-    on_stage = None;
   }
 
 type stage = {
@@ -426,7 +424,6 @@ let run_with_artifacts ?(options = default_options) technique nl =
         stage_prof = pstats;
       }
       :: !stages;
-    (match options.on_stage with Some f -> f name | None -> ());
     guard_check name
   in
   snapshot "physical-synthesis (all low-Vth)";

@@ -94,11 +94,6 @@ type options = {
   cts_max_fanout : int;
   max_hold_iterations : int;
   guard : guard;  (** per-stage structural checking; default {!Guard_off} *)
-  on_stage : (string -> unit) option;
-      (** progress hook, called with each stage's name as the stage
-          closes (before the guard runs); default [None].  Purely
-          observational — campaign workers use it to feed their
-          heartbeat file — and must not raise. *)
 }
 
 val default_options : options

@@ -52,51 +52,13 @@ let move_delta cfg nl iid cell' =
   in
   self +. upstream
 
-let upsize_critical ?(max_passes = 8) cfg nl =
-  let resized = ref 0 in
-  let passes = ref 0 in
-  let sta = ref (Sta.analyze cfg nl) in
-  let keep_going = ref true in
-  while !keep_going && !passes < max_passes && not (Sta.meets_timing !sta) do
-    incr passes;
-    (* Strengthen the cells on violating paths whose move helps overall. *)
-    let moves =
-      Netlist.live_insts nl
-      |> List.filter (fun iid -> Sta.inst_slack !sta iid < 0.0)
-      |> List.filter_map (fun iid ->
-             match candidate_cell nl true iid with
-             | Some cell' ->
-               let delta = move_delta cfg nl iid cell' in
-               if delta < 0.0 then Some (iid, cell', delta) else None
-             | None -> None)
-      |> List.sort (fun (_, _, d1) (_, _, d2) -> compare d1 d2)
-    in
-    (* Take the best third each pass so load interactions stay local. *)
-    let quota = max 1 (List.length moves / 3) in
-    let chosen = List.filteri (fun i _ -> i < quota) moves in
-    if chosen = [] then keep_going := false
-    else begin
-      let wns_before = Sta.wns !sta in
-      List.iter (fun (iid, cell', _) -> Netlist.replace_cell nl iid cell') chosen;
-      sta := Sta.analyze cfg nl;
-      if Sta.wns !sta < wns_before then begin
-        (* overshoot (load coupling): revert the whole batch and stop *)
-        List.iter
-          (fun (iid, _, _) ->
-            let c = Netlist.cell nl iid in
-            match next_drive false c.Cell.drive with
-            | Some drive -> Netlist.replace_cell nl iid (Library.resize (Netlist.lib nl) c drive)
-            | None -> ())
-          chosen;
-        sta := Sta.analyze cfg nl;
-        keep_going := false
-      end
-      else resized := !resized + List.length chosen
-    end
-  done;
-  { resized = !resized; passes = !passes; sta = !sta }
+let max_passes = 8
 
-let downsize_idle ?(max_passes = 8) ?(safety = 1.5) cfg nl =
+(* A cell is downsized only when its slack covers [safety] times the
+   move's delay increase. *)
+let safety = 1.5
+
+let downsize_idle cfg nl =
   let frozen = Hashtbl.create 97 in
   let resized = ref 0 in
   let passes = ref 0 in

@@ -14,7 +14,10 @@ let retention_registers nl =
     (fun iid -> Library.is_retention (Netlist.cell nl iid))
     (Netlist.live_insts nl)
 
-let convert ?(safety = 1.5) cfg nl =
+(* Slack a conversion needs, as a multiple of its delay penalty. *)
+let safety = 1.5
+
+let convert cfg nl =
   let lib = Netlist.lib nl in
   let ret = Library.retention_dff lib in
   let sta = Sta.analyze cfg nl in

@@ -13,8 +13,8 @@ type result = {
   sta : Smt_sta.Sta.t;
 }
 
-val convert :
-  ?safety:float -> Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> result
-(** Mutates the netlist; timing is preserved ([safety] defaults to 1.5). *)
+val convert : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> result
+(** Mutates the netlist; timing is preserved.  A flip-flop converts only
+    when its slack covers 1.5x the conversion's delay penalty. *)
 
 val retention_registers : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id list

@@ -30,7 +30,11 @@ let outputs_equal a b =
     (fun (_, va) (_, vb) -> Logic.equal va vb)
     (Simulator.output_values a) (Simulator.output_values b)
 
-let simulate ?(cycles_before = 4) ?(standby_cycles = 3) ?(cycles_after = 4) ?(seed = 3) nl =
+let cycles_before = 4
+let standby_cycles = 3
+let cycles_after = 4
+
+let simulate ?(seed = 3) nl =
   let dut = Simulator.create nl and reference = Simulator.create nl in
   Simulator.reset dut;
   Simulator.reset reference;

@@ -26,15 +26,10 @@ type outcome = {
   all_wake_cycles_correct : bool;
 }
 
-val simulate :
-  ?cycles_before:int ->
-  ?standby_cycles:int ->
-  ?cycles_after:int ->
-  ?seed:int ->
-  Smt_netlist.Netlist.t ->
-  outcome
-(** Run the sleep protocol on a post-flow netlist (must expose an MTE
-    input; designs without one simply never float). *)
+val simulate : ?seed:int -> Smt_netlist.Netlist.t -> outcome
+(** Run the sleep protocol on a post-flow netlist: 4 active cycles, 3 in
+    standby, 4 after wake-up (must expose an MTE input; designs without
+    one simply never float). *)
 
 val mte_tree_delay : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> float
 (** Worst insertion delay from the MTE port to any switch or holder through

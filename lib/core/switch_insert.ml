@@ -18,7 +18,7 @@ let mte_net_of nl =
   | Some nid -> nid
   | None -> Netlist.add_input nl "MTE"
 
-let insert ?(minimize_holders = true) ?(initial_width = 10.0) place =
+let insert ?(minimize_holders = true) place =
   let nl = Placement.netlist place in
   let lib = Netlist.lib nl in
   let pending =
@@ -36,7 +36,7 @@ let insert ?(minimize_holders = true) ?(initial_width = 10.0) place =
       Netlist.replace_cell nl iid (Library.variant ~drive:c.Cell.drive lib c.Cell.kind Vth.Low Vth.Mt_vgnd))
     pending;
   (* One switch for the whole block: the paper's initial structure. *)
-  let sw_cell = Library.switch lib ~width:initial_width in
+  let sw_cell = Library.switch lib ~width:Library.initial_switch_width in
   let sw_name = Netlist.fresh_inst_name nl "sw" in
   let sw = Netlist.add_inst nl ~name:sw_name sw_cell [ ("MTE", mte) ] in
   Placement.place_inst place sw (Placement.centroid place pending);

@@ -18,17 +18,13 @@ type result = {
   mte_net : Smt_netlist.Netlist.net_id;
 }
 
-val insert :
-  ?minimize_holders:bool ->
-  ?initial_width:float ->
-  Smt_place.Placement.t ->
-  result
+val insert : ?minimize_holders:bool -> Smt_place.Placement.t -> result
 (** Mutates the netlist and places the new cells. [minimize_holders]
     (default true) applies the all-fanouts-MT rule; switching it off
     instantiates a holder on every MT-driven net, the conventional
-    behaviour, for the ablation. [initial_width] (default 10.) sizes the
-    temporary single switch. Raises [Invalid_argument] if the netlist has
-    no MT-cells awaiting ports. *)
+    behaviour, for the ablation.  The temporary single switch is
+    {!Smt_cell.Library.initial_switch_width} wide.  Raises
+    [Invalid_argument] if the netlist has no MT-cells awaiting ports. *)
 
 val mte_sinks : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> Smt_netlist.Netlist.pin list
 (** All pins on the MTE net (switches, holders, buffers). *)

@@ -29,7 +29,13 @@ let self_delta cfg nl iid hv =
   in
   Cell.delay hv ~load_ff:load -. Cell.delay lv ~load_ff:load
 
-let assign ?(max_passes = 10) ?(safety = 1.5) cfg nl =
+let max_passes = 10
+
+(* A cell is swapped only when its slack covers [safety] times its own
+   delay increase. *)
+let safety = 1.5
+
+let assign cfg nl =
   let lib = Netlist.lib nl in
   let frozen = Hashtbl.create 97 in
   let swapped_total = ref 0 in

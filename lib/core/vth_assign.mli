@@ -15,14 +15,9 @@ type result = {
   sta : Smt_sta.Sta.t;  (** final timing *)
 }
 
-val assign :
-  ?max_passes:int ->
-  ?safety:float ->
-  Smt_sta.Sta.config ->
-  Smt_netlist.Netlist.t ->
-  result
-(** Mutates the netlist. [safety] (default 1.5) scales the per-cell delay
-    increase a candidate's slack must cover before it is swapped, absorbing
+val assign : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> result
+(** Mutates the netlist, in at most 10 passes.  A candidate is swapped
+    only when its slack covers 1.5x its own delay increase, absorbing
     same-path interactions; rollback then repairs any residual overshoot.
     The returned STA is consistent with the final netlist. *)
 

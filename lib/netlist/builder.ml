@@ -2,15 +2,9 @@ module Func = Smt_cell.Func
 module Vth = Smt_cell.Vth
 module Library = Smt_cell.Library
 
-type t = {
-  nl : Netlist.t;
-  lib : Library.t;
-  vth : Vth.t;
-  style : Vth.mt_style;
-}
+type t = { nl : Netlist.t; lib : Library.t }
 
-let create ?(vth = Vth.Low) ?(style = Vth.Plain) ~name ~lib () =
-  { nl = Netlist.create ~name ~lib; lib; vth; style }
+let create ~name ~lib = { nl = Netlist.create ~name ~lib; lib }
 
 let netlist t = t.nl
 
@@ -19,7 +13,7 @@ let output t name = Netlist.add_output t.nl name
 let net t name = Netlist.add_net t.nl name
 
 let instantiate t kind pins =
-  let cell = Library.variant t.lib kind t.vth t.style in
+  let cell = Library.variant t.lib kind Vth.Low Vth.Plain in
   let name = Netlist.fresh_inst_name t.nl (String.lowercase_ascii (Func.to_string kind)) in
   Netlist.add_inst t.nl ~name cell pins
 

@@ -1,18 +1,12 @@
 (** Convenience layer for constructing netlists gate by gate.
 
-    A builder carries the default cell flavour (Vth and MT style) used for
-    new gates; generators build everything in low-Vth [Plain] flavour, as
-    the paper's flow does before replacement. *)
+    Every gate a builder creates is a low-Vth [Plain] cell: generators
+    build the all-low-Vth netlist the paper's flow starts from, before
+    replacement. *)
 
 type t
 
-val create :
-  ?vth:Smt_cell.Vth.t ->
-  ?style:Smt_cell.Vth.mt_style ->
-  name:string ->
-  lib:Smt_cell.Library.t ->
-  unit ->
-  t
+val create : name:string -> lib:Smt_cell.Library.t -> t
 
 val netlist : t -> Netlist.t
 

@@ -404,14 +404,6 @@ let iter_insts t f = Vec.iteri (fun i inst -> if not inst.i_dead then f i) t.ins
 
 let iter_nets t f = Vec.iteri (fun i _ -> f i) t.nets
 
-let fanout_insts t iid =
-  match output_net t iid with
-  | None -> []
-  | Some nid ->
-    (Vec.get t.nets nid).sinks
-    |> List.map (fun p -> p.inst)
-    |> List.sort_uniq compare
-
 let fanin_insts t iid =
   let inst = Vec.get t.insts iid in
   inst.i_conns

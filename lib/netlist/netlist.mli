@@ -164,9 +164,6 @@ val iter_insts : t -> (inst_id -> unit) -> unit
 
 val iter_nets : t -> (net_id -> unit) -> unit
 
-val fanout_insts : t -> inst_id -> inst_id list
-(** Distinct instances reading the instance's output net. *)
-
 val fanin_insts : t -> inst_id -> inst_id list
 (** Distinct instances driving this instance's input pins. *)
 

@@ -254,15 +254,6 @@ let gc ?keep path =
             (n - k, List.filteri (fun i _ -> i >= n - k) records)
           | _ -> (0, records)
         in
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            List.iter
-              (fun r ->
-                output_string oc (to_json r);
-                output_char oc '\n')
-              records);
-        Sys.rename tmp path;
+        Obs_json.write_durable path
+          (String.concat "" (List.map (fun r -> to_json r ^ "\n") records));
         Ok { kept = List.length records; dropped_malformed = malformed; dropped_old })

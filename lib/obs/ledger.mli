@@ -93,6 +93,7 @@ val find : string -> string -> (record, string) result
 type gc_result = { kept : int; dropped_malformed : int; dropped_old : int }
 
 val gc : ?keep:int -> string -> (gc_result, string) result
-(** Rewrite the ledger in place (under the append lock): malformed lines
-    are dropped; with [keep], only the newest [keep] records (by file
-    order) survive. *)
+(** Rewrite the ledger (under the append lock, through
+    {!Obs_json.write_durable}, so a crash leaves the old or the new file
+    whole): malformed lines are dropped; with [keep], only the newest
+    [keep] records (by file order) survive. *)

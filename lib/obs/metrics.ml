@@ -342,169 +342,3 @@ let to_text () =
   Buffer.contents b
 
 let write path = Obs_json.to_file path (to_json ())
-
-(* ------------------------------------------------------------------ *)
-(* Cross-process transport.  Instrument ids are assigned per process in
-   registration order, so values cannot travel by id: [export] keys them
-   by name, and [absorb] re-registers each name locally, rebuilds a
-   collected store in the receiving process's id space, and reuses
-   [merge] — cross-process semantics are exactly the in-process ones
-   (counters and histograms additive, gauges last-write-wins).  Names
-   registered locally as a different kind, and histograms whose bucket
-   bounds disagree with the local registration, are skipped rather than
-   merged wrong. *)
-
-type hport = { hp_bounds : float list; hp_sum : float; hp_hits : int list }
-
-type portable = {
-  p_counters : (string * int) list;
-  p_gauges : (string * float) list;
-  p_hists : (string * hport) list;
-}
-
-let export () =
-  let st = store () in
-  let counters = ref [] and gauges = ref [] and hists = ref [] in
-  List.iter
-    (function
-      | Counter c ->
-        if c.c_id < Array.length st.st_counts && st.st_counts.(c.c_id) <> 0 then
-          counters := (c.c_name, st.st_counts.(c.c_id)) :: !counters
-      | Gauge g ->
-        if g.g_id < Array.length st.st_gset && st.st_gset.(g.g_id) then
-          gauges := (g.g_name, st.st_gauges.(g.g_id)) :: !gauges
-      | Histogram h ->
-        let n, sum, hits = hist_values st h in
-        if n > 0 then
-          hists :=
-            ( h.h_name,
-              {
-                hp_bounds = Array.to_list h.h_bounds;
-                hp_sum = sum;
-                hp_hits = Array.to_list hits;
-              } )
-            :: !hists)
-    (instruments ());
-  { p_counters = sorted !counters; p_gauges = sorted !gauges; p_hists = sorted !hists }
-
-let absorb p =
-  let col = fresh_store () in
-  List.iter
-    (fun (name, v) ->
-      match counter name with
-      | c ->
-        ensure_counter col c.c_id;
-        col.st_counts.(c.c_id) <- v
-      | exception Invalid_argument _ -> ())
-    p.p_counters;
-  List.iter
-    (fun (name, v) ->
-      match gauge name with
-      | g ->
-        ensure_gauge col g.g_id;
-        col.st_gauges.(g.g_id) <- v;
-        col.st_gset.(g.g_id) <- true
-      | exception Invalid_argument _ -> ())
-    p.p_gauges;
-  List.iter
-    (fun (name, hp) ->
-      match histogram ~buckets:hp.hp_bounds name with
-      | h ->
-        if
-          Array.to_list h.h_bounds = hp.hp_bounds
-          && List.length hp.hp_hits = Array.length h.h_bounds + 1
-        then begin
-          ensure_hist col h.h_id;
-          col.st_hists.(h.h_id) <-
-            Some
-              {
-                hs_sum = hp.hp_sum;
-                hs_n = List.fold_left ( + ) 0 hp.hp_hits;
-                hs_hits = Array.of_list hp.hp_hits;
-              }
-        end
-      | exception Invalid_argument _ -> ())
-    p.p_hists;
-  merge col
-
-let portable_json p =
-  Obs_json.obj
-    [
-      ( "counters",
-        Obs_json.obj (List.map (fun (n, v) -> (n, string_of_int v)) p.p_counters) );
-      ( "gauges",
-        Obs_json.obj (List.map (fun (n, v) -> (n, Obs_json.num_exact v)) p.p_gauges) );
-      ( "histograms",
-        Obs_json.obj
-          (List.map
-             (fun (n, hp) ->
-               ( n,
-                 Obs_json.obj
-                   [
-                     ("bounds", Obs_json.arr (List.map Obs_json.num_exact hp.hp_bounds));
-                     ("sum", Obs_json.num_exact hp.hp_sum);
-                     ("hits", Obs_json.arr (List.map string_of_int hp.hp_hits));
-                   ] ))
-             p.p_hists) );
-    ]
-
-let portable_of_json doc =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: tl ->
-      let* y = f x in
-      let* ys = map_result f tl in
-      Ok (y :: ys)
-  in
-  let obj_members name =
-    match Obs_json.member name doc with
-    | None -> Ok []
-    | Some (Obs_json.Obj kv) -> Ok kv
-    | Some _ -> Error (Printf.sprintf "metrics: %S is not an object" name)
-  in
-  let num_list name = function
-    | Obs_json.Arr items ->
-      map_result
-        (fun it ->
-          match Obs_json.to_num it with
-          | Some f -> Ok f
-          | None -> Error (Printf.sprintf "metrics: %S has a non-numeric element" name))
-        items
-    | _ -> Error (Printf.sprintf "metrics: %S is not an array" name)
-  in
-  let* counters =
-    let* kv = obj_members "counters" in
-    map_result
-      (fun (n, v) ->
-        match Obs_json.to_num v with
-        | Some f -> Ok (n, int_of_float f)
-        | None -> Error "metrics: counter value is not a number")
-      kv
-  in
-  let* gauges =
-    let* kv = obj_members "gauges" in
-    map_result
-      (fun (n, v) ->
-        match Obs_json.to_num v with
-        | Some f -> Ok (n, f)
-        | None -> Error "metrics: gauge value is not a number")
-      kv
-  in
-  let* hists =
-    let* kv = obj_members "histograms" in
-    map_result
-      (fun (n, v) ->
-        match (Obs_json.member "bounds" v, Obs_json.member "sum" v, Obs_json.member "hits" v)
-        with
-        | Some bounds, Some sum, Some hits -> (
-          let* bounds = num_list "bounds" bounds in
-          let* hits = num_list "hits" hits in
-          match Obs_json.to_num sum with
-          | Some s ->
-            Ok (n, { hp_bounds = bounds; hp_sum = s; hp_hits = List.map int_of_float hits })
-          | None -> Error "metrics: histogram sum is not a number")
-        | _ -> Error "metrics: histogram missing bounds/sum/hits")
-      kv
-  in
-  Ok { p_counters = counters; p_gauges = gauges; p_hists = hists }

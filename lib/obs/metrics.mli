@@ -94,35 +94,6 @@ val merge : collected -> unit
     histogram buckets/sums add; gauges that were written inside the
     scope overwrite the caller's value (last-write-wins). *)
 
-type portable = {
-  p_counters : (string * int) list;
-  p_gauges : (string * float) list;
-  p_hists : (string * hport) list;
-}
-(** Name-keyed instrument values, the cross-process form: instrument ids
-    are assigned per process in registration order, so values exported to
-    another process must travel by name.  All three sections are sorted
-    by name and trimmed (zero counters, never-written gauges, and empty
-    histograms are omitted), so an idle registry exports as empty. *)
-
-and hport = { hp_bounds : float list; hp_sum : float; hp_hits : int list }
-(** Histogram payload: [hp_hits] has one slot per bound plus the
-    trailing [+inf] bucket. *)
-
-val export : unit -> portable
-(** The calling domain's instrument values, keyed by name. *)
-
-val absorb : portable -> unit
-(** Fold a {!portable} (typically from another process) into the calling
-    domain's store: each name is re-registered locally and the values are
-    {!merge}d with in-process semantics — counters and histograms add,
-    gauges last-write-wins.  Names registered locally as a different
-    kind, and histograms whose bucket bounds disagree with the local
-    registration, are skipped. *)
-
-val portable_json : portable -> string
-val portable_of_json : Obs_json.t -> (portable, string) result
-
 val to_json : unit -> string
 (** The whole registry as one JSON object:
     [{"counters":{..},"gauges":{..},"histograms":{..}}]. *)

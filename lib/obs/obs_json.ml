@@ -38,6 +38,24 @@ let to_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
+(* Stage, fsync, rename.  [Unix.write_substring] loops until every byte
+   is written or raises; on any failure the temp file is removed. *)
+let write_durable path contents =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let fd = Unix.openfile tmp [ Unix.O_CREAT; Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  match
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        ignore (Unix.write_substring fd contents 0 (String.length contents));
+        Unix.fsync fd);
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

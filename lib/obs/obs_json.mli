@@ -38,6 +38,16 @@ val to_file : string -> string -> unit
 (** [to_file path contents] writes the string atomically enough for this
     library's single-writer dumps (plain create/write/close). *)
 
+val write_durable : string -> string -> unit
+(** [write_durable path contents] replaces [path] whole: the contents go
+    to a sibling [path.tmp.<pid>], are fsynced, and the temp file is
+    renamed over [path].  After a crash at any point [path] holds either
+    its previous contents or the complete new ones, never a prefix; the
+    pid in the temp name keeps concurrent writers of one path from
+    corrupting each other's staging file.  For the files a crash must
+    not tear: campaign manifests and checkpoints, and the rewritten run
+    ledger. *)
+
 (** {1 Parsing} *)
 
 type t =

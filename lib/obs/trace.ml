@@ -34,18 +34,6 @@ let main_tid = 1
 let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
-(* Cross-process normalization needs the absolute time of ts_us = 0.  Under
-   SMT_CLOCK (the deterministic-test clock, same convention as
-   Ledger.clock) every process reports the same pinned epoch, so sidecar
-   shifts collapse to zero and merged traces are reproducible. *)
-let epoch_unix_s () =
-  match Sys.getenv_opt "SMT_CLOCK" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some t -> t
-    | None -> epoch)
-  | None -> epoch
-
 let record st ev = st.recorded <- ev :: st.recorded
 
 let complete ?(args = []) ~name ~ts_us ~dur_us () =
@@ -141,29 +129,6 @@ let event_json ev =
     | kv -> [ ("args", Obs_json.obj (List.map (fun (k, v) -> (k, Obs_json.str v)) kv)) ]
   in
   Obs_json.obj (base @ args)
-
-let event_of_json doc =
-  let num n = Option.bind (Obs_json.member n doc) Obs_json.to_num in
-  let str n = Option.bind (Obs_json.member n doc) Obs_json.to_str in
-  match (str "name", num "ts", num "dur") with
-  | Some name, Some ts, Some dur ->
-    let tid = match num "tid" with Some t -> int_of_float t | None -> main_tid in
-    let args =
-      match Obs_json.member "args" doc with
-      | Some (Obs_json.Obj kv) ->
-        List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (Obs_json.to_str v)) kv
-      | _ -> []
-    in
-    Ok
-      {
-        ev_name = name;
-        ev_ts_us = ts;
-        ev_dur_us = dur;
-        ev_depth = 0;
-        ev_tid = tid;
-        ev_args = args;
-      }
-  | _ -> Error "trace: event missing name/ts/dur"
 
 let to_json () =
   Obs_json.obj

@@ -38,13 +38,6 @@ val now_us : unit -> float
 (** Wall clock in microseconds since library load, the timebase of every
     event. *)
 
-val epoch_unix_s : unit -> float
-(** Absolute unix time of [ts_us = 0] in this process, used to normalize
-    event timestamps recorded by another process onto the caller's
-    timebase.  When [SMT_CLOCK] is set (the deterministic-test clock) it
-    is returned verbatim, so every cooperating process reports the same
-    epoch and cross-process shifts are exactly zero. *)
-
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk; when enabled, record a span covering it.  The span is
     recorded (flagged [error=raised]) even if the thunk raises. *)
@@ -73,15 +66,6 @@ val absorb : tid:int -> event list -> unit
     retagged with the worker's Chrome-trace thread id.  Absorbing job
     buffers in input order keeps the exported trace deterministic up to
     timestamps. *)
-
-val event_json : event -> string
-(** One Chrome [trace_event] object ("ph":"X"), the element format of
-    [to_json]'s [traceEvents] array — also the wire format of telemetry
-    sidecars. *)
-
-val event_of_json : Obs_json.t -> (event, string) result
-(** Parse an event emitted by {!event_json}.  [ev_depth] is not on the
-    wire and comes back 0; non-string args are dropped. *)
 
 val to_json : unit -> string
 (** Chrome [trace_event] JSON: [{"traceEvents":[...],...}]. *)

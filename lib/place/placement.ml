@@ -90,50 +90,6 @@ let centroid t insts =
     in
     { Geom.x = sx /. n; Geom.y = sy /. n }
 
-let to_string t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "DIE %.4f %.4f %.4f %.4f ROWS %d\n" t.die.Geom.lx t.die.Geom.ly
-       t.die.Geom.hx t.die.Geom.hy t.rows);
-  Hashtbl.iter
-    (fun name (p : Geom.point) ->
-      Buffer.add_string b (Printf.sprintf "PORT %s %.4f %.4f\n" name p.Geom.x p.Geom.y))
-    t.ports;
-  Netlist.iter_insts t.nl (fun iid ->
-      match Hashtbl.find_opt t.coords iid with
-      | Some p ->
-        Buffer.add_string b
-          (Printf.sprintf "INST %s %.4f %.4f\n" (Netlist.inst_name t.nl iid) p.Geom.x p.Geom.y)
-      | None -> ());
-  Buffer.contents b
-
-let of_string nl text =
-  let lines = String.split_on_char '\n' text in
-  let die = ref None and rows = ref 0 in
-  let ports = Hashtbl.create 97 and coords = Hashtbl.create 997 in
-  let bad line = failwith (Printf.sprintf "Placement.of_string: bad line %S" line) in
-  let f s line = match float_of_string_opt s with Some v -> v | None -> bad line in
-  List.iter
-    (fun line ->
-      match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
-      | [] -> ()
-      | [ "DIE"; lx; ly; hx; hy; "ROWS"; r ] ->
-        die := Some { Geom.lx = f lx line; ly = f ly line; hx = f hx line; hy = f hy line };
-        rows := (match int_of_string_opt r with Some v -> v | None -> bad line)
-      | [ "PORT"; name; x; y ] ->
-        Hashtbl.replace ports name { Geom.x = f x line; Geom.y = f y line }
-      | [ "INST"; name; x; y ] -> (
-        match Netlist.find_inst nl name with
-        | Some iid -> Hashtbl.replace coords iid { Geom.x = f x line; Geom.y = f y line }
-        | None -> failwith (Printf.sprintf "Placement.of_string: unknown instance %s" name))
-      | _ -> bad line)
-    lines;
-  match !die with
-  | None -> failwith "Placement.of_string: missing DIE header"
-  | Some die ->
-    let tech = Library.tech (Netlist.lib nl) in
-    { nl; die; rows = max 1 !rows; row_height = tech.Smt_cell.Tech.row_height; coords; ports }
-
 (* Longest-path logic level per instance; flip-flops level 0. *)
 let levels nl =
   let order = Netlist.topo_order nl in

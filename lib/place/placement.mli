@@ -59,11 +59,3 @@ val total_hpwl : t -> float
 val centroid : t -> Smt_netlist.Netlist.inst_id list -> Smt_util.Geom.point
 (** Mean location of the given instances; die center for the empty list. *)
 
-val to_string : t -> string
-(** DEF-flavoured dump: die box, row count, port pads, instance
-    locations. *)
-
-val of_string : Smt_netlist.Netlist.t -> string -> t
-(** Restore a placement dumped by [to_string] onto the same (or a
-    same-named) netlist. Raises [Failure] on malformed input or unknown
-    instances. *)

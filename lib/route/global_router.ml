@@ -190,12 +190,6 @@ let detour_factor t place =
       end);
   if !hpwl = 0.0 then 1.0 else Float.max 1.0 (!routed /. !hpwl)
 
-let to_parasitics t place =
-  let nl = Placement.netlist place in
-  let tech = Library.tech (Netlist.lib nl) in
-  Parasitics.of_lengths tech Parasitics.Extracted
-    (Array.init (Netlist.net_count nl) (fun nid -> net_length t nid))
-
 (* Effective (congestion-weighted) length of one straight run. *)
 let run_weighted_length t ~horizontal ~fixed ~from_ ~to_ =
   let grid = t.grid in

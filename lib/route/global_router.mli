@@ -29,9 +29,6 @@ val detour_factor : result -> Smt_place.Placement.t -> float
 (** Measured total routed length over total HPWL (>= ~1); the number the
     flow otherwise assumes as [options.detour]. 1.0 on empty designs. *)
 
-val to_parasitics : result -> Smt_place.Placement.t -> Parasitics.t
-(** Extraction corner priced at the actual routed lengths. *)
-
 val congested_length : result -> Smt_util.Geom.point list -> float
 (** Effective routed length of a tree over the given points on the final
     congestion map: each gcell edge costs its physical length times

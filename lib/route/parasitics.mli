@@ -29,10 +29,6 @@ val extract : ?detour:float -> Smt_place.Placement.t -> t
 (** Post-route RC; [detour] (default 1.15) scales spanning-tree length to
     account for congestion-driven routing detours. *)
 
-val of_lengths : Smt_cell.Tech.t -> corner -> float array -> t
-(** Price explicit per-net lengths (indexed by net id) at the technology's
-    unit RC — the constructor the global router uses. *)
-
 val net_length : t -> Smt_netlist.Netlist.net_id -> float
 (** Routed/estimated wirelength, um; 0 for unknown nets. *)
 

@@ -10,12 +10,8 @@ module Ckpt = Smt_campaign.Checkpoint
 module Manifest = Smt_campaign.Manifest
 module Sup = Smt_campaign.Supervisor
 module Merge = Smt_campaign.Merge
-module Telemetry = Smt_campaign.Telemetry
-module Heartbeat = Smt_campaign.Heartbeat
 module Snapshot = Smt_obs.Snapshot
 module Obs_json = Smt_obs.Obs_json
-module Trace = Smt_obs.Trace
-module Metrics = Smt_obs.Metrics
 module Prof = Smt_obs.Prof
 
 let rec rm_rf path =
@@ -412,6 +408,51 @@ let test_merge_partial_coverage () =
     Alcotest.(check bool) "failure surfaces in the states" true
       (List.exists (function Merge.Sfailed _ -> true | _ -> false) states)
 
+(* The status view is read from checkpoints alone.  One done job (1.5 s),
+   one quarantined job and one job without a checkpoint: the table, the
+   summary line and the ETA (one missing job x the 1.5 s mean of the done
+   durations) are pinned byte for byte, as is the JSON form. *)
+let test_merge_status_view () =
+  with_temp_dir @@ fun dir ->
+  Manifest.write dir
+    (Manifest.make ~tag:"st" ~circuits:[ "circuit_a"; "circuit_b"; "c17" ]
+       ~techniques:[ "dual" ] ~guards:[ "off" ] ~seeds:[ 1 ]);
+  Ckpt.write ~dir (done_checkpoint ~duration:1.5 (job "circuit_a" "dual" "off" 1));
+  Ckpt.write ~dir
+    {
+      Ckpt.cp_version = Ckpt.schema_version;
+      cp_job = job "circuit_b" "dual" "off" 1;
+      cp_status = Ckpt.Failed "exit 1 (boom)";
+      cp_attempt = 3;
+      cp_time = 1.0;
+      cp_duration_s = 0.;
+      cp_workload = None;
+    };
+  match Merge.of_dir dir with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    Alcotest.(check string) "status view"
+      (String.concat "\n"
+         [
+           "+-----------------------+---------+----------+---------------+";
+           "| Job                   | State   | Attempts | Detail        |";
+           "+-----------------------+---------+----------+---------------+";
+           "| circuit_a~dual~off~s1 | done    | 1        | 1.50s         |";
+           "| circuit_b~dual~off~s1 | failed  | 3        | exit 1 (boom) |";
+           "| c17~dual~off~s1       | missing | -        |               |";
+           "+-----------------------+---------+----------+---------------+";
+           "campaign st: 1/3 done, 1 failed, 1 missing";
+           "~1.5s of shard compute remaining (1 jobs x 1.50s avg)";
+         ])
+      (Merge.render_status m);
+    Alcotest.(check string) "json view"
+      ({|{"tag":"st","total":3,"done":1,"failed":1,"missing":1,"unreadable":0,|}
+     ^ {|"complete":false,"avg_job_s":1.5,"remaining":1,"eta_s":1.5,"jobs":[|}
+     ^ {|{"id":"circuit_a~dual~off~s1","state":"done","attempt":1,"detail":"1.50s"},|}
+     ^ {|{"id":"circuit_b~dual~off~s1","state":"failed","attempt":3,"detail":"exit 1 (boom)"},|}
+     ^ {|{"id":"c17~dual~off~s1","state":"missing","attempt":0,"detail":""}]}|})
+      (Merge.status_json m)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint forward compatibility                                    *)
 (* ------------------------------------------------------------------ *)
@@ -484,269 +525,12 @@ let test_checkpoint_envelope_roundtrip () =
     | _ -> Alcotest.fail "prof lost in the round-trip")
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry sidecars                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let empty_metrics = { Metrics.p_counters = []; p_gauges = []; p_hists = [] }
-
-let sample_event ?(args = []) ?(tid = Trace.main_tid) name ts dur =
-  {
-    Trace.ev_name = name;
-    ev_ts_us = ts;
-    ev_dur_us = dur;
-    ev_depth = 0;
-    ev_tid = tid;
-    ev_args = args;
-  }
-
-let sample_sidecar ?(attempt = 1) ?(epoch = Trace.epoch_unix_s ()) ?(events = [])
-    job =
-  {
-    Telemetry.tl_version = Telemetry.schema_version;
-    tl_job = job;
-    tl_attempt = attempt;
-    tl_epoch_unix_s = epoch;
-    tl_events = events;
-    tl_metrics = empty_metrics;
-  }
-
-let test_telemetry_roundtrip () =
-  with_temp_dir @@ fun dir ->
-  let t =
-    {
-      (sample_sidecar ~attempt:2
-         ~events:
-           [ sample_event ~args:[ ("stage", "route") ] "high-Vth replacement" 100. 50. ]
-         "circuit_a~dual~off~s1")
-      with
-      Telemetry.tl_metrics =
-        {
-          Metrics.p_counters = [ ("flow.runs", 3) ];
-          p_gauges = [ ("campaign.pending", 2.) ];
-          p_hists = [];
-        };
-    }
-  in
-  Telemetry.write ~dir t;
-  match Telemetry.load (Telemetry.path ~dir "circuit_a~dual~off~s1") with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check string) "job" t.Telemetry.tl_job t'.Telemetry.tl_job;
-    Alcotest.(check int) "attempt" 2 t'.Telemetry.tl_attempt;
-    (match t'.Telemetry.tl_events with
-    | [ ev ] ->
-      Alcotest.(check string) "span name" "high-Vth replacement" ev.Trace.ev_name;
-      Alcotest.(check (float 1e-6)) "ts" 100. ev.Trace.ev_ts_us;
-      Alcotest.(check string) "span args" "route"
-        (List.assoc "stage" ev.Trace.ev_args)
-    | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-    Alcotest.(check int) "counters survive" 3
-      (List.assoc "flow.runs" t'.Telemetry.tl_metrics.Metrics.p_counters)
-
-(* Torn sidecars must be tolerated exactly like torn checkpoints: load
-   as [Error], never raise — the supervisor just skips the overlay. *)
-let test_telemetry_torn_tolerated () =
-  with_temp_dir @@ fun dir ->
-  let t =
-    sample_sidecar ~events:[ sample_event "span" 0. 10. ] "circuit_a~dual~off~s1"
-  in
-  Telemetry.write ~dir t;
-  let p = Telemetry.path ~dir "circuit_a~dual~off~s1" in
-  let full = In_channel.with_open_bin p In_channel.input_all in
-  Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc (String.sub full 0 (String.length full / 2)));
-  (match Telemetry.load p with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated sidecar parsed as valid");
-  match Telemetry.load (Telemetry.path ~dir "no~such~job~s1") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing sidecar parsed as valid"
-
-(* The epoch shift: a sidecar whose writer started 2.5 s after the
-   reader's epoch must land its spans 2.5e6 us later on the unified
-   timeline, on the tid the absorber chose, with the attempt recorded in
-   the span args. *)
-let test_telemetry_epoch_shift_and_tid () =
-  let t =
-    sample_sidecar ~attempt:3
-      ~epoch:(Trace.epoch_unix_s () +. 2.5)
-      ~events:[ sample_event ~args:[ ("k", "v") ] "span" 100. 50. ]
-      "j"
-  in
-  Trace.enable ();
-  let (), evs =
-    Fun.protect
-      ~finally:(fun () -> Trace.disable ())
-      (fun () -> Trace.collect (fun () -> Telemetry.absorb ~tid:7 t))
-  in
-  match evs with
-  | [ ev ] ->
-    Alcotest.(check (float 1.)) "ts shifted by the epoch delta" (100. +. 2.5e6)
-      ev.Trace.ev_ts_us;
-    Alcotest.(check int) "absorber's tid" 7 ev.Trace.ev_tid;
-    Alcotest.(check string) "attempt stamped into args" "3"
-      (List.assoc "attempt" ev.Trace.ev_args);
-    Alcotest.(check string) "original args kept" "v"
-      (List.assoc "k" ev.Trace.ev_args)
-  | evs -> Alcotest.failf "expected 1 absorbed event, got %d" (List.length evs)
-
-(* Under SMT_CLOCK every process reports the pinned epoch, so the shift
-   collapses to zero and absorbed timestamps are reproducible. *)
-let test_telemetry_smt_clock_pins_epoch () =
-  Unix.putenv "SMT_CLOCK" "1234.5";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SMT_CLOCK" "")
-    (fun () ->
-      Alcotest.(check (float 0.)) "epoch is the pinned clock" 1234.5
-        (Trace.epoch_unix_s ());
-      let t =
-        sample_sidecar ~epoch:(Trace.epoch_unix_s ())
-          ~events:[ sample_event "span" 100. 50. ]
-          "j"
-      in
-      Trace.enable ();
-      let (), evs =
-        Fun.protect
-          ~finally:(fun () -> Trace.disable ())
-          (fun () -> Trace.collect (fun () -> Telemetry.absorb ~tid:2 t))
-      in
-      match evs with
-      | [ ev ] ->
-        Alcotest.(check (float 0.)) "zero shift under the pinned clock" 100.
-          ev.Trace.ev_ts_us
-      | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs))
-
-(* Retries of one job land on one tid: the slot table is a function of
-   the manifest, and every attempt's sidecar absorbs onto [2 + slot]. *)
-let test_telemetry_tid_stable_across_retries () =
-  let man =
-    Manifest.make ~tag:"t" ~circuits:[ "a"; "b" ] ~techniques:[ "dual" ]
-      ~guards:[ "off" ] ~seeds:[ 1 ]
-  in
-  let slots = Manifest.slots man in
-  Alcotest.(check (list (pair string int)))
-    "slots follow the canonical matrix"
-    [ ("a~dual~off~s1", 0); ("b~dual~off~s1", 1) ]
-    slots;
-  let tid_of id = 2 + List.assoc id slots in
-  let absorb_attempt attempt =
-    let t =
-      sample_sidecar ~attempt
-        ~events:[ sample_event "span" (float_of_int attempt) 1. ]
-        "b~dual~off~s1"
-    in
-    Trace.enable ();
-    Fun.protect
-      ~finally:(fun () -> Trace.disable ())
-      (fun () ->
-        snd (Trace.collect (fun () -> Telemetry.absorb ~tid:(tid_of "b~dual~off~s1") t)))
-  in
-  let evs = absorb_attempt 1 @ absorb_attempt 2 in
-  Alcotest.(check int) "both attempts absorbed" 2 (List.length evs);
-  List.iter
-    (fun ev -> Alcotest.(check int) "same tid on every attempt" 3 ev.Trace.ev_tid)
-    evs
-
-(* ------------------------------------------------------------------ *)
-(* Heartbeats and stall detection                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_heartbeat_roundtrip () =
-  with_temp_dir @@ fun dir ->
-  let p = Heartbeat.path ~dir "j1" in
-  Heartbeat.write p { Heartbeat.hb_stage = "routing"; hb_stages_done = 5; hb_beat = 17 };
-  match Heartbeat.read p with
-  | Error e -> Alcotest.fail e
-  | Ok hb ->
-    Alcotest.(check string) "stage" "routing" hb.Heartbeat.hb_stage;
-    Alcotest.(check int) "stages done" 5 hb.Heartbeat.hb_stages_done;
-    Alcotest.(check int) "beat" 17 hb.Heartbeat.hb_beat
-
-let test_heartbeat_beater_advances () =
-  with_temp_dir @@ fun dir ->
-  Unix.putenv "SMT_HB_INTERVAL_MS" "10";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SMT_HB_INTERVAL_MS" "")
-    (fun () ->
-      let p = Heartbeat.path ~dir "j1" in
-      let b = Heartbeat.start ~path:p in
-      Heartbeat.set_stage b "placement";
-      Heartbeat.set_stage b "routing";
-      Unix.sleepf 0.08;
-      Heartbeat.stop b;
-      match Heartbeat.read p with
-      | Error e -> Alcotest.fail e
-      | Ok hb ->
-        Alcotest.(check string) "latest stage wins" "routing" hb.Heartbeat.hb_stage;
-        Alcotest.(check int) "both stage closes counted" 2
-          hb.Heartbeat.hb_stages_done;
-        Alcotest.(check bool) "counter advanced while running" true
-          (hb.Heartbeat.hb_beat > 1))
-
-(* The stall detector: a wedged worker that never beats its heartbeat is
-   killed after --stall-timeout — far inside the wall-clock timeout —
-   and the retry completes the job. *)
-let test_supervisor_stall_detection () =
-  with_temp_dir @@ fun dir ->
-  let t0 = Unix.gettimeofday () in
-  let summary =
-    Sup.run
-      {
-        fast_cfg with
-        Sup.sv_timeout_s = 30.;
-        Sup.sv_stall_timeout_s = 0.15;
-        Sup.sv_max_attempts = 2;
-      }
-      ~command:(fun ~id ~attempt ->
-        if attempt >= 2 then sh (Printf.sprintf "touch %s" (marker dir id))
-        else sh "sleep 30")
-      ~verify:(verify_marker dir)
-      ~hb_path:(fun id -> Heartbeat.path ~dir id)
-      [ "wedged" ]
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "stall kill beat the 30s wall-clock timeout" true
-    (elapsed < 10.);
-  Alcotest.(check bool) "at least one stall counted" true (summary.Sup.sm_stalls >= 1);
-  Alcotest.(check int) "no wall-clock timeout burned" 0 summary.Sup.sm_timeouts;
-  Alcotest.(check bool) "retry completed the job" true
-    (List.assoc "wedged" summary.Sup.sm_outcomes = Sup.Completed { attempts = 2 })
-
-(* A worker that IS beating must not be killed as stalled, however slow
-   its stages are. *)
-let test_supervisor_slow_but_alive_not_stalled () =
-  with_temp_dir @@ fun dir ->
-  let hb = Heartbeat.path ~dir in
-  let summary =
-    Sup.run
-      {
-        fast_cfg with
-        Sup.sv_stall_timeout_s = 0.3;
-        Sup.sv_max_attempts = 1;
-      }
-      ~command:(fun ~id ~attempt:_ ->
-        (* beat every 50 ms for ~0.6 s, then finish: alive throughout.
-           Temp + mv like the real beater, so the poller never reads a
-           torn line. *)
-        sh
-          (Printf.sprintf
-             "p=%s; i=0; while [ $i -lt 12 ]; do echo \
-              '{\"stage\":\"s\",\"stages_done\":1,\"beat\":'$i'}' > $p.t; \
-              mv $p.t $p; i=$((i+1)); sleep 0.05; done; touch %s"
-             (Filename.quote (hb id)) (marker dir id)))
-      ~verify:(verify_marker dir) ~hb_path:hb [ "slowpoke" ]
-  in
-  Alcotest.(check int) "no stalls" 0 summary.Sup.sm_stalls;
-  Alcotest.(check bool) "completed" true
-    (List.assoc "slowpoke" summary.Sup.sm_outcomes = Sup.Completed { attempts = 1 })
-
-(* ------------------------------------------------------------------ *)
-(* Merge: the telemetry envelope                                       *)
+(* Merge: the checkpoint envelope                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The envelope fields feed the ledger view but must never reach the
-   byte-compared snapshot: a campaign run with telemetry/profiling on
-   merges to exactly the bytes of one run with it off. *)
+   byte-compared snapshot: a campaign run with profiling on merges to
+   exactly the bytes of one run with it off. *)
 let test_merge_snapshot_ignores_envelope () =
   let ja = job "circuit_a" "dual" "off" 1 in
   let jb = job "circuit_b" "dual" "off" 1 in
@@ -818,23 +602,6 @@ let () =
           Alcotest.test_case "duration and prof round-trip" `Quick
             test_checkpoint_envelope_roundtrip;
         ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "sidecar round-trip" `Quick test_telemetry_roundtrip;
-          Alcotest.test_case "torn sidecar tolerated" `Quick
-            test_telemetry_torn_tolerated;
-          Alcotest.test_case "epoch shift and tid on absorb" `Quick
-            test_telemetry_epoch_shift_and_tid;
-          Alcotest.test_case "SMT_CLOCK pins the epoch" `Quick
-            test_telemetry_smt_clock_pins_epoch;
-          Alcotest.test_case "tid stable across retries" `Quick
-            test_telemetry_tid_stable_across_retries;
-        ] );
-      ( "heartbeat",
-        [
-          Alcotest.test_case "round-trip" `Quick test_heartbeat_roundtrip;
-          Alcotest.test_case "beater advances" `Quick test_heartbeat_beater_advances;
-        ] );
       ( "supervisor",
         [
           Alcotest.test_case "all jobs complete" `Quick test_supervisor_all_complete;
@@ -850,10 +617,6 @@ let () =
             test_supervisor_timeout;
           Alcotest.test_case "chaos kills deterministically" `Quick
             test_supervisor_chaos_kills_deterministically;
-          Alcotest.test_case "stall detection kills a wedged shard" `Quick
-            test_supervisor_stall_detection;
-          Alcotest.test_case "slow but beating shard survives" `Quick
-            test_supervisor_slow_but_alive_not_stalled;
         ] );
       ( "merge",
         [
@@ -862,6 +625,8 @@ let () =
           Alcotest.test_case "wall-clock stripped" `Quick test_merge_strips_wallclock;
           Alcotest.test_case "partial coverage reported" `Quick
             test_merge_partial_coverage;
+          Alcotest.test_case "status view from checkpoints" `Quick
+            test_merge_status_view;
           Alcotest.test_case "snapshot ignores the envelope" `Quick
             test_merge_snapshot_ignores_envelope;
           Alcotest.test_case "ledger workloads carry prof" `Quick

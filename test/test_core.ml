@@ -272,28 +272,6 @@ let test_cluster_em_cap_enforced () =
     (fun c -> Alcotest.(check bool) "<=3 cells" true (List.length c.Cluster.members <= 3))
     built.Cluster.clusters
 
-let test_cluster_refine () =
-  let nl, place, _, act, built = clustered () in
-  let refined = Cluster.refine ~activity:act place in
-  Alcotest.(check bool) "width never increases" true
-    (refined.Cluster.total_switch_width <= built.Cluster.total_switch_width +. 1e-6);
-  (* same cell population, still one switch each, constraints intact *)
-  let before = List.concat_map (fun c -> c.Cluster.members) built.Cluster.clusters in
-  let after = List.concat_map (fun c -> c.Cluster.members) refined.Cluster.clusters in
-  Alcotest.(check int) "members conserved" (List.length before) (List.length after);
-  Alcotest.(check (list int)) "same cells"
-    (List.sort compare before) (List.sort compare after);
-  let p = Cluster.default_params tech in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "bounce ok" true (c.Cluster.bounce <= p.Cluster.bounce_limit +. 1e-9);
-      Alcotest.(check bool) "length ok" true
-        (c.Cluster.wire_length <= p.Cluster.length_limit +. 1e-9);
-      Alcotest.(check bool) "count ok" true
-        (List.length c.Cluster.members <= p.Cluster.cell_limit))
-    refined.Cluster.clusters;
-  Alcotest.(check (list string)) "netlist valid" [] (Check.validate ~phase:Check.Post_mt nl)
-
 let test_required_width () =
   let p = Cluster.default_params tech in
   (match Cluster.required_width tech p ~current_ua:20.0 ~wire_length:0.0 with
@@ -394,7 +372,7 @@ let test_eco_noop_when_clean () =
 let test_eco_respects_setup () =
   (* an endpoint that is both hold-violating and setup-critical must NOT be
      padded: the ECO leaves it for skew rework instead of breaking setup *)
-  let b = Smt_netlist.Builder.create ~name:"guard" ~lib () in
+  let b = Smt_netlist.Builder.create ~name:"guard" ~lib in
   let clk = Smt_netlist.Builder.input ~clock:true b "clk" in
   let d = Smt_netlist.Builder.input b "d" in
   let q1 = Smt_netlist.Builder.dff b ~d ~clk in
@@ -496,7 +474,6 @@ let () =
           Alcotest.test_case "diversity saves width" `Quick test_cluster_diversity_saves_width;
           Alcotest.test_case "length cap vs clusters" `Quick test_cluster_tighter_length_more_clusters;
           Alcotest.test_case "EM cap" `Quick test_cluster_em_cap_enforced;
-          Alcotest.test_case "refinement" `Quick test_cluster_refine;
           Alcotest.test_case "required width math" `Quick test_required_width;
         ] );
       ( "mte",

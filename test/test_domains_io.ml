@@ -88,41 +88,6 @@ let test_soc_runs_the_flow () =
   Alcotest.(check bool) "flow completes on the composed SoC" true (r.Smt_core.Flow.area > 0.0);
   Alcotest.(check bool) "timing met" true r.Smt_core.Flow.timing_met
 
-(* --- placement io --- *)
-
-let test_placement_roundtrip () =
-  let nl = Generators.multiplier ~name:"mp" ~bits:6 lib in
-  let place = Placement.place nl in
-  let text = Placement.to_string place in
-  let back = Placement.of_string nl text in
-  List.iter
-    (fun iid ->
-      let p1 = Placement.inst_point place iid and p2 = Placement.inst_point back iid in
-      Alcotest.(check bool)
-        (Netlist.inst_name nl iid ^ " position survives")
-        true
-        (Float.abs (p1.Smt_util.Geom.x -. p2.Smt_util.Geom.x) < 1e-3
-        && Float.abs (p1.Smt_util.Geom.y -. p2.Smt_util.Geom.y) < 1e-3))
-    (Netlist.live_insts nl);
-  Alcotest.(check bool) "hpwl agrees" true
-    (Float.abs (Placement.total_hpwl place -. Placement.total_hpwl back)
-     /. Placement.total_hpwl place
-    < 0.01)
-
-let test_placement_io_errors () =
-  let nl = Generators.c17 lib in
-  Alcotest.(check bool) "missing DIE" true
-    (try
-       ignore (Placement.of_string nl "INST nobody 1 2\n");
-       false
-     with Failure _ -> true);
-  Alcotest.(check bool) "unknown instance" true
-    (try
-       ignore
-         (Placement.of_string nl "DIE 0 0 10 10 ROWS 2\nINST nobody 1 2\n");
-       false
-     with Failure _ -> true)
-
 let () =
   Alcotest.run "smt_domains_io"
     [
@@ -133,10 +98,5 @@ let () =
           Alcotest.test_case "vgnd preserved" `Quick test_compose_preserves_vgnd;
           Alcotest.test_case "bad arguments" `Quick test_compose_bad_args;
           Alcotest.test_case "soc through the flow" `Quick test_soc_runs_the_flow;
-        ] );
-      ( "placement-io",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_placement_roundtrip;
-          Alcotest.test_case "errors" `Quick test_placement_io_errors;
         ] );
     ]

@@ -88,7 +88,7 @@ let test_store_caches () =
 (* --- slew-aware STA --- *)
 
 let chain n =
-  let b = Builder.create ~name:"chain" ~lib () in
+  let b = Builder.create ~name:"chain" ~lib in
   let a = Builder.input b "a" in
   let last = ref a in
   for _ = 1 to n do
@@ -114,7 +114,7 @@ let test_slew_propagates () =
 
 let test_heavy_load_degrades_slew () =
   (* an inverter driving 12 sinks emits a slower edge than one driving 1 *)
-  let b = Builder.create ~name:"fan" ~lib () in
+  let b = Builder.create ~name:"fan" ~lib in
   let a = Builder.input b "a" in
   let light = Builder.not_ b a in
   let heavy = Builder.not_ b a in

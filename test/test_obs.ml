@@ -383,6 +383,36 @@ let test_obs_json_of_file_directory () =
   | Ok _ -> Alcotest.fail "parsed a directory"
   | Error _ -> ()
 
+(* The durable writer replaces a longer file whole (no stale tail), and
+   neither a write nor a failed one (a rename onto a non-empty directory)
+   leaves a [*.tmp.*] staging file. *)
+let test_obs_json_write_durable () =
+  let dir = Filename.temp_file "smt_durable" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "doc.json" in
+  let sub = Filename.concat dir "sub" in
+  let entries () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove (Filename.concat sub "keep") with Sys_error _ -> ());
+      (try Unix.rmdir sub with Unix.Unix_error _ -> ());
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      Obs_json.write_durable path (String.make 4096 'x');
+      Obs_json.write_durable path "{\"v\":2}\n";
+      Alcotest.(check (result string string)) "replaced whole" (Ok "{\"v\":2}\n")
+        (Obs_json.read_file path);
+      Alcotest.(check (list string)) "no staging file left" [ "doc.json" ] (entries ());
+      Unix.mkdir sub 0o755;
+      Obs_json.to_file (Filename.concat sub "keep") "";
+      (match Obs_json.write_durable sub "{}" with
+      | () -> Alcotest.fail "renamed over a non-empty directory"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (list string)) "none after a failed write either"
+        [ "doc.json"; "sub" ] (entries ()))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -509,6 +539,8 @@ let () =
           Alcotest.test_case "rejects malformed input" `Quick test_obs_json_rejects_malformed;
           Alcotest.test_case "of_file on a directory is an error" `Quick
             test_obs_json_of_file_directory;
+          Alcotest.test_case "durable write replaces whole" `Quick
+            test_obs_json_write_durable;
         ] );
       ( "metrics",
         [

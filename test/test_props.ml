@@ -226,18 +226,6 @@ let prop_router_sound =
             if Smt_route.Global_router.net_length r nid <= 0.0 then ok := false);
       !ok && Smt_route.Global_router.detour_factor r place >= 1.0)
 
-let prop_placement_io_roundtrip =
-  QCheck2.Test.make ~name:"placement io roundtrip" ~count:10 seed_gen
-    (fun seed ->
-      let nl = random_netlist seed in
-      let place = Placement.place ~seed nl in
-      let back = Placement.of_string nl (Placement.to_string place) in
-      List.for_all
-        (fun iid ->
-          let a = Placement.inst_point place iid and b = Placement.inst_point back iid in
-          Float.abs (a.Geom.x -. b.Geom.x) < 1e-3 && Float.abs (a.Geom.y -. b.Geom.y) < 1e-3)
-        (Netlist.live_insts nl))
-
 let prop_nldm_lookup_bounded =
   QCheck2.Test.make ~name:"nldm lookup within table bounds" ~count:100
     QCheck2.Gen.(pair (float_range (-50.) 400.) (float_range (-10.) 200.))
@@ -1594,7 +1582,6 @@ let () =
       ( "extensions",
         [
           qtest prop_router_sound;
-          qtest prop_placement_io_roundtrip;
           qtest prop_nldm_lookup_bounded;
           qtest prop_standby_protocol_holds;
           qtest prop_simulator_matches_reference_active;

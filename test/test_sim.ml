@@ -79,7 +79,7 @@ let test_set_input_guards () =
 (* --- sequential simulation --- *)
 
 let test_dff_pipeline () =
-  let b = Builder.create ~name:"pipe" ~lib () in
+  let b = Builder.create ~name:"pipe" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q1 = Builder.dff b ~d ~clk in
@@ -133,7 +133,7 @@ let test_counter_counts () =
   Alcotest.(check int) "hold when disabled" frozen (read ())
 
 let test_ff_state_access () =
-  let b = Builder.create ~name:"s" ~lib () in
+  let b = Builder.create ~name:"s" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q = Builder.dff b ~d ~clk in

@@ -12,7 +12,7 @@ let lib = Library.default ()
 
 (* A single inverter from PI to PO. *)
 let single_inv () =
-  let b = Builder.create ~name:"inv1" ~lib () in
+  let b = Builder.create ~name:"inv1" ~lib in
   let a = Builder.input b "a" in
   let o = Builder.output b "o" in
   Builder.gate_into b Func.Inv [ a ] o;
@@ -31,7 +31,7 @@ let test_single_gate_arrival () =
   Alcotest.(check (float 1e-9)) "wns" (1000.0 -. expected) (Sta.wns sta)
 
 let test_chain_arrival_adds () =
-  let b = Builder.create ~name:"chain" ~lib () in
+  let b = Builder.create ~name:"chain" ~lib in
   let a = Builder.input b "a" in
   let n1 = Builder.not_ b a in
   let n2 = Builder.not_ b n1 in
@@ -50,7 +50,7 @@ let test_chain_arrival_adds () =
 
 let test_max_of_paths () =
   (* A NAND fed by a long chain and a direct PI: arrival takes the max. *)
-  let b = Builder.create ~name:"max" ~lib () in
+  let b = Builder.create ~name:"max" ~lib in
   let a = Builder.input b "a" in
   let c = Builder.input b "c" in
   let n1 = Builder.not_ b a in
@@ -70,7 +70,7 @@ let test_max_of_paths () =
     (List.length (List.filter (fun s -> s.Sta.step_inst <> None) path))
 
 let test_ff_to_ff_timing () =
-  let b = Builder.create ~name:"ff2ff" ~lib () in
+  let b = Builder.create ~name:"ff2ff" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q1 = Builder.dff b ~d ~clk in
@@ -141,7 +141,7 @@ let test_bounce_slows_mt_only () =
   Alcotest.(check bool) "MT slowed by bounce" true (mt_bounced > mt_base)
 
 let test_clock_latency_shifts () =
-  let b = Builder.create ~name:"lat" ~lib () in
+  let b = Builder.create ~name:"lat" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q1 = Builder.dff b ~d ~clk in
@@ -185,7 +185,7 @@ let test_clock_latency_shifts () =
 let test_hold_violation_from_skew () =
   (* Launch FF with zero latency into capture FF with large latency: the
      short path violates hold. *)
-  let b = Builder.create ~name:"hold" ~lib () in
+  let b = Builder.create ~name:"hold" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q1 = Builder.dff b ~d ~clk in
@@ -369,7 +369,7 @@ let test_output_margin_tightens () =
     (Sta.wns tight)
 
 let test_hold_margin () =
-  let b = Builder.create ~name:"hm" ~lib () in
+  let b = Builder.create ~name:"hm" ~lib in
   let clk = Builder.input ~clock:true b "clk" in
   let d = Builder.input b "d" in
   let q1 = Builder.dff b ~d ~clk in
@@ -395,7 +395,7 @@ let test_used_delay () =
   Alcotest.(check (float 1e-9)) "unknown instance" 0.0 (Sta.used_delay sta 999999)
 
 let test_load_of_net () =
-  let b = Builder.create ~name:"load" ~lib () in
+  let b = Builder.create ~name:"load" ~lib in
   let a = Builder.input b "a" in
   let x = Builder.not_ b a in
   let y1 = Builder.not_ b x in

@@ -76,15 +76,6 @@ let test_router_detour_factor () =
   Alcotest.(check bool) "detour >= 1" true (d >= 1.0);
   Alcotest.(check bool) "detour sane (< 3)" true (d < 3.0)
 
-let test_router_parasitics () =
-  let nl, place = placed () in
-  let r = Global_router.route place in
-  let p = Global_router.to_parasitics r place in
-  Alcotest.(check bool) "extracted corner" true (Parasitics.corner p = Parasitics.Extracted);
-  Netlist.iter_nets nl (fun nid ->
-      Alcotest.(check (float 1e-6)) "lengths transferred" (Global_router.net_length r nid)
-        (Parasitics.net_length p nid))
-
 (* --- reports --- *)
 
 let flow_report = lazy (
@@ -327,7 +318,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
           Alcotest.test_case "capacity vs overflow" `Quick test_router_capacity_relieves_overflow;
           Alcotest.test_case "detour factor" `Quick test_router_detour_factor;
-          Alcotest.test_case "to parasitics" `Quick test_router_parasitics;
           Alcotest.test_case "congested length" `Quick test_congested_length;
           Alcotest.test_case "reopt with measured lengths" `Quick test_reopt_with_measured_lengths;
         ] );
