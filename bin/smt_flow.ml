@@ -28,7 +28,6 @@ module Repair = Smt_check.Repair
 module Violation = Smt_check.Violation
 module Fault = Smt_fault.Fault
 module Verify = Smt_verify.Verify
-module Rules = Smt_verify.Rules
 module Waiver = Smt_verify.Waiver
 module Sarif = Smt_verify.Sarif
 module Prof = Smt_obs.Prof
@@ -48,6 +47,13 @@ let version = "1.0.0"
 let tool = "smt_flow " ^ version
 
 let lib () = Library.default ()
+
+(* A bad command-line value is a usage error: name it and exit 2. *)
+let or_usage = function
+  | Ok v -> v
+  | Error e ->
+    prerr_endline e;
+    exit 2
 
 (* --- observability flags, shared by every subcommand --- *)
 
@@ -72,7 +78,7 @@ let metrics_arg =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write the metrics registry (counters, gauges, histograms) as JSON to $(docv).")
+        ~doc:"Write the metrics registry (counters and histograms) as JSON to $(docv).")
 
 let log_level_arg =
   Arg.(
@@ -104,14 +110,7 @@ let ledger_arg =
 
 let obs_term =
   let setup trace metrics log_level profile ledger =
-    (match log_level with
-    | None -> ()
-    | Some s -> (
-      match Obs_log.level_of_string s with
-      | Ok l -> Obs_log.set_level l
-      | Error e ->
-        prerr_endline e;
-        exit 2));
+    Option.iter (fun s -> Obs_log.set_level (or_usage (Obs_log.level_of_string s))) log_level;
     if trace <> None then Trace.enable ();
     let ledger = match ledger with Some _ as l -> l | None -> Ledger.default_path () in
     let profile = profile || ledger <> None in
@@ -163,6 +162,12 @@ let technique_of = function
   | "improved" | "imp" -> Ok Flow.Improved_smt
   | s -> Error (Printf.sprintf "unknown technique %s (dual|conventional|improved)" s)
 
+let fault_of name =
+  Option.to_result (Fault.of_name name)
+    ~none:
+      (Printf.sprintf "unknown fault %s (try: %s)" name
+         (String.concat ", " (List.map Fault.name Fault.all)))
+
 let circuit_arg =
   Arg.(value & opt string "circuit_a" & info [ "c"; "circuit" ] ~doc:"Circuit name.")
 
@@ -183,9 +188,7 @@ let jobs_arg =
 
 let jobs_of = function
   | Some n when n >= 1 -> n
-  | Some n ->
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-    exit 2
+  | Some n -> or_usage (Error (Printf.sprintf "--jobs must be >= 1 (got %d)" n))
   | None -> Smt_util.Pool.default_jobs ()
 
 let bounce_arg =
@@ -238,12 +241,7 @@ let guard_arg =
            aborts on the first Error.  Any mode other than off makes the command exit 1 \
            when Error-severity violations remain.")
 
-let guard_of s =
-  match Flow.guard_of_string s with
-  | Ok g -> g
-  | Error e ->
-    prerr_endline e;
-    exit 2
+let guard_of s = or_usage (Flow.guard_of_string s)
 
 let print_diagnostics (report : Flow.report) =
   if report.Flow.diagnostics <> [] then begin
@@ -255,40 +253,33 @@ let print_diagnostics (report : Flow.report) =
 
 let run_cmd =
   let run obs circuit technique seed bounce length cells retention sizing emit guard =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let guard = guard_of guard in
-      let options =
-        { (options_of ~retention ~sizing seed bounce length cells) with Flow.guard }
-      in
-      let nl = gen (lib ()) in
-      let before = Metrics.counters () in
-      (match Flow.run ~options t nl with
-      | report ->
-        Format.printf "%a@." Flow.pp_report report;
-        print_diagnostics report;
-        (match emit with
-        | Some path ->
-          Smt_netlist.Writer.to_file nl path;
-          Printf.printf "netlist written to %s\n" path
-        | None -> ());
-        let name =
-          Printf.sprintf "%s/%s" circuit (Smt_core.Qor.technique_slug t)
-        in
-        ledger_append obs ~kind:"run" ~circuit ~technique:(Smt_core.Qor.technique_slug t)
-          ~guard:(Flow.guard_name guard)
-          [ Smt_core.Qor.workload_of_report ~name ~before report ];
-        finish obs;
-        if guard <> Flow.Guard_off && Drc.has_errors (Drc.check nl) then exit 1
-      | exception Flow.Flow_error e ->
-        Printf.eprintf "flow aborted at stage %S on %s:\n" e.Flow.fe_stage
-          e.Flow.fe_circuit;
-        List.iter (fun d -> Printf.eprintf "  %s\n" d) e.Flow.fe_diagnostics;
-        finish obs;
-        exit 1)
+    let gen = or_usage (generator_of circuit) in
+    let t = or_usage (technique_of technique) in
+    let guard = guard_of guard in
+    let options =
+      { (options_of ~retention ~sizing seed bounce length cells) with Flow.guard }
+    in
+    let nl = gen (lib ()) in
+    let before = Metrics.counters () in
+    match Flow.run ~options t nl with
+    | report ->
+      Format.printf "%a@." Flow.pp_report report;
+      print_diagnostics report;
+      (match emit with
+      | Some path ->
+        Smt_netlist.Writer.to_file nl path;
+        Printf.printf "netlist written to %s\n" path
+      | None -> ());
+      let technique = Smt_core.Qor.technique_slug t in
+      ledger_append obs ~kind:"run" ~circuit ~technique ~guard:(Flow.guard_name guard)
+        [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/" ^ technique) ~before report ];
+      finish obs;
+      if guard <> Flow.Guard_off && Drc.has_errors (Drc.check nl) then exit 1
+    | exception Flow.Flow_error e ->
+      Printf.eprintf "flow aborted at stage %S on %s:\n" e.Flow.fe_stage e.Flow.fe_circuit;
+      List.iter (fun d -> Printf.eprintf "  %s\n" d) e.Flow.fe_diagnostics;
+      finish obs;
+      exit 1
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one flow on one circuit")
     Term.(
@@ -297,80 +288,73 @@ let run_cmd =
 
 let corners_cmd =
   let run obs circuit technique seed =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let nl = gen (lib ()) in
-      let report, art = Flow.run_with_artifacts ~options t nl in
-      Printf.printf "multi-corner sign-off of %s (%s), clock %.1f ps:\n\n"
-        report.Flow.circuit
-        (Flow.technique_name report.Flow.technique)
-        report.Flow.clock_period;
-      print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run art.Flow.art_cfg nl));
-      finish obs
+    let gen = or_usage (generator_of circuit) in
+    let t = or_usage (technique_of technique) in
+    let options = { Flow.default_options with Flow.seed } in
+    let nl = gen (lib ()) in
+    let report, art = Flow.run_with_artifacts ~options t nl in
+    Printf.printf "multi-corner sign-off of %s (%s), clock %.1f ps:\n\n"
+      report.Flow.circuit
+      (Flow.technique_name report.Flow.technique)
+      report.Flow.clock_period;
+    print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run art.Flow.art_cfg nl));
+    finish obs
   in
   Cmd.v (Cmd.info "corners" ~doc:"Multi-corner timing & leakage sign-off")
     Term.(const run $ obs_term $ circuit_arg $ technique_arg $ seed_arg)
 
 let stages_cmd =
   let run obs circuit seed bounce length cells =
-    match generator_of circuit with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen ->
-      let options = options_of seed bounce length cells in
-      let before = Metrics.counters () in
-      let report = Flow.run ~options Flow.Improved_smt (gen (lib ())) in
-      Printf.printf "Improved Selective-MT flow on %s (clock %.1f ps)\n\n"
-        report.Flow.circuit report.Flow.clock_period;
-      (* With --profile, a GC-attribution column block rides the table:
-         words allocated (minor/major) and collections charged per stage. *)
-      let prof_cols =
-        obs.obs_profile
-        && List.exists (fun (s : Flow.stage) -> s.Flow.stage_prof <> None) report.Flow.stages
-      in
-      let header =
-        [
-          "Stage"; "Area um^2"; "Standby nW"; "WNS ps"; "Bounce V"; "Switches"; "Holders";
-          "ms";
-        ]
-        @ (if prof_cols then [ "Minor Mw"; "Major Mw"; "GC min"; "GC maj" ] else [])
-      in
-      let rows =
-        List.map
-          (fun (s : Flow.stage) ->
-            [
-              s.Flow.stage_name;
-              Printf.sprintf "%.1f" s.Flow.stage_area;
-              Printf.sprintf "%.1f" s.Flow.stage_standby_nw;
-              Printf.sprintf "%.1f" s.Flow.stage_wns;
-              Printf.sprintf "%.4f" s.Flow.stage_worst_bounce;
-              string_of_int s.Flow.stage_switches;
-              string_of_int s.Flow.stage_holders;
-              Printf.sprintf "%.1f" s.Flow.stage_ms;
-            ]
-            @
-            if not prof_cols then []
-            else
-              match s.Flow.stage_prof with
-              | None -> [ "-"; "-"; "-"; "-" ]
-              | Some p ->
-                [
-                  Printf.sprintf "%.2f" (p.Prof.minor_words /. 1e6);
-                  Printf.sprintf "%.2f" (p.Prof.major_words /. 1e6);
-                  string_of_int p.Prof.minor_collections;
-                  string_of_int p.Prof.major_collections;
-                ])
-          report.Flow.stages
-      in
-      print_endline (Smt_util.Text_table.render ~header rows);
-      ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
-        [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/improved") ~before report ];
-      finish obs
+    let gen = or_usage (generator_of circuit) in
+    let options = options_of seed bounce length cells in
+    let before = Metrics.counters () in
+    let report = Flow.run ~options Flow.Improved_smt (gen (lib ())) in
+    Printf.printf "Improved Selective-MT flow on %s (clock %.1f ps)\n\n"
+      report.Flow.circuit report.Flow.clock_period;
+    (* With --profile, a GC-attribution column block rides the table:
+       words allocated (minor/major) and collections charged per stage. *)
+    let prof_cols =
+      obs.obs_profile
+      && List.exists (fun (s : Flow.stage) -> s.Flow.stage_prof <> None) report.Flow.stages
+    in
+    let header =
+      [
+        "Stage"; "Area um^2"; "Standby nW"; "WNS ps"; "Bounce V"; "Switches"; "Holders";
+        "ms";
+      ]
+      @ (if prof_cols then [ "Minor Mw"; "Major Mw"; "GC min"; "GC maj" ] else [])
+    in
+    let rows =
+      List.map
+        (fun (s : Flow.stage) ->
+          [
+            s.Flow.stage_name;
+            Printf.sprintf "%.1f" s.Flow.stage_area;
+            Printf.sprintf "%.1f" s.Flow.stage_standby_nw;
+            Printf.sprintf "%.1f" s.Flow.stage_wns;
+            Printf.sprintf "%.4f" s.Flow.stage_worst_bounce;
+            string_of_int s.Flow.stage_switches;
+            string_of_int s.Flow.stage_holders;
+            Printf.sprintf "%.1f" s.Flow.stage_ms;
+          ]
+          @
+          if not prof_cols then []
+          else
+            match s.Flow.stage_prof with
+            | None -> [ "-"; "-"; "-"; "-" ]
+            | Some p ->
+              [
+                Printf.sprintf "%.2f" (p.Prof.minor_words /. 1e6);
+                Printf.sprintf "%.2f" (p.Prof.major_words /. 1e6);
+                string_of_int p.Prof.minor_collections;
+                string_of_int p.Prof.major_collections;
+              ])
+        report.Flow.stages
+    in
+    print_endline (Smt_util.Text_table.render ~header rows);
+    ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
+      [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/improved") ~before report ];
+    finish obs
   in
   Cmd.v (Cmd.info "stages" ~doc:"Show per-stage metrics of the improved flow (the paper's Fig. 4)")
     Term.(const run $ obs_term $ circuit_arg $ seed_arg $ bounce_arg $ length_arg $ cells_arg)
@@ -407,52 +391,46 @@ let table1_cmd =
 
 let report_cmd =
   let run obs circuit technique seed =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let nl = gen (lib ()) in
-      let _, art = Flow.run_with_artifacts ~options t nl in
-      let sta = art.Flow.art_sta in
-      print_endline (Smt_core.Report.summary sta);
-      print_newline ();
-      print_endline (Smt_core.Report.timing ~paths:2 sta);
-      print_endline (Smt_core.Report.power nl);
-      print_newline ();
-      print_endline (Smt_core.Report.area nl);
-      finish obs
+    let gen = or_usage (generator_of circuit) in
+    let t = or_usage (technique_of technique) in
+    let options = { Flow.default_options with Flow.seed } in
+    let nl = gen (lib ()) in
+    let _, art = Flow.run_with_artifacts ~options t nl in
+    let sta = art.Flow.art_sta in
+    print_endline (Smt_core.Report.summary sta);
+    print_newline ();
+    print_endline (Smt_core.Report.timing ~paths:2 sta);
+    print_endline (Smt_core.Report.power nl);
+    print_newline ();
+    print_endline (Smt_core.Report.area nl);
+    finish obs
   in
   Cmd.v (Cmd.info "report" ~doc:"Sign-off style timing / power / area reports")
     Term.(const run $ obs_term $ circuit_arg $ technique_arg $ seed_arg)
 
 let explain_cmd =
   let run obs what circuit technique seed k json =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let report, artifacts = Flow.run_with_artifacts ~options t (gen (lib ())) in
-      let out =
-        match what with
-        | "paths" ->
-          if json then Smt_core.Explain.paths_json ~k report artifacts
-          else Smt_core.Explain.paths ~k report artifacts
-        | "leakage" ->
-          if json then Smt_core.Explain.leakage_json report artifacts
-          else Smt_core.Explain.leakage report artifacts
-        | "clusters" ->
-          if json then Smt_core.Explain.clusters_json report artifacts
-          else Smt_core.Explain.clusters report artifacts
-        | s ->
-          Printf.eprintf "unknown report %s (paths|leakage|clusters)\n" s;
-          exit 2
-      in
-      print_endline out;
-      finish obs
+    let gen = or_usage (generator_of circuit) in
+    let t = or_usage (technique_of technique) in
+    let options = { Flow.default_options with Flow.seed } in
+    let report, artifacts = Flow.run_with_artifacts ~options t (gen (lib ())) in
+    let out =
+      match what with
+      | "paths" ->
+        if json then Smt_core.Explain.paths_json ~k report artifacts
+        else Smt_core.Explain.paths ~k report artifacts
+      | "leakage" ->
+        if json then Smt_core.Explain.leakage_json report artifacts
+        else Smt_core.Explain.leakage report artifacts
+      | "clusters" ->
+        if json then Smt_core.Explain.clusters_json report artifacts
+        else Smt_core.Explain.clusters report artifacts
+      | s ->
+        Printf.eprintf "unknown report %s (paths|leakage|clusters)\n" s;
+        exit 2
+    in
+    print_endline out;
+    finish obs
   in
   let what_arg =
     Arg.(
@@ -508,17 +486,15 @@ let bench_snapshot_cmd =
 
 let bench_compare_cmd =
   let run obs baseline current seed jobs =
-    let read_or_die path =
-      match Smt_obs.Snapshot.read path with
-      | Ok s -> s
-      | Error e ->
-        Printf.eprintf "cannot read snapshot %s: %s\n" path e;
-        exit 2
+    let read path =
+      or_usage
+        (Result.map_error (Printf.sprintf "cannot read snapshot %s: %s" path)
+           (Smt_obs.Snapshot.read path))
     in
-    let baseline = read_or_die baseline in
+    let baseline = read baseline in
     let current =
       match current with
-      | Some path -> read_or_die path
+      | Some path -> read path
       | None -> Smt_core.Qor.collect ~seed ~jobs:(jobs_of jobs) ~tag:"current" ()
     in
     let deltas = Smt_obs.Snapshot.compare ~baseline ~current in
@@ -555,52 +531,38 @@ let list_cmd =
 
 let check_cmd =
   let run obs circuit technique seed fault fault_seed do_repair =
-    match generator_of circuit with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen ->
-      let l = lib () in
-      let nl = gen l in
-      (* With a technique, check the flow's product; without, the raw
-         synthesized netlist. *)
-      (match technique with
-      | None -> ()
-      | Some t -> (
-        match technique_of t with
-        | Error e ->
-          prerr_endline e;
-          exit 2
-        | Ok t ->
-          let options = { Flow.default_options with Flow.seed } in
-          ignore (Flow.run ~options t nl)));
-      (match fault with
-      | None -> ()
-      | Some fname -> (
-        match Fault.of_name fname with
-        | None ->
-          Printf.eprintf "unknown fault %s (try: %s)\n" fname
-            (String.concat ", " (List.map Fault.name Fault.all));
-          exit 2
-        | Some f -> (
-          match Fault.inject ~seed:fault_seed nl f with
-          | Some inj ->
-            Printf.printf "injected %s at %s: %s\n" (Fault.name f) inj.Fault.target
-              inj.Fault.detail
-          | None -> Printf.printf "fault %s: no applicable site in %s\n" fname circuit)));
-      let vs = Drc.check_library l @ Drc.check nl in
-      let vs =
-        if do_repair && vs <> [] then begin
-          let r = Repair.repair nl vs in
-          List.iter (fun a -> Printf.printf "repaired: %s\n" a) r.Repair.actions;
-          Drc.check_library l @ Drc.check nl
-        end
-        else vs
-      in
-      List.iter (fun v -> print_endline (Violation.to_string v)) vs;
-      print_endline (Violation.summary vs);
-      finish obs;
-      if Drc.has_errors vs then exit 1
+    let gen = or_usage (generator_of circuit) in
+    let l = lib () in
+    let nl = gen l in
+    (* With a technique, check the flow's product; without, the raw
+       synthesized netlist. *)
+    Option.iter
+      (fun t ->
+        let t = or_usage (technique_of t) in
+        ignore (Flow.run ~options:{ Flow.default_options with Flow.seed } t nl))
+      technique;
+    Option.iter
+      (fun fname ->
+        let f = or_usage (fault_of fname) in
+        match Fault.inject ~seed:fault_seed nl f with
+        | Some inj ->
+          Printf.printf "injected %s at %s: %s\n" (Fault.name f) inj.Fault.target
+            inj.Fault.detail
+        | None -> Printf.printf "fault %s: no applicable site in %s\n" fname circuit)
+      fault;
+    let vs = Drc.check_library l @ Drc.check nl in
+    let vs =
+      if do_repair && vs <> [] then begin
+        let r = Repair.repair nl vs in
+        List.iter (fun a -> Printf.printf "repaired: %s\n" a) r.Repair.actions;
+        Drc.check_library l @ Drc.check nl
+      end
+      else vs
+    in
+    List.iter (fun v -> print_endline (Violation.to_string v)) vs;
+    print_endline (Violation.summary vs);
+    finish obs;
+    if Drc.has_errors vs then exit 1
   in
   let technique_opt_arg =
     Arg.(
@@ -633,196 +595,45 @@ let check_cmd =
       const run $ obs_term $ circuit_arg $ technique_opt_arg $ seed_arg $ fault_arg
       $ fault_seed_arg $ repair_arg)
 
-(* Today's UTC date for waiver expiry, honouring SMT_CLOCK (unix seconds)
-   like every other wall-clock read in the tool. *)
-let today_utc () =
-  let now =
-    match Sys.getenv_opt "SMT_CLOCK" with
-    | Some s -> ( try float_of_string (String.trim s) with _ -> Unix.gettimeofday ())
-    | None -> Unix.gettimeofday ()
-  in
-  let tm = Unix.gmtime now in
-  (tm.Unix.tm_year + 1900, tm.Unix.tm_mon + 1, tm.Unix.tm_mday)
-
-(* Fingerprints of a previous SARIF report: (ruleId, first logical
-   location).  Message text and witness stay out of the key so a reworded
-   diagnostic doesn't resurrect an accepted finding. *)
-let load_baseline path =
-  match J.of_file path with
-  | Error e ->
-    Printf.eprintf "baseline: %s\n" e;
-    exit 2
-  | Ok doc ->
-    let tbl = Hashtbl.create 64 in
-    let arr_of = function Some (J.Arr xs) -> xs | _ -> [] in
-    let str_of j = Option.value ~default:"" (Option.bind j J.to_str) in
-    List.iter
-      (fun run ->
-        List.iter
-          (fun r ->
-            let rule = str_of (J.member "ruleId" r) in
-            let fqn =
-              match arr_of (J.member "locations" r) with
-              | loc :: _ -> (
-                match arr_of (J.member "logicalLocations" loc) with
-                | ll :: _ -> str_of (J.member "fullyQualifiedName" ll)
-                | [] -> "")
-              | [] -> ""
-            in
-            if rule <> "" then Hashtbl.replace tbl (rule, fqn) ())
-          (arr_of (J.member "results" run)))
-      (arr_of (J.member "runs" doc));
-    tbl
-
-(* One randomized ECO delta for the --incremental self-test: a gate swap,
-   a keeper deletion, or a keeper-enable rewire — the edit classes the
-   flow's own repair/minimize stages produce. *)
-let eco_delta rng nl =
-  let module Rng = Smt_util.Rng in
-  let module Netlist = Smt_netlist.Netlist in
-  let module Cell = Smt_cell.Cell in
-  let module Func = Smt_cell.Func in
-  let pick = function
-    | [] -> None
-    | xs -> Some (List.nth xs (Rng.int rng (List.length xs)))
-  in
-  let swap_gate () =
-    let comb =
-      List.filter
-        (fun i ->
-          let k = (Netlist.cell nl i).Cell.kind in
-          k = Func.Nand2 || k = Func.Nor2)
-        (Netlist.live_insts nl)
-    in
-    match pick comb with
-    | None -> ()
-    | Some iid ->
-      let c = Netlist.cell nl iid in
-      let k' = if c.Cell.kind = Func.Nand2 then Func.Nor2 else Func.Nand2 in
-      Netlist.replace_cell nl iid
-        (Library.variant ~drive:c.Cell.drive (Netlist.lib nl) k' c.Cell.vth
-           c.Cell.style)
-  in
-  let holders () =
-    List.filter
-      (fun i -> (Netlist.cell nl i).Cell.kind = Func.Holder)
-      (Netlist.live_insts nl)
-  in
-  match Rng.int rng 3 with
-  | 0 -> swap_gate ()
-  | 1 -> (
-    match pick (holders ()) with
-    | None -> swap_gate ()
-    | Some h -> Netlist.remove_inst nl h)
-  | _ -> (
-    let nets = ref [] in
-    Netlist.iter_nets nl (fun nid ->
-        if not (Netlist.is_clock_net nl nid) then nets := nid :: !nets);
-    match (pick (holders ()), pick (List.rev !nets)) with
-    | Some h, Some nid -> Netlist.connect nl h "MTE" nid
-    | _ -> swap_gate ())
-
-(* --incremental N: prove Verify.update against from-scratch analysis on
-   this very build, not just in the test suite — N randomized ECO deltas
-   per circuit, byte-compared, with the transfer counts as evidence the
-   update actually did less work. *)
-let incremental_selftest ~seed ~deltas gens =
-  let module Rng = Smt_util.Rng in
-  let failures = ref 0 in
-  List.iter
-    (fun (name, gen) ->
-      let nl = gen (lib ()) in
-      let rng = Rng.create (0xec0 + seed) in
-      let session, _ = Verify.start nl in
-      let upd_t = ref 0 and full_t = ref 0 in
-      for i = 1 to deltas do
-        eco_delta rng nl;
-        let ru = Verify.update session in
-        let rf = Verify.analyze nl in
-        upd_t := !upd_t + ru.Verify.transfers;
-        full_t := !full_t + rf.Verify.transfers;
-        let render r =
-          String.concat "\n" (List.map Rules.to_string r.Verify.findings)
-        in
-        if render ru <> render rf || ru.Verify.values <> rf.Verify.values then begin
-          incr failures;
-          Printf.eprintf "%s: delta %d/%d: incremental diverged from full\n%!" name
-            i deltas
-        end
-      done;
-      Printf.printf "%s: %d deltas, incremental=%d transfers, full=%d transfers%s\n"
-        name deltas !upd_t !full_t
-        (if !failures = 0 then ", identical findings+values" else ""))
-    gens;
-  if !failures > 0 then exit 1
-
 let lint_cmd =
-  let run obs circuits technique seed raw jobs format sarif_out waivers baseline
-      incremental fault fault_seed =
+  let run obs circuits technique seed raw jobs format sarif_out waivers baseline fault
+      fault_seed =
     let jobs = jobs_of jobs in
     let circuits = match circuits with [] -> List.map fst Suite.all | cs -> cs in
-    let gens =
-      List.map
-        (fun name ->
-          match generator_of name with
-          | Ok g -> (name, g)
-          | Error e ->
-            prerr_endline e;
-            exit 2)
-        circuits
+    let gens = List.map (fun name -> (name, or_usage (generator_of name))) circuits in
+    let t = or_usage (technique_of technique) in
+    let print =
+      match format with
+      | "text" -> fun wls -> print_string (Sarif.render_text wls)
+      | "json" -> fun wls -> print_endline (Sarif.render_json wls)
+      | "sarif" -> fun wls -> print_endline (Sarif.render wls)
+      | s -> or_usage (Error (Printf.sprintf "unknown format %s (text|json|sarif)" s))
     in
-    let t =
-      match technique_of technique with
-      | Ok t -> t
-      | Error e ->
-        prerr_endline e;
-        exit 2
-    in
-    (match format with
-    | "text" | "json" | "sarif" -> ()
-    | s ->
-      Printf.eprintf "unknown format %s (text|json|sarif)\n" s;
-      exit 2);
-    let today = today_utc () in
+    let today = Waiver.today () in
     let wv =
       match waivers with
       | None -> []
-      | Some path -> (
-        match Waiver.load path with
-        | Ok w ->
-          List.iter
-            (fun (e : Waiver.entry) ->
-              match e.Waiver.w_expires with
-              | Some (y, m, d) when Waiver.expired ~today e ->
-                Printf.eprintf
-                  "waivers: line %d (%s %s) expired %04d-%02d-%02d; finding no \
-                   longer suppressed\n\
-                   %!"
-                  e.Waiver.w_line e.Waiver.w_rule e.Waiver.w_loc y m d
-              | _ -> ())
-            w;
-          w
-        | Error e ->
-          Printf.eprintf "waivers: %s\n" e;
-          exit 2)
+      | Some path ->
+        let w = or_usage (Result.map_error (( ^ ) "waivers: ") (Waiver.load path)) in
+        List.iter
+          (fun (e : Waiver.entry) ->
+            match e.Waiver.w_expires with
+            | Some (y, m, d) when Waiver.expired ~today e ->
+              Printf.eprintf
+                "waivers: line %d (%s %s) expired %04d-%02d-%02d; finding no longer \
+                 suppressed\n\
+                 %!"
+                e.Waiver.w_line e.Waiver.w_rule e.Waiver.w_loc y m d
+            | _ -> ())
+          w;
+        w
     in
-    let baseline_keys = Option.map load_baseline baseline in
-    let fault =
-      match fault with
-      | None -> None
-      | Some fname -> (
-        match Fault.of_name fname with
-        | Some f -> Some f
-        | None ->
-          Printf.eprintf "unknown fault %s (try: %s)\n" fname
-            (String.concat ", " (List.map Fault.name Fault.all));
-          exit 2)
+    let baseline =
+      Option.map
+        (fun path -> or_usage (Result.map_error (( ^ ) "baseline: ") (Sarif.read_baseline path)))
+        baseline
     in
-    if incremental > 0 then begin
-      incremental_selftest ~seed ~deltas:incremental gens;
-      finish obs;
-      exit 0
-    end;
+    let fault = Option.map (fun f -> or_usage (fault_of f)) fault in
     (* Multi-domain circuits come out of their generator already
        MT-structured, so the flow never runs on them: they lint raw. *)
     let raw_for name = raw || Suite.is_multi_domain name in
@@ -839,78 +650,25 @@ let lint_cmd =
       if not (raw_for name) then
         ignore (Flow.run ~options:{ Flow.default_options with Flow.seed } t nl);
       let inj =
-        match fault with
-        | None -> None
-        | Some f -> (
-          match Fault.inject ~seed:fault_seed nl f with
-          | Some i -> Some (Fault.name f, i)
-          | None -> None)
+        Option.bind fault (fun f ->
+            Option.map (fun i -> (Fault.name f, i)) (Fault.inject ~seed:fault_seed nl f))
       in
       let r = Verify.analyze ~jobs:vjobs nl in
       let kept, waived = Waiver.apply ~today wv r.Verify.findings in
-      ( { Sarif.wl_name = name ^ "/" ^ suffix_for name;
-          wl_findings = kept;
-          wl_waived = waived;
-        },
+      ( { Sarif.wl_name = name ^ "/" ^ suffix_for name; wl_findings = kept; wl_waived = waived },
         inj )
     in
     let results = Smt_obs.Par.map ~jobs process gens in
     List.iter
       (fun ((wl : Sarif.workload), inj) ->
-        match inj with
-        | Some (fname, (i : Fault.injection)) ->
-          Printf.eprintf "%s: injected %s at %s: %s\n%!" wl.Sarif.wl_name fname
-            i.Fault.target i.Fault.detail
-        | None -> ())
+        Option.iter
+          (fun (fname, (i : Fault.injection)) ->
+            Printf.eprintf "%s: injected %s at %s: %s\n%!" wl.Sarif.wl_name fname
+              i.Fault.target i.Fault.detail)
+          inj)
       results;
     let workloads = List.map fst results in
-    let json_finding (f : Rules.finding) =
-      J.obj
-        [
-          ("rule", J.str f.Rules.rule.Rules.id);
-          ("severity", J.str (Rules.severity_name f.Rules.rule.Rules.severity));
-          ("location", J.str f.Rules.loc);
-          ("message", J.str f.Rules.message);
-          ("witness", J.arr (List.map J.str f.Rules.witness));
-        ]
-    in
-    (match format with
-    | "text" ->
-      List.iter
-        (fun (wl : Sarif.workload) ->
-          if wl.Sarif.wl_findings = [] && wl.Sarif.wl_waived = [] then
-            Printf.printf "%s: clean\n" wl.Sarif.wl_name
-          else begin
-            Printf.printf "%s: %s%s\n" wl.Sarif.wl_name
-              (Rules.summary wl.Sarif.wl_findings)
-              (match wl.Sarif.wl_waived with
-              | [] -> ""
-              | w -> Printf.sprintf ", %d waived" (List.length w));
-            List.iter
-              (fun f -> Printf.printf "  %s\n" (Rules.to_string f))
-              wl.Sarif.wl_findings;
-            List.iter
-              (fun (f, (e : Waiver.entry)) ->
-                Printf.printf "  waived (line %d): %s\n" e.Waiver.w_line
-                  (Rules.to_string f))
-              wl.Sarif.wl_waived
-          end)
-        workloads
-    | "json" ->
-      print_endline
-        (J.arr
-           (List.map
-              (fun (wl : Sarif.workload) ->
-                J.obj
-                  [
-                    ("workload", J.str wl.Sarif.wl_name);
-                    ("findings", J.arr (List.map json_finding wl.Sarif.wl_findings));
-                    ( "waived",
-                      J.arr (List.map (fun (f, _) -> json_finding f) wl.Sarif.wl_waived)
-                    );
-                  ])
-              workloads))
-    | _ -> print_endline (Sarif.render workloads));
+    print workloads;
     (match sarif_out with
     | Some path ->
       J.to_file path (Sarif.render workloads);
@@ -928,34 +686,17 @@ let lint_cmd =
              ~counters:[] ~stage_ms:[])
          workloads);
     finish obs;
-    (* With a baseline, only findings absent from it gate the exit code:
-       the accepted debt stays visible in the report but doesn't fail CI. *)
-    (match baseline_keys with
-    | None ->
-      if
-        List.exists
-          (fun (wl : Sarif.workload) -> Rules.has_errors wl.Sarif.wl_findings)
-          workloads
-      then exit 1
-    | Some known ->
-      let fresh =
-        List.concat_map
-          (fun (wl : Sarif.workload) ->
-            List.filter
-              (fun (f : Rules.finding) ->
-                not
-                  (Hashtbl.mem known
-                     (f.Rules.rule.Rules.id, wl.Sarif.wl_name ^ "/" ^ f.Rules.loc)))
-              wl.Sarif.wl_findings)
-          workloads
-      in
-      let total =
-        List.fold_left
-          (fun n (wl : Sarif.workload) -> n + List.length wl.Sarif.wl_findings)
-          0 workloads
-      in
-      Printf.eprintf "baseline: %d finding(s), %d new\n%!" total (List.length fresh);
-      if Rules.has_errors fresh then exit 1)
+    Option.iter
+      (fun b ->
+        let total =
+          List.fold_left
+            (fun n (wl : Sarif.workload) -> n + List.length wl.Sarif.wl_findings)
+            0 workloads
+        in
+        Printf.eprintf "baseline: %d finding(s), %d new\n%!" total
+          (List.length (Sarif.new_findings b workloads)))
+      baseline;
+    if Sarif.gate_fails baseline workloads then exit 1
   in
   let circuits_arg =
     Arg.(
@@ -1007,16 +748,7 @@ let lint_cmd =
           ~doc:
             "A previous SARIF report; findings already in it (matched by rule id and \
              logical location) no longer gate the exit code — only new Error findings \
-             exit 1.")
-  in
-  let incremental_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "incremental" ] ~docv:"N"
-          ~doc:
-            "Self-test mode: apply $(docv) randomized ECO deltas per circuit and check \
-             that incremental re-verification matches a from-scratch analysis \
-             byte-for-byte.  Exits 1 on any divergence.")
+             exit 1.  A file that is not a SARIF report exits 2.")
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1029,8 +761,8 @@ let lint_cmd =
           remain.")
     Term.(
       const run $ obs_term $ circuits_arg $ technique_arg $ seed_arg $ raw_arg $ jobs_arg
-      $ format_arg $ sarif_out_arg $ waivers_arg $ baseline_lint_arg $ incremental_arg
-      $ fault_arg $ fault_seed_arg)
+      $ format_arg $ sarif_out_arg $ waivers_arg $ baseline_lint_arg $ fault_arg
+      $ fault_seed_arg)
 
 (* --- crash-tolerant campaign runner: smt_flow campaign {run,status,resume,merge,worker} --- *)
 
@@ -1065,26 +797,12 @@ let campaign_out_of dir = function
    however the user spelled them ("imp" -> "improved"). *)
 let campaign_matrix circuits techniques guards seeds =
   let circuits = match circuits with [] -> List.map fst Suite.all | cs -> cs in
-  List.iter
-    (fun c ->
-      match generator_of c with
-      | Ok _ -> ()
-      | Error e ->
-        prerr_endline e;
-        exit 2)
-    circuits;
+  List.iter (fun c -> or_usage (Result.map ignore (generator_of c))) circuits;
   let techniques =
     match techniques with [] -> [ "dual"; "conventional"; "improved" ] | ts -> ts
   in
   let techniques =
-    List.map
-      (fun s ->
-        match technique_of s with
-        | Ok t -> Smt_core.Qor.technique_slug t
-        | Error e ->
-          prerr_endline e;
-          exit 2)
-      techniques
+    List.map (fun s -> Smt_core.Qor.technique_slug (or_usage (technique_of s))) techniques
   in
   let guards = match guards with [] -> [ "off" ] | gs -> gs in
   let guards = List.map (fun s -> Flow.guard_name (guard_of s)) guards in
@@ -1143,18 +861,10 @@ let chaos_delay_arg =
 let campaign_config jobs timeout max_attempts retry_base retry_cap chaos chaos_seed
     chaos_delay =
   let jobs = jobs_of jobs in
-  if timeout <= 0. then begin
-    prerr_endline "--timeout must be positive";
-    exit 2
-  end;
-  if max_attempts < 1 then begin
-    prerr_endline "--max-attempts must be >= 1";
-    exit 2
-  end;
-  if chaos < 0. || chaos > 1. then begin
-    prerr_endline "--chaos must be a probability in [0, 1]";
-    exit 2
-  end;
+  let reject bad msg = if bad then or_usage (Error msg) in
+  reject (timeout <= 0.) "--timeout must be positive";
+  reject (max_attempts < 1) "--max-attempts must be >= 1";
+  reject (chaos < 0. || chaos > 1.) "--chaos must be a probability in [0, 1]";
   {
     Csup.default_config with
     Csup.sv_jobs = jobs;
@@ -1171,23 +881,14 @@ let campaign_config jobs timeout max_attempts retry_base retry_cap chaos chaos_s
    quarantine list, merge, and exit under the campaign contract:
    0 complete, 1 partial (quarantined or missing jobs), 2 infrastructure
    failure. *)
+let merge_or_exit dir = or_usage (Result.map_error (( ^ ) "campaign: ") (Cmerge.of_dir dir))
+
 let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
-  let jobs = Cman.jobs man in
-  let byid = List.map (fun j -> (Cjob.id j, j)) jobs in
-  let done_ids =
-    match Ckpt.scan dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok { Ckpt.sc_checkpoints; _ } ->
-      List.filter_map
-        (fun (id, (cp : Ckpt.t)) ->
-          if cp.Ckpt.cp_status = Ckpt.Done then Some id else None)
-        sc_checkpoints
-  in
-  let todo = List.filter (fun j -> not (List.mem (Cjob.id j) done_ids)) jobs in
+  let before = merge_or_exit dir in
+  let todo = Cmerge.todo before in
+  let byid = List.map (fun j -> (Cjob.id j, j)) (Cman.jobs man) in
   Printf.printf "campaign %s: %d jobs, %d already complete, %d to run on %d shards\n%!"
-    man.Cman.m_tag (List.length jobs) (List.length done_ids) (List.length todo)
+    man.Cman.m_tag (List.length byid) before.Cmerge.mg_done (List.length todo)
     cfg.Csup.sv_jobs;
   let exe =
     if Filename.is_relative Sys.executable_name then
@@ -1221,36 +922,24 @@ let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
      failures without re-supervising (a later resume grants a fresh
      attempt budget by re-running every failed checkpoint). *)
   List.iter
-    (fun (id, attempts, err) ->
+    (fun (id, attempt, err) ->
       Ckpt.write ~dir
-        {
-          Ckpt.cp_version = Ckpt.schema_version;
-          cp_job = List.assoc id byid;
-          cp_status = Ckpt.Failed err;
-          cp_attempt = attempts;
-          cp_time = Ledger.clock ();
-          cp_duration_s = 0.;
-          cp_workload = None;
-        })
+        (Ckpt.make ~job:(List.assoc id byid) ~attempt ~duration_s:0. (Error err)))
     (Csup.quarantined summary);
-  match Cmerge.of_dir dir with
-  | Error e ->
-    Printf.eprintf "campaign: %s\n" e;
-    exit 2
-  | Ok m ->
-    Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
-    print_endline (Cmerge.render_status m);
-    Printf.printf
-      "retries %d, chaos kills %d, timeouts %d; merged snapshot (%d workloads) \
-       written to %s\n"
-      summary.Csup.sm_retries summary.Csup.sm_chaos_kills summary.Csup.sm_timeouts
-      m.Cmerge.mg_done out;
-    let only = function [ x ] -> x | _ -> "-" in
-    ledger_append obs ~kind:"campaign" ~tag:man.Cman.m_tag
-      ~circuit:(only man.Cman.m_circuits) ~technique:(only man.Cman.m_techniques)
-      ~guard:(only man.Cman.m_guards) ~jobs:cfg.Csup.sv_jobs (Cmerge.workloads m);
-    finish obs;
-    exit (if Cmerge.complete m then 0 else 1)
+  let m = merge_or_exit dir in
+  Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
+  print_endline (Cmerge.render_status m);
+  Printf.printf
+    "retries %d, chaos kills %d, timeouts %d; merged snapshot (%d workloads) written \
+     to %s\n"
+    summary.Csup.sm_retries summary.Csup.sm_chaos_kills summary.Csup.sm_timeouts
+    m.Cmerge.mg_done out;
+  let only = function [ x ] -> x | _ -> "-" in
+  ledger_append obs ~kind:"campaign" ~tag:man.Cman.m_tag
+    ~circuit:(only man.Cman.m_circuits) ~technique:(only man.Cman.m_techniques)
+    ~guard:(only man.Cman.m_guards) ~jobs:cfg.Csup.sv_jobs (Cmerge.workloads m);
+  finish obs;
+  exit (if Cmerge.complete m then 0 else 1)
 
 let campaign_run_cmd =
   let run obs dir circuits techniques guards seeds jobs timeout max_attempts retry_base
@@ -1347,13 +1036,9 @@ let campaign_resume_cmd =
 
 let campaign_status_cmd =
   let run dir json =
-    match Cmerge.of_dir dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok m ->
-      print_endline (if json then Cmerge.status_json m else Cmerge.render_status m);
-      exit (if Cmerge.complete m then 0 else 1)
+    let m = merge_or_exit dir in
+    print_endline (if json then Cmerge.status_json m else Cmerge.render_status m);
+    exit (if Cmerge.complete m then 0 else 1)
   in
   let json_arg =
     Arg.(
@@ -1374,17 +1059,12 @@ let campaign_status_cmd =
 
 let campaign_merge_cmd =
   let run dir out =
-    match Cmerge.of_dir dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok m ->
-      let out = campaign_out_of dir out in
-      Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
-      print_endline (Cmerge.render_status m);
-      Printf.printf "merged snapshot (%d workloads) written to %s\n" m.Cmerge.mg_done
-        out;
-      exit (if Cmerge.complete m then 0 else 1)
+    let m = merge_or_exit dir in
+    let out = campaign_out_of dir out in
+    Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
+    print_endline (Cmerge.render_status m);
+    Printf.printf "merged snapshot (%d workloads) written to %s\n" m.Cmerge.mg_done out;
+    exit (if Cmerge.complete m then 0 else 1)
   in
   Cmd.v
     (Cmd.info "merge"
@@ -1400,52 +1080,33 @@ let campaign_merge_cmd =
    wall-clock and, when profiled, per-stage GC. *)
 let campaign_worker_cmd =
   let run obs dir circuit technique guard seed attempt =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let guard_mode = guard_of guard in
-      let job =
-        {
-          Cjob.jb_circuit = circuit;
-          jb_technique = Smt_core.Qor.technique_slug t;
-          jb_guard = Flow.guard_name guard_mode;
-          jb_seed = seed;
-        }
-      in
-      let options = { Flow.default_options with Flow.seed; Flow.guard = guard_mode } in
-      let nl = gen (lib ()) in
-      let before = Metrics.counters () in
-      let t0 = Unix.gettimeofday () in
-      let checkpoint status workload =
-        Ckpt.write ~dir
-          {
-            Ckpt.cp_version = Ckpt.schema_version;
-            cp_job = job;
-            cp_status = status;
-            cp_attempt = attempt;
-            cp_time = Ledger.clock ();
-            cp_duration_s = Unix.gettimeofday () -. t0;
-            cp_workload = workload;
-          }
-      in
-      let ok =
-        match Flow.run ~options t nl with
-        | report ->
-          checkpoint Ckpt.Done
-            (Some (Smt_core.Qor.workload_of_report ~name:(Cjob.name job) ~before report));
-          true
-        | exception Flow.Flow_error e ->
-          checkpoint
-            (Ckpt.Failed
-               (Printf.sprintf "flow aborted at stage %S: %s" e.Flow.fe_stage
-                  (String.concat "; " e.Flow.fe_diagnostics)))
-            None;
-          false
-      in
-      finish obs;
-      if not ok then exit 1
+    let gen = or_usage (generator_of circuit) in
+    let t = or_usage (technique_of technique) in
+    let guard_mode = guard_of guard in
+    let job =
+      {
+        Cjob.jb_circuit = circuit;
+        jb_technique = Smt_core.Qor.technique_slug t;
+        jb_guard = Flow.guard_name guard_mode;
+        jb_seed = seed;
+      }
+    in
+    let options = { Flow.default_options with Flow.seed; Flow.guard = guard_mode } in
+    let nl = gen (lib ()) in
+    let before = Metrics.counters () in
+    let t0 = Unix.gettimeofday () in
+    let outcome =
+      match Flow.run ~options t nl with
+      | report -> Ok (Smt_core.Qor.workload_of_report ~name:(Cjob.name job) ~before report)
+      | exception Flow.Flow_error e ->
+        Error
+          (Printf.sprintf "flow aborted at stage %S: %s" e.Flow.fe_stage
+             (String.concat "; " e.Flow.fe_diagnostics))
+    in
+    Ckpt.write ~dir
+      (Ckpt.make ~job ~attempt ~duration_s:(Unix.gettimeofday () -. t0) outcome);
+    finish obs;
+    if Result.is_error outcome then exit 1
   in
   let attempt_arg =
     Arg.(value & opt int 1 & info [ "attempt" ] ~docv:"N" ~doc:"Supervisor attempt number.")
@@ -1485,52 +1146,17 @@ let runs_ledger_arg =
 
 let ledger_path_of = function
   | Some p -> p
-  | None -> (
-    match Ledger.default_path () with
-    | Some p -> p
-    | None ->
-      prerr_endline "no ledger: pass --ledger FILE or set SMT_LEDGER";
-      exit 2)
+  | None ->
+    or_usage
+      (Option.to_result (Ledger.default_path ())
+         ~none:"no ledger: pass --ledger FILE or set SMT_LEDGER")
 
 let read_ledger_or_die path =
-  match Ledger.read path with
-  | Ok r -> r
-  | Error e ->
-    Printf.eprintf "cannot read ledger %s: %s\n" path e;
-    exit 2
-
-let time_str t =
-  if Float.is_integer t && Float.abs t < 1e15 then Printf.sprintf "%.0f" t
-  else Printf.sprintf "%.3f" t
+  or_usage (Result.map_error (Printf.sprintf "cannot read ledger %s: %s" path) (Ledger.read path))
 
 let runs_list_cmd =
   let run ledger kind =
-    let path = ledger_path_of ledger in
-    let { Ledger.records; skipped } = read_ledger_or_die path in
-    let records =
-      match kind with
-      | None -> records
-      | Some k -> List.filter (fun (r : Ledger.record) -> r.Ledger.r_kind = k) records
-    in
-    let header =
-      [ "Id"; "Time"; "Kind"; "Tag"; "Circuit"; "Technique"; "Guard"; "Jobs"; "Workloads" ]
-    in
-    let rows =
-      List.map
-        (fun (r : Ledger.record) ->
-          [
-            r.Ledger.r_id; time_str r.Ledger.r_time; r.Ledger.r_kind; r.Ledger.r_tag;
-            r.Ledger.r_circuit; r.Ledger.r_technique; r.Ledger.r_guard;
-            string_of_int r.Ledger.r_jobs;
-            string_of_int (List.length r.Ledger.r_workloads);
-          ])
-        records
-    in
-    if rows <> [] then print_endline (Smt_util.Text_table.render ~header rows);
-    if skipped > 0 then
-      Printf.printf "(%d malformed line%s skipped)\n" skipped (if skipped = 1 then "" else "s");
-    Printf.printf "%d record%s\n" (List.length records)
-      (if List.length records = 1 then "" else "s")
+    print_string (Ledger.render_list ~kind (read_ledger_or_die (ledger_path_of ledger)))
   in
   let kind_arg =
     Arg.(
@@ -1544,45 +1170,7 @@ let runs_list_cmd =
 
 let runs_show_cmd =
   let run ledger id =
-    let path = ledger_path_of ledger in
-    match Ledger.find path id with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok r ->
-      Printf.printf "record %s (schema v%d)\n" r.Ledger.r_id r.Ledger.r_version;
-      Printf.printf "  time      %s\n" (time_str r.Ledger.r_time);
-      Printf.printf "  tool      %s\n" r.Ledger.r_tool;
-      Printf.printf "  kind      %s\n" r.Ledger.r_kind;
-      if r.Ledger.r_tag <> "" then Printf.printf "  tag       %s\n" r.Ledger.r_tag;
-      Printf.printf "  circuit   %s\n" r.Ledger.r_circuit;
-      Printf.printf "  technique %s\n" r.Ledger.r_technique;
-      Printf.printf "  guard     %s\n" r.Ledger.r_guard;
-      Printf.printf "  jobs      %d\n" r.Ledger.r_jobs;
-      Printf.printf "  args_hash %s\n" r.Ledger.r_args_hash;
-      List.iter
-        (fun (w : Smt_obs.Snapshot.workload) ->
-          Printf.printf "\nworkload %s\n" w.Smt_obs.Snapshot.w_name;
-          List.iter
-            (fun (k, v) -> Printf.printf "  qor.%s = %s\n" k (time_str v))
-            w.Smt_obs.Snapshot.w_qor;
-          List.iter
-            (fun (k, v) -> Printf.printf "  counter.%s = %d\n" k v)
-            w.Smt_obs.Snapshot.w_counters;
-          List.iter
-            (fun (stage, ms) ->
-              let prof =
-                match List.assoc_opt stage w.Smt_obs.Snapshot.w_prof with
-                | None -> ""
-                | Some (p : Prof.stats) ->
-                  Printf.sprintf " [minor %.2f Mw, major %.2f Mw, gc %d/%d]"
-                    (p.Prof.minor_words /. 1e6)
-                    (p.Prof.major_words /. 1e6)
-                    p.Prof.minor_collections p.Prof.major_collections
-              in
-              Printf.printf "  stage %-55s %8.1f ms%s\n" stage ms prof)
-            w.Smt_obs.Snapshot.w_stage_ms)
-        r.Ledger.r_workloads
+    print_string (Ledger.render_show (or_usage (Ledger.find (ledger_path_of ledger) id)))
   in
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Record id.")
@@ -1591,26 +1179,16 @@ let runs_show_cmd =
     Term.(const run $ runs_ledger_arg $ id_arg)
 
 let runs_trend_cmd =
-  let run ledger snapshot_dir metric workload all json gate jobs =
-    let jobs = jobs_of jobs in
+  let run ledger snapshot_dir metric workload all json gate =
     let records =
       match snapshot_dir with
-      | Some dir -> (
-        match Trend.of_snapshot_dir dir with
-        | Ok rs -> rs
-        | Error e ->
-          Printf.eprintf "cannot read snapshot dir %s: %s\n" dir e;
-          exit 2)
+      | Some dir ->
+        or_usage
+          (Result.map_error (Printf.sprintf "cannot read snapshot dir %s: %s" dir)
+             (Trend.of_snapshot_dir dir))
       | None -> (read_ledger_or_die (ledger_path_of ledger)).Ledger.records
     in
-    (* Fan the per-workload analysis out over domains; concatenating in
-       input order keeps the output byte-identical at any job count. *)
-    let series =
-      List.concat
-        (Smt_obs.Par.map ~jobs
-           (Trend.analyze_workload ~metric ~qor_only:(not all) records)
-           (Trend.workload_names ~filter:workload records))
-    in
+    let series = Trend.analyze ~metric ~workload ~qor_only:(not all) records in
     if json then print_endline (Trend.to_json series)
     else begin
       if series <> [] then print_endline (Trend.render series);
@@ -1661,7 +1239,7 @@ let runs_trend_cmd =
           transition, reusing the bench-compare rules.")
     Term.(
       const run $ runs_ledger_arg $ snapshot_dir_arg $ metric_arg $ workload_arg $ all_arg
-      $ json_arg $ gate_arg $ jobs_arg)
+      $ json_arg $ gate_arg)
 
 let runs_gc_cmd =
   let run ledger keep =

@@ -15,6 +15,17 @@ type t = {
   cp_workload : Snapshot.workload option;
 }
 
+let make ~job ~attempt ~duration_s outcome =
+  {
+    cp_version = schema_version;
+    cp_job = job;
+    cp_status = (match outcome with Ok _ -> Done | Error e -> Failed e);
+    cp_attempt = attempt;
+    cp_time = Smt_obs.Ledger.clock ();
+    cp_duration_s = duration_s;
+    cp_workload = Result.to_option outcome;
+  }
+
 let suffix = ".ckpt.json"
 let path ~dir job = Filename.concat dir (Job.id job ^ suffix)
 

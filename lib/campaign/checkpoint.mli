@@ -42,6 +42,16 @@ type t = {
   cp_workload : Smt_obs.Snapshot.workload option;  (** [Some] iff [Done] *)
 }
 
+val make :
+  job:Job.t ->
+  attempt:int ->
+  duration_s:float ->
+  (Smt_obs.Snapshot.workload, string) result ->
+  t
+(** A checkpoint of the current schema, stamped with
+    {!Smt_obs.Ledger.clock}: [Ok w] is [Done] with workload [w],
+    [Error e] is [Failed e] with none. *)
+
 val suffix : string
 (** [".ckpt.json"] — what {!scan} recognizes, and what everything else in
     a campaign directory (manifest, logs, staging temps) must not end in. *)

@@ -92,6 +92,11 @@ let of_dir dir =
 
 let complete m = m.mg_failed = 0 && m.mg_missing = 0
 
+let todo m =
+  List.filter_map
+    (fun js -> if js.js_state = Sdone then None else Some js.js_job)
+    m.mg_states
+
 let workloads m = m.mg_workloads
 
 type eta = { avg_job_s : float; remaining : int; eta_s : float }

@@ -55,6 +55,11 @@ val of_dir : string -> (t, string) result
 val complete : t -> bool
 (** Every matrix job has a [Done] checkpoint. *)
 
+val todo : t -> Job.t list
+(** The jobs [campaign run]/[resume] still have to run: every matrix job
+    without a [Done] checkpoint (failed, quarantined, missing or torn),
+    in matrix order. *)
+
 val workloads : t -> Smt_obs.Snapshot.workload list
 (** [mg_workloads]: the merged workloads with real per-stage wall-clock
     and GC attribution from the worker checkpoints — what [campaign run]

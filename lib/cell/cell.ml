@@ -30,8 +30,6 @@ let delay_with_bounce tech t ~load_ff ~bounce_v =
 
 let is_sequential t = Func.is_sequential t.kind
 
-let output_arity t = Array.length (Func.output_names t.kind)
-
 let pp fmt t =
   Format.fprintf fmt "%s(%s,%s,%s area=%.2f leak_stby=%.2f)" t.name
     (Func.to_string t.kind) (Vth.to_string t.vth)

@@ -38,6 +38,5 @@ val delay_with_bounce : Tech.t -> t -> load_ff:float -> bounce_v:float -> float
 
 val is_mt : t -> bool
 val is_sequential : t -> bool
-val output_arity : t -> int
 
 val pp : Format.formatter -> t -> unit

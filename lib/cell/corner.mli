@@ -32,6 +32,4 @@ val leakage_factor : Tech.t -> t -> float
 val delay_factor : Tech.t -> t -> float
 (** Multiplier on cell delays (1.0 at [typical]). *)
 
-val process_name : process -> string
-
 val pp : Format.formatter -> t -> unit

@@ -19,10 +19,7 @@ type params = {
   bounce_limit : float;
   length_limit : float;
   cell_limit : int;
-  current_limit : float;
-  sizing_margin : float;
   diversity : bool;
-  length_factor : float;
 }
 
 let default_params (tech : Tech.t) =
@@ -30,10 +27,7 @@ let default_params (tech : Tech.t) =
     bounce_limit = tech.Tech.bounce_limit;
     length_limit = tech.Tech.vgnd_length_limit;
     cell_limit = tech.Tech.em_cell_limit;
-    current_limit = tech.Tech.em_current_limit;
-    sizing_margin = 0.10;
     diversity = true;
-    length_factor = 1.0;
   }
 
 type cluster = {
@@ -52,6 +46,9 @@ type result = {
   total_switch_area : float;
 }
 
+(* Footers are sized 10% over the bounce budget's width. *)
+let sizing_margin = 0.10
+
 let required_width tech p ~current_ua ~wire_length =
   if current_ua <= 0.0 then Some 0.1
   else begin
@@ -59,16 +56,16 @@ let required_width tech p ~current_ua ~wire_length =
     let r_wire = Bounce.vgnd_wire_res tech ~length:wire_length in
     let budget = (p.bounce_limit /. amps) -. r_wire in
     if budget <= 0.0 then None
-    else Some (tech.Tech.switch_r_width /. budget *. (1.0 +. p.sizing_margin))
+    else Some (tech.Tech.switch_r_width /. budget *. (1.0 +. sizing_margin))
   end
 
 let member_points place members =
   List.filter_map (fun iid -> Placement.inst_point_opt place iid) members
 
-let cluster_length ?switch_at place p members =
+let cluster_length ?switch_at place members =
   let pts = member_points place members in
   let pts = match switch_at with Some at -> at :: pts | None -> pts in
-  Geom.spanning_length pts *. p.length_factor
+  Geom.spanning_length pts
 
 let vgnd_length ?members place sw =
   let nl = Placement.netlist place in
@@ -91,7 +88,6 @@ let vgnd_lengths place =
   fun sw ->
     match Hashtbl.find_opt tbl sw with Some l -> l | None -> vgnd_length place sw
 
-(* Simultaneous current of a would-be cluster under the sizing policy. *)
 let sim_current ?activity ?load_of p nl members =
   if p.diversity then Bounce.simultaneous_current ?activity ?load_of nl ~members
   else
@@ -104,13 +100,13 @@ let feasible ?activity ?load_of place p members =
   if n > p.cell_limit then false
   else begin
     let sustained = Bounce.sustained_current ?activity ?load_of nl ~members in
-    if not (Em.cluster_ok { tech with Tech.em_cell_limit = p.cell_limit;
-                            Tech.em_current_limit = p.current_limit }
-              ~cells:n ~sustained_ua:sustained)
+    if not
+         (Em.cluster_ok { tech with Tech.em_cell_limit = p.cell_limit } ~cells:n
+            ~sustained_ua:sustained)
     then false
     else begin
       let centroid = Placement.centroid place members in
-      let length = cluster_length ~switch_at:centroid place p members in
+      let length = cluster_length ~switch_at:centroid place members in
       if length > p.length_limit then false
       else
         let current = sim_current ?activity ?load_of p nl members in
@@ -183,7 +179,7 @@ let build ?activity ?load_of ?params place ~mte_net =
     List.map
       (fun members ->
         let centroid = Placement.centroid place members in
-        let length = cluster_length ~switch_at:centroid place p members in
+        let length = cluster_length ~switch_at:centroid place members in
         let current = sim_current ?activity ?load_of p nl members in
         let sustained = Bounce.sustained_current ?activity ?load_of nl ~members in
         let width =

@@ -6,10 +6,10 @@
     - the VGND line of a cluster (rectilinear spanning tree over the
       members and the switch) must stay under the crosstalk length limit;
     - the number of cells per switch is capped (electromigration), as is
-      the sustained current;
+      the sustained current (the technology's [em_current_limit]);
     - the footer is then sized so that the cluster's simultaneous-switching
       current keeps the VGND bounce under the designer's limit, wire
-      resistance included.
+      resistance included, with a 10% width reserve.
 
     Clustering is geometric: cells are swept in placement order and packed
     greedily while all constraints remain satisfiable, then each cluster's
@@ -24,12 +24,9 @@ type params = {
   bounce_limit : float;  (** V *)
   length_limit : float;  (** um of VGND line per cluster *)
   cell_limit : int;
-  current_limit : float;  (** uA sustained per switch *)
-  sizing_margin : float;  (** fractional width reserve, default 0.10 *)
   diversity : bool;
-  length_factor : float;
-      (** scales computed VGND lengths (1.0 pre-route estimate; the
-          post-route pass re-prices with the routing detour) *)
+      (** size footers for the activity-weighted simultaneous current
+          rather than the sum of member peak currents *)
 }
 
 val default_params : Smt_cell.Tech.t -> params
@@ -54,6 +51,18 @@ val required_width : Smt_cell.Tech.t -> params -> current_ua:float -> wire_lengt
 (** Footer width achieving the bounce limit at this current over this VGND
     line; [None] when the wire alone already exceeds the budget (the
     cluster must shrink). *)
+
+val sim_current :
+  ?activity:Smt_sim.Activity.t ->
+  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
+  params ->
+  Smt_netlist.Netlist.t ->
+  Smt_netlist.Netlist.inst_id list ->
+  float
+(** Simultaneous current (uA) of a cluster's members under the sizing
+    policy: {!Smt_power.Bounce.simultaneous_current} with [diversity], the
+    sum of member peak currents without.  {!Reopt} prices routed
+    clusters with the same rule. *)
 
 val vgnd_length :
   ?members:Smt_netlist.Netlist.inst_id list ->

@@ -25,7 +25,6 @@ module Rules = Smt_verify.Rules
 
 let m_runs = Metrics.counter "flow.runs"
 let m_stages = Metrics.counter "flow.stages"
-let m_stage_ms = Metrics.histogram "flow.stage_ms"
 let m_check_violations = Metrics.counter "check.violations"
 let m_check_repairs = Metrics.counter "check.repairs"
 let m_lint_findings = Metrics.counter "lint.findings"
@@ -35,12 +34,6 @@ let m_lint_findings = Metrics.counter "lint.findings"
    duplicate through. *)
 let m_lint_dedup = Metrics.counter "lint.dedup"
 let m_degraded = Metrics.counter "flow.degraded"
-
-(* Stage names become metric-name components: spaces and punctuation to
-   underscores so dumps stay grep- and Prometheus-friendly. *)
-let slug name =
-  String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_')
-    (String.lowercase_ascii name)
 
 type technique = Dual_vth | Conventional_smt | Improved_smt
 
@@ -362,19 +355,11 @@ let run_with_artifacts ?(options = default_options) technique nl =
     let dur_us = now -. !mark in
     let pstats = Prof.record !pmark in
     pmark := Prof.mark ();
-    let d_area, d_standby, d_wns =
-      match !prev with
-      | None -> (0.0, 0.0, 0.0)
-      | Some (a, s, w) -> (area -. a, standby -. s, wns -. w)
+    let d_area, d_standby =
+      match !prev with None -> (0.0, 0.0) | Some (a, s) -> (area -. a, standby -. s)
     in
-    prev := Some (area, standby, wns);
-    let s = slug name in
+    prev := Some (area, standby);
     Metrics.incr m_stages;
-    Metrics.observe m_stage_ms (dur_us /. 1000.0);
-    Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".ms")) (dur_us /. 1000.0);
-    Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".area_delta_um2")) d_area;
-    Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".standby_delta_nw")) d_standby;
-    Metrics.set (Metrics.gauge ("flow.stage." ^ s ^ ".wns_delta_ps")) d_wns;
     (* With profiling on, the stage's GC delta rides its span as args. *)
     let gc_args =
       match pstats with

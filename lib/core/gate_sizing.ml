@@ -19,20 +19,18 @@ let next_drive up drive =
   in
   after ordered
 
-let candidate_cell nl up iid =
+(* The next weaker drive of [iid]'s cell, when the library has it. *)
+let candidate_cell nl iid =
   let lib = Netlist.lib nl in
   let c = Netlist.cell nl iid in
   if Smt_cell.Func.is_infrastructure c.Cell.kind then None
   else
-    match next_drive up c.Cell.drive with
+    match next_drive false c.Cell.drive with
     | Some drive ->
       if Library.has_variant ~drive lib c.Cell.kind c.Cell.vth c.Cell.style then
         Some (Library.resize lib c drive)
       else None
     | None -> None
-
-let sizable nl iid =
-  candidate_cell nl true iid <> None || candidate_cell nl false iid <> None
 
 (* Delay change of swapping [iid] to [cell'], including the load penalty the
    changed input capacitance inflicts on each driving cell. *)
@@ -70,7 +68,7 @@ let downsize_idle cfg nl =
       Netlist.live_insts nl
       |> List.filter (fun iid -> not (Hashtbl.mem frozen iid))
       |> List.filter_map (fun iid ->
-             match candidate_cell nl false iid with
+             match candidate_cell nl iid with
              | Some cell' ->
                let slack = Sta.inst_slack sta iid in
                let delta = move_delta cfg nl iid cell' in

@@ -18,6 +18,3 @@ type result = {
 val downsize_idle : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> result
 (** At most 8 passes; a cell is weakened only when its slack covers 1.5x
     the move's delay increase, its drivers' extra load included. *)
-
-val sizable : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id -> bool
-(** Whether the instance's cell exists in another drive strength. *)

@@ -27,7 +27,7 @@ type result = {
   violations_after : int;
 }
 
-let reoptimize ?activity ?load_of ?params ?(detour = 1.15) ?length_of place =
+let reoptimize ?activity ?load_of ?params ?(detour = 1.15) place =
   Trace.with_span "Reopt.reoptimize" @@ fun () ->
   Metrics.incr m_runs;
   let nl = Placement.netlist place in
@@ -37,18 +37,8 @@ let reoptimize ?activity ?load_of ?params ?(detour = 1.15) ?length_of place =
   let adjustments =
     List.map
       (fun (sw, members) ->
-        let routed_length =
-          match length_of with
-          | Some f -> f sw
-          | None -> Cluster.vgnd_length ~members place sw *. detour
-        in
-        let current =
-          if p.Cluster.diversity then Bounce.simultaneous_current ?activity ?load_of nl ~members
-          else
-            List.fold_left
-              (fun acc iid -> acc +. (Netlist.cell nl iid).Cell.peak_current)
-              0.0 members
-        in
+        let routed_length = Cluster.vgnd_length ~members place sw *. detour in
+        let current = Cluster.sim_current ?activity ?load_of p nl members in
         let old_width = (Netlist.cell nl sw).Cell.switch_width in
         let bounce_before =
           Bounce.bounce_v tech ~switch_width:old_width ~wire_length:routed_length

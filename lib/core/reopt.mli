@@ -28,12 +28,9 @@ val reoptimize :
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
   ?params:Cluster.params ->
   ?detour:float ->
-  ?length_of:(Smt_netlist.Netlist.inst_id -> float) ->
   Smt_place.Placement.t ->
   result
 (** [detour] (default 1.15) converts estimated VGND length to routed
-    length; [length_of] overrides that with a measured routed length per
-    switch (e.g. [Global_router.congested_length] over the cluster's
-    points); [load_of] should report post-route (extracted) loads, which
-    is where most of the re-sizing pressure comes from. Mutates switch
-    cells in place. *)
+    length; [load_of] should report post-route (extracted) loads, which
+    is where most of the re-sizing pressure comes from.  Currents follow
+    {!Cluster.sim_current}.  Mutates switch cells in place. *)

@@ -44,7 +44,6 @@ let and_ t a b = gate t Func.And2 [ a; b ]
 let or_ t a b = gate t Func.Or2 [ a; b ]
 let xor_ t a b = gate t Func.Xor2 [ a; b ]
 let nand_ t a b = gate t Func.Nand2 [ a; b ]
-let nor_ t a b = gate t Func.Nor2 [ a; b ]
 let mux_ t ~sel a b = gate t Func.Mux2 [ a; b; sel ]
 
 let reduce_tree t op nets =

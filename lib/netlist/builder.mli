@@ -31,7 +31,6 @@ val and_ : t -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
 val or_ : t -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
 val xor_ : t -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
 val nand_ : t -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
-val nor_ : t -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
 val mux_ : t -> sel:Netlist.net_id -> Netlist.net_id -> Netlist.net_id -> Netlist.net_id
 
 val reduce_tree :

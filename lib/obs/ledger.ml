@@ -153,18 +153,9 @@ let of_line line =
    therefore break locks older than a staleness threshold — generous next
    to the sub-millisecond hold time of an append — with a warning.  The
    known (documented) race: a holder stalled past the threshold can have
-   its lock broken under it; pick SMT_LOCK_STALE_MS above the longest
-   plausible critical section (the default is 4 orders of magnitude
-   above). *)
-let default_stale_lock_s = 10.
-
-let stale_lock_s () =
-  match Sys.getenv_opt "SMT_LOCK_STALE_MS" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some ms when ms > 0. -> ms /. 1000.
-    | _ -> default_stale_lock_s)
-  | None -> default_stale_lock_s
+   its lock broken under it, which 10 s, 4 orders of magnitude above the
+   longest plausible critical section, makes implausible. *)
+let stale_lock_s = 10.
 
 let with_lock path f =
   let lock = path ^ ".lock" in
@@ -177,7 +168,7 @@ let with_lock path f =
         | exception Unix.Unix_error (Unix.ENOENT, _, _) -> true (* just released *)
         | st ->
           let age = Unix.gettimeofday () -. st.Unix.st_mtime in
-          if age > stale_lock_s () then begin
+          if age > stale_lock_s then begin
             Log.warn "ledger" "breaking stale lock"
               ~fields:
                 [ ("lock", lock); ("age_s", Printf.sprintf "%.1f" age) ];
@@ -257,3 +248,74 @@ let gc ?keep path =
         Obs_json.write_durable path
           (String.concat "" (List.map (fun r -> to_json r ^ "\n") records));
         Ok { kept = List.length records; dropped_malformed = malformed; dropped_old })
+
+(* ------------------------------------------------------------------ *)
+(* Rendering ([runs list] / [runs show])                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Integral times (the usual injected SMT_CLOCK) print without decimals. *)
+let time_str t =
+  if Float.is_integer t && Float.abs t < 1e15 then Printf.sprintf "%.0f" t
+  else Printf.sprintf "%.3f" t
+
+let plural n = if n = 1 then "" else "s"
+
+let render_list ~kind { records; skipped } =
+  let records =
+    match kind with None -> records | Some k -> List.filter (fun r -> r.r_kind = k) records
+  in
+  let header =
+    [ "Id"; "Time"; "Kind"; "Tag"; "Circuit"; "Technique"; "Guard"; "Jobs"; "Workloads" ]
+  in
+  let rows =
+    List.map
+      (fun r ->
+        [
+          r.r_id; time_str r.r_time; r.r_kind; r.r_tag; r.r_circuit; r.r_technique;
+          r.r_guard; string_of_int r.r_jobs; string_of_int (List.length r.r_workloads);
+        ])
+      records
+  in
+  let b = Buffer.create 512 in
+  if rows <> [] then begin
+    Buffer.add_string b (Smt_util.Text_table.render ~header rows);
+    Buffer.add_char b '\n'
+  end;
+  if skipped > 0 then
+    Printf.bprintf b "(%d malformed line%s skipped)\n" skipped (plural skipped);
+  let n = List.length records in
+  Printf.bprintf b "%d record%s\n" n (plural n);
+  Buffer.contents b
+
+let render_show r =
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  line "record %s (schema v%d)" r.r_id r.r_version;
+  line "  time      %s" (time_str r.r_time);
+  line "  tool      %s" r.r_tool;
+  line "  kind      %s" r.r_kind;
+  if r.r_tag <> "" then line "  tag       %s" r.r_tag;
+  line "  circuit   %s" r.r_circuit;
+  line "  technique %s" r.r_technique;
+  line "  guard     %s" r.r_guard;
+  line "  jobs      %d" r.r_jobs;
+  line "  args_hash %s" r.r_args_hash;
+  List.iter
+    (fun (w : Snapshot.workload) ->
+      line "\nworkload %s" w.Snapshot.w_name;
+      List.iter (fun (k, v) -> line "  qor.%s = %s" k (time_str v)) w.Snapshot.w_qor;
+      List.iter (fun (k, v) -> line "  counter.%s = %d" k v) w.Snapshot.w_counters;
+      List.iter
+        (fun (stage, ms) ->
+          let prof =
+            match List.assoc_opt stage w.Snapshot.w_prof with
+            | None -> ""
+            | Some (p : Prof.stats) ->
+              Printf.sprintf " [minor %.2f Mw, major %.2f Mw, gc %d/%d]"
+                (p.Prof.minor_words /. 1e6) (p.Prof.major_words /. 1e6)
+                p.Prof.minor_collections p.Prof.major_collections
+          in
+          line "  stage %-55s %8.1f ms%s" stage ms prof)
+        w.Snapshot.w_stage_ms)
+    r.r_workloads;
+  Buffer.contents b

@@ -17,10 +17,10 @@
     so parallel workers (and separate processes) can share a ledger
     without interleaving partial lines.  A lock orphaned by a holder that
     died without releasing it (SIGKILL mid-append) does not block the
-    ledger forever: contenders break locks older than a staleness
-    threshold — 10 s by default, [SMT_LOCK_STALE_MS] to override — with a
-    logged warning.  Keep the threshold far above the longest plausible
-    append (sub-millisecond) to make false breaks implausible.
+    ledger forever: contenders break locks older than 10 s with a logged
+    warning.  That threshold sits four orders of magnitude above the
+    longest plausible append (sub-millisecond), so false breaks are
+    implausible.
 
     {b Robustness.}  [read] skips lines that do not parse — typically the
     truncated tail of a run that died mid-append — and reports how many
@@ -89,6 +89,18 @@ type read_result = {
 val read : string -> (read_result, string) result
 val find : string -> string -> (record, string) result
 (** [find path id] — the first record whose [r_id] matches. *)
+
+val render_list : kind:string option -> read_result -> string
+(** The [runs list] view: a table of the records (of [kind] only, when
+    given; no table when none match), then
+    ["(N malformed lines skipped)"] when any were, then ["N records"].
+    Every line ends in a newline. *)
+
+val render_show : record -> string
+(** The [runs show] view: the provenance block, then per workload its
+    QoR fields, counters and per-stage wall-clock, each stage with its
+    GC attribution when the record carries one.  Every line ends in a
+    newline. *)
 
 type gc_result = { kept : int; dropped_malformed : int; dropped_old : int }
 

@@ -4,12 +4,10 @@
    so the hot-path cost stays one array store per event and two domains
    never contend on a value.  [collect]/[merge] scope a store around a job
    so parallel sweeps can replay each job's effects on the caller in input
-   order — counter and histogram merges are additive (order-independent);
-   gauges written during a job overwrite on merge (last-write-wins, same
-   as sequential execution when merged in input order). *)
+   order — counter and histogram merges are additive, so the order does
+   not matter. *)
 
 type counter = { c_id : int; c_name : string }
-type gauge = { g_id : int; g_name : string }
 
 type histogram = {
   h_id : int;
@@ -17,12 +15,11 @@ type histogram = {
   h_bounds : float array;  (* upper bounds, ascending; implicit +inf last *)
 }
 
-type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
+type instrument = Counter of counter | Histogram of histogram
 
 let defs_mu = Mutex.create ()
 let defs : (string, instrument) Hashtbl.t = Hashtbl.create 97
 let n_counters = ref 0
-let n_gauges = ref 0
 let n_histograms = ref 0
 
 let locked f =
@@ -36,8 +33,6 @@ type hstate = { mutable hs_sum : float; mutable hs_n : int; hs_hits : int array 
 
 type store = {
   mutable st_counts : int array;
-  mutable st_gauges : float array;
-  mutable st_gset : bool array;  (* gauge written in this store? *)
   mutable st_hists : hstate option array;
 }
 
@@ -46,8 +41,6 @@ type collected = store
 let fresh_store () =
   {
     st_counts = Array.make 64 0;
-    st_gauges = Array.make 32 0.0;
-    st_gset = Array.make 32 false;
     st_hists = Array.make 16 None;
   }
 
@@ -65,10 +58,6 @@ let grown make a n =
 
 let ensure_counter st id =
   st.st_counts <- grown (fun n -> Array.make n 0) st.st_counts (id + 1)
-
-let ensure_gauge st id =
-  st.st_gauges <- grown (fun n -> Array.make n 0.0) st.st_gauges (id + 1);
-  st.st_gset <- grown (fun n -> Array.make n false) st.st_gset (id + 1)
 
 let ensure_hist st id =
   st.st_hists <- grown (fun n -> Array.make n None) st.st_hists (id + 1)
@@ -96,30 +85,6 @@ let incr ?(by = 1) c =
 let counter_value c =
   let st = store () in
   if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0
-
-let gauge name =
-  locked (fun () ->
-      match Hashtbl.find_opt defs name with
-      | Some (Gauge g) -> g
-      | Some _ ->
-        invalid_arg (Printf.sprintf "Metrics.gauge: %s registered as another kind" name)
-      | None ->
-        let g = { g_id = !n_gauges; g_name = name } in
-        n_gauges := !n_gauges + 1;
-        Hashtbl.replace defs name (Gauge g);
-        g)
-
-let gauge_value g =
-  let st = store () in
-  if g.g_id < Array.length st.st_gauges then st.st_gauges.(g.g_id) else 0.0
-
-let set g v =
-  let st = store () in
-  if g.g_id >= Array.length st.st_gauges then ensure_gauge st g.g_id;
-  st.st_gauges.(g.g_id) <- v;
-  st.st_gset.(g.g_id) <- true
-
-let add g v = set g (gauge_value g +. v)
 
 let histogram ?(buckets = default_buckets) name =
   locked (fun () ->
@@ -224,14 +189,6 @@ let merge (col : collected) =
       end)
     col.st_counts;
   Array.iteri
-    (fun id written ->
-      if written then begin
-        if id >= Array.length st.st_gauges then ensure_gauge st id;
-        st.st_gauges.(id) <- col.st_gauges.(id);
-        st.st_gset.(id) <- true
-      end)
-    col.st_gset;
-  Array.iteri
     (fun id hso ->
       match hso with
       | None -> ()
@@ -261,7 +218,7 @@ let counters () =
     (function
       | Counter c ->
         Some (c.c_name, if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0)
-      | Gauge _ | Histogram _ -> None)
+      | Histogram _ -> None)
     (instruments ())
   |> sorted
 
@@ -273,8 +230,6 @@ let snapshot () =
         [ (c.c_name,
            float_of_int
              (if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0)) ]
-      | Gauge g ->
-        [ (g.g_name, if g.g_id < Array.length st.st_gauges then st.st_gauges.(g.g_id) else 0.0) ]
       | Histogram h ->
         let n, sum, hits = hist_values st h in
         [
@@ -291,15 +246,12 @@ let reset () = Domain.DLS.set store_key (fresh_store ())
 
 let to_json () =
   let st = store () in
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
+  let counters = ref [] and histograms = ref [] in
   List.iter
     (function
       | Counter c ->
         let v = if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0 in
         counters := (c.c_name, string_of_int v) :: !counters
-      | Gauge g ->
-        let v = if g.g_id < Array.length st.st_gauges then st.st_gauges.(g.g_id) else 0.0 in
-        gauges := (g.g_name, Obs_json.num v) :: !gauges
       | Histogram h ->
         let n, sum, hits = hist_values st h in
         let bucket i bound =
@@ -325,20 +277,7 @@ let to_json () =
   Obs_json.obj
     [
       ("counters", Obs_json.obj (sorted !counters));
-      ("gauges", Obs_json.obj (sorted !gauges));
       ("histograms", Obs_json.obj (sorted !histograms));
     ]
-
-let to_text () =
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (name, v) ->
-      let s = if Float.is_integer v && Float.abs v < 1e15 then
-          Printf.sprintf "%.0f" v
-        else Printf.sprintf "%.6g" v
-      in
-      Buffer.add_string b (Printf.sprintf "%s %s\n" name s))
-    (snapshot ());
-  Buffer.contents b
 
 let write path = Obs_json.to_file path (to_json ())

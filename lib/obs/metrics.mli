@@ -1,4 +1,4 @@
-(** Process-global registry of named counters, gauges, and fixed-bucket
+(** Process-global registry of named counters and fixed-bucket
     histograms.
 
     Registration is idempotent: [counter "x"] returns the same counter every
@@ -9,19 +9,18 @@
 
     {b Domain safety.}  Instrument {e definitions} (names) are global and
     mutex-guarded, so concurrent registration from worker domains is safe.
-    Instrument {e values} are per-domain: [incr]/[set]/[observe] touch only
+    Instrument {e values} are per-domain: [incr]/[observe] touch only
     the calling domain's store and never contend, and the readers
     ([counters], [snapshot], [to_json], ...) report the calling domain's
     values.  Parallel jobs hand their effects back to the caller through
     {!collect} and {!merge}; merging job stores in input order reproduces
     the sequential totals exactly — counters and histograms are additive
-    (order-independent), gauges are last-write-wins.
+    (order-independent).
 
     Naming convention: [subsystem.thing_unit] (e.g. [sta.arrival_evals],
-    [eco.buffers_added], [flow.stage_ms]). *)
+    [eco.buffers_added], [sta.update_evals]). *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
@@ -29,13 +28,6 @@ val counter : string -> counter
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-
-val gauge : string -> gauge
-(** Last-write-wins float value. *)
-
-val set : gauge -> float -> unit
-val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?buckets:float list -> string -> histogram
 (** Fixed upper-bound buckets (an implicit [+inf] bucket is always added).
@@ -65,7 +57,7 @@ val counters : unit -> (string * int) list
 (** Current value of every registered counter, sorted by name.  Counters
     are the deterministic "work done" instruments (arrival evaluations,
     placement iterations, ...), which is what QoR snapshots diff per
-    workload — gauges and histograms carry wall-clock and are excluded. *)
+    workload — histograms carry distributions and are excluded. *)
 
 val snapshot : unit -> (string * float) list
 (** Current value of every instrument, sorted by name.  Histograms
@@ -91,16 +83,11 @@ val collect : (unit -> 'a) -> 'a * collected
 
 val merge : collected -> unit
 (** Fold a collected store into the calling domain's store: counters and
-    histogram buckets/sums add; gauges that were written inside the
-    scope overwrite the caller's value (last-write-wins). *)
+    histogram buckets/sums add. *)
 
 val to_json : unit -> string
 (** The whole registry as one JSON object:
-    [{"counters":{..},"gauges":{..},"histograms":{..}}]. *)
-
-val to_text : unit -> string
-(** One [name value] line per instrument, sorted — the dump format for
-    quick greps. *)
+    [{"counters":{..},"histograms":{..}}]. *)
 
 val write : string -> unit
 (** Write [to_json ()] to a file. *)

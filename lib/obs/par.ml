@@ -6,8 +6,8 @@ let map ~jobs f xs =
         (fun x -> Trace.collect (fun () -> Metrics.collect (fun () -> f x)))
         xs
     in
-    (* Merge in input order: additive instruments are order-independent,
-       gauges become last-write-wins exactly as in a sequential run. *)
+    (* Merge in input order, which keeps the trace rows in input order;
+       the additive instruments would not mind any order. *)
     List.mapi
       (fun idx ((y, mcol), tev) ->
         Metrics.merge mcol;

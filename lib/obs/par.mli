@@ -4,8 +4,7 @@
 
     Each job runs under {!Metrics.collect} and {!Trace.collect}; the job
     stores are merged back on the caller {e in input order}, so counter
-    and histogram totals are identical at any job count and gauges
-    resolve exactly as they would have sequentially.  Worker trace
+    and histogram totals are identical at any job count.  Worker trace
     buffers are absorbed with [tid = 2 + input index], giving one Chrome
     trace row per job next to the caller's own [tid 1] row.  Per-stage
     GC attribution needs no scope: it travels in each job's result and

@@ -117,8 +117,8 @@ let field_status transs field =
         acc deltas)
     Steady transs
 
-let analyze_workload ?(metric = "") ?(qor_only = true) records wname =
-  let records = ordered records in
+(* The series of one exactly-named workload over time-ordered records. *)
+let analyze_workload ~metric ~qor_only records wname =
   let per_record =
         List.filter_map
           (fun (r : Ledger.record) ->

@@ -11,7 +11,7 @@
     All output is deterministic given the records: workloads and fields
     sort lexicographically, points keep ledger time order, and nothing
     here reads a clock — so [runs trend --json] byte-compares across
-    [--jobs] counts and repeated invocations. *)
+    repeated invocations. *)
 
 type point = { p_time : float; p_id : string; p_value : float }
 
@@ -33,10 +33,6 @@ val of_snapshot_dir : string -> (Ledger.record list, string) result
     pseudo-ledger — one record per file, indexed synthetic timestamps —
     so [trend] also works on a directory of [BENCH_*.json] baselines. *)
 
-val workload_names : ?filter:string -> Ledger.record list -> string list
-(** Every workload name appearing in any record, sorted; [filter] keeps
-    names containing the substring. *)
-
 val analyze :
   ?metric:string ->
   ?workload:string ->
@@ -46,13 +42,6 @@ val analyze :
 (** [metric]/[workload] filter by substring.  With no [metric] filter,
     [qor_only] (default [true]) restricts to [qor.*] fields; pass
     [~qor_only:false] for every counter and stage too. *)
-
-val analyze_workload :
-  ?metric:string -> ?qor_only:bool -> Ledger.record list -> string -> series list
-(** The series of one exactly-named workload — [analyze] is the
-    concatenation of this over the (filtered, sorted) workload names,
-    which is also the unit a parallel driver can fan out per workload
-    and re-concatenate in input order without changing the output. *)
 
 val regressions :
   Ledger.record list -> (string * string * Snapshot.delta) list

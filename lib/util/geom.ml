@@ -11,8 +11,6 @@ let euclid a b =
 
 let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
 
-let empty_bbox = { lx = infinity; ly = infinity; hx = neg_infinity; hy = neg_infinity }
-
 let bbox_of_point p = { lx = p.x; ly = p.y; hx = p.x; hy = p.y }
 
 let expand b p =

@@ -16,9 +16,6 @@ val euclid : point -> point -> float
 
 val midpoint : point -> point -> point
 
-val empty_bbox : bbox
-(** Identity for [expand]: contains nothing. *)
-
 val bbox_of_point : point -> bbox
 
 val expand : bbox -> point -> bbox

@@ -47,9 +47,6 @@ val gaussian : t -> mean:float -> sigma:float -> float
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -122,3 +122,123 @@ let render workloads =
               ];
           ] );
     ]
+
+(* --- the lint report's other renderings --- *)
+
+let render_text workloads =
+  let b = Buffer.create 256 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  List.iter
+    (fun wl ->
+      if wl.wl_findings = [] && wl.wl_waived = [] then line "%s: clean" wl.wl_name
+      else begin
+        line "%s: %s%s" wl.wl_name (Rules.summary wl.wl_findings)
+          (match wl.wl_waived with
+          | [] -> ""
+          | w -> Printf.sprintf ", %d waived" (List.length w));
+        List.iter (fun f -> line "  %s" (Rules.to_string f)) wl.wl_findings;
+        List.iter
+          (fun (f, (e : Waiver.entry)) ->
+            line "  waived (line %d): %s" e.Waiver.w_line (Rules.to_string f))
+          wl.wl_waived
+      end)
+    workloads;
+  Buffer.contents b
+
+let finding_json (f : Rules.finding) =
+  J.obj
+    [
+      ("rule", J.str f.Rules.rule.Rules.id);
+      ("severity", J.str (Rules.severity_name f.Rules.rule.Rules.severity));
+      ("location", J.str f.Rules.loc);
+      ("message", J.str f.Rules.message);
+      ("witness", J.arr (List.map J.str f.Rules.witness));
+    ]
+
+let render_json workloads =
+  J.arr
+    (List.map
+       (fun wl ->
+         J.obj
+           [
+             ("workload", J.str wl.wl_name);
+             ("findings", J.arr (List.map finding_json wl.wl_findings));
+             ("waived", J.arr (List.map (fun (f, _) -> finding_json f) wl.wl_waived));
+           ])
+       workloads)
+
+(* --- baselines: a previous SARIF report read back as finding keys --- *)
+
+type baseline = (string * string, unit) Hashtbl.t
+
+let key ~wl (f : Rules.finding) = (f.Rules.rule.Rules.id, wl ^ "/" ^ f.Rules.loc)
+
+(* Each step of the walk names its JSON location, so a rejected file
+   says where it stopped being a SARIF report. *)
+let read_baseline path =
+  let ( let* ) = Result.bind in
+  let fail where what = Error (Printf.sprintf "%s: %s: %s" path where what) in
+  let array where = function
+    | Some (J.Arr xs) -> Ok xs
+    | Some _ -> fail where "not an array"
+    | None -> fail where "missing array"
+  in
+  let rec each where f i = function
+    | [] -> Ok ()
+    | x :: rest ->
+      let* () = f (Printf.sprintf "%s[%d]" where i) x in
+      each where f (i + 1) rest
+  in
+  let first where json field =
+    match J.member field json with
+    | None -> Ok None
+    | v -> (
+      let where = where ^ "." ^ field in
+      let* xs = array where v in
+      match xs with [] -> Ok None | x :: _ -> Ok (Some (where ^ "[0]", x)))
+  in
+  let tbl = Hashtbl.create 64 in
+  let result where r =
+    let* rule =
+      match J.member "ruleId" r with
+      | Some (J.Str s) -> Ok s
+      | _ -> fail (where ^ ".ruleId") "missing string"
+    in
+    let* loc = first where r "locations" in
+    let* ll =
+      match loc with None -> Ok None | Some (w, loc) -> first w loc "logicalLocations"
+    in
+    let* fqn =
+      match ll with
+      | None -> Ok ""
+      | Some (w, ll) -> (
+        match J.member "fullyQualifiedName" ll with
+        | Some (J.Str s) -> Ok s
+        | _ -> fail (w ^ ".fullyQualifiedName") "missing string")
+    in
+    Ok (Hashtbl.replace tbl (rule, fqn) ())
+  in
+  let results where run =
+    let where = where ^ ".results" in
+    let* rs = array where (J.member "results" run) in
+    each where result 0 rs
+  in
+  let* text = J.read_file path in
+  let* doc = match J.parse text with Ok doc -> Ok doc | Error e -> fail "$" e in
+  let* runs = array "$.runs" (J.member "runs" doc) in
+  let* () = each "$.runs" results 0 runs in
+  Ok tbl
+
+let baseline_keys b =
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) b [])
+
+let new_findings b workloads =
+  List.concat_map
+    (fun wl ->
+      List.filter (fun f -> not (Hashtbl.mem b (key ~wl:wl.wl_name f))) wl.wl_findings)
+    workloads
+
+let gate_fails baseline workloads =
+  match baseline with
+  | None -> List.exists (fun wl -> Rules.has_errors wl.wl_findings) workloads
+  | Some b -> Rules.has_errors (new_findings b workloads)

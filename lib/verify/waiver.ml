@@ -91,6 +91,10 @@ let glob_match ~pattern s =
   in
   scan 0 0 None 0
 
+let today () =
+  let tm = Unix.gmtime (Smt_obs.Ledger.clock ()) in
+  (tm.Unix.tm_year + 1900, tm.Unix.tm_mon + 1, tm.Unix.tm_mday)
+
 let expired ~today e =
   match e.w_expires with None -> false | Some d -> today > d
 

@@ -17,8 +17,8 @@
     than dropping them, so a waiver is auditable.
 
     An [expires=] waiver is live through its expiry date and stops
-    suppressing the day after; callers derive "today" from the
-    [SMT_CLOCK] environment variable (epoch seconds, UTC) so expiry is
+    suppressing the day after; {!today} reads the [SMT_CLOCK]
+    environment variable (epoch seconds, UTC) when set, so expiry is
     deterministic under test. *)
 
 type entry = {
@@ -40,6 +40,10 @@ val load : string -> (t, string) result
 
 val glob_match : pattern:string -> string -> bool
 (** [*]-glob matching, anchored at both ends. *)
+
+val today : unit -> int * int * int
+(** The UTC calendar date at {!Smt_obs.Ledger.clock}, so [SMT_CLOCK]
+    pins expiry exactly as it pins every other timestamp. *)
 
 val expired : today:int * int * int -> entry -> bool
 (** Whether the entry's expiry date is strictly before [today]. *)

@@ -132,6 +132,28 @@ let test_checkpoint_failed_roundtrip () =
       Alcotest.(check int) "attempts preserved" 3 cp.Ckpt.cp_attempt
     | Ckpt.Done -> Alcotest.fail "failed checkpoint loaded as done")
 
+(* The one constructor the worker and the quarantine path share: the
+   schema version and the injected clock are filled in, and the outcome
+   decides status and payload together. *)
+let test_checkpoint_make () =
+  let saved = Sys.getenv_opt "SMT_CLOCK" in
+  Unix.putenv "SMT_CLOCK" "1234.5";
+  Fun.protect ~finally:(fun () -> Unix.putenv "SMT_CLOCK" (Option.value saved ~default:""))
+  @@ fun () ->
+  let j = job "circuit_a" "dual" "off" 1 in
+  let w = sample_workload (Job.name j) in
+  let ok = Ckpt.make ~job:j ~attempt:2 ~duration_s:0.5 (Ok w) in
+  Alcotest.(check int) "schema version" Ckpt.schema_version ok.Ckpt.cp_version;
+  Alcotest.(check (float 0.)) "clock" 1234.5 ok.Ckpt.cp_time;
+  Alcotest.(check int) "attempt" 2 ok.Ckpt.cp_attempt;
+  Alcotest.(check (float 0.)) "duration" 0.5 ok.Ckpt.cp_duration_s;
+  Alcotest.(check bool) "done with its workload" true
+    (ok.Ckpt.cp_status = Ckpt.Done && ok.Ckpt.cp_workload = Some w);
+  let failed = Ckpt.make ~job:j ~attempt:3 ~duration_s:0. (Error "boom") in
+  Alcotest.(check bool) "failed without a workload" true
+    (failed.Ckpt.cp_status = Ckpt.Failed "boom" && failed.Ckpt.cp_workload = None);
+  Alcotest.(check (float 0.)) "failed clock" 1234.5 failed.Ckpt.cp_time
+
 (* The crash-tolerance core: a checkpoint truncated mid-record (the
    write-path rename makes this near-impossible, but disks lie) must be
    counted unreadable and treated as "job not done" — never crash the
@@ -408,6 +430,37 @@ let test_merge_partial_coverage () =
     Alcotest.(check bool) "failure surfaces in the states" true
       (List.exists (function Merge.Sfailed _ -> true | _ -> false) states)
 
+(* [campaign run]/[resume] take their to-do list from the merge's job
+   states: every matrix job without a Done checkpoint (failed, torn or
+   missing), in matrix order; a stray checkpoint outside the matrix
+   changes nothing. *)
+let test_merge_todo () =
+  with_temp_dir @@ fun dir ->
+  Manifest.write dir
+    (Manifest.make ~tag:"t" ~circuits:[ "circuit_a"; "circuit_b" ]
+       ~techniques:[ "dual"; "improved" ] ~guards:[ "off" ] ~seeds:[ 1 ]);
+  let ad = job "circuit_a" "dual" "off" 1 and ai = job "circuit_a" "improved" "off" 1 in
+  let bd = job "circuit_b" "dual" "off" 1 and bi = job "circuit_b" "improved" "off" 1 in
+  let todo () =
+    match Merge.of_dir dir with
+    | Error e -> Alcotest.fail e
+    | Ok m -> List.map Job.id (Merge.todo m)
+  in
+  Alcotest.(check (list string)) "fresh campaign: every job" (List.map Job.id [ ad; ai; bd; bi ])
+    (todo ());
+  Ckpt.write ~dir (done_checkpoint ad);
+  Ckpt.write ~dir (Ckpt.make ~job:ai ~attempt:3 ~duration_s:0. (Error "quarantined"));
+  Ckpt.write ~dir (done_checkpoint bd);
+  let p = Ckpt.path ~dir bd in
+  let full = In_channel.with_open_bin p In_channel.input_all in
+  Out_channel.with_open_bin p (fun oc ->
+      Out_channel.output_string oc (String.sub full 0 (String.length full / 2)));
+  Ckpt.write ~dir (done_checkpoint (job "circuit_c" "dual" "off" 1));
+  Alcotest.(check (list string)) "failed, torn and missing, in matrix order"
+    (List.map Job.id [ ai; bd; bi ]) (todo ());
+  List.iter (fun j -> Ckpt.write ~dir (done_checkpoint j)) [ ai; bd; bi ];
+  Alcotest.(check (list string)) "complete: nothing to run" [] (todo ())
+
 (* The status view is read from checkpoints alone.  One done job (1.5 s),
    one quarantined job and one job without a checkpoint: the table, the
    summary line and the ETA (one missing job x the 1.5 s mean of the done
@@ -592,6 +645,7 @@ let () =
           Alcotest.test_case "done round-trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "failed round-trip" `Quick
             test_checkpoint_failed_roundtrip;
+          Alcotest.test_case "make stamps schema and clock" `Quick test_checkpoint_make;
           Alcotest.test_case "truncation treated as missing" `Quick
             test_checkpoint_truncation_treated_missing;
           Alcotest.test_case "mislabeled file ignored" `Quick
@@ -625,6 +679,7 @@ let () =
           Alcotest.test_case "wall-clock stripped" `Quick test_merge_strips_wallclock;
           Alcotest.test_case "partial coverage reported" `Quick
             test_merge_partial_coverage;
+          Alcotest.test_case "to-do jobs from job states" `Quick test_merge_todo;
           Alcotest.test_case "status view from checkpoints" `Quick
             test_merge_status_view;
           Alcotest.test_case "snapshot ignores the envelope" `Quick

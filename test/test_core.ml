@@ -224,7 +224,7 @@ let test_cluster_constraints_respected () =
       Alcotest.(check bool) "bounce under limit" true
         (c.Cluster.bounce <= p.Cluster.bounce_limit +. 1e-9);
       Alcotest.(check bool) "sustained under EM" true
-        (c.Cluster.sustained_ua <= p.Cluster.current_limit))
+        (c.Cluster.sustained_ua <= tech.Smt_cell.Tech.em_current_limit))
     built.Cluster.clusters;
   (* every MT cell in exactly one cluster *)
   let assigned = List.concat_map (fun c -> c.Cluster.members) built.Cluster.clusters in

@@ -426,12 +426,6 @@ let test_counter_accumulation () =
   Alcotest.(check bool) "registration is idempotent" true
     (Metrics.counter_value (Metrics.counter "test_obs.counter") = base + 42)
 
-let test_gauge_set_add () =
-  let g = Metrics.gauge "test_obs.gauge" in
-  Metrics.set g 2.5;
-  Metrics.add g 1.0;
-  Alcotest.(check (float 1e-9)) "set then add" 3.5 (Metrics.gauge_value g)
-
 let test_histogram_accumulation () =
   let h = Metrics.histogram ~buckets:[ 1.0; 10.0; 100.0 ] "test_obs.hist" in
   List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0; 500.0 ];
@@ -451,20 +445,18 @@ let test_snapshot_sorted () =
 
 let test_metrics_json_parses () =
   ignore (Metrics.counter "test_obs.json_counter");
-  Metrics.set (Metrics.gauge "test_obs.json_gauge") 1.25;
   ignore (Metrics.histogram "test_obs.json_hist");
   let doc = parse_json (Metrics.to_json ()) in
+  (match doc with
+  | Obj sections ->
+    Alcotest.(check (list string)) "sections" [ "counters"; "histograms" ]
+      (List.map fst sections)
+  | _ -> Alcotest.fail "not an object");
   (match field "counters" doc with
   | Some (Obj counters) ->
     Alcotest.(check bool) "counter present" true
       (List.mem_assoc "test_obs.json_counter" counters)
   | _ -> Alcotest.fail "counters object missing");
-  (match field "gauges" doc with
-  | Some (Obj gauges) -> (
-    match List.assoc_opt "test_obs.json_gauge" gauges with
-    | Some (Num v) -> Alcotest.(check (float 1e-9)) "gauge value" 1.25 v
-    | _ -> Alcotest.fail "gauge missing or not a number")
-  | _ -> Alcotest.fail "gauges object missing");
   match field "histograms" doc with
   | Some (Obj hists) -> (
     match List.assoc_opt "test_obs.json_hist" hists with
@@ -477,14 +469,11 @@ let test_metrics_json_parses () =
 
 let test_reset_zeroes () =
   let c = Metrics.counter "test_obs.reset_counter" in
-  let g = Metrics.gauge "test_obs.reset_gauge" in
   let h = Metrics.histogram "test_obs.reset_hist" in
   Metrics.incr ~by:7 c;
-  Metrics.set g 9.0;
   Metrics.observe h 3.0;
   Metrics.reset ();
   Alcotest.(check int) "counter zeroed" 0 (Metrics.counter_value c);
-  Alcotest.(check (float 1e-9)) "gauge zeroed" 0.0 (Metrics.gauge_value g);
   Alcotest.(check int) "histogram zeroed" 0 (Metrics.histogram_count h)
 
 (* ------------------------------------------------------------------ *)
@@ -545,7 +534,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
-          Alcotest.test_case "gauge set/add" `Quick test_gauge_set_add;
           Alcotest.test_case "histogram accumulation" `Quick test_histogram_accumulation;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
           Alcotest.test_case "metrics JSON parses" `Quick test_metrics_json_parses;

@@ -132,12 +132,6 @@ let test_par_counter_totals () =
   Alcotest.(check int) "sequential total" 55 (run 1);
   Alcotest.(check int) "parallel total matches" 55 (run 4)
 
-let test_par_gauge_input_order () =
-  let g = Metrics.gauge "test_parallel.gauge" in
-  ignore (Par.map ~jobs:3 (fun x -> Metrics.set g (float_of_int x)) [ 3; 1; 7 ]);
-  Alcotest.(check (float 1e-9)) "last input wins, as sequentially" 7.0
-    (Metrics.gauge_value g)
-
 let test_par_trace_tids () =
   Trace.enable ();
   Trace.clear ();
@@ -311,8 +305,6 @@ let () =
       ( "par",
         [
           Alcotest.test_case "counter totals merge" `Quick test_par_counter_totals;
-          Alcotest.test_case "gauges resolve in input order" `Quick
-            test_par_gauge_input_order;
           Alcotest.test_case "trace rows per job" `Quick test_par_trace_tids;
         ] );
       ( "determinism",

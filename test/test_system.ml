@@ -237,29 +237,6 @@ let test_congested_length () =
   Alcotest.(check (float 1e-9)) "degenerate set" 0.0
     (Global_router.congested_length r [ Smt_util.Geom.point 1.0 1.0 ])
 
-let test_reopt_with_measured_lengths () =
-  (* the reopt pass accepts router-measured VGND lengths *)
-  let nl = Generators.multiplier ~name:"m6rl" ~bits:6 lib in
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-  ignore (Mt_replace.replace Mt_replace.Improved nl);
-  let place = Placement.place nl in
-  let ins = Switch_insert.insert place in
-  ignore (Smt_core.Cluster.build place ~mte_net:ins.Switch_insert.mte_net);
-  let routed = Global_router.route place in
-  let length_of sw =
-    let members = Netlist.switch_members nl sw in
-    let pts =
-      List.filter_map (fun m -> Placement.inst_point_opt place m) members
-      @ (match Placement.inst_point_opt place sw with Some p -> [ p ] | None -> [])
-    in
-    Global_router.congested_length routed pts
-  in
-  let r = Smt_core.Reopt.reoptimize ~length_of place in
-  Alcotest.(check int) "clean after measured-length reopt" 0 r.Smt_core.Reopt.violations_after
-
 (* --- multi-corner signoff --- *)
 
 let test_signoff_typical_matches_base () =
@@ -319,7 +296,6 @@ let () =
           Alcotest.test_case "capacity vs overflow" `Quick test_router_capacity_relieves_overflow;
           Alcotest.test_case "detour factor" `Quick test_router_detour_factor;
           Alcotest.test_case "congested length" `Quick test_congested_length;
-          Alcotest.test_case "reopt with measured lengths" `Quick test_reopt_with_measured_lengths;
         ] );
       ( "reports",
         [

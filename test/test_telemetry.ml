@@ -263,6 +263,68 @@ let test_ledger_golden_line () =
   | Ok r' ->
     Alcotest.(check string) "re-emitted from the parse" golden_line (Ledger.to_json r')
 
+(* The [runs show] and [runs list] views, byte for byte: integral times
+   print bare, others with three decimals; a profiled stage carries its
+   GC attribution. *)
+let golden_record () =
+  match Ledger.of_line golden_line with Ok r -> r | Error e -> Alcotest.fail e
+
+let test_ledger_render_show () =
+  Alcotest.(check string) "show"
+    "record a4d55a531fe3 (schema v1)\n\
+    \  time      1000.250\n\
+    \  tool      smt_flow 1.0.0\n\
+    \  kind      run\n\
+    \  tag       golden\n\
+    \  circuit   circuit_a\n\
+    \  technique improved\n\
+    \  guard     off\n\
+    \  jobs      1\n\
+    \  args_hash fbc0dbc8e0d3\n\
+     \n\
+     workload circuit_a/improved\n\
+    \  qor.area_um2 = 10712.106\n\
+    \  qor.standby_nw = 1367.845\n\
+    \  counter.flow.runs = 1\n\
+    \  counter.sta.arrival_evals = 5120\n\
+    \  stage physical-synthesis (all low-Vth)                            12.5 ms [minor \
+     1.23 Mw, major 0.00 Mw, gc 5/1]\n\
+    \  stage high-Vth replacement                                         3.2 ms [minor \
+     0.10 Mw, major 0.00 Mw, gc 1/0]\n"
+    (Ledger.render_show (golden_record ()));
+  let bare = { (golden_record ()) with Ledger.r_tag = ""; r_time = 2000.; r_workloads = [] } in
+  Alcotest.(check string) "no tag line, integral time, no workloads"
+    "record a4d55a531fe3 (schema v1)\n\
+    \  time      2000\n\
+    \  tool      smt_flow 1.0.0\n\
+    \  kind      run\n\
+    \  circuit   circuit_a\n\
+    \  technique improved\n\
+    \  guard     off\n\
+    \  jobs      1\n\
+    \  args_hash fbc0dbc8e0d3\n"
+    (Ledger.render_show bare)
+
+let test_ledger_render_list () =
+  let run = golden_record () in
+  let read = { Ledger.records = [ run; { run with Ledger.r_kind = "lint" } ]; skipped = 1 } in
+  let rule = "+--------------+----------+------+--------+-----------+-----------+-------+------+-----------+\n" in
+  let header = "| Id           | Time     | Kind | Tag    | Circuit   | Technique | Guard | Jobs | Workloads |\n" in
+  let row kind =
+    Printf.sprintf
+      "| a4d55a531fe3 | 1000.250 | %-4s | golden | circuit_a | improved  | off   | 1    | 1         |\n"
+      kind
+  in
+  Alcotest.(check string) "every kind"
+    (rule ^ header ^ rule ^ row "run" ^ row "lint" ^ rule
+   ^ "(1 malformed line skipped)\n2 records\n")
+    (Ledger.render_list ~kind:None read);
+  Alcotest.(check string) "one kind"
+    (rule ^ header ^ rule ^ row "run" ^ rule ^ "(1 malformed line skipped)\n1 record\n")
+    (Ledger.render_list ~kind:(Some "run") read);
+  Alcotest.(check string) "no match, nothing skipped" "0 records\n"
+    (Ledger.render_list ~kind:(Some "bench") { read with Ledger.skipped = 0 })
+
 let test_ledger_id_deterministic () =
   let a = sample_record ~time:1000.0 123.0 in
   let b = sample_record ~time:1000.0 123.0 in
@@ -349,29 +411,6 @@ let test_ledger_stale_lock_broken () =
   | Ok { Ledger.records; skipped } ->
     Alcotest.(check int) "append landed" 1 (List.length records);
     Alcotest.(check int) "no torn lines" 0 skipped
-
-(* The threshold is configurable: with SMT_LOCK_STALE_MS=50 even a
-   fresh-looking orphan is broken after ~50ms of spinning, so a test
-   (or an impatient operator) need not wait out the 10s default. *)
-let test_ledger_stale_lock_threshold_env () =
-  with_temp_ledger @@ fun path ->
-  let lock = path ^ ".lock" in
-  let fd = Unix.openfile lock [ Unix.O_CREAT; Unix.O_EXCL; Unix.O_WRONLY ] 0o644 in
-  Unix.close fd;
-  let saved = Sys.getenv_opt "SMT_LOCK_STALE_MS" in
-  Unix.putenv "SMT_LOCK_STALE_MS" "50";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SMT_LOCK_STALE_MS" (Option.value saved ~default:""))
-  @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  Ledger.append path (sample_record ~time:1000.0 1.0);
-  let waited = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "broke within ~the configured threshold" true (waited < 5.);
-  match Ledger.read path with
-  | Error e -> Alcotest.fail e
-  | Ok { Ledger.records; _ } ->
-    Alcotest.(check int) "append landed" 1 (List.length records)
 
 (* ------------------------------------------------------------------ *)
 (* Trend                                                               *)
@@ -589,13 +628,13 @@ let () =
           Alcotest.test_case "gc of a directory is an error" `Quick
             test_ledger_gc_directory;
           Alcotest.test_case "deterministic ids" `Quick test_ledger_id_deterministic;
+          Alcotest.test_case "show view" `Quick test_ledger_render_show;
+          Alcotest.test_case "list view" `Quick test_ledger_render_list;
           Alcotest.test_case "truncated tail tolerated" `Quick
             test_ledger_truncated_tail;
           Alcotest.test_case "gc --keep and find" `Quick test_ledger_gc_keep_and_find;
           Alcotest.test_case "stale lock broken by age" `Quick
             test_ledger_stale_lock_broken;
-          Alcotest.test_case "SMT_LOCK_STALE_MS overrides threshold" `Quick
-            test_ledger_stale_lock_threshold_env;
         ] );
       ( "trend",
         [

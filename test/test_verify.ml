@@ -727,6 +727,20 @@ let test_waiver_expiry_apply () =
   let kept, _ = Waiver.apply w [ f1; f2 ] in
   Alcotest.(check int) "no clock, no expiry" 0 (List.length kept)
 
+(* "Today" is the UTC date of the run's clock, so SMT_CLOCK pins expiry
+   like every other timestamp: one second before and at midnight UTC. *)
+let test_waiver_today_follows_clock () =
+  let saved = Sys.getenv_opt "SMT_CLOCK" in
+  Fun.protect ~finally:(fun () -> Unix.putenv "SMT_CLOCK" (Option.value saved ~default:""))
+  @@ fun () ->
+  let today_at clock =
+    Unix.putenv "SMT_CLOCK" clock;
+    Waiver.today ()
+  in
+  Alcotest.(check (triple int int int)) "last second of June 30" (2026, 6, 30)
+    (today_at "1782863999");
+  Alcotest.(check (triple int int int)) "midnight UTC" (2026, 7, 1) (today_at "1782864000")
+
 (* --- SARIF export --- *)
 
 let mem path doc =
@@ -802,6 +816,179 @@ let test_sarif_deterministic () =
   in
   Alcotest.(check string) "byte-identical" (Sarif.render [ wl () ]) (Sarif.render [ wl () ])
 
+(* --- the lint's text and JSON reports --- *)
+
+let waiver_at line = { Waiver.w_rule = "*"; w_loc = "*"; w_expires = None; w_line = line }
+
+let report_workloads =
+  [
+    { Sarif.wl_name = "a/raw"; wl_findings = []; wl_waived = [] };
+    {
+      Sarif.wl_name = "b/improved";
+      wl_findings =
+        [
+          {
+            (finding Rules.float_into_awake "net:w") with
+            Rules.mode = "sleep{a}";
+            witness = [ "inst:g1"; "net:w" ];
+          };
+          finding Rules.useless_holder "net:h";
+        ];
+      wl_waived = [ (finding Rules.crowbar_risk "net:c", waiver_at 4) ];
+    };
+  ]
+
+let test_lint_text () =
+  Alcotest.(check string) "text report"
+    "a/raw: clean\n\
+     b/improved: 1 errors, 1 warnings, 1 waived\n\
+    \  error float-into-awake @ net:w [sleep{a}]: m [via inst:g1 -> net:w]\n\
+    \  warning useless-holder @ net:h: m\n\
+    \  waived (line 4): warning crowbar-risk @ net:c: m\n"
+    (Sarif.render_text report_workloads);
+  Alcotest.(check string) "waived-only workload is not clean"
+    "c/raw: 0 errors, 0 warnings, 1 waived\n\
+    \  waived (line 2): error float-into-awake @ net:x: m\n"
+    (Sarif.render_text
+       [
+         {
+           Sarif.wl_name = "c/raw";
+           wl_findings = [];
+           wl_waived = [ (finding Rules.float_into_awake "net:x", waiver_at 2) ];
+         };
+       ])
+
+let test_lint_json () =
+  Alcotest.(check string) "json report"
+    ({|[{"workload":"a/raw","findings":[],"waived":[]},|}
+    ^ {|{"workload":"b/improved","findings":[|}
+    ^ {|{"rule":"float-into-awake","severity":"error","location":"net:w","message":"m","witness":["inst:g1","net:w"]},|}
+    ^ {|{"rule":"useless-holder","severity":"warning","location":"net:h","message":"m","witness":[]}],|}
+    ^ {|"waived":[{"rule":"crowbar-risk","severity":"warning","location":"net:c","message":"m","witness":[]}]}]|}
+    )
+    (Sarif.render_json report_workloads)
+
+(* --- SARIF baselines --- *)
+
+let with_file contents f =
+  let path = Filename.temp_file "baseline" ".sarif" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let read_baseline contents =
+  with_file contents (fun path -> (path, Sarif.read_baseline path))
+
+let keys_of contents =
+  match read_baseline contents with
+  | _, Ok b -> Sarif.baseline_keys b
+  | path, Error e -> Alcotest.failf "%s did not read back: %s" path e
+
+let test_baseline_round_trip () =
+  (* Every rendered result comes back keyed by its rule id and its first
+     logical location: moded findings (a second, namespace location),
+     witnesses (related locations) and waived findings included. *)
+  let expected =
+    List.concat_map
+      (fun (wl : Sarif.workload) ->
+        List.map
+          (fun (f : Rules.finding) -> (f.Rules.rule.Rules.id, wl.Sarif.wl_name ^ "/" ^ f.Rules.loc))
+          (wl.Sarif.wl_findings @ List.map fst wl.Sarif.wl_waived))
+      report_workloads
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list (pair string string))) "keys" expected
+    (keys_of (Sarif.render report_workloads));
+  Alcotest.(check (list (pair string string))) "an empty report is an empty baseline" []
+    (keys_of (Sarif.render []))
+
+let expect_error what contents ~mentions =
+  match read_baseline contents with
+  | _, Ok _ -> Alcotest.failf "%s: accepted" what
+  | path, Error e ->
+    let has s =
+      let n = String.length s in
+      let rec at i = i + n <= String.length e && (String.sub e i n = s || at (i + 1)) in
+      at 0
+    in
+    if not (has path) then Alcotest.failf "%s: %S does not name the file" what e;
+    List.iter
+      (fun m -> if not (has m) then Alcotest.failf "%s: %S does not mention %S" what e m)
+      mentions
+
+let test_baseline_rejects_malformed () =
+  let good = Sarif.render report_workloads in
+  expect_error "truncated file"
+    (String.sub good 0 (String.length good / 2))
+    ~mentions:[ "offset" ];
+  (* One bit of the first result's key name: still JSON, but the result
+     has no ruleId any more. *)
+  let flipped =
+    let rec key_at i = if String.sub good i 8 = {|"ruleId"|} then i else key_at (i + 1) in
+    let d = key_at 0 + 6 in
+    String.mapi (fun i c -> if i = d then Char.chr (Char.code c lxor 1) else c) good
+  in
+  expect_error "byte-flipped file" flipped ~mentions:[ "$.runs[0].results[0].ruleId" ];
+  expect_error "non-SARIF JSON" {|{"counters":{"flow.runs":1}}|} ~mentions:[ "$.runs" ];
+  expect_error "results not an array" {|{"runs":[{"results":{}}]}|}
+    ~mentions:[ "$.runs[0].results" ];
+  expect_error "non-string location"
+    {|{"runs":[{"results":[{"ruleId":"x","locations":[{"logicalLocations":[{"fullyQualifiedName":3}]}]}]}]}|}
+    ~mentions:[ "$.runs[0].results[0].locations[0].logicalLocations[0].fullyQualifiedName" ];
+  match Sarif.read_baseline "no_such_dir/baseline.sarif" with
+  | Ok _ -> Alcotest.fail "read a missing file"
+  | Error e -> Alcotest.(check bool) "missing file named" true (String.length e > 0)
+
+let test_baseline_byte_flips () =
+  (* Flip each byte of a small report in turn: the reader returns Ok or
+     a located Error, and no exception escapes. *)
+  let good = Sarif.render [ List.nth report_workloads 1 ] in
+  let step = max 1 (String.length good / 400) in
+  let rec go i =
+    if i < String.length good then begin
+      let b = Bytes.of_string good in
+      Bytes.set b i (Char.chr (Char.code good.[i] lxor 0x20));
+      (match read_baseline (Bytes.to_string b) with
+      | _, (Ok _ | Error _) -> ()
+      | exception e ->
+        Alcotest.failf "flip at byte %d raised %s" i (Printexc.to_string e));
+      go (i + step)
+    end
+  in
+  go 0
+
+let test_baseline_gate () =
+  let err = finding Rules.float_into_awake "net:w" and warn = finding Rules.useless_holder "net:h" in
+  let wl findings = [ { Sarif.wl_name = "d/raw"; wl_findings = findings; wl_waived = [] } ] in
+  let baseline_of wls =
+    match read_baseline (Sarif.render wls) with
+    | _, Ok b -> b
+    | _, Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "no baseline: any error fails" true (Sarif.gate_fails None (wl [ err ]));
+  Alcotest.(check bool) "no baseline: warnings pass" false (Sarif.gate_fails None (wl [ warn ]));
+  let known = baseline_of (wl [ err ]) in
+  Alcotest.(check bool) "known error passes" false
+    (Sarif.gate_fails (Some known) (wl [ err; warn ]));
+  Alcotest.(check int) "the new warning is reported" 1
+    (List.length (Sarif.new_findings known (wl [ err; warn ])));
+  let other = finding Rules.mte_polarity "inst:s" in
+  Alcotest.(check bool) "new error fails" true (Sarif.gate_fails (Some known) (wl [ err; other ]));
+  Alcotest.(check bool) "same rule, other location is new" true
+    (Sarif.gate_fails (Some known) (wl [ finding Rules.float_into_awake "net:v" ]));
+  Alcotest.(check bool) "same location, other workload is new" true
+    (Sarif.gate_fails (Some known)
+       [ { Sarif.wl_name = "e/raw"; wl_findings = [ err ]; wl_waived = [] } ]);
+  (* A waived finding in the baseline still counts as known. *)
+  let waived_known =
+    baseline_of
+      [ { Sarif.wl_name = "d/raw"; wl_findings = []; wl_waived = [ (err, waiver_at 1) ] } ]
+  in
+  Alcotest.(check bool) "waived baseline entry passes" false
+    (Sarif.gate_fails (Some waived_known) (wl [ err ]))
+
 let () =
   Alcotest.run "smt_verify"
     [
@@ -871,11 +1058,19 @@ let () =
           Alcotest.test_case "expires= parsed" `Quick test_waiver_expiry_parse;
           Alcotest.test_case "bad dates rejected" `Quick test_waiver_expiry_rejects_bad_date;
           Alcotest.test_case "apply honours today" `Quick test_waiver_expiry_apply;
+          Alcotest.test_case "today follows SMT_CLOCK" `Quick test_waiver_today_follows_clock;
         ] );
       ( "sarif",
         [
           Alcotest.test_case "document shape" `Quick test_sarif_document;
           Alcotest.test_case "mode logical location" `Quick test_sarif_mode_location;
           Alcotest.test_case "render deterministic" `Quick test_sarif_deterministic;
+          Alcotest.test_case "lint text report" `Quick test_lint_text;
+          Alcotest.test_case "lint json report" `Quick test_lint_json;
+          Alcotest.test_case "baseline round trip" `Quick test_baseline_round_trip;
+          Alcotest.test_case "baseline rejects malformed files" `Quick
+            test_baseline_rejects_malformed;
+          Alcotest.test_case "baseline survives byte flips" `Quick test_baseline_byte_flips;
+          Alcotest.test_case "baseline gates only new errors" `Quick test_baseline_gate;
         ] );
     ]
