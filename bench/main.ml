@@ -311,7 +311,7 @@ let extensions buf =
   (* leakage vs temperature per technique: why standby leakage is the
      battery killer precisely where phones live (warm pockets) *)
   bline buf "standby leakage vs temperature (circuit B, nW):";
-  let reports = Flow.completed (Flow.run_all (fun () -> Suite.circuit_b lib)) in
+  let reports = Flow.run_all (fun () -> Suite.circuit_b lib) in
   let temps = [ -40.0; 0.0; 25.0; 85.0; 125.0 ] in
   let header =
     "Technique" :: List.map (fun t -> Printf.sprintf "%.0fC" t) temps

@@ -12,8 +12,8 @@
      smt_flow lint -t improved --jobs 4 --format sarif
      smt_flow lint -c circuit_a --waivers waivers.txt --sarif lint.sarif
 
-   Exit codes: 0 clean, 1 Error-severity violations (check, or run with a
-   guard enabled), 2 usage errors and unopenable paths. *)
+   Exit codes: 0 clean, 1 Error-severity violations or a guard abort (check,
+   or run with a guard), 2 usage errors and unopenable paths. *)
 
 module Flow = Smt_core.Flow
 module Cluster = Smt_core.Cluster
@@ -207,15 +207,19 @@ let sizing_arg =
   Arg.(value & flag & info [ "gate-sizing" ] ~doc:"Downsize off-critical cells after the Vth assignment.")
 
 let options_of ?(retention = false) ?(sizing = false) seed bounce length cells =
-  let tech = Tech.default in
-  let p = Cluster.default_params tech in
+  (* Each flag is held to [Cluster.validate] as it is applied, so a value
+     out of range is a usage error naming its flag. *)
+  let set flag value update p =
+    match value with
+    | None -> p
+    | Some v ->
+      or_usage (Result.map_error (fun e -> flag ^ ": " ^ e) (Cluster.validate (update p v)))
+  in
   let p =
-    {
-      p with
-      Cluster.bounce_limit = Option.value bounce ~default:p.Cluster.bounce_limit;
-      Cluster.length_limit = Option.value length ~default:p.Cluster.length_limit;
-      Cluster.cell_limit = Option.value cells ~default:p.Cluster.cell_limit;
-    }
+    Cluster.default_params Tech.default
+    |> set "--bounce-limit" bounce (fun p v -> { p with Cluster.bounce_limit = v })
+    |> set "--vgnd-length" length (fun p v -> { p with Cluster.length_limit = v })
+    |> set "--cells-per-switch" cells (fun p v -> { p with Cluster.cell_limit = v })
   in
   {
     Flow.default_options with
@@ -245,9 +249,8 @@ let guard_of s = or_usage (Flow.guard_of_string s)
 
 let print_diagnostics (report : Flow.report) =
   if report.Flow.diagnostics <> [] then begin
-    Printf.printf "guard diagnostics (%d violations, %d repairs%s):\n"
-      report.Flow.check_violations report.Flow.check_repairs
-      (if report.Flow.degraded then ", DEGRADED" else "");
+    Printf.printf "guard diagnostics (%d violations, %d repairs):\n"
+      report.Flow.check_violations report.Flow.check_repairs;
     List.iter (fun d -> Printf.printf "  %s\n" d) report.Flow.diagnostics
   end
 

@@ -30,6 +30,16 @@ let default_params (tech : Tech.t) =
     diversity = true;
   }
 
+let validate p =
+  if not (Float.is_finite p.bounce_limit && p.bounce_limit > 0.0) then
+    Error (Printf.sprintf "bounce limit must be finite and > 0 V (got %g)" p.bounce_limit)
+  else if not (Float.is_finite p.length_limit && p.length_limit >= 0.0) then
+    Error (Printf.sprintf "VGND length cap must be finite and >= 0 um (got %g)"
+             p.length_limit)
+  else if p.cell_limit < 1 then
+    Error (Printf.sprintf "cells per switch must be >= 1 (got %d)" p.cell_limit)
+  else Ok p
+
 type cluster = {
   switch : Netlist.inst_id;
   members : Netlist.inst_id list;
@@ -136,6 +146,7 @@ let build ?activity ?load_of ?params place ~mte_net =
   let lib = Netlist.lib nl in
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> default_params tech in
+  (match validate p with Ok _ -> () | Error e -> invalid_arg ("Cluster.build: " ^ e));
   (* Dissolve the existing switch structure. *)
   List.iter
     (fun (sw, members) ->

@@ -31,6 +31,11 @@ type params = {
 
 val default_params : Smt_cell.Tech.t -> params
 
+val validate : params -> (params, string) result
+(** The constraints' domain: a finite bounce limit > 0 V, a finite VGND
+    length cap >= 0 um and at least one cell per switch.  [Error] names
+    the first constraint out of range and its value. *)
+
 type cluster = {
   switch : Smt_netlist.Netlist.inst_id;
   members : Smt_netlist.Netlist.inst_id list;
@@ -89,5 +94,5 @@ val build :
 (** Dissolves the existing switch structure (e.g. the single initial
     switch), clusters every VGND-style MT-cell, and creates and places
     one sized footer per cluster on the MTE net.  Raises
-    [Invalid_argument] when a single cell cannot satisfy the
-    constraints. *)
+    [Invalid_argument] when [params] fail {!validate} or a single cell
+    cannot satisfy the constraints. *)

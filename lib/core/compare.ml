@@ -13,18 +13,10 @@ type row = {
 }
 
 let table1_row ?options ?jobs fresh =
-  let outcomes = Flow.run_all ?options ?jobs fresh in
-  let reports = Flow.completed outcomes in
-  let dual =
-    match
-      List.find_opt (fun (r : Flow.report) -> r.Flow.technique = Flow.Dual_vth) reports
-    with
-    | Some d -> d
-    | None ->
-      invalid_arg
-        "Compare.table1_row: the Dual-Vth baseline flow failed, so there is nothing \
-         to normalize against"
-  in
+  (* [run_all] reports Dual-Vth first: the baseline every column is
+     normalized against. *)
+  let reports = Flow.run_all ?options ?jobs fresh in
+  let dual = List.hd reports in
   let base_area = dual.Flow.area and base_leak = dual.Flow.standby_nw in
   let entries =
     List.map
@@ -39,9 +31,6 @@ let table1_row ?options ?jobs fresh =
   in
   { circuit = dual.Flow.circuit; entries }
 
-let find_opt row technique =
-  List.find_opt (fun e -> e.technique = technique) row.entries
-
 let find row technique =
   List.find (fun e -> e.technique = technique) row.entries
 
@@ -55,15 +44,8 @@ let render rows =
   let body =
     List.concat_map
       (fun row ->
-        (* A failed technique renders as "fail" rather than sinking the row. *)
-        let area t =
-          match find_opt row t with Some e -> Text_table.pct e.area_pct | None -> "fail"
-        in
-        let leak t =
-          match find_opt row t with
-          | Some e -> Text_table.pct e.leakage_pct
-          | None -> "fail"
-        in
+        let area t = Text_table.pct (find row t).area_pct in
+        let leak t = Text_table.pct (find row t).leakage_pct in
         [
           [
             row.circuit; "Area";

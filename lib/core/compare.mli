@@ -12,16 +12,14 @@ type entry = {
 
 type row = {
   circuit : string;
-  entries : entry list;
-      (** Dual-Vth, Conventional-SMT, Improved-SMT; a technique whose flow
-          raised {!Flow.Flow_error} (strict guard) is simply absent, and
-          [render] prints "fail" in its column *)
+  entries : entry list;  (** Dual-Vth, Conventional-SMT, Improved-SMT *)
 }
 
 val table1_row :
   ?options:Flow.options -> ?jobs:int -> (unit -> Smt_netlist.Netlist.t) -> row
 (** [jobs] (default 1) is passed straight to {!Flow.run_all}.
-    @raise Invalid_argument when the Dual-Vth baseline itself failed. *)
+    @raise Flow.Flow_error when any of the three flows raised it: a row
+    is complete or not built at all. *)
 
 val improvement : row -> float * float
 (** [(area_saving, leakage_saving)] of improved over conventional, as

@@ -28,12 +28,7 @@ let m_stages = Metrics.counter "flow.stages"
 let m_check_violations = Metrics.counter "check.violations"
 let m_check_repairs = Metrics.counter "check.repairs"
 let m_lint_findings = Metrics.counter "lint.findings"
-
-(* Findings re-reported by later stages, recognised by (rule, location,
-   witness) rather than message text so a reworded message can't leak a
-   duplicate through. *)
 let m_lint_dedup = Metrics.counter "lint.dedup"
-let m_degraded = Metrics.counter "flow.degraded"
 
 type technique = Dual_vth | Conventional_smt | Improved_smt
 
@@ -158,7 +153,6 @@ type report = {
   diagnostics : string list;
   check_violations : int;
   check_repairs : int;
-  degraded : bool;
 }
 
 (* The minimal clock period of the current netlist under the given wire
@@ -241,12 +235,11 @@ let run_with_artifacts ?(options = default_options) technique nl =
   let diagnostics = ref [] in
   let check_violations = ref 0 in
   let check_repairs = ref 0 in
-  let degraded = ref false in
-  let guard_phase = ref Drc.Pre_mt in
   let expect_buffered_mte = ref false in
-  (* Persistent warnings (e.g. a dangling net the flow never touches) are
-     reported once, not once per stage. *)
-  let seen_violations = Hashtbl.create 97 in
+  (* DRC violations and lint findings share one first-seen filter, so a
+     finding that persists through later stages (e.g. a dangling net the
+     flow never touches) is reported once, by the stage that exposed it. *)
+  let seen = Hashtbl.create 97 in
   (* Incremental lint: the first Post_mt guard seeds a verifier session;
      later stages re-verify only the cone of nets the stage touched
      (tracked by the netlist's journal), which [Verify.update] proves
@@ -256,16 +249,39 @@ let run_with_artifacts ?(options = default_options) technique nl =
     diagnostics := line :: !diagnostics;
     Log.warn "check" line
   in
+  let fail stage lines =
+    raise
+      (Flow_error
+         { fe_stage = stage; fe_circuit = Netlist.design_name nl; fe_diagnostics = lines })
+  in
+  (* Records each finding no earlier stage reported as a diagnostic and
+     returns how many there were. *)
+  let first_seen stage label ~key ~render findings =
+    List.fold_left
+      (fun n f ->
+        let k = key f in
+        if Hashtbl.mem seen k then n
+        else begin
+          Hashtbl.add seen k ();
+          diag (stage ^ label ^ render f);
+          n + 1
+        end)
+      0 findings
+  in
+  let strict_abort stage errors =
+    if options.guard = Guard_strict && errors <> [] then fail stage errors
+  in
   let guard_check stage =
-    match options.guard with
-    | Guard_off -> ()
-    | g ->
+    if options.guard <> Guard_off then begin
+      (* The rules that apply follow from the netlist itself: Post_mt once
+         it holds a sleep switch or a VGND-port MT-cell. *)
+      let phase = Drc.infer_phase nl in
       let run_check () =
-        Drc.check ~phase:!guard_phase ~place ~expect_buffered_mte:!expect_buffered_mte nl
+        Drc.check ~phase ~place ~expect_buffered_mte:!expect_buffered_mte nl
       in
       let vs = run_check () in
       let vs =
-        if g = Guard_repair && vs <> [] then begin
+        if options.guard = Guard_repair && vs <> [] then begin
           let r = Repair.repair ~place nl vs in
           if r.Repair.repaired > 0 then begin
             check_repairs := !check_repairs + r.Repair.repaired;
@@ -278,34 +294,16 @@ let run_with_artifacts ?(options = default_options) technique nl =
         else vs
       in
       let fresh =
-        List.filter
-          (fun v ->
-            let key = Violation.to_string v in
-            if Hashtbl.mem seen_violations key then false
-            else begin
-              Hashtbl.add seen_violations key ();
-              true
-            end)
-          vs
+        first_seen stage ": " ~key:Violation.to_string ~render:Violation.to_string vs
       in
-      if fresh <> [] then begin
-        check_violations := !check_violations + List.length fresh;
-        Metrics.incr m_check_violations ~by:(List.length fresh);
-        List.iter (fun v -> diag (stage ^ ": " ^ Violation.to_string v)) fresh
-      end;
-      if g = Guard_strict && Drc.has_errors vs then
-        raise
-          (Flow_error
-             {
-               fe_stage = stage;
-               fe_circuit = Netlist.design_name nl;
-               fe_diagnostics = List.map Violation.to_string (Violation.errors vs);
-             });
+      check_violations := !check_violations + fresh;
+      Metrics.incr m_check_violations ~by:fresh;
+      strict_abort stage (List.map Violation.to_string (Violation.errors vs));
       (* Semantic standby verification rides the same guard: once the MT
          support structure exists, the design must also sleep correctly
          — structure first (above), values second, so a structurally
          broken netlist fails on the precise structural message. *)
-      if !guard_phase = Drc.Post_mt then begin
+      if phase = Drc.Post_mt then begin
         let sem =
           Trace.with_span "Flow.lint" ~args:[ ("stage", stage) ] (fun () ->
               match !lint_session with
@@ -315,35 +313,12 @@ let run_with_artifacts ?(options = default_options) technique nl =
                 r.Verify.findings
               | Some s -> (Verify.update s).Verify.findings)
         in
-        let sem_fresh =
-          List.filter
-            (fun f ->
-              let key =
-                String.concat "\x00"
-                  (f.Rules.rule.Rules.id :: f.Rules.loc :: f.Rules.witness)
-              in
-              if Hashtbl.mem seen_violations key then false
-              else begin
-                Hashtbl.add seen_violations key ();
-                true
-              end)
-            sem
-        in
-        let repeats = List.length sem - List.length sem_fresh in
-        if repeats > 0 then Metrics.incr m_lint_dedup ~by:repeats;
-        if sem_fresh <> [] then begin
-          Metrics.incr m_lint_findings ~by:(List.length sem_fresh);
-          List.iter (fun f -> diag (stage ^ ": lint: " ^ Rules.to_string f)) sem_fresh
-        end;
-        if g = Guard_strict && Rules.has_errors sem then
-          raise
-            (Flow_error
-               {
-                 fe_stage = stage;
-                 fe_circuit = Netlist.design_name nl;
-                 fe_diagnostics = List.map Rules.to_string (Rules.errors sem);
-               })
+        let fresh = first_seen stage ": lint: " ~key:Rules.key ~render:Rules.to_string sem in
+        Metrics.incr m_lint_dedup ~by:(List.length sem - fresh);
+        Metrics.incr m_lint_findings ~by:fresh;
+        strict_abort stage (List.map Rules.to_string (Rules.errors sem))
       end
+    end
   in
   let snapshot ?(cfg = base_cfg) ?(bounce = 0.0) name =
     let sta = Sta.analyze cfg nl in
@@ -432,7 +407,6 @@ let run_with_artifacts ?(options = default_options) technique nl =
     else 0
   in
   (* Technique-specific MT construction. *)
-  let n_mt = ref 0 in
   let clusters = ref [] in
   let holders_avoided = ref 0 in
   let activity = ref None in
@@ -440,18 +414,15 @@ let run_with_artifacts ?(options = default_options) technique nl =
     match technique with
     | Dual_vth -> ()
     | Conventional_smt ->
-      n_mt := Mt_replace.replace Mt_replace.Conventional nl;
+      ignore (Mt_replace.replace Mt_replace.Conventional nl);
       let mte = Switch_insert.mte_net_of nl in
       connect_embedded_mte nl mte;
       snapshot "MT-cell replacement (embedded)"
     | Improved_smt ->
-      n_mt := Mt_replace.replace Mt_replace.Improved nl;
+      let n_mt = Mt_replace.replace Mt_replace.Improved nl in
       snapshot "MT-cell replacement (no VGND port)";
-      if !n_mt > 0 then begin
-        let ins =
-          Switch_insert.insert ~minimize_holders:options.minimize_holders place
-        in
-        guard_phase := Drc.Post_mt;
+      if n_mt > 0 then begin
+        let ins = Switch_insert.insert ~minimize_holders:options.minimize_holders place in
         holders_avoided := ins.Switch_insert.holders_avoided;
         let bounce0 =
           let wire_length_of = Cluster.vgnd_lengths place in
@@ -474,31 +445,11 @@ let run_with_artifacts ?(options = default_options) technique nl =
         snapshot ~bounce:bounce1 "switch structure construction (clustering & sizing)"
       end
   in
-  (match options.guard with
-  | Guard_off -> construct_mt ()
-  | Guard_strict -> (
-    try construct_mt () with
-    | Flow_error _ as e -> raise e
-    | exn ->
-      raise
-        (Flow_error
-           {
-             fe_stage = "MT construction";
-             fe_circuit = Netlist.design_name nl;
-             fe_diagnostics = [ Printexc.to_string exn ];
-           }))
-  | Guard_warn | Guard_repair -> (
-    (* Graceful degradation: a failed MT conversion leaves the design a
-       working (if unoptimized) Dual-Vth-style circuit.  Report that rather
-       than abort the whole comparison. *)
-    try construct_mt () with
-    | Flow_error _ as e -> raise e
-    | exn ->
-      degraded := true;
-      Metrics.incr m_degraded;
-      diag
-        (Printf.sprintf "MT construction failed (%s); degrading to a Dual-Vth-style flow"
-           (Printexc.to_string exn))));
+  (* Under any guard, a failure inside MT construction aborts the run at
+     stage "MT construction" rather than ship a half-built structure. *)
+  (try construct_mt () with
+  | Flow_error _ as e -> raise e
+  | exn when options.guard <> Guard_off -> fail "MT construction" [ Printexc.to_string exn ]);
   (* Routing stage: CTS, then MTE buffering, then extraction. *)
   let cts = Cts.synthesize ~max_fanout:options.cts_max_fanout place in
   let mte_buffers =
@@ -596,7 +547,6 @@ let run_with_artifacts ?(options = default_options) technique nl =
     diagnostics = List.rev !diagnostics;
     check_violations = !check_violations;
     check_repairs = !check_repairs;
-    degraded = !degraded;
   },
     {
       art_place = place;
@@ -609,22 +559,9 @@ let run_with_artifacts ?(options = default_options) technique nl =
 
 let run ?options technique nl = fst (run_with_artifacts ?options technique nl)
 
-type outcome =
-  | Completed of report
-  | Failed of { technique : technique; stage : string; diagnostics : string list }
-
-let completed outcomes =
-  List.filter_map (function Completed r -> Some r | Failed _ -> None) outcomes
-
 let run_all ?options ?(jobs = 1) fresh =
   Par.map ~jobs
-    (fun technique ->
-      try Completed (run ?options technique (fresh ())) with
-      | Flow_error e ->
-        Log.error "flow"
-          (Printf.sprintf "%s failed at %s" (technique_name technique) e.fe_stage)
-          ~fields:[ ("circuit", e.fe_circuit) ];
-        Failed { technique; stage = e.fe_stage; diagnostics = e.fe_diagnostics })
+    (fun technique -> run ?options technique (fresh ()))
     [ Dual_vth; Conventional_smt; Improved_smt ]
 
 let pp_report fmt r =
@@ -636,7 +573,6 @@ let pp_report fmt r =
     r.hold_slack r.hold_met r.worst_bounce r.bounce_violations r.n_mt_cells r.n_switches
     r.n_holders r.holders_avoided r.n_mte_buffers r.n_cts_buffers r.n_hold_buffers
     r.swapped_to_high_vth r.reopt_resized r.reopt_violations_repaired r.mt_area_fraction;
-  if r.degraded then Format.fprintf fmt " DEGRADED";
   if r.check_violations > 0 || r.check_repairs > 0 then
     Format.fprintf fmt " check_viol=%d check_repairs=%d" r.check_violations
       r.check_repairs

@@ -24,20 +24,23 @@
 
     With [options.guard] above {!Guard_off}, every stage snapshot is
     followed by a structural design-rule check ({!Smt_check.Drc.check})
-    against the live netlist:
+    against the live netlist.  The check's phase comes from the netlist
+    itself ({!Smt_check.Drc.infer_phase}): once it holds a sleep switch or
+    a VGND-port MT-cell, the post-MT rules apply and the semantic standby
+    verifier ({!Smt_verify.Verify}) runs too.  A finding is reported once,
+    by the first stage that shows it.
 
-    - {!Guard_warn} records violations as report diagnostics (and
-      [check.violations] metrics) and keeps going;
+    - {!Guard_warn} records findings as report diagnostics (and
+      [check.violations] / [lint.findings] metrics) and keeps going;
     - {!Guard_repair} first lets {!Smt_check.Repair.repair} fix what it
       can (reconnect floating MTE pins, re-insert holders, clamp
       degenerate footers, ...), then records whatever remains;
     - {!Guard_strict} raises {!Flow_error} on the first Error-severity
-      violation, naming the stage and the offending objects.
+      finding, naming the stage and the offending objects.
 
-    Under [warn] and [repair] an exception out of the MT-construction
-    stages degrades the run instead of aborting it: the flow continues on
-    the Dual-Vth-style circuit it still has, sets [report.degraded], and
-    appends the cause to [report.diagnostics].
+    Under every guard mode, an exception out of the MT-construction stages
+    becomes a {!Flow_error} at stage ["MT construction"]: the flow never
+    ships a half-built switch structure.
 
     With the guard at its {!Guard_off} default no check or repair runs and
     reports are bit-identical to a build without this subsystem. *)
@@ -60,8 +63,9 @@ type flow_error = {
 
 exception Flow_error of flow_error
 (** Raised under {!Guard_strict} when a stage leaves Error-severity
-    violations behind, and by any guard mode when a failure cannot be
-    degraded away. *)
+    findings behind, and under any guard other than {!Guard_off} when MT
+    construction fails (stage ["MT construction"], the exception as the
+    one diagnostic). *)
 
 type options = {
   seed : int;
@@ -152,9 +156,6 @@ type report = {
           Empty under {!Guard_off} *)
   check_violations : int;  (** distinct violations the guard recorded *)
   check_repairs : int;  (** repair actions applied under {!Guard_repair} *)
-  degraded : bool;
-      (** MT construction failed and the flow fell back to the Dual-Vth-style
-          circuit it had (guard [warn]/[repair] only) *)
 }
 
 val endpoint_free_fallback_ps : float
@@ -171,7 +172,7 @@ val minimal_period : ?slew_aware:bool -> wire:Smt_sta.Wire.t -> Smt_netlist.Netl
     {!endpoint_free_fallback_ps} when the design has no timing endpoints. *)
 
 val run : ?options:options -> technique -> Smt_netlist.Netlist.t -> report
-(** @raise Flow_error under {!Guard_strict} on Error-severity violations. *)
+(** @raise Flow_error as documented at {!Flow_error}. *)
 
 (** The analysis context behind a report's headline numbers, for QoR
     attribution ({!Explain}): the placement, the final post-route STA
@@ -192,23 +193,13 @@ val run_with_artifacts :
 (** [run], also handing back the final-state artifacts instead of
     discarding them.  [run] is [fst] of this. *)
 
-(** One technique's result in a [run_all] sweep: either its report or,
-    when {!Flow_error} escaped [run], the stage and diagnostics of the
-    failure — one broken technique no longer aborts the whole
-    comparison. *)
-type outcome =
-  | Completed of report
-  | Failed of { technique : technique; stage : string; diagnostics : string list }
-
-val completed : outcome list -> report list
-(** The successful reports, in sweep order. *)
-
 val run_all :
-  ?options:options -> ?jobs:int -> (unit -> Smt_netlist.Netlist.t) -> outcome list
+  ?options:options -> ?jobs:int -> (unit -> Smt_netlist.Netlist.t) -> report list
 (** One fresh netlist per technique, in order
     [Dual_vth; Conventional_smt; Improved_smt].  [jobs] (default 1) runs
     the techniques concurrently on that many domains via {!Smt_obs.Par};
-    outcomes, metric totals, and reports are identical at any job
-    count. *)
+    reports and metric totals are identical at any job count.
+    @raise Flow_error from the first technique, in that order, whose run
+    raised it. *)
 
 val pp_report : Format.formatter -> report -> unit

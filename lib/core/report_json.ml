@@ -46,14 +46,11 @@ let stage_json (s : Flow.stage) =
     @ prof_fields)
 
 let of_report (r : Flow.report) =
-  (* Guard results appear only when a guard actually recorded something, so
+  (* Guard results appear only when a guard actually recorded something
+     (every violation, finding and repair leaves a diagnostic), so
      guard-off output stays byte-identical to earlier builds. *)
   let check_fields =
-    if
-      r.Flow.diagnostics = [] && r.Flow.check_violations = 0
-      && r.Flow.check_repairs = 0
-      && not r.Flow.degraded
-    then []
+    if r.Flow.diagnostics = [] then []
     else
       [
         ( "check",
@@ -61,7 +58,6 @@ let of_report (r : Flow.report) =
             [
               ("violations", string_of_int r.Flow.check_violations);
               ("repairs", string_of_int r.Flow.check_repairs);
-              ("degraded", boolean r.Flow.degraded);
               ("diagnostics", arr (List.map str r.Flow.diagnostics));
             ] );
       ]

@@ -23,10 +23,12 @@ type lexer = {
   mutable peeked : (token * int * int) option;
 }
 
+let fail_at file line col msg =
+  raise (Parse_error (Printf.sprintf "%s:%d:%d: %s" file line col msg))
+
 (* Errors point at the start of the offending token (or, while lexing, the
    current character), as file:line:column. *)
-let fail lx msg =
-  raise (Parse_error (Printf.sprintf "%s:%d:%d: %s" lx.file lx.tok_line lx.tok_col msg))
+let fail lx msg = fail_at lx.file lx.tok_line lx.tok_col msg
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
@@ -103,7 +105,7 @@ let expect lx tok what =
 
 (* Sleep switches are synthesized per width, so "SW_W4p2" may not pre-exist
    in the library. *)
-let resolve_cell lx lib name =
+let resolve_cell ~fail lib name =
   match Library.find_opt lib name with
   | Some c -> c
   | None ->
@@ -113,10 +115,10 @@ let resolve_cell lx lib name =
       | [ units; tenths ] -> (
         match (int_of_string_opt units, int_of_string_opt tenths) with
         | Some u, Some d -> Library.switch lib ~width:(float_of_int u +. (float_of_int d /. 10.0))
-        | _ -> fail lx (Printf.sprintf "bad switch cell name %s" name))
-      | _ -> fail lx (Printf.sprintf "bad switch cell name %s" name)
+        | _ -> fail (Printf.sprintf "bad switch cell name %s" name))
+      | _ -> fail (Printf.sprintf "bad switch cell name %s" name)
     end
-    else fail lx (Printf.sprintf "unknown cell %s" name)
+    else fail (Printf.sprintf "unknown cell %s" name)
 
 type decl = Decl_input | Decl_output | Decl_wire
 
@@ -150,7 +152,9 @@ let of_string ?(file = "<netlist>") ~lib text =
   let _port_list = ports [] in
   expect lx Semi ";";
   let nl = Netlist.create ~name:design ~lib in
-  (* First pass over the body: collect declarations, instances, directives. *)
+  (* First pass over the body: collect declarations, instances and
+     directives, each with the line and column of its first token (kept
+     unboxed: a large netlist has tens of thousands of them). *)
   let decls = ref [] and insts = ref [] and directives = ref [] in
   let parse_conn () =
     expect lx Dot ".";
@@ -160,22 +164,19 @@ let of_string ?(file = "<netlist>") ~lib text =
     expect lx Rparen ")";
     (pin, net)
   in
+  let decl d =
+    let line = lx.tok_line and col = lx.tok_col in
+    decls := (d, expect_ident lx, line, col) :: !decls;
+    expect lx Semi ";"
+  in
   let rec body () =
     match next lx with
     | Ident "endmodule" -> ()
-    | Ident "input" ->
-      decls := (Decl_input, expect_ident lx) :: !decls;
-      expect lx Semi ";";
-      body ()
-    | Ident "output" ->
-      decls := (Decl_output, expect_ident lx) :: !decls;
-      expect lx Semi ";";
-      body ()
-    | Ident "wire" ->
-      decls := (Decl_wire, expect_ident lx) :: !decls;
-      expect lx Semi ";";
-      body ()
+    | Ident "input" -> decl Decl_input; body ()
+    | Ident "output" -> decl Decl_output; body ()
+    | Ident "wire" -> decl Decl_wire; body ()
     | Ident cell_name ->
+      let line = lx.tok_line and col = lx.tok_col in
       let inst_name = expect_ident lx in
       expect lx Lparen "(";
       let rec conns acc =
@@ -187,28 +188,40 @@ let of_string ?(file = "<netlist>") ~lib text =
       in
       let pins = if peek lx = Rparen then (ignore (next lx); []) else conns [] in
       expect lx Semi ";";
-      insts := (cell_name, inst_name, pins) :: !insts;
+      insts := (cell_name, inst_name, pins, line, col) :: !insts;
       body ()
     | Directive d ->
-      directives := d :: !directives;
+      directives := (d, lx.tok_line, lx.tok_col) :: !directives;
       body ()
     | Eof -> fail lx "endmodule expected"
     | Lparen | Rparen | Semi | Comma | Dot -> fail lx "statement expected"
   in
   body ();
   let decls = List.rev !decls and insts = List.rev !insts and directives = List.rev !directives in
+  (* Second pass: build the netlist.  What the grammar lets through but
+     the netlist refuses (a pin the cell lacks, a second driver, a name
+     declared twice, a VGND link to a non-switch, ...) is a parse error at
+     the statement that asked for it. *)
+  let fail_at line col msg = fail_at file line col msg in
+  let at line col f =
+    try f ()
+    with Invalid_argument m ->
+      (* drop the raising function's "Netlist...: " prefix *)
+      let n = String.length m in
+      let i = match String.index_opt m ':' with Some i when i + 2 <= n -> i + 2 | _ -> 0 in
+      fail_at line col (String.sub m i (n - i))
+  in
   let clock_nets =
-    List.filter_map
-      (function [ "@clock"; n ] -> Some n | _ -> None)
-      directives
+    List.filter_map (function [ "@clock"; n ], _, _ -> Some n | _ -> None) directives
   in
   let is_clock n = List.mem n clock_nets in
   List.iter
-    (fun (d, name) ->
-      match d with
-      | Decl_input -> ignore (Netlist.add_input ~clock:(is_clock name) nl name)
-      | Decl_output -> ignore (Netlist.add_output nl name)
-      | Decl_wire -> ignore (Netlist.add_net nl name))
+    (fun (d, name, line, col) ->
+      at line col (fun () ->
+          match d with
+          | Decl_input -> ignore (Netlist.add_input ~clock:(is_clock name) nl name)
+          | Decl_output -> ignore (Netlist.add_output nl name)
+          | Decl_wire -> ignore (Netlist.add_net nl name)))
     decls;
   let net_of name =
     match Netlist.find_net nl name with
@@ -216,55 +229,33 @@ let of_string ?(file = "<netlist>") ~lib text =
     | None -> Netlist.add_net nl name
   in
   List.iter
-    (fun (cell_name, inst_name, pins) ->
-      let cell = resolve_cell lx lib cell_name in
-      let pins = List.map (fun (p, n) -> (p, net_of n)) pins in
-      ignore (Netlist.add_inst nl ~name:inst_name cell pins))
+    (fun (cell_name, inst_name, pins, line, col) ->
+      at line col (fun () ->
+          let cell = resolve_cell ~fail:(fail_at line col) lib cell_name in
+          let pins = List.map (fun (p, n) -> (p, net_of n)) pins in
+          ignore (Netlist.add_inst nl ~name:inst_name cell pins)))
     insts;
   List.iter
-    (fun d ->
-      match d with
-      | [ "@vgnd"; inst; sw ] -> (
-        match (Netlist.find_inst nl inst, Netlist.find_inst nl sw) with
-        | Some i, Some s -> Netlist.set_vgnd_switch nl i (Some s)
-        | _ ->
-          raise
-            (Parse_error
-               (Printf.sprintf "%s: @vgnd refers to unknown instance %s or %s" file inst
-                  sw)))
-      | [ "@domain"; dom; mte ] ->
-        let mte_net =
-          if String.equal mte "-" then None
-          else
-            match Netlist.find_net nl mte with
-            | Some nid -> Some nid
-            | None ->
-              raise
-                (Parse_error
-                   (Printf.sprintf "%s: @domain %s refers to unknown net %s" file dom mte))
-        in
-        Netlist.add_domain nl ~name:dom ~mte:mte_net
-      | [ "@member"; inst; dom ] -> (
-        match Netlist.find_inst nl inst with
-        | Some i -> (
-          try Netlist.set_inst_domain nl i (Some dom)
-          with Invalid_argument _ ->
-            raise
-              (Parse_error
-                 (Printf.sprintf "%s: @member %s refers to unknown domain %s" file
-                    inst dom)))
-        | None ->
-          raise
-            (Parse_error
-               (Printf.sprintf "%s: @member refers to unknown instance %s" file inst)))
-      | [ "@isolation"; inst ] -> (
-        match Netlist.find_inst nl inst with
-        | Some i -> Netlist.set_isolation nl i true
-        | None ->
-          raise
-            (Parse_error
-               (Printf.sprintf "%s: @isolation refers to unknown instance %s" file inst)))
-      | _ -> ())
+    (fun (d, line, col) ->
+      let inst_at what name =
+        match Netlist.find_inst nl name with
+        | Some i -> i
+        | None -> fail_at line col (Printf.sprintf "%s refers to unknown instance %s" what name)
+      in
+      at line col (fun () ->
+          match d with
+          | [ "@vgnd"; inst; sw ] ->
+            Netlist.set_vgnd_switch nl (inst_at "@vgnd" inst) (Some (inst_at "@vgnd" sw))
+          | [ "@domain"; dom; "-" ] -> Netlist.add_domain nl ~name:dom ~mte:None
+          | [ "@domain"; dom; net ] -> (
+            match Netlist.find_net nl net with
+            | Some _ as mte -> Netlist.add_domain nl ~name:dom ~mte
+            | None -> fail_at line col (Printf.sprintf "@domain %s: unknown net %s" dom net))
+          | [ "@member"; inst; dom ] ->
+            Netlist.set_inst_domain nl (inst_at "@member" inst) (Some dom)
+          | [ "@isolation"; inst ] ->
+            Netlist.set_isolation nl (inst_at "@isolation" inst) true
+          | _ -> ()))
     directives;
   nl
 

@@ -117,6 +117,8 @@ let to_string f =
     (severity_name f.rule.severity)
     f.rule.id f.loc mode f.message via
 
+let key f = String.concat "\x00" (f.rule.id :: f.loc :: f.witness)
+
 let errors fs = List.filter (fun f -> f.rule.severity = Error) fs
 let warnings fs = List.filter (fun f -> f.rule.severity = Warn) fs
 let has_errors fs = errors fs <> []

@@ -81,6 +81,12 @@ val to_string : finding -> string
 (** One line: [severity rule-id @ loc \[mode\]: message \[via a -> b\]];
     the [\[mode\]] segment is omitted when [mode] is empty. *)
 
+val key : finding -> string
+(** Identity of a defect: rule id, location and witness, not the message
+    or mode, so a reworded message or a second mode that observes the same
+    defect cannot pass as a new finding.  The flow guard's first-seen
+    filter and the verifier's cross-mode dedup both key on it. *)
+
 val errors : finding list -> finding list
 val warnings : finding list -> finding list
 val has_errors : finding list -> bool

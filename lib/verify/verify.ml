@@ -791,28 +791,20 @@ let run_mode nl info mode ~deepest =
   let findings = eval_rules st ~deepest in
   (st, findings)
 
-(* Findings from different modes that agree on (rule, location, witness)
-   are one defect observed twice; the first (shallowest) mode wins. *)
+(* Findings from different modes that agree on [Rules.key] are one defect
+   observed twice; the first (shallowest) mode wins. *)
 let dedup_findings per_mode =
   let seen = Hashtbl.create 97 in
-  let dupes = ref 0 in
-  let kept =
-    List.concat_map
-      (List.filter (fun (f : Rules.finding) ->
-           let key =
-             String.concat "\x00" (f.Rules.rule.Rules.id :: f.Rules.loc :: f.Rules.witness)
-           in
-           if Hashtbl.mem seen key then begin
-             incr dupes;
-             false
-           end
-           else begin
-             Hashtbl.add seen key ();
-             true
-           end))
-      per_mode
+  let first_seen f =
+    let key = Rules.key f in
+    if Hashtbl.mem seen key then false
+    else begin
+      Hashtbl.add seen key ();
+      true
+    end
   in
-  (kept, !dupes)
+  let kept = List.concat_map (List.filter first_seen) per_mode in
+  (kept, List.length (List.concat per_mode) - List.length kept)
 
 let finish nl sf =
   let findings, dupes = dedup_findings (List.map snd sf) in

@@ -242,7 +242,6 @@ let test_guard_warn_identical_results () =
   Alcotest.(check bool) "warn leaves results unchanged" true
     (strip_timing off
     = strip_timing { warn with Flow.diagnostics = []; Flow.check_violations = 0 });
-  Alcotest.(check bool) "no degradation" false warn.Flow.degraded;
   Alcotest.(check int) "no repairs in warn mode" 0 warn.Flow.check_repairs
 
 let test_guard_strict_clean_circuit () =
@@ -278,7 +277,14 @@ let test_guard_strict_rejects_poison () =
             ~options:{ fast_options with Flow.guard = Flow.Guard_strict }
             Flow.Dual_vth (poisoned ()));
        false
-     with Flow.Flow_error e -> e.Flow.fe_diagnostics <> [])
+     with Flow.Flow_error e -> e.Flow.fe_diagnostics <> []);
+  (* run_all isolates nothing: the sweep re-raises the first failure *)
+  Alcotest.(check bool) "run_all re-raises it" true
+    (match
+       Flow.run_all ~options:{ fast_options with Flow.guard = Flow.Guard_strict } poisoned
+     with
+    | _ -> false
+    | exception Flow.Flow_error e -> e.Flow.fe_diagnostics <> [])
 
 let test_guard_repair_fixes_poison () =
   let r =
@@ -287,30 +293,68 @@ let test_guard_repair_fixes_poison () =
       Flow.Dual_vth (poisoned ())
   in
   Alcotest.(check bool) "repair acted" true (r.Flow.check_repairs > 0);
-  Alcotest.(check bool) "leakage finite again" true (Float.is_finite r.Flow.standby_nw);
-  Alcotest.(check bool) "not degraded" false r.Flow.degraded
+  Alcotest.(check bool) "leakage finite again" true (Float.is_finite r.Flow.standby_nw)
 
-let test_run_all_isolates_failures () =
-  (* Healthy generator: three Completed outcomes in technique order. *)
-  let outcomes = Flow.run_all ~options:fast_options gen in
-  Alcotest.(check int) "three outcomes" 3 (List.length outcomes);
-  Alcotest.(check int) "three completed" 3 (List.length (Flow.completed outcomes));
-  (* Poisoned generator under strict: every technique fails, none aborts
-     the sweep, and each failure names its stage. *)
-  let outcomes =
-    Flow.run_all
-      ~options:{ fast_options with Flow.guard = Flow.Guard_strict }
-      (fun () -> poisoned ())
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The guard observes: on every suite circuit, including the
+   multi-domain SoCs that hold sleep switches before the flow starts,
+   each guard mode reproduces the unguarded report and finds no error. *)
+let test_guard_matches_off_on_suite () =
+  let run guard technique g =
+    Flow.run ~options:{ fast_options with Flow.guard } technique (g lib)
   in
-  Alcotest.(check int) "three outcomes" 3 (List.length outcomes);
-  Alcotest.(check int) "none completed" 0 (List.length (Flow.completed outcomes));
+  let plain (r : Flow.report) =
+    strip_timing
+      { r with Flow.diagnostics = []; Flow.check_violations = 0; Flow.check_repairs = 0 }
+  in
   List.iter
-    (function
-      | Flow.Completed _ -> Alcotest.fail "expected failure"
-      | Flow.Failed { technique = _; stage; diagnostics } ->
-        Alcotest.(check bool) "stage recorded" true (stage <> "");
-        Alcotest.(check bool) "diagnostics recorded" true (diagnostics <> []))
-    outcomes
+    (fun (name, g) ->
+      List.iter
+        (fun technique ->
+          let off = plain (run Flow.Guard_off technique g) in
+          List.iter
+            (fun guard ->
+              let what =
+                Printf.sprintf "%s/%s/%s" name (Flow.technique_name technique)
+                  (Flow.guard_name guard)
+              in
+              let r = run guard technique g in
+              Alcotest.(check bool) (what ^ " matches guard off") true (plain r = off);
+              Alcotest.(check (list string))
+                (what ^ " has no error diagnostic") []
+                (List.filter (fun d -> contains d ": error ") r.Flow.diagnostics))
+            [ Flow.Guard_warn; Flow.Guard_repair; Flow.Guard_strict ])
+        [ Flow.Dual_vth; Flow.Conventional_smt; Flow.Improved_smt ])
+    Smt_circuits.Suite.all
+
+(* A cluster constraint no cell can meet fails MT construction: under any
+   guard that is a Flow_error at that stage, never a half-built product;
+   with the guard off the raw exception propagates. *)
+let test_mt_construction_failure_aborts () =
+  let params = Smt_core.Cluster.default_params (Library.tech lib) in
+  let options guard =
+    {
+      fast_options with
+      Flow.guard;
+      Flow.cluster_params = Some { params with Smt_core.Cluster.cell_limit = 0 };
+    }
+  in
+  List.iter
+    (fun guard ->
+      match Flow.run ~options:(options guard) Flow.Improved_smt (gen ()) with
+      | _ -> Alcotest.fail (Flow.guard_name guard ^ ": flow completed")
+      | exception Flow.Flow_error e ->
+        Alcotest.(check string)
+          (Flow.guard_name guard ^ ": stage") "MT construction" e.Flow.fe_stage)
+    [ Flow.Guard_warn; Flow.Guard_repair; Flow.Guard_strict ];
+  Alcotest.(check bool) "off: raw Invalid_argument" true
+    (match Flow.run ~options:(options Flow.Guard_off) Flow.Improved_smt (gen ()) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "smt_check"
@@ -342,7 +386,9 @@ let () =
             test_guard_strict_rejects_poison;
           Alcotest.test_case "repair fixes poisoned library" `Quick
             test_guard_repair_fixes_poison;
-          Alcotest.test_case "run_all isolates failures" `Quick
-            test_run_all_isolates_failures;
+          Alcotest.test_case "every mode matches off on the suite" `Slow
+            test_guard_matches_off_on_suite;
+          Alcotest.test_case "MT construction failure aborts" `Quick
+            test_mt_construction_failure_aborts;
         ] );
     ]

@@ -272,6 +272,25 @@ let test_cluster_em_cap_enforced () =
     (fun c -> Alcotest.(check bool) "<=3 cells" true (List.length c.Cluster.members <= 3))
     built.Cluster.clusters
 
+let test_cluster_params_validated () =
+  let p = Cluster.default_params tech in
+  let ok q = Result.is_ok (Cluster.validate q) in
+  Alcotest.(check bool) "defaults valid" true (ok p);
+  Alcotest.(check bool) "zero length cap valid" true (ok { p with Cluster.length_limit = 0.0 });
+  List.iter
+    (fun (what, q) -> Alcotest.(check bool) (what ^ " rejected") false (ok q))
+    [
+      ("zero bounce limit", { p with Cluster.bounce_limit = 0.0 });
+      ("infinite bounce limit", { p with Cluster.bounce_limit = infinity });
+      ("negative length cap", { p with Cluster.length_limit = -5.0 });
+      ("NaN length cap", { p with Cluster.length_limit = Float.nan });
+      ("zero cells per switch", { p with Cluster.cell_limit = 0 });
+    ];
+  Alcotest.(check bool) "build refuses them" true
+    (match clustered ~params:{ p with Cluster.cell_limit = 0 } () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_required_width () =
   let p = Cluster.default_params tech in
   (match Cluster.required_width tech p ~current_ua:20.0 ~wire_length:0.0 with
@@ -475,6 +494,7 @@ let () =
           Alcotest.test_case "length cap vs clusters" `Quick test_cluster_tighter_length_more_clusters;
           Alcotest.test_case "EM cap" `Quick test_cluster_em_cap_enforced;
           Alcotest.test_case "required width math" `Quick test_required_width;
+          Alcotest.test_case "params validated" `Quick test_cluster_params_validated;
         ] );
       ( "mte",
         [

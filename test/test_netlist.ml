@@ -484,6 +484,36 @@ let test_parser_rejects_garbage () =
        false
      with Parser.Parse_error _ -> true)
 
+(* Every file in corpus/ is a netlist the parser must reject with a
+   located [Parse_error], never an escaped exception.  Its first line,
+   "// expect LINE: TEXT", names the line the error must point at and a
+   fragment of the message. *)
+let test_parser_corpus () =
+  let files =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".v")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "corpus present" true (files <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat "corpus" f in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let line, fragment = Scanf.sscanf text "// expect %d: %[^\n]" (fun l m -> (l, m)) in
+      match Parser.of_string ~file:path ~lib text with
+      | _ -> Alcotest.fail (f ^ ": accepted")
+      | exception Parser.Parse_error msg ->
+        let located = String.starts_with ~prefix:(Printf.sprintf "%s:%d:" path line) msg in
+        let n = String.length fragment in
+        let rec mentions i =
+          i + n <= String.length msg && (String.sub msg i n = fragment || mentions (i + 1))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S is at line %d and says %S" f msg line fragment)
+          true
+          (located && mentions 0))
+    files
+
 let test_parser_synthesizes_switches () =
   let text =
     "module t (MTE);\n  input MTE;\n  SW_W7p3 s0 (.MTE(MTE));\nendmodule\n"
@@ -649,6 +679,7 @@ let () =
           Alcotest.test_case "clock preserved" `Quick test_roundtrip_preserves_clock;
           Alcotest.test_case "clone equivalent" `Quick test_clone_is_equivalent;
           Alcotest.test_case "parser rejects garbage" `Quick test_parser_rejects_garbage;
+          Alcotest.test_case "parser corpus errors are located" `Quick test_parser_corpus;
           Alcotest.test_case "parser synthesizes switches" `Quick test_parser_synthesizes_switches;
         ] );
       ( "domains",

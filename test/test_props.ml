@@ -92,6 +92,34 @@ let prop_roundtrip_equivalent =
       let nl = random_netlist seed in
       Smt_sim.Equiv.equivalent ~vectors:16 ~cycles:4 nl (Clone.copy nl))
 
+(* Hostile input: a truncated, byte-flipped, line-dropped or
+   line-duplicated netlist (a two-domain SoC, so every pragma kind is in
+   play) either parses or raises the parser's located [Parse_error]; no
+   other exception may escape. *)
+let soc_text =
+  lazy (Smt_netlist.Writer.to_string (Smt_circuits.Suite.multi_domain ~name:"fz" lib))
+
+let prop_parser_rejects_mutants =
+  QCheck2.Test.make ~name:"parser: mutated netlists raise only Parse_error" ~count:300
+    QCheck2.Gen.(triple (int_range 0 3) (int_range 0 100_000) (int_range 0 11))
+    (fun (kind, at, c) ->
+      let text = Lazy.force soc_text in
+      let lines = String.split_on_char '\n' text in
+      let line = at mod List.length lines in
+      let k = at mod String.length text in
+      let mutant =
+        match kind with
+        | 0 -> String.sub text 0 k
+        | 1 -> String.mapi (fun i ch -> if i = k then "();,./@a0\n Z".[c] else ch) text
+        | 2 -> String.concat "\n" (List.filteri (fun i _ -> i <> line) lines)
+        | _ ->
+          String.concat "\n"
+            (List.concat (List.mapi (fun i l -> if i = line then [ l; l ] else [ l ]) lines))
+      in
+      match Smt_netlist.Parser.of_string ~lib mutant with
+      | _ -> true
+      | exception Smt_netlist.Parser.Parse_error _ -> true)
+
 let prop_placement_in_die =
   QCheck2.Test.make ~name:"placement stays in the die" ~count:15 seed_gen
     (fun seed ->
@@ -1558,6 +1586,7 @@ let () =
           qtest prop_topo_matches_reference;
           qtest prop_roundtrip_preserves_stats;
           qtest prop_roundtrip_equivalent;
+          qtest prop_parser_rejects_mutants;
         ] );
       ( "physical",
         [

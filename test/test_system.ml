@@ -145,8 +145,7 @@ let test_orderings_hold_across_seeds () =
     (fun seed ->
       let options = { Flow.default_options with Flow.seed } in
       let reports =
-        Flow.completed
-          (Flow.run_all ~options (fun () -> Generators.multiplier ~name:"ms" ~bits:6 lib))
+        Flow.run_all ~options (fun () -> Generators.multiplier ~name:"ms" ~bits:6 lib)
       in
       match reports with
       | [ d; c; i ] ->
