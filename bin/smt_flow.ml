@@ -491,7 +491,7 @@ let bench_compare_cmd =
   let run obs baseline current seed jobs =
     let read path =
       or_usage
-        (Result.map_error (Printf.sprintf "cannot read snapshot %s: %s" path)
+        (Result.map_error (( ^ ) "cannot read snapshot: ")
            (Smt_obs.Snapshot.read path))
     in
     let baseline = read baseline in
@@ -1155,7 +1155,7 @@ let ledger_path_of = function
          ~none:"no ledger: pass --ledger FILE or set SMT_LEDGER")
 
 let read_ledger_or_die path =
-  or_usage (Result.map_error (Printf.sprintf "cannot read ledger %s: %s" path) (Ledger.read path))
+  or_usage (Result.map_error (( ^ ) "cannot read ledger: ") (Ledger.read path))
 
 let runs_list_cmd =
   let run ledger kind =
@@ -1187,7 +1187,7 @@ let runs_trend_cmd =
       match snapshot_dir with
       | Some dir ->
         or_usage
-          (Result.map_error (Printf.sprintf "cannot read snapshot dir %s: %s" dir)
+          (Result.map_error (( ^ ) "cannot read snapshot dir: ")
              (Trend.of_snapshot_dir dir))
       | None -> (read_ledger_or_die (ledger_path_of ledger)).Ledger.records
     in

@@ -56,71 +56,33 @@ let to_json cp =
    previous checkpoint or the complete new one, never a prefix. *)
 let write ~dir cp = J.write_durable (path ~dir cp.cp_job) (to_json cp ^ "\n")
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let of_json doc =
-  let num_of field =
-    match J.member field doc with
-    | Some v -> (
-      match J.to_num v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "checkpoint: field %S is not a number" field))
-    | None -> Error (Printf.sprintf "checkpoint: missing field %S" field)
+let of_json v =
+  let open J.Decode in
+  let status s =
+    match string s with
+    | ("done" | "failed") as st -> st
+    | st -> fail (Printf.sprintf "unknown status %S" st)
   in
-  let* version = num_of "schema_version" in
-  if int_of_float version <> schema_version then
-    Error
-      (Printf.sprintf "checkpoint: schema version %d, expected %d"
-         (int_of_float version) schema_version)
-  else
-    let* job =
-      match J.member "job" doc with
-      | Some j -> Job.of_json j
-      | None -> Error "checkpoint: missing field \"job\""
-    in
-    let* status =
-      match J.member "status" doc with
-      | Some (J.Str "done") -> Ok Done
-      | Some (J.Str "failed") ->
-        let err =
-          match J.member "error" doc with
-          | Some (J.Str e) -> e
-          | _ -> "unknown failure"
-        in
-        Ok (Failed err)
-      | Some _ -> Error "checkpoint: unknown status"
-      | None -> Error "checkpoint: missing field \"status\""
-    in
-    let* attempt = num_of "attempt" in
-    let* time = num_of "time" in
-    (* Fields added after the first release of schema 1 read back with
-       neutral defaults, so checkpoints written by an older binary still
-       load (forward additions, not a version bump). *)
-    let duration_s =
-      match Option.bind (J.member "duration_s" doc) J.to_num with
-      | Some d -> d
-      | None -> 0.
-    in
-    let* workload =
-      match (status, J.member "workload" doc) with
-      | Done, Some w ->
-        let* w = Snapshot.workload_of_json w in
-        Ok (Some w)
-      | Done, None -> Error "checkpoint: done without workload"
-      | Failed _, _ -> Ok None
-    in
-    Ok
-      {
-        cp_version = int_of_float version;
-        cp_job = job;
-        cp_status = status;
-        cp_attempt = int_of_float attempt;
-        cp_time = time;
-        cp_duration_s = duration_s;
-        cp_workload = workload;
-      }
+  let cp_version = field "schema_version" (schema schema_version) v in
+  let cp_job = field "job" Job.of_json v in
+  let cp_status, cp_workload =
+    match field "status" status v with
+    | "done" -> (Done, Some (field "workload" Snapshot.workload_of_json v))
+    | _ -> (Failed (Option.value ~default:"unknown failure" (field_opt "error" string v)), None)
+  in
+  {
+    cp_version;
+    cp_job;
+    cp_status;
+    cp_attempt = field "attempt" int v;
+    cp_time = field "time" number v;
+    (* Added after the first release of schema 1: older checkpoints
+       load with a neutral default (a forward addition, not a bump). *)
+    cp_duration_s = Option.value ~default:0. (field_opt "duration_s" number v);
+    cp_workload;
+  }
 
-let load file = Result.bind (J.of_file file) of_json
+let load file = J.Decode.decode_file of_json file
 
 type scan_result = {
   sc_checkpoints : (string * t) list;

@@ -65,6 +65,9 @@ val write : dir:string -> t -> unit
     superseding a failure). *)
 
 val load : string -> (t, string) result
+(** A bad file is an [Error] that names it and the JSON location, e.g.
+    ["<dir>/<id>.ckpt.json: $.attempt: not an integer"]; a schema version
+    other than {!schema_version} is one too. *)
 
 type scan_result = {
   sc_checkpoints : (string * t) list;

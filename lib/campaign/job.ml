@@ -37,30 +37,11 @@ let to_json j =
       ("seed", string_of_int j.jb_seed);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let str_of field doc =
-  match J.member field doc with
-  | Some v -> (
-    match J.to_str v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "job: field %S is not a string" field))
-  | None -> Error (Printf.sprintf "job: missing field %S" field)
-
-let of_json doc =
-  let* circuit = str_of "circuit" doc in
-  let* technique = str_of "technique" doc in
-  let* guard = str_of "guard" doc in
-  match J.member "seed" doc with
-  | Some v -> (
-    match J.to_num v with
-    | Some f ->
-      Ok
-        {
-          jb_circuit = circuit;
-          jb_technique = technique;
-          jb_guard = guard;
-          jb_seed = int_of_float f;
-        }
-    | None -> Error "job: field \"seed\" is not a number")
-  | None -> Error "job: missing field \"seed\""
+let of_json v =
+  let open J.Decode in
+  {
+    jb_circuit = field "circuit" string v;
+    jb_technique = field "technique" string v;
+    jb_guard = field "guard" string v;
+    jb_seed = field "seed" int v;
+  }

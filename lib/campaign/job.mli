@@ -35,4 +35,4 @@ val matrix :
     in, independent of how shards were scheduled. *)
 
 val to_json : t -> string
-val of_json : Smt_obs.Obs_json.t -> (t, string) result
+val of_json : t Smt_obs.Obs_json.Decode.t

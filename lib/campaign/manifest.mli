@@ -40,4 +40,6 @@ val write : string -> t -> unit
     fsync + rename).  [resume] cannot work without the manifest. *)
 
 val load : string -> (t, string) result
-(** Load from a campaign directory. *)
+(** Load from a campaign directory.  A bad file is an [Error] that names
+    its path and the JSON location, e.g.
+    ["<dir>/campaign.json: $.seeds[1]: not an integer"]. *)

@@ -91,27 +91,29 @@ let of_events evs =
          else None)
        evs)
 
-(* A span from the trace JSON: complete ("ph":"X") events only, instants
-   and zero-width spans carry no self time. *)
-let span_of_json doc =
-  let str name = Option.bind (Obs_json.member name doc) Obs_json.to_str in
-  let num name = Option.bind (Obs_json.member name doc) Obs_json.to_num in
-  match (str "ph", str "name", num "ts", num "dur") with
-  | Some "X", Some name, Some ts, Some dur when dur > 0.0 ->
-    let tid = match num "tid" with Some t -> int_of_float t | None -> 1 in
-    Some { sp_name = name; sp_ts = ts; sp_dur = dur; sp_tid = tid }
+(* Complete ("ph":"X") events with a positive duration are the spans;
+   instants, zero-width spans and other phases carry no self time. *)
+let span_of_json v =
+  let open Obs_json.Decode in
+  match field_opt "ph" string v with
+  | Some "X" ->
+    let dur = field "dur" number v in
+    if dur > 0.0 then
+      Some
+        {
+          sp_name = field "name" string v;
+          sp_ts = field "ts" number v;
+          sp_dur = dur;
+          sp_tid = Option.value ~default:1 (field_opt "tid" int v);
+        }
+    else None
   | _ -> None
 
-let of_trace_json doc =
-  match Obs_json.member "traceEvents" doc with
-  | Some (Obs_json.Arr items) -> Ok (fold (List.filter_map span_of_json items))
-  | Some _ -> Error "flame: traceEvents is not an array"
-  | None -> Error "flame: missing field \"traceEvents\""
+let folded v =
+  fold (List.filter_map Fun.id Obs_json.Decode.(field "traceEvents" (list span_of_json) v))
 
-let of_file path =
-  match Obs_json.of_file path with
-  | Error e -> Error e
-  | Ok doc -> of_trace_json doc
+let of_trace_json doc = Obs_json.Decode.decode ~source:"trace" folded doc
+let of_file path = Obs_json.Decode.decode_file folded path
 
 (* Folded format: one "stack;path;leaf <weight>" line per unique stack,
    weight in integer microseconds of self time, sorted by stack for

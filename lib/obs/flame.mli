@@ -21,9 +21,14 @@ val of_events : Trace.event list -> (string * float) list
 (** Fold live {!Trace} events (zero-duration instants are dropped). *)
 
 val of_trace_json : Obs_json.t -> ((string * float) list, string) result
-(** Fold a parsed Chrome trace document ([{"traceEvents":[...]}]). *)
+(** Fold a parsed Chrome trace document ([{"traceEvents":[...]}]).
+    Events other than complete (["ph":"X"]) ones are skipped; a complete
+    event needs a string [name] and numeric [ts] and [dur] (an integer
+    [tid], 1 when absent), or the [Error] names its JSON location, e.g.
+    ["trace: $.traceEvents[4].dur: not a number"]. *)
 
 val of_file : string -> ((string * float) list, string) result
+(** {!of_trace_json} on a file; errors open with its path. *)
 
 val render : (string * float) list -> string
 (** One ["a;b;c <us>\n"] line per stack with at least 1us of self time. *)

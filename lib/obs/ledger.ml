@@ -80,67 +80,25 @@ let make ?(time = clock ()) ?(tool = "smt_flow") ?(tag = "") ?(circuit = "-")
   in
   { r with r_id = short_digest (payload_json r) }
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let of_json v =
+  let open Obs_json.Decode in
+  let str name = field name string v in
+  {
+    r_version = field "schema_version" int v;
+    r_id = str "id";
+    r_time = field "time" number v;
+    r_tool = str "tool";
+    r_kind = str "kind";
+    r_tag = str "tag";
+    r_circuit = str "circuit";
+    r_technique = str "technique";
+    r_guard = str "guard";
+    r_jobs = field "jobs" int v;
+    r_args_hash = str "args_hash";
+    r_workloads = field "workloads" (list Snapshot.workload_of_json) v;
+  }
 
-let str_of name doc =
-  match Obs_json.member name doc with
-  | Some v -> (
-    match Obs_json.to_str v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "ledger: field %S is not a string" name))
-  | None -> Error (Printf.sprintf "ledger: missing field %S" name)
-
-let num_of name doc =
-  match Obs_json.member name doc with
-  | Some v -> (
-    match Obs_json.to_num v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "ledger: field %S is not a number" name))
-  | None -> Error (Printf.sprintf "ledger: missing field %S" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let of_json doc =
-  let* version = num_of "schema_version" doc in
-  let* id = str_of "id" doc in
-  let* time = num_of "time" doc in
-  let* tool = str_of "tool" doc in
-  let* kind = str_of "kind" doc in
-  let* tag = str_of "tag" doc in
-  let* circuit = str_of "circuit" doc in
-  let* technique = str_of "technique" doc in
-  let* guard = str_of "guard" doc in
-  let* jobs = num_of "jobs" doc in
-  let* args_hash = str_of "args_hash" doc in
-  let* workloads =
-    match Obs_json.member "workloads" doc with
-    | Some (Obs_json.Arr items) -> map_result Snapshot.workload_of_json items
-    | Some _ -> Error "ledger: workloads is not an array"
-    | None -> Error "ledger: missing field \"workloads\""
-  in
-  Ok
-    {
-      r_version = int_of_float version;
-      r_id = id;
-      r_time = time;
-      r_tool = tool;
-      r_kind = kind;
-      r_tag = tag;
-      r_circuit = circuit;
-      r_technique = technique;
-      r_guard = guard;
-      r_jobs = int_of_float jobs;
-      r_args_hash = args_hash;
-      r_workloads = workloads;
-    }
-
-let of_line line =
-  match Obs_json.parse line with Ok doc -> of_json doc | Error e -> Error e
+let of_line line = Obs_json.Decode.decode_string ~source:"ledger line" of_json line
 
 (* ------------------------------------------------------------------ *)
 (* File I/O                                                            *)

@@ -75,8 +75,11 @@ val make :
 val to_json : record -> string
 (** One canonical JSON line (no trailing newline). *)
 
-val of_json : Obs_json.t -> (record, string) result
 val of_line : string -> (record, string) result
+(** Decode one line.  Bad input is an [Error] that opens with
+    ["ledger line"] and names the JSON location, e.g.
+    ["ledger line: $.jobs: not an integer"]; the schema version and job
+    count must be integers. *)
 
 val append : string -> record -> unit
 (** Lock-guarded single-write append of [to_json r ^ "\n"]. *)

@@ -126,9 +126,6 @@ let hist_values st h =
     | None -> (0, 0.0, Array.make (Array.length h.h_bounds + 1) 0)
   else (0, 0.0, Array.make (Array.length h.h_bounds + 1) 0)
 
-let histogram_count h = let n, _, _ = hist_values (store ()) h in n
-let histogram_sum h = let _, s, _ = hist_values (store ()) h in s
-
 let histogram_hits h =
   let _, _, hits = hist_values (store ()) h in
   Array.copy hits
@@ -162,7 +159,6 @@ let quantile_of bounds hits q =
   end
 
 let quantile_of_hits h hits q = quantile_of h.h_bounds hits q
-let histogram_quantile h q = quantile_of h.h_bounds (histogram_hits h) q
 
 (* Scoped collection: run [f] against a fresh store, hand the store back. *)
 
@@ -221,28 +217,6 @@ let counters () =
       | Histogram _ -> None)
     (instruments ())
   |> sorted
-
-let snapshot () =
-  let st = store () in
-  List.concat_map
-    (function
-      | Counter c ->
-        [ (c.c_name,
-           float_of_int
-             (if c.c_id < Array.length st.st_counts then st.st_counts.(c.c_id) else 0)) ]
-      | Histogram h ->
-        let n, sum, hits = hist_values st h in
-        [
-          (h.h_name ^ ".count", float_of_int n);
-          (h.h_name ^ ".sum", sum);
-          (h.h_name ^ ".p50", quantile_of h.h_bounds hits 0.5);
-          (h.h_name ^ ".p90", quantile_of h.h_bounds hits 0.9);
-          (h.h_name ^ ".p99", quantile_of h.h_bounds hits 0.99);
-        ])
-    (instruments ())
-  |> sorted
-
-let reset () = Domain.DLS.set store_key (fresh_store ())
 
 let to_json () =
   let st = store () in

@@ -11,7 +11,7 @@
     mutex-guarded, so concurrent registration from worker domains is safe.
     Instrument {e values} are per-domain: [incr]/[observe] touch only
     the calling domain's store and never contend, and the readers
-    ([counters], [snapshot], [to_json], ...) report the calling domain's
+    ([counters], [to_json], ...) report the calling domain's
     values.  Parallel jobs hand their effects back to the caller through
     {!collect} and {!merge}; merging job stores in input order reproduces
     the sequential totals exactly — counters and histograms are additive
@@ -35,8 +35,6 @@ val histogram : ?buckets:float list -> string -> histogram
     millisecond durations: powers of ~3 from 0.1 ms to 10 s. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val histogram_hits : histogram -> int array
 (** A copy of the calling domain's per-bucket hit counts, one slot per
@@ -50,24 +48,11 @@ val quantile_of_hits : histogram -> int array -> float -> float
     array, e.g. a before/after delta of {!histogram_hits}.  [nan] when
     the hits are empty. *)
 
-val histogram_quantile : histogram -> float -> float
-(** [quantile_of_hits h (histogram_hits h) q]. *)
-
 val counters : unit -> (string * int) list
 (** Current value of every registered counter, sorted by name.  Counters
     are the deterministic "work done" instruments (arrival evaluations,
     placement iterations, ...), which is what QoR snapshots diff per
     workload — histograms carry distributions and are excluded. *)
-
-val snapshot : unit -> (string * float) list
-(** Current value of every instrument, sorted by name.  Histograms
-    contribute [name.count], [name.sum], and estimated [name.p50] /
-    [name.p90] / [name.p99] quantiles ([nan] while empty). *)
-
-val reset : unit -> unit
-(** Zero every registered instrument in the calling domain's store
-    (registrations survive).  For tests and benchmark harnesses that diff
-    the registry between workloads. *)
 
 type collected
 (** The instrument values accumulated during one {!collect} scope. *)
@@ -87,7 +72,10 @@ val merge : collected -> unit
 
 val to_json : unit -> string
 (** The whole registry as one JSON object:
-    [{"counters":{..},"histograms":{..}}]. *)
+    [{"counters":{..},"histograms":{..}}], each sorted by name.  A
+    histogram reads [{"count","sum","p50","p90","p99","buckets"}], its
+    quantiles estimated as {!quantile_of_hits} does ([null] while
+    empty). *)
 
 val write : string -> unit
 (** Write [to_json ()] to a file. *)

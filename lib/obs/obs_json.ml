@@ -1,5 +1,6 @@
-(* Minimal JSON emission and parsing shared by Trace, Metrics, and
-   Snapshot.  Report_json builds on the same emitters for flow reports. *)
+(* Minimal JSON emission, parsing and decoding shared by Trace, Metrics,
+   Snapshot and every reader of the repo's JSON records.  Report_json
+   builds on the same emitters for flow reports. *)
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -209,14 +210,94 @@ let parse s = match parse_exn s with v -> Ok v | exception Parse_error e -> Erro
 
 let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 
-let to_num = function Num f -> Some f | Null -> Some Float.nan | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 
 (* The whole read sits inside the one handler: [open_in] succeeds on a
-   directory, and the error only surfaces at the first read. *)
+   directory, and the error only surfaces at the first read, as a bare
+   "Is a directory" that the path must be added to. *)
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e ->
+    Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
   | contents -> Ok contents
 
 let of_file path = Result.bind (read_file path) parse
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Decode = struct
+  type json = t
+  type 'a t = json -> 'a
+  type step = Key of string | Index of int
+
+  (* The path is assembled while a failure unwinds, innermost step
+     first, so a decode that succeeds never builds it. *)
+  exception Fail of step list * string
+
+  let fail msg = raise (Fail ([], msg))
+  let in_key k d v = try d v with Fail (p, m) -> raise (Fail (Key k :: p, m))
+  let in_index i d v = try d v with Fail (p, m) -> raise (Fail (Index i :: p, m))
+
+  (* [null] is the emitters' encoding of a non-finite float. *)
+  let number = function Num f -> f | Null -> Float.nan | _ -> fail "not a number"
+
+  (* Below 2^53 each integer has a double of its own; from 2^53 on the
+     text of a neighbour (2^53 + 1) parses to the same double and would
+     read back silently as another value. *)
+  let int = function
+    | Num f when Float.is_integer f ->
+      if Float.abs f < 0x1p53 then int_of_float f else fail "integer out of range"
+    | _ -> fail "not an integer"
+
+  let string = function Str s -> s | _ -> fail "not a string"
+
+  let schema expected v =
+    let n = int v in
+    if n = expected then n else fail (Printf.sprintf "schema version %d, expected %d" n expected)
+
+  let list d = function
+    | Arr xs -> List.mapi (fun i x -> in_index i d x) xs
+    | _ -> fail "not an array"
+
+  let first d = function
+    | Arr [] -> None
+    | Arr (x :: _) -> Some (in_index 0 d x)
+    | _ -> fail "not an array"
+
+  let fields = function Obj fs -> fs | _ -> fail "not an object"
+  let dict d v = List.map (fun (k, x) -> (k, in_key k d x)) (fields v)
+
+  let field_opt name d v =
+    match List.assoc_opt name (fields v) with
+    | Some x -> Some (in_key name d x)
+    | None -> None
+
+  let field name d v =
+    match field_opt name d v with Some x -> x | None -> raise (Fail ([ Key name ], "missing"))
+
+  let path steps =
+    let b = Buffer.create 32 in
+    Buffer.add_char b '$';
+    List.iter
+      (function
+        | Key k ->
+          Buffer.add_char b '.';
+          Buffer.add_string b k
+        | Index i -> Printf.bprintf b "[%d]" i)
+      steps;
+    Buffer.contents b
+
+  let decode ~source d v =
+    match d v with
+    | x -> Ok x
+    | exception Fail (p, m) -> Error (Printf.sprintf "%s: %s: %s" source (path p) m)
+
+  let decode_string ~source d s =
+    match parse_exn s with
+    | v -> decode ~source d v
+    | exception Parse_error e -> Error (Printf.sprintf "%s: $: %s" source e)
+
+  let decode_file d file = Result.bind (read_file file) (decode_string ~source:file d)
+end

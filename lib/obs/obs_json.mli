@@ -1,10 +1,13 @@
-(** Dependency-free JSON emission and parsing.
+(** Dependency-free JSON emission, parsing and decoding.
 
     The emitters build JSON as strings — the right weight for this
     library's append-only documents (traces, metric dumps, QoR snapshots).
     The parser is a small recursive-descent reader for the documents the
-    emitters produce (and any other well-formed JSON): [Snapshot] uses it
-    to load committed baselines, tests use it to validate exports.
+    emitters produce (and any other well-formed JSON).  {!Decode} turns a
+    parsed document into a typed value; every reader of the repo's JSON
+    records (snapshots, ledger lines, checkpoints, manifests, SARIF
+    baselines, traces) is written with it, so each one rejects bad input
+    with the same located error.
 
     Emission conventions: [num] prints a compact [%.6g] (display
     precision) and maps non-finite floats to [null]; [num_exact] prints
@@ -69,15 +72,79 @@ val parse_exn : string -> t
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on other constructors. *)
 
-val to_num : t -> float option
-(** [Num f] gives [f]; [Null] gives [nan] (the emitters' encoding of
-    non-finite values); anything else gives [None]. *)
-
 val to_str : t -> string option
 
 val read_file : string -> (string, string) result
 (** A whole file's contents; every I/O error (missing file, a directory,
-    a failing read) comes back as [Error]. *)
+    a failing read) comes back as an [Error] that names the path. *)
 
 val of_file : string -> (t, string) result
 (** {!read_file} then {!parse}. *)
+
+(** {1 Decoding}
+
+    A decoder reads one JSON value into an OCaml value.  Decoders nest
+    the way the document does, and {!Decode.decode} runs one: a value of
+    the wrong shape comes back as
+    ["<source>: <path>: <problem>"], where the path starts at [$] and
+    names every object key and array index on the way down, e.g.
+    ["BENCH_x.json: $.workloads[3].counters.sta.analyses: not an integer"].
+    A document that does not parse reads
+    ["<source>: $: <parse error> at offset <n>"].
+
+    The path is assembled only when a decode fails; a decode that
+    succeeds costs the walk and nothing more. *)
+
+module Decode : sig
+  type json := t
+
+  type 'a t = json -> 'a
+  (** A decoder.  It reports a mismatch by raising an exception that
+      only {!decode} (and the functions built on it) may catch: apply
+      decoders to values only inside another decoder. *)
+
+  val number : float t
+  (** A number; [null] reads as [nan], the emitters' encoding of a
+      non-finite float. *)
+
+  val int : int t
+  (** An integral number of magnitude below 2{^53}, where every integer
+      has a double of its own.  [null], [1.5] and [1e30] are errors. *)
+
+  val string : string t
+
+  val schema : int -> int t
+  (** [schema expected]: an {!int} that must equal [expected] (a record's
+      [schema_version]). *)
+
+  val list : 'a t -> 'a list t
+  (** An array, every element decoded; an element's path is [[i]]. *)
+
+  val first : 'a t -> 'a option t
+  (** An array's first element decoded, [None] when the array is empty;
+      the other elements are not read. *)
+
+  val dict : 'a t -> (string * 'a) list t
+  (** A string-keyed object, every value decoded, in document order. *)
+
+  val field : string -> 'a t -> 'a t
+  (** [field k d]: the object's member [k], decoded with [d]; an error
+      when the value is not an object or has no [k]. *)
+
+  val field_opt : string -> 'a t -> 'a option t
+  (** Like {!field}, but an absent member is [None]. *)
+
+  val fail : string -> 'a
+  (** Reject the value being decoded, for checks the combinators above
+      do not express (an unknown enum string, say). *)
+
+  val decode : source:string -> 'a t -> json -> ('a, string) result
+  (** Run a decoder; [source] (a file name, or what the document is)
+      opens every error message. *)
+
+  val decode_string : source:string -> 'a t -> string -> ('a, string) result
+  (** {!parse}, then {!decode}. *)
+
+  val decode_file : 'a t -> string -> ('a, string) result
+  (** {!read_file}, then {!decode_string} with the path as source. *)
+end

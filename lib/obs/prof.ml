@@ -51,28 +51,14 @@ let stats_json st =
       ("top_heap_words", string_of_int st.top_heap_words);
     ]
 
-let stats_of_json doc =
-  let num name = match Obs_json.member name doc with
-    | Some v -> (match Obs_json.to_num v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "prof: field %S is not a number" name))
-    | None -> Error (Printf.sprintf "prof: missing field %S" name)
-  in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let* minor_words = num "minor_words" in
-  let* promoted_words = num "promoted_words" in
-  let* major_words = num "major_words" in
-  let* minor_collections = num "minor_collections" in
-  let* major_collections = num "major_collections" in
-  let* compactions = num "compactions" in
-  let* top_heap_words = num "top_heap_words" in
-  Ok
-    {
-      minor_words;
-      promoted_words;
-      major_words;
-      minor_collections = int_of_float minor_collections;
-      major_collections = int_of_float major_collections;
-      compactions = int_of_float compactions;
-      top_heap_words = int_of_float top_heap_words;
-    }
+let stats_of_json v =
+  let open Obs_json.Decode in
+  {
+    minor_words = field "minor_words" number v;
+    promoted_words = field "promoted_words" number v;
+    major_words = field "major_words" number v;
+    minor_collections = field "minor_collections" int v;
+    major_collections = field "major_collections" int v;
+    compactions = field "compactions" int v;
+    top_heap_words = field "top_heap_words" int v;
+  }

@@ -45,4 +45,4 @@ val record : mark -> stats option
 (** The cost since [m]; [None] when profiling was off at [mark] time. *)
 
 val stats_json : stats -> string
-val stats_of_json : Obs_json.t -> (stats, string) result
+val stats_of_json : stats Obs_json.Decode.t

@@ -66,87 +66,26 @@ let to_json s =
 
 let write path s = Obs_json.to_file path (to_json s)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let workload_of_json v =
+  let open Obs_json.Decode in
+  let stage v = (field "stage" string v, field "ms" number v) in
+  {
+    (workload ~name:(field "name" string v) ~qor:(field "qor" (dict number) v)
+       ~counters:(field "counters" (dict int) v) ~stage_ms:(field "stage_ms" (list stage) v))
+    with
+    w_prof = Option.value ~default:[] (field_opt "prof" (dict Prof.stats_of_json) v);
+  }
 
-let field_of name doc =
-  match Obs_json.member name doc with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "snapshot: missing field %S" name)
+let of_doc v =
+  let open Obs_json.Decode in
+  {
+    s_version = field "schema_version" int v;
+    s_tag = field "tag" string v;
+    s_workloads = field "workloads" (list workload_of_json) v;
+  }
 
-let num_of name doc =
-  let* v = field_of name doc in
-  match Obs_json.to_num v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "snapshot: field %S is not a number" name)
-
-let str_of name doc =
-  let* v = field_of name doc in
-  match Obs_json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "snapshot: field %S is not a string" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let num_fields name doc =
-  let* v = field_of name doc in
-  match v with
-  | Obs_json.Obj fields ->
-    map_result
-      (fun (k, v) ->
-        match Obs_json.to_num v with
-        | Some f -> Ok (k, f)
-        | None -> Error (Printf.sprintf "snapshot: %s.%s is not a number" name k))
-      fields
-  | _ -> Error (Printf.sprintf "snapshot: field %S is not an object" name)
-
-let workload_of_json doc =
-  let* name = str_of "name" doc in
-  let* qor = num_fields "qor" doc in
-  let* counters = num_fields "counters" doc in
-  let counters = List.map (fun (k, v) -> (k, int_of_float v)) counters in
-  let* stage_ms =
-    let* v = field_of "stage_ms" doc in
-    match v with
-    | Obs_json.Arr items ->
-      map_result
-        (fun item ->
-          let* stage = str_of "stage" item in
-          let* ms = num_of "ms" item in
-          Ok (stage, ms))
-        items
-    | _ -> Error "snapshot: stage_ms is not an array"
-  in
-  let* prof =
-    match Obs_json.member "prof" doc with
-    | None -> Ok []
-    | Some (Obs_json.Obj fields) ->
-      map_result
-        (fun (stage, v) ->
-          let* st = Prof.stats_of_json v in
-          Ok (stage, st))
-        fields
-    | Some _ -> Error "snapshot: prof is not an object"
-  in
-  Ok { (workload ~name ~qor ~counters ~stage_ms) with w_prof = prof }
-
-let of_doc doc =
-  let* version = num_of "schema_version" doc in
-  let* tag = str_of "tag" doc in
-  let* workloads =
-    let* v = field_of "workloads" doc in
-    match v with
-    | Obs_json.Arr items -> map_result workload_of_json items
-    | _ -> Error "snapshot: workloads is not an array"
-  in
-  Ok { s_version = int_of_float version; s_tag = tag; s_workloads = workloads }
-
-let of_json s = Result.bind (Obs_json.parse s) of_doc
-let read path = Result.bind (Obs_json.of_file path) of_doc
+let of_json s = Obs_json.Decode.decode_string ~source:"snapshot" of_doc s
+let read path = Obs_json.Decode.decode_file of_doc path
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -61,16 +61,25 @@ val make : tag:string -> workload list -> t
 (** {1 Serialization} *)
 
 val to_json : t -> string
-val of_json : string -> (t, string) result
 val write : string -> t -> unit
+
+val of_json : string -> (t, string) result
 val read : string -> (t, string) result
+(** Decode a snapshot document (from a string, or the file at a path).
+    Bad input is an [Error] that names the source (["snapshot"], or the
+    path) and the JSON location, e.g.
+    ["BENCH_x.json: $.workloads[3].counters.sta.analyses: not an integer"]:
+    QoR fields must be numbers ([null] reads as [nan]), and the schema
+    version and counters integers. *)
 
 val workload_json : workload -> string
 (** One workload as a JSON object — the element format of [to_json]'s
     [workloads] array, reused verbatim by the run ledger and campaign
     checkpoints. *)
 
-val workload_of_json : Obs_json.t -> (workload, string) result
+val workload_of_json : workload Obs_json.Decode.t
+(** The decoder of {!workload_json}'s object, which the ledger and
+    checkpoint readers nest. *)
 
 (** {1 Comparison} *)
 

@@ -32,29 +32,28 @@ let ordered records =
 
 (* A directory of BENCH_*.json snapshots reads as a pseudo-ledger: one
    record per file, timestamped by filename order (snapshots carry no
-   clock of their own). *)
+   clock of their own).  A file that does not decode stops the read with
+   its own located error: a trend that silently lost a point would pass
+   its gate on the snapshots that remain. *)
 let of_snapshot_dir dir =
+  let rec records i = function
+    | [] -> Ok []
+    | name :: rest -> (
+      match Snapshot.read (Filename.concat dir name) with
+      | Error e -> Error e
+      | Ok snap ->
+        Result.map
+          (List.cons
+             (Ledger.make ~time:(float_of_int i) ~tag:snap.Snapshot.s_tag ~kind:"snapshot"
+                snap.Snapshot.s_workloads))
+          (records (i + 1) rest))
+  in
   match Sys.readdir dir with
   | exception Sys_error e -> Error e
   | names ->
-    let names =
-      Array.to_list names
-      |> List.filter (fun n -> Filename.check_suffix n ".json")
-      |> List.sort compare
-    in
-    let records =
-      List.mapi
-        (fun i name ->
-          match Snapshot.read (Filename.concat dir name) with
-          | Error _ -> None
-          | Ok snap ->
-            Some
-              (Ledger.make ~time:(float_of_int i) ~tag:snap.Snapshot.s_tag
-                 ~kind:"snapshot" snap.Snapshot.s_workloads))
-        names
-      |> List.filter_map Fun.id
-    in
-    Ok records
+    Array.to_list names
+    |> List.filter (fun n -> Filename.check_suffix n ".json")
+    |> List.sort compare |> records 0
 
 (* ------------------------------------------------------------------ *)
 (* Series extraction                                                   *)

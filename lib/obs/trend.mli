@@ -31,7 +31,10 @@ val status_name : status -> string
 val of_snapshot_dir : string -> (Ledger.record list, string) result
 (** Read every [*.json] snapshot in a directory (filename order) as a
     pseudo-ledger — one record per file, indexed synthetic timestamps —
-    so [trend] also works on a directory of [BENCH_*.json] baselines. *)
+    so [trend] also works on a directory of [BENCH_*.json] baselines.
+    A file that is not a snapshot is an [Error]: the first such file's
+    {!Snapshot.read} error, which names the file and the JSON location
+    ([runs trend --snapshot-dir] exits 2 with it). *)
 
 val analyze :
   ?metric:string ->

@@ -50,8 +50,10 @@ let sustained_current ?activity ?load_of nl ~members =
       acc +. (c.Cell.avg_current *. toggle_of activity iid *. scale_of load_of iid))
     0.0 members
 
-(* A distributed line with current injected along it behaves like R/3 seen
-   from the far end (uniform injection). *)
+(* A line of resistance R with its current I injected uniformly along it
+   drops I*R/2 at the far end and I*R/3 on average along the line; the
+   model charges the mean, R/3.  A VGND tree splits the current across
+   its branches, which keeps the lumped model conservative. *)
 let vgnd_wire_res tech ~length = tech.Tech.wire_r_per_um *. Float.max 0.0 length /. 3.0
 
 let bounce_v tech ~switch_width ~wire_length ~current_ua =

@@ -41,7 +41,9 @@ val sustained_current :
 (** Activity-weighted average current (electromigration stress), uA. *)
 
 val vgnd_wire_res : Smt_cell.Tech.t -> length:float -> float
-(** Effective distributed resistance of a VGND line of the given length. *)
+(** Effective distributed resistance of a VGND line of the given length:
+    a third of its wire resistance, the mean drop along a line with
+    uniformly injected current (the far end sees half). *)
 
 val bounce_v :
   Smt_cell.Tech.t -> switch_width:float -> wire_length:float -> current_ua:float -> float

@@ -173,61 +173,19 @@ type baseline = (string * string, unit) Hashtbl.t
 
 let key ~wl (f : Rules.finding) = (f.Rules.rule.Rules.id, wl ^ "/" ^ f.Rules.loc)
 
-(* Each step of the walk names its JSON location, so a rejected file
-   says where it stopped being a SARIF report. *)
+(* A result keys on its [ruleId] and its first location's first logical
+   location; an absent or empty [locations] or [logicalLocations] keys
+   on [""]. *)
 let read_baseline path =
-  let ( let* ) = Result.bind in
-  let fail where what = Error (Printf.sprintf "%s: %s: %s" path where what) in
-  let array where = function
-    | Some (J.Arr xs) -> Ok xs
-    | Some _ -> fail where "not an array"
-    | None -> fail where "missing array"
-  in
-  let rec each where f i = function
-    | [] -> Ok ()
-    | x :: rest ->
-      let* () = f (Printf.sprintf "%s[%d]" where i) x in
-      each where f (i + 1) rest
-  in
-  let first where json field =
-    match J.member field json with
-    | None -> Ok None
-    | v -> (
-      let where = where ^ "." ^ field in
-      let* xs = array where v in
-      match xs with [] -> Ok None | x :: _ -> Ok (Some (where ^ "[0]", x)))
-  in
+  let open J.Decode in
   let tbl = Hashtbl.create 64 in
-  let result where r =
-    let* rule =
-      match J.member "ruleId" r with
-      | Some (J.Str s) -> Ok s
-      | _ -> fail (where ^ ".ruleId") "missing string"
-    in
-    let* loc = first where r "locations" in
-    let* ll =
-      match loc with None -> Ok None | Some (w, loc) -> first w loc "logicalLocations"
-    in
-    let* fqn =
-      match ll with
-      | None -> Ok ""
-      | Some (w, ll) -> (
-        match J.member "fullyQualifiedName" ll with
-        | Some (J.Str s) -> Ok s
-        | _ -> fail (w ^ ".fullyQualifiedName") "missing string")
-    in
-    Ok (Hashtbl.replace tbl (rule, fqn) ())
+  let head name d v = Option.value ~default:"" (Option.join (field_opt name (first d) v)) in
+  let result r =
+    let rule = field "ruleId" string r in
+    let fqn = head "locations" (head "logicalLocations" (field "fullyQualifiedName" string)) r in
+    Hashtbl.replace tbl (rule, fqn) ()
   in
-  let results where run =
-    let where = where ^ ".results" in
-    let* rs = array where (J.member "results" run) in
-    each where result 0 rs
-  in
-  let* text = J.read_file path in
-  let* doc = match J.parse text with Ok doc -> Ok doc | Error e -> fail "$" e in
-  let* runs = array "$.runs" (J.member "runs" doc) in
-  let* () = each "$.runs" results 0 runs in
-  Ok tbl
+  Result.map (fun _ -> tbl) (decode_file (field "runs" (list (field "results" (list result)))) path)
 
 let baseline_keys b =
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) b [])

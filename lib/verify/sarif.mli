@@ -52,7 +52,7 @@ val read_baseline : string -> (baseline, string) result
     A file that cannot be read, is not JSON, has no [runs] or [results]
     array, or holds a result without a string [ruleId] is an [Error]
     naming the path and the JSON location (e.g.
-    ["b.sarif: $.runs[0].results[2].ruleId: missing string"]).  A result
+    ["b.sarif: $.runs[0].results[2].ruleId: missing"]).  A result
     without locations keys on [""]. *)
 
 val baseline_keys : baseline -> (string * string) list

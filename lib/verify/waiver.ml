@@ -59,15 +59,7 @@ let parse text =
   in
   go 1 [] lines
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> parse text
-  | exception Sys_error e -> Error e
+let load path = Result.bind (Smt_obs.Obs_json.read_file path) parse
 
 (* Anchored *-glob: classic two-pointer scan with backtracking to the
    last star. *)

@@ -82,12 +82,15 @@ let test_job_matrix_order () =
 
 let test_job_json_roundtrip () =
   let j = job "circuit_b" "conventional" "warn" 7 in
-  match Obs_json.parse (Job.to_json j) with
+  match Obs_json.Decode.decode_string ~source:"job" Job.of_json (Job.to_json j) with
   | Error e -> Alcotest.fail e
-  | Ok doc -> (
-    match Job.of_json doc with
-    | Error e -> Alcotest.fail e
-    | Ok j' -> Alcotest.(check bool) "round-trips" true (j = j'))
+  | Ok j' -> Alcotest.(check bool) "round-trips" true (j = j')
+
+let test_job_rejects_non_integer_seed () =
+  Json_input.check_rejects_ints
+    ~read:(Obs_json.Decode.decode_string ~source:"job" Job.of_json)
+    ~source:"job" ~before:{|"seed":|} ~value:"7" ~path:"$.seed"
+    (Job.to_json (job "circuit_b" "conventional" "warn" 7))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints                                                         *)
@@ -200,6 +203,50 @@ let test_checkpoint_mislabeled_ignored () =
     Alcotest.(check (list string)) "only the honest checkpoint survives"
       [ Job.id j ]
       (List.map fst sc_checkpoints)
+
+(* A checkpoint's integers — its own, its job's and its workload's — are
+   rejected at their location, and the error names the file. *)
+let test_checkpoint_rejects_non_integers () =
+  with_temp_dir @@ fun dir ->
+  let j = job "circuit_a" "dual" "off" 1 in
+  let path = Ckpt.path ~dir j in
+  Ckpt.write ~dir (done_checkpoint j);
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let read text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+    Ckpt.load path
+  in
+  List.iter
+    (fun (before, value, json_path) ->
+      Json_input.check_rejects_ints ~read ~source:path ~before ~value ~path:json_path good)
+    [
+      ({|"schema_version":|}, "1", "$.schema_version");
+      ({|"attempt":|}, "1", "$.attempt");
+      ({|"seed":|}, "1", "$.job.seed");
+      ({|"sta.arrival_evals":|}, "42", "$.workload.counters.sta.arrival_evals");
+    ];
+  Alcotest.(check (result reject string)) "another schema version"
+    (Error (path ^ ": $.schema_version: schema version 2, expected 1"))
+    (read (Json_input.replace ~sub:{|"schema_version":1|} ~by:{|"schema_version":2|} good));
+  Alcotest.(check (result reject string)) "an unknown status"
+    (Error (path ^ {|: $.status: unknown status "dune"|}))
+    (read (Json_input.replace ~sub:{|"done"|} ~by:{|"dune"|} good))
+
+let test_manifest_rejects_non_integers () =
+  with_temp_dir @@ fun dir ->
+  Manifest.write dir
+    (Manifest.make ~tag:"t" ~circuits:[ "circuit_a" ] ~techniques:[ "dual" ] ~guards:[ "off" ]
+       ~seeds:[ 1; 2 ]);
+  let path = Manifest.path dir in
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let read text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+    Manifest.load dir
+  in
+  Json_input.check_rejects_ints ~read ~source:path ~before:{|"seeds":[1,|} ~value:"2"
+    ~path:"$.seeds[1]" good;
+  Json_input.check_rejects_ints ~read ~source:path ~before:{|"schema_version":|} ~value:"1"
+    ~path:"$.schema_version" good
 
 let test_manifest_roundtrip () =
   with_temp_dir @@ fun dir ->
@@ -639,6 +686,8 @@ let () =
           Alcotest.test_case "id and name" `Quick test_job_id_and_name;
           Alcotest.test_case "matrix order" `Quick test_job_matrix_order;
           Alcotest.test_case "json round-trip" `Quick test_job_json_roundtrip;
+          Alcotest.test_case "non-integer seed rejected" `Quick
+            test_job_rejects_non_integer_seed;
         ] );
       ( "checkpoint",
         [
@@ -655,6 +704,10 @@ let () =
             test_checkpoint_old_format_defaults;
           Alcotest.test_case "duration and prof round-trip" `Quick
             test_checkpoint_envelope_roundtrip;
+          Alcotest.test_case "bad fields rejected at their location" `Quick
+            test_checkpoint_rejects_non_integers;
+          Alcotest.test_case "manifest integers rejected at their location" `Quick
+            test_manifest_rejects_non_integers;
         ] );
       ( "supervisor",
         [

@@ -18,9 +18,9 @@ let run_improved =
   fun () -> Lazy.force result
 
 let num_field name doc =
-  match Option.bind (J.member name doc) J.to_num with
-  | Some f -> f
-  | None -> Alcotest.failf "missing numeric field %S" name
+  match J.Decode.(decode ~source:"explain" (field name number) doc) with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
 
 let arr_field name doc =
   match J.member name doc with

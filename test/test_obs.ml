@@ -289,9 +289,9 @@ let test_trace_export_nesting_consistent () =
     | None -> Alcotest.failf "missing string field %S" name
   in
   let num name ev =
-    match Option.bind (Obs_json.member name ev) Obs_json.to_num with
-    | Some f -> f
-    | None -> Alcotest.failf "missing numeric field %S" name
+    match Obs_json.Decode.(decode ~source:"trace" (field name number) ev) with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
   in
   List.iter
     (fun ev ->
@@ -339,9 +339,9 @@ let test_obs_json_roundtrip () =
     Alcotest.(check (option string)) "escaped string round-trips"
       (Some "a\"b\\c\nd\tcontrol:\001")
       (Option.bind (Obs_json.member "s" v) Obs_json.to_str);
-    (match Option.bind (Obs_json.member "n" v) Obs_json.to_num with
-    | Some f -> Alcotest.(check bool) "num_exact round-trips exactly" true (f = 0.1)
-    | None -> Alcotest.fail "n missing");
+    (match Obs_json.Decode.(decode ~source:"doc" (field "n" number) v) with
+    | Ok f -> Alcotest.(check bool) "num_exact round-trips exactly" true (f = 0.1)
+    | Error e -> Alcotest.fail e);
     (match Obs_json.member "inf" v with
     | Some Obs_json.Null -> ()
     | _ -> Alcotest.fail "non-finite emitted as null");
@@ -376,12 +376,14 @@ let test_obs_json_rejects_malformed () =
   | _ -> Alcotest.fail "parse_exn did not raise"
 
 (* [open_in] succeeds on a directory: the failing read after it must be
-   an [Error] (flame and lint --baseline exit 2), not an escaped
-   [Sys_error]. *)
+   an [Error] that names the path (flame and lint --baseline exit 2 with
+   it), not an escaped [Sys_error]. *)
 let test_obs_json_of_file_directory () =
-  match Obs_json.of_file (Filename.get_temp_dir_name ()) with
+  let dir = Filename.get_temp_dir_name () in
+  match Obs_json.of_file dir with
   | Ok _ -> Alcotest.fail "parsed a directory"
-  | Error _ -> ()
+  | Error e ->
+    Alcotest.(check bool) (e ^ " names the path") true (String.starts_with ~prefix:dir e)
 
 (* The durable writer replaces a longer file whole (no stale tail), and
    neither a write nor a failed one (a rename onto a non-empty directory)
@@ -426,22 +428,41 @@ let test_counter_accumulation () =
   Alcotest.(check bool) "registration is idempotent" true
     (Metrics.counter_value (Metrics.counter "test_obs.counter") = base + 42)
 
+(* The registry dump read back through the JSON decoder. *)
+let metrics_json d =
+  match Obs_json.Decode.decode_string ~source:"metrics" d (Metrics.to_json ()) with
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
 let test_histogram_accumulation () =
   let h = Metrics.histogram ~buckets:[ 1.0; 10.0; 100.0 ] "test_obs.hist" in
   List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0; 500.0 ];
-  Alcotest.(check int) "count" 4 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 555.5 (Metrics.histogram_sum h);
-  let snap = Metrics.snapshot () in
-  Alcotest.(check (option (float 1e-9))) "snapshot exposes count" (Some 4.0)
-    (List.assoc_opt "test_obs.hist.count" snap);
-  Alcotest.(check (option (float 1e-9))) "snapshot exposes sum" (Some 555.5)
-    (List.assoc_opt "test_obs.hist.sum" snap)
+  let count, sum, hits =
+    metrics_json
+      Obs_json.Decode.(
+        field "histograms"
+          (field "test_obs.hist" (fun v ->
+               ( field "count" int v,
+                 field "sum" number v,
+                 field "buckets" (list (field "count" int)) v ))))
+  in
+  Alcotest.(check int) "count" 4 count;
+  Alcotest.(check (float 1e-9)) "sum" 555.5 sum;
+  Alcotest.(check (list int)) "one hit per bucket, +inf last" [ 1; 1; 1; 1 ] hits;
+  Alcotest.(check (list int)) "the dump's buckets are the live hits" hits
+    (Array.to_list (Metrics.histogram_hits h))
 
-let test_snapshot_sorted () =
+let test_json_names_sorted () =
   ignore (Metrics.counter "test_obs.zz");
   ignore (Metrics.counter "test_obs.aa");
-  let names = List.map fst (Metrics.snapshot ()) in
-  Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names
+  ignore (Metrics.histogram "test_obs.zz_hist");
+  ignore (Metrics.histogram "test_obs.aa_hist");
+  List.iter
+    (fun section ->
+      let names = List.map fst (metrics_json Obs_json.Decode.(field section (dict Fun.id))) in
+      Alcotest.(check (list string)) (section ^ " sorted by name") (List.sort compare names)
+        names)
+    [ "counters"; "histograms" ]
 
 let test_metrics_json_parses () =
   ignore (Metrics.counter "test_obs.json_counter");
@@ -466,15 +487,6 @@ let test_metrics_json_parses () =
       | _ -> Alcotest.fail "histogram buckets missing")
     | None -> Alcotest.fail "histogram missing")
   | _ -> Alcotest.fail "histograms object missing"
-
-let test_reset_zeroes () =
-  let c = Metrics.counter "test_obs.reset_counter" in
-  let h = Metrics.histogram "test_obs.reset_hist" in
-  Metrics.incr ~by:7 c;
-  Metrics.observe h 3.0;
-  Metrics.reset ();
-  Alcotest.(check int) "counter zeroed" 0 (Metrics.counter_value c);
-  Alcotest.(check int) "histogram zeroed" 0 (Metrics.histogram_count h)
 
 (* ------------------------------------------------------------------ *)
 (* Log                                                                 *)
@@ -535,9 +547,8 @@ let () =
         [
           Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
           Alcotest.test_case "histogram accumulation" `Quick test_histogram_accumulation;
-          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
+          Alcotest.test_case "JSON names sorted" `Quick test_json_names_sorted;
           Alcotest.test_case "metrics JSON parses" `Quick test_metrics_json_parses;
-          Alcotest.test_case "reset zeroes values" `Quick test_reset_zeroes;
         ] );
       ( "log",
         [

@@ -120,6 +120,191 @@ let prop_parser_rejects_mutants =
       | _ -> true
       | exception Smt_netlist.Parser.Parse_error _ -> true)
 
+(* Hostile input for every reader of the repo's JSON records (and the
+   waiver reader): a valid document truncated, with one bit flipped,
+   with a JSON token spliced in, or with a span deleted.  Each reader
+   returns [Ok] or [Error] and raises nothing; a JSON [Error] names its
+   source and gives a [$] path or a parse offset, and the ledger reader
+   takes the torn-line path (every line read or counted skipped). *)
+module Obs_json = Smt_obs.Obs_json
+
+let reader_dir =
+  lazy
+    (let dir = Filename.temp_file "smt_readers" "" in
+     Sys.remove dir;
+     Unix.mkdir dir 0o755;
+     at_exit (fun () ->
+         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+         Unix.rmdir dir);
+     dir)
+
+let reader_docs =
+  lazy
+    (let module Snapshot = Smt_obs.Snapshot in
+     let module Rules = Smt_verify.Rules in
+     let dir = Lazy.force reader_dir in
+     let stats =
+       {
+         Smt_obs.Prof.minor_words = 1234.5;
+         promoted_words = 8.;
+         major_words = 16.;
+         minor_collections = 2;
+         major_collections = 1;
+         compactions = 0;
+         top_heap_words = 4096;
+       }
+     in
+     let w name =
+       {
+         (Snapshot.workload ~name
+            ~qor:[ ("area_um2", 10712.106000000033); ("wns_ps", Float.nan) ]
+            ~counters:[ ("sta.analyses", 9); ("place.moves", 10368) ]
+            ~stage_ms:[ ("replace", 1.5); ("route", 20.25) ])
+         with
+         Snapshot.w_prof = [ ("replace", stats) ];
+       }
+     in
+     let ledger_line t =
+       Smt_obs.Ledger.to_json
+         (Smt_obs.Ledger.make ~time:t ~tool:"fz" ~jobs:2 ~kind:"run" [ w "a/improved" ])
+     in
+     let job =
+       {
+         Smt_campaign.Job.jb_circuit = "a";
+         jb_technique = "improved";
+         jb_guard = "off";
+         jb_seed = 3;
+       }
+     in
+     let file_of write path =
+       write ();
+       In_channel.with_open_bin path In_channel.input_all
+     in
+     let finding ?(mode = "") ?(witness = []) rule loc =
+       { Rules.rule; loc; mode; message = "m"; witness }
+     in
+     let waiver =
+       { Smt_verify.Waiver.w_rule = "*"; w_loc = "net:c"; w_expires = None; w_line = 2 }
+     in
+     [
+       ("snapshot", Snapshot.to_json (Snapshot.make ~tag:"fz" [ w "a/dual"; w "a/improved" ]));
+       ("ledger line", ledger_line 1000.);
+       ("ledger", ledger_line 1000. ^ "\n" ^ ledger_line 2000. ^ "\n");
+       ( "checkpoint",
+         file_of
+           (fun () ->
+             Smt_campaign.Checkpoint.write ~dir
+               (Smt_campaign.Checkpoint.make ~job ~attempt:2 ~duration_s:0.5
+                  (Ok (w (Smt_campaign.Job.name job)))))
+           (Smt_campaign.Checkpoint.path ~dir job) );
+       ( "manifest",
+         file_of
+           (fun () ->
+             Smt_campaign.Manifest.write dir
+               (Smt_campaign.Manifest.make ~tag:"fz" ~circuits:[ "a"; "b" ]
+                  ~techniques:[ "improved" ] ~guards:[ "off" ] ~seeds:[ 1; 2 ]))
+           (Smt_campaign.Manifest.path dir) );
+       ( "sarif",
+         Smt_verify.Sarif.render
+           [
+             {
+               Smt_verify.Sarif.wl_name = "a/improved";
+               wl_findings =
+                 [
+                   finding ~mode:"sleep{a}" ~witness:[ "inst:g1"; "net:w" ]
+                     Rules.float_into_awake "net:w";
+                   finding Rules.useless_holder "net:h";
+                 ];
+               wl_waived = [ (finding Rules.crowbar_risk "net:c", waiver) ];
+             };
+           ] );
+       ( "trace",
+         {|{"traceEvents":[|}
+         ^ {|{"name":"flow","cat":"smt","ph":"X","ts":0.000,"dur":100.000,"pid":1,"tid":1},|}
+         ^ {|{"name":"sta","cat":"smt","ph":"X","ts":10.000,"dur":20.000,"pid":1,"tid":1,|}
+         ^ {|"args":{"k":"v"}},|}
+         ^ {|{"name":"kill","cat":"smt","ph":"X","ts":50.000,"dur":0.000,"pid":1,"tid":2}],|}
+         ^ {|"displayTimeUnit":"ms"}|} );
+       ( "waivers",
+         "# accepted debt\nuseless-holder net:dp_out_*\n"
+         ^ "crowbar-risk * expires=2026-12-31\n* inst:g1\n" );
+     ])
+
+let json_tokens =
+  [| "null"; "true"; "-1.5"; "1e30"; "9007199254740993"; "0"; "-"; {|""|}; {|"x"|}; "{}"; "[]"; "{";
+     "}"; "["; "]"; ","; ":"; {|"\u0000"|} |]
+
+let mutate (kind, at, tok, len) text =
+  let n = String.length text in
+  let k = at mod (n + 1) in
+  match kind with
+  | 0 -> String.sub text 0 k
+  | 1 when k < n ->
+    let flip c = Char.chr (Char.code c lxor (1 lsl (tok mod 8))) in
+    String.mapi (fun i c -> if i = k then flip c else c) text
+  | 2 ->
+    String.sub text 0 k ^ json_tokens.(tok mod Array.length json_tokens) ^ String.sub text k (n - k)
+  | _ ->
+    let len = min len (n - k) in
+    String.sub text 0 k ^ String.sub text (k + len) (n - k - len)
+
+let prop_readers_reject_mutants =
+  QCheck2.Test.make ~name:"readers: mutated documents give located errors" ~count:300
+    QCheck2.Gen.(quad (int_range 0 3) (int_range 0 100_000) (int_range 0 63) (int_range 1 24))
+    (fun m ->
+      let dir = Lazy.force reader_dir in
+      let doc name = mutate m (List.assoc name (Lazy.force reader_docs)) in
+      let has needle e =
+        let n = String.length needle in
+        let rec at i = i + n <= String.length e && (String.sub e i n = needle || at (i + 1)) in
+        at 0
+      in
+      let located source = function
+        | Ok _ -> true
+        | Error e -> has (source ^ ": ") e && (has ": $" e || has " offset " e)
+      in
+      let in_file name text =
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path
+      in
+      let ledger_complete text = function
+        | Ok { Smt_obs.Ledger.records; skipped } ->
+          let lines = List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text) in
+          List.length records + skipped = List.length lines
+        | Error _ -> false
+      in
+      let checks =
+        [
+          ("Snapshot.of_json", located "snapshot" (Smt_obs.Snapshot.of_json (doc "snapshot")));
+          ("Ledger.of_line", located "ledger line" (Smt_obs.Ledger.of_line (doc "ledger line")));
+          ( "Ledger.read",
+            let text = doc "ledger" in
+            ledger_complete text (Smt_obs.Ledger.read (in_file "ledger.jsonl" text)) );
+          ( "Checkpoint.load",
+            let path = in_file "fz.ckpt.json" (doc "checkpoint") in
+            located path (Smt_campaign.Checkpoint.load path) );
+          ( "Manifest.load",
+            let file = Filename.basename (Smt_campaign.Manifest.path dir) in
+            let path = in_file file (doc "manifest") in
+            located path (Smt_campaign.Manifest.load dir) );
+          ( "Sarif.read_baseline",
+            let path = in_file "b.sarif" (doc "sarif") in
+            located path (Smt_verify.Sarif.read_baseline path) );
+          ( "Flame.of_trace_json",
+            match Obs_json.parse (doc "trace") with
+            | Ok v -> located "trace" (Smt_obs.Flame.of_trace_json v)
+            | Error e -> has " offset " e );
+          ( "Waiver.parse",
+            match Smt_verify.Waiver.parse (doc "waivers") with
+            | Ok _ -> true
+            | Error e -> has "waiver line " e );
+        ]
+      in
+      List.for_all
+        (fun (reader, ok) -> ok || QCheck2.Test.fail_reportf "%s: unlocated result" reader)
+        checks)
+
 let prop_placement_in_die =
   QCheck2.Test.make ~name:"placement stays in the die" ~count:15 seed_gen
     (fun seed ->
@@ -1598,6 +1783,7 @@ let () =
           qtest prop_extraction_nonnegative;
           qtest prop_leakage_positive;
         ] );
+      ("readers", [ qtest prop_readers_reject_mutants ]);
       ( "mt-invariants",
         [ qtest prop_cluster_invariants; qtest prop_holder_rule_sound ] );
       ( "check",

@@ -104,6 +104,33 @@ let test_prof_serialized_not_compared () =
   check_clean "profiled vs unprofiled compares clean"
     (Snapshot.compare ~baseline:s ~current:(profiled 900.))
 
+(* A mistyped field is rejected at its JSON location, which names the
+   workload's index; integers must be integral and below 2^53. *)
+let test_rejects_at_location () =
+  let text = Snapshot.to_json (base ()) in
+  List.iter
+    (fun (before, value, path) ->
+      Json_input.check_rejects_ints ~read:Snapshot.of_json ~source:"snapshot" ~before ~value
+        ~path text)
+    [
+      ({|"schema_version":|}, "1", "$.schema_version");
+      ( {|improved","qor":{"area_um2":1234.5678901234567,"wns_ps":42},|}
+        ^ {|"counters":{"place.moves":10368,"sta.analyses":|},
+        "18",
+        "$.workloads[1].counters.sta.analyses" );
+    ];
+  Alcotest.(check (result reject string)) "a QoR string"
+    (Error "snapshot: $.workloads[0].qor.wns_ps: not a number")
+    (Snapshot.of_json (Json_input.replace ~sub:{|"wns_ps":42|} ~by:{|"wns_ps":"42"|} text));
+  let path = Filename.temp_file "snap" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Smt_obs.Obs_json.to_file path (Json_input.replace ~sub:{|"tag":"test"|} ~by:{|"tag":7|} text);
+      Alcotest.(check (result reject string)) "a file names its path"
+        (Error (path ^ ": $.tag: not a string"))
+        (Snapshot.read path))
+
 let test_workload_fields_sorted () =
   let w =
     Snapshot.workload ~name:"w"
@@ -240,6 +267,8 @@ let () =
           Alcotest.test_case "prof serialized, never compared" `Quick
             test_prof_serialized_not_compared;
           Alcotest.test_case "field ordering" `Quick test_workload_fields_sorted;
+          Alcotest.test_case "bad fields rejected at their location" `Quick
+            test_rejects_at_location;
         ] );
       ( "compare",
         [

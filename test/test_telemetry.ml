@@ -22,23 +22,23 @@ let check_contains msg needle haystack =
 (* Metrics: histogram quantiles                                        *)
 (* ------------------------------------------------------------------ *)
 
+let quantile h q = Metrics.quantile_of_hits h (Metrics.histogram_hits h) q
+
 let test_quantile_interpolation () =
   let h = Metrics.histogram ~buckets:[ 1.0; 2.0; 4.0; 8.0 ] "tele.q_interp" in
   List.iter (Metrics.observe h) [ 0.5; 1.5; 3.0; 6.0 ];
   (* one hit per finite bucket: rank q*4 walks the cumulative counts and
      interpolates linearly inside the winning bucket *)
-  Alcotest.(check (float 1e-9)) "p50" 2.0 (Metrics.histogram_quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "p75" 4.0 (Metrics.histogram_quantile h 0.75);
-  Alcotest.(check (float 1e-9)) "p100" 8.0 (Metrics.histogram_quantile h 1.0)
+  Alcotest.(check (float 1e-9)) "p50" 2.0 (quantile h 0.5);
+  Alcotest.(check (float 1e-9)) "p75" 4.0 (quantile h 0.75);
+  Alcotest.(check (float 1e-9)) "p100" 8.0 (quantile h 1.0)
 
 let test_quantile_edges () =
   let h = Metrics.histogram ~buckets:[ 1.0; 2.0 ] "tele.q_edges" in
-  Alcotest.(check bool) "empty histogram is nan" true
-    (Float.is_nan (Metrics.histogram_quantile h 0.5));
+  Alcotest.(check bool) "empty histogram is nan" true (Float.is_nan (quantile h 0.5));
   Metrics.observe h 100.0;
   (* the open +inf bucket reports its lower bound, the largest finite one *)
-  Alcotest.(check (float 1e-9)) "+inf bucket degrades to lower bound" 2.0
-    (Metrics.histogram_quantile h 0.99)
+  Alcotest.(check (float 1e-9)) "+inf bucket degrades to lower bound" 2.0 (quantile h 0.99)
 
 let test_quantile_of_hits_delta () =
   let h = Metrics.histogram ~buckets:[ 1.0; 2.0; 4.0 ] "tele.q_delta" in
@@ -52,17 +52,25 @@ let test_quantile_of_hits_delta () =
   Alcotest.(check bool) "phase quantile ignores earlier hits" true
     (p50 > 2.0 && p50 <= 4.0)
 
-let test_snapshot_and_json_quantiles () =
-  let h = Metrics.histogram ~buckets:[ 1.0; 2.0 ] "tele.q_snap" in
+(* The registry dump carries each histogram's quantiles, as
+   [quantile_of_hits] computes them; [null] while it is empty. *)
+let test_json_quantiles () =
+  let h = Metrics.histogram ~buckets:[ 1.0; 2.0 ] "tele.q_json" in
+  ignore (Metrics.histogram ~buckets:[ 1.0 ] "tele.q_json_empty");
   Metrics.observe h 0.5;
-  let snap = Metrics.snapshot () in
-  Alcotest.(check (float 1e-9)) "snapshot p50" 0.5
-    (List.assoc "tele.q_snap.p50" snap);
-  Alcotest.(check bool) "snapshot p90 present" true
-    (List.mem_assoc "tele.q_snap.p90" snap);
-  Alcotest.(check bool) "snapshot p99 present" true
-    (List.mem_assoc "tele.q_snap.p99" snap);
-  check_contains "to_json carries quantiles" "\"p50\":" (Metrics.to_json ())
+  let json name =
+    Obs_json.Decode.(
+      decode_string ~source:"metrics"
+        (field "histograms"
+           (field name (fun v -> List.map (fun q -> field q number v) [ "p50"; "p90"; "p99" ]))))
+      (Metrics.to_json ())
+  in
+  Alcotest.(check (result (list (float 1e-9)) string)) "p50/p90/p99"
+    (Ok (List.map (quantile h) [ 0.5; 0.9; 0.99 ]))
+    (json "tele.q_json");
+  match json "tele.q_json_empty" with
+  | Ok qs -> Alcotest.(check bool) "empty is null" true (List.for_all Float.is_nan qs)
+  | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
 (* Prof: GC attribution spans                                          *)
@@ -162,12 +170,26 @@ let test_prof_stats_json_roundtrip () =
       top_heap_words = 4096;
     }
   in
-  match Obs_json.parse (Prof.stats_json st) with
+  match Obs_json.Decode.decode_string ~source:"prof" Prof.stats_of_json (Prof.stats_json st) with
   | Error e -> Alcotest.fail e
-  | Ok doc -> (
-    match Prof.stats_of_json doc with
-    | Error e -> Alcotest.fail e
-    | Ok st' -> Alcotest.(check bool) "stats round-trip" true (st = st'))
+  | Ok st' -> Alcotest.(check bool) "stats round-trip" true (st = st')
+
+let test_prof_stats_reject_non_integers () =
+  let st =
+    {
+      Prof.minor_words = 1.;
+      promoted_words = 0.;
+      major_words = 0.;
+      minor_collections = 3;
+      major_collections = 1;
+      compactions = 0;
+      top_heap_words = 4096;
+    }
+  in
+  Json_input.check_rejects_ints
+    ~read:(Obs_json.Decode.decode_string ~source:"prof" Prof.stats_of_json)
+    ~source:"prof" ~before:{|"minor_collections":|} ~value:"3" ~path:"$.minor_collections"
+    (Prof.stats_json st)
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
@@ -262,6 +284,22 @@ let test_ledger_golden_line () =
   | Error e -> Alcotest.fail e
   | Ok r' ->
     Alcotest.(check string) "re-emitted from the parse" golden_line (Ledger.to_json r')
+
+(* Every integer of a ledger line, the envelope's and the nested
+   workload's alike, is rejected at its location. *)
+let test_ledger_rejects_non_integers () =
+  List.iter
+    (fun (before, value, path) ->
+      Json_input.check_rejects_ints ~read:Ledger.of_line ~source:"ledger line" ~before ~value
+        ~path golden_line)
+    [
+      ({|"schema_version":|}, "1", "$.schema_version");
+      ({|"jobs":|}, "1", "$.jobs");
+      ({|"sta.arrival_evals":|}, "5120", "$.workloads[0].counters.sta.arrival_evals");
+      ( {|"minor_collections":|},
+        "5",
+        "$.workloads[0].prof.physical-synthesis (all low-Vth).minor_collections" );
+    ]
 
 (* The [runs show] and [runs list] views, byte for byte: integral times
    print bare, others with three decimals; a profiled stage carries its
@@ -500,6 +538,34 @@ let test_trend_of_snapshot_dir () =
             (List.map (fun p -> p.Trend.p_time) s.Trend.sr_points)
         | l -> Alcotest.fail (Printf.sprintf "expected one series, got %d" (List.length l))))
 
+(* A snapshot that does not decode is an error that names the file and
+   the JSON location.  Dropping it instead would hide the area move
+   100 -> 140 between the two files and pass [runs trend --gate]. *)
+let test_trend_snapshot_dir_bad_file () =
+  with_temp_dir @@ fun dir ->
+  let snap tag area =
+    Snapshot.make ~tag
+      [
+        Snapshot.workload ~name:"w" ~qor:[ ("area_um2", area) ]
+          ~counters:[ ("sta.analyses", 12) ] ~stage_ms:[];
+      ]
+  in
+  let a = Filename.concat dir "BENCH_a.json" and b = Filename.concat dir "BENCH_b.json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ a; b ])
+    (fun () ->
+      Snapshot.write a (snap "a" 100.);
+      Obs_json.to_file b
+        (Json_input.replace ~sub:{|"sta.analyses":12|} ~by:{|"sta.analyses":"12"|}
+           (Snapshot.to_json (snap "b" 140.)));
+      match Trend.of_snapshot_dir dir with
+      | Ok records ->
+        Alcotest.failf "read %d record(s); the bad file was skipped" (List.length records)
+      | Error e ->
+        Alcotest.(check string) "the file and the location"
+          (b ^ ": $.workloads[0].counters.sta.analyses: not an integer")
+          e)
+
 (* ------------------------------------------------------------------ *)
 (* Flame: folded stacks from trace spans                               *)
 (* ------------------------------------------------------------------ *)
@@ -556,6 +622,20 @@ let test_flame_merges_across_tids () =
   Alcotest.(check (float 1e-6)) "identical paths merge across tids" 25.0
     (List.assoc "job" folded)
 
+(* Non-span events are skipped, but a span's own fields are checked. *)
+let test_flame_rejects_bad_spans () =
+  let read s = Result.bind (Obs_json.parse s) Flame.of_trace_json in
+  let text = trace_json [ ("a", 0.0, 10.0, 1) ] in
+  Json_input.check_rejects_ints ~read ~source:"trace" ~before:{|"tid":|} ~value:"1"
+    ~path:"$.traceEvents[0].tid" text;
+  Alcotest.(check (result (list (pair string (float 1e-9))) string)) "non-numeric dur"
+    (Error "trace: $.traceEvents[0].dur: not a number")
+    (read (Json_input.replace ~sub:{|"dur":10.000|} ~by:{|"dur":"10"|} text));
+  Alcotest.(check (result (list (pair string (float 1e-9))) string)) "instants skipped"
+    (Ok [ ("a", 10.0) ])
+    (read
+       (Json_input.replace ~sub:"[" ~by:{|[{"name":"i","ph":"i","ts":"x"},|} text))
+
 let test_flame_render () =
   let out =
     Flame.render [ ("a;b", 12.4); ("c", 3.6); ("d", 0.2) ]
@@ -607,8 +687,7 @@ let () =
           Alcotest.test_case "empty and +inf buckets" `Quick test_quantile_edges;
           Alcotest.test_case "before/after hit deltas" `Quick
             test_quantile_of_hits_delta;
-          Alcotest.test_case "snapshot and json expose p50/p90/p99" `Quick
-            test_snapshot_and_json_quantiles;
+          Alcotest.test_case "json exposes p50/p90/p99" `Quick test_json_quantiles;
         ] );
       ( "prof",
         [
@@ -618,11 +697,15 @@ let () =
           Alcotest.test_case "stage spans carry GC args" `Quick test_stage_span_gc_args;
           Alcotest.test_case "stats json round-trip" `Quick
             test_prof_stats_json_roundtrip;
+          Alcotest.test_case "stats reject non-integer counts" `Quick
+            test_prof_stats_reject_non_integers;
         ] );
       ( "ledger",
         [
           Alcotest.test_case "line round-trip" `Quick test_ledger_line_roundtrip;
           Alcotest.test_case "golden line bytes" `Quick test_ledger_golden_line;
+          Alcotest.test_case "integer fields rejected at their location" `Quick
+            test_ledger_rejects_non_integers;
           Alcotest.test_case "read of a directory is an error" `Quick
             test_ledger_read_directory;
           Alcotest.test_case "gc of a directory is an error" `Quick
@@ -644,6 +727,8 @@ let () =
           Alcotest.test_case "filters and json" `Quick test_trend_filters_and_json;
           Alcotest.test_case "snapshot directory source" `Quick
             test_trend_of_snapshot_dir;
+          Alcotest.test_case "bad snapshot names its file and location" `Quick
+            test_trend_snapshot_dir_bad_file;
         ] );
       ( "flame",
         [
@@ -653,6 +738,8 @@ let () =
             test_flame_adjacent_stages_are_siblings;
           Alcotest.test_case "cross-tid merge" `Quick test_flame_merges_across_tids;
           Alcotest.test_case "folded render" `Quick test_flame_render;
+          Alcotest.test_case "bad spans rejected at their location" `Quick
+            test_flame_rejects_bad_spans;
         ] );
       ( "snapshot",
         [
