@@ -86,7 +86,7 @@ let load file = J.Decode.decode_file of_json file
 
 type scan_result = {
   sc_checkpoints : (string * t) list;
-  sc_unreadable : int;
+  sc_unreadable : string list;
 }
 
 let scan dir =
@@ -98,18 +98,23 @@ let scan dir =
         (fun f -> Filename.check_suffix f suffix)
         (Array.to_list entries)
     in
-    let checkpoints = ref [] and unreadable = ref 0 in
+    let checkpoints = ref [] and unreadable = ref [] in
     List.iter
       (fun f ->
         let expected_id = Filename.chop_suffix f suffix in
-        match load (Filename.concat dir f) with
+        (* errors name the file, not the directory the status is about *)
+        let read = J.read_file (Filename.concat dir f) in
+        match Result.bind read (J.Decode.decode_string ~source:f of_json) with
         | Ok cp when Job.id cp.cp_job = expected_id ->
           checkpoints := (expected_id, cp) :: !checkpoints
-        | Ok _ | Error _ -> incr unreadable)
-      files;
+        | Ok cp ->
+          unreadable :=
+            Printf.sprintf "%s: $.job: holds job %s" f (Job.id cp.cp_job) :: !unreadable
+        | Error e -> unreadable := e :: !unreadable)
+      (List.sort compare files);
     Ok
       {
         sc_checkpoints =
           List.sort (fun (a, _) (b, _) -> compare a b) !checkpoints;
-        sc_unreadable = !unreadable;
+        sc_unreadable = List.rev !unreadable;
       }

@@ -73,11 +73,13 @@ type scan_result = {
   sc_checkpoints : (string * t) list;
       (** job id -> checkpoint, sorted by job id; only well-formed files
           whose embedded job matches their filename *)
-  sc_unreadable : int;
-      (** [.ckpt.json] files that were torn, truncated, or mislabeled —
+  sc_unreadable : string list;
+      (** one located error per [.ckpt.json] file that was torn,
+          truncated, or mislabeled, in file-name order, e.g.
+          ["c17~dual~off~s1.ckpt.json: $.attempt: not an integer"] —
           treated as if the job never completed *)
 }
 
 val scan : string -> (scan_result, string) result
 (** Scan a checkpoint directory.  [Error] only for directory-level I/O
-    failure; per-file damage is tolerated and counted. *)
+    failure; per-file damage is tolerated and reported. *)

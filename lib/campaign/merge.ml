@@ -18,7 +18,7 @@ type t = {
   mg_done : int;
   mg_failed : int;
   mg_missing : int;
-  mg_unreadable : int;
+  mg_unreadable : string list;
 }
 
 (* Wall-clock and GC attribution are the worker-recorded fields that
@@ -145,11 +145,12 @@ let render_status m =
       m.mg_done
       (List.length m.mg_states)
       m.mg_failed m.mg_missing
-      (if m.mg_unreadable = 0 then ""
-       else
-         Printf.sprintf " (%d unreadable checkpoint%s treated as missing)"
-           m.mg_unreadable
-           (if m.mg_unreadable = 1 then "" else "s"))
+      (match List.length m.mg_unreadable with
+      | 0 -> ""
+      | n ->
+        Printf.sprintf " (%d unreadable checkpoint%s treated as missing)" n
+          (if n = 1 then "" else "s"))
+    ^ String.concat "" (List.map (fun e -> "\n  " ^ e) m.mg_unreadable)
   in
   let e = eta m in
   let eta_line =
@@ -170,7 +171,7 @@ let status_json m =
       ("done", string_of_int m.mg_done);
       ("failed", string_of_int m.mg_failed);
       ("missing", string_of_int m.mg_missing);
-      ("unreadable", string_of_int m.mg_unreadable);
+      ("unreadable", string_of_int (List.length m.mg_unreadable));
       ("complete", J.boolean (complete m));
       ("avg_job_s", J.num e.avg_job_s);
       ("remaining", string_of_int e.remaining);

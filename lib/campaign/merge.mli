@@ -45,7 +45,9 @@ type t = {
   mg_done : int;
   mg_failed : int;
   mg_missing : int;
-  mg_unreadable : int;  (** torn checkpoint files tolerated during the scan *)
+  mg_unreadable : string list;
+      (** the located error of each damaged checkpoint file the scan
+          tolerated (see {!Checkpoint.scan_result}) *)
 }
 
 val of_dir : string -> (t, string) result

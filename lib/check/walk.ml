@@ -43,15 +43,6 @@ let sane_switches nl =
       Float.is_finite w && w > 0.0)
     (Netlist.switches nl)
 
-let holder_pins nl =
-  let tbl = Hashtbl.create 97 in
-  Netlist.iter_insts nl (fun iid ->
-      if (Netlist.cell nl iid).Cell.kind = Func.Holder then
-        match Netlist.pin_net nl iid "Z" with
-        | Some nid -> if not (Hashtbl.mem tbl nid) then Hashtbl.add tbl nid iid
-        | None -> ());
-  tbl
-
 let mt_inst nl iid = Cell.is_mt (Netlist.cell nl iid)
 
 (* Only VGND-style MT-cells need external holders: the conventional

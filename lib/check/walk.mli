@@ -3,15 +3,12 @@
     [Drc] (structural rules), [Repair] (fix-up candidates), and the
     semantic standby verifier ([Smt_verify]) all need the same questions
     answered: does an MT-cell's VGND reach a live switch, which switches
-    actually gate members, which holder instance really sits on a net,
-    and which nets need one.  The answers live here so the passes cannot
-    drift apart.
-
-    Everything works from the {e wires}, not from bookkeeping records
-    where the two can disagree: [holder_pins] keys holders by the net
-    their Z pin touches, which is what the silicon would do — a stale
+    actually gate members, what a net's holder record points at, and
+    which nets need a holder.  The answers live here so the passes cannot
+    drift apart.  (The verifier keys holders by the net their Z pin is
+    wired to, which is what the silicon would do — a stale
     [Netlist.holder_of] record is exactly the kind of bug the semantic
-    pass exists to catch. *)
+    pass exists to catch.) *)
 
 module Netlist = Smt_netlist.Netlist
 
@@ -41,11 +38,6 @@ val populated_switches : Netlist.t -> Netlist.inst_id list
 val sane_switches : Netlist.t -> Netlist.inst_id list
 (** Live sleep switches whose footer width is finite and positive — the
     switches a repair or a standby analysis may rely on. *)
-
-val holder_pins : Netlist.t -> (Netlist.net_id, Netlist.inst_id) Hashtbl.t
-(** Live HOLDER instances keyed by the net their Z pin is wired to — the
-    electrical truth, independent of the [holder_of] records.  When two
-    holders share a net the one from the earlier instance id wins. *)
 
 val holder_required : Netlist.t -> Netlist.net_id -> bool
 (** The paper's holder rule: an output holder is unnecessary exactly

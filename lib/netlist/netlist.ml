@@ -239,10 +239,9 @@ let detach t iid pin_name nid =
       List.filter (fun p -> not (p.inst = iid && String.equal p.pin_name pin_name)) n.sinks;
     touch t nid
   | Dir_holder_z ->
-    if n.holder = Some iid then begin
-      n.holder <- None;
-      touch t nid
-    end
+    (* the keeper leaves the wire even when the record names another *)
+    if n.holder = Some iid then n.holder <- None;
+    touch t nid
 
 let add_inst t ~name cell pins =
   if Hashtbl.mem t.inst_index name then

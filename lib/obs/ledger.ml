@@ -162,23 +162,24 @@ let append path r =
           let n = Unix.write fd b 0 (Bytes.length b) in
           if n <> Bytes.length b then failwith "ledger: short write"))
 
-type read_result = { records : record list; skipped : int }
+type read_result = { records : record list; skipped : string list }
 
 let read path =
   Result.map
     (fun text ->
-      let records, skipped =
+      let _, records, skipped =
         List.fold_left
-          (fun (records, skipped) line ->
-            if String.trim line = "" then (records, skipped)
+          (fun (n, records, skipped) line ->
+            if String.trim line = "" then (n + 1, records, skipped)
             else
-              match of_line line with
-              | Ok r -> (r :: records, skipped)
-              | Error _ -> (records, skipped + 1))
-          ([], 0)
+              let source = Printf.sprintf "line %d" n in
+              match Obs_json.Decode.decode_string ~source of_json line with
+              | Ok r -> (n + 1, r :: records, skipped)
+              | Error e -> (n + 1, records, e :: skipped))
+          (1, [], [])
           (String.split_on_char '\n' text)
       in
-      { records = List.rev records; skipped })
+      { records = List.rev records; skipped = List.rev skipped })
     (Obs_json.read_file path)
 
 let find path id =
@@ -205,7 +206,7 @@ let gc ?keep path =
         in
         Obs_json.write_durable path
           (String.concat "" (List.map (fun r -> to_json r ^ "\n") records));
-        Ok { kept = List.length records; dropped_malformed = malformed; dropped_old })
+        Ok { kept = List.length records; dropped_malformed = List.length malformed; dropped_old })
 
 (* ------------------------------------------------------------------ *)
 (* Rendering ([runs list] / [runs show])                               *)
@@ -239,8 +240,10 @@ let render_list ~kind { records; skipped } =
     Buffer.add_string b (Smt_util.Text_table.render ~header rows);
     Buffer.add_char b '\n'
   end;
-  if skipped > 0 then
-    Printf.bprintf b "(%d malformed line%s skipped)\n" skipped (plural skipped);
+  (match List.length skipped with
+  | 0 -> ()
+  | n -> Printf.bprintf b "(%d malformed line%s skipped)\n" n (plural n));
+  List.iter (Printf.bprintf b "  %s\n") skipped;
   let n = List.length records in
   Printf.bprintf b "%d record%s\n" n (plural n);
   Buffer.contents b

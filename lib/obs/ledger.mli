@@ -86,7 +86,9 @@ val append : string -> record -> unit
 
 type read_result = {
   records : record list;  (** file order *)
-  skipped : int;  (** malformed / truncated lines tolerated *)
+  skipped : string list;
+      (** the located error of each malformed or truncated line
+          tolerated, in file order, e.g. ["line 3: $.time: not a number"] *)
 }
 
 val read : string -> (read_result, string) result
@@ -96,8 +98,9 @@ val find : string -> string -> (record, string) result
 val render_list : kind:string option -> read_result -> string
 (** The [runs list] view: a table of the records (of [kind] only, when
     given; no table when none match), then
-    ["(N malformed lines skipped)"] when any were, then ["N records"].
-    Every line ends in a newline. *)
+    ["(N malformed lines skipped)"] and each skipped line's located
+    error, indented, when any were, then ["N records"].  Every line ends
+    in a newline. *)
 
 val render_show : record -> string
 (** The [runs show] view: the provenance block, then per workload its

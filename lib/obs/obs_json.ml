@@ -110,13 +110,22 @@ let parse_exn (s : string) : t =
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
             if !pos + 4 >= n then fail "truncated \\u escape";
-            (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some code ->
-              pos := !pos + 4;
-              if code < 128 then Buffer.add_char b (Char.chr code)
-                (* non-ASCII escapes are lossy; the library never emits them *)
-              else Buffer.add_char b '?'
-            | None -> fail "bad \\u escape")
+            (* exactly four hex digits *)
+            let hex c =
+              match c with
+              | '0' .. '9' -> Char.code c - Char.code '0'
+              | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+              | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+              | _ -> fail "bad \\u escape"
+            in
+            let code = ref 0 in
+            for i = 1 to 4 do
+              code := (!code * 16) + hex s.[!pos + i]
+            done;
+            pos := !pos + 4;
+            if !code < 128 then Buffer.add_char b (Char.chr !code)
+              (* non-ASCII escapes are lossy; the library never emits them *)
+            else Buffer.add_char b '?'
           | _ -> fail "unknown escape");
           incr pos;
           go ()
@@ -145,17 +154,36 @@ let parse_exn (s : string) : t =
       v
     end
     else fail ("expected " ^ word)
+  (* JSON's number grammar: an optional minus, 0 or digits not starting
+     with 0, an optional point with digits, an optional e or E with an
+     optional sign and digits.  So no leading + or zeros, and no point
+     without digits on both sides. *)
   and number () =
     let start = !pos in
-    let is_num c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+    let digit () = match peek () with Some '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (digit ()) then fail "bad number";
+      while digit () do
+        incr pos
+      done
     in
-    while !pos < n && is_num s.[!pos] do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    if peek () = Some '-' then incr pos;
+    (match peek () with
+    | Some '0' ->
+      incr pos;
+      if digit () then fail "bad number"
+    | _ -> digits ());
+    if peek () = Some '.' then begin
+      incr pos;
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      incr pos;
+      (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
+      digits ()
+    | _ -> ());
+    Num (float_of_string (String.sub s start (!pos - start)))
   and parse_arr () =
     expect '[';
     skip_ws ();

@@ -26,9 +26,9 @@
       the structural DRC uses;
     - a holder keeps its net: [Float] becomes [Held] when the holder's
       own MTE pin is 1.  Holders are resolved by the net their Z pin is
-      {e wired} to ({!Smt_check.Walk.holder_pins}), not by the
-      [holder_of] record, so a holder on the wrong net does not fool
-      the analysis.
+      {e wired} to (the lowest live instance id wins a shared net), not
+      by the [holder_of] record, so a holder on the wrong net does not
+      fool the analysis.
 
     Values propagate through a deterministic FIFO worklist to a
     fixpoint; nets trapped in combinational cycles are widened to
@@ -40,10 +40,15 @@
     absence of float findings is a guarantee, while [Top]-based
     findings are conservative warnings.
 
-    Witness paths are rebuilt from the fixpoint values by a memoized
-    deterministic walk, so they depend only on the final abstract store
-    — never on worklist visit order.  Modes fan out through
-    {!Smt_obs.Par.map}; results are byte-identical at any job count.
+    A witness path is built only for a net a finding cites, by a walk
+    back from that net through the one input or enable that explains
+    each value, so it depends only on the final abstract store and the
+    cited net — never on worklist visit order, nor on the order in which
+    findings ask for paths.  Paths are memoized per mode; a walk that
+    meets a net already on its own chain (a combinational loop) ends at
+    that net, marked [(cyclic)], and is rebuilt per request.  Modes fan
+    out through {!Smt_obs.Par.map}; results are byte-identical at any
+    job count.
     Findings that agree on (rule, location, witness) across modes are
     reported once, from the shallowest mode; suppressed repeats count
     into the [lint.mode_dedup] metric.
@@ -53,8 +58,11 @@
     journal).
 
     Emits [lint.runs] / [lint.updates] / [lint.transfers] /
-    [lint.widened] / [lint.mode_dedup] metrics and
-    [Verify.analyze] / [Verify.start] / [Verify.update] trace spans. *)
+    [lint.widened] / [lint.mode_dedup] / [lint.rule_evals] (nets and
+    instances whose rules were judged, summed over modes) /
+    [lint.paths_built] (witness paths walked, memo hits excluded)
+    metrics and [Verify.analyze] / [Verify.start] / [Verify.update]
+    trace spans. *)
 
 type result = {
   findings : Rules.finding list;
@@ -84,26 +92,47 @@ val value_of : result -> string -> Lattice.v option
 
 (** {1 Incremental re-analysis}
 
-    A session keeps the per-mode fixpoint stores alive between runs so
-    an ECO-sized edit re-analyzes only its cone.  {!update} reads the
+    A session keeps the per-mode fixpoint stores, witness memos and
+    findings alive between runs, and one dependency structure shared by
+    the modes, so an ECO-sized edit costs its cone.  {!update} reads the
     nets whose standby value may have changed from the netlist's
     touched-net journal ({!Smt_netlist.Netlist.touched_since} the
     version the session last saw — reading clears nothing, so other
-    analyses such as [Smt_sta.Sta.update] can follow the same netlist),
-    closes that set forward over data, supply, and holder-enable edges,
-    re-seeds and re-propagates just that cone, then re-evaluates rules
-    over the whole store.
+    analyses such as [Smt_sta.Sta.update] can follow the same netlist).
+    It then
+    - re-derives the dependency edges of the instances pinned to a
+      touched net, by their current wiring or by an edge recorded at the
+      last run, and re-resolves the keepers of the nets they hold; a
+      re-homed VGND member moves its supply edge between two enable nets
+      the journal never names, and a switch carries its members along;
+    - closes the touched nets, plus any net whose inbound edges moved,
+      forward over data, supply, and keeper-enable edges;
+    - re-seeds and re-propagates just that cone, drops the cone's
+      witnesses, and re-judges the rules of the cone's nets and of the
+      instances wired to them (or that left a touched net), in net-id
+      then instance-id order.  Every other net and instance keeps its
+      findings; removed instances lose theirs.
+    A full {!analyze} or {!start} runs the same code with every net in
+    the cone.
 
-    {b Soundness of the incremental step}: the cone is forward-closed,
+    {b Soundness of the incremental step}: the edge lists equal a fresh
+    build's (each kept in instance-id order, so the worklist and its
+    transfer counts do too), and the cone is forward-closed over them,
     so every transfer that could read a changed value has its output
     inside the cone and is re-run from bottom; values outside the cone
     are exactly the previous fixpoint restricted to nets whose inputs
-    did not change.  Since witnesses are a pure function of the final
-    store and rule evaluation rereads the whole store, the report is
+    did not change.  A rule reads its own net or instance, the nets
+    wired to it, and the witnesses of those nets; whenever one of these
+    can change, the net is in the cone or the instance is wired to a
+    cone net (or left a touched one), so its slot is judged again.  A
+    witness is a function of the final store and the cited net, and
+    every step of its walk lies upstream of the cited net, so a memo
+    outside the cone is still exact.  The report is therefore
     byte-identical to a from-scratch {!analyze} (property-tested over
-    randomized ECO deltas in [test/test_props.ml]).  If the domain
-    table itself changed, the mode vector is stale and the session
-    transparently restarts from scratch. *)
+    randomized ECO deltas, the flow's own edits and a combinational loop
+    in [test/test_props.ml]).  If the domain table itself changed, the
+    mode vector is stale and the session transparently restarts from
+    scratch. *)
 
 type session
 

@@ -175,7 +175,9 @@ let test_checkpoint_truncation_treated_missing () =
   (match Ckpt.scan dir with
   | Error e -> Alcotest.fail e
   | Ok { Ckpt.sc_checkpoints; sc_unreadable } ->
-    Alcotest.(check int) "torn file counted" 1 sc_unreadable;
+    Alcotest.(check int) "torn file counted" 1 (List.length sc_unreadable);
+    Alcotest.(check bool) "its error names the file" true
+      (String.starts_with ~prefix:(Filename.basename p2 ^ ": $") (List.hd sc_unreadable));
     Alcotest.(check (list string)) "only the intact job is done"
       [ Job.id j1 ]
       (List.map fst sc_checkpoints));
@@ -185,7 +187,7 @@ let test_checkpoint_truncation_treated_missing () =
   match Ckpt.scan dir with
   | Error e -> Alcotest.fail e
   | Ok { Ckpt.sc_checkpoints; sc_unreadable } ->
-    Alcotest.(check int) "no torn files left" 0 sc_unreadable;
+    Alcotest.(check (list string)) "no torn files left" [] sc_unreadable;
     Alcotest.(check int) "one checkpoint per job" 2 (List.length sc_checkpoints)
 
 let test_checkpoint_mislabeled_ignored () =
@@ -199,7 +201,9 @@ let test_checkpoint_mislabeled_ignored () =
   match Ckpt.scan dir with
   | Error e -> Alcotest.fail e
   | Ok { Ckpt.sc_checkpoints; sc_unreadable } ->
-    Alcotest.(check int) "imposter counted unreadable" 1 sc_unreadable;
+    Alcotest.(check (list string)) "imposter counted unreadable"
+      [ "circuit_b~dual~off~s1.ckpt.json: $.job: holds job circuit_a~dual~off~s1" ]
+      sc_unreadable;
     Alcotest.(check (list string)) "only the honest checkpoint survives"
       [ Job.id j ]
       (List.map fst sc_checkpoints)
@@ -553,6 +557,41 @@ let test_merge_status_view () =
      ^ {|{"id":"c17~dual~off~s1","state":"missing","attempt":0,"detail":""}]}|})
       (Merge.status_json m)
 
+(* A damaged checkpoint is reported where it is, not only counted: a
+   campaign whose c17~dual~off~s1.ckpt.json read "attempt":1.5 showed only
+   "1 unreadable checkpoint treated as missing". *)
+let test_merge_status_names_damage () =
+  with_temp_dir @@ fun dir ->
+  Manifest.write dir
+    (Manifest.make ~tag:"dm" ~circuits:[ "c17" ] ~techniques:[ "dual" ] ~guards:[ "off" ]
+       ~seeds:[ 1 ]);
+  let j = job "c17" "dual" "off" 1 in
+  Ckpt.write ~dir (done_checkpoint j);
+  let path = Ckpt.path ~dir j in
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (Json_input.replace ~sub:{|"attempt":1|} ~by:{|"attempt":1.5|} good));
+  match Merge.of_dir dir with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    Alcotest.(check (list string)) "the located error"
+      [ "c17~dual~off~s1.ckpt.json: $.attempt: not an integer" ]
+      m.Merge.mg_unreadable;
+    Alcotest.(check string) "status names the file beside the count"
+      (String.concat "\n"
+         [
+           "+-----------------+---------+----------+--------+";
+           "| Job             | State   | Attempts | Detail |";
+           "+-----------------+---------+----------+--------+";
+           "| c17~dual~off~s1 | missing | -        |        |";
+           "+-----------------+---------+----------+--------+";
+           "campaign dm: 0/1 done, 0 failed, 1 missing (1 unreadable checkpoint treated as missing)";
+           "  c17~dual~off~s1.ckpt.json: $.attempt: not an integer";
+           "no completed jobs yet; ETA unknown";
+         ])
+      (Merge.render_status m)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint forward compatibility                                    *)
 (* ------------------------------------------------------------------ *)
@@ -735,6 +774,8 @@ let () =
           Alcotest.test_case "to-do jobs from job states" `Quick test_merge_todo;
           Alcotest.test_case "status view from checkpoints" `Quick
             test_merge_status_view;
+          Alcotest.test_case "status names a damaged checkpoint" `Quick
+            test_merge_status_names_damage;
           Alcotest.test_case "snapshot ignores the envelope" `Quick
             test_merge_snapshot_ignores_envelope;
           Alcotest.test_case "ledger workloads carry prof" `Quick

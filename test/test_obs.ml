@@ -375,6 +375,48 @@ let test_obs_json_rejects_malformed () =
   | exception Obs_json.Parse_error _ -> ()
   | _ -> Alcotest.fail "parse_exn did not raise"
 
+(* Numbers follow JSON's grammar and a \u escape takes exactly four hex
+   digits; being readable by [float_of_string] or [int_of_string] is not
+   enough.  A baseline whose counter read "flow.runs":+01. used to load,
+   as 1, and compare clean against the original. *)
+let test_obs_json_number_grammar () =
+  let rejects s expected =
+    match Obs_json.parse s with
+    | Ok _ -> Alcotest.failf "accepted %S" s
+    | Error e -> Alcotest.(check string) s expected e
+  in
+  rejects "[+1]" "bad number at offset 1";
+  rejects "[01]" "bad number at offset 2";
+  rejects "[-01]" "bad number at offset 3";
+  rejects "[.5]" "bad number at offset 1";
+  rejects "[1.]" "bad number at offset 3";
+  rejects "[1.e5]" "bad number at offset 3";
+  rejects "[1e]" "bad number at offset 3";
+  rejects "[1e+]" "bad number at offset 4";
+  rejects "[-]" "bad number at offset 2";
+  rejects {|["\u12_3"]|} "bad \\u escape at offset 3";
+  rejects {|["\u+041"]|} "bad \\u escape at offset 3";
+  rejects {|["\u004"]|} "bad \\u escape at offset 3";
+  List.iter
+    (fun (s, f) ->
+      match Obs_json.parse s with
+      | Ok (Obs_json.Num g) -> Alcotest.(check (float 0.0)) s f g
+      | _ -> Alcotest.failf "%S did not parse as a number" s)
+    [
+      ("0", 0.0); ("-0", -0.0); ("10", 10.0); ("0.5", 0.5); ("1.5", 1.5); ("1e5", 1e5);
+      ("1E+5", 1e5); ("-1.25e-3", -1.25e-3); ("2.5E-300", 2.5e-300);
+    ];
+  (match Obs_json.parse {|"\u0041\u00e9"|} with
+  | Ok (Obs_json.Str s) -> Alcotest.(check string) "hex escapes" "A?" s
+  | _ -> Alcotest.fail "\\u escapes did not parse");
+  match
+    Obs_json.Decode.(
+      decode_string ~source:"BENCH_x.json" (field "counters" (dict int))
+        {|{"counters":{"flow.runs":+01.}}|})
+  with
+  | Ok _ -> Alcotest.fail "a counter written +01. loaded"
+  | Error e -> Alcotest.(check string) "located" "BENCH_x.json: $: bad number at offset 25" e
+
 (* [open_in] succeeds on a directory: the failing read after it must be
    an [Error] that names the path (flame and lint --baseline exit 2 with
    it), not an escaped [Sys_error]. *)
@@ -538,6 +580,7 @@ let () =
           Alcotest.test_case "emit/parse round-trip" `Quick test_obs_json_roundtrip;
           Alcotest.test_case "num_exact round-trips" `Quick test_obs_json_num_exact;
           Alcotest.test_case "rejects malformed input" `Quick test_obs_json_rejects_malformed;
+          Alcotest.test_case "number and escape grammar" `Quick test_obs_json_number_grammar;
           Alcotest.test_case "of_file on a directory is an error" `Quick
             test_obs_json_of_file_directory;
           Alcotest.test_case "durable write replaces whole" `Quick

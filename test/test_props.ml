@@ -271,7 +271,8 @@ let prop_readers_reject_mutants =
       let ledger_complete text = function
         | Ok { Smt_obs.Ledger.records; skipped } ->
           let lines = List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text) in
-          List.length records + skipped = List.length lines
+          List.length records + List.length skipped = List.length lines
+          && List.for_all (fun e -> has "line " e && (has ": $" e || has " offset " e)) skipped
         | Error _ -> false
       in
       let checks =
@@ -1686,7 +1687,7 @@ let prop_repair_clears_repairable =
 
 (* One randomized ECO delta: a gate swap, a keeper deletion, or a
    keeper-enable rewire — the edit classes the flow's own repair and
-   minimize stages produce. *)
+   minimize stages produce.  Returns the edit's name. *)
 let eco_delta rng nl =
   let module Cell = Smt_cell.Cell in
   let module Func = Smt_cell.Func in
@@ -1702,13 +1703,14 @@ let eco_delta rng nl =
           k = Func.Nand2 || k = Func.Nor2)
         (Netlist.live_insts nl)
     in
-    match pick comb with
+    (match pick comb with
     | None -> ()
     | Some iid ->
       let c = Netlist.cell nl iid in
       let k' = if c.Cell.kind = Func.Nand2 then Func.Nor2 else Func.Nand2 in
       Netlist.replace_cell nl iid
-        (Library.variant ~drive:c.Cell.drive (Netlist.lib nl) k' c.Cell.vth c.Cell.style)
+        (Library.variant ~drive:c.Cell.drive (Netlist.lib nl) k' c.Cell.vth c.Cell.style));
+    "gate swap"
   in
   let holders () =
     List.filter
@@ -1720,37 +1722,377 @@ let eco_delta rng nl =
   | 1 -> (
     match pick (holders ()) with
     | None -> swap_gate ()
-    | Some h -> Netlist.remove_inst nl h)
+    | Some h ->
+      Netlist.remove_inst nl h;
+      "holder removal")
   | _ -> (
     let nets = ref [] in
     Netlist.iter_nets nl (fun nid ->
         if not (Netlist.is_clock_net nl nid) then nets := nid :: !nets);
     match (pick (holders ()), pick (List.rev !nets)) with
-    | Some h, Some nid -> Netlist.connect nl h "MTE" nid
+    | Some h, Some nid ->
+      Netlist.connect nl h "MTE" nid;
+      "holder-enable rewire"
     | _ -> swap_gate ())
 
+(* The holders wired to each net by their Z pin, ascending. *)
+let keepers nl =
+  let tbl = Hashtbl.create 97 in
+  List.iter
+    (fun i ->
+      if (Netlist.cell nl i).Smt_cell.Cell.kind = Smt_cell.Func.Holder then
+        Option.iter
+          (fun z -> Hashtbl.replace tbl z (Option.value ~default:[] (Hashtbl.find_opt tbl z) @ [ i ]))
+          (Netlist.pin_net nl i "Z"))
+    (Netlist.live_insts nl);
+  fun nid -> Option.value ~default:[] (Hashtbl.find_opt tbl nid)
+
+(* The edit classes the flow itself applies to a delivered product, next
+   to [eco_delta]'s three: a hold-buffer splice (fresh net, buffer,
+   [move_sink]), a holder added on an MT output, a VGND re-home onto
+   another switch, a switch removal and a switch-enable rewire.  Returns
+   the edit's name. *)
+let flow_delta rng nl =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  let module Vth = Smt_cell.Vth in
+  let pick = function
+    | [] -> None
+    | xs -> Some (List.nth xs (Rng.int rng (List.length xs)))
+  in
+  let live = Netlist.live_insts nl in
+  let kind k i = (Netlist.cell nl i).Cell.kind = k in
+  let switches = List.filter (kind Func.Sleep_switch) live in
+  let members =
+    List.filter
+      (fun i ->
+        Vth.style_equal (Netlist.cell nl i).Cell.style Vth.Mt_vgnd
+        && Netlist.vgnd_switch nl i <> None)
+      live
+  in
+  let nets = ref [] in
+  Netlist.iter_nets nl (fun nid -> if not (Netlist.is_clock_net nl nid) then nets := nid :: !nets);
+  let nets = List.rev !nets in
+  match Rng.int rng 5 with
+  | 0 -> (
+    (* splice a buffer before a flip-flop's D or a gate's first input *)
+    let first_input i =
+      match Func.input_names (Netlist.cell nl i).Cell.kind with
+      | [||] -> None
+      | names -> Option.map (fun n -> (i, names.(0), n)) (Netlist.pin_net nl i names.(0))
+    in
+    let sites =
+      List.filter_map first_input
+        (List.filter (fun i -> not (kind Func.Sleep_switch i || kind Func.Holder i)) live)
+    in
+    match pick sites with
+    | None -> eco_delta rng nl
+    | Some (iid, pin_name, d) ->
+      let fresh = Netlist.fresh_net nl "eco" in
+      Netlist.move_sink nl ~from_net:d { Netlist.inst = iid; pin_name } ~to_net:fresh;
+      ignore
+        (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+           (Library.variant lib Func.Buf Vth.Low Vth.Plain)
+           [ ("A", d); ("Z", fresh) ]);
+      "hold-buffer splice")
+  | 1 -> (
+    (* on an MT output nothing keeps yet, enabled like the flow's holders
+       or from any net *)
+    let mt_outs =
+      let kept = keepers nl in
+      List.filter (fun z -> kept z = []) (List.filter_map (Netlist.output_net nl) members)
+    in
+    let enables =
+      if Rng.int rng 2 = 0 then List.filter_map (fun i -> Netlist.pin_net nl i "MTE") switches
+      else nets
+    in
+    match (pick mt_outs, pick enables) with
+    | Some nid, Some m ->
+      ignore
+        (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "holder") (Library.holder lib)
+           [ ("MTE", m); ("Z", nid) ]);
+      "holder on MT output"
+    | _ -> eco_delta rng nl)
+  | 2 -> (
+    match (pick members, pick switches) with
+    | Some m, Some sw ->
+      Netlist.set_vgnd_switch nl m (Some sw);
+      "VGND re-home"
+    | _ -> eco_delta rng nl)
+  | 3 -> (
+    match pick switches with
+    | Some sw ->
+      Netlist.remove_inst nl sw;
+      "switch removal"
+    | None -> eco_delta rng nl)
+  | _ -> (
+    match (pick switches, pick nets) with
+    | Some sw, Some nid ->
+      Netlist.connect nl sw "MTE" nid;
+      "switch-enable rewire"
+    | _ -> eco_delta rng nl)
+
+(* Swaps a Buf driver of [nid] for an Inv or back, so the net's value
+   flips while no pin of any of its readers is touched; false when the
+   driver is neither. *)
+let invert_driver nl nid =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  match Netlist.driver nl nid with
+  | None -> false
+  | Some p -> (
+    let c = Netlist.cell nl p.Netlist.inst in
+    let flip = function Func.Buf -> Some Func.Inv | Func.Inv -> Some Func.Buf | _ -> None in
+    match flip c.Cell.kind with
+    | None -> false
+    | Some k ->
+      Netlist.replace_cell nl p.Netlist.inst (Library.variant lib k c.Cell.vth c.Cell.style);
+      true)
+
+(* The flow's edits on a product, each followed by a change that only a
+   correctly kept dependency edge carries to the edited cells: a spliced
+   buffer's source loses its keeper; a new keeper's enable flips; a
+   member is re-homed onto a switch whose enable was rewired to hang
+   from an inverter of the parked clock, and that inverter then becomes
+   a buffer (so the enable changes while neither the journal nor the
+   member names it); that switch's enable pin is disconnected and
+   reconnected; the switch is removed and its old enable flips.  Returns
+   one thunk per update, each naming its edit. *)
+let flow_scenario rng nl =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  let module Vth = Smt_cell.Vth in
+  let pick = function
+    | [] -> None
+    | xs -> Some (List.nth xs (Rng.int rng (List.length xs)))
+  in
+  let live () = Netlist.live_insts nl in
+  let kind k i = (Netlist.cell nl i).Cell.kind = k in
+  let invertible nid =
+    match Netlist.driver nl nid with
+    | Some p -> kind Func.Buf p.Netlist.inst || kind Func.Inv p.Netlist.inst
+    | None -> false
+  in
+  let mt_outs () =
+    List.filter_map
+      (fun i ->
+        if Vth.style_equal (Netlist.cell nl i).Cell.style Vth.Mt_vgnd then Netlist.output_net nl i
+        else None)
+      (live ())
+  in
+  (* kept MT outputs with their keeper *)
+  let kept_outs () =
+    let kept = keepers nl in
+    List.filter_map
+      (fun d -> match kept d with h :: _ -> Some (d, h) | [] -> None)
+      (mt_outs ())
+  in
+  let switch_enables () =
+    List.filter_map
+      (fun sw -> Option.map (fun e -> (sw, e)) (Netlist.pin_net nl sw "MTE"))
+      (List.filter (kind Func.Sleep_switch) (live ()))
+    |> List.filter (fun (_, e) -> invertible e)
+  in
+  let enable_of m = Option.bind (Netlist.vgnd_switch nl m) (fun sw -> Netlist.pin_net nl sw "MTE") in
+  let step name edit () = if edit () then name else eco_delta rng nl in
+  let spliced = ref None and kept = ref None and source = ref None and target = ref None in
+  let plain k = Library.variant lib k Vth.Low Vth.Plain in
+  [
+    step "hold-buffer splice" (fun () ->
+        let sites =
+          List.filter_map
+            (fun (d, h) ->
+              match Netlist.sinks nl d with
+              | p :: _ when not (Func.is_infrastructure (Netlist.cell nl p.Netlist.inst).Cell.kind) ->
+                Some (d, h, p)
+              | _ -> None)
+            (kept_outs ())
+        in
+        match pick sites with
+        | None -> false
+        | Some (d, h, pin) ->
+          let fresh = Netlist.fresh_net nl "eco" in
+          Netlist.move_sink nl ~from_net:d pin ~to_net:fresh;
+          ignore
+            (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+               (Library.variant lib Func.Buf Vth.Low Vth.Plain)
+               [ ("A", d); ("Z", fresh) ]);
+          spliced := Some h;
+          true);
+    step "holder removal" (fun () ->
+        match !spliced with
+        | Some h ->
+          Netlist.remove_inst nl h;
+          true
+        | None -> false);
+    step "holder on MT output" (fun () ->
+        match
+          (let kept = keepers nl in
+           pick (List.filter (fun z -> kept z = []) (mt_outs ())),
+           pick (switch_enables ()))
+        with
+        | Some z, Some (_, e) ->
+          ignore
+            (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "holder") (Library.holder lib)
+               [ ("MTE", e); ("Z", z) ]);
+          kept := Some e;
+          true
+        | _ -> false);
+    step "enable inversion" (fun () ->
+        match !kept with Some e -> invert_driver nl e | None -> false);
+    step "enable-source rewire" (fun () ->
+        (* the enable still reads 1, now from an inverter of the clock *)
+        match (Netlist.clock_net nl, pick (switch_enables ())) with
+        | Some clk, Some (sw, e) -> (
+          match Netlist.driver nl e with
+          | None -> false
+          | Some p ->
+            let y = Netlist.fresh_net nl "src" in
+            source :=
+              Some
+                (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "srcinv") (plain Func.Inv)
+                   [ ("A", clk); ("Z", y) ]);
+            Netlist.connect nl p.Netlist.inst "A" y;
+            target := Some (sw, e);
+            true)
+        | _ -> false);
+    step "VGND re-home" (fun () ->
+        match !target with
+        | Some (sw, e) -> (
+          let members =
+            List.filter
+              (fun i ->
+                Vth.style_equal (Netlist.cell nl i).Cell.style Vth.Mt_vgnd
+                && match enable_of i with Some ei -> ei <> e | None -> false)
+              (live ())
+          in
+          match pick members with
+          | None -> false
+          | Some m ->
+            Netlist.set_vgnd_switch nl m (Some sw);
+            true)
+        | None -> false);
+    step "enable-source flip" (fun () ->
+        (* the inverter becomes a buffer: the enable drops to 0 *)
+        match !source with
+        | Some inv ->
+          Netlist.replace_cell nl inv (plain Func.Buf);
+          true
+        | None -> false);
+    step "switch-enable disconnect" (fun () ->
+        match !target with
+        | Some (sw, _) ->
+          Netlist.disconnect nl sw "MTE";
+          true
+        | None -> false);
+    step "switch-enable reconnect" (fun () ->
+        match !target with
+        | Some (sw, e) ->
+          Netlist.connect nl sw "MTE" e;
+          true
+        | None -> false);
+    step "switch removal" (fun () ->
+        match !target with
+        | Some (sw, _) ->
+          Netlist.remove_inst nl sw;
+          true
+        | None -> false);
+    step "enable inversion" (fun () ->
+        match !target with Some (_, e) -> invert_driver nl e | None -> false);
+  ]
+
+(* circuit_a's single-mode improved product, delivered as text: the
+   shape the sign-off benchmark re-verifies. *)
+let improved_product =
+  lazy
+    (let nl = Suite.circuit_a lib in
+     ignore (Flow.run Flow.Improved_smt nl);
+     Smt_netlist.Writer.to_string nl)
+
+(* The product with a combinational loop behind its MT logic: a NAND fed
+   by an MT-cell output and an inverter of its own output, read by a new
+   primary output.  Returns the MT-cell output that feeds the loop. *)
+let with_loop rng nl =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  let module Vth = Smt_cell.Vth in
+  let mt_outs = ref [] in
+  Netlist.iter_nets nl (fun nid ->
+      match Netlist.driver nl nid with
+      | Some p when Vth.style_equal (Netlist.cell nl p.Netlist.inst).Cell.style Vth.Mt_vgnd ->
+        mt_outs := nid :: !mt_outs
+      | Some _ | None -> ());
+  let src = List.nth !mt_outs (Rng.int rng (List.length !mt_outs)) in
+  let l1 = Netlist.add_output nl "loop_out" in
+  let l2 = Netlist.add_net nl "loop_back" in
+  ignore
+    (Netlist.add_inst nl ~name:"loop_nand" (Library.variant lib Func.Nand2 Vth.Low Vth.Plain)
+       [ ("A", src); ("B", l2); ("Z", l1) ]);
+  ignore
+    (Netlist.add_inst nl ~name:"loop_inv" (Library.variant lib Func.Inv Vth.Low Vth.Plain)
+       [ ("A", l1); ("Z", l2) ]);
+  src
+
 let prop_incremental_matches_full =
-  (* The incremental soundness claim: after any chain of ECO deltas,
+  (* The incremental soundness claim: after any chain of edits,
      [Verify.update] over the journal's dirty set reports byte-identical
-     findings and the same value map as a from-scratch analysis.  25
-     cases x 4 deltas = 100 randomized deltas per run. *)
+     findings and the same value map as a from-scratch analysis.  Each
+     case runs three arms: a 2-4-domain SoC under [eco_delta]; circuit_a's
+     improved product under [eco_delta] and [flow_delta]; and that product
+     with a combinational loop behind its MT logic under the same edits. *)
   QCheck2.Test.make ~name:"incremental verify matches from-scratch over ECO deltas"
     ~count:25
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 2 4))
     (fun (seed, domains) ->
-      let nl = Suite.multi_domain ~domains ~name:"inc" lib in
-      let session, _ = Smt_verify.Verify.start nl in
       let rng = Rng.create (0x1ec0 + seed) in
-      let ok = ref true in
-      for _ = 1 to 4 do
-        eco_delta rng nl;
-        let ru = Smt_verify.Verify.update session in
-        let rf = Verify.analyze nl in
-        let render (r : Verify.result) = List.map Rules.to_string r.Verify.findings in
-        if render ru <> render rf || ru.Verify.values <> rf.Verify.values then
-          ok := false
-      done;
-      !ok)
+      let render (r : Verify.result) = List.map Rules.to_string r.Verify.findings in
+      let arm name nl edits_to_run =
+        let session, _ = Verify.start nl in
+        let edits = ref [] in
+        List.iter (fun edit ->
+          edits := edit () :: !edits;
+          let ru = Verify.update session in
+          let rf = Verify.analyze nl in
+          if render ru <> render rf || ru.Verify.values <> rf.Verify.values then
+            QCheck2.Test.fail_reportf "%s arm, seed %d: update differs from analyze after %s"
+              name seed
+              (String.concat ", " (List.rev !edits)))
+          edits_to_run
+      in
+      let random ~steps edit nl = List.init steps (fun _ () -> edit rng nl) in
+      let product () = Smt_netlist.Parser.of_string ~lib (Lazy.force improved_product) in
+      let mixed rng nl = if Rng.int rng 2 = 0 then eco_delta rng nl else flow_delta rng nl in
+      let soc = Suite.multi_domain ~domains ~name:"inc" lib in
+      arm "soc" soc (random ~steps:4 eco_delta soc);
+      let nl = product () in
+      arm "product" nl (random ~steps:6 mixed nl);
+      let nl = product () in
+      arm "flow" nl (flow_scenario rng nl @ random ~steps:2 flow_delta nl);
+      (* keep the loop's source, then let the keeper's enable flip: the
+         loop is re-entered from a value change only its edges carry *)
+      let nl = product () in
+      let src = with_loop rng nl in
+      let enable = ref None in
+      let keep_source () =
+        let enables =
+          List.filter_map
+            (fun i -> Netlist.pin_net nl i "MTE")
+            (List.filter
+               (fun i -> (Netlist.cell nl i).Smt_cell.Cell.kind = Smt_cell.Func.Sleep_switch)
+               (Netlist.live_insts nl))
+        in
+        let e = List.nth enables (Rng.int rng (List.length enables)) in
+        List.iter (Netlist.remove_inst nl) (keepers nl src);
+        ignore
+          (Netlist.add_inst nl ~name:"loop_keeper" (Library.holder lib) [ ("MTE", e); ("Z", src) ]);
+        enable := Some e;
+        "holder on the loop's source"
+      in
+      let flip () =
+        if invert_driver nl (Option.get !enable) then "enable inversion" else eco_delta rng nl
+      in
+      arm "loop" nl ([ keep_source; flip; flip ] @ random ~steps:4 mixed nl);
+      true)
 
 let () =
   Alcotest.run "smt_props"

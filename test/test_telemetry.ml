@@ -345,7 +345,13 @@ let test_ledger_render_show () =
 
 let test_ledger_render_list () =
   let run = golden_record () in
-  let read = { Ledger.records = [ run; { run with Ledger.r_kind = "lint" } ]; skipped = 1 } in
+  let read =
+    {
+      Ledger.records = [ run; { run with Ledger.r_kind = "lint" } ];
+      skipped = [ "line 2: $: unexpected end of input at offset 12" ];
+    }
+  in
+  let skipped = "(1 malformed line skipped)\n  line 2: $: unexpected end of input at offset 12\n" in
   let rule = "+--------------+----------+------+--------+-----------+-----------+-------+------+-----------+\n" in
   let header = "| Id           | Time     | Kind | Tag    | Circuit   | Technique | Guard | Jobs | Workloads |\n" in
   let row kind =
@@ -354,14 +360,13 @@ let test_ledger_render_list () =
       kind
   in
   Alcotest.(check string) "every kind"
-    (rule ^ header ^ rule ^ row "run" ^ row "lint" ^ rule
-   ^ "(1 malformed line skipped)\n2 records\n")
+    (rule ^ header ^ rule ^ row "run" ^ row "lint" ^ rule ^ skipped ^ "2 records\n")
     (Ledger.render_list ~kind:None read);
   Alcotest.(check string) "one kind"
-    (rule ^ header ^ rule ^ row "run" ^ rule ^ "(1 malformed line skipped)\n1 record\n")
+    (rule ^ header ^ rule ^ row "run" ^ rule ^ skipped ^ "1 record\n")
     (Ledger.render_list ~kind:(Some "run") read);
   Alcotest.(check string) "no match, nothing skipped" "0 records\n"
-    (Ledger.render_list ~kind:(Some "bench") { read with Ledger.skipped = 0 })
+    (Ledger.render_list ~kind:(Some "bench") { read with Ledger.skipped = [] })
 
 let test_ledger_id_deterministic () =
   let a = sample_record ~time:1000.0 123.0 in
@@ -383,7 +388,8 @@ let test_ledger_truncated_tail () =
   | Error e -> Alcotest.fail e
   | Ok { Ledger.records; skipped } ->
     Alcotest.(check int) "intact records survive" 2 (List.length records);
-    Alcotest.(check int) "torn tail skipped" 1 skipped);
+    Alcotest.(check (list string)) "torn tail skipped, located"
+      [ "line 3: $: unterminated string at offset 23" ] skipped);
   (match Ledger.gc path with
   | Error e -> Alcotest.fail e
   | Ok g ->
@@ -392,7 +398,26 @@ let test_ledger_truncated_tail () =
   match Ledger.read path with
   | Error e -> Alcotest.fail e
   | Ok { Ledger.skipped; _ } ->
-    Alcotest.(check int) "clean after gc" 0 skipped
+    Alcotest.(check (list string)) "clean after gc" [] skipped
+
+(* A damaged line is reported where it is, not only counted: a ledger
+   with one bad line showed [runs list] only "(1 malformed line skipped)". *)
+let test_ledger_list_names_damage () =
+  with_temp_ledger @@ fun path ->
+  Ledger.append path (sample_record ~time:1000.0 1.0);
+  let bad = Ledger.to_json (sample_record ~time:2000.0 2.0) in
+  let bad = Json_input.replace ~sub:{|"time":2000|} ~by:{|"time":"2000"|} bad in
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc -> output_string oc (bad ^ "\n"));
+  Ledger.append path (sample_record ~time:3000.0 3.0);
+  match Ledger.read path with
+  | Error e -> Alcotest.fail e
+  | Ok read ->
+    Alcotest.(check (list string)) "the located error" [ "line 2: $.time: not a number" ]
+      read.Ledger.skipped;
+    let listed = Ledger.render_list ~kind:None read in
+    Alcotest.(check bool) "runs list names the line beside the count" true
+      (Json_input.contains listed
+         ~needle:"(1 malformed line skipped)\n  line 2: $.time: not a number\n2 records\n")
 
 let test_ledger_gc_keep_and_find () =
   with_temp_ledger @@ fun path ->
@@ -448,7 +473,7 @@ let test_ledger_stale_lock_broken () =
   | Error e -> Alcotest.fail e
   | Ok { Ledger.records; skipped } ->
     Alcotest.(check int) "append landed" 1 (List.length records);
-    Alcotest.(check int) "no torn lines" 0 skipped
+    Alcotest.(check (list string)) "no torn lines" [] skipped
 
 (* ------------------------------------------------------------------ *)
 (* Trend                                                               *)
@@ -713,6 +738,7 @@ let () =
           Alcotest.test_case "deterministic ids" `Quick test_ledger_id_deterministic;
           Alcotest.test_case "show view" `Quick test_ledger_render_show;
           Alcotest.test_case "list view" `Quick test_ledger_render_list;
+          Alcotest.test_case "list names a damaged line" `Quick test_ledger_list_names_damage;
           Alcotest.test_case "truncated tail tolerated" `Quick
             test_ledger_truncated_tail;
           Alcotest.test_case "gc --keep and find" `Quick test_ledger_gc_keep_and_find;

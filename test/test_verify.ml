@@ -571,6 +571,78 @@ let test_incremental_faster_on_small_delta () =
     true
     (ru.Verify.transfers * 2 < rf.Verify.transfers)
 
+(* Cone-sized work shows as a count: after one gate swap on circuit_a's
+   improved product, the update judges no more rules than the cone has
+   nets plus the instances wired to them, and builds no witness on a
+   clean result.  The cone is recomputed here from the netlist alone:
+   what reads a net is the gate whose input or enable it is, every
+   member of the switch whose enable it is, and the net of the holder
+   whose enable it is. *)
+let test_update_counts_cone_sized () =
+  let nl = Suite.circuit_a lib in
+  ignore (Flow.run Flow.Improved_smt nl);
+  let session, r0 = Verify.start nl in
+  Alcotest.(check (list string)) "product clean" [] (List.map Rules.to_string r0.Verify.findings);
+  let victim =
+    List.find
+      (fun iid -> (Netlist.cell nl iid).Cell.kind = Func.Nand2)
+      (Netlist.live_insts nl)
+  in
+  let since = Netlist.version nl in
+  let c = Netlist.cell nl victim in
+  Netlist.replace_cell nl victim
+    (Library.variant ~drive:c.Cell.drive lib Func.Nor2 c.Cell.vth c.Cell.style);
+  let cone = Hashtbl.create 64 in
+  let rec reach nid =
+    if not (Hashtbl.mem cone nid) then begin
+      Hashtbl.add cone nid ();
+      List.iter
+        (fun (p : Netlist.pin) ->
+          let i = p.Netlist.inst in
+          match (Netlist.cell nl i).Cell.kind with
+          | Func.Sleep_switch ->
+            List.iter (fun m -> Option.iter reach (Netlist.output_net nl m)) (Netlist.switch_members nl i)
+          | Func.Holder -> Option.iter reach (Netlist.pin_net nl i "Z")
+          | Func.Dff -> ()
+          | _ -> Option.iter reach (Netlist.output_net nl i))
+        (Netlist.sinks nl nid)
+    end
+  in
+  List.iter reach (Netlist.touched_since nl since);
+  let pinned = Hashtbl.create 64 in
+  let add i = Hashtbl.replace pinned i () in
+  Hashtbl.iter
+    (fun nid () ->
+      Option.iter (fun (p : Netlist.pin) -> add p.Netlist.inst) (Netlist.driver nl nid);
+      List.iter (fun (p : Netlist.pin) -> add p.Netlist.inst) (Netlist.sinks nl nid))
+    cone;
+  (* holders are wired to the net they keep by Z, which no sink list holds *)
+  Netlist.iter_insts nl (fun i ->
+      if (Netlist.cell nl i).Cell.kind = Func.Holder then
+        match Netlist.pin_net nl i "Z" with
+        | Some z when Hashtbl.mem cone z -> add i
+        | Some _ | None -> ());
+  let count name = Smt_obs.Metrics.(counter_value (counter name)) in
+  let evals0 = count "lint.rule_evals" and paths0 = count "lint.paths_built" in
+  let ru = Verify.update session in
+  let evals = count "lint.rule_evals" - evals0 and paths = count "lint.paths_built" - paths0 in
+  let full0 = count "lint.rule_evals" in
+  let rf = Verify.analyze nl in
+  let full = count "lint.rule_evals" - full0 in
+  Alcotest.(check (list string)) "update equals analyze"
+    (List.map Rules.to_string rf.Verify.findings)
+    (List.map Rules.to_string ru.Verify.findings);
+  Alcotest.(check (list string)) "still clean" [] (List.map Rules.to_string ru.Verify.findings);
+  Alcotest.(check bool)
+    (Printf.sprintf "rule evaluations %d <= cone nets %d + pinned instances %d" evals
+       (Hashtbl.length cone) (Hashtbl.length pinned))
+    true
+    (evals > 0 && evals <= Hashtbl.length cone + Hashtbl.length pinned);
+  Alcotest.(check bool)
+    (Printf.sprintf "update's %d evaluations under a quarter of analyze's %d" evals full)
+    true (evals * 4 < full);
+  Alcotest.(check int) "no witness built on a clean result" 0 paths
+
 let test_incremental_domain_change_restarts () =
   (* Declaring a new domain changes the mode vector: the session must
      fall back to a transparent full restart and still agree with a
@@ -1046,6 +1118,7 @@ let () =
         [
           Alcotest.test_case "small delta re-verifies the cone only" `Quick
             test_incremental_faster_on_small_delta;
+          Alcotest.test_case "update counts cone-sized work" `Quick test_update_counts_cone_sized;
           Alcotest.test_case "domain change restarts transparently" `Quick
             test_incremental_domain_change_restarts;
           Alcotest.test_case "sta and verify follow one journal" `Quick
