@@ -34,23 +34,35 @@ let arity = function
   | Dff -> 1
   | Sleep_switch | Holder -> 0
 
+(* One shared array per pin list: netlist construction asks for these once
+   per pin, so they are built once, not per call. *)
+let pins_a = [| "A" |]
+let pins_ab = [| "A"; "B" |]
+let pins_abc = [| "A"; "B"; "C" |]
+let pins_abcd = [| "A"; "B"; "C"; "D" |]
+let pins_abs = [| "A"; "B"; "S" |]
+let pins_d = [| "D" |]
+let pins_q = [| "Q" |]
+let pins_z = [| "Z" |]
+let pins_none = [||]
+
 let input_names = function
-  | Inv | Buf | Clkbuf -> [| "A" |]
-  | Nand2 | Nor2 | And2 | Or2 | Xor2 | Xnor2 -> [| "A"; "B" |]
-  | Nand3 | Nor3 | And3 | Or3 -> [| "A"; "B"; "C" |]
-  | Nand4 -> [| "A"; "B"; "C"; "D" |]
-  | Aoi21 | Oai21 -> [| "A"; "B"; "C" |]
-  | Mux2 -> [| "A"; "B"; "S" |]
-  | Dff -> [| "D" |]
-  | Sleep_switch | Holder -> [||]
+  | Inv | Buf | Clkbuf -> pins_a
+  | Nand2 | Nor2 | And2 | Or2 | Xor2 | Xnor2 -> pins_ab
+  | Nand3 | Nor3 | And3 | Or3 -> pins_abc
+  | Nand4 -> pins_abcd
+  | Aoi21 | Oai21 -> pins_abc
+  | Mux2 -> pins_abs
+  | Dff -> pins_d
+  | Sleep_switch | Holder -> pins_none
 
 let output_names = function
-  | Dff -> [| "Q" |]
-  | Sleep_switch -> [||]
-  | Holder -> [||]
+  | Dff -> pins_q
+  | Sleep_switch -> pins_none
+  | Holder -> pins_none
   | Inv | Buf | Clkbuf | Nand2 | Nand3 | Nand4 | Nor2 | Nor3 | And2 | And3
   | Or2 | Or3 | Xor2 | Xnor2 | Aoi21 | Oai21 | Mux2 ->
-    [| "Z" |]
+    pins_z
 
 let is_sequential = function
   | Dff -> true

@@ -30,9 +30,11 @@ val arity : kind -> int
 
 val input_names : kind -> string array
 (** Logic input pin names in evaluation order. [Dff] lists [D] only; its
-    clock pin is ["CK"]. *)
+    clock pin is ["CK"].  The array is shared between calls: read it,
+    never write it. *)
 
 val output_names : kind -> string array
+(** Output pin names; shared like [input_names]. *)
 
 val is_sequential : kind -> bool
 val is_infrastructure : kind -> bool

@@ -4,7 +4,7 @@ module Library = Smt_cell.Library
 
 type t = { nl : Netlist.t; lib : Library.t }
 
-let create ~name ~lib = { nl = Netlist.create ~name ~lib; lib }
+let create ~name ~lib = { nl = Netlist.create ~name ~lib (); lib }
 
 let netlist t = t.nl
 

@@ -8,7 +8,7 @@ let merge ~name blocks =
   let lib =
     match blocks with (_, nl) :: _ -> Netlist.lib nl | [] -> assert false
   in
-  let top = Netlist.create ~name ~lib in
+  let top = Netlist.create ~name ~lib () in
   let clk = ref None in
   let top_clock () =
     match !clk with

@@ -31,13 +31,16 @@ type instance = {
   mutable i_isolation : bool;
 }
 
+(* name indexes, compared with [String.equal] rather than [compare] *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   d_name : string;
   d_lib : Library.t;
   insts : instance Vec.t;
   nets : net Vec.t;
-  net_index : (string, net_id) Hashtbl.t;
-  inst_index : (string, inst_id) Hashtbl.t;
+  net_index : net_id Names.t;
+  inst_index : inst_id Names.t;
   (* Newest first: ports prepend on add (O(1), not O(ports)) and the
      [inputs]/[outputs] accessors reverse into declaration order. *)
   mutable ports_in : (string * net_id) list;
@@ -57,14 +60,14 @@ type t = {
 
 exception Combinational_cycle of string
 
-let create ~name ~lib =
+let create ?(nets = 0) ?(insts = 0) ~name ~lib () =
   {
     d_name = name;
     d_lib = lib;
     insts = Vec.create ();
     nets = Vec.create ();
-    net_index = Hashtbl.create 997;
-    inst_index = Hashtbl.create 997;
+    net_index = Names.create (max 997 nets);
+    inst_index = Names.create (max 997 insts);
     ports_in = [];
     ports_out = [];
     clock = None;
@@ -94,7 +97,7 @@ let touched_since t v =
 (* --- nets --- *)
 
 let add_net ?(clock = false) t name =
-  if Hashtbl.mem t.net_index name then
+  if Names.mem t.net_index name then
     invalid_arg (Printf.sprintf "Netlist.add_net: duplicate net %s" name);
   let id =
     Vec.push t.nets
@@ -109,7 +112,7 @@ let add_net ?(clock = false) t name =
         stamp = 0;
       }
   in
-  Hashtbl.add t.net_index name id;
+  Names.add t.net_index name id;
   if clock && t.clock = None then t.clock <- Some id;
   touch t id;
   id
@@ -118,7 +121,7 @@ let fresh_net t stem =
   let rec try_name () =
     t.uniq <- t.uniq + 1;
     let name = Printf.sprintf "%s_%d" stem t.uniq in
-    if Hashtbl.mem t.net_index name then try_name () else name
+    if Names.mem t.net_index name then try_name () else name
   in
   add_net t (try_name ())
 
@@ -150,7 +153,7 @@ let mark_clock t nid =
 
 let net_count t = Vec.length t.nets
 let net_name t nid = (Vec.get t.nets nid).net_name
-let find_net t name = Hashtbl.find_opt t.net_index name
+let find_net t name = Names.find_opt t.net_index name
 let is_pi t nid = (Vec.get t.nets nid).n_is_pi
 let is_po t nid = (Vec.get t.nets nid).n_is_po
 let is_clock_net t nid = (Vec.get t.nets nid).n_is_clock
@@ -165,9 +168,11 @@ let clock_net t = t.clock
 
 type dir = Dir_in | Dir_out | Dir_holder_z
 
+let rec mem_name names name i =
+  i < Array.length names && (String.equal names.(i) name || mem_name names name (i + 1))
+
 let pin_dir (cell : Cell.t) pin_name =
-  let outs = Func.output_names cell.Cell.kind in
-  if Array.exists (String.equal pin_name) outs then Dir_out
+  if mem_name (Func.output_names cell.Cell.kind) pin_name 0 then Dir_out
   else if String.equal pin_name "MTE" && Vth.style_equal cell.Cell.style Vth.Mt_embedded then
     (* conventional MT-cells carry their own switch, controlled by MTE *)
     Dir_in
@@ -178,8 +183,7 @@ let pin_dir (cell : Cell.t) pin_name =
     | Func.Sleep_switch when String.equal pin_name "MTE" -> Dir_in
     | Func.Dff when String.equal pin_name "CK" -> Dir_in
     | k ->
-      let ins = Func.input_names k in
-      if Array.exists (String.equal pin_name) ins then Dir_in
+      if mem_name (Func.input_names k) pin_name 0 then Dir_in
       else
         invalid_arg
           (Printf.sprintf "Netlist: cell %s has no pin %s" cell.Cell.name pin_name)
@@ -188,7 +192,7 @@ let pin_dir (cell : Cell.t) pin_name =
 
 let inst_count t = Vec.length t.insts
 let inst_name t iid = (Vec.get t.insts iid).i_name
-let find_inst t name = Hashtbl.find_opt t.inst_index name
+let find_inst t name = Names.find_opt t.inst_index name
 let cell t iid = (Vec.get t.insts iid).i_cell
 let conns t iid = (Vec.get t.insts iid).i_conns
 let is_dead t iid = (Vec.get t.insts iid).i_dead
@@ -243,37 +247,55 @@ let detach t iid pin_name nid =
     if n.holder = Some iid then n.holder <- None;
     touch t nid
 
+(* Is [pin_name] a pin of [pins] before the cell [stop]? *)
+let rec pin_before pins stop pin_name =
+  pins != stop
+  &&
+  match pins with
+  | (p, _) :: rest -> String.equal p pin_name || pin_before rest stop pin_name
+  | [] -> false
+
+(* Attaches [here], the pins of [inst] from the [attached]-th on; a
+   refused pin leaves [inst] with the pins attached before it. *)
+let rec attach_from t iid inst attached here =
+  match here with
+  | [] -> ()
+  | (pin_name, nid) :: rest -> (
+    match
+      if pin_before inst.i_conns here pin_name then
+        invalid_arg (Printf.sprintf "Netlist: duplicate pin %s on %s" pin_name inst.i_name);
+      attach t iid pin_name nid
+    with
+    | () -> attach_from t iid inst (attached + 1) rest
+    | exception e ->
+      inst.i_conns <- List.filteri (fun i _ -> i < attached) inst.i_conns;
+      raise e)
+
 let add_inst t ~name cell pins =
-  if Hashtbl.mem t.inst_index name then
+  if Names.mem t.inst_index name then
     invalid_arg (Printf.sprintf "Netlist.add_inst: duplicate instance %s" name);
-  let iid =
-    Vec.push t.insts
-      {
-        i_name = name;
-        i_cell = cell;
-        i_conns = [];
-        i_vgnd = None;
-        i_dead = false;
-        i_domain = None;
-        i_isolation = false;
-      }
+  (* [i_conns] is [pins] itself *)
+  let inst =
+    {
+      i_name = name;
+      i_cell = cell;
+      i_conns = pins;
+      i_vgnd = None;
+      i_dead = false;
+      i_domain = None;
+      i_isolation = false;
+    }
   in
-  Hashtbl.add t.inst_index name iid;
-  let add_pin (pin_name, nid) =
-    let inst = Vec.get t.insts iid in
-    if List.mem_assoc pin_name inst.i_conns then
-      invalid_arg (Printf.sprintf "Netlist: duplicate pin %s on %s" pin_name name);
-    attach t iid pin_name nid;
-    inst.i_conns <- inst.i_conns @ [ (pin_name, nid) ]
-  in
-  List.iter add_pin pins;
+  let iid = Vec.push t.insts inst in
+  Names.add t.inst_index name iid;
+  attach_from t iid inst 0 pins;
   iid
 
 let fresh_inst_name t stem =
   let rec try_name () =
     t.uniq <- t.uniq + 1;
     let name = Printf.sprintf "%s_%d" stem t.uniq in
-    if Hashtbl.mem t.inst_index name then try_name () else name
+    if Names.mem t.inst_index name then try_name () else name
   in
   try_name ()
 
@@ -335,7 +357,7 @@ let remove_inst t iid =
     inst.i_conns <- [];
     inst.i_vgnd <- None;
     inst.i_dead <- true;
-    Hashtbl.remove t.inst_index inst.i_name
+    Names.remove t.inst_index inst.i_name
   end
 
 let set_vgnd_switch t iid sw =

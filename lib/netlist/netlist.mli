@@ -22,7 +22,10 @@ type t
 
 exception Combinational_cycle of string
 
-val create : name:string -> lib:Smt_cell.Library.t -> t
+val create : ?nets:int -> ?insts:int -> name:string -> lib:Smt_cell.Library.t -> unit -> t
+(** [nets] and [insts] are the counts a bulk load expects to add: they
+    size the name tables so the load never rehashes them. *)
+
 val design_name : t -> string
 val lib : t -> Smt_cell.Library.t
 

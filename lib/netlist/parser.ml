@@ -2,106 +2,163 @@ module Library = Smt_cell.Library
 
 exception Parse_error of string
 
-type token =
-  | Ident of string
-  | Lparen
-  | Rparen
-  | Semi
-  | Comma
-  | Dot
-  | Directive of string list  (** words of a [// @...] comment *)
-  | Eof
+(* Both passes keep byte offsets only; an error turns its offset into
+   [file:line:column], lines counted at each '\n' and columns from 1. *)
+let fail_at_offset file text off msg =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if text.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  raise (Parse_error (Printf.sprintf "%s:%d:%d: %s" file !line (off - !bol + 1) msg))
+
+(* --- lexer ---
+   The current token is [text.[start .. stop - 1]]; a pragma token runs
+   from its [//] to the end of its line.  Tokens carry no payload, so
+   reading one allocates nothing. *)
+
+type token = Ident | Lparen | Rparen | Semi | Comma | Dot | Pragma | Eof
 
 type lexer = {
   text : string;
   file : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int;  (** offset of the current line's first character *)
-  mutable tok_line : int;  (** position of the last token handed out *)
-  mutable tok_col : int;
-  mutable peeked : (token * int * int) option;
+  mutable tok : token;
+  mutable start : int;
+  mutable stop : int;
 }
 
-let fail_at file line col msg =
-  raise (Parse_error (Printf.sprintf "%s:%d:%d: %s" file line col msg))
+(* Errors point at the start of the current token, or at the character
+   the lexer cannot read. *)
+let fail lx msg = fail_at_offset lx.file lx.text lx.start msg
 
-(* Errors point at the start of the offending token (or, while lexing, the
-   current character), as file:line:column. *)
-let fail lx msg = fail_at lx.file lx.tok_line lx.tok_col msg
+let ident_chars =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '[' | ']' -> '\001'
+      | _ -> '\000')
 
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-  || c = '[' || c = ']'
+let is_ident_char c = ident_chars.[Char.code c] = '\001'
 
-let mark lx =
-  lx.tok_line <- lx.line;
-  lx.tok_col <- lx.pos - lx.bol + 1
+let ident_end text i =
+  let n = String.length text in
+  let i = ref i in
+  while !i < n && is_ident_char text.[!i] do
+    incr i
+  done;
+  !i
 
-let rec lex_token lx =
-  mark lx;
-  if lx.pos >= String.length lx.text then Eof
+(* A [//] comment whose first word starts with [@] is a pragma; any other
+   comment is skipped without being split. *)
+let rec advance lx =
+  let text = lx.text in
+  let n = String.length text in
+  let p = ref lx.stop in
+  while !p < n && match text.[!p] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false do
+    incr p
+  done;
+  let p = !p in
+  lx.start <- p;
+  lx.stop <- p + 1;
+  if p = n then begin
+    lx.tok <- Eof;
+    lx.stop <- p
+  end
   else
-    let c = lx.text.[lx.pos] in
-    match c with
-    | ' ' | '\t' | '\r' ->
-      lx.pos <- lx.pos + 1;
-      lex_token lx
-    | '\n' ->
-      lx.pos <- lx.pos + 1;
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.pos;
-      lex_token lx
-    | '/' when lx.pos + 1 < String.length lx.text && lx.text.[lx.pos + 1] = '/' ->
-      let eol =
-        match String.index_from_opt lx.text lx.pos '\n' with
-        | Some i -> i
-        | None -> String.length lx.text
-      in
-      let body = String.sub lx.text (lx.pos + 2) (eol - lx.pos - 2) in
-      lx.pos <- eol;
-      let words =
-        String.split_on_char ' ' (String.trim body) |> List.filter (fun s -> s <> "")
-      in
-      (match words with
-      | w :: _ when String.length w > 0 && w.[0] = '@' -> Directive words
-      | _ -> lex_token lx)
-    | '(' -> lx.pos <- lx.pos + 1; Lparen
-    | ')' -> lx.pos <- lx.pos + 1; Rparen
-    | ';' -> lx.pos <- lx.pos + 1; Semi
-    | ',' -> lx.pos <- lx.pos + 1; Comma
-    | '.' -> lx.pos <- lx.pos + 1; Dot
-    | c when is_ident_char c ->
-      let start = lx.pos in
-      while lx.pos < String.length lx.text && is_ident_char lx.text.[lx.pos] do
-        lx.pos <- lx.pos + 1
+    match text.[p] with
+    | '(' -> lx.tok <- Lparen
+    | ')' -> lx.tok <- Rparen
+    | ';' -> lx.tok <- Semi
+    | ',' -> lx.tok <- Comma
+    | '.' -> lx.tok <- Dot
+    | '/' when p + 1 < n && text.[p + 1] = '/' ->
+      let eol = match String.index_from_opt text p '\n' with Some e -> e | None -> n in
+      let q = ref (p + 2) in
+      while !q < eol && match text.[!q] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false do
+        incr q
       done;
-      Ident (String.sub lx.text start (lx.pos - start))
+      lx.stop <- eol;
+      if !q < eol && text.[!q] = '@' then lx.tok <- Pragma else advance lx
+    | c when is_ident_char c ->
+      lx.tok <- Ident;
+      lx.stop <- ident_end text (p + 1)
     | c -> fail lx (Printf.sprintf "unexpected character %C" c)
 
-let next lx =
-  match lx.peeked with
-  | Some (t, l, c) ->
-    lx.peeked <- None;
-    lx.tok_line <- l;
-    lx.tok_col <- c;
-    t
-  | None -> lex_token lx
+(* The words of [text.[first .. stop - 1]] split at spaces, in order. *)
+let rec words text first stop acc =
+  if stop <= first then acc
+  else if text.[stop - 1] = ' ' then words text first (stop - 1) acc
+  else begin
+    let start = ref (stop - 1) in
+    while !start > first && text.[!start - 1] <> ' ' do
+      decr start
+    done;
+    words text first !start (String.sub text !start (stop - !start) :: acc)
+  end
 
-let peek lx =
-  match lx.peeked with
-  | Some (t, _, _) -> t
-  | None ->
-    let t = lex_token lx in
-    lx.peeked <- Some (t, lx.tok_line, lx.tok_col);
-    t
+(* The words of the pragma at [off]: its comment body, trimmed of blanks
+   and split at spaces. *)
+let pragma_words text off =
+  let blank = function ' ' | '\t' | '\r' | '\n' | '\012' -> true | _ -> false in
+  let first = ref (off + 2) in
+  let stop =
+    ref (match String.index_from_opt text off '\n' with Some e -> e | None -> String.length text)
+  in
+  while !first < !stop && blank text.[!first] do
+    incr first
+  done;
+  while !stop > !first && blank text.[!stop - 1] do
+    decr stop
+  done;
+  words text !first !stop []
 
-let expect_ident lx =
-  match next lx with Ident s -> s | _ -> fail lx "identifier expected"
+(* Does the text at [off] read [s]? *)
+let rec reads text off s i =
+  i = String.length s || (text.[off + i] = s.[i] && reads text off s (i + 1))
+
+let is_word lx w =
+  (match lx.tok with Ident -> true | _ -> false)
+  && lx.stop - lx.start = String.length w
+  && reads lx.text lx.start w 0
+
+(* The name in [names] that the [len] bytes at [off] spell, or [""]. *)
+let rec spelled text off len = function
+  | s :: rest ->
+    if String.length s = len && reads text off s 0 then s else spelled text off len rest
+  | [] -> ""
 
 let expect lx tok what =
-  let got = next lx in
-  if got <> tok then fail lx (what ^ " expected")
+  (match (lx.tok, tok) with
+  | Lparen, Lparen | Rparen, Rparen | Semi, Semi | Dot, Dot -> ()
+  | _ -> fail lx (what ^ " expected"));
+  advance lx
+
+(* The offset of the identifier that must come next. *)
+let expect_ident lx =
+  match lx.tok with
+  | Ident ->
+    let off = lx.start in
+    advance lx;
+    off
+  | _ -> fail lx "identifier expected"
+
+(* --- first-pass records: growable int arrays of offsets ---
+   Monomorphic, unlike [Smt_util.Vec]: an int store needs no write
+   barrier, and the first pass makes one per token. *)
+
+type ints = { mutable a : int array; mutable len : int }
+
+let ints capacity = { a = Array.make (max 16 capacity) 0; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.a then begin
+    let a = Array.make (2 * v.len) 0 in
+    Array.blit v.a 0 a 0 v.len;
+    v.a <- a
+  end;
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
 
 (* Sleep switches are synthesized per width, so "SW_W4p2" may not pre-exist
    in the library. *)
@@ -120,143 +177,233 @@ let resolve_cell ~fail lib name =
     end
     else fail (Printf.sprintf "unknown cell %s" name)
 
-type decl = Decl_input | Decl_output | Decl_wire
+(* A netlist refusal without its raising function's "Netlist...: " prefix. *)
+let refusal m =
+  let n = String.length m in
+  let i = match String.index_opt m ':' with Some i when i + 2 <= n -> i + 2 | _ -> 0 in
+  String.sub m i (n - i)
+
+(* Argument counts of the pragmas. *)
+let pragma_arity =
+  [ ("@clock", 1); ("@vgnd", 2); ("@domain", 2); ("@member", 2); ("@isolation", 1) ]
 
 let of_string ?(file = "<netlist>") ~lib text =
-  let lx =
-    { text; file; pos = 0; line = 1; bol = 0; tok_line = 1; tok_col = 1; peeked = None }
-  in
-  let rec skip_directives acc =
-    match peek lx with
-    | Directive d ->
-      ignore (next lx);
-      skip_directives (d :: acc)
-    | _ -> List.rev acc
-  in
-  ignore (skip_directives []);
-  (match next lx with
-  | Ident "module" -> ()
-  | _ -> fail lx "module expected");
+  let lx = { text; file; tok = Eof; start = 0; stop = 0 } in
+  (* First pass: check the grammar and record where each port name,
+     statement and pragma starts.  A statement is a declaration
+     [-(keyword + 1); name] or an instance [cell; name; pin count] and
+     [pin; net] per connection; the flow's netlists take ~7 bytes of text
+     per record, so [stmts] rarely grows. *)
+  let ports = ints 64 and stmts = ints (String.length text / 6) and pragmas = ints 64 in
+  let n_decls = ref 0 and n_insts = ref 0 in
+  advance lx;
+  while match lx.tok with Pragma -> true | _ -> false do
+    push pragmas lx.start;
+    advance lx
+  done;
+  if not (is_word lx "module") then fail lx "module expected";
+  advance lx;
   let design = expect_ident lx in
   expect lx Lparen "(";
-  let rec ports acc =
-    match next lx with
-    | Rparen -> List.rev acc
-    | Ident name -> (
-      match next lx with
-      | Comma -> ports (name :: acc)
-      | Rparen -> List.rev (name :: acc)
+  let rec port_list () =
+    match lx.tok with
+    | Rparen -> advance lx
+    | Ident -> (
+      push ports lx.start;
+      advance lx;
+      match lx.tok with
+      | Comma ->
+        advance lx;
+        port_list ()
+      | Rparen -> advance lx
       | _ -> fail lx ", or ) expected in port list")
     | _ -> fail lx "port name expected"
   in
-  let _port_list = ports [] in
+  port_list ();
   expect lx Semi ";";
-  let nl = Netlist.create ~name:design ~lib in
-  (* First pass over the body: collect declarations, instances and
-     directives, each with the line and column of its first token (kept
-     unboxed: a large netlist has tens of thousands of them). *)
-  let decls = ref [] and insts = ref [] and directives = ref [] in
-  let parse_conn () =
+  let rec conns count_at =
     expect lx Dot ".";
-    let pin = expect_ident lx in
+    push stmts (expect_ident lx);
     expect lx Lparen "(";
-    let net = expect_ident lx in
+    push stmts (expect_ident lx);
     expect lx Rparen ")";
-    (pin, net)
+    stmts.a.(count_at) <- stmts.a.(count_at) + 1;
+    match lx.tok with
+    | Comma ->
+      advance lx;
+      conns count_at
+    | Rparen -> advance lx
+    | _ -> fail lx ", or ) expected in connection list"
   in
-  let decl d =
-    let line = lx.tok_line and col = lx.tok_col in
-    decls := (d, expect_ident lx, line, col) :: !decls;
-    expect lx Semi ";"
-  in
+  (* nothing after [endmodule] is read *)
   let rec body () =
-    match next lx with
-    | Ident "endmodule" -> ()
-    | Ident "input" -> decl Decl_input; body ()
-    | Ident "output" -> decl Decl_output; body ()
-    | Ident "wire" -> decl Decl_wire; body ()
-    | Ident cell_name ->
-      let line = lx.tok_line and col = lx.tok_col in
-      let inst_name = expect_ident lx in
-      expect lx Lparen "(";
-      let rec conns acc =
-        let c = parse_conn () in
-        match next lx with
-        | Comma -> conns (c :: acc)
-        | Rparen -> List.rev (c :: acc)
-        | _ -> fail lx ", or ) expected in connection list"
-      in
-      let pins = if peek lx = Rparen then (ignore (next lx); []) else conns [] in
+    match lx.tok with
+    | Ident when is_word lx "endmodule" -> ()
+    | Ident when is_word lx "input" || is_word lx "output" || is_word lx "wire" ->
+      push stmts (-(lx.start + 1));
+      incr n_decls;
+      advance lx;
+      push stmts (expect_ident lx);
       expect lx Semi ";";
-      insts := (cell_name, inst_name, pins, line, col) :: !insts;
       body ()
-    | Directive d ->
-      directives := (d, lx.tok_line, lx.tok_col) :: !directives;
+    | Ident ->
+      push stmts lx.start;
+      incr n_insts;
+      advance lx;
+      push stmts (expect_ident lx);
+      expect lx Lparen "(";
+      let count_at = stmts.len in
+      push stmts 0;
+      (match lx.tok with Rparen -> advance lx | _ -> conns count_at);
+      expect lx Semi ";";
+      body ()
+    | Pragma ->
+      push pragmas lx.start;
+      advance lx;
       body ()
     | Eof -> fail lx "endmodule expected"
     | Lparen | Rparen | Semi | Comma | Dot -> fail lx "statement expected"
   in
   body ();
-  let decls = List.rev !decls and insts = List.rev !insts and directives = List.rev !directives in
-  (* Second pass: build the netlist.  What the grammar lets through but
-     the netlist refuses (a pin the cell lacks, a second driver, a name
-     declared twice, a VGND link to a non-switch, ...) is a parse error at
-     the statement that asked for it. *)
-  let fail_at line col msg = fail_at file line col msg in
-  let at line col f =
-    try f ()
-    with Invalid_argument m ->
-      (* drop the raising function's "Netlist...: " prefix *)
-      let n = String.length m in
-      let i = match String.index_opt m ':' with Some i when i + 2 <= n -> i + 2 | _ -> 0 in
-      fail_at line col (String.sub m i (n - i))
-  in
-  let clock_nets =
-    List.filter_map (function [ "@clock"; n ], _, _ -> Some n | _ -> None) directives
-  in
-  let is_clock n = List.mem n clock_nets in
-  List.iter
-    (fun (d, name, line, col) ->
-      at line col (fun () ->
-          match d with
-          | Decl_input -> ignore (Netlist.add_input ~clock:(is_clock name) nl name)
-          | Decl_output -> ignore (Netlist.add_output nl name)
-          | Decl_wire -> ignore (Netlist.add_net nl name)))
-    decls;
-  let net_of name =
+  (* Second pass: build the netlist, sized from the first pass's counts.
+     Declarations come first, then instances, whose undeclared nets are
+     created in order of first use, then pragmas.  What the grammar lets
+     through but the netlist refuses (a pin the cell lacks, a second
+     driver, a name declared twice, a VGND link to a non-switch, ...) is
+     an error at the first token of the statement that asked for it. *)
+  let fail_at off msg = fail_at_offset file text off msg in
+  let ident off = String.sub text off (ident_end text off - off) in
+  let nl = Netlist.create ~nets:!n_decls ~insts:!n_insts ~name:(ident design) ~lib () in
+  (* the record after the one at [k] *)
+  let next k = if stmts.a.(k) < 0 then k + 2 else k + 3 + (2 * stmts.a.(k + 2)) in
+  let at = ref 0 in
+  (try
+     let k = ref 0 in
+     while !k < stmts.len do
+       if stmts.a.(!k) < 0 then begin
+         let kw = -stmts.a.(!k) - 1 in
+         at := kw;
+         let name = ident stmts.a.(!k + 1) in
+         ignore
+           (match text.[kw] with
+           | 'i' -> Netlist.add_input nl name
+           | 'o' -> Netlist.add_output nl name
+           | _ -> Netlist.add_net nl name)
+       end;
+       k := next !k
+     done;
+     (* each distinct cell name is resolved once; pin names are few, so
+        each is copied once and found again by comparing in place *)
+     let cells = Hashtbl.create 64 and pin_names = ref [] in
+     let cell_at off =
+       let name = ident off in
+       match Hashtbl.find_opt cells name with
+       | Some c -> c
+       | None ->
+         let c = resolve_cell ~fail:(fail_at off) lib name in
+         Hashtbl.add cells name c;
+         c
+     in
+     let pin_at off =
+       let len = ident_end text off - off in
+       match spelled text off len !pin_names with
+       | "" ->
+         let s = String.sub text off len in
+         pin_names := s :: !pin_names;
+         s
+       | s -> s
+     in
+     let net_at off =
+       let name = ident off in
+       match Netlist.find_net nl name with Some nid -> nid | None -> Netlist.add_net nl name
+     in
+     let k = ref 0 in
+     while !k < stmts.len do
+       let cell_off = stmts.a.(!k) in
+       if cell_off >= 0 then begin
+         let name_off = stmts.a.(!k + 1) and npins = stmts.a.(!k + 2) and first = !k + 3 in
+         at := cell_off;
+         let cell = cell_at cell_off in
+         let rec pins i =
+           if i = npins then []
+           else
+             let pin = pin_at stmts.a.(first + (2 * i)) in
+             let net = net_at stmts.a.(first + (2 * i) + 1) in
+             (pin, net) :: pins (i + 1)
+         in
+         ignore (Netlist.add_inst nl ~name:(ident name_off) cell (pins 0))
+       end;
+       k := next !k
+     done
+   with Invalid_argument m -> fail_at !at (refusal m));
+  (* Pragmas apply in order.  The checks the format has always made raise
+     where they fail; the ones added since (an unknown pragma, a wrong
+     word count, [@clock] on an unknown net, and the port list below)
+     raise only after them, so input refused before keeps its error. *)
+  let deferred = ref None in
+  let defer off msg = if Option.is_none !deferred then deferred := Some (off, msg) in
+  for k = 0 to pragmas.len - 1 do
+    let off = pragmas.a.(k) in
+    let inst_at what name =
+      match Netlist.find_inst nl name with
+      | Some i -> i
+      | None -> fail_at off (Printf.sprintf "%s refers to unknown instance %s" what name)
+    in
+    try
+      match pragma_words text off with
+      | [ "@clock"; net ] -> (
+        match Netlist.find_net nl net with
+        | Some nid -> if not (Netlist.is_clock_net nl nid) then Netlist.mark_clock nl nid
+        | None -> defer off (Printf.sprintf "@clock: unknown net %s" net))
+      | [ "@vgnd"; inst; sw ] ->
+        let sw = inst_at "@vgnd" sw in
+        Netlist.set_vgnd_switch nl (inst_at "@vgnd" inst) (Some sw)
+      | [ "@domain"; dom; "-" ] -> Netlist.add_domain nl ~name:dom ~mte:None
+      | [ "@domain"; dom; net ] -> (
+        match Netlist.find_net nl net with
+        | Some _ as mte -> Netlist.add_domain nl ~name:dom ~mte
+        | None -> fail_at off (Printf.sprintf "@domain %s: unknown net %s" dom net))
+      | [ "@member"; inst; dom ] -> Netlist.set_inst_domain nl (inst_at "@member" inst) (Some dom)
+      | [ "@isolation"; inst ] -> Netlist.set_isolation nl (inst_at "@isolation" inst) true
+      | word :: args -> (
+        match List.assoc_opt word pragma_arity with
+        | Some n ->
+          defer off
+            (Printf.sprintf "%s takes %d argument%s, got %d" word n
+               (if n = 1 then "" else "s")
+               (List.length args))
+        | None -> defer off ("unknown pragma " ^ word))
+      | [] -> ()
+    with Invalid_argument m -> fail_at off (refusal m)
+  done;
+  (* The port list names each input and output once, and nothing else. *)
+  let listed = Hashtbl.create (max 16 ports.len) in
+  for k = 0 to ports.len - 1 do
+    let off = ports.a.(k) in
+    let name = ident off in
+    if Hashtbl.mem listed name then fail_at off (Printf.sprintf "port %s is listed twice" name);
+    Hashtbl.add listed name ();
     match Netlist.find_net nl name with
-    | Some nid -> nid
-    | None -> Netlist.add_net nl name
-  in
-  List.iter
-    (fun (cell_name, inst_name, pins, line, col) ->
-      at line col (fun () ->
-          let cell = resolve_cell ~fail:(fail_at line col) lib cell_name in
-          let pins = List.map (fun (p, n) -> (p, net_of n)) pins in
-          ignore (Netlist.add_inst nl ~name:inst_name cell pins)))
-    insts;
-  List.iter
-    (fun (d, line, col) ->
-      let inst_at what name =
-        match Netlist.find_inst nl name with
-        | Some i -> i
-        | None -> fail_at line col (Printf.sprintf "%s refers to unknown instance %s" what name)
-      in
-      at line col (fun () ->
-          match d with
-          | [ "@vgnd"; inst; sw ] ->
-            Netlist.set_vgnd_switch nl (inst_at "@vgnd" inst) (Some (inst_at "@vgnd" sw))
-          | [ "@domain"; dom; "-" ] -> Netlist.add_domain nl ~name:dom ~mte:None
-          | [ "@domain"; dom; net ] -> (
-            match Netlist.find_net nl net with
-            | Some _ as mte -> Netlist.add_domain nl ~name:dom ~mte
-            | None -> fail_at line col (Printf.sprintf "@domain %s: unknown net %s" dom net))
-          | [ "@member"; inst; dom ] ->
-            Netlist.set_inst_domain nl (inst_at "@member" inst) (Some dom)
-          | [ "@isolation"; inst ] ->
-            Netlist.set_isolation nl (inst_at "@isolation" inst) true
-          | _ -> ()))
-    directives;
+    | Some nid when Netlist.is_pi nl nid || Netlist.is_po nl nid -> ()
+    | Some _ | None ->
+      fail_at off (Printf.sprintf "port %s is not declared as input or output" name)
+  done;
+  let k = ref 0 in
+  while !k < stmts.len do
+    (if stmts.a.(!k) < 0 then
+       let kw = -stmts.a.(!k) - 1 in
+       match text.[kw] with
+       | ('i' | 'o') as dir ->
+         let name = ident stmts.a.(!k + 1) in
+         if not (Hashtbl.mem listed name) then
+           fail_at kw
+             (Printf.sprintf "%s %s is missing from the port list"
+                (if dir = 'i' then "input" else "output")
+                name)
+       | _ -> ());
+    k := next !k
+  done;
+  (match !deferred with Some (off, msg) -> fail_at off msg | None -> ());
   nl
 
 let of_file ~lib path =

@@ -1,56 +1,86 @@
-let buf_add_inst nl b iid =
-  let cell = Netlist.cell nl iid in
-  let pins =
-    Netlist.conns nl iid
-    |> List.map (fun (pin, nid) -> Printf.sprintf ".%s(%s)" pin (Netlist.net_name nl nid))
-  in
-  Buffer.add_string b
-    (Printf.sprintf "  %s %s (%s);\n" cell.Smt_cell.Cell.name (Netlist.inst_name nl iid)
-       (String.concat ", " pins))
+(* Every line is appended straight into one buffer sized from the netlist. *)
+
+let rec add_names b sep = function
+  | [] -> ()
+  | (name, _) :: rest ->
+    Buffer.add_string b sep;
+    Buffer.add_string b name;
+    add_names b ", " rest
+
+let rec add_pins b nl sep = function
+  | [] -> ()
+  | (pin, nid) :: rest ->
+    Buffer.add_string b sep;
+    Buffer.add_char b '.';
+    Buffer.add_string b pin;
+    Buffer.add_char b '(';
+    Buffer.add_string b (Netlist.net_name nl nid);
+    Buffer.add_char b ')';
+    add_pins b nl ", " rest
+
+(* [  <keyword> <name>;] *)
+let add_decl b keyword name =
+  Buffer.add_string b "  ";
+  Buffer.add_string b keyword;
+  Buffer.add_char b ' ';
+  Buffer.add_string b name;
+  Buffer.add_string b ";\n"
+
+(* [  // @<pragma> <args>] *)
+let add_pragma b pragma args =
+  Buffer.add_string b "  // @";
+  Buffer.add_string b pragma;
+  List.iter
+    (fun a ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b a)
+    args;
+  Buffer.add_char b '\n'
+
+let is_port nl nid = Netlist.is_pi nl nid || Netlist.is_po nl nid
 
 let to_string nl =
-  let b = Buffer.create 4096 in
+  (* the flow's products take ~45 bytes per net and instance *)
+  let b = Buffer.create (4096 + (48 * (Netlist.net_count nl + Netlist.inst_count nl))) in
   let ins = Netlist.inputs nl and outs = Netlist.outputs nl in
-  let port_names = List.map fst ins @ List.map fst outs in
-  Buffer.add_string b
-    (Printf.sprintf "module %s (%s);\n" (Netlist.design_name nl)
-       (String.concat ", " port_names));
-  List.iter (fun (name, _) -> Buffer.add_string b (Printf.sprintf "  input %s;\n" name)) ins;
-  List.iter (fun (name, _) -> Buffer.add_string b (Printf.sprintf "  output %s;\n" name)) outs;
-  let ports = Hashtbl.create (List.length port_names) in
-  List.iter (fun name -> Hashtbl.replace ports name ()) port_names;
+  Buffer.add_string b "module ";
+  Buffer.add_string b (Netlist.design_name nl);
+  Buffer.add_string b " (";
+  add_names b "" (ins @ outs);
+  Buffer.add_string b ");\n";
+  List.iter (fun (name, _) -> add_decl b "input" name) ins;
+  List.iter (fun (name, _) -> add_decl b "output" name) outs;
   Netlist.iter_nets nl (fun nid ->
-      let name = Netlist.net_name nl nid in
-      if not (Hashtbl.mem ports name) then Buffer.add_string b (Printf.sprintf "  wire %s;\n" name));
-  List.iter
-    (fun (name, nid) ->
-      if Netlist.is_clock_net nl nid then
-        Buffer.add_string b (Printf.sprintf "  // @clock %s\n" name))
-    ins;
-  Netlist.iter_insts nl (fun iid -> buf_add_inst nl b iid);
+      if not (is_port nl nid) then add_decl b "wire" (Netlist.net_name nl nid));
+  (* clock marks in declaration order: inputs, outputs, then wires *)
+  let clock (name, nid) = if Netlist.is_clock_net nl nid then add_pragma b "clock" [ name ] in
+  List.iter clock ins;
+  List.iter clock outs;
+  Netlist.iter_nets nl (fun nid ->
+      if not (is_port nl nid) then clock (Netlist.net_name nl nid, nid));
+  Netlist.iter_insts nl (fun iid ->
+      Buffer.add_string b "  ";
+      Buffer.add_string b (Netlist.cell nl iid).Smt_cell.Cell.name;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Netlist.inst_name nl iid);
+      Buffer.add_string b " (";
+      add_pins b nl "" (Netlist.conns nl iid);
+      Buffer.add_string b ");\n");
   Netlist.iter_insts nl (fun iid ->
       match Netlist.vgnd_switch nl iid with
       | None -> ()
-      | Some sw ->
-        Buffer.add_string b
-          (Printf.sprintf "  // @vgnd %s %s\n" (Netlist.inst_name nl iid)
-             (Netlist.inst_name nl sw)));
+      | Some sw -> add_pragma b "vgnd" [ Netlist.inst_name nl iid; Netlist.inst_name nl sw ]);
   List.iter
     (fun (dom, mte) ->
-      Buffer.add_string b
-        (Printf.sprintf "  // @domain %s %s\n" dom
-           (match mte with Some nid -> Netlist.net_name nl nid | None -> "-")))
+      add_pragma b "domain"
+        [ dom; (match mte with Some nid -> Netlist.net_name nl nid | None -> "-") ])
     (Netlist.domains nl);
   Netlist.iter_insts nl (fun iid ->
       match Netlist.inst_domain nl iid with
       | None -> ()
-      | Some dom ->
-        Buffer.add_string b
-          (Printf.sprintf "  // @member %s %s\n" (Netlist.inst_name nl iid) dom));
+      | Some dom -> add_pragma b "member" [ Netlist.inst_name nl iid; dom ]);
   Netlist.iter_insts nl (fun iid ->
-      if Netlist.is_isolation nl iid then
-        Buffer.add_string b
-          (Printf.sprintf "  // @isolation %s\n" (Netlist.inst_name nl iid)));
+      if Netlist.is_isolation nl iid then add_pragma b "isolation" [ Netlist.inst_name nl iid ]);
   Buffer.add_string b "endmodule\n";
   Buffer.contents b
 

@@ -47,7 +47,7 @@ let test_clean_netlist_passes () =
   check_clean ~place nl
 
 let test_undriven_net_detected () =
-  let nl = Netlist.create ~name:"t" ~lib in
+  let nl = Netlist.create ~name:"t" ~lib () in
   let a = Netlist.add_input nl "a" in
   let z = Netlist.add_output nl "z" in
   let w = Netlist.add_net nl "w" in
@@ -58,7 +58,7 @@ let test_undriven_net_detected () =
   Alcotest.(check bool) "it is an error" true (Drc.has_errors vs)
 
 let test_comb_loop_detected () =
-  let nl = Netlist.create ~name:"t" ~lib in
+  let nl = Netlist.create ~name:"t" ~lib () in
   let a = Netlist.add_net nl "a" in
   let b = Netlist.add_net nl "b" in
   ignore (Netlist.add_inst nl ~name:"i1" (lv Func.Inv) [ ("A", a); ("Z", b) ]);
@@ -68,7 +68,7 @@ let test_comb_loop_detected () =
     (List.exists (fun v -> v.Violation.code = Violation.Comb_loop) vs)
 
 let test_floating_input_detected () =
-  let nl = Netlist.create ~name:"t" ~lib in
+  let nl = Netlist.create ~name:"t" ~lib () in
   let a = Netlist.add_input nl "a" in
   let z = Netlist.add_output nl "z" in
   let g = Netlist.add_inst nl ~name:"g1" (lv Func.Nand2) [ ("A", a); ("B", a); ("Z", z) ] in
@@ -80,7 +80,7 @@ let test_floating_input_detected () =
        vs)
 
 let test_no_timing_endpoints_warned () =
-  let nl = Netlist.create ~name:"t" ~lib in
+  let nl = Netlist.create ~name:"t" ~lib () in
   let a = Netlist.add_input nl "a" in
   let w = Netlist.add_net nl "w" in
   ignore (Netlist.add_inst nl ~name:"i1" (lv Func.Inv) [ ("A", a); ("Z", w) ]);
@@ -92,7 +92,7 @@ let test_no_timing_endpoints_warned () =
 let test_minimal_period_fallback () =
   (* No primary outputs, no flip-flops: STA has no endpoints and
      minimal_period reports its documented fallback. *)
-  let nl = Netlist.create ~name:"t" ~lib in
+  let nl = Netlist.create ~name:"t" ~lib () in
   let a = Netlist.add_input nl "a" in
   let w = Netlist.add_net nl "w" in
   ignore (Netlist.add_inst nl ~name:"i1" (lv Func.Inv) [ ("A", a); ("Z", w) ]);

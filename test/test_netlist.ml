@@ -13,7 +13,7 @@ module Library = Smt_cell.Library
 let lib = Library.default ()
 let lv k = Library.variant lib k Vth.Low Vth.Plain
 
-let fresh name = Netlist.create ~name ~lib
+let fresh name = Netlist.create ~name ~lib ()
 
 (* --- construction basics --- *)
 
@@ -460,11 +460,20 @@ let test_roundtrip_preserves_vgnd () =
   Alcotest.(check bool) "holder restored" true (Netlist.holder_of nl2 z2 <> None)
 
 let test_roundtrip_preserves_clock () =
-  let nl = Smt_circuits.Generators.counter ~name:"cnt" ~bits:3 lib in
+  (* after CTS the clock tree's buffered nets are clock nets too *)
+  let nl = Smt_circuits.Generators.counter ~name:"cnt" ~bits:12 lib in
+  ignore (Smt_core.Flow.run Smt_core.Flow.Improved_smt nl);
   let nl2 = Clone.copy nl in
-  match Netlist.clock_net nl2 with
+  (match Netlist.clock_net nl2 with
   | Some c -> Alcotest.(check bool) "clock marked" true (Netlist.is_clock_net nl2 c)
-  | None -> Alcotest.fail "clock lost"
+  | None -> Alcotest.fail "clock lost");
+  let clock_names nl =
+    List.filter_map
+      (fun n -> if Netlist.is_clock_net nl n then Some (Netlist.net_name nl n) else None)
+      (List.init (Netlist.net_count nl) Fun.id)
+  in
+  Alcotest.(check bool) "the tree has buffered nets" true (List.length (clock_names nl) > 1);
+  Alcotest.(check (list string)) "every clock net kept" (clock_names nl) (clock_names nl2)
 
 let test_clone_is_equivalent () =
   let nl = Smt_circuits.Generators.c17 lib in

@@ -65,7 +65,7 @@ let test_active_vs_standby () =
 (* --- currents and bounce --- *)
 
 let mt_fixture n =
-  let nl = Netlist.create ~name:"fx" ~lib in
+  let nl = Netlist.create ~name:"fx" ~lib () in
   let mte = Netlist.add_input nl "MTE" in
   let a = Netlist.add_input nl "a" in
   let members =
@@ -153,7 +153,7 @@ let test_bounce_of_fn () =
   Alcotest.(check (float 1e-9)) "plain sees zero" 0.0 (f plain)
 
 let test_embedded_bounce_at_limit () =
-  let nl = Netlist.create ~name:"e" ~lib in
+  let nl = Netlist.create ~name:"e" ~lib () in
   let a = Netlist.add_input nl "a" in
   let z = Netlist.add_output nl "z" in
   let mte = Netlist.add_input nl "MTE" in

@@ -78,13 +78,73 @@ let prop_topo_respects_edges =
             (Netlist.fanin_insts nl iid))
         order)
 
+(* Everything the netlist text carries, keyed by name: the ports in
+   order; per net its PI/PO/clock flags, driver, sinks and holder; per
+   live instance its cell, pins in order, VGND switch, domain and
+   isolation mark; and the domain table. *)
+let text_content nl =
+  let inst i = Netlist.inst_name nl i and net n = Netlist.net_name nl n in
+  let pin (p : Netlist.pin) = (inst p.Netlist.inst, p.Netlist.pin_name) in
+  let nets =
+    List.init (Netlist.net_count nl) (fun n ->
+        ( net n,
+          (Netlist.is_pi nl n, Netlist.is_po nl n, Netlist.is_clock_net nl n),
+          Option.map pin (Netlist.driver nl n),
+          List.sort compare (List.map pin (Netlist.sinks nl n)),
+          Option.map inst (Netlist.holder_of nl n) ))
+  in
+  let insts =
+    List.map
+      (fun i ->
+        ( inst i,
+          (Netlist.cell nl i).Smt_cell.Cell.name,
+          List.map (fun (p, n) -> (p, net n)) (Netlist.conns nl i),
+          Option.map inst (Netlist.vgnd_switch nl i),
+          Netlist.inst_domain nl i,
+          Netlist.is_isolation nl i ))
+      (Netlist.live_insts nl)
+  in
+  ( (List.map fst (Netlist.inputs nl), List.map fst (Netlist.outputs nl)),
+    List.map (fun (d, mte) -> (d, Option.map net mte)) (Netlist.domains nl),
+    List.sort compare nets,
+    List.sort compare insts )
+
+(* Writing and parsing loses nothing the text carries, and writing the
+   parsed netlist gives the same text back: the writer emits nets and
+   instances in id order, so the fixed point also pins the parser's id
+   order. *)
+let roundtrip_faithful nl =
+  let text = Smt_netlist.Writer.to_string nl in
+  let nl2 = Smt_netlist.Parser.of_string ~lib text in
+  Nl_stats.compute nl = Nl_stats.compute nl2
+  && text_content nl = text_content nl2
+  && Smt_netlist.Writer.to_string nl2 = text
+
+(* Random circuits as generated, and as the dual and improved flows leave
+   them: with CTS buffers, sleep switches, holders, MTE and hold buffers. *)
 let prop_roundtrip_preserves_stats =
   QCheck2.Test.make ~name:"writer/parser roundtrip preserves structure" ~count:30 seed_gen
     (fun seed ->
       let nl = random_netlist seed in
-      let nl2 = Clone.copy nl in
-      let s1 = Nl_stats.compute nl and s2 = Nl_stats.compute nl2 in
-      s1 = s2)
+      (match seed mod 3 with
+      | 0 -> ()
+      | 1 -> ignore (Smt_core.Flow.run Smt_core.Flow.Dual_vth nl)
+      | _ -> ignore (Smt_core.Flow.run Smt_core.Flow.Improved_smt nl));
+      roundtrip_faithful nl)
+
+let test_roundtrip_soc () =
+  List.iter
+    (fun domains ->
+      let soc () = Smt_circuits.Suite.multi_domain ~domains ~name:"soc" lib in
+      let improved = soc () in
+      ignore (Smt_core.Flow.run Smt_core.Flow.Improved_smt improved);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains" domains)
+        true (roundtrip_faithful (soc ()));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains, improved" domains)
+        true (roundtrip_faithful improved))
+    [ 2; 3; 4 ]
 
 let prop_roundtrip_equivalent =
   QCheck2.Test.make ~name:"clone is functionally equivalent" ~count:12 seed_gen
@@ -2112,6 +2172,8 @@ let () =
           qtest prop_topo_respects_edges;
           qtest prop_topo_matches_reference;
           qtest prop_roundtrip_preserves_stats;
+          Alcotest.test_case "writer/parser roundtrip preserves 2-4-domain SoCs" `Quick
+            test_roundtrip_soc;
           qtest prop_roundtrip_equivalent;
           qtest prop_parser_rejects_mutants;
         ] );

@@ -165,7 +165,7 @@ let test_ff_state_access () =
 (* --- standby mode: the floating-net hazard and holders --- *)
 
 let standby_fixture ~with_holder =
-  let nl = Netlist.create ~name:"stby" ~lib in
+  let nl = Netlist.create ~name:"stby" ~lib () in
   let a = Netlist.add_input nl "a" in
   let mid = Netlist.add_net nl "mid" in
   let z = Netlist.add_output nl "z" in
@@ -199,7 +199,7 @@ let test_standby_held_with_holder () =
   Alcotest.check value "downstream cell sees defined input" Logic.F (Simulator.value sim z)
 
 let test_standby_embedded_holds_itself () =
-  let nl = Netlist.create ~name:"emb" ~lib in
+  let nl = Netlist.create ~name:"emb" ~lib () in
   let a = Netlist.add_input nl "a" in
   let z = Netlist.add_output nl "z" in
   let mte = Netlist.add_input nl "MTE" in
@@ -228,7 +228,7 @@ let test_equiv_identical () =
 
 let test_equiv_detects_mutation () =
   let a = Generators.c17 lib in
-  let b = Netlist.create ~name:"c17" ~lib in
+  let b = Netlist.create ~name:"c17" ~lib () in
   (* c17 with one NAND replaced by NOR: not equivalent *)
   let g1 = Netlist.add_input b "G1" in
   let g2 = Netlist.add_input b "G2" in

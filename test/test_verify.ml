@@ -169,7 +169,7 @@ let test_waiver_apply () =
 let rule_ids r = List.map (fun f -> f.Rules.rule.Rules.id) r.Verify.findings
 
 let base () =
-  let nl = Netlist.create ~name:"lintcase" ~lib in
+  let nl = Netlist.create ~name:"lintcase" ~lib () in
   let mte = Netlist.add_input nl "MTE" in
   let a = Netlist.add_input nl "a" in
   (nl, mte, a)
@@ -317,7 +317,7 @@ let test_crowbar_instance () =
        r.Verify.findings)
 
 let test_cycle_widens () =
-  let nl = Netlist.create ~name:"loop" ~lib in
+  let nl = Netlist.create ~name:"loop" ~lib () in
   let a = Netlist.add_net nl "a" in
   let b = Netlist.add_net nl "b" in
   ignore (Netlist.add_inst nl ~name:"i1" (lv Func.Inv) [ ("A", a); ("Z", b) ]);
@@ -328,7 +328,7 @@ let test_cycle_widens () =
   Alcotest.check vv "b is top" L.Top (Option.get (Verify.value_of r "b"))
 
 let test_clock_parked_and_ff_held () =
-  let nl = Netlist.create ~name:"seq" ~lib in
+  let nl = Netlist.create ~name:"seq" ~lib () in
   let clk = Netlist.add_input ~clock:true nl "clk" in
   let d = Netlist.add_input nl "d" in
   let q = Netlist.add_output nl "q" in
