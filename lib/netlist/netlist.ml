@@ -441,64 +441,80 @@ let is_comb_kind kind =
 let topo_order t =
   (* Kahn levelization over the combinational frame: flip-flop outputs and
      primary inputs are sources; flip-flop inputs and primary outputs are
-     sinks.  Remaining instances at the end expose a combinational cycle.
-     A combinational cell's one output pin is [Z] and every other pin it
-     has connected is an input ([attach] and [replace_cell] reject
-     anything else), so no pin needs its direction looked up. *)
+     sinks.  Instances left pending at the end expose a combinational
+     cycle.  The edges are read off the nets in id order: one runs from a
+     net's live combinational driver to each live combinational sink pin
+     (a combinational cell's one output pin is [Z] and every other pin it
+     has connected is a sink, so no pin needs its direction looked up). *)
   let n = Vec.length t.insts in
-  let pending = Array.make n 0 in
-  let comb = Array.make n false in
-  let is_live_comb inst = (not inst.i_dead) && is_comb_kind inst.i_cell.Cell.kind in
+  let comb = Bytes.make n '\000' in
+  let total = ref 0 in
   Vec.iteri
     (fun i inst ->
-      if is_live_comb inst then begin
-        comb.(i) <- true;
-        pending.(i) <-
-          List.fold_left
-            (fun acc (pin_name, nid) ->
-              if String.equal pin_name "Z" then acc
-              else
-                match (Vec.get t.nets nid).driver with
-                | Some p when is_live_comb (Vec.get t.insts p.inst) -> acc + 1
-                | Some _ | None -> acc)
-            0 inst.i_conns
+      if (not inst.i_dead) && is_comb_kind inst.i_cell.Cell.kind then begin
+        Bytes.set comb i '\001';
+        incr total
       end)
     t.insts;
-  (* FIFO over one array: [order.(0 .. tail - 1)] is the order so far *)
-  let order = Array.make n 0 in
+  let is_comb i = Bytes.get comb i <> '\000' in
+  let rec sink_edges f d = function
+    | [] -> ()
+    | s :: rest ->
+      if is_comb s.inst then f d s.inst;
+      sink_edges f d rest
+  in
+  let iter_edges f =
+    Vec.iter
+      (fun net ->
+        match net.driver with
+        | Some d when is_comb d.inst -> sink_edges f d.inst net.sinks
+        | Some _ | None -> ())
+      t.nets
+  in
+  (* Each gate's fanins not yet visited, one byte each: a combinational
+     cell has at most five input pins (four data inputs and an embedded
+     MT-cell's MTE).  Its fanout is a CSR row in sink-list order:
+     [start.(d + 2)] counts [d]'s edges, the prefix sums turn
+     [start.(d + 1)] into where its row begins, and filling advances it to
+     where the row ends, so the row is [fanout.(start.(d)) ..
+     fanout.(start.(d + 1) - 1)]. *)
+  let pending = Bytes.make n '\000' and start = Array.make (n + 2) 0 in
+  let pending_of i = Bytes.get_uint8 pending i in
+  iter_edges (fun d s ->
+      Bytes.set_uint8 pending s (pending_of s + 1);
+      start.(d + 2) <- start.(d + 2) + 1);
+  for i = 2 to n + 1 do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let fanout = Array.make start.(n + 1) 0 in
+  iter_edges (fun d s ->
+      fanout.(start.(d + 1)) <- s;
+      start.(d + 1) <- start.(d + 1) + 1);
+  (* FIFO over the result: [order.(0 .. tail - 1)] is the order so far *)
+  let order = Array.make !total 0 in
   let tail = ref 0 in
   let push i =
     order.(!tail) <- i;
     incr tail
   in
   for i = 0 to n - 1 do
-    if comb.(i) && pending.(i) = 0 then push i
+    if is_comb i && pending_of i = 0 then push i
   done;
   let head = ref 0 in
   while !head < !tail do
-    let i = order.(!head) in
+    let d = order.(!head) in
     incr head;
-    match List.assoc_opt "Z" (Vec.get t.insts i).i_conns with
-    | None -> ()
-    | Some nid ->
-      List.iter
-        (fun p ->
-          if comb.(p.inst) then begin
-            pending.(p.inst) <- pending.(p.inst) - 1;
-            if pending.(p.inst) = 0 then push p.inst
-          end)
-        (Vec.get t.nets nid).sinks
+    for e = start.(d) to start.(d + 1) - 1 do
+      let s = fanout.(e) in
+      Bytes.set_uint8 pending s (pending_of s - 1);
+      if pending_of s = 0 then push s
+    done
   done;
-  let total = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 comb in
-  if !tail <> total then begin
-    let stuck = ref "" in
-    for i = 0 to n - 1 do
-      if comb.(i) && pending.(i) > 0 && String.equal !stuck "" then
-        stuck := (Vec.get t.insts i).i_name
-    done;
-    raise (Combinational_cycle !stuck)
+  if !tail < !total then begin
+    let rec first_stuck i = if is_comb i && pending_of i > 0 then i else first_stuck (i + 1) in
+    raise (Combinational_cycle (Vec.get t.insts (first_stuck 0)).i_name)
   end;
-  List.init !tail (Array.get order)
+  order
 
 let switch_members t sw_id =
   let acc = ref [] in

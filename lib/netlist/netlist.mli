@@ -170,10 +170,25 @@ val iter_nets : t -> (net_id -> unit) -> unit
 val fanin_insts : t -> inst_id -> inst_id list
 (** Distinct instances driving this instance's input pins. *)
 
-val topo_order : t -> inst_id list
-(** Combinational instances in topological (fanin-first) order; flip-flops,
+val topo_order : t -> inst_id array
+(** The live combinational instances in topological (fanin-first) order,
+    one entry each, in a fresh array the caller owns; flip-flops,
     switches, and holders are excluded (they are sources/sinks of the
-    combinational frame). Raises [Combinational_cycle]. *)
+    combinational frame).  An edge runs from a net's combinational driver
+    to every combinational sink pin on it, data or not (an embedded
+    MT-cell's [MTE] counts), once per pin.
+
+    The order is Kahn's FIFO: first the instances with no combinational
+    fanin, ascending, then each instance once its last fanin has been
+    visited, the fanins visited in order and each one's sinks in
+    {!sinks} order.  O(instances + nets + pins) time over flat arrays,
+    no lists: a pass over the instances marks the combinational ones,
+    two passes over the nets count every gate's pending fanins and lay
+    out its fanout, and the FIFO runs over the result array.
+
+    Raises [Combinational_cycle name] when some instance never becomes
+    ready; [name] is the first such instance in id order, which is on a
+    cycle or downstream of one. *)
 
 val switch_members : t -> inst_id -> inst_id list
 (** MT-cells hanging from the given sleep switch. *)

@@ -235,7 +235,7 @@ let of_string ?(file = "<netlist>") ~lib text =
     | Rparen -> advance lx
     | _ -> fail lx ", or ) expected in connection list"
   in
-  (* nothing after [endmodule] is read *)
+  (* the lexer stops on [endmodule]; what follows is checked last *)
   let rec body () =
     match lx.tok with
     | Ident when is_word lx "endmodule" -> ()
@@ -404,6 +404,12 @@ let of_string ?(file = "<netlist>") ~lib text =
     k := next !k
   done;
   (match !deferred with Some (off, msg) -> fail_at off msg | None -> ());
+  (* Only blanks and ordinary comments may follow [endmodule], where the
+     lexer still stands; a token, a pragma or a character no token starts
+     with is refused at its first byte. *)
+  (match advance lx with
+  | () -> ( match lx.tok with Eof -> () | _ -> fail lx "text after endmodule")
+  | exception Parse_error _ -> fail lx "text after endmodule");
   nl
 
 let of_file ~lib path =

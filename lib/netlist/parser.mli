@@ -4,7 +4,7 @@
     declarations; gate instantiations with named pin connections; and
     [// @] pragmas.  Cell names are resolved against the given library;
     sized sleep switches ([SW_W<w>p<d>]) are synthesized on demand.
-    Nothing after [endmodule] is read.
+    Only blanks and ordinary [//] comments may follow [endmodule].
 
     The port list must name each [input] and [output] exactly once and
     nothing else.
@@ -31,7 +31,10 @@ exception Parse_error of string
     pragma with the wrong number of words, and a port list that misses a
     declared port (located at its declaration), names an undeclared one or
     names one twice (located at the name); these are reported after every
-    other error the text has.  Malformed text raises nothing else. *)
+    other error the text has.  Text after [endmodule] other than blanks
+    and ordinary comments (a token, a pragma, a stray character) is
+    reported after all of them, located at its first byte.  Malformed
+    text raises nothing else. *)
 
 val of_string : ?file:string -> lib:Smt_cell.Library.t -> string -> Netlist.t
 (** [file] (default ["<netlist>"]) names the source in error messages. *)

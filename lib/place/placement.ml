@@ -92,16 +92,14 @@ let centroid t insts =
 
 (* Longest-path logic level per instance; flip-flops level 0. *)
 let levels nl =
-  let order = Netlist.topo_order nl in
-  let n = Netlist.inst_count nl in
-  let level = Array.make n 0 in
-  List.iter
+  let level = Array.make (Netlist.inst_count nl) 0 in
+  Array.iter
     (fun iid ->
       let deep =
         List.fold_left (fun acc pred -> max acc (level.(pred) + 1)) 0 (Netlist.fanin_insts nl iid)
       in
       level.(iid) <- deep)
-    order;
+    (Netlist.topo_order nl);
   level
 
 (* The refinement's compiled form, built once per [place].  Cells are

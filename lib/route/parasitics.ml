@@ -19,12 +19,13 @@ type t = {
 
 let corner t = t.which
 
-let slot t nid =
-  if nid >= 0 && nid < Array.length t.by_net then Some t.by_net.(nid) else None
+(* A net past the end of [by_net] (created after extraction) has no
+   wire; the accessors read the array in place, allocating nothing. *)
+let has_rc t nid = nid >= 0 && nid < Array.length t.by_net
 
-let net_length t nid = match slot t nid with Some rc -> rc.length | None -> 0.0
-let net_cap t nid = match slot t nid with Some rc -> rc.cap | None -> 0.0
-let net_res t nid = match slot t nid with Some rc -> rc.res | None -> 0.0
+let net_length t nid = if has_rc t nid then t.by_net.(nid).length else 0.0
+let net_cap t nid = if has_rc t nid then t.by_net.(nid).cap else 0.0
+let net_res t nid = if has_rc t nid then t.by_net.(nid).res else 0.0
 
 let total_wirelength t = Array.fold_left (fun acc rc -> acc +. rc.length) 0.0 t.by_net
 

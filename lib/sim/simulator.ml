@@ -67,12 +67,13 @@ let create nl =
   let x_slot = Netlist.net_count nl in
   let pin_or default iid pin = Option.value (Netlist.pin_net nl iid pin) ~default in
   let gates =
-    List.filter_map
-      (fun iid ->
+    Array.fold_right
+      (fun iid acc ->
         let cell = Netlist.cell nl iid in
-        if not (evaluates cell.Cell.kind) then None
-        else Option.map (fun out -> (iid, cell, out)) (Netlist.output_net nl iid))
-      (Netlist.topo_order nl)
+        match Netlist.output_net nl iid with
+        | Some out when evaluates cell.Cell.kind -> (iid, cell, out) :: acc
+        | Some _ | None -> acc)
+      (Netlist.topo_order nl) []
     |> Array.of_list
   in
   let pins = Array.map (fun (_, cell, _) -> Func.input_names cell.Cell.kind) gates in

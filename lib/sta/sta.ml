@@ -73,7 +73,6 @@ type t = {
   mutable net_mark : Bytes.t;  (* scratch: [touched] / [retimed], zero between calls *)
   (* per instance *)
   mutable inst_delay : float array;  (* the delay forward used *)
-  mutable d_slack : float array;  (* the slack of its D endpoint (infinity if none) *)
   mutable out : int array;  (* timed output net: Z (-1 on a clock net) or Q; -1 if none *)
   mutable row : int array;  (* data-pin slots of instance i: row.(i) .. row.(i + 1) - 1 *)
   mutable inst_mark : Bytes.t;  (* scratch: [checked] / [seeded], zero between calls *)
@@ -90,8 +89,10 @@ type t = {
   mutable ffs : int array;
   mutable ff_d : int array;  (* D net, -1 if unconnected *)
   mutable ff_wire : float array;  (* wire delay into D *)
+  mutable ff_slack : float array;  (* setup slack at D, infinity if unconnected *)
   mutable n_ffs : int;
   mutable eps : endpoint list;
+  pin_nets : int array;  (* scratch for [read_pins], one entry per data input *)
 }
 
 let netlist t = t.nl
@@ -172,7 +173,6 @@ let grow_insts t n =
   if n > t.n_insts then begin
     let len = t.n_insts in
     t.inst_delay <- grow t.inst_delay ~len n 0.0;
-    t.d_slack <- grow t.d_slack ~len n infinity;
     t.out <- grow t.out ~len n (-1);
     t.row <- grow t.row ~len:(len + 1) (n + 1) 0;
     t.inst_mark <- grow_bytes t.inst_mark n;
@@ -184,14 +184,41 @@ let grow_insts t n =
 let is_comb (c : Cell.t) =
   (not (Func.is_sequential c.Cell.kind)) && not (Func.is_infrastructure c.Cell.kind)
 
-(* The net an instance's timing writes: a flip-flop's Q, or a
-   combinational output unless it is a clock net (which stays a clock
-   source). *)
-let timed_out nl iid =
-  match Netlist.output_net nl iid with
-  | Some o when Func.is_sequential (Netlist.cell nl iid).Cell.kind || not (Netlist.is_clock_net nl o)
-    -> o
-  | Some _ | None -> -1
+let max_inputs =
+  List.fold_left (fun m k -> max m (Array.length (Func.input_names k))) 0 Func.all
+
+let rec index_of names name i =
+  if i = Array.length names then -1
+  else if String.equal names.(i) name then i
+  else index_of names name (i + 1)
+
+(* One walk over a connection list (its pin names are distinct): returns
+   the net on pin [out_name] (-1 if none) and puts the net on input pin
+   [ins.(j)] in [nets.(j)]. *)
+let rec read_conns nets ins out_name out = function
+  | [] -> out
+  | (pin_name, nid) :: rest ->
+    if String.equal pin_name out_name then read_conns nets ins out_name nid rest
+    else begin
+      let j = index_of ins pin_name 0 in
+      if j >= 0 then nets.(j) <- nid;
+      read_conns nets ins out_name out rest
+    end
+
+(* Reads a combinational gate's or flip-flop's pins in one walk over its
+   connection list.  Returns the net its timing writes: a flip-flop's Q,
+   or a combinational output unless it is a clock net (which stays a
+   clock source); -1 if none.  Leaves in [t.pin_nets.(j)] the net on its
+   [j]th [Func.input_names] pin, -1 if unconnected (a flip-flop's one
+   input is D). *)
+let read_pins t iid (c : Cell.t) =
+  let nl = t.nl and kind = c.Cell.kind in
+  Array.fill t.pin_nets 0 max_inputs (-1);
+  let out =
+    read_conns t.pin_nets (Func.input_names kind) (Func.output_names kind).(0) (-1)
+      (Netlist.conns nl iid)
+  in
+  if out >= 0 && (Func.is_sequential kind || not (Netlist.is_clock_net nl out)) then out else -1
 
 let pin_wire t iid nid pin_name = t.cfg.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name }
 
@@ -204,17 +231,15 @@ let push_slot t iid nid pin_name =
   t.readers.(nid) <- t.readers.(nid) + 1;
   t.n_slots <- k + 1
 
-let push_ff t iid =
+let push_ff t iid d =
   let k = t.n_ffs in
   t.ffs <- grow t.ffs ~len:k (k + 1) 0;
   t.ff_d <- grow t.ff_d ~len:k (k + 1) (-1);
   t.ff_wire <- grow t.ff_wire ~len:k (k + 1) 0.0;
+  t.ff_slack <- grow t.ff_slack ~len:k (k + 1) infinity;
   t.ffs.(k) <- iid;
-  (match Netlist.pin_net t.nl iid "D" with
-  | Some d ->
-    t.ff_d.(k) <- d;
-    t.ff_wire.(k) <- pin_wire t iid d "D"
-  | None -> ());
+  t.ff_d.(k) <- d;
+  if d >= 0 then t.ff_wire.(k) <- pin_wire t iid d "D";
   t.n_ffs <- k + 1
 
 (* Compiles instance [iid], the next id after those compiled: its timed
@@ -225,17 +250,15 @@ let add_inst t iid =
   if not (Netlist.is_dead nl iid) then begin
     let c = Netlist.cell nl iid in
     if Func.is_sequential c.Cell.kind then begin
-      t.out.(iid) <- timed_out nl iid;
-      push_ff t iid
+      t.out.(iid) <- read_pins t iid c;
+      push_ff t iid t.pin_nets.(0)
     end
     else if is_comb c then begin
-      t.out.(iid) <- timed_out nl iid;
-      Array.iter
-        (fun pin_name ->
-          match Netlist.pin_net nl iid pin_name with
-          | Some nid -> push_slot t iid nid pin_name
-          | None -> ())
-        (Func.input_names c.Cell.kind)
+      t.out.(iid) <- read_pins t iid c;
+      let ins = Func.input_names c.Cell.kind in
+      for j = 0 to Array.length ins - 1 do
+        if t.pin_nets.(j) >= 0 then push_slot t iid t.pin_nets.(j) ins.(j)
+      done
     end
   end;
   t.row.(iid + 1) <- t.n_slots
@@ -342,12 +365,12 @@ let forward t ~all =
   done;
   !timed
 
-(* Endpoint list plus seed of the required-time array; [d_slack] collects
-   each flip-flop's D-endpoint slack for [inst_slack]. *)
+(* Endpoint list plus seed of the required-time array; [ff_slack]
+   collects each flip-flop's D-endpoint slack for [inst_slack]. *)
 let time_endpoints t =
   let cfg = t.cfg and nl = t.nl in
   Array.fill t.rat 0 t.n_nets infinity;
-  Array.fill t.d_slack 0 t.n_insts infinity;
+  Array.fill t.ff_slack 0 t.n_ffs infinity;
   let eps = ref [] in
   for k = 0 to t.n_ffs - 1 do
     let ff = t.ffs.(k) and d_net = t.ff_d.(k) in
@@ -364,7 +387,7 @@ let time_endpoints t =
       let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
       let slack = req -. a in
       t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
-      t.d_slack.(ff) <- Float.min t.d_slack.(ff) slack;
+      t.ff_slack.(k) <- slack;
       eps := { kind = Ff_data ff; net = d_net; arrival = a; required = req; slack; hold_slack }
              :: !eps
     end
@@ -411,10 +434,13 @@ let compile t =
   t.version <- -1;
   let order = Netlist.topo_order nl in
   let nnets = Netlist.net_count nl and ninsts = Netlist.inst_count nl in
-  let max_slots = ref 0 in
+  let max_slots = ref 0 and n_ffs = ref 0 in
+  Array.iter
+    (fun iid ->
+      max_slots := !max_slots + Array.length (Func.input_names (Netlist.cell nl iid).Cell.kind))
+    order;
   Netlist.iter_insts nl (fun iid ->
-      let c = Netlist.cell nl iid in
-      if is_comb c then max_slots := !max_slots + Array.length (Func.input_names c.Cell.kind));
+      if Func.is_sequential (Netlist.cell nl iid).Cell.kind then incr n_ffs);
   t.n_nets <- nnets;
   t.n_insts <- ninsts;
   t.loads <- Array.init nnets (load_of_net t.cfg nl);
@@ -427,19 +453,18 @@ let compile t =
   t.readers <- Array.make nnets 0;
   t.net_mark <- Bytes.make nnets '\000';
   t.inst_delay <- Array.make ninsts 0.0;
-  t.d_slack <- Array.make ninsts infinity;
   t.out <- Array.make ninsts (-1);
   t.row <- Array.make (ninsts + 1) 0;
   t.inst_mark <- Bytes.make ninsts '\000';
-  t.order <- Array.make (List.length order) 0;
-  t.n_order <- 0;
-  List.iter (push_order t) order;
+  t.order <- order;
+  t.n_order <- Array.length order;
   t.slot_net <- Array.make !max_slots 0;
   t.slot_wire <- Array.make !max_slots 0.0;
   t.n_slots <- 0;
-  t.ffs <- [||];
-  t.ff_d <- [||];
-  t.ff_wire <- [||];
+  t.ffs <- Array.make !n_ffs 0;
+  t.ff_d <- Array.make !n_ffs (-1);
+  t.ff_wire <- Array.make !n_ffs 0.0;
+  t.ff_slack <- Array.make !n_ffs infinity;
   t.n_ffs <- 0;
   for iid = 0 to ninsts - 1 do
     add_inst t iid
@@ -480,7 +505,6 @@ let analyze cfg nl =
       readers = [||];
       net_mark = Bytes.empty;
       inst_delay = [||];
-      d_slack = [||];
       out = [||];
       row = [||];
       inst_mark = Bytes.empty;
@@ -492,8 +516,10 @@ let analyze cfg nl =
       ffs = [||];
       ff_d = [||];
       ff_wire = [||];
+      ff_slack = [||];
       n_ffs = 0;
       eps = [];
+      pin_nets = Array.make max_inputs (-1);
     }
   in
   compile t;
@@ -510,21 +536,25 @@ exception Stale
 let recheck t g =
   if not (marked t.inst_mark g checked) then begin
     mark t.inst_mark g checked;
-    let nl = t.nl in
-    if timed_out nl g <> t.out.(g) then raise_notrace Stale;
-    let c = Netlist.cell nl g in
-    if is_comb c then begin
-      let s = ref t.row.(g) and stop = t.row.(g + 1) in
-      Array.iter
-        (fun pin_name ->
-          match Netlist.pin_net nl g pin_name with
-          | Some nid ->
+    let c = Netlist.cell t.nl g in
+    if not (Func.is_sequential c.Cell.kind || is_comb c) then begin
+      if t.out.(g) >= 0 then raise_notrace Stale
+    end
+    else begin
+      if read_pins t g c <> t.out.(g) then raise_notrace Stale;
+      if is_comb c then begin
+        let ins = Func.input_names c.Cell.kind in
+        let s = ref t.row.(g) and stop = t.row.(g + 1) in
+        for j = 0 to Array.length ins - 1 do
+          let nid = t.pin_nets.(j) in
+          if nid >= 0 then begin
             if !s >= stop || t.slot_net.(!s) <> nid then raise_notrace Stale;
-            if marked t.net_mark nid touched then t.slot_wire.(!s) <- pin_wire t g nid pin_name;
+            if marked t.net_mark nid touched then t.slot_wire.(!s) <- pin_wire t g nid ins.(j);
             incr s
-          | None -> ())
-        (Func.input_names c.Cell.kind);
-      if !s <> stop then raise_notrace Stale
+          end
+        done;
+        if !s <> stop then raise_notrace Stale
+      end
     end
   end
 
@@ -559,21 +589,30 @@ let extend t ~ninsts0 ~nnets0 touched_nets =
   done;
   (* Old instances on a touched net re-read their pins: the net's
      compiled driver and its driver now, and its data-pin readers, which
-     must be exactly its compiled slots. *)
+     must be exactly its compiled slots.  A gate driving the net into a
+     gate's other input (an embedded MT-cell's MTE) orders the
+     levelization without being timed, so the edit could close a cycle
+     only [Netlist.topo_order] sees: that recompiles too. *)
   List.iter
     (fun nid ->
       if t.via_inst.(nid) >= 0 then recheck t t.via_inst.(nid);
-      (match Netlist.driver nl nid with
-      | Some p when p.Netlist.inst < ninsts0 -> recheck t p.Netlist.inst
-      | Some _ | None -> ());
+      let comb_driver =
+        match Netlist.driver nl nid with
+        | Some p ->
+          if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst;
+          is_comb (Netlist.cell nl p.Netlist.inst)
+        | None -> false
+      in
       let readers = ref 0 in
       List.iter
         (fun (p : Netlist.pin) ->
           let c = Netlist.cell nl p.Netlist.inst in
-          if is_comb c && Array.mem p.Netlist.pin_name (Func.input_names c.Cell.kind) then begin
-            incr readers;
-            if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst
-          end)
+          if is_comb c then
+            if index_of (Func.input_names c.Cell.kind) p.Netlist.pin_name 0 >= 0 then begin
+              incr readers;
+              if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst
+            end
+            else if comb_driver then raise_notrace Stale)
         (Netlist.sinks nl nid);
       if !readers <> t.readers.(nid) then raise_notrace Stale)
     touched_nets;
@@ -653,13 +692,24 @@ let required t nid = t.rat.(nid)
 let net_slack t nid =
   if t.rat.(nid) = infinity then infinity else t.rat.(nid) -. arrival t nid
 
+(* The slot of flip-flop [iid] in the ascending [t.ffs], -1 if none. *)
+let ff_slot t iid =
+  let rec find lo hi =
+    if lo >= hi then -1
+    else
+      let m = (lo + hi) / 2 in
+      if t.ffs.(m) = iid then m else if t.ffs.(m) < iid then find (m + 1) hi else find lo m
+  in
+  find 0 t.n_ffs
+
 let inst_slack t iid =
   let cell = Netlist.cell t.nl iid in
   if cell.Cell.kind = Func.Dff then begin
     let q_slack =
       match Netlist.pin_net t.nl iid "Q" with Some q -> net_slack t q | None -> infinity
     in
-    Float.min t.d_slack.(iid) q_slack
+    let k = ff_slot t iid in
+    Float.min (if k >= 0 then t.ff_slack.(k) else infinity) q_slack
   end
   else
     match Netlist.output_net t.nl iid with

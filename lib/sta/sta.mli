@@ -47,8 +47,9 @@ type t
 
 val analyze : config -> Smt_netlist.Netlist.t -> t
 (** Compiles and times the netlist from scratch.  Raises
-    [Smt_netlist.Netlist.Combinational_cycle] on cyclic logic (as does
-    {!update} when an edit closes a cycle). *)
+    [Smt_netlist.Netlist.Combinational_cycle] on cyclic logic, naming the
+    instance {!Smt_netlist.Netlist.topo_order} names (as does {!update}
+    when an edit closes a cycle). *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -65,8 +66,10 @@ val net_slack : t -> Smt_netlist.Netlist.net_id -> float
 val inst_slack : t -> Smt_netlist.Netlist.inst_id -> float
 (** Setup slack of the instance's output net; [infinity] when it has none
     (flip-flops report the min of their D-endpoint and Q-net slacks).
-    O(1): the D-endpoint slacks are recorded per instance when the
-    endpoints are built. *)
+    The D-endpoint slacks are recorded per flip-flop when the endpoints
+    are built, in an array sized by the flip-flop count, and a flip-flop
+    finds its own by binary search over the flip-flops (kept in id
+    order): O(1) for a gate, O(log flip-flops) for a flip-flop. *)
 
 val endpoints : t -> endpoint list
 val wns : t -> float
@@ -151,8 +154,12 @@ val update : t -> unit
     nothing the caller forgot can be missed.
 
     [analyze] compiles the timing graph once into [t]: the combinational
-    instances in topological order, each gate's data-pin nets with the
-    wire delay of each pin, and the flip-flops with their D pins.
+    instances in {!Smt_netlist.Netlist.topo_order} (its array, kept
+    without a copy), each gate's data-pin nets with the wire delay of
+    each pin, and the flip-flops with their D pins.  Each live instance's
+    connection list is read once, for its output (Z or Q), its data pins
+    in [Func.input_names] order and its D pin; the slot and flip-flop
+    arrays are sized from counts taken before they are filled.
     [update] keeps that graph when the edits are only
     - cell swaps that keep the same pins (Vth/MT restyling, drive
       resizing, DFF/retention swaps);
@@ -169,7 +176,12 @@ val update : t -> unit
     exactly its compiled number of data-pin readers.  Any other edit (a
     gate input moved between existing nets, a removed gate, a moved Q, a
     new gate driving an old net) recompiles [t] from scratch, which
-    counts as an analysis.
+    counts as an analysis.  So does a touched net that a combinational
+    gate drives into a combinational gate's input that is not a data
+    pin (an embedded MT-cell's [MTE]): the levelization counts that edge
+    though timing does not, and the recompile raises
+    [Combinational_cycle] on a loop closed through it, naming the same
+    instance as [analyze].
 
     Loads are re-folded and wire delays re-read for the touched nets;
     the wire model must therefore give the same delay into a pin as long

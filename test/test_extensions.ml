@@ -264,7 +264,7 @@ let test_incremental_cycle_recovers () =
     | None -> []
   in
   let g, h =
-    List.find_map
+    Array.find_map
       (fun g ->
         match (Netlist.pin_net nl g "A", List.filter comb (readers g)) with
         | Some _, h :: _ -> Some (g, h)
@@ -276,8 +276,13 @@ let test_incremental_cycle_recovers () =
   let from_net = Option.get (Netlist.pin_net nl g "A") in
   let loop_net = Option.get (Netlist.output_net nl h) in
   Netlist.move_sink nl ~from_net pin ~to_net:loop_net;
-  Alcotest.(check bool) "raises on the cycle" true
-    (match Sta.update sta with () -> false | exception Netlist.Combinational_cycle _ -> true);
+  let cycle_name f =
+    match f () with _ -> None | exception Netlist.Combinational_cycle name -> Some name
+  in
+  let named = cycle_name (fun () -> Netlist.topo_order nl) in
+  Alcotest.(check bool) "the levelizer raises" true (named <> None);
+  Alcotest.(check (option string)) "raises on the cycle, naming the levelizer's instance" named
+    (cycle_name (fun () -> Sta.update sta));
   Netlist.move_sink nl ~from_net:loop_net pin ~to_net:from_net;
   Sta.update sta;
   agree "cycle undone" sta (Sta.analyze cfg nl)

@@ -67,8 +67,8 @@ let prop_topo_respects_edges =
       let nl = random_netlist seed in
       let order = Netlist.topo_order nl in
       let pos = Hashtbl.create 97 in
-      List.iteri (fun i iid -> Hashtbl.replace pos iid i) order;
-      List.for_all
+      Array.iteri (fun i iid -> Hashtbl.replace pos iid i) order;
+      Array.for_all
         (fun iid ->
           List.for_all
             (fun pred ->
@@ -384,7 +384,7 @@ let prop_sta_arrivals_monotone =
     (fun seed ->
       let nl = random_netlist seed in
       let sta = Sta.analyze (Sta.config ~clock_period:1e5 ()) nl in
-      List.for_all
+      Array.for_all
         (fun iid ->
           match Netlist.output_net nl iid with
           | None -> true
@@ -578,7 +578,8 @@ let random_mt_netlist seed =
 
 (* Kahn over the combinational frame with every pin's direction looked up
    from [Func]'s pin names (an embedded MT-cell's MTE pin is an input),
-   and a [Queue]. *)
+   and a [Queue].  An instance still pending at the end is stuck on or
+   behind a cycle: the first one in id order names it. *)
 let reference_topo_order nl =
   let module Cell = Smt_cell.Cell in
   let module Func = Smt_cell.Func in
@@ -628,7 +629,10 @@ let reference_topo_order nl =
           end)
         (Netlist.sinks nl nid)
   done;
-  List.rev !order
+  (match List.find_opt (fun iid -> comb.(iid) && pending.(iid) > 0) (List.init n Fun.id) with
+  | Some stuck -> raise (Netlist.Combinational_cycle (Netlist.inst_name nl stuck))
+  | None -> ());
+  Array.of_list (List.rev !order)
 
 let prop_topo_matches_reference =
   (* fresh circuits, improved-MT netlists with switches and holders, and
@@ -789,7 +793,7 @@ module Reference_placer = struct
 
   let levels nl =
     let level = Array.make (Netlist.inst_count nl) 0 in
-    List.iter
+    Array.iter
       (fun iid ->
         level.(iid) <-
           List.fold_left
@@ -1004,7 +1008,7 @@ let reference_propagate ~standby nl r =
       | Some q -> r.r_values.(q) <- reference_state r iid
       | None -> ())
     (reference_ffs nl);
-  List.iter
+  Array.iter
     (fun iid ->
       let cell = Netlist.cell nl iid in
       match (cell.Smt_cell.Cell.kind, Netlist.output_net nl iid) with
@@ -1158,7 +1162,7 @@ module Reference_sta = struct
   let view (cfg : Sta.config) nl =
     let input_arrival = cfg.Sta.input_arrival in
     let wire nid iid pin_name = cfg.Sta.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name } in
-    let order = Netlist.topo_order nl in
+    let order = Array.to_list (Netlist.topo_order nl) in
     let nnets = Netlist.net_count nl and ninsts = Netlist.inst_count nl in
     let at_max = Array.make nnets neg_infinity in
     let at_min = Array.make nnets infinity in
@@ -1342,16 +1346,23 @@ let prop_sta_matches_reference =
         view_of_sta (Sta.analyze cfg nl) = Reference_sta.view cfg nl)
 
 (* The flow's own sign-off timing of the paper's circuits: clock-tree
-   latencies, extracted wires, VGND bounce, MTE and ECO buffers. *)
+   latencies, extracted wires, VGND bounce, MTE and ECO buffers.  The
+   conventional products' embedded MT-cells read MTE from a buffered
+   enable tree: the only levelizer edges here that are not data pins. *)
 let test_sta_paper_products () =
   List.iter
-    (fun (name, make) ->
-      let _, art = Flow.run_with_artifacts Flow.Improved_smt (make lib) in
+    (fun (technique, (name, make)) ->
+      let _, art = Flow.run_with_artifacts technique (make lib) in
       let sta = art.Flow.art_sta in
       Alcotest.(check bool)
-        (name ^ " bit-identical") true
+        (Printf.sprintf "%s/%s bit-identical" name (Flow.technique_name technique))
+        true
         (view_of_sta sta = Reference_sta.view art.Flow.art_cfg (Sta.netlist sta)))
-    [ ("circuit_a", Suite.circuit_a); ("circuit_b", Suite.circuit_b) ]
+    (List.concat_map
+       (fun technique ->
+         List.map (fun c -> (technique, c))
+           [ ("circuit_a", Suite.circuit_a); ("circuit_b", Suite.circuit_b) ])
+       [ Flow.Improved_smt; Flow.Conventional_smt ])
 
 (* --- incremental STA over swaps, splices and rewires --- *)
 
@@ -1404,7 +1415,7 @@ let can_feed nl g nid =
    the topological order and outside its combinational fanout cone, so
    no cycle closes but the stored order goes stale. *)
 let move_input_later nl rng =
-  let order = Array.of_list (Netlist.topo_order nl) in
+  let order = Netlist.topo_order nl in
   let n = Array.length order in
   if n >= 2 then begin
     let i = Rng.int rng (n - 1) in
@@ -1568,6 +1579,84 @@ let prop_incremental_sta_exact =
             Sta.update sta;
             view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
           (List.init 13 Fun.id))
+
+(* --- a cycle is named by its first stuck instance --- *)
+
+let cycle_name f =
+  match f () with _ -> None | exception Netlist.Combinational_cycle name -> Some name
+
+(* [nl] re-read with its instance statements shuffled, so instance ids
+   no longer follow the logic from inputs to outputs. *)
+let shuffle_ids rng nl =
+  let lines = Array.of_list (String.split_on_char '\n' (Writer.to_string nl)) in
+  let slots =
+    List.filter
+      (fun i -> String.starts_with ~prefix:" " lines.(i) && String.contains lines.(i) '(')
+      (List.init (Array.length lines) Fun.id)
+    |> Array.of_list
+  in
+  let stmts = Array.map (Array.get lines) slots in
+  Rng.shuffle rng stmts;
+  Array.iteri (fun k i -> lines.(i) <- stmts.(k)) slots;
+  Smt_netlist.Parser.of_string ~lib (String.concat "\n" (Array.to_list lines))
+
+let prop_cycles_named =
+  (* One loop closed into a random circuit whose instance ids are
+     shuffled (so the first stuck instance is not always the gate the
+     loop enters): a gate's data pin moved onto the output of a gate in
+     its own combinational fanout cone (itself included), or, for every
+     other generator round, the gate restyled as an embedded MT-cell
+     whose MTE pin reads that output, an edge the levelizer counts and
+     STA does not time.  The levelizer, a fresh analysis and an update of
+     the analysis taken before the edit each name the reference's first
+     stuck instance. *)
+  QCheck2.Test.make ~name:"cycles name the reference's first stuck instance" ~count:40
+    ~print:string_of_int seed_gen
+    (fun seed ->
+      let module Cell = Smt_cell.Cell in
+      let module Vth = Smt_cell.Vth in
+      let rng = Rng.create seed in
+      let nl = shuffle_ids rng (random_netlist seed) in
+      (* [seed mod 4] picks the generator *)
+      let through_mte = seed / 4 mod 2 = 1 in
+      let has_embedded g =
+        let c = Netlist.cell nl g in
+        Library.has_variant ~drive:c.Cell.drive lib c.Cell.kind Vth.Low Vth.Mt_embedded
+      in
+      let gates =
+        List.filter
+          (fun g ->
+            is_comb_inst nl g && connected_data_pins nl g <> [] && ((not through_mte) || has_embedded g))
+          (Netlist.live_insts nl)
+      in
+      match gates with
+      | [] -> true
+      | _ -> (
+        let g = Rng.pick rng (Array.of_list gates) in
+        let cone_outputs =
+          Hashtbl.fold
+            (fun h () acc -> match Netlist.output_net nl h with Some o -> o :: acc | None -> acc)
+            (comb_cone nl g) []
+          |> List.sort compare |> Array.of_list
+        in
+        match cone_outputs with
+        | [||] -> true
+        | _ ->
+          let cfg = Sta.config ~clock_period:1e5 () in
+          let sta = Sta.analyze cfg nl in
+          let loop = Rng.pick rng cone_outputs in
+          if through_mte then begin
+            let c = Netlist.cell nl g in
+            Netlist.replace_cell nl g
+              (Library.variant ~drive:c.Cell.drive lib c.Cell.kind Vth.Low Vth.Mt_embedded);
+            Netlist.connect nl g "MTE" loop
+          end
+          else Netlist.connect nl g (Rng.pick rng (Array.of_list (connected_data_pins nl g))) loop;
+          let want = cycle_name (fun () -> reference_topo_order nl) in
+          want <> None
+          && cycle_name (fun () -> Netlist.topo_order nl) = want
+          && cycle_name (fun () -> Sta.analyze cfg nl) = want
+          && cycle_name (fun () -> Sta.update sta) = want))
 
 (* --- the hold ECO vs re-analysis after every batch --- *)
 
@@ -2209,6 +2298,7 @@ let () =
           Alcotest.test_case "circuit_a/b flow timing = list-based analysis" `Quick
             test_sta_paper_products;
           qtest prop_incremental_sta_exact;
+          qtest prop_cycles_named;
           Alcotest.test_case "hold ECO updates = re-analysis per iteration" `Quick
             test_eco_matches_reanalysis;
           qtest prop_compose_sound;
