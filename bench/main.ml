@@ -28,6 +28,7 @@ module Tech = Smt_cell.Tech
 module Library = Smt_cell.Library
 module Placement = Smt_place.Placement
 module Sta = Smt_sta.Sta
+module Wire = Smt_sta.Wire
 module Equiv = Smt_sim.Equiv
 module Flow = Smt_core.Flow
 module Compare = Smt_core.Compare
@@ -127,19 +128,18 @@ let fig1 buf =
 (* FIG 2/3: conventional vs improved circuit on the same logic        *)
 (* ------------------------------------------------------------------ *)
 
+(* Vth assignment at 5% over the netlist's minimal period, ideal wires:
+   the preparation shared by the hand-built pipelines below. *)
+let assign_at_5pct nl =
+  let period = Flow.minimal_period ~wire:Wire.zero nl *. 1.05 in
+  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl)
+
 let transform technique nl =
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
+  assign_at_5pct nl;
   match technique with
   | `Conventional ->
     let n = Mt_replace.replace Mt_replace.Conventional nl in
-    let mte = Switch_insert.mte_net_of nl in
-    Netlist.iter_insts nl (fun iid ->
-        let c = Netlist.cell nl iid in
-        if Vth.style_equal c.Cell.style Vth.Mt_embedded && Netlist.pin_net nl iid "MTE" = None
-        then Netlist.connect nl iid "MTE" mte);
+    Switch_insert.connect_embedded_mte nl (Switch_insert.mte_net_of nl);
     (n, n (* one embedded switch and holder per MT-cell *), n, nl)
   | `Improved ->
     let n = Mt_replace.replace Mt_replace.Improved nl in
@@ -447,11 +447,8 @@ let system buf =
        (Sta.config ~clock_period:report.Flow.clock_period ())
        nl);
   (* VGND lengths measured on the congestion map vs the assumed detour *)
-  let probe = 1e6 in
   let nl_vg = Generators.multiplier ~name:"m8vg" ~bits:8 lib in
-  let sta_vg = Sta.analyze (Sta.config ~clock_period:probe ()) nl_vg in
-  let period_vg = (probe -. Sta.wns sta_vg) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period_vg ()) nl_vg);
+  assign_at_5pct nl_vg;
   ignore (Mt_replace.replace Mt_replace.Improved nl_vg);
   let place_vg = Placement.place nl_vg in
   let ins_vg = Switch_insert.insert place_vg in
@@ -510,9 +507,7 @@ let system buf =
   bline buf "\nall-MT comparison point (identical pipelines on mult8):";
   let mini ~all name =
     let nl = Generators.multiplier ~name ~bits:8 lib in
-    let sta0 = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Sta.wns sta0) *. 1.05 in
-    ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
+    assign_at_5pct nl;
     let n =
       if all then Mt_replace.replace_all Mt_replace.Improved nl
       else Mt_replace.replace Mt_replace.Improved nl

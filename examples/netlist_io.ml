@@ -1,6 +1,5 @@
 (* Interchange example: dump a transformed Selective-MT netlist to the
-   structural-Verilog subset, read it back, and prove nothing was lost;
-   then extract parasitics and round-trip them through the SPEF subset.
+   structural-Verilog subset, read it back, and prove nothing was lost.
 
      dune exec examples/netlist_io.exe *)
 
@@ -9,8 +8,6 @@ module Writer = Smt_netlist.Writer
 module Parser = Smt_netlist.Parser
 module Check = Smt_check.Drc
 module Nl_stats = Smt_netlist.Nl_stats
-module Placement = Smt_place.Placement
-module Parasitics = Smt_route.Parasitics
 module Flow = Smt_core.Flow
 module Generators = Smt_circuits.Generators
 
@@ -31,19 +28,8 @@ let () =
   Printf.printf "functionally equivalent to the original: %b\n"
     (Smt_sim.Equiv.equivalent ~vectors:32 nl nl2);
 
-  (* SPEF round trip from a fresh placement of the parsed netlist *)
-  let place = Placement.place nl2 in
-  let ext = Parasitics.extract place in
-  let spef = Parasitics.to_spef ext nl2 in
-  let back = Parasitics.of_spef ~lib nl2 spef in
-  Printf.printf "\nSPEF dump is %d bytes; total wirelength %.1f um (reparsed: %.1f um)\n"
-    (String.length spef)
-    (Parasitics.total_wirelength ext)
-    (Parasitics.total_wirelength back);
-
-  (* show a fragment of each format *)
+  (* show a fragment of the dump *)
   let first_lines n s =
     String.split_on_char '\n' s |> List.filteri (fun i _ -> i < n) |> String.concat "\n"
   in
-  Printf.printf "\n--- netlist dump (first lines) ---\n%s\n" (first_lines 12 text);
-  Printf.printf "\n--- SPEF dump (first lines) ---\n%s\n" (first_lines 10 spef)
+  Printf.printf "\n--- netlist dump (first lines) ---\n%s\n" (first_lines 12 text)

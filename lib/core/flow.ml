@@ -10,8 +10,6 @@ module Bounce = Smt_power.Bounce
 module Activity = Smt_sim.Activity
 module Library = Smt_cell.Library
 module Tech = Smt_cell.Tech
-module Cell = Smt_cell.Cell
-module Vth = Smt_cell.Vth
 module Trace = Smt_obs.Trace
 module Metrics = Smt_obs.Metrics
 module Prof = Smt_obs.Prof
@@ -175,12 +173,6 @@ let minimal_period ?(slew_aware = false) ~wire nl =
   end
   else probe -. wns
 
-let connect_embedded_mte nl mte =
-  Netlist.iter_insts nl (fun iid ->
-      let c = Netlist.cell nl iid in
-      if Vth.style_equal c.Cell.style Vth.Mt_embedded && Netlist.pin_net nl iid "MTE" = None
-      then Netlist.connect nl iid "MTE" mte)
-
 type artifacts = {
   art_place : Placement.t;
   art_cfg : Sta.config;
@@ -225,12 +217,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
   in
   (* Per-instance output load under a wire model: drives the switching
      current used for footer sizing. *)
-  let load_with cfg iid =
-    match Netlist.output_net nl iid with
-    | Some out -> Sta.load_of_net cfg nl out
-    | None -> 0.0
-  in
-  let load_est = load_with base_cfg in
+  let load_est = Sta.load_of_inst base_cfg nl in
   (* --- per-stage guard: validate, repair, or abort after each stage --- *)
   let diagnostics = ref [] in
   let check_violations = ref 0 in
@@ -415,8 +402,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
     | Dual_vth -> ()
     | Conventional_smt ->
       ignore (Mt_replace.replace Mt_replace.Conventional nl);
-      let mte = Switch_insert.mte_net_of nl in
-      connect_embedded_mte nl mte;
+      Switch_insert.connect_embedded_mte nl (Switch_insert.mte_net_of nl);
       snapshot "MT-cell replacement (embedded)"
     | Improved_smt ->
       let n_mt = Mt_replace.replace Mt_replace.Improved nl in
@@ -466,7 +452,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
   let ext = Parasitics.extract ~detour:options.detour place in
   let wire_ext = Parasitics.wire_model ext nl in
   let ext_cfg = Sta.config ~wire:wire_ext ~slew_aware:options.slew_aware ~clock_period () in
-  let load_ext = load_with ext_cfg in
+  let load_ext = Sta.load_of_inst ext_cfg nl in
   (* Rebuilt per analysis so later stages (reopt, hold ECO) see current
      membership; each build is one netlist pass via [vgnd_lengths]. *)
   let routed_vgnd () =

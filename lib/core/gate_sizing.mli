@@ -5,16 +5,17 @@
     2000): cell sizing is the second knob next to threshold choice.
     [downsize_idle] moves cells whose slack covers the slowdown one step
     down the library's X4/X2/X1 drive strengths, recovering area and
-    leakage exactly like the high-Vth swap does — batch application with
-    rollback, so timing never ends up violated.  It mutates the netlist
-    and returns a consistent final STA. *)
+    leakage exactly like the high-Vth swap does: through
+    {!Vth_assign.batch_swap}, whose contract (batches, rollback, no
+    second proposal after a revert) applies here as stated there. *)
 
 type result = {
   resized : int;
-  passes : int;
-  sta : Smt_sta.Sta.t;
+  sta : Smt_sta.Sta.t;  (** final timing, consistent with the netlist *)
 }
 
 val downsize_idle : Smt_sta.Sta.config -> Smt_netlist.Netlist.t -> result
-(** At most 8 passes; a cell is weakened only when its slack covers 1.5x
-    the move's delay increase, its drivers' extra load included. *)
+(** Mutates the netlist, in at most 8 passes.  A cell is weakened only
+    when it has positive slack that {!Vth_assign.covers} the move's delay
+    increase, its drivers' extra load included; reverts take the
+    tightest slack first, as in {!Vth_assign.assign}. *)

@@ -19,19 +19,14 @@ let point_of place (pin : Netlist.pin) =
   | Some p -> p
   | None -> Geom.center (Placement.die place)
 
-(* Split a sink set into geometric groups of at most [cap] members. *)
-let rec group cap sinks =
-  if List.length sinks <= cap then [ sinks ]
-  else begin
-    let box = Geom.bbox_of_points (List.map (fun s -> s.at) sinks) in
-    let vertical = Geom.width box >= Geom.height box in
-    let key s = if vertical then s.at.Geom.x else s.at.Geom.y in
-    let sorted = List.sort (fun a b -> compare (key a) (key b)) sinks in
-    let n = List.length sorted in
-    let left = List.filteri (fun i _ -> i < n / 2) sorted in
-    let right = List.filteri (fun i _ -> i >= n / 2) sorted in
-    group cap left @ group cap right
-  end
+(* Geometric groups of at most [cap] sinks: the bisection's leaves, left
+   to right. *)
+let group cap sinks =
+  let rec leaves = function
+    | Geom.Leaf group -> [ group ]
+    | Geom.Split (l, r) -> leaves l @ leaves r
+  in
+  leaves (Geom.bisect ~cap (fun s -> s.at) sinks)
 
 let buffer_tree ?max_fanout place ~mte_net =
   let nl = Placement.netlist place in

@@ -92,9 +92,6 @@ let of_report (r : Flow.report) =
       ("mt_area_fraction", num r.Flow.mt_area_fraction);
       ("total_switch_width", num r.Flow.total_switch_width);
       ("stages", arr (List.map stage_json r.Flow.stages));
-      (* the process-global counter registry at serialization time, so a
-         paper-table run carries its own profile *)
-      ("metrics", Smt_obs.Metrics.to_json ());
     ]
     @ check_fields)
 

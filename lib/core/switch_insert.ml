@@ -18,6 +18,12 @@ let mte_net_of nl =
   | Some nid -> nid
   | None -> Netlist.add_input nl "MTE"
 
+let connect_embedded_mte nl mte =
+  Netlist.iter_insts nl (fun iid ->
+      let c = Netlist.cell nl iid in
+      if Vth.style_equal c.Cell.style Vth.Mt_embedded && Netlist.pin_net nl iid "MTE" = None
+      then Netlist.connect nl iid "MTE" mte)
+
 let insert ?(minimize_holders = true) place =
   let nl = Placement.netlist place in
   let lib = Netlist.lib nl in
@@ -59,5 +65,3 @@ let insert ?(minimize_holders = true) place =
         else incr avoided
       | Some _ | None -> ());
   { initial_switch = sw; holders_inserted = !inserted; holders_avoided = !avoided; mte_net = mte }
-
-let mte_sinks nl mte = Netlist.sinks nl mte

@@ -26,8 +26,9 @@ val insert : ?minimize_holders:bool -> Smt_place.Placement.t -> result
     {!Smt_cell.Library.initial_switch_width} wide.  Raises
     [Invalid_argument] if the netlist has no MT-cells awaiting ports. *)
 
-val mte_sinks : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> Smt_netlist.Netlist.pin list
-(** All pins on the MTE net (switches, holders, buffers). *)
-
 val mte_net_of : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id
 (** The design's MTE primary input, created on first use. *)
+
+val connect_embedded_mte : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> unit
+(** Wires the [MTE] pin of every embedded (conventional) MT-cell that has
+    none to the given net: the conventional flow's only MTE wiring. *)

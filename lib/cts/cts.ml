@@ -32,24 +32,6 @@ let skew t = if Hashtbl.length t.lat = 0 then 0.0 else max_latency t -. min_late
 (* A sink is a flip-flop CK pin at a point. *)
 type sink = { ff : Netlist.inst_id; at : Geom.point }
 
-type node =
-  | Leaf of sink list
-  | Branch of node list
-
-let rec partition max_fanout sinks =
-  if List.length sinks <= max_fanout then Leaf sinks
-  else begin
-    let pts = List.map (fun s -> s.at) sinks in
-    let box = Geom.bbox_of_points pts in
-    let vertical = Geom.width box >= Geom.height box in
-    let key s = if vertical then s.at.Geom.x else s.at.Geom.y in
-    let sorted = List.sort (fun a b -> compare (key a) (key b)) sinks in
-    let n = List.length sorted in
-    let left = List.filteri (fun i _ -> i < n / 2) sorted in
-    let right = List.filteri (fun i _ -> i >= n / 2) sorted in
-    Branch [ partition max_fanout left; partition max_fanout right ]
-  end
-
 let rc_ps r c = r *. c *. 1e-3
 
 let synthesize ?(max_fanout = 8) place =
@@ -74,7 +56,7 @@ let synthesize ?(max_fanout = 8) place =
             | None -> None)
           ffs
       in
-      let tree = partition max_fanout sinks in
+      let tree = Geom.bisect ~cap:max_fanout (fun s -> s.at) sinks in
       let buffers = ref [] in
       let lat = Hashtbl.create (List.length ffs) in
       let area = ref 0.0 in
@@ -88,7 +70,7 @@ let synthesize ?(max_fanout = 8) place =
       in
       let rec build node : Netlist.net_id * Geom.point * (Netlist.inst_id * float) list =
         match node with
-        | Leaf group ->
+        | Geom.Leaf group ->
           let pts = List.map (fun s -> s.at) group in
           let here = Geom.center (Geom.bbox_of_points pts) in
           let in_net = Netlist.fresh_net nl "clk" in
@@ -118,8 +100,8 @@ let synthesize ?(max_fanout = 8) place =
               group
           in
           (in_net, here, rel)
-        | Branch children ->
-          let built = List.map build children in
+        | Geom.Split (l, r) ->
+          let built = List.map build [ l; r ] in
           let pts = List.map (fun (_, p, _) -> p) built in
           let here = Geom.center (Geom.bbox_of_points pts) in
           let in_net = Netlist.fresh_net nl "clk" in
@@ -158,8 +140,8 @@ let synthesize ?(max_fanout = 8) place =
       | _ -> ());
       List.iter (fun (ff, l) -> Hashtbl.replace lat ff l) rel;
       let rec depth = function
-        | Leaf _ -> 1
-        | Branch children -> 1 + List.fold_left (fun acc c -> max acc (depth c)) 0 children
+        | Geom.Leaf _ -> 1
+        | Geom.Split (l, r) -> 1 + max (depth l) (depth r)
       in
       { buffers = !buffers; levels = depth tree; lat; buffer_area = !area }
     end

@@ -76,21 +76,6 @@ let fold spans =
   Hashtbl.fold (fun path self acc -> (path, self) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let of_events evs =
-  fold
-    (List.filter_map
-       (fun (ev : Trace.event) ->
-         if ev.Trace.ev_dur_us > 0.0 then
-           Some
-             {
-               sp_name = ev.Trace.ev_name;
-               sp_ts = ev.Trace.ev_ts_us;
-               sp_dur = ev.Trace.ev_dur_us;
-               sp_tid = ev.Trace.ev_tid;
-             }
-         else None)
-       evs)
-
 (* Complete ("ph":"X") events with a positive duration are the spans;
    instants, zero-width spans and other phases carry no self time. *)
 let span_of_json v =

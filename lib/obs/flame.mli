@@ -17,9 +17,6 @@ type span = { sp_name : string; sp_ts : float; sp_dur : float; sp_tid : int }
 val fold : span list -> (string * float) list
 (** [(stack_path, self_us)] per unique path, sorted by path. *)
 
-val of_events : Trace.event list -> (string * float) list
-(** Fold live {!Trace} events (zero-duration instants are dropped). *)
-
 val of_trace_json : Obs_json.t -> ((string * float) list, string) result
 (** Fold a parsed Chrome trace document ([{"traceEvents":[...]}]).
     Events other than complete (["ph":"X"]) ones are skipped; a complete

@@ -75,58 +75,3 @@ let wire_model t nl =
     rc_ps r ((0.5 *. c) +. sink_cap)
   in
   { Wire.net_cap; Wire.net_delay }
-
-let to_spef t nl =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "*SPEF \"selective-mt subset\"\n";
-  Buffer.add_string b (Printf.sprintf "*DESIGN %s\n" (Netlist.design_name nl));
-  Buffer.add_string b
-    (Printf.sprintf "*CORNER %s\n"
-       (match t.which with Estimated -> "estimated" | Extracted -> "extracted"));
-  Array.iteri
-    (fun nid rc ->
-      if rc.length > 0.0 then begin
-        Buffer.add_string b
-          (Printf.sprintf "*D_NET %s %.4f\n" (Netlist.net_name nl nid) rc.cap);
-        Buffer.add_string b (Printf.sprintf "*R %.4f\n" rc.res);
-        Buffer.add_string b (Printf.sprintf "*L %.4f\n" rc.length);
-        Buffer.add_string b "*END\n"
-      end)
-    t.by_net;
-  Buffer.contents b
-
-let of_spef ~lib nl text =
-  let tech = Library.tech lib in
-  let by_net = Array.make (Netlist.net_count nl) { length = 0.0; cap = 0.0; res = 0.0 } in
-  let which = ref Extracted in
-  let current = ref None in
-  let lines = String.split_on_char '\n' text in
-  let parse_float s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "Parasitics.of_spef: bad number %S" s)
-  in
-  List.iter
-    (fun line ->
-      let words = String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") in
-      match words with
-      | [ "*CORNER"; "estimated" ] -> which := Estimated
-      | [ "*CORNER"; "extracted" ] -> which := Extracted
-      | [ "*D_NET"; name; cap ] -> (
-        match Netlist.find_net nl name with
-        | Some nid ->
-          current := Some nid;
-          by_net.(nid) <- { (by_net.(nid)) with cap = parse_float cap }
-        | None -> failwith (Printf.sprintf "Parasitics.of_spef: unknown net %s" name))
-      | [ "*R"; res ] -> (
-        match !current with
-        | Some nid -> by_net.(nid) <- { (by_net.(nid)) with res = parse_float res }
-        | None -> failwith "Parasitics.of_spef: *R outside *D_NET")
-      | [ "*L"; len ] -> (
-        match !current with
-        | Some nid -> by_net.(nid) <- { (by_net.(nid)) with length = parse_float len }
-        | None -> failwith "Parasitics.of_spef: *L outside *D_NET")
-      | [ "*END" ] -> current := None
-      | _ -> ())
-    lines;
-  { which = !which; by_net; tech }

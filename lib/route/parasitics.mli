@@ -3,8 +3,8 @@
     The paper's flow constructs the switch structure {e before} routing from
     RC estimated off the placement, notes that "there is an error when
     compared with the precise RC information which is generated after
-    routing", and re-optimizes afterwards from SPEF.  This module provides
-    both corners:
+    routing", and re-optimizes afterwards from the extracted RC.  This
+    module provides both corners, as per-net RC:
 
     - [estimate] prices every net at its bounding-box half-perimeter with a
       deterministic pseudo-random error of up to the technology's
@@ -13,8 +13,7 @@
       spanning tree over the pins times a congestion detour factor — which
       plays the role of the signed-off extraction.
 
-    Either corner converts to an STA wire model (Elmore) and serializes to
-    a SPEF-like text form. *)
+    Either corner converts to an STA wire model (Elmore). *)
 
 type corner = Estimated | Extracted
 
@@ -42,10 +41,3 @@ val total_wirelength : t -> float
 
 val wire_model : t -> Smt_netlist.Netlist.t -> Smt_sta.Wire.t
 (** STA wire model: net cap plus per-sink Elmore delay. *)
-
-val to_spef : t -> Smt_netlist.Netlist.t -> string
-(** SPEF-like dump ([*D_NET name cap], [*R res], [*L length]). *)
-
-val of_spef : lib:Smt_cell.Library.t -> Smt_netlist.Netlist.t -> string -> t
-(** Parse a dump produced by [to_spef] against the same netlist. Raises
-    [Failure] on malformed input. *)

@@ -113,15 +113,15 @@ let load_of_net cfg nl nid =
   let po_cap = if Netlist.is_po nl nid then po_pin_cap else 0.0 in
   pin_caps +. holder_cap +. po_cap +. cfg.wire.Wire.net_cap nid
 
+let load_of_inst cfg nl iid =
+  match Netlist.output_net nl iid with
+  | Some out -> load_of_net cfg nl out
+  | None -> 0.0
+
 let cell_delay cfg nl iid =
-  let cell = Netlist.cell nl iid in
-  let load = match Netlist.output_net nl iid with
-    | Some out -> load_of_net cfg nl out
-    | None -> 0.0
-  in
   Cell.delay_with_bounce
     (Smt_cell.Library.tech (Netlist.lib nl))
-    cell ~load_ff:load ~bounce_v:(cfg.bounce_of iid)
+    (Netlist.cell nl iid) ~load_ff:(load_of_inst cfg nl iid) ~bounce_v:(cfg.bounce_of iid)
 
 (* --- scratch marks --- *)
 

@@ -86,6 +86,9 @@ val meets_hold : t -> bool
 val load_of_net : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> float
 (** Capacitive load seen by the net's driver (pins + wire), fF. *)
 
+val load_of_inst : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id -> float
+(** {!load_of_net} of the instance's output net; 0 when it has none. *)
+
 val cell_delay : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id -> float
 (** The instance's gate delay into its current load, bounce included. *)
 

@@ -2,8 +2,9 @@
 
     Before routing, the router supplies placement-based estimates; after
     routing, extracted parasitics. STA itself does not care which — this is
-    the seam that lets the flow re-run timing and switch sizing on SPEF, as
-    the paper's post-route re-optimization stage requires. *)
+    the seam that lets the flow re-run timing and switch sizing on the
+    extracted RC, as the paper's post-route re-optimization stage
+    requires. *)
 
 type t = {
   net_cap : Smt_netlist.Netlist.net_id -> float;

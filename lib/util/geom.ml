@@ -45,6 +45,20 @@ let overlap a b = a.lx <= b.hx && b.lx <= a.hx && a.ly <= b.hy && b.ly <= a.hy
 
 let clamp v ~lo ~hi = if v < lo then lo else if v > hi then hi else v
 
+type 'a bisection = Leaf of 'a list | Split of 'a bisection * 'a bisection
+
+let rec bisect ~cap at items =
+  let n = List.length items in
+  if n <= cap then Leaf items
+  else begin
+    let box = bbox_of_points (List.map at items) in
+    let key = if width box >= height box then fun i -> (at i).x else fun i -> (at i).y in
+    let sorted = List.stable_sort (fun a b -> compare (key a) (key b)) items in
+    Split
+      ( bisect ~cap at (List.filteri (fun i _ -> i < n / 2) sorted),
+        bisect ~cap at (List.filteri (fun i _ -> i >= n / 2) sorted) )
+  end
+
 (* Prim's algorithm over Manhattan distance; O(n^2), fine for cluster-sized
    point sets (EM caps keep clusters small). *)
 let prim_length pts =

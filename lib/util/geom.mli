@@ -37,6 +37,17 @@ val overlap : bbox -> bbox -> bool
 
 val clamp : float -> lo:float -> hi:float -> float
 
+(** Recursive geometric bisection, the grouping behind clock-tree
+    synthesis and MTE buffering. *)
+type 'a bisection = Leaf of 'a list | Split of 'a bisection * 'a bisection
+
+val bisect : cap:int -> ('a -> point) -> 'a list -> 'a bisection
+(** [bisect ~cap at items]: a list of at most [cap] items is a [Leaf];
+    a longer one is stably sorted on the longer side of the bounding box
+    of its points (x when the box is at least as wide as tall), and its
+    first [n / 2] and remaining items are bisected in turn.  [cap] must
+    be positive. *)
+
 val spanning_length : point list -> float
 (** Length of a rectilinear minimum spanning tree over the points (on
     Manhattan distance); the VGND-line length model. Empty or singleton

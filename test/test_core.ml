@@ -88,6 +88,78 @@ let test_low_vth_cells_listing () =
   let remaining = Vth_assign.low_vth_cells nl in
   Alcotest.(check bool) "fewer remain" true (List.length remaining < List.length all)
 
+(* --- the shared batch-and-rollback loop --- *)
+
+(* A stub proposal: every offered low-Vth cell with a high-Vth variant,
+   slack ignored, tightest first.  It records what it was offered and
+   what it proposed, pass by pass. *)
+let stub_proposal ?(limit = max_int) sta nl =
+  let offers = ref [] and proposals = ref [] in
+  let propose offered =
+    offers := offered :: !offers;
+    let moves =
+      List.filter_map
+        (fun iid ->
+          let c = Netlist.cell nl iid in
+          if
+            c.Cell.vth = Vth.Low && c.Cell.style = Vth.Plain
+            && Library.has_variant ~drive:c.Cell.drive lib c.Cell.kind Vth.High Vth.Plain
+          then
+            let hv = Library.restyle lib c Vth.High Vth.Plain in
+            Some (Sta.inst_slack sta iid, { Vth_assign.iid; cell = hv; undo = c })
+          else None)
+        offered
+      |> Vth_assign.tightest_first
+      |> List.filteri (fun i _ -> i < limit)
+    in
+    proposals := moves :: !proposals;
+    moves
+  in
+  (propose, offers, proposals)
+
+let test_loop_rolls_back_overshoot () =
+  let nl = adder () in
+  let cfg = Sta.config ~clock_period:(period_for nl 0.05) () in
+  let sta = Sta.analyze cfg nl in
+  let propose, offers, proposals = stub_proposal sta nl in
+  let kept = Vth_assign.batch_swap ~passes:10 sta propose in
+  Alcotest.(check bool) "timing met" true (Sta.wns sta >= 0.0);
+  Alcotest.(check (float 0.0)) "session consistent" (Sta.wns (Sta.analyze cfg nl))
+    (Sta.wns sta);
+  let first = List.hd (List.rev !proposals) in
+  let is_reverted m = (Netlist.cell nl m.Vth_assign.iid) == m.Vth_assign.undo in
+  let reverted = List.filter is_reverted first in
+  Alcotest.(check bool) "the stub overshot" true (reverted <> []);
+  Alcotest.(check int) "kept = moves that stay" (List.length first - List.length reverted) kept;
+  (* the reverted moves are the first ones listed: the tightest *)
+  Alcotest.(check bool) "reverted moves are the tightest" true
+    (List.for_all is_reverted (List.filteri (fun i _ -> i < List.length reverted) first));
+  let reverted_iids = List.map (fun m -> m.Vth_assign.iid) reverted in
+  List.iter
+    (fun offered ->
+      Alcotest.(check bool) "a reverted instance is never offered again" false
+        (List.exists (fun iid -> List.mem iid reverted_iids) offered))
+    (List.tl (List.rev !offers));
+  Alcotest.(check int) "stops on the pass with nothing left to propose" 2
+    (List.length !offers)
+
+let test_loop_stops_when_a_pass_keeps_nothing () =
+  let nl = adder () in
+  (* 10% under the minimal period: no move can ever be kept *)
+  let sta = Sta.analyze (Sta.config ~clock_period:(period_for nl (-0.10)) ()) nl in
+  let propose, offers, _ = stub_proposal ~limit:1 sta nl in
+  let before = List.length (Vth_assign.low_vth_cells nl) in
+  Alcotest.(check int) "nothing kept" 0 (Vth_assign.batch_swap ~passes:10 sta propose);
+  Alcotest.(check int) "one pass" 1 (List.length !offers);
+  Alcotest.(check int) "netlist restored" before (List.length (Vth_assign.low_vth_cells nl))
+
+let test_loop_pass_cap () =
+  let nl = adder () in
+  let sta = Sta.analyze (Sta.config ~clock_period:(period_for nl 10.0) ()) nl in
+  let propose, offers, _ = stub_proposal ~limit:1 sta nl in
+  Alcotest.(check int) "one move kept per pass" 3 (Vth_assign.batch_swap ~passes:3 sta propose);
+  Alcotest.(check int) "three passes" 3 (List.length !offers)
+
 (* --- MT replacement --- *)
 
 let prepared ?(margin = 0.30) () =
@@ -202,7 +274,7 @@ let test_mte_is_input () =
   let nl, _, _, r = inserted () in
   Alcotest.(check bool) "MTE is a primary input" true (Netlist.is_pi nl r.Switch_insert.mte_net);
   Alcotest.(check bool) "MTE has sinks" true
-    (Switch_insert.mte_sinks nl r.Switch_insert.mte_net <> [])
+    (Netlist.sinks nl r.Switch_insert.mte_net <> [])
 
 (* --- clustering --- *)
 
@@ -470,6 +542,11 @@ let () =
           Alcotest.test_case "margin monotone" `Quick test_assign_more_margin_more_swaps;
           Alcotest.test_case "function preserved" `Quick test_assign_preserves_function;
           Alcotest.test_case "low-vth listing" `Quick test_low_vth_cells_listing;
+          Alcotest.test_case "loop rolls back an overshoot" `Quick
+            test_loop_rolls_back_overshoot;
+          Alcotest.test_case "loop stops when a pass keeps nothing" `Quick
+            test_loop_stops_when_a_pass_keeps_nothing;
+          Alcotest.test_case "loop pass cap" `Quick test_loop_pass_cap;
         ] );
       ( "mt-replace",
         [

@@ -95,31 +95,6 @@ let test_wire_model () =
           Alcotest.(check bool) "delay >= 0" true (d >= 0.0))
         (Netlist.sinks nl nid))
 
-let test_spef_roundtrip () =
-  let nl, place = fixture () in
-  let ext = Parasitics.extract place in
-  let text = Parasitics.to_spef ext nl in
-  let back = Parasitics.of_spef ~lib nl text in
-  Alcotest.(check bool) "corner preserved" true (Parasitics.corner back = Parasitics.Extracted);
-  Netlist.iter_nets nl (fun nid ->
-      Alcotest.(check (float 1e-3)) "length round trips" (Parasitics.net_length ext nid)
-        (Parasitics.net_length back nid);
-      Alcotest.(check (float 1e-3)) "cap round trips" (Parasitics.net_cap ext nid)
-        (Parasitics.net_cap back nid))
-
-let test_spef_rejects_bad () =
-  let nl, _ = fixture () in
-  Alcotest.(check bool) "unknown net" true
-    (try
-       ignore (Parasitics.of_spef ~lib nl "*D_NET bogus_net 1.0\n");
-       false
-     with Failure _ -> true);
-  Alcotest.(check bool) "orphan *R" true
-    (try
-       ignore (Parasitics.of_spef ~lib nl "*R 1.0\n");
-       false
-     with Failure _ -> true)
-
 let () =
   Alcotest.run "smt_route"
     [
@@ -133,10 +108,5 @@ let () =
           Alcotest.test_case "extraction plausible" `Quick test_extracted_longer_than_hpwl;
           Alcotest.test_case "detour scaling" `Quick test_detour_scales;
           Alcotest.test_case "wire model" `Quick test_wire_model;
-        ] );
-      ( "spef",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_spef_roundtrip;
-          Alcotest.test_case "rejects bad input" `Quick test_spef_rejects_bad;
         ] );
     ]

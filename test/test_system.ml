@@ -122,21 +122,39 @@ let test_summary () =
 (* --- JSON export --- *)
 
 let test_json_export () =
-  let nl, r = Lazy.force flow_report in
-  ignore nl;
-  let text = Smt_core.Report_json.of_report r in
-  Alcotest.(check bool) "object" true (text.[0] = '{');
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " present") true (contains text ("\"" ^ key ^ "\"")))
-    [ "technique"; "area_um2"; "standby_nw"; "leakage"; "stages"; "timing_met" ];
-  let opens = ref 0 and closes = ref 0 in
-  String.iter (fun c -> if c = '{' then incr opens else if c = '}' then incr closes) text;
-  Alcotest.(check int) "braces balanced" !opens !closes;
+  let module D = Smt_obs.Obs_json.Decode in
+  let _, r = Lazy.force flow_report in
+  let fields = D.dict (fun v -> v) in
+  let decode what d text =
+    match D.decode_string ~source:what d text with Ok v -> v | Error e -> Alcotest.fail e
+  in
+  (* Every entry carries its own run's fields and nothing process-wide
+     (the metrics registry sums every run since start-up). *)
+  let report_keys =
+    [ "technique"; "circuit"; "clock_period_ps"; "area_um2"; "standby_nw"; "leakage";
+      "wns_ps"; "hold_slack_ps"; "worst_bounce_v"; "bounce_violations"; "timing_met";
+      "hold_met"; "mt_cells"; "switches"; "clusters"; "holders"; "holders_avoided";
+      "mte_buffers"; "cts_buffers"; "hold_buffers"; "high_vth_swaps"; "cells_downsized";
+      "ffs_retained"; "reopt_resized"; "reopt_violations_repaired"; "mt_area_fraction";
+      "total_switch_width"; "stages" ]
+  in
+  let keys = List.map fst in
+  Alcotest.(check (list string)) "report keys" report_keys
+    (keys (decode "report" fields (Smt_core.Report_json.of_report r)));
   let rows = [ Smt_core.Compare.table1_row (fun () -> Generators.multiplier ~name:"mj" ~bits:5 lib) ] in
-  let arr_text = Smt_core.Report_json.of_rows rows in
-  Alcotest.(check bool) "array" true (arr_text.[0] = '[');
-  Alcotest.(check bool) "three entries" true (contains arr_text "Imp.-SMT")
+  let entries =
+    decode "rows"
+      (D.list (D.field "entries" (D.list (fun e -> (fields e, D.field "report" fields e)))))
+      (Smt_core.Report_json.of_rows rows)
+  in
+  Alcotest.(check int) "one row" 1 (List.length entries);
+  Alcotest.(check int) "three entries" 3 (List.length (List.hd entries));
+  List.iter
+    (fun (entry, report) ->
+      Alcotest.(check (list string)) "entry keys"
+        [ "technique"; "area_pct"; "leakage_pct"; "report" ] (keys entry);
+      Alcotest.(check (list string)) "entry report keys" report_keys (keys report))
+    (List.hd entries)
 
 (* --- seed robustness --- *)
 
