@@ -206,6 +206,28 @@ let output_net t iid =
   | [||] -> None
   | outs -> List.assoc_opt outs.(0) inst.i_conns
 
+let rec index_of names name i =
+  if i = Array.length names then -1
+  else if String.equal names.(i) name then i
+  else index_of names name (i + 1)
+
+(* Pin names in a connection list are distinct, so one walk finds each. *)
+let rec read_conns row names out_name out = function
+  | [] -> out
+  | (pin_name, nid) :: rest ->
+    if String.equal pin_name out_name then read_conns row names out_name nid rest
+    else begin
+      let j = index_of names pin_name 0 in
+      if j >= 0 then row.(j) <- nid;
+      read_conns row names out_name out rest
+    end
+
+let read_pins t iid row =
+  let inst = Vec.get t.insts iid in
+  let kind = inst.i_cell.Cell.kind in
+  let out_name = match Func.output_names kind with [||] -> "" | outs -> outs.(0) in
+  read_conns row (Func.input_names kind) out_name (-1) inst.i_conns
+
 let attach t iid pin_name nid =
   let inst = Vec.get t.insts iid in
   let n = Vec.get t.nets nid in

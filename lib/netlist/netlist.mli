@@ -83,6 +83,12 @@ val pin_net : t -> inst_id -> string -> net_id option
 val output_net : t -> inst_id -> net_id option
 (** The net on the instance's (single) output pin, if connected. *)
 
+val read_pins : t -> inst_id -> net_id array -> net_id
+(** One walk over the instance's connections: puts the net on its [j]th
+    [Func.input_names] pin in [row.(j)], leaving an unconnected pin's
+    slot as it was, and returns the net on its output pin, -1 if none.
+    [row] holds at least the kind's input count. *)
+
 val is_dead : t -> inst_id -> bool
 
 val replace_cell : t -> inst_id -> Smt_cell.Cell.t -> unit

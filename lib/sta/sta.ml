@@ -192,19 +192,6 @@ let rec index_of names name i =
   else if String.equal names.(i) name then i
   else index_of names name (i + 1)
 
-(* One walk over a connection list (its pin names are distinct): returns
-   the net on pin [out_name] (-1 if none) and puts the net on input pin
-   [ins.(j)] in [nets.(j)]. *)
-let rec read_conns nets ins out_name out = function
-  | [] -> out
-  | (pin_name, nid) :: rest ->
-    if String.equal pin_name out_name then read_conns nets ins out_name nid rest
-    else begin
-      let j = index_of ins pin_name 0 in
-      if j >= 0 then nets.(j) <- nid;
-      read_conns nets ins out_name out rest
-    end
-
 (* Reads a combinational gate's or flip-flop's pins in one walk over its
    connection list.  Returns the net its timing writes: a flip-flop's Q,
    or a combinational output unless it is a clock net (which stays a
@@ -214,10 +201,7 @@ let rec read_conns nets ins out_name out = function
 let read_pins t iid (c : Cell.t) =
   let nl = t.nl and kind = c.Cell.kind in
   Array.fill t.pin_nets 0 max_inputs (-1);
-  let out =
-    read_conns t.pin_nets (Func.input_names kind) (Func.output_names kind).(0) (-1)
-      (Netlist.conns nl iid)
-  in
+  let out = Netlist.read_pins nl iid t.pin_nets in
   if out >= 0 && (Func.is_sequential kind || not (Netlist.is_clock_net nl out)) then out else -1
 
 let pin_wire t iid nid pin_name = t.cfg.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name }

@@ -19,8 +19,6 @@ let join a b =
 
 let leq a b = join a b = b
 
-let bot_join old v = match old with None -> Some v | Some o -> Some (join o v)
-
 let is_defined = function Zero | One | Held -> true | Float | Top -> false
 let may_float = function Float | Top -> true | Zero | One | Held -> false
 

@@ -28,9 +28,6 @@
 
 type v = Zero | One | Held | Float | Top
 
-val bot_join : v option -> v -> v option
-(** Join where [None] is bottom (not yet computed). *)
-
 val join : v -> v -> v
 val leq : v -> v -> bool
 val equal : v -> v -> bool

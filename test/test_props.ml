@@ -2182,6 +2182,842 @@ let with_loop rng nl =
        [ ("A", l1); ("Z", l2) ]);
   src
 
+(* --- the compiled verifier vs the list-based analysis it replaced --- *)
+
+(* The standby verifier as it was before its compile, for whole-netlist
+   analyses: the edges built by a walk over every instance, [L.v option]
+   stores, a [Queue] worklist, and live [pin_net], [output_net] and
+   [Walk.vgnd_state] lookups with [Lattice.eval] on every transfer.  Its
+   edge lists are in instance-id order, so its worklist visits instances
+   in the compiled one's order and its transfer counts are the same.  A
+   VGND member whose switch has no enable cites the switch, as the
+   compiled verifier does. *)
+module Reference_verify = struct
+  module Cell = Smt_cell.Cell
+  module Func = Smt_cell.Func
+  module Vth = Smt_cell.Vth
+  module Walk = Smt_check.Walk
+  module L = Smt_verify.Lattice
+
+  let max_witness = 12
+
+  let extend_path base steps =
+    let p = base @ steps in
+    if List.length p <= max_witness then p
+    else
+      let rec take n = function
+        | x :: rest when n > 0 -> x :: take (n - 1) rest
+        | _ -> [ "..." ]
+      in
+      take (max_witness - 1) p @ [ List.nth p (List.length p - 1) ]
+
+  type mode = { m_name : string; m_asleep : string list }
+
+  let modes_of nl =
+    match
+      List.filter_map
+        (fun (d, mte) -> match mte with Some _ -> Some d | None -> None)
+        (Netlist.domains nl)
+    with
+    | [] -> [ { m_name = ""; m_asleep = [] } ]
+    | doms ->
+      List.init
+        ((1 lsl List.length doms) - 1)
+        (fun i ->
+          let asleep = List.filteri (fun j _ -> (i + 1) land (1 lsl j) <> 0) doms in
+          { m_name = "sleep{" ^ String.concat "," asleep ^ "}"; m_asleep = asleep })
+
+  let transferable = function Func.Dff | Func.Sleep_switch | Func.Holder -> false | _ -> true
+  let net_token nl nid = "net:" ^ Netlist.net_name nl nid
+  let inst_token nl iid = "inst:" ^ Netlist.inst_name nl iid
+
+  type structure = {
+    nl : Netlist.t;
+    dom : string array;
+    mte_dom : (Netlist.net_id, string) Hashtbl.t;
+    deps : Netlist.inst_id list array;  (* net -> transferable readers, ascending *)
+    kept_by : Netlist.inst_id list array;  (* net -> holders wired to it by Z, ascending *)
+    keeper : Netlist.inst_id option array;  (* the lowest holder wired by Z *)
+    holder_deps : (Netlist.inst_id * Netlist.net_id) list array;
+        (* keeper enable -> (keeper, held net), keeper ascending *)
+  }
+
+  (* What a live transferable instance reads: its inputs and its
+     supply's enable, ascending and duplicate-free. *)
+  let reads nl iid =
+    let cell = Netlist.cell nl iid in
+    let supply =
+      match cell.Cell.style with
+      | Vth.Mt_embedded -> Netlist.pin_net nl iid "MTE"
+      | Vth.Mt_vgnd -> (
+        match Walk.vgnd_state nl iid with
+        | Walk.Gated sw -> Netlist.pin_net nl sw "MTE"
+        | _ -> None)
+      | Vth.Plain | Vth.Mt_no_vgnd -> None
+    in
+    List.sort_uniq compare
+      (Option.to_list supply
+      @ List.filter_map (Netlist.pin_net nl iid) (Array.to_list (Func.input_names cell.Cell.kind)))
+
+  let build nl =
+    let nn = Netlist.net_count nl and ni = Netlist.inst_count nl in
+    let g =
+      {
+        nl;
+        dom = Array.init ni (fun iid -> Option.value (Netlist.inst_domain nl iid) ~default:"");
+        mte_dom = Hashtbl.create 7;
+        deps = Array.make nn [];
+        kept_by = Array.make nn [];
+        keeper = Array.make nn None;
+        holder_deps = Array.make nn [];
+      }
+    in
+    List.iter
+      (fun (d, mte) -> Option.iter (fun m -> Hashtbl.replace g.mte_dom m d) mte)
+      (Netlist.domains nl);
+    let kept_by = g.kept_by in
+    for iid = ni - 1 downto 0 do
+      if not (Netlist.is_dead nl iid) then begin
+        let kind = (Netlist.cell nl iid).Cell.kind in
+        if transferable kind then List.iter (fun n -> g.deps.(n) <- iid :: g.deps.(n)) (reads nl iid)
+        else if kind = Func.Holder then
+          Option.iter (fun z -> kept_by.(z) <- iid :: kept_by.(z)) (Netlist.pin_net nl iid "Z")
+      end
+    done;
+    let kept = ref [] in
+    Array.iteri
+      (fun z hs ->
+        match hs with
+        | [] -> ()
+        | h :: _ ->
+          g.keeper.(z) <- Some h;
+          Option.iter (fun m -> kept := (h, z, m) :: !kept) (Netlist.pin_net nl h "MTE"))
+      kept_by;
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a) !kept
+    |> List.iter (fun (h, z, m) -> g.holder_deps.(m) <- (h, z) :: g.holder_deps.(m));
+    g
+
+  (* The live instances wired to any net, ascending. *)
+  let wired g =
+    let nl = g.nl in
+    let seen = Array.make (Netlist.inst_count nl) false in
+    Netlist.iter_nets nl (fun nid ->
+        Option.iter (fun (p : Netlist.pin) -> seen.(p.Netlist.inst) <- true) (Netlist.driver nl nid);
+        List.iter (fun (p : Netlist.pin) -> seen.(p.Netlist.inst) <- true) (Netlist.sinks nl nid);
+        List.iter (fun h -> seen.(h) <- true) g.kept_by.(nid));
+    List.filter (fun iid -> seen.(iid)) (List.init (Netlist.inst_count nl) Fun.id)
+
+  type state = {
+    g : structure;
+    nl : Netlist.t;
+    mode : mode;
+    value : L.v option array;
+    raw : L.v option array;
+    seed_path : string list option array;
+    path : string list option array;
+    queue : Netlist.inst_id Queue.t;
+    queued : bool array;
+    mutable transfers : int;
+    mutable widened : int;
+  }
+
+  let enqueue st iid =
+    if not st.queued.(iid) then begin
+      st.queued.(iid) <- true;
+      Queue.push iid st.queue
+    end
+
+  (* join where [None] is bottom *)
+  let bot_join old v = match old with None -> v | Some o -> L.join o v
+
+  let rec enqueue_deps st nid =
+    List.iter (enqueue st) st.g.deps.(nid);
+    List.iter (fun (_, held) -> if st.raw.(held) <> None then settle st held) st.g.holder_deps.(nid)
+
+  and holder_view st nid rv =
+    match st.g.keeper.(nid) with
+    | None -> Some rv
+    | Some h -> (
+      match Netlist.pin_net st.nl h "MTE" with
+      | None -> Some rv
+      | Some m -> (
+        match st.value.(m) with
+        | None -> None
+        | Some L.One -> Some (match rv with L.Float -> L.Held | v -> v)
+        | Some L.Zero -> Some rv
+        | Some (L.Held | L.Float | L.Top) -> Some (if L.may_float rv then L.Top else rv)))
+
+  and settle st nid =
+    match st.raw.(nid) with
+    | None -> ()
+    | Some rv -> (
+      match holder_view st nid rv with
+      | None -> ()
+      | Some eff ->
+        let old = st.value.(nid) in
+        let nv = bot_join old eff in
+        if old <> Some nv then begin
+          st.value.(nid) <- Some nv;
+          enqueue_deps st nid
+        end)
+
+  let set_raw st nid v =
+    let old = st.raw.(nid) in
+    let nv = bot_join old v in
+    if old <> Some nv then begin
+      st.raw.(nid) <- Some nv;
+      settle st nid
+    end
+
+  type supply =
+    | Powered
+    | Cut
+    | Internally_held
+    | Unknown_power of Netlist.net_id
+    | No_enable of Netlist.inst_id  (** the VGND switch has no enable *)
+    | Defer_supply
+
+  let supply_of st iid (cell : Cell.t) =
+    let gate m on =
+      match st.value.(m) with
+      | None -> Defer_supply
+      | Some L.One -> on
+      | Some L.Zero -> Powered
+      | Some (L.Held | L.Float | L.Top) -> Unknown_power m
+    in
+    match cell.Cell.style with
+    | Vth.Plain -> Powered
+    | Vth.Mt_no_vgnd -> Cut
+    | Vth.Mt_embedded -> (
+      match Netlist.pin_net st.nl iid "MTE" with
+      | None -> Powered
+      | Some m -> gate m Internally_held)
+    | Vth.Mt_vgnd -> (
+      match Walk.vgnd_state st.nl iid with
+      | Walk.Ungated -> Powered
+      | Walk.Floating_vgnd | Walk.Dead_switch _ -> Cut
+      | Walk.Gated sw -> (
+        match Netlist.pin_net st.nl sw "MTE" with
+        | None -> No_enable sw
+        | Some m -> gate m Cut))
+
+  let transfer st iid =
+    let cell = Netlist.cell st.nl iid in
+    match Netlist.output_net st.nl iid with
+    | None -> ()
+    | Some out -> (
+      st.transfers <- st.transfers + 1;
+      match supply_of st iid cell with
+      | Defer_supply -> ()
+      | Cut -> set_raw st out L.Float
+      | Internally_held -> set_raw st out L.Held
+      | Unknown_power _ | No_enable _ -> set_raw st out L.Top
+      | Powered ->
+        let names = Func.input_names cell.Cell.kind in
+        let ins = Array.make (Array.length names) L.Top in
+        let ready = ref true in
+        Array.iteri
+          (fun i pin ->
+            match Netlist.pin_net st.nl iid pin with
+            | None -> ins.(i) <- L.Float
+            | Some nid -> (
+              match st.value.(nid) with None -> ready := false | Some v -> ins.(i) <- v))
+          names;
+        if !ready then set_raw st out (L.eval cell.Cell.kind ins))
+
+  let seed st =
+    let nl = st.nl in
+    let legacy = st.mode.m_name = "" in
+    let mte_net = if legacy then Netlist.find_net nl "MTE" else None in
+    Netlist.iter_nets nl (fun nid ->
+        if Netlist.is_pi nl nid then begin
+          let v, note =
+            if legacy && mte_net = Some nid then (L.One, " (MTE=1 in standby)")
+            else
+              match Hashtbl.find_opt st.g.mte_dom nid with
+              | Some d ->
+                ( (if List.mem d st.mode.m_asleep then L.One else L.Zero),
+                  Printf.sprintf " (domain %s enable)" d )
+              | None ->
+                if Netlist.is_clock_net nl nid then (L.Zero, " (clock parked low)")
+                else (L.Held, " (primary input, frozen)")
+          in
+          st.seed_path.(nid) <- Some [ net_token nl nid ^ note ];
+          set_raw st nid v
+        end
+        else if Netlist.driver nl nid = None then begin
+          st.seed_path.(nid) <- Some [ net_token nl nid ^ " (no driver)" ];
+          set_raw st nid L.Float
+        end);
+    let flops = ref [] in
+    Netlist.iter_nets nl (fun q ->
+        match Netlist.driver nl q with
+        | Some p when (Netlist.cell nl p.Netlist.inst).Cell.kind = Func.Dff ->
+          flops := (p.Netlist.inst, q) :: !flops
+        | Some _ | None -> ());
+    List.iter
+      (fun (iid, q) ->
+        st.seed_path.(q) <- Some [ inst_token nl iid ^ " (flip-flop state)"; net_token nl q ];
+        set_raw st q L.Held)
+      (List.sort compare !flops)
+
+  let fixpoint st =
+    let drained = ref false in
+    while not !drained do
+      while not (Queue.is_empty st.queue) do
+        let iid = Queue.pop st.queue in
+        st.queued.(iid) <- false;
+        transfer st iid
+      done;
+      let bottom = ref [] in
+      Netlist.iter_nets st.nl (fun nid -> if st.value.(nid) = None then bottom := nid :: !bottom);
+      match List.rev !bottom with
+      | [] -> drained := true
+      | nids ->
+        st.widened <- st.widened + List.length nids;
+        List.iter
+          (fun nid ->
+            st.value.(nid) <- Some L.Top;
+            enqueue_deps st nid)
+          nids
+    done
+
+  let witness st nid =
+    let nl = st.nl in
+    let on_chain = Hashtbl.create 8 in
+    let rec build nid =
+      match st.path.(nid) with
+      | Some p -> (p, false)
+      | None when Hashtbl.mem on_chain nid -> ([ net_token nl nid ^ " (cyclic)" ], true)
+      | None ->
+        Hashtbl.add on_chain nid ();
+        let ((p, looped) as r) = explain nid in
+        Hashtbl.remove on_chain nid;
+        if not looped then st.path.(nid) <- Some p;
+        r
+    and via src steps =
+      let p, looped = build src in
+      (extend_path p steps, looped)
+    and explain nid =
+      match st.seed_path.(nid) with
+      | Some sp -> (sp, false)
+      | None -> (
+        match Netlist.driver nl nid with
+        | None -> ([ net_token nl nid ], false)
+        | Some dp ->
+          let iid = dp.Netlist.inst in
+          let cell = Netlist.cell nl iid in
+          if not (transferable cell.Cell.kind) then ([ inst_token nl iid; net_token nl nid ], false)
+          else
+            let steps note = [ inst_token nl iid ^ note; net_token nl nid ] in
+            match supply_of st iid cell with
+            | Cut -> (steps " (VGND cut in standby)", false)
+            | Internally_held -> (steps " (embedded holder)", false)
+            | Unknown_power m -> via m (steps " (enable undetermined)")
+            | No_enable sw ->
+              (extend_path [ inst_token nl sw ^ " (no enable)" ] (steps " (enable undetermined)"), false)
+            | Defer_supply -> ([ net_token nl nid ^ " (widened: cyclic)" ], false)
+            | Powered -> (
+              match st.raw.(nid) with
+              | None -> ([ net_token nl nid ^ " (widened: cyclic)" ], false)
+              | Some v -> (
+                (* the first possibly-floating input when contaminated,
+                   else the first input *)
+                let inputs =
+                  List.filter_map
+                    (fun pin ->
+                      Option.map
+                        (fun src -> (src, Option.value st.value.(src) ~default:L.Top))
+                        (Netlist.pin_net nl iid pin))
+                    (Array.to_list (Func.input_names cell.Cell.kind))
+                in
+                let floating = List.filter (fun (_, v) -> L.may_float v) inputs in
+                match if L.may_float v && floating <> [] then floating else inputs with
+                | (src, _) :: _ -> via src (steps "")
+                | [] -> (extend_path [] (steps ""), false))))
+    in
+    fst (build nid)
+
+  let level st nid = Option.value st.value.(nid) ~default:L.Top
+  let is_legacy st = st.mode.m_name = ""
+  let asleep st d = d <> "" && List.mem d st.mode.m_asleep
+  let dom_of st iid = st.g.dom.(iid)
+
+  let powered_reader st (p : Netlist.pin) =
+    let c = Netlist.cell st.nl p.Netlist.inst in
+    (not (Func.is_infrastructure c.Cell.kind))
+    && ((not (Cell.is_mt c)) || ((not (is_legacy st)) && not (asleep st (dom_of st p.Netlist.inst))))
+
+  let crossing_source st nid =
+    if is_legacy st then None
+    else
+      match Netlist.driver st.nl nid with
+      | Some p when Cell.is_mt (Netlist.cell st.nl p.Netlist.inst) ->
+        let d = dom_of st p.Netlist.inst in
+        if asleep st d then Some d else None
+      | _ -> None
+
+  let enable_domain st e =
+    match Hashtbl.find_opt st.g.mte_dom e with
+    | Some d -> d
+    | None -> (
+      match Netlist.driver st.nl e with Some p -> dom_of st p.Netlist.inst | None -> "")
+
+  let iso_bad st nid =
+    match (st.g.keeper.(nid), crossing_source st nid) with
+    | Some h, Some d -> (
+      match Netlist.pin_net st.nl h "MTE" with
+      | Some e ->
+        let ed = enable_domain st e in
+        if ed <> d then Some (h, e, ed, d) else None
+      | None -> None)
+    | _ -> None
+
+  let kept_net st h =
+    match Netlist.pin_net st.nl h "Z" with
+    | Some z when st.g.keeper.(z) = Some h -> Some z
+    | Some _ | None -> None
+
+  let finding st rule loc ?(witness = []) fmt =
+    Printf.ksprintf
+      (fun message -> { Rules.rule; loc; mode = st.mode.m_name; message; witness })
+      fmt
+
+  let plural = function 1 -> "" | _ -> "s"
+
+  let eval_net st ~deepest nid =
+    let nl = st.nl in
+    let out = ref [] in
+    let emit f = out := f :: !out in
+    let name = Netlist.net_name nl nid in
+    let loc = "net:" ^ name in
+    let readers = List.filter (powered_reader st) (Netlist.sinks nl nid) in
+    let first (rs : Netlist.pin list) =
+      let r = List.hd rs in
+      (Netlist.inst_name nl r.Netlist.inst, r.Netlist.pin_name, dom_of st r.Netlist.inst)
+    in
+    let cross = crossing_source st nid in
+    let iso = iso_bad st nid in
+    let kept = st.g.keeper.(nid) <> None in
+    let float_sinks rs =
+      let i, p, _ = first rs in
+      emit
+        (finding st Rules.float_into_awake loc ~witness:(witness st nid)
+           "net floats in standby; %d always-on sink%s (first: %s.%s)" (List.length rs)
+           (plural (List.length rs)) i p)
+    in
+    let float_po () =
+      if Netlist.is_po nl nid then
+        emit
+          (finding st Rules.float_into_awake loc ~witness:(witness st nid)
+             "net floats in standby and is a primary output")
+    in
+    (match level st nid with
+    | L.Float -> (
+      match cross with
+      | None -> if Netlist.is_po nl nid then float_po () else if readers <> [] then float_sinks readers
+      | Some d -> (
+        float_po ();
+        let local, foreign =
+          List.partition (fun (p : Netlist.pin) -> dom_of st p.Netlist.inst = d) readers
+        in
+        if local <> [] then float_sinks local;
+        if foreign <> [] && iso = None then
+          let i, p, rd = first foreign in
+          let rdom = if rd = "" then "always-on logic" else "domain " ^ rd in
+          let n = List.length foreign in
+          if kept then
+            emit
+              (finding st Rules.cross_domain_float loc ~witness:(witness st nid)
+                 "net from sleeping domain %s floats into awake logic: %d powered sink%s \
+                  outside the domain (first: %s.%s in %s); the wired holder does not engage"
+                 d n (plural n) i p rdom)
+          else
+            emit
+              (finding st Rules.missing_isolation loc ~witness:(witness st nid)
+                 "net leaves sleeping domain %s with no isolation holder; %d powered sink%s \
+                  in other domains (first: %s.%s in %s)"
+                 d n (plural n) i p rdom)))
+    | L.Top -> (
+      if Netlist.is_po nl nid then
+        emit
+          (finding st Rules.crowbar_risk loc ~witness:(witness st nid)
+             "primary output may float in standby (value top)");
+      match cross with
+      | Some d
+        when iso = None && kept
+             && match st.raw.(nid) with Some rv -> L.may_float rv | None -> true ->
+        let foreign = List.filter (fun (p : Netlist.pin) -> dom_of st p.Netlist.inst <> d) readers in
+        if foreign <> [] then
+          let i, p, _ = first foreign in
+          let n = List.length foreign in
+          emit
+            (finding st Rules.cross_domain_float loc ~witness:(witness st nid)
+               "net from sleeping domain %s may float into awake logic (holder enable is not \
+                a constant); %d powered sink%s outside the domain (first: %s.%s)"
+               d n (plural n) i p)
+      | _ -> ())
+    | L.Zero | L.One | L.Held -> ());
+    Option.iter
+      (fun (h, e, ed, d) ->
+        let edn = if ed = "" then "the always-on domain" else "domain " ^ ed in
+        emit
+          (finding st Rules.isolation_enable_off_domain ("inst:" ^ Netlist.inst_name nl h)
+             ~witness:(witness st e)
+             "isolation holder on net %s guards sleeping domain %s but its enable (net %s) \
+              belongs to %s"
+             name d (Netlist.net_name nl e) edn))
+      iso;
+    (if deepest then
+       match st.g.keeper.(nid) with
+       | None -> ()
+       | Some h -> (
+         let hname = Netlist.inst_name nl h in
+         let boundary =
+           match cross with
+           | None -> false
+           | Some d ->
+             List.exists
+               (fun (p : Netlist.pin) ->
+                 (not (Func.is_infrastructure (Netlist.cell nl p.Netlist.inst).Cell.kind))
+                 && dom_of st p.Netlist.inst <> d)
+               (Netlist.sinks nl nid)
+         in
+         match st.raw.(nid) with
+         | Some ((L.Zero | L.One | L.Held) as r) ->
+           emit
+             (finding st Rules.useless_holder loc
+                "holder %s keeps a net that never floats (driver value %s in standby)" hname
+                (L.to_string r))
+         | Some L.Float when (not (Netlist.is_po nl nid)) && readers = [] && not boundary ->
+           emit
+             (finding st Rules.useless_holder loc
+                "holder %s keeps a net only floating MT logic reads" hname)
+         | Some (L.Float | L.Top) | None -> ()));
+    List.rev !out
+
+  let eval_inst st iid =
+    let nl = st.nl in
+    let out = ref [] in
+    let emit f = out := f :: !out in
+    let legacy = is_legacy st in
+    let cell = Netlist.cell nl iid in
+    let loc = "inst:" ^ Netlist.inst_name nl iid in
+    let mte_pin_check () =
+      match Netlist.pin_net nl iid "MTE" with
+      | None -> ()
+      | Some m -> (
+        let role =
+          match cell.Cell.kind with
+          | Func.Sleep_switch -> "sleep switch"
+          | Func.Holder -> "holder"
+          | _ -> "embedded MT-cell"
+        in
+        let gov =
+          if legacy then ""
+          else
+            match cell.Cell.kind with
+            | Func.Holder -> (
+              match Option.bind (kept_net st iid) (Netlist.driver nl) with
+              | Some p when Cell.is_mt (Netlist.cell nl p.Netlist.inst) -> dom_of st p.Netlist.inst
+              | _ -> "")
+            | _ -> dom_of st iid
+        in
+        let mnet = Netlist.net_name nl m in
+        if legacy || gov = "" || asleep st gov then
+          match level st m with
+          | L.One -> ()
+          | L.Zero ->
+            emit
+              (finding st Rules.mte_polarity loc ~witness:(witness st m)
+                 "%s enable is 0 in standby (net %s): it never sleeps%s" role mnet
+                 (if cell.Cell.kind = Func.Holder then "; the net it keeps is unguarded" else ""))
+          | (L.Held | L.Float | L.Top) as v ->
+            emit
+              (finding st Rules.mte_undetermined loc ~witness:(witness st m)
+                 "%s enable is %s in standby (net %s), not a constant" role (L.to_string v) mnet)
+        else if cell.Cell.kind <> Func.Holder then
+          match level st m with
+          | L.Zero -> ()
+          | L.One ->
+            emit
+              (finding st Rules.mte_polarity loc ~witness:(witness st m)
+                 "%s enable is 1 while domain %s is awake (net %s): the domain sleeps when it \
+                  should run"
+                 role gov mnet)
+          | (L.Held | L.Float | L.Top) as v ->
+            emit
+              (finding st Rules.mte_undetermined loc ~witness:(witness st m)
+                 "%s enable is %s while domain %s is awake (net %s), not a constant" role
+                 (L.to_string v) gov mnet))
+    in
+    (match cell.Cell.kind with
+    | Func.Sleep_switch -> mte_pin_check ()
+    | Func.Holder -> (
+      match kept_net st iid with
+      | Some z when iso_bad st z <> None -> ()
+      | Some _ | None -> mte_pin_check ())
+    | Func.Dff -> (
+      match Netlist.pin_net nl iid "D" with
+      | Some d when Library.is_retention cell && L.may_float (level st d) ->
+        emit
+          (finding st Rules.retention_input_float loc ~witness:(witness st d)
+             "retention flip-flop data input is %s in standby (net %s)"
+             (L.to_string (level st d)) (Netlist.net_name nl d))
+      | Some _ | None -> ())
+    | _ -> if Vth.style_equal cell.Cell.style Vth.Mt_embedded then mte_pin_check ());
+    let connected =
+      List.filter_map
+        (fun pin -> Option.map (fun nid -> (pin, nid)) (Netlist.pin_net nl iid pin))
+        (Array.to_list (Func.input_names cell.Cell.kind))
+    in
+    (if Vth.style_equal cell.Cell.style Vth.Plain && transferable cell.Cell.kind then
+       match List.find_opt (fun (_, nid) -> level st nid = L.Top) connected with
+       | Some (pin, nid) ->
+         emit
+           (finding st Rules.crowbar_risk loc ~witness:(witness st nid)
+              "powered gate input %s may be at an intermediate level in standby (net %s)" pin
+              (Netlist.net_name nl nid))
+       | None -> ());
+    (if (not legacy) && Cell.is_mt cell && transferable cell.Cell.kind then
+       let d = dom_of st iid in
+       match Netlist.output_net nl iid with
+       | Some out when asleep st d -> (
+         let powered_src (p : Netlist.pin) =
+           let c = Netlist.cell nl p.Netlist.inst in
+           (not (Func.is_infrastructure c.Cell.kind))
+           && ((not (Cell.is_mt c)) || not (asleep st (dom_of st p.Netlist.inst)))
+         in
+         let live_in =
+           List.find_opt
+             (fun (_, src) ->
+               match Netlist.driver nl src with
+               | Some p -> dom_of st p.Netlist.inst <> d && powered_src p
+               | None -> false)
+             connected
+         in
+         match live_in with
+         | Some (pin, src)
+           when Netlist.is_po nl out
+                || List.exists
+                     (fun (p : Netlist.pin) -> powered_reader st p && dom_of st p.Netlist.inst <> d)
+                     (Netlist.sinks nl out) ->
+           emit
+             (finding st Rules.always_on_path loc
+                ~witness:
+                  [
+                    net_token nl src;
+                    inst_token nl iid ^ " (through sleeping domain " ^ d ^ ")";
+                    net_token nl out;
+                  ]
+                "path through sleeping domain %s: input %s is driven from awake logic and \
+                 output %s is read outside the domain"
+                d pin (Netlist.net_name nl out))
+         | Some _ | None -> ())
+       | Some _ | None -> ());
+    List.rev !out
+
+  (* One mode: seed, propagate, widen, then the net rules in net-id order
+     and the instance rules in instance-id order. *)
+  let run (g : structure) insts mode ~deepest =
+    let nl = g.nl in
+    let nn = Netlist.net_count nl and ni = Netlist.inst_count nl in
+    let st =
+      {
+        g;
+        nl;
+        mode;
+        value = Array.make nn None;
+        raw = Array.make nn None;
+        seed_path = Array.make nn None;
+        path = Array.make nn None;
+        queue = Queue.create ();
+        queued = Array.make ni false;
+        transfers = 0;
+        widened = 0;
+      }
+    in
+    seed st;
+    Netlist.iter_nets nl (fun nid ->
+        match Netlist.driver nl nid with
+        | Some p when transferable (Netlist.cell nl p.Netlist.inst).Cell.kind ->
+          enqueue st p.Netlist.inst
+        | Some _ | None -> ());
+    fixpoint st;
+    let net_findings = List.concat (List.init nn (eval_net st ~deepest)) in
+    (st, net_findings @ List.concat_map (eval_inst st) insts)
+
+  let analyze nl =
+    let g = build nl in
+    let insts = wired g in
+    let modes = modes_of nl in
+    let last = List.length modes - 1 in
+    let runs = List.mapi (fun i mode -> run g insts mode ~deepest:(i = last)) modes in
+    let seen = Hashtbl.create 97 in
+    let findings =
+      List.concat_map
+        (fun (_, fs) ->
+          List.filter
+            (fun f ->
+              let key = Rules.key f in
+              (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+            fs)
+        runs
+    in
+    let deep, _ = List.nth runs last in
+    let sum f = List.fold_left (fun a (st, _) -> a + f st) 0 runs in
+    {
+      Verify.findings;
+      values = List.init (Netlist.net_count nl) (fun nid -> (Netlist.net_name nl nid, level deep nid));
+      transfers = sum (fun st -> st.transfers);
+      widened = sum (fun st -> st.widened);
+      modes = List.map (fun m -> m.m_name) modes;
+    }
+end
+
+(* Everything a verifier result holds, with findings rendered. *)
+let verify_view (r : Verify.result) =
+  ( List.map Rules.to_string r.Verify.findings,
+    r.Verify.values,
+    r.Verify.transfers,
+    r.Verify.widened,
+    r.Verify.modes )
+
+let matches_reference what nl =
+  let fs, vs, t, w, ms = verify_view (Verify.analyze nl)
+  and fs', vs', t', w', ms' = verify_view (Reference_verify.analyze nl) in
+  let differs =
+    List.filter_map
+      (fun (field, same) -> if same then None else Some field)
+      [
+        ("findings", fs = fs');
+        ("values", vs = vs');
+        ("transfers", t = t');
+        ("widened", w = w');
+        ("modes", ms = ms');
+      ]
+  in
+  if differs <> [] then
+    QCheck2.Test.fail_reportf "%s: compiled verifier differs from the list-based one in %s" what
+      (String.concat ", " differs);
+  true
+
+let technique_of = function 0 -> Flow.Dual_vth | 1 -> Flow.Conventional_smt | _ -> Flow.Improved_smt
+
+(* A random improved-MT netlist, the same with an injected fault, or a
+   2-4-domain SoC with or without one of its domain faults. *)
+let prop_verify_matches_reference =
+  QCheck2.Test.make ~name:"compiled verify = list-based analysis" ~count:40 ~print:string_of_int
+    seed_gen
+    (fun seed ->
+      let fault = List.nth Fault.all (seed mod List.length Fault.all) in
+      match seed mod 3 with
+      | 0 -> (
+        match random_mt_netlist seed with
+        | None -> true
+        | Some (nl, _) -> matches_reference "random MT netlist" nl)
+      | 1 -> (
+        let fixture =
+          if Fault.requires_domains fault then
+            Some (Suite.multi_domain ~domains:(2 + (seed mod 3)) ~name:"ref" lib)
+          else Option.map fst (random_mt_netlist seed)
+        in
+        match fixture with
+        | None -> true
+        | Some nl ->
+          ignore (Fault.inject ~seed nl fault);
+          matches_reference (Fault.name fault) nl)
+      | _ ->
+        let nl = Suite.multi_domain ~domains:(2 + (seed mod 3)) ~name:"ref" lib in
+        if seed mod 2 = 0 then ignore (Fault.inject ~seed nl fault);
+        matches_reference "SoC" nl)
+
+(* Flow products of every technique on suite circuits, lint-clean or not. *)
+let prop_verify_matches_reference_on_products =
+  QCheck2.Test.make ~name:"compiled verify = list-based analysis on flow products" ~count:6
+    QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 47))
+    (fun (seed, which) ->
+      let name, gen = List.nth Suite.all (which mod List.length Suite.all) in
+      let nl = gen lib in
+      if not (Suite.is_multi_domain name) then begin
+        let options = { Flow.default_options with Flow.seed; Flow.activity_cycles = 32 } in
+        ignore (Flow.run ~options (technique_of (which / 16)) nl)
+      end;
+      matches_reference name nl)
+
+(* Every fault class injected into circuit_a's improved product (the
+   domain classes into a 3-domain SoC), the product with a switch whose
+   enable is unconnected, and the product with a combinational loop
+   behind its MT logic. *)
+let test_verify_reference_faults () =
+  let product () = Smt_netlist.Parser.of_string ~lib (Lazy.force improved_product) in
+  List.iter
+    (fun fault ->
+      let nl =
+        if Fault.requires_domains fault then Suite.multi_domain ~domains:3 ~name:"ref" lib
+        else product ()
+      in
+      ignore (Fault.inject ~seed:1 nl fault);
+      ignore (matches_reference (Fault.name fault) nl))
+    Fault.all;
+  let nl = product () in
+  Netlist.disconnect nl (List.hd (Netlist.switches nl)) "MTE";
+  ignore (matches_reference "switch without enable" nl);
+  let nl = product () in
+  ignore (with_loop (Rng.create 3) nl);
+  ignore (matches_reference "with_loop" nl)
+
+(* --- the verifier vs the concrete simulator --- *)
+
+(* A concrete standby state is one the abstract one covers: with MTE at 1,
+   clocks parked at 0, random primary inputs and random flip-flop states,
+   every driven net the verifier calls 0 or 1 simulates to F or T, and
+   every net that simulates to X is one the verifier calls float or top
+   (so a held net never reads X). *)
+let prop_verify_covers_simulation =
+  QCheck2.Test.make ~name:"verify covers standby simulation" ~count:6
+    QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 47))
+    (fun (seed, which) ->
+      let single = List.filter (fun (name, _) -> not (Suite.is_multi_domain name)) Suite.all in
+      let name, gen = List.nth single (which mod List.length single) in
+      let technique = technique_of (which mod 3) in
+      let nl = gen lib in
+      let options = { Flow.default_options with Flow.seed; Flow.activity_cycles = 32 } in
+      ignore (Flow.run ~options technique nl);
+      let levels = Array.of_list (List.map snd (Verify.analyze nl).Verify.values) in
+      let sim = Simulator.create nl in
+      let rng = Rng.create seed in
+      let bit () = if Rng.int rng 2 = 0 then Logic.F else Logic.T in
+      for vector = 1 to 10 do
+        List.iter
+          (fun (port, nid) ->
+            Simulator.set_input sim nid
+              (if String.equal port "MTE" then Logic.T
+               else if Netlist.is_clock_net nl nid then Logic.F
+               else bit ()))
+          (Netlist.inputs nl);
+        Netlist.iter_insts nl (fun iid ->
+            if (Netlist.cell nl iid).Smt_cell.Cell.kind = Smt_cell.Func.Dff then
+              Simulator.set_ff_state sim iid (bit ()));
+        Simulator.propagate ~mode:Simulator.Standby sim;
+        Netlist.iter_nets nl (fun nid ->
+            if Netlist.driver nl nid <> None then begin
+              let v = Simulator.value sim nid and a = levels.(nid) in
+              let covered =
+                match (a, v) with
+                | Smt_verify.Lattice.Zero, Logic.F | Smt_verify.Lattice.One, Logic.T -> true
+                | (Smt_verify.Lattice.Zero | Smt_verify.Lattice.One), _ -> false
+                | Smt_verify.Lattice.Held, v -> v <> Logic.X
+                | (Smt_verify.Lattice.Float | Smt_verify.Lattice.Top), _ -> true
+              in
+              if not covered then
+                QCheck2.Test.fail_reportf "%s/%s, vector %d: net %s is %s to the verifier but %s"
+                  name (Flow.technique_name technique) vector (Netlist.net_name nl nid)
+                  (Smt_verify.Lattice.to_string a) (String.make 1 (Logic.to_char v))
+            end)
+      done;
+      true)
+
 let prop_incremental_matches_full =
   (* The incremental soundness claim: after any chain of edits,
      [Verify.update] over the journal's dirty set reports byte-identical
@@ -2286,6 +3122,11 @@ let () =
           qtest prop_repair_clears_repairable;
           qtest prop_flow_products_lint_clean;
           qtest prop_incremental_matches_full;
+          qtest prop_verify_matches_reference;
+          qtest prop_verify_matches_reference_on_products;
+          Alcotest.test_case "every fault class: compiled verify = list-based" `Quick
+            test_verify_reference_faults;
+          qtest prop_verify_covers_simulation;
         ] );
       ( "extensions",
         [

@@ -284,6 +284,26 @@ let test_mte_undetermined () =
        r.Verify.findings);
   Alcotest.check vv "member output is top" L.Top (Option.get (Verify.value_of r "w"))
 
+(* A VGND member whose switch has no enable is top in standby, and its
+   witness cites the switch, not a loop through the member's own output. *)
+let test_switch_without_enable_witness () =
+  let nl = Suite.circuit_a lib in
+  ignore (Flow.run Flow.Improved_smt nl);
+  let sw = List.hd (Netlist.switches nl) in
+  Netlist.disconnect nl sw "MTE";
+  let r = Verify.analyze nl in
+  let witnesses = List.map (fun f -> f.Rules.witness) r.Verify.findings in
+  let origin = "inst:" ^ Netlist.inst_name nl sw ^ " (no enable)" in
+  Alcotest.(check bool) "a witness starts at the switch" true
+    (List.exists (function step :: _ -> step = origin | [] -> false) witnesses);
+  let cyclic step =
+    let tag = "(cyclic)" in
+    let n = String.length step and k = String.length tag in
+    n >= k && String.sub step (n - k) k = tag
+  in
+  Alcotest.(check bool) "no witness claims a loop" false
+    (List.exists (List.exists cyclic) witnesses)
+
 let test_retention_input_float () =
   let nl, mte, a = base () in
   let clk = Netlist.add_input ~clock:true nl "clk" in
@@ -476,10 +496,10 @@ let test_pathology_isolation_enable () =
   | [ f ] -> Alcotest.(check string) "shallowest mode wins" "sleep{a}" f.Rules.mode
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)))
 
-let test_pathology_always_on_path () =
-  (* A properly clamped MT gate inside domain a that both reads from and
-     is read by always-on/foreign logic: no float escapes (the clamp
-     works), but the path itself dies whenever domain a sleeps. *)
+(* A properly clamped MT gate [tg] inside domain a that both reads from
+   and is read by always-on/foreign logic: no float escapes (the clamp
+   works), but the path itself dies whenever domain a sleeps. *)
+let always_on_path_soc () =
   let nl = Suite.multi_domain ~domains:2 ~name:"p4" lib in
   let pi = Netlist.add_input nl "side" in
   let anet = Netlist.fresh_net nl "anet" in
@@ -521,6 +541,10 @@ let test_pathology_always_on_path () =
   in
   Netlist.set_inst_domain nl dff (Some "b");
   Netlist.mark_output nl qn;
+  (nl, tg)
+
+let test_pathology_always_on_path () =
+  let nl, _ = always_on_path_soc () in
   let r = Verify.analyze nl in
   check_only_domain_rule r Rules.always_on_path;
   Alcotest.(check bool) "it is a warning, not an error" false
@@ -642,6 +666,41 @@ let test_update_counts_cone_sized () =
     (Printf.sprintf "update's %d evaluations under a quarter of analyze's %d" evals full)
     true (evals * 4 < full);
   Alcotest.(check int) "no witness built on a clean result" 0 paths
+
+(* A gate whose output pin leaves its net keeps no edge on any touched
+   net, yet it is judged again (the always-on-path rule reads its output)
+   and, once a later edit upstream re-runs its inputs, it must not write
+   the net it no longer drives, which now floats undriven. *)
+let test_incremental_disconnected_driver () =
+  let nl, tg = always_on_path_soc () in
+  let session, r0 = Verify.start nl in
+  check_only_domain_rule r0 Rules.always_on_path;
+  Netlist.disconnect nl tg "Z";
+  let ru = Verify.update session and rf = Verify.analyze nl in
+  Alcotest.(check (list string)) "a gate with no output loses its path finding"
+    (List.map Rules.to_string rf.Verify.findings)
+    (List.map Rules.to_string ru.Verify.findings);
+  let nl, _mte, a = base () in
+  let w = Netlist.add_input nl "w" in
+  let x = Netlist.add_net nl "x" and i = Netlist.add_net nl "i" and n = Netlist.add_net nl "n" in
+  let z = Netlist.add_output nl "z" in
+  let u2 = Netlist.add_inst nl ~name:"u2" (lv Func.Inv) [ ("A", w); ("Z", x) ] in
+  ignore (Netlist.add_inst nl ~name:"u" (lv Func.Inv) [ ("A", x); ("Z", i) ]);
+  let g = Netlist.add_inst nl ~name:"g" (lv Func.Nand2) [ ("A", i); ("B", a); ("Z", n) ] in
+  ignore (Netlist.add_inst nl ~name:"r" (lv Func.Inv) [ ("A", n); ("Z", z) ]);
+  let session, _ = Verify.start nl in
+  let same step =
+    let ru = Verify.update session and rf = Verify.analyze nl in
+    Alcotest.(check (list string)) (step ^ ": findings")
+      (List.map Rules.to_string rf.Verify.findings)
+      (List.map Rules.to_string ru.Verify.findings);
+    Alcotest.(check bool) (step ^ ": values") true (ru.Verify.values = rf.Verify.values)
+  in
+  Netlist.disconnect nl g "Z";
+  same "output disconnected";
+  Alcotest.check vv "the undriven net floats" L.Float (Option.get (Verify.value_of (Verify.analyze nl) "n"));
+  Netlist.replace_cell nl u2 (lv Func.Buf);
+  same "edit upstream of the old driver"
 
 let test_incremental_domain_change_restarts () =
   (* Declaring a new domain changes the mode vector: the session must
@@ -1089,6 +1148,8 @@ let () =
           Alcotest.test_case "useless holder (MT-only readers)" `Quick test_useless_holder_mt_only_readers;
           Alcotest.test_case "mte polarity" `Quick test_mte_polarity;
           Alcotest.test_case "mte undetermined" `Quick test_mte_undetermined;
+          Alcotest.test_case "switch without enable: witness cites it" `Quick
+            test_switch_without_enable_witness;
           Alcotest.test_case "retention input float" `Quick test_retention_input_float;
           Alcotest.test_case "crowbar instance" `Quick test_crowbar_instance;
           Alcotest.test_case "cycle widens to top" `Quick test_cycle_widens;
@@ -1121,6 +1182,8 @@ let () =
           Alcotest.test_case "update counts cone-sized work" `Quick test_update_counts_cone_sized;
           Alcotest.test_case "domain change restarts transparently" `Quick
             test_incremental_domain_change_restarts;
+          Alcotest.test_case "disconnected driver: re-judged, no stale write" `Quick
+            test_incremental_disconnected_driver;
           Alcotest.test_case "sta and verify follow one journal" `Quick
             test_incremental_sta_and_verify_share_journal;
         ] );
