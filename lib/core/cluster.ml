@@ -72,11 +72,6 @@ let required_width tech p ~current_ua ~wire_length =
 let member_points place members =
   List.filter_map (fun iid -> Placement.inst_point_opt place iid) members
 
-let cluster_length ?switch_at place members =
-  let pts = member_points place members in
-  let pts = match switch_at with Some at -> at :: pts | None -> pts in
-  Geom.spanning_length pts
-
 let vgnd_length ?members place sw =
   let nl = Placement.netlist place in
   let members =
@@ -98,48 +93,44 @@ let vgnd_lengths place =
   fun sw ->
     match Hashtbl.find_opt tbl sw with Some l -> l | None -> vgnd_length place sw
 
-let sim_current ?activity ?load_of p nl members =
-  if p.diversity then Bounce.simultaneous_current ?activity ?load_of nl ~members
-  else
-    List.fold_left (fun acc iid -> acc +. (Netlist.cell nl iid).Cell.peak_current) 0.0 members
+(* A cluster's switch sits at its members' centroid, which divides by the
+   member count whether or not each member is placed, and its VGND line
+   spans [centroid :: placed members] in list order: the arithmetic of
+   [Placement.centroid] and [Geom.spanning_length], over the points
+   [point] holds per instance. *)
+let centroid point members =
+  let n = float_of_int (List.length members) in
+  let sx = ref 0.0 and sy = ref 0.0 in
+  List.iter
+    (fun iid ->
+      match point.(iid) with
+      | Some p ->
+        sx := !sx +. p.Geom.x;
+        sy := !sy +. p.Geom.y
+      | None -> ())
+    members;
+  { Geom.x = !sx /. n; Geom.y = !sy /. n }
 
-let feasible ?activity ?load_of place p members =
-  let nl = Placement.netlist place in
-  let tech = Library.tech (Netlist.lib nl) in
-  let n = List.length members in
-  if n > p.cell_limit then false
-  else begin
-    let sustained = Bounce.sustained_current ?activity ?load_of nl ~members in
-    if not
-         (Em.cluster_ok { tech with Tech.em_cell_limit = p.cell_limit } ~cells:n
-            ~sustained_ua:sustained)
-    then false
-    else begin
-      let centroid = Placement.centroid place members in
-      let length = cluster_length ~switch_at:centroid place members in
-      if length > p.length_limit then false
-      else
-        let current = sim_current ?activity ?load_of p nl members in
-        required_width tech p ~current_ua:current ~wire_length:length <> None
-    end
-  end
+let line_length point centroid members =
+  Geom.spanning_length (centroid :: List.filter_map (fun iid -> point.(iid)) members)
 
-(* Placement-order sweep key: row index then serpentine x. *)
-let sweep_order place members =
-  let nl = Placement.netlist place in
-  let tech = Library.tech (Netlist.lib nl) in
+(* Placement-order sweep key: row index then serpentine x, read once per
+   cell; the stable sort keeps [List.sort]'s order on equal keys. *)
+let sweep_order tech point cells =
   let row_h = tech.Tech.row_height in
   let key iid =
-    match Placement.inst_point_opt place iid with
+    match point.(iid) with
     | Some p ->
       let row = int_of_float (p.Geom.y /. row_h) in
       let x = if row mod 2 = 0 then p.Geom.x else -.p.Geom.x in
       (row, x)
     | None -> (max_int, 0.0)
   in
-  List.sort (fun a b -> compare (key a) (key b)) members
+  let keyed = Array.of_list (List.map (fun iid -> (key iid, iid)) cells) in
+  Array.stable_sort (fun (a, _) (b, _) -> compare a b) keyed;
+  Array.to_list (Array.map snd keyed)
 
-let build ?activity ?load_of ?params place ~mte_net =
+let build ?activity ?load_of ?currents ?params place ~mte_net =
   Trace.with_span "Cluster.build" @@ fun () ->
   Metrics.incr m_builds;
   let nl = Placement.netlist place in
@@ -147,6 +138,7 @@ let build ?activity ?load_of ?params place ~mte_net =
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> default_params tech in
   (match validate p with Ok _ -> () | Error e -> invalid_arg ("Cluster.build: " ^ e));
+  let table = Bounce.table ?activity ?load_of ?currents nl in
   (* Dissolve the existing switch structure. *)
   List.iter
     (fun (sw, members) ->
@@ -157,8 +149,27 @@ let build ?activity ?load_of ?params place ~mte_net =
     Netlist.live_insts nl
     |> List.filter (fun iid -> (Netlist.cell nl iid).Cell.style = Vth.Mt_vgnd)
   in
-  let ordered = sweep_order place cells in
-  (* Greedy packing along the sweep. *)
+  let point = Array.make (Netlist.inst_count nl) None in
+  List.iter (fun iid -> point.(iid) <- Placement.inst_point_opt place iid) cells;
+  let ordered = sweep_order tech point cells in
+  let em_tech = { tech with Tech.em_cell_limit = p.cell_limit } in
+  let current_of members = Bounce.sizing_current table ~diversity:p.diversity members in
+  let feasible members =
+    let n = List.length members in
+    if n > p.cell_limit then false
+    else if
+      not (Em.cluster_ok em_tech ~cells:n ~sustained_ua:(Bounce.sustained table members))
+    then false
+    else begin
+      let centroid = centroid point members in
+      let length = line_length point centroid members in
+      if length > p.length_limit then false
+      else
+        required_width tech p ~current_ua:(current_of members) ~wire_length:length <> None
+    end
+  in
+  (* Greedy packing along the sweep; a candidate is priced newest member
+     first. *)
   let groups = ref [] in
   let current = ref [] in
   let flush () =
@@ -170,14 +181,14 @@ let build ?activity ?load_of ?params place ~mte_net =
   List.iter
     (fun iid ->
       let candidate = iid :: !current in
-      if feasible ?activity ?load_of place p candidate then current := candidate
+      if feasible candidate then current := candidate
       else begin
         if !current = [] then
           invalid_arg
             (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
                (Netlist.inst_name nl iid));
         flush ();
-        if feasible ?activity ?load_of place p [ iid ] then current := [ iid ]
+        if feasible [ iid ] then current := [ iid ]
         else
           invalid_arg
             (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
@@ -185,19 +196,29 @@ let build ?activity ?load_of ?params place ~mte_net =
       end)
     ordered;
   flush ();
-  (* Materialize one sized switch per group. *)
-  let clusters =
+  (* Price every group, oldest member first, before the first switch goes
+     in: hanging members on a switch stamps their nets, so a price read
+     after each switch would re-read the journal once per switch.  A
+     switch only adds a sink to [mte_net], which no VGND-style MT-cell
+     drives, so no price moves meanwhile. *)
+  let priced =
     List.map
       (fun members ->
-        let centroid = Placement.centroid place members in
-        let length = cluster_length ~switch_at:centroid place members in
-        let current = sim_current ?activity ?load_of p nl members in
-        let sustained = Bounce.sustained_current ?activity ?load_of nl ~members in
+        let centroid = centroid point members in
+        let length = line_length point centroid members in
+        let current = current_of members in
         let width =
           match required_width tech p ~current_ua:current ~wire_length:length with
           | Some w -> w
           | None -> assert false (* feasible() checked *)
         in
+        (members, centroid, length, current, Bounce.sustained table members, width))
+      (List.rev !groups)
+  in
+  (* Materialize one sized switch per group. *)
+  let clusters =
+    List.map
+      (fun (members, centroid, length, current, sustained, width) ->
         let sw_cell = Library.switch lib ~width in
         let name = Netlist.fresh_inst_name nl "sw" in
         let sw = Netlist.add_inst nl ~name sw_cell [ ("MTE", mte_net) ] in
@@ -216,7 +237,7 @@ let build ?activity ?load_of ?params place ~mte_net =
           sustained_ua = sustained;
           bounce;
         })
-      (List.rev !groups)
+      priced
   in
   let total_width = List.fold_left (fun acc c -> acc +. c.width) 0.0 clusters in
   let total_area =

@@ -57,18 +57,6 @@ val required_width : Smt_cell.Tech.t -> params -> current_ua:float -> wire_lengt
     line; [None] when the wire alone already exceeds the budget (the
     cluster must shrink). *)
 
-val sim_current :
-  ?activity:Smt_sim.Activity.t ->
-  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  params ->
-  Smt_netlist.Netlist.t ->
-  Smt_netlist.Netlist.inst_id list ->
-  float
-(** Simultaneous current (uA) of a cluster's members under the sizing
-    policy: {!Smt_power.Bounce.simultaneous_current} with [diversity], the
-    sum of member peak currents without.  {!Reopt} prices routed
-    clusters with the same rule. *)
-
 val vgnd_length :
   ?members:Smt_netlist.Netlist.inst_id list ->
   Smt_place.Placement.t ->
@@ -82,11 +70,15 @@ val vgnd_lengths :
 (** Precomputed [vgnd_length] for every current switch in one netlist
     pass — the efficient [wire_length_of] callback for
     {!Smt_power.Bounce.analyze}.  Switches added after the call fall back
-    to the direct scan. *)
+    to the direct scan.  A switch's length stays valid while its member
+    list is unchanged and neither it nor a member moves: after {!build},
+    no flow stage but a guard repair changes either, so the flow takes
+    the lengths once after clustering. *)
 
 val build :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
+  ?currents:Smt_power.Bounce.currents ->
   ?params:params ->
   Smt_place.Placement.t ->
   mte_net:Smt_netlist.Netlist.net_id ->
@@ -95,4 +87,19 @@ val build :
     switch), clusters every VGND-style MT-cell, and creates and places
     one sized footer per cluster on the MTE net.  Raises
     [Invalid_argument] when [params] fail {!validate} or a single cell
-    cannot satisfy the constraints. *)
+    cannot satisfy the constraints.
+
+    Currents come from {!Smt_power.Bounce.table} (so a caller that passes
+    [currents] reads the same rows again afterwards, each re-read once for
+    the VGND link the build stamps on its cell's nets), footers are sized
+    for {!Smt_power.Bounce.sizing_current} under [diversity], and each
+    cell's placed point and sweep key are read once per build.  The folds
+    keep their order: a feasibility check prices its candidate newest
+    member first, while a built cluster's switch prices its members in
+    sweep order (oldest first), as [members] lists them — the two orders
+    can differ in the last bits of the centroid, the VGND length and the
+    currents, so the switch is never priced from the last feasibility
+    check.  The centroid divides by the member count whether or not each
+    member is placed; the VGND line spans the centroid, then the placed
+    members in list order; the worst member is the first strict maximum
+    of the peak currents. *)

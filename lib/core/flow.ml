@@ -397,6 +397,20 @@ let run_with_artifacts ?(options = default_options) technique nl =
   let clusters = ref [] in
   let holders_avoided = ref 0 in
   let activity = ref None in
+  (* Each switch's VGND length, read off the placement.  Placement has no
+     journal, but after clustering no switch and no member moves and no
+     member changes switch unless a guard repair does it, so the lengths
+     taken after clustering stay valid while [check_repairs] is
+     unchanged. *)
+  let lengths = ref None in
+  let vgnd_lengths () =
+    match !lengths with
+    | Some (repairs, f) when repairs = !check_repairs -> f
+    | Some _ | None ->
+      let f = Cluster.vgnd_lengths place in
+      lengths := Some (!check_repairs, f);
+      f
+  in
   let construct_mt () =
     match technique with
     | Dual_vth -> ()
@@ -419,14 +433,16 @@ let run_with_artifacts ?(options = default_options) technique nl =
           Activity.estimate ~cycles:options.activity_cycles ~seed:options.seed nl
         in
         activity := Some act;
+        (* One table prices clustering and its snapshot: hanging the
+           members on their switches stamps their nets, so the snapshot
+           reads each member's row once more. *)
+        let currents = Bounce.currents ~activity:act ~load_of:load_est nl in
         let built =
-          Cluster.build ~activity:act ~load_of:load_est ~params place
-            ~mte_net:ins.Switch_insert.mte_net
+          Cluster.build ~currents ~params place ~mte_net:ins.Switch_insert.mte_net
         in
         clusters := built.Cluster.clusters;
         let bounce1 =
-          let wire_length_of = Cluster.vgnd_lengths place in
-          Bounce.worst (Bounce.analyze ~activity:act ~load_of:load_est nl ~wire_length_of)
+          Bounce.worst (Bounce.analyze ~currents nl ~wire_length_of:(vgnd_lengths ()))
         in
         snapshot ~bounce:bounce1 "switch structure construction (clustering & sizing)"
       end
@@ -452,16 +468,29 @@ let run_with_artifacts ?(options = default_options) technique nl =
   let ext = Parasitics.extract ~detour:options.detour place in
   let wire_ext = Parasitics.wire_model ext nl in
   let ext_cfg = Sta.config ~wire:wire_ext ~slew_aware:options.slew_aware ~clock_period () in
-  let load_ext = Sta.load_of_inst ext_cfg nl in
-  (* Rebuilt per analysis so later stages (reopt, hold ECO) see current
-     membership; each build is one netlist pass via [vgnd_lengths]. *)
-  let routed_vgnd () =
-    let lengths = Cluster.vgnd_lengths place in
-    fun sw -> lengths sw *. options.detour
+  (* One table of extracted-load currents serves the routing snapshot,
+     the re-optimization and its snapshot: resizing a footer stamps only
+     the MTE net it hangs on, so every row survives it. *)
+  let currents =
+    Bounce.currents ?activity:!activity ~load_of:(Sta.load_of_inst ext_cfg nl) nl
   in
+  (* The reports the last snapshot priced, with the netlist version and
+     repair count they were priced at: while neither moves, pricing again
+     gives the same reports. *)
+  let last_reports = ref None in
   let bounce_reports () =
-    Bounce.analyze ?activity:!activity ~load_of:load_ext
-      ~limit:params.Cluster.bounce_limit nl ~wire_length_of:(routed_vgnd ())
+    match !last_reports with
+    | Some (version, repairs, reports)
+      when version = Netlist.version nl && repairs = !check_repairs ->
+      reports
+    | Some _ | None ->
+      let lengths = vgnd_lengths () in
+      let reports =
+        Bounce.analyze ~currents ~limit:params.Cluster.bounce_limit nl
+          ~wire_length_of:(fun sw -> lengths sw *. options.detour)
+      in
+      last_reports := Some (Netlist.version nl, !check_repairs, reports);
+      reports
   in
   let post_route_cfg bounce_fn =
     {
@@ -481,8 +510,8 @@ let run_with_artifacts ?(options = default_options) technique nl =
   (match technique with
   | Improved_smt when options.reoptimize && !clusters <> [] ->
     let r =
-      Reopt.reoptimize ?activity:!activity ~load_of:load_ext ~params
-        ~detour:options.detour place
+      Reopt.reoptimize ~currents ~lengths:(vgnd_lengths ()) ~params ~detour:options.detour
+        place
     in
     reopt_stats := Some r;
     let reports = bounce_reports () in

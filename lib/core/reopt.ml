@@ -27,18 +27,28 @@ type result = {
   violations_after : int;
 }
 
-let reoptimize ?activity ?load_of ?params ?(detour = 1.15) place =
+let reoptimize ?activity ?load_of ?currents ?lengths ?params ?(detour = 1.15) place =
   Trace.with_span "Reopt.reoptimize" @@ fun () ->
   Metrics.incr m_runs;
   let nl = Placement.netlist place in
   let lib = Netlist.lib nl in
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> Cluster.default_params tech in
-  let adjustments =
+  let table = Bounce.table ?activity ?load_of ?currents nl in
+  let lengths = match lengths with Some l -> l | None -> Cluster.vgnd_lengths place in
+  (* Price every cluster before resizing any: a swap stamps the MTE net it
+     hangs on, which no member drives, so no price moves meanwhile, and the
+     table is read once. *)
+  let priced =
     List.map
       (fun (sw, members) ->
-        let routed_length = Cluster.vgnd_length ~members place sw *. detour in
-        let current = Cluster.sim_current ?activity ?load_of p nl members in
+        let current = Bounce.sizing_current table ~diversity:p.Cluster.diversity members in
+        (sw, lengths sw *. detour, current))
+      (Netlist.switch_groups nl)
+  in
+  let adjustments =
+    List.map
+      (fun (sw, routed_length, current) ->
         let old_width = (Netlist.cell nl sw).Cell.switch_width in
         let bounce_before =
           Bounce.bounce_v tech ~switch_width:old_width ~wire_length:routed_length
@@ -65,7 +75,7 @@ let reoptimize ?activity ?load_of ?params ?(detour = 1.15) place =
           bounce_before;
           bounce_after;
         })
-      (Netlist.switch_groups nl)
+      priced
   in
   let count f = List.length (List.filter f adjustments) in
   let r =

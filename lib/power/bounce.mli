@@ -19,26 +19,68 @@ val load_scale : float -> float
     current is the charge moved per transition, so it grows with the driven
     capacitance. Clamped to [0.4, 2.5]; ~1.0 at a typical 7.5 fF load. *)
 
-val simultaneous_current :
-  ?activity:Smt_sim.Activity.t ->
-  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  Smt_netlist.Netlist.t ->
-  members:Smt_netlist.Netlist.inst_id list ->
-  float
-(** Cluster current in uA; 0 for the empty cluster. Without an activity
-    profile a conservative default toggle rate of 0.5 is assumed; without
-    [load_of] (fF seen by each cell's output) the load factor is 1.  The
-    load dependence is what makes pre-route (estimated RC) and post-route
-    (extracted RC) sizing disagree — the error the paper's re-optimization
-    pass exists to fix. *)
+(** {1 The current table}
 
-val sustained_current :
+    Each MT-cell's current terms, priced once per wire model and activity
+    profile and read by every pass that prices the switch structure:
+    {!Smt_core.Cluster.build}'s feasibility checks and switches,
+    {!analyze} and {!Smt_core.Reopt.reoptimize}.  A row holds a cell's
+    peak current times its load scale ({!load_scale} of [load_of]) and
+    its expected draw [(avg_current *. toggle) *. scale].
+
+    A row is read on the cell's first use and read again once the net the
+    cell drives has been touched since: every read of the table first
+    asks the netlist's journal ({!Smt_netlist.Netlist.touched_since}) what
+    changed, once per journal version.  The journal stamps that net on a
+    swap of the cell, of a sink or of its keeper, and when a pin joins or
+    leaves it, so a row stays exact as long as [load_of] changes only with
+    those edits — true of {!Smt_sta.Sta.load_of_inst} under a fixed wire
+    model.  (A cell that drives no net is read once.)
+
+    Rows hold per-member values, never per-cluster sums: each fold runs
+    over its member list in the list's order, exactly as a call that
+    re-derived every member would, so the same members in another order
+    may price to different bits. *)
+
+type currents
+
+val currents :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
   Smt_netlist.Netlist.t ->
-  members:Smt_netlist.Netlist.inst_id list ->
-  float
-(** Activity-weighted average current (electromigration stress), uA. *)
+  currents
+(** An empty table over the netlist, its rows read on first use.
+    Without an activity profile a conservative default toggle rate of 0.5
+    is assumed; without [load_of] (fF seen by each cell's output) the load
+    scale is 1.  The load dependence is what makes pre-route (estimated
+    RC) and post-route (extracted RC) sizing disagree — the error the
+    paper's re-optimization pass exists to fix. *)
+
+val table :
+  ?activity:Smt_sim.Activity.t ->
+  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
+  ?currents:currents ->
+  Smt_netlist.Netlist.t ->
+  currents
+(** The table a pricing entry point reads: [currents] when given (it must
+    be over the netlist, else [Invalid_argument]; [activity] and [load_of]
+    are then not read), and a table made from [activity] and [load_of]
+    for this call otherwise. *)
+
+val simultaneous : currents -> Smt_netlist.Netlist.inst_id list -> float
+(** Cluster current in uA; 0 for the empty cluster: the first member with
+    the strictly largest peak contributes its peak, every other member
+    its expected draw. *)
+
+val sustained : currents -> Smt_netlist.Netlist.inst_id list -> float
+(** Activity-weighted average current (electromigration stress), uA: the
+    sum of the members' expected draws. *)
+
+val sizing_current :
+  currents -> diversity:bool -> Smt_netlist.Netlist.inst_id list -> float
+(** The current a shared footer is sized for: {!simultaneous} with
+    [diversity]; without, the sum of the members' unscaled peak currents,
+    the per-cell worst case conventional embedded MT-cells pay. *)
 
 val vgnd_wire_res : Smt_cell.Tech.t -> length:float -> float
 (** Effective distributed resistance of a VGND line of the given length:
@@ -61,13 +103,16 @@ type cluster_report = {
 val analyze :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
+  ?currents:currents ->
   ?limit:float ->
   Smt_netlist.Netlist.t ->
   wire_length_of:(Smt_netlist.Netlist.inst_id -> float) ->
   cluster_report list
-(** One report per sleep switch in the netlist; [wire_length_of] maps a
-    switch to its VGND line length (from placement). Default [limit] is the
-    technology's bounce limit. *)
+(** One report per sleep switch in the netlist, its current the
+    {!simultaneous} current of its members in ascending id order;
+    [wire_length_of] maps a switch to its VGND line length (from
+    placement). Default [limit] is the technology's bounce limit.  The
+    rows come from {!table}. *)
 
 val worst : cluster_report list -> float
 val violations : cluster_report list -> int

@@ -78,8 +78,9 @@ let mt_fixture n =
 
 let test_simultaneous_current () =
   let nl, _, members = mt_fixture 8 in
-  let i1 = Bounce.simultaneous_current nl ~members:[ List.hd members ] in
-  let i8 = Bounce.simultaneous_current nl ~members in
+  let currents = Bounce.currents nl in
+  let i1 = Bounce.simultaneous currents [ List.hd members ] in
+  let i8 = Bounce.simultaneous currents members in
   Alcotest.(check bool) "grows with members" true (i8 > i1);
   (* single cell: exactly its peak *)
   Alcotest.(check (float 1e-9)) "single = peak" (mtv Func.Nand2).Cell.peak_current i1;
@@ -87,12 +88,13 @@ let test_simultaneous_current () =
   Alcotest.(check bool) "less than worst-case sum" true
     (i8 < 8.0 *. (mtv Func.Nand2).Cell.peak_current);
   Alcotest.(check (float 1e-9)) "empty cluster" 0.0
-    (Bounce.simultaneous_current nl ~members:[])
+    (Bounce.simultaneous currents [])
 
 let test_sustained_below_simultaneous () =
   let nl, _, members = mt_fixture 10 in
   Alcotest.(check bool) "sustained <= simultaneous" true
-    (Bounce.sustained_current nl ~members <= Bounce.simultaneous_current nl ~members)
+    (let currents = Bounce.currents nl in
+     Bounce.sustained currents members <= Bounce.simultaneous currents members)
 
 let test_activity_reduces_current () =
   let nl = Generators.c17 lib in
@@ -101,8 +103,8 @@ let test_activity_reduces_current () =
       Netlist.replace_cell nl iid (Library.variant lib c.Cell.kind Vth.Low Vth.Mt_vgnd));
   let members = Netlist.live_insts nl in
   let act = Activity.estimate ~cycles:100 nl in
-  let with_act = Bounce.simultaneous_current ~activity:act nl ~members in
-  let without = Bounce.simultaneous_current nl ~members in
+  let with_act = Bounce.simultaneous (Bounce.currents ~activity:act nl) members in
+  let without = Bounce.simultaneous (Bounce.currents nl) members in
   (* default toggle assumption is 0.5, measured activity is typically lower *)
   Alcotest.(check bool) "measured activity tightens the estimate" true (with_act <= without)
 

@@ -444,11 +444,18 @@ let prop_cluster_invariants =
         in
         let tech = Library.tech lib in
         let p = Smt_core.Cluster.default_params tech in
+        (* the switch sits at the clamped centroid and [vgnd_length] reads
+           its members in id order, so the two lengths may differ in the
+           last bits only *)
+        let same_length a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
         List.for_all
           (fun c ->
             List.length c.Smt_core.Cluster.members <= p.Smt_core.Cluster.cell_limit
             && c.Smt_core.Cluster.wire_length <= p.Smt_core.Cluster.length_limit +. 1e-9
-            && c.Smt_core.Cluster.bounce <= p.Smt_core.Cluster.bounce_limit +. 1e-9)
+            && c.Smt_core.Cluster.bounce <= p.Smt_core.Cluster.bounce_limit +. 1e-9
+            && c.Smt_core.Cluster.sustained_ua <= tech.Smt_cell.Tech.em_current_limit
+            && same_length c.Smt_core.Cluster.wire_length
+                 (Smt_core.Cluster.vgnd_length place c.Smt_core.Cluster.switch))
           built.Smt_core.Cluster.clusters
         && Check.validate ~phase:Check.Post_mt nl = []
       end)
@@ -3079,6 +3086,354 @@ let prop_incremental_matches_full =
       arm "loop" nl ([ keep_source; flip; flip ] @ random ~steps:4 mixed nl);
       true)
 
+(* --- switch pricing vs the list-based pricing it replaced --- *)
+
+(* Switch pricing as it was before the current table: every call
+   re-derives each member's load, toggle and currents, and the build
+   reads each point from the placement on every check.  [feasible] names
+   the constraint that refused a candidate, so a test can show that its
+   limits make every refusal happen. *)
+module Reference_switch = struct
+  module Cell = Smt_cell.Cell
+  module Vth = Smt_cell.Vth
+  module Tech = Smt_cell.Tech
+  module Bounce = Smt_power.Bounce
+  module Em = Smt_power.Em
+  module Activity = Smt_sim.Activity
+  module Cluster = Smt_core.Cluster
+
+  let toggle_of activity iid =
+    match activity with Some a -> Float.max 0.05 (Activity.factor a iid) | None -> 0.5
+
+  let scale_of load_of iid =
+    match load_of with Some f -> Bounce.load_scale (f iid) | None -> 1.0
+
+  let simultaneous_current ?activity ?load_of nl ~members =
+    match members with
+    | [] -> 0.0
+    | _ ->
+      let peak iid = (Netlist.cell nl iid).Cell.peak_current *. scale_of load_of iid in
+      let expected iid =
+        let c = Netlist.cell nl iid in
+        c.Cell.avg_current *. toggle_of activity iid *. scale_of load_of iid
+      in
+      let worst_iid =
+        List.fold_left
+          (fun best iid ->
+            match best with
+            | None -> Some iid
+            | Some b -> if peak iid > peak b then Some iid else best)
+          None members
+      in
+      let rest = List.fold_left (fun acc iid -> acc +. expected iid) 0.0 members in
+      (match worst_iid with Some w -> peak w +. rest -. expected w | None -> 0.0)
+
+  let sustained_current ?activity ?load_of nl ~members =
+    List.fold_left
+      (fun acc iid ->
+        let c = Netlist.cell nl iid in
+        acc +. (c.Cell.avg_current *. toggle_of activity iid *. scale_of load_of iid))
+      0.0 members
+
+  let sim_current ?activity ?load_of (p : Cluster.params) nl members =
+    if p.Cluster.diversity then simultaneous_current ?activity ?load_of nl ~members
+    else
+      List.fold_left (fun acc iid -> acc +. (Netlist.cell nl iid).Cell.peak_current) 0.0 members
+
+  type refusal = Cell_cap | Em_current | Vgnd_length | No_width
+
+  let cluster_length ?switch_at place members =
+    let pts = List.filter_map (fun iid -> Placement.inst_point_opt place iid) members in
+    let pts = match switch_at with Some at -> at :: pts | None -> pts in
+    Geom.spanning_length pts
+
+  let feasible ?activity ?load_of place (p : Cluster.params) members =
+    let nl = Placement.netlist place in
+    let tech = Library.tech (Netlist.lib nl) in
+    let n = List.length members in
+    if n > p.Cluster.cell_limit then Error Cell_cap
+    else begin
+      let sustained = sustained_current ?activity ?load_of nl ~members in
+      if
+        not
+          (Em.cluster_ok { tech with Tech.em_cell_limit = p.Cluster.cell_limit } ~cells:n
+             ~sustained_ua:sustained)
+      then Error Em_current
+      else begin
+        let centroid = Placement.centroid place members in
+        let length = cluster_length ~switch_at:centroid place members in
+        if length > p.Cluster.length_limit then Error Vgnd_length
+        else
+          let current = sim_current ?activity ?load_of p nl members in
+          if Cluster.required_width tech p ~current_ua:current ~wire_length:length <> None
+          then Ok ()
+          else Error No_width
+      end
+    end
+
+  let sweep_order place members =
+    let nl = Placement.netlist place in
+    let row_h = (Library.tech (Netlist.lib nl)).Tech.row_height in
+    let key iid =
+      match Placement.inst_point_opt place iid with
+      | Some p ->
+        let row = int_of_float (p.Geom.y /. row_h) in
+        let x = if row mod 2 = 0 then p.Geom.x else -.p.Geom.x in
+        (row, x)
+      | None -> (max_int, 0.0)
+    in
+    List.sort (fun a b -> compare (key a) (key b)) members
+
+  (* [Cluster.build], and the refusals its packing met. *)
+  let build ?activity ?load_of (p : Cluster.params) place ~mte_net =
+    let nl = Placement.netlist place in
+    let lib = Netlist.lib nl in
+    let tech = Library.tech lib in
+    List.iter
+      (fun (sw, members) ->
+        List.iter (fun m -> Netlist.set_vgnd_switch nl m None) members;
+        Netlist.remove_inst nl sw)
+      (Netlist.switch_groups nl);
+    let cells =
+      List.filter
+        (fun iid -> (Netlist.cell nl iid).Cell.style = Vth.Mt_vgnd)
+        (Netlist.live_insts nl)
+    in
+    let refusals = ref [] in
+    let fits members =
+      match feasible ?activity ?load_of place p members with
+      | Ok () -> true
+      | Error r ->
+        refusals := r :: !refusals;
+        false
+    in
+    let alone iid =
+      invalid_arg
+        (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
+           (Netlist.inst_name nl iid))
+    in
+    let groups = ref [] and current = ref [] in
+    let flush () =
+      if !current <> [] then begin
+        groups := List.rev !current :: !groups;
+        current := []
+      end
+    in
+    List.iter
+      (fun iid ->
+        let candidate = iid :: !current in
+        if fits candidate then current := candidate
+        else begin
+          if !current = [] then alone iid;
+          flush ();
+          if fits [ iid ] then current := [ iid ] else alone iid
+        end)
+      (sweep_order place cells);
+    flush ();
+    let clusters =
+      List.map
+        (fun members ->
+          let centroid = Placement.centroid place members in
+          let length = cluster_length ~switch_at:centroid place members in
+          let current = sim_current ?activity ?load_of p nl members in
+          let sustained = sustained_current ?activity ?load_of nl ~members in
+          let width =
+            Option.get (Cluster.required_width tech p ~current_ua:current ~wire_length:length)
+          in
+          let sw_cell = Library.switch lib ~width in
+          let sw =
+            Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "sw") sw_cell
+              [ ("MTE", mte_net) ]
+          in
+          Placement.place_inst place sw centroid;
+          List.iter (fun m -> Netlist.set_vgnd_switch nl m (Some sw)) members;
+          {
+            Cluster.switch = sw;
+            members;
+            width = sw_cell.Cell.switch_width;
+            wire_length = length;
+            sim_current_ua = current;
+            sustained_ua = sustained;
+            bounce =
+              Bounce.bounce_v tech ~switch_width:sw_cell.Cell.switch_width ~wire_length:length
+                ~current_ua:current;
+          })
+        (List.rev !groups)
+    in
+    (clusters, !refusals)
+
+  let analyze ?activity ?load_of ?limit nl ~wire_length_of =
+    let tech = Library.tech (Netlist.lib nl) in
+    let limit = match limit with Some l -> l | None -> tech.Tech.bounce_limit in
+    List.map
+      (fun (sw, members) ->
+        let current = simultaneous_current ?activity ?load_of nl ~members in
+        let width = (Netlist.cell nl sw).Cell.switch_width in
+        let wire_length = wire_length_of sw in
+        let b = Bounce.bounce_v tech ~switch_width:width ~wire_length ~current_ua:current in
+        {
+          Bounce.switch = sw;
+          members = List.length members;
+          current_ua = current;
+          wire_length;
+          bounce = b;
+          ok = b <= limit;
+        })
+      (Netlist.switch_groups nl)
+end
+
+(* The suite circuits with the most MT-cells: at least 150 each. *)
+let pricing_circuits = [| "circuit_a"; "circuit_b"; "soc"; "mult8"; "pipe4x16"; "ks16" |]
+
+(* A random circuit's improved product, an activity profile or none, and
+   no, estimated or extracted loads. *)
+let pricing_fixture ?circuit seed =
+  let rng = Rng.create seed in
+  let circuit = match circuit with Some c -> c | None -> Rng.pick rng pricing_circuits in
+  let nl = (List.assoc circuit Suite.all) lib in
+  let _, art = Flow.run_with_artifacts Flow.Improved_smt nl in
+  let place = art.Flow.art_place in
+  let activity =
+    if Rng.bool rng then Some (Smt_sim.Activity.estimate ~cycles:64 ~seed nl) else None
+  in
+  let loads parasitics =
+    Sta.load_of_inst
+      (Sta.config ~wire:(Parasitics.wire_model parasitics nl) ~clock_period:1e3 ())
+      nl
+  in
+  let load_of =
+    match Rng.int rng 3 with
+    | 0 -> None
+    | 1 -> Some (loads (Parasitics.estimate ~seed place))
+    | _ -> Some (loads (Parasitics.extract place))
+  in
+  (rng, nl, place, activity, load_of)
+
+let vgnd_cells nl =
+  Array.of_list
+    (List.filter
+       (fun iid ->
+         Smt_cell.Vth.style_equal (Netlist.cell nl iid).Smt_cell.Cell.style Smt_cell.Vth.Mt_vgnd)
+       (Netlist.live_insts nl))
+
+(* Edits a flow could make after pricing: a member swapped to another
+   drive strength (its currents and its fanin's loads move), or a hold
+   buffer spliced in front of one of a member's sinks (its load moves). *)
+let pricing_edit rng nl cells =
+  let m = Rng.pick rng cells in
+  let c = Netlist.cell nl m in
+  let drives = List.filter (fun d -> d <> c.Smt_cell.Cell.drive) Library.drives in
+  match Rng.bool rng, Netlist.output_net nl m with
+  | true, _ when drives <> [] -> (
+    match Library.resize lib c (List.nth drives (Rng.int rng (List.length drives))) with
+    | cell -> Netlist.replace_cell nl m cell
+    | exception Not_found -> ())
+  | _, Some out -> (
+    match Netlist.sinks nl out with [] -> () | pin :: _ -> splice_buffer nl pin)
+  | _, None -> ()
+
+let prop_pricing_matches_reference =
+  QCheck2.Test.make ~name:"current table = list-based pricing" ~count:10 ~print:string_of_int
+    seed_gen (fun seed ->
+      let rng, nl, place, activity, load_of = pricing_fixture seed in
+      let module R = Reference_switch in
+      let table = Smt_power.Bounce.currents ?activity ?load_of nl in
+      let cells = vgnd_cells nl in
+      let p = Smt_core.Cluster.default_params (Library.tech lib) in
+      let agree members =
+        Smt_power.Bounce.simultaneous table members
+        = R.simultaneous_current ?activity ?load_of nl ~members
+        && Smt_power.Bounce.sustained table members
+           = R.sustained_current ?activity ?load_of nl ~members
+        && List.for_all
+             (fun diversity ->
+               Smt_power.Bounce.sizing_current table ~diversity members
+               = R.sim_current ?activity ?load_of { p with Smt_core.Cluster.diversity } nl members)
+             [ true; false ]
+        (* a table read for the first time agrees with the edited one *)
+        && Smt_power.Bounce.simultaneous
+             (Smt_power.Bounce.currents ?activity ?load_of nl)
+             members
+           = R.simultaneous_current ?activity ?load_of nl ~members
+      in
+      let random_members () =
+        Array.to_list (Rng.sample rng (Rng.int rng (min 30 (Array.length cells) + 1)) cells)
+      in
+      let lengths = Smt_core.Cluster.vgnd_lengths place in
+      let reports_agree () =
+        Smt_power.Bounce.analyze ~currents:table nl ~wire_length_of:lengths
+        = R.analyze ?activity ?load_of nl ~wire_length_of:lengths
+      in
+      reports_agree ()
+      && List.for_all
+           (fun round ->
+             if round > 0 then pricing_edit rng nl cells;
+             List.for_all (fun _ -> agree (random_members ())) (List.init 20 Fun.id))
+           (List.init 4 Fun.id)
+      && reports_agree ())
+
+(* Limit sets, each but the defaults tight enough that its refusal
+   happens: a cell cap of 3, a VGND cap of 30 um and a 0.2 mV bounce
+   limit on every pool circuit, and the EM current limit on any product whose
+   MT-cells draw more than it in all (no other limit binds that set). *)
+let pricing_limits (p : Smt_core.Cluster.params) =
+  let module C = Smt_core.Cluster in
+  let module R = Reference_switch in
+  [
+    (p, None);
+    ({ p with C.cell_limit = 3 }, Some R.Cell_cap);
+    ( { p with C.cell_limit = 100_000; length_limit = 1e6; bounce_limit = 10.0 },
+      Some R.Em_current );
+    ({ p with C.length_limit = 30.0 }, Some R.Vgnd_length);
+    ({ p with C.bounce_limit = 2e-4 }, Some R.No_width);
+  ]
+
+(* [Cluster.build] equals the reference build under every limit set, bit
+   for bit, and each set's refusal happens ([em] says whether the EM
+   limit is within reach). *)
+let builds_match_reference ~em (_, nl, place, activity, load_of) ~diversity =
+  let module C = Smt_core.Cluster in
+  let module R = Reference_switch in
+  let mte_net = Option.get (Netlist.find_net nl "MTE") in
+  let p = { (C.default_params (Library.tech lib)) with C.diversity } in
+  let priced (c : C.cluster) =
+    (c.C.members, c.C.width, c.C.wire_length, c.C.sim_current_ua, c.C.sustained_ua, c.C.bounce)
+  in
+  List.for_all
+    (fun (params, refusal) ->
+      let built = C.build ?activity ?load_of ~params place ~mte_net in
+      let expected, refusals = R.build ?activity ?load_of params place ~mte_net in
+      List.map priced built.C.clusters = List.map priced expected
+      &&
+      match refusal with
+      | Some R.Em_current when not em -> true
+      | Some r -> List.mem r refusals
+      | None -> true)
+    (pricing_limits p)
+
+let prop_cluster_build_matches_reference =
+  QCheck2.Test.make ~name:"cluster build = list-based reference" ~count:6
+    ~print:string_of_int seed_gen (fun seed ->
+      let ((rng, nl, _, activity, load_of) as fixture) = pricing_fixture seed in
+      let drawn =
+        Reference_switch.sustained_current ?activity ?load_of nl ~members:(Array.to_list (vgnd_cells nl))
+      in
+      builds_match_reference fixture ~diversity:(Rng.bool rng)
+        ~em:(drawn > (Library.tech lib).Smt_cell.Tech.em_current_limit))
+
+(* circuit_a's MT-cells draw well over the EM limit whatever the profile
+   and loads, so there every refusal must happen. *)
+let test_cluster_build_refusals () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "circuit_a, seed %d: every refusal, reference prices" seed)
+        true
+        (builds_match_reference ~em:true
+           (pricing_fixture ~circuit:"circuit_a" seed)
+           ~diversity:(seed mod 2 = 0)))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "smt_props"
     [
@@ -3114,7 +3469,14 @@ let () =
         ] );
       ("readers", [ qtest prop_readers_reject_mutants ]);
       ( "mt-invariants",
-        [ qtest prop_cluster_invariants; qtest prop_holder_rule_sound ] );
+        [
+          qtest prop_cluster_invariants;
+          qtest prop_holder_rule_sound;
+          qtest prop_pricing_matches_reference;
+          qtest prop_cluster_build_matches_reference;
+          Alcotest.test_case "cluster build refusals on circuit_a = list-based" `Quick
+            test_cluster_build_refusals;
+        ] );
       ( "check",
         [
           qtest prop_checker_clean_on_generated;
