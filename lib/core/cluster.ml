@@ -115,7 +115,7 @@ let line_length point centroid members =
   Geom.spanning_length (centroid :: List.filter_map (fun iid -> point.(iid)) members)
 
 (* Placement-order sweep key: row index then serpentine x, read once per
-   cell; the stable sort keeps [List.sort]'s order on equal keys. *)
+   cell; the sort is stable, so cells of equal key keep their order. *)
 let sweep_order tech point cells =
   let row_h = tech.Tech.row_height in
   let key iid =
@@ -130,7 +130,7 @@ let sweep_order tech point cells =
   Array.stable_sort (fun (a, _) (b, _) -> compare a b) keyed;
   Array.to_list (Array.map snd keyed)
 
-let build ?activity ?load_of ?currents ?params place ~mte_net =
+let build ?activity ?load_of ?params place ~mte_net =
   Trace.with_span "Cluster.build" @@ fun () ->
   Metrics.incr m_builds;
   let nl = Placement.netlist place in
@@ -138,7 +138,6 @@ let build ?activity ?load_of ?currents ?params place ~mte_net =
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> default_params tech in
   (match validate p with Ok _ -> () | Error e -> invalid_arg ("Cluster.build: " ^ e));
-  let table = Bounce.table ?activity ?load_of ?currents nl in
   (* Dissolve the existing switch structure. *)
   List.iter
     (fun (sw, members) ->
@@ -149,6 +148,9 @@ let build ?activity ?load_of ?currents ?params place ~mte_net =
     Netlist.live_insts nl
     |> List.filter (fun iid -> (Netlist.cell nl iid).Cell.style = Vth.Mt_vgnd)
   in
+  (* The table is made once the old structure is gone, and the feasibility
+     checks read every cell's row before the first switch goes in. *)
+  let table = Bounce.currents ?activity ?load_of nl in
   let point = Array.make (Netlist.inst_count nl) None in
   List.iter (fun iid -> point.(iid) <- Placement.inst_point_opt place iid) cells;
   let ordered = sweep_order tech point cells in
@@ -168,57 +170,55 @@ let build ?activity ?load_of ?currents ?params place ~mte_net =
         required_width tech p ~current_ua:(current_of members) ~wire_length:length <> None
     end
   in
+  (* A group's switch is priced oldest member first: its centroid, VGND
+     length and current, and a width when one meets the bounce limit. *)
+  let price members =
+    let centroid = centroid point members in
+    let length = line_length point centroid members in
+    let current = current_of members in
+    Option.map
+      (fun width -> (members, centroid, length, current, width))
+      (required_width tech p ~current_ua:current ~wire_length:length)
+  in
   (* Greedy packing along the sweep; a candidate is priced newest member
-     first. *)
+     first.  Among members of equal peak current the other order can name
+     another worst member, so the switch's price can find no width where
+     the check found one: closing such a group hands its newest member
+     back to the pending cells until the rest prices. *)
   let groups = ref [] in
   let current = ref [] in
-  let flush () =
-    if !current <> [] then begin
-      groups := List.rev !current :: !groups;
-      current := []
-    end
+  let rec close pending =
+    match !current with
+    | [] -> pending
+    | newest :: older -> (
+      match price (List.rev !current) with
+      | Some group ->
+        groups := group :: !groups;
+        current := [];
+        pending
+      | None ->
+        current := older;
+        close (newest :: pending))
   in
-  List.iter
-    (fun iid ->
+  let rec pack = function
+    | [] -> ( match close [] with [] -> () | back -> pack back)
+    | iid :: rest as pending ->
       let candidate = iid :: !current in
-      if feasible candidate then current := candidate
-      else begin
-        if !current = [] then
-          invalid_arg
-            (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
-               (Netlist.inst_name nl iid));
-        flush ();
-        if feasible [ iid ] then current := [ iid ]
-        else
-          invalid_arg
-            (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
-               (Netlist.inst_name nl iid))
-      end)
-    ordered;
-  flush ();
-  (* Price every group, oldest member first, before the first switch goes
-     in: hanging members on a switch stamps their nets, so a price read
-     after each switch would re-read the journal once per switch.  A
-     switch only adds a sink to [mte_net], which no VGND-style MT-cell
-     drives, so no price moves meanwhile. *)
-  let priced =
-    List.map
-      (fun members ->
-        let centroid = centroid point members in
-        let length = line_length point centroid members in
-        let current = current_of members in
-        let width =
-          match required_width tech p ~current_ua:current ~wire_length:length with
-          | Some w -> w
-          | None -> assert false (* feasible() checked *)
-        in
-        (members, centroid, length, current, Bounce.sustained table members, width))
-      (List.rev !groups)
+      if feasible candidate then begin
+        current := candidate;
+        pack rest
+      end
+      else if !current = [] then
+        invalid_arg
+          (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
+             (Netlist.inst_name nl iid))
+      else pack (close pending)
   in
+  pack ordered;
   (* Materialize one sized switch per group. *)
   let clusters =
     List.map
-      (fun (members, centroid, length, current, sustained, width) ->
+      (fun (members, centroid, length, current, width) ->
         let sw_cell = Library.switch lib ~width in
         let name = Netlist.fresh_inst_name nl "sw" in
         let sw = Netlist.add_inst nl ~name sw_cell [ ("MTE", mte_net) ] in
@@ -234,10 +234,10 @@ let build ?activity ?load_of ?currents ?params place ~mte_net =
           width = sw_cell.Cell.switch_width;
           wire_length = length;
           sim_current_ua = current;
-          sustained_ua = sustained;
+          sustained_ua = Bounce.sustained table members;
           bounce;
         })
-      priced
+      (List.rev !groups)
   in
   let total_width = List.fold_left (fun acc c -> acc +. c.width) 0.0 clusters in
   let total_area =

@@ -78,7 +78,6 @@ val vgnd_lengths :
 val build :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  ?currents:Smt_power.Bounce.currents ->
   ?params:params ->
   Smt_place.Placement.t ->
   mte_net:Smt_netlist.Netlist.net_id ->
@@ -89,9 +88,9 @@ val build :
     [Invalid_argument] when [params] fail {!validate} or a single cell
     cannot satisfy the constraints.
 
-    Currents come from {!Smt_power.Bounce.table} (so a caller that passes
-    [currents] reads the same rows again afterwards, each re-read once for
-    the VGND link the build stamps on its cell's nets), footers are sized
+    Currents come from one {!Smt_power.Bounce.currents} table of
+    [activity] and [load_of], made once the old structure is dissolved and
+    read in full before the first new switch goes in; footers are sized
     for {!Smt_power.Bounce.sizing_current} under [diversity], and each
     cell's placed point and sweep key are read once per build.  The folds
     keep their order: a feasibility check prices its candidate newest
@@ -102,4 +101,7 @@ val build :
     check.  The centroid divides by the member count whether or not each
     member is placed; the VGND line spans the centroid, then the placed
     members in list order; the worst member is the first strict maximum
-    of the peak currents. *)
+    of the peak currents, so among equal peaks the two orders can name
+    different worst members.  A group closes when its next candidate
+    fails; while its switch's price finds no width, its newest member
+    goes back to the cells still to pack. *)

@@ -433,16 +433,15 @@ let run_with_artifacts ?(options = default_options) technique nl =
           Activity.estimate ~cycles:options.activity_cycles ~seed:options.seed nl
         in
         activity := Some act;
-        (* One table prices clustering and its snapshot: hanging the
-           members on their switches stamps their nets, so the snapshot
-           reads each member's row once more. *)
-        let currents = Bounce.currents ~activity:act ~load_of:load_est nl in
         let built =
-          Cluster.build ~currents ~params place ~mte_net:ins.Switch_insert.mte_net
+          Cluster.build ~activity:act ~load_of:load_est ~params place
+            ~mte_net:ins.Switch_insert.mte_net
         in
         clusters := built.Cluster.clusters;
         let bounce1 =
-          Bounce.worst (Bounce.analyze ~currents nl ~wire_length_of:(vgnd_lengths ()))
+          Bounce.worst
+            (Bounce.analyze ~activity:act ~load_of:load_est nl
+               ~wire_length_of:(vgnd_lengths ()))
         in
         snapshot ~bounce:bounce1 "switch structure construction (clustering & sizing)"
       end
@@ -468,12 +467,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
   let ext = Parasitics.extract ~detour:options.detour place in
   let wire_ext = Parasitics.wire_model ext nl in
   let ext_cfg = Sta.config ~wire:wire_ext ~slew_aware:options.slew_aware ~clock_period () in
-  (* One table of extracted-load currents serves the routing snapshot,
-     the re-optimization and its snapshot: resizing a footer stamps only
-     the MTE net it hangs on, so every row survives it. *)
-  let currents =
-    Bounce.currents ?activity:!activity ~load_of:(Sta.load_of_inst ext_cfg nl) nl
-  in
+  let load_ext = Sta.load_of_inst ext_cfg nl in
   (* The reports the last snapshot priced, with the netlist version and
      repair count they were priced at: while neither moves, pricing again
      gives the same reports. *)
@@ -486,7 +480,8 @@ let run_with_artifacts ?(options = default_options) technique nl =
     | Some _ | None ->
       let lengths = vgnd_lengths () in
       let reports =
-        Bounce.analyze ~currents ~limit:params.Cluster.bounce_limit nl
+        Bounce.analyze ?activity:!activity ~load_of:load_ext
+          ~limit:params.Cluster.bounce_limit nl
           ~wire_length_of:(fun sw -> lengths sw *. options.detour)
       in
       last_reports := Some (Netlist.version nl, !check_repairs, reports);
@@ -510,8 +505,8 @@ let run_with_artifacts ?(options = default_options) technique nl =
   (match technique with
   | Improved_smt when options.reoptimize && !clusters <> [] ->
     let r =
-      Reopt.reoptimize ~currents ~lengths:(vgnd_lengths ()) ~params ~detour:options.detour
-        place
+      Reopt.reoptimize ?activity:!activity ~load_of:load_ext ~lengths:(vgnd_lengths ())
+        ~params ~detour:options.detour place
     in
     reopt_stats := Some r;
     let reports = bounce_reports () in

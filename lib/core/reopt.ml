@@ -27,23 +27,24 @@ type result = {
   violations_after : int;
 }
 
-let reoptimize ?activity ?load_of ?currents ?lengths ?params ?(detour = 1.15) place =
+let reoptimize ?activity ?load_of ?lengths ?params ?(detour = 1.15) place =
   Trace.with_span "Reopt.reoptimize" @@ fun () ->
   Metrics.incr m_runs;
   let nl = Placement.netlist place in
   let lib = Netlist.lib nl in
   let tech = Library.tech lib in
   let p = match params with Some p -> p | None -> Cluster.default_params tech in
-  let table = Bounce.table ?activity ?load_of ?currents nl in
-  let lengths = match lengths with Some l -> l | None -> Cluster.vgnd_lengths place in
-  (* Price every cluster before resizing any: a swap stamps the MTE net it
-     hangs on, which no member drives, so no price moves meanwhile, and the
-     table is read once. *)
+  let table = Bounce.currents ?activity ?load_of nl in
+  let length_of sw members =
+    match lengths with Some l -> l sw | None -> Cluster.vgnd_length ~members place sw
+  in
+  (* Price every cluster before resizing any, so the table is read in full
+     before the first edit. *)
   let priced =
     List.map
       (fun (sw, members) ->
         let current = Bounce.sizing_current table ~diversity:p.Cluster.diversity members in
-        (sw, lengths sw *. detour, current))
+        (sw, length_of sw members *. detour, current))
       (Netlist.switch_groups nl)
   in
   let adjustments =

@@ -26,7 +26,6 @@ type result = {
 val reoptimize :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  ?currents:Smt_power.Bounce.currents ->
   ?lengths:(Smt_netlist.Netlist.inst_id -> float) ->
   ?params:Cluster.params ->
   ?detour:float ->
@@ -34,10 +33,11 @@ val reoptimize :
   result
 (** [detour] (default 1.15) converts estimated VGND length to routed
     length; [lengths] gives each switch's estimated length
-    ({!Cluster.vgnd_lengths} of the placement by default).  [load_of]
+    ({!Cluster.vgnd_length} of the placement by default).  [load_of]
     should report post-route (extracted) loads, which is where most of the
     re-sizing pressure comes from.  A cluster's current is
     {!Smt_power.Bounce.sizing_current} of its members in ascending id
-    order under the [diversity] of [params], read from
-    {!Smt_power.Bounce.table}; every cluster is priced before any footer
-    is resized.  Mutates switch cells in place. *)
+    order under the [diversity] of [params], read from one
+    {!Smt_power.Bounce.currents} table of [activity] and [load_of]; every
+    cluster is priced before any footer is resized.  Mutates switch cells
+    in place. *)

@@ -21,89 +21,40 @@ let scale_of load_of iid =
 
 (* --- the per-MT-cell current table --- *)
 
-(* One row per priced cell, in first-read order; [row_of] maps an
-   instance to its row.  Rows hold per-member values only: every fold
-   over a member list runs over the list each time, in its order, so a
-   cluster priced newest-first and the same cluster priced oldest-first
-   keep the bits they had when each call re-derived its members. *)
+(* One row per instance, read on the first use of a member.  Rows hold
+   per-member values only: every fold over a member list runs over the
+   list each time, in its order, so the same members priced newest-first
+   and oldest-first give the two orders' own bits. *)
 type currents = {
   c_nl : Netlist.t;
   c_activity : Activity.t option;
   c_load_of : (Netlist.inst_id -> float) option;
-  mutable c_version : int;  (* the journal version every row reflects *)
-  mutable row_of : int array;  (* per instance: its row, -1 until first read *)
-  mutable rows : int;
-  (* per row, scaled by the cell's load scale *)
-  mutable peak : float array;  (* peak_current *. scale *)
-  mutable expected : float array;  (* (avg_current *. toggle) *. scale *)
+  (* per instance, scaled by the cell's load scale *)
+  peak : float array;  (* peak_current *. scale; nan until read *)
+  expected : float array;  (* (avg_current *. toggle) *. scale *)
 }
 
 let currents ?activity ?load_of nl =
-  (* room for every VGND-style MT-cell, the cells clusters are made of *)
-  let mt = ref 0 in
-  Netlist.iter_insts nl (fun iid ->
-      if Smt_cell.Vth.style_equal (Netlist.cell nl iid).Cell.style Smt_cell.Vth.Mt_vgnd then
-        incr mt);
+  let n = Netlist.inst_count nl in
   {
     c_nl = nl;
     c_activity = activity;
     c_load_of = load_of;
-    c_version = Netlist.version nl;
-    row_of = Array.make (Netlist.inst_count nl) (-1);
-    rows = 0;
-    peak = Array.make !mt 0.0;
-    expected = Array.make !mt 0.0;
+    peak = Array.make n Float.nan;
+    expected = Array.make n 0.0;
   }
 
-let read_row t iid r =
-  let c = Netlist.cell t.c_nl iid in
-  let s = scale_of t.c_load_of iid in
-  t.peak.(r) <- c.Cell.peak_current *. s;
-  t.expected.(r) <- c.Cell.avg_current *. toggle_of t.c_activity iid *. s
-
-(* [a] with room for [n] entries, the first [len] kept. *)
-let grown a n len fill =
-  let b = Array.make n fill in
-  Array.blit a 0 b 0 len;
-  b
-
+(* [iid]'s row, read on first use. *)
 let row t iid =
-  if iid >= Array.length t.row_of then
-    t.row_of <-
-      grown t.row_of (max (iid + 1) (Netlist.inst_count t.c_nl)) (Array.length t.row_of) (-1);
-  let r = t.row_of.(iid) in
-  if r >= 0 then r
-  else begin
-    let r = t.rows in
-    if r = Array.length t.peak then begin
-      let n = r + (r / 2) + 16 in
-      t.peak <- grown t.peak n r 0.0;
-      t.expected <- grown t.expected n r 0.0
-    end;
-    t.rows <- r + 1;
-    t.row_of.(iid) <- r;
-    read_row t iid r;
-    r
-  end
-
-(* A row is stale once the net its cell drives is touched: the journal
-   stamps that net whenever the cell is swapped, a sink or keeper on it is
-   added, removed or swapped, or the cell starts driving it. *)
-let sync t =
-  let nl = t.c_nl in
-  if Netlist.version nl <> t.c_version then begin
-    List.iter
-      (fun nid ->
-        match Netlist.driver nl nid with
-        | Some p when p.Netlist.inst < Array.length t.row_of && t.row_of.(p.Netlist.inst) >= 0 ->
-          read_row t p.Netlist.inst t.row_of.(p.Netlist.inst)
-        | Some _ | None -> ())
-      (Netlist.touched_since nl t.c_version);
-    t.c_version <- Netlist.version nl
-  end
+  if Float.is_nan t.peak.(iid) then begin
+    let c = Netlist.cell t.c_nl iid in
+    let s = scale_of t.c_load_of iid in
+    t.peak.(iid) <- c.Cell.peak_current *. s;
+    t.expected.(iid) <- c.Cell.avg_current *. toggle_of t.c_activity iid *. s
+  end;
+  iid
 
 let simultaneous t members =
-  sync t;
   match members with
   | [] -> 0.0
   | first :: _ ->
@@ -111,16 +62,13 @@ let simultaneous t members =
        everyone else their expected draw. *)
     let worst =
       List.fold_left
-        (fun best iid ->
-          let r = row t iid in
-          if t.peak.(r) > t.peak.(best) then r else best)
+        (fun best iid -> if t.peak.(row t iid) > t.peak.(best) then iid else best)
         (row t first) members
     in
     let rest = List.fold_left (fun acc iid -> acc +. t.expected.(row t iid)) 0.0 members in
     t.peak.(worst) +. rest -. t.expected.(worst)
 
 let sustained t members =
-  sync t;
   List.fold_left (fun acc iid -> acc +. t.expected.(row t iid)) 0.0 members
 
 let sizing_current t ~diversity members =
@@ -129,12 +77,6 @@ let sizing_current t ~diversity members =
     List.fold_left
       (fun acc iid -> acc +. (Netlist.cell t.c_nl iid).Cell.peak_current)
       0.0 members
-
-let table ?activity ?load_of ?currents:given nl =
-  match given with
-  | Some t when t.c_nl == nl -> t
-  | Some _ -> invalid_arg "Bounce: current table of another netlist"
-  | None -> currents ?activity ?load_of nl
 
 (* A line of resistance R with its current I injected uniformly along it
    drops I*R/2 at the far end and I*R/3 on average along the line; the
@@ -159,8 +101,8 @@ type cluster_report = {
   ok : bool;
 }
 
-let analyze ?activity ?load_of ?currents ?limit nl ~wire_length_of =
-  let t = table ?activity ?load_of ?currents nl in
+let analyze ?activity ?load_of ?limit nl ~wire_length_of =
+  let t = currents ?activity ?load_of nl in
   let tech = Smt_cell.Library.tech (Netlist.lib nl) in
   let limit = match limit with Some l -> l | None -> tech.Tech.bounce_limit in
   List.map

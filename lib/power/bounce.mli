@@ -21,21 +21,17 @@ val load_scale : float -> float
 
 (** {1 The current table}
 
-    Each MT-cell's current terms, priced once per wire model and activity
-    profile and read by every pass that prices the switch structure:
-    {!Smt_core.Cluster.build}'s feasibility checks and switches,
-    {!analyze} and {!Smt_core.Reopt.reoptimize}.  A row holds a cell's
-    peak current times its load scale ({!load_scale} of [load_of]) and
-    its expected draw [(avg_current *. toggle) *. scale].
+    Each MT-cell's current terms, read once per pricing call:
+    {!Smt_core.Cluster.build}'s feasibility checks and switches, {!analyze}
+    and {!Smt_core.Reopt.reoptimize} each make one table and read every
+    member's row from it.  A row holds a cell's peak current times its
+    load scale ({!load_scale} of [load_of]) and its expected draw
+    [(avg_current *. toggle) *. scale].
 
-    A row is read on the cell's first use and read again once the net the
-    cell drives has been touched since: every read of the table first
-    asks the netlist's journal ({!Smt_netlist.Netlist.touched_since}) what
-    changed, once per journal version.  The journal stamps that net on a
-    swap of the cell, of a sink or of its keeper, and when a pin joins or
-    leaves it, so a row stays exact as long as [load_of] changes only with
-    those edits — true of {!Smt_sta.Sta.load_of_inst} under a fixed wire
-    model.  (A cell that drives no net is read once.)
+    A row is read on its cell's first use and never again, so a table is
+    exact only while the netlist is not edited: a caller that edits the
+    netlist between two reads makes a new table.  Each entry point makes
+    its own table and reads every row before it next edits the netlist.
 
     Rows hold per-member values, never per-cluster sums: each fold runs
     over its member list in the list's order, exactly as a call that
@@ -49,23 +45,12 @@ val currents :
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
   Smt_netlist.Netlist.t ->
   currents
-(** An empty table over the netlist, its rows read on first use.
-    Without an activity profile a conservative default toggle rate of 0.5
-    is assumed; without [load_of] (fF seen by each cell's output) the load
-    scale is 1.  The load dependence is what makes pre-route (estimated
-    RC) and post-route (extracted RC) sizing disagree — the error the
-    paper's re-optimization pass exists to fix. *)
-
-val table :
-  ?activity:Smt_sim.Activity.t ->
-  ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  ?currents:currents ->
-  Smt_netlist.Netlist.t ->
-  currents
-(** The table a pricing entry point reads: [currents] when given (it must
-    be over the netlist, else [Invalid_argument]; [activity] and [load_of]
-    are then not read), and a table made from [activity] and [load_of]
-    for this call otherwise. *)
+(** An empty table over the netlist's instances, its rows read on first
+    use.  Without an activity profile a conservative default toggle rate
+    of 0.5 is assumed; without [load_of] (fF seen by each cell's output)
+    the load scale is 1.  The load dependence is what makes pre-route
+    (estimated RC) and post-route (extracted RC) sizing disagree — the
+    error the paper's re-optimization pass exists to fix. *)
 
 val simultaneous : currents -> Smt_netlist.Netlist.inst_id list -> float
 (** Cluster current in uA; 0 for the empty cluster: the first member with
@@ -103,7 +88,6 @@ type cluster_report = {
 val analyze :
   ?activity:Smt_sim.Activity.t ->
   ?load_of:(Smt_netlist.Netlist.inst_id -> float) ->
-  ?currents:currents ->
   ?limit:float ->
   Smt_netlist.Netlist.t ->
   wire_length_of:(Smt_netlist.Netlist.inst_id -> float) ->
@@ -112,7 +96,7 @@ val analyze :
     {!simultaneous} current of its members in ascending id order;
     [wire_length_of] maps a switch to its VGND line length (from
     placement). Default [limit] is the technology's bounce limit.  The
-    rows come from {!table}. *)
+    rows come from one {!currents} table of [activity] and [load_of]. *)
 
 val worst : cluster_report list -> float
 val violations : cluster_report list -> int
