@@ -17,6 +17,7 @@
 
 module Flow = Smt_core.Flow
 module Cluster = Smt_core.Cluster
+module Explain = Smt_core.Explain
 module Suite = Smt_circuits.Suite
 module Library = Smt_cell.Library
 module Tech = Smt_cell.Tech
@@ -397,42 +398,40 @@ let report_cmd =
     let gen = or_usage (generator_of circuit) in
     let t = or_usage (technique_of technique) in
     let options = { Flow.default_options with Flow.seed } in
-    let nl = gen (lib ()) in
-    let _, art = Flow.run_with_artifacts ~options t nl in
+    let _, art = Flow.run_with_artifacts ~options t (gen (lib ())) in
     let sta = art.Flow.art_sta in
-    print_endline (Smt_core.Report.summary sta);
-    print_newline ();
-    print_endline (Smt_core.Report.timing ~paths:2 sta);
-    print_endline (Smt_core.Report.power nl);
-    print_newline ();
-    print_endline (Smt_core.Report.area nl);
+    let nl = Smt_sta.Sta.netlist sta in
+    print_endline
+      Explain.(
+        text (summary sta @ paths ~k:2 sta @ [ Line "" ] @ power nl @ [ Line "" ] @ area nl));
     finish obs
   in
   Cmd.v (Cmd.info "report" ~doc:"Sign-off style timing / power / area reports")
     Term.(const run $ obs_term $ circuit_arg $ technique_arg $ seed_arg)
 
+(* An explain report's body, chosen before the flow runs.  A timing session
+   does not expose its clock, so the paths document takes it from the
+   report. *)
+let explain_of ~k = function
+  | "paths" ->
+    Ok
+      (fun (r : Flow.report) (art : Flow.artifacts) ->
+        Explain.Field ("clock_period_ps", Explain.Num r.Flow.clock_period)
+        :: Explain.paths ~k art.Flow.art_sta)
+  | "leakage" -> Ok Explain.leakage
+  | "clusters" -> Ok Explain.clusters
+  | s -> Error (Printf.sprintf "unknown report %s (paths|leakage|clusters)" s)
+
 let explain_cmd =
   let run obs what circuit technique seed k json =
     let gen = or_usage (generator_of circuit) in
     let t = or_usage (technique_of technique) in
+    if k < 1 then or_usage (Error (Printf.sprintf "--paths must be >= 1 (got %d)" k));
+    let body = or_usage (explain_of ~k what) in
     let options = { Flow.default_options with Flow.seed } in
     let report, artifacts = Flow.run_with_artifacts ~options t (gen (lib ())) in
-    let out =
-      match what with
-      | "paths" ->
-        if json then Smt_core.Explain.paths_json ~k report artifacts
-        else Smt_core.Explain.paths ~k report artifacts
-      | "leakage" ->
-        if json then Smt_core.Explain.leakage_json report artifacts
-        else Smt_core.Explain.leakage report artifacts
-      | "clusters" ->
-        if json then Smt_core.Explain.clusters_json report artifacts
-        else Smt_core.Explain.clusters report artifacts
-      | s ->
-        Printf.eprintf "unknown report %s (paths|leakage|clusters)\n" s;
-        exit 2
-    in
-    print_endline out;
+    let doc = Explain.headline report @ body report artifacts in
+    print_endline (if json then Explain.json doc else Explain.text doc);
     finish obs
   in
   let what_arg =

@@ -11,17 +11,8 @@ let arr = Smt_obs.Obs_json.arr
 
 let leakage_json (l : Leakage.breakdown) =
   obj
-    [
-      ("total", num l.Leakage.total);
-      ("low_vth_logic", num l.Leakage.low_vth_logic);
-      ("high_vth_logic", num l.Leakage.high_vth_logic);
-      ("sequential", num l.Leakage.sequential);
-      ("mt_residual", num l.Leakage.mt_residual);
-      ("switches", num l.Leakage.switches);
-      ("embedded_mt", num l.Leakage.embedded_mt);
-      ("holders", num l.Leakage.holders);
-      ("infrastructure", num l.Leakage.infrastructure);
-    ]
+    (("total", num l.Leakage.total)
+    :: List.map (fun (_, key, v) -> (key, num v)) (Explain.contributors l))
 
 let stage_json (s : Flow.stage) =
   (* The prof block appears only when profiling was on, so unprofiled

@@ -17,6 +17,17 @@ let run_improved =
   let result = lazy (Flow.run_with_artifacts Flow.Improved_smt (Suite.tiny lib)) in
   fun () -> Lazy.force result
 
+(* The three explain documents, each under its headline as the CLI prints
+   it. *)
+let explained ?(k = 3) what =
+  let report, art = run_improved () in
+  Explain.headline report
+  @
+  match what with
+  | `Paths -> Explain.paths ~k art.Flow.art_sta
+  | `Leakage -> Explain.leakage report art
+  | `Clusters -> Explain.clusters report art
+
 let num_field name doc =
   match J.Decode.(decode ~source:"explain" (field name number) doc) with
   | Ok f -> f
@@ -60,14 +71,14 @@ let contains hay needle =
   go 0
 
 let test_text_reports_render () =
-  let report, art = run_improved () in
-  let p = Explain.paths ~k:3 report art in
+  let report, _ = run_improved () in
+  let p = Explain.text (explained `Paths) in
   Alcotest.(check bool) "paths names the circuit" true (contains p report.Flow.circuit);
   Alcotest.(check bool) "paths has the arc table" true (contains p "Cell ps");
-  let l = Explain.leakage report art in
+  let l = Explain.text (explained `Leakage) in
   Alcotest.(check bool) "leakage has the vth slice" true (contains l "by threshold class");
   Alcotest.(check bool) "leakage has the waterfall" true (contains l "waterfall");
-  let c = Explain.clusters report art in
+  let c = Explain.text (explained `Clusters) in
   Alcotest.(check bool) "clusters has the occupancy column" true (contains c "Occupancy")
 
 (* --- JSON reports --- *)
@@ -75,7 +86,7 @@ let test_text_reports_render () =
 let test_paths_json () =
   let report, art = run_improved () in
   let k = 3 in
-  let doc = J.parse_exn (Explain.paths_json ~k report art) in
+  let doc = J.parse_exn (Explain.json (explained ~k `Paths)) in
   (* JSON numbers carry display precision (6 significant digits) *)
   Alcotest.(check (float 1e-2)) "wns field" report.Flow.wns (num_field "wns_ps" doc);
   let paths = arr_field "paths" doc in
@@ -99,8 +110,8 @@ let test_paths_json () =
   | [] -> Alcotest.fail "no paths in JSON"
 
 let test_leakage_json () =
-  let report, art = run_improved () in
-  let doc = J.parse_exn (Explain.leakage_json report art) in
+  let report, _ = run_improved () in
+  let doc = J.parse_exn (Explain.json (explained `Leakage)) in
   let total = num_field "standby_nw" doc in
   Alcotest.(check (float 1e-2)) "total is the report's" report.Flow.standby_nw total;
   List.iter
@@ -121,8 +132,8 @@ let test_leakage_json () =
   | [] -> Alcotest.fail "waterfall empty"
 
 let test_clusters_json () =
-  let report, art = run_improved () in
-  let doc = J.parse_exn (Explain.clusters_json report art) in
+  let report, _ = run_improved () in
+  let doc = J.parse_exn (Explain.json (explained `Clusters)) in
   let attrs = arr_field "attribution" doc in
   Alcotest.(check int) "one attribution per switch" report.Flow.n_switches
     (List.length attrs);
@@ -132,6 +143,110 @@ let test_clusters_json () =
         (num_field "members" a >= 0.0 && num_field "cell_limit" a > 0.0);
       Alcotest.(check bool) "vgnd length non-negative" true (num_field "vgnd_um" a >= 0.0))
     attrs
+
+(* --- one description, two renderings --- *)
+
+(* The boxed tables of a text rendering, in order, each as its header cells
+   and its body rows. *)
+let text_tables text =
+  let is_sep l = String.length l > 0 && l.[0] = '+' in
+  let cells l =
+    match String.split_on_char '|' l with
+    | _ :: inner -> List.map String.trim (List.rev (List.tl (List.rev inner)))
+    | [] -> []
+  in
+  let rec body rows = function
+    | l :: rest when is_sep l -> (List.rev rows, rest)
+    | l :: rest -> body (cells l :: rows) rest
+    | [] -> Alcotest.fail "unterminated text table"
+  in
+  let rec go acc = function
+    | s1 :: header :: s2 :: rest when is_sep s1 && is_sep s2 ->
+      let rows, rest = body [] rest in
+      go ((cells header, rows) :: acc) rest
+    | _ :: rest -> go acc rest
+    | [] -> List.rev acc
+  in
+  go [] (String.split_on_char '\n' text)
+
+(* A JSON number and a text cell show the same value.  The JSON keeps six
+   significant digits (Obs_json.num), so a text cell rounded from the
+   exact value can read one more in its last place than the JSON value
+   printed with the same format: 334.525 in the JSON prints 334.52 where
+   the text reads 334.53.  Beyond that the two must agree. *)
+let same_number fmt text f =
+  Printf.sprintf fmt f = text
+  ||
+  let decimals =
+    match String.index_opt text '.' with Some i -> String.length text - i - 1 | None -> 0
+  in
+  let json_digit =
+    if f = 0.0 then 0.0 else 10.0 ** (Float.floor (Float.log10 (Float.abs f)) -. 5.0)
+  in
+  Float.abs (float_of_string text -. f) <= 0.5 *. ((10.0 ** -.float decimals) +. json_digit)
+
+(* Each table of a document with its rows as the JSON rendering wrote them. *)
+let rec tables_with_json doc json =
+  List.concat_map
+    (function
+      | Explain.Table t -> [ (t, arr_field t.Explain.name json) ]
+      | Explain.Items (key, items) ->
+        List.concat (List.map2 tables_with_json items (arr_field key json))
+      | Explain.Line _ | Explain.Field _ -> [])
+    doc
+
+let test_text_and_json_agree () =
+  List.iter
+    (fun (what, doc) ->
+      let tables =
+        List.filter
+          (fun ((t : Explain.table), _) -> t.Explain.rows <> [] || t.Explain.text_rows <> [])
+          (tables_with_json doc (J.parse_exn (Explain.json doc)))
+      in
+      let texts = text_tables (Explain.text doc) in
+      Alcotest.(check int) (what ^ ": one text table per table") (List.length tables)
+        (List.length texts);
+      List.iter2
+        (fun ((t : Explain.table), json_rows) (header, body) ->
+          let name = what ^ "." ^ t.Explain.name in
+          let columns = t.Explain.columns in
+          Alcotest.(check (list string)) (name ^ ": text header")
+            (List.filter_map (fun c -> c.Explain.header) columns) header;
+          Alcotest.(check int) (name ^ ": a text row per JSON row, then the text-only rows")
+            (List.length json_rows + List.length t.Explain.text_rows) (List.length body);
+          List.iteri
+            (fun i json_row ->
+              let fields = match json_row with J.Obj fields -> fields | _ -> [] in
+              Alcotest.(check (list string)) (name ^ ": JSON keys")
+                (List.filter_map (fun c -> c.Explain.key) columns) (List.map fst fields);
+              (* the columns the text shows, each with its cell and its text *)
+              let shown =
+                List.filter
+                  (fun ((c : Explain.column), _) -> c.Explain.header <> None)
+                  (List.combine columns (List.nth t.Explain.rows i))
+              in
+              List.iter2
+                (fun ((c : Explain.column), cell) text ->
+                  match c.Explain.key with
+                  | None -> ()
+                  | Some key -> (
+                    let label = Printf.sprintf "%s row %d: %s" name i key in
+                    match (cell, List.assoc key fields) with
+                    | Explain.Num _, J.Num f ->
+                      if not (same_number c.Explain.fmt text f) then
+                        Alcotest.failf "%s: text %s, JSON %g" label text f
+                    | Explain.Int _, J.Num f ->
+                      Alcotest.(check string) label text (string_of_int (int_of_float f))
+                    | Explain.Str _, J.Str s -> Alcotest.(check string) label text s
+                    | _ -> Alcotest.failf "%s: wrong JSON type" label))
+                shown (List.nth body i))
+            json_rows)
+        tables texts)
+    [
+      ("paths", explained `Paths);
+      ("leakage", explained `Leakage);
+      ("clusters", explained `Clusters);
+    ]
 
 (* --- qor collection --- *)
 
@@ -174,6 +289,7 @@ let () =
           Alcotest.test_case "paths json" `Quick test_paths_json;
           Alcotest.test_case "leakage json" `Quick test_leakage_json;
           Alcotest.test_case "clusters json" `Quick test_clusters_json;
+          Alcotest.test_case "text and json agree" `Quick test_text_and_json_agree;
         ] );
       ( "qor",
         [

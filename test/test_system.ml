@@ -7,7 +7,7 @@ module Parasitics = Smt_route.Parasitics
 module Global_router = Smt_route.Global_router
 module Sta = Smt_sta.Sta
 module Flow = Smt_core.Flow
-module Report = Smt_core.Report
+module Explain = Smt_core.Explain
 module Standby = Smt_core.Standby
 module Switch_insert = Smt_core.Switch_insert
 module Mt_replace = Smt_core.Mt_replace
@@ -86,9 +86,9 @@ let flow_report = lazy (
 let test_timing_report () =
   let nl, _ = Lazy.force flow_report in
   let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
-  let text = Report.timing ~paths:2 sta in
-  Alcotest.(check bool) "mentions wns" true (contains text "wns");
-  Alcotest.(check bool) "has endpoint section" true (contains text "endpoint");
+  let text = Explain.(text (paths ~k:2 sta)) in
+  Alcotest.(check bool) "mentions slack" true (contains text "slack");
+  Alcotest.(check bool) "has endpoint section" true (contains text "path to");
   Alcotest.(check bool) "has path table" true
     (contains text "Cell ps" && contains text "Wire ps");
   Alcotest.(check bool) "met at 5ns" true (contains text "(MET)")
@@ -97,11 +97,11 @@ let test_timing_report_violated () =
   let nl, _ = Lazy.force flow_report in
   let sta = Sta.analyze (Sta.config ~clock_period:10.0 ()) nl in
   Alcotest.(check bool) "flags violation" true
-    (contains (Report.timing sta) "(VIOLATED)")
+    (contains Explain.(text (paths ~k:3 sta)) "(VIOLATED)")
 
 let test_power_report () =
   let nl, _ = Lazy.force flow_report in
-  let text = Report.power nl in
+  let text = Explain.(text (power nl)) in
   Alcotest.(check bool) "total present" true (contains text "Standby leakage");
   Alcotest.(check bool) "switches listed" true (contains text "sleep switches");
   Alcotest.(check bool) "MT residual listed" true (contains text "MT-cell residual");
@@ -109,7 +109,7 @@ let test_power_report () =
 
 let test_area_report () =
   let nl, _ = Lazy.force flow_report in
-  let text = Report.area nl in
+  let text = Explain.(text (area nl)) in
   Alcotest.(check bool) "MT category" true (contains text "MT-cells");
   Alcotest.(check bool) "kind table" true (contains text "DFF");
   Alcotest.(check bool) "fraction shown" true (contains text "MT fraction")
@@ -117,7 +117,7 @@ let test_area_report () =
 let test_summary () =
   let nl, _ = Lazy.force flow_report in
   let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
-  Alcotest.(check bool) "summary says MET" true (contains (Report.summary sta) "MET")
+  Alcotest.(check bool) "summary says MET" true (contains Explain.(text (summary sta)) "MET")
 
 (* --- JSON export --- *)
 
