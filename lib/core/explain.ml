@@ -41,7 +41,7 @@ let text_cell c = function
   | Int n -> string_of_int n
   | Num f -> Printf.sprintf c.fmt f
 
-let json_cell = function Str s -> J.str s | Int n -> string_of_int n | Num f -> J.num f
+let json_cell = function Str s -> J.str s | Int n -> string_of_int n | Num f -> J.num_exact f
 
 let rec lines doc =
   List.concat_map

@@ -11,10 +11,11 @@
     with a [key] make each JSON row, in column order.  A column with only
     a header (Occupancy, Margin V, Share) or only a key (slew_ps,
     cell_limit, bounce_limit_v) shows in one rendering.  A [Num] prints
-    with its column's [fmt] in the text and as {!Smt_obs.Obs_json.num} in
-    the JSON.  [text_rows] (a path's capture hop) follow the rows in the
-    text only.  A table with no rows shows nothing in the text, not even
-    its title.
+    with its column's [fmt] in the text and as
+    {!Smt_obs.Obs_json.num_exact} in the JSON, which reads back as the same
+    double, so the text cell is the JSON value printed with [fmt].
+    [text_rows] (a path's capture hop) follow the rows in the text only.  A
+    table with no rows shows nothing in the text, not even its title.
 
     The explain reports read the {!Flow.artifacts} of the same
     [Flow.run_with_artifacts] call as the {!Flow.report}: its final

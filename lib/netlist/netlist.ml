@@ -120,7 +120,7 @@ let add_net ?(clock = false) t name =
 let fresh_net t stem =
   let rec try_name () =
     t.uniq <- t.uniq + 1;
-    let name = Printf.sprintf "%s_%d" stem t.uniq in
+    let name = stem ^ "_" ^ string_of_int t.uniq in
     if Names.mem t.net_index name then try_name () else name
   in
   add_net t (try_name ())
@@ -316,7 +316,7 @@ let add_inst t ~name cell pins =
 let fresh_inst_name t stem =
   let rec try_name () =
     t.uniq <- t.uniq + 1;
-    let name = Printf.sprintf "%s_%d" stem t.uniq in
+    let name = stem ^ "_" ^ string_of_int t.uniq in
     if Names.mem t.inst_index name then try_name () else name
   in
   try_name ()

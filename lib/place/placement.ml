@@ -1,5 +1,6 @@
 module Netlist = Smt_netlist.Netlist
 module Cell = Smt_cell.Cell
+module Func = Smt_cell.Func
 module Geom = Smt_util.Geom
 module Vec = Smt_util.Vec
 module Rng = Smt_util.Rng
@@ -12,12 +13,19 @@ let m_runs = Metrics.counter "place.runs"
 let m_iterations = Metrics.counter "place.iterations"
 let m_moves = Metrics.counter "place.moves"
 
+(* The point table, by instance id: instance [i] sits at ([px.(i)],
+   [py.(i)]) when byte [i] of [placed] is set.  The three share one
+   length, which [place_inst] grows for instances added after [place];
+   the slots past the netlist's instances that [place] hands over (its
+   port pads) are never set. *)
 type t = {
   nl : Netlist.t;
   die : Geom.bbox;
   rows : int;
   row_height : float;
-  coords : (Netlist.inst_id, Geom.point) Hashtbl.t;
+  mutable px : float array;
+  mutable py : float array;
+  mutable placed : Bytes.t;
   ports : (string, Geom.point) Hashtbl.t;
 }
 
@@ -25,12 +33,10 @@ let netlist t = t.nl
 let die t = t.die
 let row_count t = t.rows
 
-let inst_point t iid =
-  match Hashtbl.find_opt t.coords iid with
-  | Some p -> p
-  | None -> raise Not_found
-
-let inst_point_opt t iid = Hashtbl.find_opt t.coords iid
+let is_placed t iid = iid >= 0 && iid < Bytes.length t.placed && Bytes.get t.placed iid <> '\000'
+let point t iid = { Geom.x = t.px.(iid); Geom.y = t.py.(iid) }
+let inst_point t iid = if is_placed t iid then point t iid else raise Not_found
+let inst_point_opt t iid = if is_placed t iid then Some (point t iid) else None
 
 let clamp_into die (p : Geom.point) =
   {
@@ -38,32 +44,49 @@ let clamp_into die (p : Geom.point) =
     Geom.y = Geom.clamp p.Geom.y ~lo:die.Geom.ly ~hi:die.Geom.hy;
   }
 
-let place_inst t iid p = Hashtbl.replace t.coords iid (clamp_into t.die p)
+let place_inst t iid p =
+  let n = Bytes.length t.placed in
+  if iid >= n then begin
+    let size = max (iid + 1) (2 * n) in
+    let grow a =
+      let b = Array.make size 0.0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    let placed = Bytes.make size '\000' in
+    Bytes.blit t.placed 0 placed 0 n;
+    t.px <- grow t.px;
+    t.py <- grow t.py;
+    t.placed <- placed
+  end;
+  let p = clamp_into t.die p in
+  t.px.(iid) <- p.Geom.x;
+  t.py.(iid) <- p.Geom.y;
+  Bytes.set t.placed iid '\001'
 
 let port_point t name = Hashtbl.find_opt t.ports name
 
 let pin_points t nid =
   let nl = t.nl in
-  let of_inst iid = Hashtbl.find_opt t.coords iid in
-  let driver = match Netlist.driver nl nid with
-    | Some p -> (match of_inst p.Netlist.inst with Some pt -> [ pt ] | None -> [])
-    | None -> []
-  in
-  let sinks =
-    List.filter_map (fun (p : Netlist.pin) -> of_inst p.Netlist.inst) (Netlist.sinks nl nid)
-  in
-  let holder =
-    match Netlist.holder_of nl nid with
-    | Some h -> (match of_inst h with Some pt -> [ pt ] | None -> [])
-    | None -> []
-  in
   let pads =
-    let name = Netlist.net_name nl nid in
     if Netlist.is_pi nl nid || Netlist.is_po nl nid then
-      match Hashtbl.find_opt t.ports name with Some p -> [ p ] | None -> []
+      match Hashtbl.find_opt t.ports (Netlist.net_name nl nid) with Some p -> [ p ] | None -> []
     else []
   in
-  driver @ sinks @ holder @ pads
+  let rest =
+    match Netlist.holder_of nl nid with
+    | Some h when is_placed t h -> point t h :: pads
+    | Some _ | None -> pads
+  in
+  let[@tail_mod_cons] rec sinks = function
+    | [] -> rest
+    | (p : Netlist.pin) :: more ->
+      if is_placed t p.Netlist.inst then point t p.Netlist.inst :: sinks more else sinks more
+  in
+  let rest = sinks (Netlist.sinks nl nid) in
+  match Netlist.driver nl nid with
+  | Some p when is_placed t p.Netlist.inst -> point t p.Netlist.inst :: rest
+  | Some _ | None -> rest
 
 let net_hpwl t nid =
   match pin_points t nid with
@@ -79,26 +102,36 @@ let centroid t insts =
   match insts with
   | [] -> Geom.center t.die
   | _ ->
+    (* an instance never placed adds nothing but still counts *)
     let n = float_of_int (List.length insts) in
-    let sx, sy =
-      List.fold_left
-        (fun (sx, sy) iid ->
-          match Hashtbl.find_opt t.coords iid with
-          | Some p -> (sx +. p.Geom.x, sy +. p.Geom.y)
-          | None -> (sx, sy))
-        (0.0, 0.0) insts
+    let rec sum sx sy = function
+      | [] -> { Geom.x = sx /. n; Geom.y = sy /. n }
+      | iid :: rest ->
+        if is_placed t iid then sum (sx +. t.px.(iid)) (sy +. t.py.(iid)) rest else sum sx sy rest
     in
-    { Geom.x = sx /. n; Geom.y = sy /. n }
+    sum 0.0 0.0 insts
 
-(* Longest-path logic level per instance; flip-flops level 0. *)
+(* Longest-path logic level per instance; every instance outside the
+   combinational frame (flip-flops, switches, holders) is level 0.  A
+   gate's fanins are the drivers of all its pins but its output, the
+   edges [Netlist.topo_order] walks. *)
 let levels nl =
   let level = Array.make (Netlist.inst_count nl) 0 in
+  let rec deepest out acc = function
+    | [] -> acc
+    | (pin, nid) :: rest -> (
+      if String.equal pin out then deepest out acc rest
+      else
+        match Netlist.driver nl nid with
+        | Some d ->
+          let l = level.(d.Netlist.inst) + 1 in
+          deepest out (if l > acc then l else acc) rest
+        | None -> deepest out acc rest)
+  in
   Array.iter
     (fun iid ->
-      let deep =
-        List.fold_left (fun acc pred -> max acc (level.(pred) + 1)) 0 (Netlist.fanin_insts nl iid)
-      in
-      level.(iid) <- deep)
+      let out = (Func.output_names (Netlist.cell nl iid).Cell.kind).(0) in
+      level.(iid) <- deepest out 0 (Netlist.conns nl iid))
     (Netlist.topo_order nl);
   level
 
@@ -107,7 +140,8 @@ let levels nl =
    neighbours are [nbr.(start.(k))] .. [nbr.(start.(k + 1) - 1)]: slots
    into [xs]/[ys], an instance id or [inst_count + j] for the [j]th port
    pad, in exactly the order [pin_points] yields them over the cell's
-   non-clock nets.  Pad slots never move. *)
+   non-clock nets.  Pad slots never move; [placed] marks the cells' slots,
+   and [place] hands it, [xs] and [ys] over as the point table. *)
 type compiled = {
   cells : Netlist.inst_id array;
   width : float array;  (* per cell: its width in the row *)
@@ -115,59 +149,83 @@ type compiled = {
   nbr : int array;
   xs : float array;
   ys : float array;
-  row_of : int array;  (* legalization scratch, per cell *)
-  by_row : int array;  (* legalization scratch: cells in (row, x) order *)
+  placed : Bytes.t;
+  (* legalization work arrays: per cell, its row and the cells in (row,
+     x) order with their x; per row, where its cells begin *)
+  row_of : int array;
+  by_row : int array;
+  key : float array;
+  tmp_key : float array;
+  tmp_cell : int array;
+  row_start : int array;
 }
 
-(* Two counting passes over the same walk: the first sizes the CSR, the
-   second fills it. *)
+(* Each net's slots are laid out once, in [pin_points] order (driver,
+   sinks, holder, pad; none for a clock net, which connects everything),
+   and a cell's row is its nets' slots, net after net, in connection
+   order. *)
 let compile t cells =
   let nl = t.nl in
-  let ninst = Netlist.inst_count nl in
-  let placed = Array.make ninst false in
-  Array.iter (fun iid -> placed.(iid) <- true) cells;
+  let ninst = Netlist.inst_count nl and nnets = Netlist.net_count nl in
   (* per net: the slot of its port pad, or -1 *)
-  let pad_of = Array.make (Netlist.net_count nl) (-1) in
+  let pad_of = Array.make nnets (-1) in
   let pads = Vec.create () in
   Netlist.iter_nets nl (fun nid ->
       if Netlist.is_pi nl nid || Netlist.is_po nl nid then
         Option.iter
           (fun p -> pad_of.(nid) <- ninst + Vec.push pads p)
           (Hashtbl.find_opt t.ports (Netlist.net_name nl nid)));
-  let walk iid emit =
-    List.iter
-      (fun (_, nid) ->
-        (* the clock net connects everything; skip it *)
-        if not (Netlist.is_clock_net nl nid) then begin
-          (match Netlist.driver nl nid with
-          | Some p when placed.(p.Netlist.inst) -> emit p.Netlist.inst
-          | Some _ | None -> ());
-          List.iter
-            (fun (p : Netlist.pin) -> if placed.(p.Netlist.inst) then emit p.Netlist.inst)
-            (Netlist.sinks nl nid);
-          (match Netlist.holder_of nl nid with
-          | Some h when placed.(h) -> emit h
-          | Some _ | None -> ());
-          if pad_of.(nid) >= 0 then emit pad_of.(nid)
-        end)
-      (Netlist.conns nl iid)
+  let nslots = ninst + Vec.length pads in
+  let placed = Bytes.make nslots '\000' in
+  Array.iter (fun iid -> Bytes.set placed iid '\001') cells;
+  let on iid = Bytes.get placed iid <> '\000' in
+  let net_slots nid emit =
+    if not (Netlist.is_clock_net nl nid) then begin
+      (match Netlist.driver nl nid with
+      | Some p when on p.Netlist.inst -> emit p.Netlist.inst
+      | Some _ | None -> ());
+      List.iter
+        (fun (p : Netlist.pin) -> if on p.Netlist.inst then emit p.Netlist.inst)
+        (Netlist.sinks nl nid);
+      (match Netlist.holder_of nl nid with Some h when on h -> emit h | Some _ | None -> ());
+      if pad_of.(nid) >= 0 then emit pad_of.(nid)
+    end
   in
+  (* net [nid]'s slots are [slot.(net_start.(nid))] .. [slot.(net_start.(nid + 1) - 1)] *)
+  let net_start = Array.make (nnets + 1) 0 in
+  for nid = 0 to nnets - 1 do
+    let size = ref 0 in
+    net_slots nid (fun _ -> incr size);
+    net_start.(nid + 1) <- net_start.(nid) + !size
+  done;
+  let slot = Array.make net_start.(nnets) 0 in
+  for nid = 0 to nnets - 1 do
+    let fill = ref net_start.(nid) in
+    net_slots nid (fun s ->
+        slot.(!fill) <- s;
+        incr fill)
+  done;
   let n = Array.length cells in
   let start = Array.make (n + 1) 0 in
-  Array.iteri (fun k iid -> walk iid (fun _ -> start.(k + 1) <- start.(k + 1) + 1)) cells;
-  for k = 1 to n do
-    start.(k) <- start.(k) + start.(k - 1)
-  done;
+  Array.iteri
+    (fun k iid ->
+      start.(k + 1) <-
+        List.fold_left
+          (fun acc (_, nid) -> acc + net_start.(nid + 1) - net_start.(nid))
+          start.(k) (Netlist.conns nl iid))
+    cells;
   let nbr = Array.make start.(n) 0 in
   Array.iteri
     (fun k iid ->
-      let fill = ref start.(k) in
-      walk iid (fun slot ->
-          nbr.(!fill) <- slot;
-          incr fill))
+      ignore
+        (List.fold_left
+           (fun fill (_, nid) ->
+             let len = net_start.(nid + 1) - net_start.(nid) in
+             Array.blit slot net_start.(nid) nbr fill len;
+             fill + len)
+           start.(k) (Netlist.conns nl iid)))
     cells;
-  let xs = Array.make (ninst + Vec.length pads) 0.0 in
-  let ys = Array.make (ninst + Vec.length pads) 0.0 in
+  let xs = Array.make nslots 0.0 and ys = Array.make nslots 0.0 in
   Vec.iteri
     (fun j (p : Geom.point) ->
       xs.(ninst + j) <- p.Geom.x;
@@ -180,8 +238,13 @@ let compile t cells =
     nbr;
     xs;
     ys;
+    placed;
     row_of = Array.make n 0;
     by_row = Array.make n 0;
+    key = Array.make n 0.0;
+    tmp_key = Array.make n 0.0;
+    tmp_cell = Array.make n 0;
+    row_start = Array.make (t.rows + 2) 0;
   }
 
 (* Move every cell halfway toward the centroid of its neighbours, reading
@@ -223,47 +286,103 @@ let refine t c =
   done;
   !moved
 
+(* Sorts [key.(lo .. hi - 1)] ascending and moves [cell] along, keeping
+   the order of equal keys: a merge sort whose short runs are insertion
+   sorted.  [tmp_key]/[tmp_cell] are work space over the same range. *)
+let rec sort_by_key (key : float array) (cell : int array) tmp_key tmp_cell lo hi =
+  if hi - lo <= 8 then
+    for i = lo + 1 to hi - 1 do
+      let k = key.(i) and c = cell.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && key.(!j) > k do
+        key.(!j + 1) <- key.(!j);
+        cell.(!j + 1) <- cell.(!j);
+        decr j
+      done;
+      key.(!j + 1) <- k;
+      cell.(!j + 1) <- c
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_by_key key cell tmp_key tmp_cell lo mid;
+    sort_by_key key cell tmp_key tmp_cell mid hi;
+    if key.(mid - 1) > key.(mid) then begin
+      (* the left run waits in [tmp_key]/[tmp_cell]; the right run's
+         tail, once the left one is used up, is already in place *)
+      for i = lo to mid - 1 do
+        tmp_key.(i) <- key.(i);
+        tmp_cell.(i) <- cell.(i)
+      done;
+      let i = ref lo and j = ref mid and o = ref lo in
+      while !i < mid do
+        if !j < hi && key.(!j) < tmp_key.(!i) then begin
+          key.(!o) <- key.(!j);
+          cell.(!o) <- cell.(!j);
+          incr j
+        end
+        else begin
+          key.(!o) <- tmp_key.(!i);
+          cell.(!o) <- tmp_cell.(!i);
+          incr i
+        end;
+        incr o
+      done
+    end
+  end
+
+(* Bucket cells into rows, spill overfull rows into their neighbours (so
+   no row exceeds the die width), then pack each row left-to-right. *)
 let legalize t c =
-  (* Bucket cells into rows, spill overfull rows into their neighbours (so
-     no row exceeds the die width), then pack each row left-to-right. *)
-  let { cells; width; xs; ys; row_of; by_row; _ } = c in
-  let n = Array.length cells in
+  let { cells; width; xs; ys; row_of; by_row; key; tmp_key; tmp_cell; row_start; _ } = c in
+  let n = Array.length cells and rows = t.rows in
+  let lx = t.die.Geom.lx and ly = t.die.Geom.ly in
+  (* A counting sort into rows: [row_start.(r + 2)] counts row [r], the
+     prefix sums turn [row_start.(r + 1)] into where row [r] begins, and
+     filling advances it to where the row ends, so row [r] is [by_row.(
+     row_start.(r))] .. [by_row.(row_start.(r + 1) - 1)].  The cells go in
+     in reverse refinement order. *)
+  Array.fill row_start 0 (rows + 2) 0;
   for k = 0 to n - 1 do
-    row_of.(k) <-
-      int_of_float ((ys.(cells.(k)) -. t.die.Geom.ly) /. t.row_height)
-      |> max 0 |> min (t.rows - 1);
-    by_row.(k) <- n - 1 - k
+    let r = int_of_float ((ys.(cells.(k)) -. ly) /. t.row_height) in
+    let r = if r < 0 then 0 else if r > rows - 1 then rows - 1 else r in
+    row_of.(k) <- r;
+    row_start.(r + 2) <- row_start.(r + 2) + 1
   done;
-  (* the sort is stable: cells tied on (row, x) stay in reverse refinement
-     order *)
-  Array.stable_sort
-    (fun a b ->
-      match compare row_of.(a) row_of.(b) with
-      | 0 -> compare xs.(cells.(a)) xs.(cells.(b))
-      | c -> c)
-    by_row;
+  for r = 2 to rows + 1 do
+    row_start.(r) <- row_start.(r) + row_start.(r - 1)
+  done;
+  for k = n - 1 downto 0 do
+    let at = row_start.(row_of.(k) + 1) in
+    by_row.(at) <- k;
+    key.(at) <- xs.(cells.(k));
+    row_start.(row_of.(k) + 1) <- at + 1
+  done;
+  (* each row by x; cells tied on x stay in reverse refinement order *)
+  for r = 0 to rows - 1 do
+    sort_by_key key by_row tmp_key tmp_cell row_start.(r) row_start.(r + 1)
+  done;
   (* Global repack: walk the cells in (row, x) order and refill the rows
      sequentially, never exceeding the row capacity.  Total cell width is at
      most utilization * rows * capacity, so the greedy fill always fits (the
      last row absorbs any remainder). *)
   let capacity = Geom.width t.die in
-  let row = ref 0 and used = ref 0.0 and filled = ref 0 and x = ref t.die.Geom.lx in
-  Array.iter
-    (fun k ->
-      let w = width.(k) in
-      if !used +. w > capacity && !row < t.rows - 1 && !filled > 0 then begin
-        incr row;
-        used := 0.0;
-        filled := 0;
-        x := t.die.Geom.lx
-      end;
-      incr filled;
-      used := !used +. w;
-      let iid = cells.(k) in
-      xs.(iid) <- !x +. (w /. 2.0);
-      ys.(iid) <- t.die.Geom.ly +. ((float_of_int !row +. 0.5) *. t.row_height);
-      x := !x +. w)
-    by_row
+  let row = ref 0 and used = ref 0.0 and filled = ref 0 and x = ref lx in
+  for i = 0 to n - 1 do
+    let k = by_row.(i) in
+    let w = width.(k) in
+    if !used +. w > capacity && !row < rows - 1 && !filled > 0 then begin
+      incr row;
+      used := 0.0;
+      filled := 0;
+      x := lx
+    end;
+    incr filled;
+    used := !used +. w;
+    let iid = cells.(k) in
+    xs.(iid) <- !x +. (w /. 2.0);
+    ys.(iid) <- ly +. ((float_of_int !row +. 0.5) *. t.row_height);
+    x := !x +. w
+  done
 
 let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
   Trace.with_span "Placement.place"
@@ -279,7 +398,18 @@ let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
   let die =
     { Geom.lx = 0.0; Geom.ly = 0.0; Geom.hx = side; Geom.hy = float_of_int rows *. row_height }
   in
-  let t = { nl; die; rows; row_height; coords = Hashtbl.create 997; ports = Hashtbl.create 97 } in
+  let t =
+    {
+      nl;
+      die;
+      rows;
+      row_height;
+      px = [||];
+      py = [||];
+      placed = Bytes.empty;
+      ports = Hashtbl.create 97;
+    }
+  in
   (* Ports on the west (inputs) and east (outputs) edges. *)
   let spread edge_x ports =
     let n = List.length ports in
@@ -293,13 +423,14 @@ let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
   spread die.Geom.hx (Netlist.outputs nl);
   (* Constructive placement: sweep by logic level, snake through rows. *)
   let level = levels nl in
-  let insts = Netlist.live_insts nl in
-  let keyed =
-    List.map (fun iid -> (iid, (level.(iid), Rng.int rng 1000))) insts
-    |> List.sort (fun (_, k1) (_, k2) -> compare k1 k2)
-    |> List.map fst
-  in
-  let cells = Array.of_list keyed in
+  let live = Array.of_list (Netlist.live_insts nl) in
+  let n = Array.length live in
+  (* Cells by level, then by a draw below 1000, ties in [live] order: a
+     cell's key [level * 1000 + draw], times [n] plus its index in [live],
+     is distinct, so sorting these ints sorts the cells stably by key. *)
+  let keys = Array.mapi (fun i iid -> ((((level.(iid) * 1000) + Rng.int rng 1000) * n) + i)) live in
+  Array.stable_sort Int.compare keys;
+  let cells = Array.map (fun key -> live.(key mod n)) keys in
   let c = compile t cells in
   let per_row = max 1 ((Array.length cells + rows - 1) / rows) in
   Array.iteri
@@ -319,9 +450,9 @@ let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
     moved := !moved + refine t c;
     legalize t c
   done;
-  Array.iter
-    (fun iid -> Hashtbl.replace t.coords iid { Geom.x = c.xs.(iid); Geom.y = c.ys.(iid) })
-    cells;
+  t.px <- c.xs;
+  t.py <- c.ys;
+  t.placed <- c.placed;
   Metrics.incr ~by:!moved m_moves;
   if Log.enabled Log.Debug then
     Log.debug "place" "placed"

@@ -30,7 +30,20 @@ val place :
     of its neighbours' current positions, reading the cells already moved
     in the same pass.  Any neighbour that sits exactly on the cell's own
     position is left out of that mean, whether or not it is the cell
-    itself; a cell with no neighbour left stays put. *)
+    itself; a cell with no neighbour left stays put.
+
+    The initial sweep orders cells by logic level (the longest path from a
+    flip-flop or input, read off each gate's non-output pins), then by a
+    seeded draw below 1000, then by instance id.  Each legalization
+    counting-sorts the cells into rows by their y, in reverse refinement
+    order, orders each row by x, keeping that reverse order among cells on
+    the same x, then refills the rows from the bottom left without
+    exceeding the die width (the top row takes any excess) and puts each
+    cell at its row's centre line.
+
+    The placed points are kept in a table indexed by instance id, the
+    refinement's own coordinate arrays, so every reader below is an array
+    access. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 val die : t -> Smt_util.Geom.bbox
@@ -40,9 +53,13 @@ val inst_point : t -> Smt_netlist.Netlist.inst_id -> Smt_util.Geom.point
 (** Raises [Not_found] for instances that were never placed. *)
 
 val inst_point_opt : t -> Smt_netlist.Netlist.inst_id -> Smt_util.Geom.point option
+(** [None] for any id that was never placed, including ids the netlist
+    gained after [place].  An instance removed from the netlist keeps its
+    point. *)
 
 val place_inst : t -> Smt_netlist.Netlist.inst_id -> Smt_util.Geom.point -> unit
-(** Record (or move) an instance at a point, clamped into the die. *)
+(** Record (or move) an instance at a point, clamped into the die.  The
+    table grows to take ids past its end. *)
 
 val port_point : t -> string -> Smt_util.Geom.point option
 (** Boundary location of a primary port. *)
@@ -57,5 +74,7 @@ val net_hpwl : t -> Smt_netlist.Netlist.net_id -> float
 
 val total_hpwl : t -> float
 val centroid : t -> Smt_netlist.Netlist.inst_id list -> Smt_util.Geom.point
-(** Mean location of the given instances; die center for the empty list. *)
+(** Sum of the given instances' locations over the length of the list
+    (an unplaced one adds nothing but still counts); die center for the
+    empty list. *)
 

@@ -65,41 +65,48 @@ let standby_rule nl (cell : Cell.t) out =
 
 let create nl =
   let x_slot = Netlist.net_count nl in
-  let pin_or default iid pin = Option.value (Netlist.pin_net nl iid pin) ~default in
+  (* one [read_pins] walk per gate: its input nets, [x_slot] where a pin is
+     unconnected, and its output net *)
   let gates =
     Array.fold_right
       (fun iid acc ->
         let cell = Netlist.cell nl iid in
-        match Netlist.output_net nl iid with
-        | Some out when evaluates cell.Cell.kind -> (iid, cell, out) :: acc
-        | Some _ | None -> acc)
+        if evaluates cell.Cell.kind then begin
+          let ins = Array.make (Array.length (Func.input_names cell.Cell.kind)) x_slot in
+          let out = Netlist.read_pins nl iid ins in
+          if out >= 0 then (cell, ins, out) :: acc else acc
+        end
+        else acc)
       (Netlist.topo_order nl) []
-    |> Array.of_list
   in
-  let pins = Array.map (fun (_, cell, _) -> Func.input_names cell.Cell.kind) gates in
+  let g_in = Array.concat (List.map (fun (_, ins, _) -> ins) gates) in
+  let gates = Array.of_list gates in
   let g_in_start = Array.make (Array.length gates + 1) 0 in
-  Array.iteri (fun g p -> g_in_start.(g + 1) <- g_in_start.(g) + Array.length p) pins;
-  let g_in = Array.make g_in_start.(Array.length gates) x_slot in
-  Array.iteri
-    (fun g (iid, _, _) ->
-      Array.iteri (fun j pin -> g_in.(g_in_start.(g) + j) <- pin_or x_slot iid pin) pins.(g))
-    gates;
+  Array.iteri (fun g (_, ins, _) -> g_in_start.(g + 1) <- g_in_start.(g) + Array.length ins) gates;
   let ffs =
     List.filter (fun iid -> (Netlist.cell nl iid).Cell.kind = Func.Dff) (Netlist.live_insts nl)
     |> Array.of_list
   in
   let ff_slot = Array.make (Netlist.inst_count nl) (-1) in
   Array.iteri (fun f iid -> ff_slot.(iid) <- f) ffs;
+  (* a flip-flop's one input pin is D, its output Q *)
+  let ff_q = Array.make (Array.length ffs) (-1) and ff_d = Array.make (Array.length ffs) (-1) in
+  Array.iteri
+    (fun f iid ->
+      let d = [| -1 |] in
+      ff_q.(f) <- Netlist.read_pins nl iid d;
+      ff_d.(f) <- d.(0))
+    ffs;
   {
     nl;
     values = Array.make (x_slot + 1) x;
     g_out = Array.map (fun (_, _, out) -> out) gates;
     g_in_start;
     g_in;
-    g_table = Array.map (fun (_, cell, _) -> List.assq cell.Cell.kind table_offsets) gates;
-    g_standby = Array.map (fun (_, cell, out) -> standby_rule nl cell out) gates;
-    ff_q = Array.map (fun iid -> pin_or (-1) iid "Q") ffs;
-    ff_d = Array.map (fun iid -> pin_or (-1) iid "D") ffs;
+    g_table = Array.map (fun (cell, _, _) -> List.assq cell.Cell.kind table_offsets) gates;
+    g_standby = Array.map (fun (cell, _, out) -> standby_rule nl cell out) gates;
+    ff_q;
+    ff_d;
     ff_state = Array.make (Array.length ffs) (code Logic.F);
     ff_slot;
   }
@@ -150,7 +157,8 @@ let propagate ?(mode = Active) t =
 let clock_edge t =
   Array.iteri (fun f d -> if d >= 0 then t.ff_state.(f) <- t.values.(d)) t.ff_d
 
-let value t nid = of_code.(t.values.(nid))
+let code_of t nid = t.values.(nid)
+let value t nid = of_code.(code_of t nid)
 
 let output_values t = List.map (fun (name, nid) -> (name, value t nid)) (Netlist.outputs t.nl)
 

@@ -40,6 +40,11 @@ val clock_edge : t -> unit
 (** Latch every flip-flop's D into its state (call after [propagate]). *)
 
 val value : t -> Smt_netlist.Netlist.net_id -> Logic.value
+
+val code_of : t -> Smt_netlist.Netlist.net_id -> int
+(** The net's value as the simulator stores it: 0 for F, 1 for T, 2 for X.
+    Two nets hold the same value exactly when their codes are equal. *)
+
 val output_values : t -> (string * Logic.value) list
 
 val ff_state : t -> Smt_netlist.Netlist.inst_id -> Logic.value

@@ -169,21 +169,10 @@ let text_tables text =
   in
   go [] (String.split_on_char '\n' text)
 
-(* A JSON number and a text cell show the same value.  The JSON keeps six
-   significant digits (Obs_json.num), so a text cell rounded from the
-   exact value can read one more in its last place than the JSON value
-   printed with the same format: 334.525 in the JSON prints 334.52 where
-   the text reads 334.53.  Beyond that the two must agree. *)
-let same_number fmt text f =
-  Printf.sprintf fmt f = text
-  ||
-  let decimals =
-    match String.index_opt text '.' with Some i -> String.length text - i - 1 | None -> 0
-  in
-  let json_digit =
-    if f = 0.0 then 0.0 else 10.0 ** (Float.floor (Float.log10 (Float.abs f)) -. 5.0)
-  in
-  Float.abs (float_of_string text -. f) <= 0.5 *. ((10.0 ** -.float decimals) +. json_digit)
+(* A JSON number and a text cell show the same value: the JSON keeps the
+   exact double (Obs_json.num_exact), so printing it with the column's
+   format gives the text. *)
+let same_number fmt text f = Printf.sprintf fmt f = text
 
 (* Each table of a document with its rows as the JSON rendering wrote them. *)
 let rec tables_with_json doc json =

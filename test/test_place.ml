@@ -3,6 +3,8 @@ module Placement = Smt_place.Placement
 module Geom = Smt_util.Geom
 module Generators = Smt_circuits.Generators
 module Library = Smt_cell.Library
+module Func = Smt_cell.Func
+module Vth = Smt_cell.Vth
 
 let lib = Library.default ()
 
@@ -134,6 +136,83 @@ let test_net_hpwl_and_pin_points () =
       Alcotest.(check bool) "every net has points" true (pts <> []);
       Alcotest.(check bool) "hpwl non-negative" true (Placement.net_hpwl place nid >= 0.0))
 
+(* --- the point table --- *)
+
+(* c17 placed, then [k] buffers hung off its first input, none of them
+   placed.  c17 has seven ports, so the first seven buffers take ids in
+   the pad slots of [place]'s table and the rest lie past its end. *)
+let c17_with_late_buffers k =
+  let nl = Generators.c17 lib in
+  let place = Placement.place nl in
+  let a = snd (List.hd (Netlist.inputs nl)) in
+  let bufs =
+    List.init k (fun i ->
+        Netlist.add_inst nl ~name:(Printf.sprintf "late%d" i)
+          (Library.variant lib Func.Buf Vth.Low Vth.Plain)
+          [ ("A", a); ("Z", Netlist.fresh_net nl "late") ])
+  in
+  (nl, place, bufs)
+
+let check_point msg (want : Geom.point) = function
+  | Some (p : Geom.point) ->
+    Alcotest.(check (pair (float 0.0) (float 0.0)))
+      msg (want.Geom.x, want.Geom.y) (p.Geom.x, p.Geom.y)
+  | None -> Alcotest.fail (msg ^ ": not placed")
+
+let test_never_placed () =
+  let _, place, bufs = c17_with_late_buffers 10 in
+  List.iter
+    (fun iid ->
+      let msg = string_of_int iid in
+      Alcotest.(check bool) (msg ^ " reads None") true (Placement.inst_point_opt place iid = None);
+      Alcotest.check_raises (msg ^ " raises Not_found") Not_found (fun () ->
+          ignore (Placement.inst_point place iid)))
+    (bufs @ [ -1; 1_000_000 ])
+
+let test_place_inst_past_table () =
+  let nl, place, bufs = c17_with_late_buffers 10 in
+  let die = Placement.die place in
+  let early = List.filter (fun iid -> not (List.mem iid bufs)) (Netlist.live_insts nl) in
+  let before = List.map (Placement.inst_point place) early in
+  let last = List.nth bufs 9 in
+  Placement.place_inst place last { Geom.x = -5.0; Geom.y = 1e9 };
+  check_point "clamped into the die" { Geom.x = die.Geom.lx; Geom.y = die.Geom.hy }
+    (Placement.inst_point_opt place last);
+  List.iter
+    (fun iid ->
+      if iid <> last then
+        Alcotest.(check bool) "others stay unplaced" true
+          (Placement.inst_point_opt place iid = None))
+    bufs;
+  List.iter2
+    (fun iid p -> check_point "placed points kept" p (Placement.inst_point_opt place iid))
+    early before
+
+let test_place_inst_overwrites () =
+  let nl = Generators.c17 lib in
+  let place = Placement.place nl in
+  let iid = List.hd (Netlist.live_insts nl) in
+  let at = Geom.center (Placement.die place) in
+  Placement.place_inst place iid { Geom.x = 0.0; Geom.y = 0.0 };
+  Placement.place_inst place iid at;
+  check_point "last point wins" at (Placement.inst_point_opt place iid)
+
+let test_removed_keeps_point () =
+  let nl = Generators.c17 lib in
+  let place = Placement.place nl in
+  let iid = List.hd (Netlist.live_insts nl) in
+  let p = Placement.inst_point place iid in
+  Netlist.remove_inst nl iid;
+  check_point "removed instance" p (Placement.inst_point_opt place iid)
+
+let test_centroid_counts_unplaced () =
+  let nl, place, bufs = c17_with_late_buffers 1 in
+  let iid = List.hd (Netlist.live_insts nl) in
+  let p = Placement.inst_point place iid in
+  check_point "halved by the unplaced member"
+    { Geom.x = p.Geom.x /. 2.0; Geom.y = p.Geom.y /. 2.0 }
+    (Some (Placement.centroid place (iid :: bufs)))
+
 let () =
   Alcotest.run "smt_place"
     [
@@ -146,6 +225,14 @@ let () =
           Alcotest.test_case "no overlap in rows" `Quick test_no_overlap_in_rows;
           Alcotest.test_case "ports on boundary" `Quick test_ports_on_boundary;
           Alcotest.test_case "place_inst clamps" `Quick test_place_inst_clamps;
+        ] );
+      ( "point table",
+        [
+          Alcotest.test_case "never placed" `Quick test_never_placed;
+          Alcotest.test_case "place_inst past the table" `Quick test_place_inst_past_table;
+          Alcotest.test_case "place_inst overwrites" `Quick test_place_inst_overwrites;
+          Alcotest.test_case "removed keeps its point" `Quick test_removed_keeps_point;
+          Alcotest.test_case "centroid counts unplaced" `Quick test_centroid_counts_unplaced;
         ] );
       ( "wirelength",
         [

@@ -936,10 +936,10 @@ let same_point (a : Geom.point) (b : Geom.point) =
   same_float a.Geom.x b.Geom.x && same_float a.Geom.y b.Geom.y
 
 (* Every coordinate, every pad, the die and the move count, bit for bit. *)
-let placement_matches_reference ?seed ?iterations nl =
-  let r, ref_moves = Reference_placer.place ?seed ?iterations nl in
+let placement_matches_reference ?seed ?utilization ?iterations nl =
+  let r, ref_moves = Reference_placer.place ?seed ?utilization ?iterations nl in
   let moves0 = Metrics.counter_value m_place_moves in
-  let p = Placement.place ?seed ?iterations nl in
+  let p = Placement.place ?seed ?utilization ?iterations nl in
   let moves = Metrics.counter_value m_place_moves - moves0 in
   let die = Placement.die p in
   moves = ref_moves
@@ -962,19 +962,40 @@ let placement_matches_reference ?seed ?iterations nl =
          | Some _, None | None, Some _ -> false)
        (Netlist.inputs nl @ Netlist.outputs nl)
 
+(* One buffer fanning out to [leaves] inverters, each into an output
+   buffer: every inverter has the same neighbours.  Packed above full
+   utilization, the first legalization spills the last row past the die's
+   east edge, and from the second pass on the refinement clamps several
+   of its cells onto that edge, so they tie on x and the legalization's
+   tie order decides where they go. *)
+let fanout_star leaves =
+  let module B = Smt_netlist.Builder in
+  let module Func = Smt_cell.Func in
+  let b = B.create ~name:(Printf.sprintf "star%d" leaves) ~lib in
+  let hub = B.gate b Func.Buf [ B.input b "a" ] in
+  for i = 1 to leaves do
+    B.gate_into b Func.Buf [ B.gate b Func.Inv [ hub ] ] (B.output b (Printf.sprintf "y%d" i))
+  done;
+  B.netlist b
+
 let prop_placement_matches_reference =
-  (* fresh circuits, and every third case an improved-MT netlist with its
-     switch, holders and MTE port placed again *)
+  (* fresh circuits; every third case an improved-MT netlist with its
+     switch, holders and MTE port placed again, and one case in six a
+     fanout star with ties *)
   QCheck2.Test.make ~name:"compiled refinement = list-based placer" ~count:40
     QCheck2.Gen.(pair seed_gen (int_range 0 14))
     (fun (seed, iterations) ->
-      let nl =
-        if seed mod 3 = 0 then Option.map fst (random_mt_netlist seed)
-        else Some (random_netlist seed)
-      in
-      match nl with
-      | None -> true
-      | Some nl -> placement_matches_reference ~seed ~iterations nl)
+      match seed mod 6 with
+      | 0 | 3 -> (
+        match random_mt_netlist seed with
+        | None -> true
+        | Some (nl, _) -> placement_matches_reference ~seed ~iterations nl)
+      | 4 ->
+        placement_matches_reference ~seed
+          ~utilization:(1.25 +. (0.25 *. float (seed / 6 mod 4)))
+          ~iterations:(max 2 iterations)
+          (fanout_star (16 + (seed mod 33)))
+      | _ -> placement_matches_reference ~seed ~iterations (random_netlist seed))
 
 (* The paper's circuits as placed by the flow, and circuit_a's improved
    flow product (switches, holders, MTE and ECO buffers, clock tree)
