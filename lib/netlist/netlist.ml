@@ -447,15 +447,21 @@ let iter_insts t f = Vec.iteri (fun i inst -> if not inst.i_dead then f i) t.ins
 
 let iter_nets t f = Vec.iteri (fun i _ -> f i) t.nets
 
-let fanin_insts t iid =
+let fold_fanin_drivers t iid f acc =
   let inst = Vec.get t.insts iid in
-  inst.i_conns
-  |> List.filter_map (fun (pin_name, nid) ->
-         match pin_dir inst.i_cell pin_name with
-         | Dir_in -> (
-           match (Vec.get t.nets nid).driver with Some p -> Some p.inst | None -> None)
-         | Dir_out | Dir_holder_z -> None)
-  |> List.sort_uniq compare
+  let rec fold acc = function
+    | [] -> acc
+    | (pin_name, nid) :: rest -> (
+      match pin_dir inst.i_cell pin_name with
+      | Dir_in -> (
+        match (Vec.get t.nets nid).driver with
+        | Some p -> fold (f acc p.inst) rest
+        | None -> fold acc rest)
+      | Dir_out | Dir_holder_z -> fold acc rest)
+  in
+  fold acc inst.i_conns
+
+let fanin_insts t iid = List.sort_uniq compare (fold_fanin_drivers t iid (fun acc d -> d :: acc) [])
 
 let is_comb_kind kind =
   (not (Func.is_sequential kind)) && not (Func.is_infrastructure kind)

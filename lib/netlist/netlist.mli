@@ -173,8 +173,14 @@ val iter_insts : t -> (inst_id -> unit) -> unit
 
 val iter_nets : t -> (net_id -> unit) -> unit
 
+val fold_fanin_drivers : t -> inst_id -> ('a -> inst_id -> 'a) -> 'a -> 'a
+(** Folds over the driver of each of this instance's input pins (the
+    pins its nets list among their {!sinks}) that has one, in connection
+    order, once per pin. *)
+
 val fanin_insts : t -> inst_id -> inst_id list
-(** Distinct instances driving this instance's input pins. *)
+(** Distinct instances driving this instance's input pins: the drivers
+    {!fold_fanin_drivers} visits, ascending. *)
 
 val topo_order : t -> inst_id array
 (** The live combinational instances in topological (fanin-first) order,

@@ -1,6 +1,5 @@
 module Netlist = Smt_netlist.Netlist
 module Cell = Smt_cell.Cell
-module Func = Smt_cell.Func
 module Geom = Smt_util.Geom
 module Vec = Smt_util.Vec
 module Rng = Smt_util.Rng
@@ -112,26 +111,15 @@ let centroid t insts =
     sum 0.0 0.0 insts
 
 (* Longest-path logic level per instance; every instance outside the
-   combinational frame (flip-flops, switches, holders) is level 0.  A
-   gate's fanins are the drivers of all its pins but its output, the
-   edges [Netlist.topo_order] walks. *)
+   combinational frame (flip-flops, switches, holders) is level 0. *)
 let levels nl =
   let level = Array.make (Netlist.inst_count nl) 0 in
-  let rec deepest out acc = function
-    | [] -> acc
-    | (pin, nid) :: rest -> (
-      if String.equal pin out then deepest out acc rest
-      else
-        match Netlist.driver nl nid with
-        | Some d ->
-          let l = level.(d.Netlist.inst) + 1 in
-          deepest out (if l > acc then l else acc) rest
-        | None -> deepest out acc rest)
+  let deeper acc d =
+    let l = level.(d) + 1 in
+    if l > acc then l else acc
   in
   Array.iter
-    (fun iid ->
-      let out = (Func.output_names (Netlist.cell nl iid).Cell.kind).(0) in
-      level.(iid) <- deepest out 0 (Netlist.conns nl iid))
+    (fun iid -> level.(iid) <- Netlist.fold_fanin_drivers nl iid deeper 0)
     (Netlist.topo_order nl);
   level
 
@@ -151,12 +139,9 @@ type compiled = {
   ys : float array;
   placed : Bytes.t;
   (* legalization work arrays: per cell, its row and the cells in (row,
-     x) order with their x; per row, where its cells begin *)
+     x) order; per row, where its cells begin *)
   row_of : int array;
   by_row : int array;
-  key : float array;
-  tmp_key : float array;
-  tmp_cell : int array;
   row_start : int array;
 }
 
@@ -241,9 +226,6 @@ let compile t cells =
     placed;
     row_of = Array.make n 0;
     by_row = Array.make n 0;
-    key = Array.make n 0.0;
-    tmp_key = Array.make n 0.0;
-    tmp_cell = Array.make n 0;
     row_start = Array.make (t.rows + 2) 0;
   }
 
@@ -286,54 +268,11 @@ let refine t c =
   done;
   !moved
 
-(* Sorts [key.(lo .. hi - 1)] ascending and moves [cell] along, keeping
-   the order of equal keys: a merge sort whose short runs are insertion
-   sorted.  [tmp_key]/[tmp_cell] are work space over the same range. *)
-let rec sort_by_key (key : float array) (cell : int array) tmp_key tmp_cell lo hi =
-  if hi - lo <= 8 then
-    for i = lo + 1 to hi - 1 do
-      let k = key.(i) and c = cell.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && key.(!j) > k do
-        key.(!j + 1) <- key.(!j);
-        cell.(!j + 1) <- cell.(!j);
-        decr j
-      done;
-      key.(!j + 1) <- k;
-      cell.(!j + 1) <- c
-    done
-  else begin
-    let mid = (lo + hi) / 2 in
-    sort_by_key key cell tmp_key tmp_cell lo mid;
-    sort_by_key key cell tmp_key tmp_cell mid hi;
-    if key.(mid - 1) > key.(mid) then begin
-      (* the left run waits in [tmp_key]/[tmp_cell]; the right run's
-         tail, once the left one is used up, is already in place *)
-      for i = lo to mid - 1 do
-        tmp_key.(i) <- key.(i);
-        tmp_cell.(i) <- cell.(i)
-      done;
-      let i = ref lo and j = ref mid and o = ref lo in
-      while !i < mid do
-        if !j < hi && key.(!j) < tmp_key.(!i) then begin
-          key.(!o) <- key.(!j);
-          cell.(!o) <- cell.(!j);
-          incr j
-        end
-        else begin
-          key.(!o) <- tmp_key.(!i);
-          cell.(!o) <- tmp_cell.(!i);
-          incr i
-        end;
-        incr o
-      done
-    end
-  end
-
-(* Bucket cells into rows, spill overfull rows into their neighbours (so
-   no row exceeds the die width), then pack each row left-to-right. *)
+(* Bucket cells into rows, spill overfull rows into the rows above, then
+   pack each row left-to-right.  The top row takes whatever the rows below
+   cannot, so above full utilization it runs past the die's east edge. *)
 let legalize t c =
-  let { cells; width; xs; ys; row_of; by_row; key; tmp_key; tmp_cell; row_start; _ } = c in
+  let { cells; width; xs; ys; row_of; by_row; row_start; _ } = c in
   let n = Array.length cells and rows = t.rows in
   let lx = t.die.Geom.lx and ly = t.die.Geom.ly in
   (* A counting sort into rows: [row_start.(r + 2)] counts row [r], the
@@ -354,17 +293,19 @@ let legalize t c =
   for k = n - 1 downto 0 do
     let at = row_start.(row_of.(k) + 1) in
     by_row.(at) <- k;
-    key.(at) <- xs.(cells.(k));
     row_start.(row_of.(k) + 1) <- at + 1
   done;
   (* each row by x; cells tied on x stay in reverse refinement order *)
+  let by_x a b = Float.compare xs.(cells.(a)) xs.(cells.(b)) in
   for r = 0 to rows - 1 do
-    sort_by_key key by_row tmp_key tmp_cell row_start.(r) row_start.(r + 1)
+    let lo = row_start.(r) in
+    let row = Array.sub by_row lo (row_start.(r + 1) - lo) in
+    Array.stable_sort by_x row;
+    Array.blit row 0 by_row lo (Array.length row)
   done;
   (* Global repack: walk the cells in (row, x) order and refill the rows
-     sequentially, never exceeding the row capacity.  Total cell width is at
-     most utilization * rows * capacity, so the greedy fill always fits (the
-     last row absorbs any remainder). *)
+     sequentially, never exceeding the row capacity below the top row; the
+     top row takes any excess, and its cells can then sit past [hx]. *)
   let capacity = Geom.width t.die in
   let row = ref 0 and used = ref 0.0 and filled = ref 0 and x = ref lx in
   for i = 0 to n - 1 do

@@ -33,8 +33,8 @@ val place :
     itself; a cell with no neighbour left stays put.
 
     The initial sweep orders cells by logic level (the longest path from a
-    flip-flop or input, read off each gate's non-output pins), then by a
-    seeded draw below 1000, then by instance id.  Each legalization
+    flip-flop or input over {!Smt_netlist.Netlist.fold_fanin_drivers}),
+    then by a seeded draw below 1000, then by instance id.  Each legalization
     counting-sorts the cells into rows by their y, in reverse refinement
     order, orders each row by x, keeping that reverse order among cells on
     the same x, then refills the rows from the bottom left without

@@ -962,12 +962,40 @@ let placement_matches_reference ?seed ?utilization ?iterations nl =
          | Some _, None | None, Some _ -> false)
        (Netlist.inputs nl @ Netlist.outputs nl)
 
+let prop_placement_matches_reference =
+  (* fresh circuits, and every third case an improved-MT netlist with its
+     switch, holders and MTE port placed again *)
+  QCheck2.Test.make ~name:"compiled refinement = list-based placer" ~count:40
+    QCheck2.Gen.(pair seed_gen (int_range 0 14))
+    (fun (seed, iterations) ->
+      let nl =
+        if seed mod 3 = 0 then Option.map fst (random_mt_netlist seed)
+        else Some (random_netlist seed)
+      in
+      match nl with
+      | None -> true
+      | Some nl -> placement_matches_reference ~seed ~iterations nl)
+
+(* [cells] inverters, each from its own input port to its own output
+   port.  The pads sit on the west and east edges, so every cell's
+   neighbour centroid lies on the die's vertical midline: cells that
+   start a pass at one x end it at one x, and those that land in one row
+   tie there, at the flow's utilization of 0.65. *)
+let port_bank cells =
+  let module B = Smt_netlist.Builder in
+  let b = B.create ~name:(Printf.sprintf "bank%d" cells) ~lib in
+  for i = 1 to cells do
+    B.gate_into b Smt_cell.Func.Inv
+      [ B.input b (Printf.sprintf "a%d" i) ]
+      (B.output b (Printf.sprintf "y%d" i))
+  done;
+  B.netlist b
+
 (* One buffer fanning out to [leaves] inverters, each into an output
-   buffer: every inverter has the same neighbours.  Packed above full
-   utilization, the first legalization spills the last row past the die's
-   east edge, and from the second pass on the refinement clamps several
-   of its cells onto that edge, so they tie on x and the legalization's
-   tie order decides where they go. *)
+   buffer.  Its ties need a utilization above full: the first
+   legalization's top row then runs past the die's east edge, and from
+   the second pass on the refinement clamps several of its cells onto
+   that edge. *)
 let fanout_star leaves =
   let module B = Smt_netlist.Builder in
   let module Func = Smt_cell.Func in
@@ -978,24 +1006,18 @@ let fanout_star leaves =
   done;
   B.netlist b
 
-let prop_placement_matches_reference =
-  (* fresh circuits; every third case an improved-MT netlist with its
-     switch, holders and MTE port placed again, and one case in six a
-     fanout star with ties *)
-  QCheck2.Test.make ~name:"compiled refinement = list-based placer" ~count:40
-    QCheck2.Gen.(pair seed_gen (int_range 0 14))
-    (fun (seed, iterations) ->
-      match seed mod 6 with
-      | 0 | 3 -> (
-        match random_mt_netlist seed with
-        | None -> true
-        | Some (nl, _) -> placement_matches_reference ~seed ~iterations nl)
-      | 4 ->
+(* Cells of one row on one x, where the legalization's tie order decides
+   which goes first: a port bank at the flow's utilization, or a fanout
+   star packed at 1.25-2.0. *)
+let prop_placement_ties_match_reference =
+  QCheck2.Test.make ~name:"placer ties on x = list-based placer" ~count:20
+    QCheck2.Gen.(triple seed_gen (int_range 16 48) (int_range 2 14))
+    (fun (seed, cells, iterations) ->
+      if seed mod 2 = 0 then placement_matches_reference ~seed ~iterations (port_bank cells)
+      else
         placement_matches_reference ~seed
-          ~utilization:(1.25 +. (0.25 *. float (seed / 6 mod 4)))
-          ~iterations:(max 2 iterations)
-          (fanout_star (16 + (seed mod 33)))
-      | _ -> placement_matches_reference ~seed ~iterations (random_netlist seed))
+          ~utilization:(1.25 +. (0.25 *. float (seed / 2 mod 4)))
+          ~iterations (fanout_star cells))
 
 (* The paper's circuits as placed by the flow, and circuit_a's improved
    flow product (switches, holders, MTE and ECO buffers, clock tree)
@@ -3517,6 +3539,7 @@ let () =
         [
           qtest prop_placement_in_die;
           qtest prop_placement_matches_reference;
+          qtest prop_placement_ties_match_reference;
           Alcotest.test_case "circuit_a/b placement = list-based placer" `Quick
             test_placement_paper_circuits;
           qtest prop_sta_arrivals_monotone;
