@@ -1,5 +1,6 @@
 (* Prints, bit for bit, how the improved flow prices its switch structure on
-   every suite circuit: each stage's worst bounce, each built cluster
+   every suite circuit: each stage's worst bounce, WNS, area and standby
+   leakage, each built cluster
    (switch name, member ids in order, width, VGND length, simultaneous and
    sustained current, bounce) and each final bounce report.  Floats print
    at %.17g, so a change in any fold's order or association shows here
@@ -22,7 +23,10 @@ let () =
       let report, art = Flow.run_with_artifacts Flow.Improved_smt nl in
       Printf.printf "# %s\n" name;
       List.iter
-        (fun s -> Printf.printf "stage %S bounce=%.17g\n" s.Flow.stage_name s.Flow.stage_worst_bounce)
+        (fun s ->
+          Printf.printf "stage %S bounce=%.17g wns=%.17g area=%.17g standby=%.17g\n"
+            s.Flow.stage_name s.Flow.stage_worst_bounce s.Flow.stage_wns s.Flow.stage_area
+            s.Flow.stage_standby_nw)
         report.Flow.stages;
       List.iter
         (fun (c : Cluster.cluster) ->
