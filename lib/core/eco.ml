@@ -15,6 +15,7 @@ type result = {
   hold_before : float;
   hold_after : float;
   setup_after : float;
+  sta : Sta.t;
 }
 
 let fix_hold ?(max_iterations = 10) cfg place =
@@ -80,4 +81,5 @@ let fix_hold ?(max_iterations = 10) cfg place =
     hold_before;
     hold_after = Sta.worst_hold_slack sta;
     setup_after = Sta.wns sta;
+    sta;
   }

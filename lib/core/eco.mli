@@ -19,6 +19,7 @@ type result = {
   hold_before : float;
   hold_after : float;
   setup_after : float;
+  sta : Smt_sta.Sta.t;  (** the loop's analysis, consistent with the final netlist *)
 }
 
 val fix_hold :

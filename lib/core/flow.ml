@@ -157,10 +157,12 @@ type report = {
    model: run STA at a huge period and subtract the worst slack. *)
 let endpoint_free_fallback_ps = 100.0
 
-let minimal_period ?(slew_aware = false) ~wire nl =
-  let probe = 1e6 in
-  let cfg = Sta.config ~wire ~slew_aware ~clock_period:probe () in
-  let sta = Sta.analyze cfg nl in
+let probe_period = 1e6
+
+let probe_config ~slew_aware ~wire = Sta.config ~wire ~slew_aware ~clock_period:probe_period ()
+
+(* The period a probe analysis of [nl] implies. *)
+let period_of_probe nl sta =
   let wns = Sta.wns sta in
   if wns = infinity then begin
     (* No endpoints: nothing constrains the clock.  The checker reports the
@@ -171,7 +173,10 @@ let minimal_period ?(slew_aware = false) ~wire nl =
          (Netlist.design_name nl) endpoint_free_fallback_ps);
     endpoint_free_fallback_ps
   end
-  else probe -. wns
+  else probe_period -. wns
+
+let minimal_period ?(slew_aware = false) ~wire nl =
+  period_of_probe nl (Sta.analyze (probe_config ~slew_aware ~wire) nl)
 
 type artifacts = {
   art_place : Placement.t;
@@ -206,7 +211,30 @@ let run_with_artifacts ?(options = default_options) technique nl =
   in
   let est = Parasitics.estimate ~seed:(options.seed + 17) place in
   let wire_est = Parasitics.wire_model est nl in
-  let min_period = minimal_period ~slew_aware:options.slew_aware ~wire:wire_est nl in
+  (* The flow's one timing session: the period probe's analysis, re-timed
+     in place by every snapshot.  It is [None] only while a layer that
+     times the netlist in a session of its own runs; the flow then takes
+     that session over, so two full sessions are never live at once. *)
+  let session = ref None in
+  let timed cfg =
+    match !session with
+    | Some sta ->
+      Sta.reanalyze sta cfg;
+      sta
+    | None ->
+      let sta = Sta.analyze cfg nl in
+      session := Some sta;
+      sta
+  in
+  let handing_over layer sta_of =
+    session := None;
+    let r = layer () in
+    session := Some (sta_of r);
+    r
+  in
+  let min_period =
+    period_of_probe nl (timed (probe_config ~slew_aware:options.slew_aware ~wire:wire_est))
+  in
   let clock_period = min_period *. (1.0 +. options.clock_margin) in
   (* The Vth assignment works against a tighter period, reserving
      [clock_margin - assignment_margin] of slack for the MT conversion. *)
@@ -308,7 +336,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
     end
   in
   let snapshot ?(cfg = base_cfg) ?(bounce = 0.0) name =
-    let sta = Sta.analyze cfg nl in
+    let sta = timed cfg in
     let stats = Nl_stats.compute nl in
     let area = stats.Nl_stats.area_total in
     let standby = (Leakage.standby nl).Leakage.total in
@@ -375,11 +403,20 @@ let run_with_artifacts ?(options = default_options) technique nl =
   in
   snapshot "physical-synthesis (all low-Vth)";
   (* Stage: Dual-Vth-style replacement (all techniques). *)
-  let swapped = (Vth_assign.assign assign_cfg nl).Vth_assign.swapped in
+  let swapped =
+    (handing_over
+       (fun () -> Vth_assign.assign assign_cfg nl)
+       (fun r -> r.Vth_assign.sta))
+      .Vth_assign.swapped
+  in
   snapshot "high-Vth replacement";
   let downsized =
     if options.gate_sizing then begin
-      let r = Gate_sizing.downsize_idle assign_cfg nl in
+      let r =
+        handing_over
+          (fun () -> Gate_sizing.downsize_idle assign_cfg nl)
+          (fun r -> r.Gate_sizing.sta)
+      in
       snapshot "gate sizing (drive-strength recovery)";
       r.Gate_sizing.resized
     end
@@ -387,7 +424,9 @@ let run_with_artifacts ?(options = default_options) technique nl =
   in
   let retained =
     if options.retention_registers then begin
-      let r = Retention.convert assign_cfg nl in
+      let r =
+        handing_over (fun () -> Retention.convert assign_cfg nl) (fun r -> r.Retention.sta)
+      in
       snapshot "retention-register conversion";
       r.Retention.converted
     end
@@ -517,8 +556,12 @@ let run_with_artifacts ?(options = default_options) technique nl =
   (* ECO: fix hold violations; final timing. *)
   let final_reports = bounce_reports () in
   let final_cfg = post_route_cfg (bounce_fn_of final_reports) in
-  let eco = Eco.fix_hold ~max_iterations:options.max_hold_iterations final_cfg place in
-  let final_sta = Sta.analyze final_cfg nl in
+  let eco =
+    handing_over
+      (fun () -> Eco.fix_hold ~max_iterations:options.max_hold_iterations final_cfg place)
+      (fun r -> r.Eco.sta)
+  in
+  let final_sta = timed final_cfg in
   snapshot ~cfg:final_cfg ~bounce:(Bounce.worst final_reports) "ECO & timing analysis";
   let stats = Nl_stats.compute nl in
   let leakage = Leakage.standby nl in

@@ -20,74 +20,68 @@ type t = {
   total_switch_width : float;
 }
 
-let zero =
-  {
-    instances = 0;
-    nets = 0;
-    combinational = 0;
-    sequential = 0;
-    sleep_switches = 0;
-    holders = 0;
-    count_low_vth = 0;
-    count_high_vth = 0;
-    count_mt = 0;
-    area_total = 0.0;
-    area_logic = 0.0;
-    area_mt_cells = 0.0;
-    area_switches = 0.0;
-    area_holders = 0.0;
-    total_switch_width = 0.0;
-  }
-
 let compute nl =
-  let acc = ref { zero with nets = Netlist.net_count nl } in
-  Netlist.iter_insts nl (fun iid ->
+  let instances = ref 0 and combinational = ref 0 and sequential = ref 0 in
+  let sleep_switches = ref 0 and holders = ref 0 in
+  let count_low_vth = ref 0 and count_high_vth = ref 0 and count_mt = ref 0 in
+  let area_total = ref 0.0 and area_logic = ref 0.0 and area_mt_cells = ref 0.0 in
+  let area_switches = ref 0.0 and area_holders = ref 0.0 in
+  let total_switch_width = ref 0.0 in
+  let count_vth (c : Cell.t) =
+    if c.Cell.vth = Vth.Low then incr count_low_vth;
+    if c.Cell.vth = Vth.High then incr count_high_vth
+  in
+  (* A loop, not [Netlist.iter_insts]: the float accumulators stay
+     unboxed when no closure captures them. *)
+  for iid = 0 to Netlist.inst_count nl - 1 do
+    if not (Netlist.is_dead nl iid) then begin
       let c = Netlist.cell nl iid in
-      let s = !acc in
-      let s = { s with instances = s.instances + 1; area_total = s.area_total +. c.Cell.area } in
-      let s =
-        match c.Cell.kind with
-        | Func.Sleep_switch ->
-          {
-            s with
-            sleep_switches = s.sleep_switches + 1;
-            area_switches = s.area_switches +. c.Cell.area;
-            total_switch_width = s.total_switch_width +. c.Cell.switch_width;
-          }
-        | Func.Holder ->
-          { s with holders = s.holders + 1; area_holders = s.area_holders +. c.Cell.area }
-        | Func.Dff ->
-          {
-            s with
-            sequential = s.sequential + 1;
-            area_logic = s.area_logic +. c.Cell.area;
-            count_low_vth = (if c.Cell.vth = Vth.Low then s.count_low_vth + 1 else s.count_low_vth);
-            count_high_vth =
-              (if c.Cell.vth = Vth.High then s.count_high_vth + 1 else s.count_high_vth);
-          }
-        | Func.Inv | Func.Buf | Func.Clkbuf | Func.Nand2 | Func.Nand3 | Func.Nand4
-        | Func.Nor2 | Func.Nor3 | Func.And2 | Func.And3 | Func.Or2 | Func.Or3
-        | Func.Xor2 | Func.Xnor2 | Func.Aoi21 | Func.Oai21 | Func.Mux2 ->
-          let s = { s with combinational = s.combinational + 1 } in
-          if Cell.is_mt c then
-            {
-              s with
-              count_mt = s.count_mt + 1;
-              area_mt_cells = s.area_mt_cells +. c.Cell.area;
-              total_switch_width = s.total_switch_width +. c.Cell.switch_width;
-            }
-          else
-            {
-              s with
-              area_logic = s.area_logic +. c.Cell.area;
-              count_low_vth =
-                (if c.Cell.vth = Vth.Low then s.count_low_vth + 1 else s.count_low_vth);
-              count_high_vth =
-                (if c.Cell.vth = Vth.High then s.count_high_vth + 1 else s.count_high_vth);
-            }
-      in
-      acc := s);
-  !acc
+      incr instances;
+      area_total := !area_total +. c.Cell.area;
+      match c.Cell.kind with
+      | Func.Sleep_switch ->
+        incr sleep_switches;
+        area_switches := !area_switches +. c.Cell.area;
+        total_switch_width := !total_switch_width +. c.Cell.switch_width
+      | Func.Holder ->
+        incr holders;
+        area_holders := !area_holders +. c.Cell.area
+      | Func.Dff ->
+        incr sequential;
+        area_logic := !area_logic +. c.Cell.area;
+        count_vth c
+      | Func.Inv | Func.Buf | Func.Clkbuf | Func.Nand2 | Func.Nand3 | Func.Nand4
+      | Func.Nor2 | Func.Nor3 | Func.And2 | Func.And3 | Func.Or2 | Func.Or3
+      | Func.Xor2 | Func.Xnor2 | Func.Aoi21 | Func.Oai21 | Func.Mux2 ->
+        incr combinational;
+        if Cell.is_mt c then begin
+          incr count_mt;
+          area_mt_cells := !area_mt_cells +. c.Cell.area;
+          total_switch_width := !total_switch_width +. c.Cell.switch_width
+        end
+        else begin
+          area_logic := !area_logic +. c.Cell.area;
+          count_vth c
+        end
+    end
+  done;
+  {
+    instances = !instances;
+    nets = Netlist.net_count nl;
+    combinational = !combinational;
+    sequential = !sequential;
+    sleep_switches = !sleep_switches;
+    holders = !holders;
+    count_low_vth = !count_low_vth;
+    count_high_vth = !count_high_vth;
+    count_mt = !count_mt;
+    area_total = !area_total;
+    area_logic = !area_logic;
+    area_mt_cells = !area_mt_cells;
+    area_switches = !area_switches;
+    area_holders = !area_holders;
+    total_switch_width = !total_switch_width;
+  }
 
 let mt_area_fraction t =
   let logic = t.area_logic +. t.area_mt_cells in

@@ -15,56 +15,53 @@ type breakdown = {
   infrastructure : float;
 }
 
-let zero =
-  {
-    total = 0.0;
-    low_vth_logic = 0.0;
-    high_vth_logic = 0.0;
-    sequential = 0.0;
-    mt_residual = 0.0;
-    switches = 0.0;
-    embedded_mt = 0.0;
-    holders = 0.0;
-    infrastructure = 0.0;
-  }
-
 (* Buffers inserted by CTS / MTE buffering / ECO are recognisable by name
    stem; they are ordinary cells, the classification is only for the
    report. *)
 let is_infrastructure_inst nl iid =
   let name = Netlist.inst_name nl iid in
-  let has_prefix p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  has_prefix "ctsbuf" || has_prefix "mtebuf" || has_prefix "ecobuf"
+  String.starts_with ~prefix:"ctsbuf" name
+  || String.starts_with ~prefix:"mtebuf" name
+  || String.starts_with ~prefix:"ecobuf" name
 
 let standby nl =
-  let acc = ref zero in
-  Netlist.iter_insts nl (fun iid ->
+  let total = ref 0.0 and low_vth_logic = ref 0.0 and high_vth_logic = ref 0.0 in
+  let sequential = ref 0.0 and mt_residual = ref 0.0 and switches = ref 0.0 in
+  let embedded_mt = ref 0.0 and holders = ref 0.0 and infrastructure = ref 0.0 in
+  (* A loop, not [Netlist.iter_insts]: the accumulators stay unboxed when
+     no closure captures them. *)
+  for iid = 0 to Netlist.inst_count nl - 1 do
+    if not (Netlist.is_dead nl iid) then begin
       let c = Netlist.cell nl iid in
       let leak = c.Cell.leak_standby in
-      let s = !acc in
-      let s = { s with total = s.total +. leak } in
-      let s =
-        match c.Cell.kind with
-        | Func.Sleep_switch -> { s with switches = s.switches +. leak }
-        | Func.Holder -> { s with holders = s.holders +. leak }
-        | Func.Dff -> { s with sequential = s.sequential +. leak }
-        | Func.Inv | Func.Buf | Func.Clkbuf | Func.Nand2 | Func.Nand3 | Func.Nand4
-        | Func.Nor2 | Func.Nor3 | Func.And2 | Func.And3 | Func.Or2 | Func.Or3
-        | Func.Xor2 | Func.Xnor2 | Func.Aoi21 | Func.Oai21 | Func.Mux2 -> (
-          match c.Cell.style with
-          | Vth.Mt_embedded -> { s with embedded_mt = s.embedded_mt +. leak }
-          | Vth.Mt_no_vgnd | Vth.Mt_vgnd -> { s with mt_residual = s.mt_residual +. leak }
-          | Vth.Plain ->
-            if is_infrastructure_inst nl iid then
-              { s with infrastructure = s.infrastructure +. leak }
-            else if c.Cell.vth = Vth.Low then
-              { s with low_vth_logic = s.low_vth_logic +. leak }
-            else { s with high_vth_logic = s.high_vth_logic +. leak })
-      in
-      acc := s);
-  !acc
+      total := !total +. leak;
+      match c.Cell.kind with
+      | Func.Sleep_switch -> switches := !switches +. leak
+      | Func.Holder -> holders := !holders +. leak
+      | Func.Dff -> sequential := !sequential +. leak
+      | Func.Inv | Func.Buf | Func.Clkbuf | Func.Nand2 | Func.Nand3 | Func.Nand4
+      | Func.Nor2 | Func.Nor3 | Func.And2 | Func.And3 | Func.Or2 | Func.Or3
+      | Func.Xor2 | Func.Xnor2 | Func.Aoi21 | Func.Oai21 | Func.Mux2 -> (
+        match c.Cell.style with
+        | Vth.Mt_embedded -> embedded_mt := !embedded_mt +. leak
+        | Vth.Mt_no_vgnd | Vth.Mt_vgnd -> mt_residual := !mt_residual +. leak
+        | Vth.Plain ->
+          if is_infrastructure_inst nl iid then infrastructure := !infrastructure +. leak
+          else if c.Cell.vth = Vth.Low then low_vth_logic := !low_vth_logic +. leak
+          else high_vth_logic := !high_vth_logic +. leak)
+    end
+  done;
+  {
+    total = !total;
+    low_vth_logic = !low_vth_logic;
+    high_vth_logic = !high_vth_logic;
+    sequential = !sequential;
+    mt_residual = !mt_residual;
+    switches = !switches;
+    embedded_mt = !embedded_mt;
+    holders = !holders;
+    infrastructure = !infrastructure;
+  }
 
 let active nl =
   let acc = ref 0.0 in

@@ -53,9 +53,9 @@ type endpoint = {
 (* A timing session: the netlist's timing graph compiled into flat
    arrays, and the values propagated over it.  Arrays indexed by net or
    instance id can be longer than [n_nets] / [n_insts]: they grow with
-   headroom as [update] follows a growing netlist. *)
+   headroom as [update] and [reanalyze] follow a growing netlist. *)
 type t = {
-  cfg : config;
+  mutable cfg : config;
   nl : Netlist.t;
   tech : Smt_cell.Tech.t;
   mutable version : int;  (* the netlist journal version these arrays reflect *)
@@ -409,6 +409,26 @@ let backward t =
     end
   done
 
+(* Times the compiled graph from scratch under [t.cfg]: every net from
+   its analysis-start state, every flip-flop launched, every gate in
+   order, then the endpoints and the required times. *)
+let time_all t =
+  for nid = 0 to t.n_nets - 1 do
+    reset_net t nid
+  done;
+  let evals = ref 0 in
+  for k = 0 to t.n_ffs - 1 do
+    let ff = t.ffs.(k) in
+    if t.out.(ff) >= 0 then begin
+      time_ff t ff t.out.(ff);
+      incr evals
+    end
+  done;
+  evals := !evals + forward t ~all:true;
+  Metrics.incr ~by:!evals m_arrival_evals;
+  time_endpoints t;
+  backward t
+
 (* Compiles the whole netlist into [t] and times it from scratch.  Until
    it completes, [t.version] is -1: a session whose recompile raised has
    nothing left to extend. *)
@@ -453,21 +473,7 @@ let compile t =
   for iid = 0 to ninsts - 1 do
     add_inst t iid
   done;
-  for nid = 0 to nnets - 1 do
-    reset_net t nid
-  done;
-  let evals = ref 0 in
-  for k = 0 to t.n_ffs - 1 do
-    let ff = t.ffs.(k) in
-    if t.out.(ff) >= 0 then begin
-      time_ff t ff t.out.(ff);
-      incr evals
-    end
-  done;
-  evals := !evals + forward t ~all:true;
-  Metrics.incr ~by:!evals m_arrival_evals;
-  time_endpoints t;
-  backward t;
+  time_all t;
   t.version <- Netlist.version nl
 
 let analyze cfg nl =
@@ -610,6 +616,37 @@ let extend t ~ninsts0 ~nnets0 touched_nets =
     | None -> t.ff_d.(k) <- -1
   done
 
+let clear_marks t =
+  Bytes.fill t.net_mark 0 t.n_nets '\000';
+  Bytes.fill t.inst_mark 0 t.n_insts '\000'
+
+(* The journal step of [update] and [reanalyze]: reads the nets touched
+   since [t.version], grows the arrays for the new nets and instances,
+   and extends the compiled graph over the edits when they keep it valid
+   (re-folding the touched nets' loads), else recompiles, which times it.
+   Returns the touched nets, still marked [touched], when the graph was
+   extended; [None] when it was recompiled. *)
+let sync t =
+  let nl = t.nl in
+  let ninsts0 = t.n_insts and nnets0 = t.n_nets in
+  let touched_nets = Netlist.touched_since nl t.version in
+  grow_nets t (Netlist.net_count nl);
+  grow_insts t (Netlist.inst_count nl);
+  List.iter (fun nid -> mark t.net_mark nid touched) touched_nets;
+  let extended =
+    t.version >= 0
+    && match extend t ~ninsts0 ~nnets0 touched_nets with () -> true | exception Stale -> false
+  in
+  if extended then begin
+    t.version <- Netlist.version nl;
+    List.iter (fun nid -> t.loads.(nid) <- load_of_net t.cfg nl nid) touched_nets;
+    Some touched_nets
+  end
+  else begin
+    compile t;
+    None
+  end
+
 (* Re-times the cone of the touched nets' drivers over the extended
    graph.  Returns the arrival evaluations. *)
 let retime t touched_nets =
@@ -617,7 +654,6 @@ let retime t touched_nets =
   let evals = ref 0 in
   List.iter
     (fun nid ->
-      t.loads.(nid) <- load_of_net t.cfg nl nid;
       let a = t.at_max.(nid) and e = t.at_min.(nid) and s = t.at_slew.(nid) in
       reset_net t nid;
       (* a driverless net that became a clock net reads differently *)
@@ -641,28 +677,30 @@ let retime t touched_nets =
   !evals + forward t ~all:false
 
 let update t =
-  let nl = t.nl in
-  let ninsts0 = t.n_insts and nnets0 = t.n_nets in
-  let touched_nets = Netlist.touched_since nl t.version in
-  grow_nets t (Netlist.net_count nl);
-  grow_insts t (Netlist.inst_count nl);
-  List.iter (fun nid -> mark t.net_mark nid touched) touched_nets;
-  let extended =
-    t.version >= 0
-    && match extend t ~ninsts0 ~nnets0 touched_nets with () -> true | exception Stale -> false
-  in
-  if not extended then compile t
-  else begin
+  match sync t with
+  | None -> ()
+  | Some touched_nets ->
     Metrics.incr m_incremental;
-    t.version <- Netlist.version nl;
     let evals = retime t touched_nets in
-    Bytes.fill t.net_mark 0 t.n_nets '\000';
-    Bytes.fill t.inst_mark 0 t.n_insts '\000';
+    clear_marks t;
     Metrics.incr ~by:evals m_arrival_evals;
     Metrics.observe m_update_evals (float_of_int evals);
     time_endpoints t;
     backward t
-  end
+
+(* A wire model is kept only when it is the session's own: two models
+   cannot be compared, and the slot wire delays and loads came from it. *)
+let reanalyze t cfg =
+  let rewired = cfg.wire != t.cfg.wire in
+  t.cfg <- cfg;
+  if rewired then compile t
+  else
+    match sync t with
+    | None -> ()
+    | Some _ ->
+      clear_marks t;
+      Metrics.incr m_analyses;
+      time_all t
 
 let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
 

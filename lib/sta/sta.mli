@@ -43,13 +43,36 @@ type endpoint = {
 type t
 (** A timing session over one netlist: its compiled timing graph and the
     values propagated over it.  {!update} refreshes it in place, the way
-    [Smt_verify.Verify.update] refreshes a verification session. *)
+    [Smt_verify.Verify.update] refreshes a verification session, and
+    {!reanalyze} re-times it in place under a new config.
+
+    The [sta.analyses] counter counts analyses: each compile of the
+    graph ({!analyze}, and an {!update} or {!reanalyze} that recompiles)
+    and each {!reanalyze}.  An analysis adds every arrival it evaluates
+    (each launched flip-flop and each timed gate) to [sta.arrival_evals].
+    [sta.incremental_updates] counts the {!update}s that kept the graph,
+    and only those observe [sta.update_evals]. *)
 
 val analyze : config -> Smt_netlist.Netlist.t -> t
 (** Compiles and times the netlist from scratch.  Raises
     [Smt_netlist.Netlist.Combinational_cycle] on cyclic logic, naming the
     instance {!Smt_netlist.Netlist.topo_order} names (as does {!update}
     when an edit closes a cycle). *)
+
+val reanalyze : t -> config -> unit
+(** [reanalyze t cfg] makes [t] equal [analyze cfg (netlist t)] bit for
+    bit, in place, and counts as exactly that analysis: one
+    [sta.analyses] and the same [sta.arrival_evals], with no
+    [sta.incremental_updates].  It brings the graph up to the netlist
+    through the journal step {!update} uses (the touched nets, array
+    growth, then the graph extended under the splice rule with the
+    touched nets' loads re-folded, or else recompiled), and then re-times
+    every arrival, required time and endpoint from scratch under [cfg].
+    Only the wire model is baked into the graph (its pin wire delays and
+    its loads): a [cfg.wire] that is not physically [t]'s wire model
+    recompiles.  Every other field (period, margins, input arrival,
+    bounce, clock latency, slew model) is read while timing, so changing
+    it costs no compile.  Raises like {!update} on a cycle. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -151,7 +174,8 @@ val endpoint_name : t -> endpoint -> string
 
 val update : t -> unit
 (** Refreshes the session in place after any edit to its netlist, so it
-    equals [analyze cfg nl] on the edited netlist bit for bit.  The edits
+    equals [analyze cfg nl] on the edited netlist bit for bit, [cfg]
+    being the session's config.  The edits
     come from the netlist's touched-net journal
     ({!Smt_netlist.Netlist.touched_since} the version [t] last saw), so
     nothing the caller forgot can be missed.

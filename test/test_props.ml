@@ -1502,126 +1502,127 @@ let trade_inputs nl rng gates =
     | _ -> ()
   end
 
+(* The edits of the incremental-STA properties on [nl], drawn from [rng]:
+   [edit k] for k in 0..12.  Cell swaps (0: Vth flips, drive steps, DFF
+   <-> retention-DFF with a heavier D pin) and flip-flop D buffer
+   splices, single (1) or a chain of two on one D (2), keep the stored
+   graph.  The rest break it, so [Sta.update] must notice and recompile:
+   a buffer spliced before a gate input (3), a gate input moved onto a
+   net driven later in the order (4), a removed gate (5), a gate input
+   (6) or output (7) disconnected, two gates trading input nets (8), two
+   buffers spliced before a D pin in reverse creation order (9), a new
+   buffer driving a net left undriven (10), a driverless primary input
+   turned into a clock net (11), and a gate whose output was
+   disconnected driving a fresh net (12). *)
+let sta_editor nl rng =
+  let module Cell = Smt_cell.Cell in
+  let module Func = Smt_cell.Func in
+  let module Vth = Smt_cell.Vth in
+  let retention = Library.retention_dff lib in
+  let retention = { retention with Cell.input_cap = retention.Cell.input_cap +. 1.5 } in
+  let plain_ffs = Hashtbl.create 17 in
+  let swap iid =
+    let c = Netlist.cell nl iid in
+    let has ~drive vth = Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style in
+    if c.Cell.kind = Func.Dff then begin
+      match Hashtbl.find_opt plain_ffs iid with
+      | Some plain ->
+        Hashtbl.remove plain_ffs iid;
+        Netlist.replace_cell nl iid plain
+      | None ->
+        Hashtbl.replace plain_ffs iid c;
+        Netlist.replace_cell nl iid retention
+    end
+    else if Func.is_infrastructure c.Cell.kind then ()
+    else if Rng.chance rng 0.5 then begin
+      let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
+      if has ~drive:c.Cell.drive vth then
+        Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
+    end
+    else
+      let other d = d <> c.Cell.drive && has ~drive:d c.Cell.vth in
+      match Array.of_list (List.filter other Library.drives) with
+      | [||] -> ()
+      | ds -> Netlist.replace_cell nl iid (Library.resize lib c (Rng.pick rng ds))
+  in
+  let ffs () =
+    Array.of_list (List.filter (fun iid -> Netlist.pin_net nl iid "D" <> None) (reference_ffs nl))
+  in
+  let d_pin ff = { Netlist.inst = ff; pin_name = "D" } in
+  let gates () = Array.of_list (List.filter (is_comb_inst nl) (Netlist.live_insts nl)) in
+  let with_one arr f = if Array.length arr > 0 then f (Rng.pick rng arr) in
+  let with_pin g f = match connected_data_pins nl g with p :: _ -> f p | [] -> () in
+  (* outputs of removed or disconnected gates, for a new driver *)
+  let undriven = ref [] in
+  let orphan g = Option.iter (fun o -> undriven := o :: !undriven) (Netlist.output_net nl g) in
+  let outputless = ref [] in
+  let data_inputs () =
+    Array.of_list
+      (List.filter_map
+         (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
+         (Netlist.inputs nl))
+  in
+  function
+  | 0 -> List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl)
+  | 1 -> Array.iter (fun ff -> if Rng.chance rng 0.3 then splice_buffer nl (d_pin ff)) (ffs ())
+  | 2 ->
+    with_one (ffs ()) (fun ff ->
+        splice_buffer nl (d_pin ff);
+        splice_buffer nl (d_pin ff))
+  | 3 ->
+    with_one (gates ()) (fun g ->
+        with_pin g (fun pin_name -> splice_buffer nl { Netlist.inst = g; pin_name }))
+  | 4 -> move_input_later nl rng
+  | 5 ->
+    with_one (gates ()) (fun g ->
+        orphan g;
+        Netlist.remove_inst nl g)
+  | 6 -> with_one (gates ()) (fun g -> with_pin g (Netlist.disconnect nl g))
+  | 7 ->
+    with_one (gates ()) (fun g ->
+        orphan g;
+        outputless := g :: !outputless;
+        Netlist.disconnect nl g "Z")
+  | 8 -> trade_inputs nl rng (gates ())
+  | 9 ->
+    with_one (ffs ()) (fun ff ->
+        let d_net = Option.get (Netlist.pin_net nl ff "D") in
+        let mid = Netlist.fresh_net nl "eco" and out = Netlist.fresh_net nl "eco" in
+        let buf from_net to_net =
+          ignore
+            (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+               (Library.hold_buffer lib) [ ("A", from_net); ("Z", to_net) ])
+        in
+        buf mid out;
+        buf d_net mid;
+        Netlist.move_sink nl ~from_net:d_net (d_pin ff) ~to_net:out)
+  | 10 -> (
+    match List.filter (fun o -> Netlist.driver nl o = None) !undriven with
+    | o :: _ ->
+      with_one (data_inputs ()) (fun pi ->
+          ignore
+            (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
+               (Library.hold_buffer lib) [ ("A", pi); ("Z", o) ]))
+    | [] -> ())
+  | 11 -> with_one (data_inputs ()) (Netlist.mark_clock nl)
+  | _ -> (
+    match List.filter (fun g -> Netlist.output_net nl g = None) !outputless with
+    | g :: _ -> Netlist.connect nl g "Z" (Netlist.fresh_net nl "eco")
+    | [] -> ())
+
 let prop_incremental_sta_exact =
   (* Chained rounds of edits, each followed by [Sta.update] (which reads
      the edits from the netlist's journal) and compared bit for bit with
-     a from-scratch analysis.  Each case runs every edit kind once, in a
-     seed-rotated order.  Cell swaps (Vth flips, drive steps, DFF <->
-     retention-DFF with a heavier D pin) and flip-flop D buffer splices,
-     single or a chain of two on one D, keep the stored graph.  The rest
-     break it, so [update] must notice and recompile: a buffer spliced
-     before a gate input, a gate input moved onto a net driven later in
-     the order, a removed gate, a gate input or output disconnected, two
-     gates trading input nets, two buffers spliced before a D pin in
-     reverse creation order, a new buffer driving a net left undriven, a
-     driverless primary input turned into a clock net, and a gate whose
-     output was disconnected driving a fresh net. *)
+     a from-scratch analysis.  Each case runs every edit kind of
+     [sta_editor] once, in a seed-rotated order. *)
   QCheck2.Test.make ~name:"incremental STA equals full re-analysis" ~count:40
     ~print:string_of_int seed_gen
     (fun seed ->
-      let module Cell = Smt_cell.Cell in
-      let module Func = Smt_cell.Func in
-      let module Vth = Smt_cell.Vth in
       match oracle_fixture seed with
       | None -> true
       | Some (nl, place) ->
         let cfg = oracle_config ~seed nl place in
-        let rng = Rng.create seed in
-        let retention = Library.retention_dff lib in
-        let retention = { retention with Cell.input_cap = retention.Cell.input_cap +. 1.5 } in
-        let plain_ffs = Hashtbl.create 17 in
-        let swap iid =
-          let c = Netlist.cell nl iid in
-          let has ~drive vth = Library.has_variant ~drive lib c.Cell.kind vth c.Cell.style in
-          if c.Cell.kind = Func.Dff then begin
-            match Hashtbl.find_opt plain_ffs iid with
-            | Some plain ->
-              Hashtbl.remove plain_ffs iid;
-              Netlist.replace_cell nl iid plain
-            | None ->
-              Hashtbl.replace plain_ffs iid c;
-              Netlist.replace_cell nl iid retention
-          end
-          else if Func.is_infrastructure c.Cell.kind then ()
-          else if Rng.chance rng 0.5 then begin
-            let vth = if c.Cell.vth = Vth.Low then Vth.High else Vth.Low in
-            if has ~drive:c.Cell.drive vth then
-              Netlist.replace_cell nl iid (Library.restyle lib c vth c.Cell.style)
-          end
-          else
-            let other d = d <> c.Cell.drive && has ~drive:d c.Cell.vth in
-            match Array.of_list (List.filter other Library.drives) with
-            | [||] -> ()
-            | ds -> Netlist.replace_cell nl iid (Library.resize lib c (Rng.pick rng ds))
-        in
-        let ffs () =
-          Array.of_list
-            (List.filter (fun iid -> Netlist.pin_net nl iid "D" <> None) (reference_ffs nl))
-        in
-        let d_pin ff = { Netlist.inst = ff; pin_name = "D" } in
-        let gates () = Array.of_list (List.filter (is_comb_inst nl) (Netlist.live_insts nl)) in
-        let with_one arr f = if Array.length arr > 0 then f (Rng.pick rng arr) in
-        let with_pin g f = match connected_data_pins nl g with p :: _ -> f p | [] -> () in
-        (* outputs of removed or disconnected gates, for a new driver *)
-        let undriven = ref [] in
-        let orphan g =
-          Option.iter (fun o -> undriven := o :: !undriven) (Netlist.output_net nl g)
-        in
-        let outputless = ref [] in
-        let data_inputs () =
-          Array.of_list
-            (List.filter_map
-               (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
-               (Netlist.inputs nl))
-        in
-        let edit = function
-          | 0 -> List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl)
-          | 1 -> Array.iter (fun ff -> if Rng.chance rng 0.3 then splice_buffer nl (d_pin ff)) (ffs ())
-          | 2 ->
-            with_one (ffs ()) (fun ff ->
-                splice_buffer nl (d_pin ff);
-                splice_buffer nl (d_pin ff))
-          | 3 ->
-            with_one (gates ()) (fun g ->
-                with_pin g (fun pin_name -> splice_buffer nl { Netlist.inst = g; pin_name }))
-          | 4 -> move_input_later nl rng
-          | 5 ->
-            with_one (gates ()) (fun g ->
-                orphan g;
-                Netlist.remove_inst nl g)
-          | 6 -> with_one (gates ()) (fun g -> with_pin g (Netlist.disconnect nl g))
-          | 7 ->
-            with_one (gates ()) (fun g ->
-                orphan g;
-                outputless := g :: !outputless;
-                Netlist.disconnect nl g "Z")
-          | 8 -> trade_inputs nl rng (gates ())
-          | 9 ->
-            with_one (ffs ()) (fun ff ->
-                let d_net = Option.get (Netlist.pin_net nl ff "D") in
-                let mid = Netlist.fresh_net nl "eco" and out = Netlist.fresh_net nl "eco" in
-                let buf from_net to_net =
-                  ignore
-                    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
-                       (Library.hold_buffer lib) [ ("A", from_net); ("Z", to_net) ])
-                in
-                buf mid out;
-                buf d_net mid;
-                Netlist.move_sink nl ~from_net:d_net (d_pin ff) ~to_net:out)
-          | 10 -> (
-            match List.filter (fun o -> Netlist.driver nl o = None) !undriven with
-            | o :: _ ->
-              with_one (data_inputs ()) (fun pi ->
-                  ignore
-                    (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ecobuf")
-                       (Library.hold_buffer lib) [ ("A", pi); ("Z", o) ]))
-            | [] -> ())
-          | 11 -> with_one (data_inputs ()) (Netlist.mark_clock nl)
-          | _ -> (
-            match List.filter (fun g -> Netlist.output_net nl g = None) !outputless with
-            | g :: _ -> Netlist.connect nl g "Z" (Netlist.fresh_net nl "eco")
-            | [] -> ())
-        in
+        let edit = sta_editor nl (Rng.create seed) in
         let sta = Sta.analyze cfg nl in
         List.for_all
           (fun round ->
@@ -1629,6 +1630,116 @@ let prop_incremental_sta_exact =
             Sta.update sta;
             view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
           (List.init 13 Fun.id))
+
+(* --- re-timing a session under a new config --- *)
+
+let m_sta_analyses = Metrics.counter "sta.analyses"
+let m_sta_arrival_evals = Metrics.counter "sta.arrival_evals"
+let m_sta_incremental = Metrics.counter "sta.incremental_updates"
+
+let sta_counters () =
+  ( Metrics.counter_value m_sta_analyses,
+    Metrics.counter_value m_sta_arrival_evals,
+    Metrics.counter_value m_sta_incremental )
+
+(* [view_of_sta] plus every instance's slack and the five worst paths as
+   structured reports, every float as its bits. *)
+let full_view sta =
+  let bits = Int64.bits_of_float in
+  let nl = Sta.netlist sta in
+  ( view_of_sta sta,
+    List.init (Netlist.inst_count nl) (fun iid -> bits (Sta.inst_slack sta iid)),
+    List.map
+      (fun (p : Sta.path) ->
+        ( p.Sta.path_endpoint.Sta.net,
+          bits p.Sta.path_capture_wire,
+          List.map
+            (fun (a : Sta.path_arc) ->
+              ( a.Sta.arc_inst,
+                a.Sta.arc_net,
+                List.map bits
+                  [ a.Sta.arc_cell_delay; a.Sta.arc_wire_delay; a.Sta.arc_arrival; a.Sta.arc_slew ]
+              ))
+            p.Sta.path_arcs ))
+      (Sta.worst_paths sta 5) )
+
+(* A random circuit or improved-MT netlist under [oracle_config], or,
+   every fourth seed, a small suite circuit's flow product under the
+   flow's own sign-off config (clock-tree latencies, bounce, extracted
+   wires). *)
+let reanalyze_fixture seed =
+  if seed mod 4 = 3 then begin
+    let circuits = [| "c17"; "tiny"; "fig23"; "alu8"; "counter12"; "crc16" |] in
+    let name = circuits.(seed / 4 mod Array.length circuits) in
+    let technique =
+      [| Flow.Dual_vth; Flow.Conventional_smt; Flow.Improved_smt |].(seed / 24 mod 3)
+    in
+    let _, art = Flow.run_with_artifacts technique ((List.assoc name Suite.all) lib) in
+    Some (Placement.netlist art.Flow.art_place, art.Flow.art_place, art.Flow.art_cfg)
+  end
+  else
+    Option.map (fun (nl, place) -> (nl, place, oracle_config ~seed nl place)) (oracle_fixture seed)
+
+(* One config change: the clock period, the margins and input arrival,
+   the bounce, the clock latencies, the slew model, a new wire model, or
+   none. *)
+let change_config rng nl place (cfg : Sta.config) =
+  let salt = Rng.int rng 1000 in
+  match Rng.int rng 7 with
+  | 0 -> { cfg with Sta.clock_period = 200.0 +. float_of_int (Rng.int rng 800) }
+  | 1 ->
+    {
+      cfg with
+      Sta.output_margin = float_of_int (Rng.int rng 40);
+      hold_margin = float_of_int (Rng.int rng 10);
+      input_arrival = float_of_int (Rng.int rng 20);
+    }
+  | 2 -> { cfg with Sta.bounce_of = (fun iid -> float_of_int (((iid * 37) + salt) mod 13) *. 0.01) }
+  | 3 ->
+    { cfg with Sta.clock_latency = (fun iid -> float_of_int (((iid * 7919) + salt) mod 29) *. 1.25) }
+  | 4 ->
+    {
+      cfg with
+      Sta.slew_model = (match cfg.Sta.slew_model with Some _ -> None | None -> Some (Nldm.store ()));
+    }
+  | 5 ->
+    let detour = 1.0 +. (float_of_int (Rng.int rng 50) /. 100.0) in
+    { cfg with Sta.wire = Parasitics.wire_model (Parasitics.extract ~detour place) nl }
+  | _ -> cfg
+
+let prop_reanalyze_exact =
+  (* Rounds of an edit the stored graph keeps (a cell swap, a D-pin
+     splice, or a chain of two in id order), an edit it recompiles for (a
+     buffer added before its driver, a removed gate) or none, sometimes an
+     [update], and a config change, then [Sta.reanalyze] under the new
+     config.  The session equals a fresh analysis bit for bit, and the
+     re-time counts as exactly that analysis: one analysis, the same
+     arrival evaluations, no incremental update. *)
+  QCheck2.Test.make ~name:"reanalyze equals a fresh analysis" ~count:40 ~print:string_of_int
+    seed_gen
+    (fun seed ->
+      match reanalyze_fixture seed with
+      | None -> true
+      | Some (nl, place, cfg) ->
+        let rng = Rng.create (seed + 7) in
+        let edit = sta_editor nl rng in
+        let sta = Sta.analyze cfg nl in
+        let cfg = ref cfg in
+        List.for_all
+          (fun _ ->
+            (match Rng.int rng 3 with
+            | 0 -> edit (Rng.pick rng [| 0; 1; 2 |])
+            | 1 -> edit (Rng.pick rng [| 5; 9 |])
+            | _ -> ());
+            if Rng.chance rng 0.25 then Sta.update sta;
+            cfg := change_config rng nl place !cfg;
+            let a0, e0, u0 = sta_counters () in
+            Sta.reanalyze sta !cfg;
+            let a1, e1, u1 = sta_counters () in
+            let fresh = Sta.analyze !cfg nl in
+            let _, e2, _ = sta_counters () in
+            a1 - a0 = 1 && e1 - e0 = e2 - e1 && u1 = u0 && full_view sta = full_view fresh)
+          (List.init 12 Fun.id))
 
 (* --- a cycle is named by its first stuck instance --- *)
 
@@ -1756,6 +1867,7 @@ let reference_fix_hold ~max_iterations cfg place =
     hold_before;
     hold_after = Sta.worst_hold_slack !sta;
     setup_after = Sta.wns !sta;
+    sta = !sta;
   }
 
 (* Two identical pre-ECO products (the flow with its ECO capped at zero
@@ -3582,6 +3694,7 @@ let () =
           Alcotest.test_case "circuit_a/b flow timing = list-based analysis" `Quick
             test_sta_paper_products;
           qtest prop_incremental_sta_exact;
+          qtest prop_reanalyze_exact;
           qtest prop_cycles_named;
           Alcotest.test_case "hold ECO updates = re-analysis per iteration" `Quick
             test_eco_matches_reanalysis;
