@@ -11,7 +11,9 @@
     timing graph, which gains the buffer at the end of its order, and
     only the new buffers, the drivers of the nets they load and those
     drivers' combinational fanout are re-timed.  Every result equals
-    re-running the analysis from scratch. *)
+    re-running the analysis from scratch.  The result hands that analysis
+    back ([sta]), so the flow keeps it as its own timing session instead
+    of holding a second one while the loop runs. *)
 
 type result = {
   buffers_added : int;

@@ -169,7 +169,9 @@ val endpoint_free_fallback_ps : float
 val minimal_period : ?slew_aware:bool -> wire:Smt_sta.Wire.t -> Smt_netlist.Netlist.t -> float
 (** Minimal clock period of the netlist under the wire model: STA at a
     probe period minus the worst slack.  Falls back to
-    {!endpoint_free_fallback_ps} when the design has no timing endpoints. *)
+    {!endpoint_free_fallback_ps} when the design has no timing endpoints.
+    {!run} applies the same rule to its own probe analysis, which then
+    becomes the flow's timing session. *)
 
 val run : ?options:options -> technique -> Smt_netlist.Netlist.t -> report
 (** @raise Flow_error as documented at {!Flow_error}. *)
@@ -178,7 +180,16 @@ val run : ?options:options -> technique -> Smt_netlist.Netlist.t -> report
     attribution ({!Explain}): the placement, the final post-route STA
     configuration and analysis (whose {!Smt_sta.Sta.wns} is the report's
     [wns]), the final bounce reports, the built clusters (improved flow
-    only), and the cluster parameters the run used. *)
+    only), and the cluster parameters the run used.
+
+    [art_sta] is the flow's one timing session.  The run opens it with
+    the period probe and re-times it in place
+    ({!Smt_sta.Sta.reanalyze}) at every stage snapshot and for the final
+    timing; a layer that times the netlist in a session of its own (the
+    Vth assignment, gate sizing, retention conversion, the hold ECO)
+    runs while the flow holds none and hands its session over.  It is
+    left as the final snapshot timed it, before that stage's guard
+    check. *)
 type artifacts = {
   art_place : Smt_place.Placement.t;
   art_cfg : Smt_sta.Sta.config;
