@@ -15,8 +15,9 @@ let rec weaker drive = function
 
 (* Delay change of swapping [iid] from [c] to [c'], including the load
    penalty the changed input capacitance inflicts on each driving cell. *)
-let move_delta cfg nl iid c c' =
-  let load = Sta.load_of_inst cfg nl iid in
+let move_delta sta iid c c' =
+  let nl = Sta.netlist sta in
+  let load = Sta.load sta iid in
   let cap_delta = c'.Cell.input_cap -. c.Cell.input_cap in
   Cell.delay c' ~load_ff:load -. Cell.delay c ~load_ff:load
   +. List.fold_left
@@ -37,7 +38,7 @@ let downsize_idle cfg nl =
                   && Library.has_variant ~drive lib c.Cell.kind c.Cell.vth c.Cell.style ->
              let c' = Library.resize lib c drive in
              let slack = Sta.inst_slack sta iid in
-             let delta = move_delta cfg nl iid c c' in
+             let delta = move_delta sta iid c c' in
              if slack > 0.0 && Vth_assign.covers ~slack ~delta then
                Some (slack, { Vth_assign.iid; cell = c'; undo = c })
              else None

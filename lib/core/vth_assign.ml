@@ -72,7 +72,7 @@ let assign cfg nl =
            if is_low_vth c && Library.has_variant ~drive lib c.Cell.kind Vth.High Vth.Plain then begin
              let hv = Library.variant ~drive lib c.Cell.kind Vth.High Vth.Plain in
              let slack = Sta.inst_slack sta iid in
-             let load = Sta.load_of_inst cfg nl iid in
+             let load = Sta.load sta iid in
              let delta = Cell.delay hv ~load_ff:load -. Cell.delay c ~load_ff:load in
              if slack > 0.0 && covers ~slack ~delta then Some (slack, { iid; cell = hv; undo = c })
              else None

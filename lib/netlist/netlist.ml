@@ -12,14 +12,19 @@ type pin = { inst : inst_id; pin_name : string }
 type net = {
   net_name : string;
   mutable driver : pin option;
-  mutable n_is_pi : bool;
-  mutable n_is_po : bool;
-  mutable n_is_clock : bool;
+  mutable flags : int;  (* [pi_flag], [po_flag], [clock_flag] *)
   mutable sinks : pin list;
   mutable holder : inst_id option;
-  (* journal stamp: the netlist [version] of this net's last touch *)
-  mutable stamp : int;
+  (* journal: the netlist [version] of this net's last structural touch
+     (its last touch of either kind is in [stamps]) *)
+  mutable wired : int;
 }
+
+let pi_flag = 1
+let po_flag = 2
+let clock_flag = 4
+let has n flag = n.flags land flag <> 0
+let set_flag n flag = n.flags <- n.flags lor flag
 
 type instance = {
   i_name : string;
@@ -50,12 +55,15 @@ type t = {
   (* Power-domain table, in declaration order (newest first, reversed by
      [domains]); [None] = an always-on domain with no sleep enable. *)
   mutable doms : (string * net_id option) list;
-  (* Touched-net journal: every structural mutation bumps the version and
-     stamps the nets whose standby value or load could change with it, so
-     an incremental re-analysis knows where to re-seed.  Reading it
-     ([touched_since]) clears nothing: each analysis keeps its own
-     version. *)
+  (* Touched-net journal: every mutation bumps the version and stamps the
+     nets whose standby value or load could change with it, so an
+     incremental re-analysis knows where to re-seed; a structural touch
+     (driver, sinks, clock or port status) stamps [wired] too.  Reading it
+     ([touched_since], [rewired_since]) clears nothing: each analysis
+     keeps its own version.  Each net's last touch is kept in a flat
+     array indexed by net id, so [touched_since] scans ints. *)
   mutable version : int;
+  mutable stamps : int array;
 }
 
 exception Combinational_cycle of string
@@ -74,6 +82,7 @@ let create ?(nets = 0) ?(insts = 0) ~name ~lib () =
     uniq = 0;
     doms = [];
     version = 0;
+    stamps = Array.make (max 16 nets) 0;
   }
 
 let design_name t = t.d_name
@@ -81,16 +90,28 @@ let lib t = t.d_lib
 
 (* --- touched-net journal --- *)
 
+(* A value touch: what flows through the net may change, its
+   connections do not. *)
 let touch t nid =
   t.version <- t.version + 1;
-  (Vec.get t.nets nid).stamp <- t.version
+  t.stamps.(nid) <- t.version
+
+(* A structural touch: the net's driver, sinks, or clock or port status
+   changed. *)
+let rewire t nid =
+  t.version <- t.version + 1;
+  t.stamps.(nid) <- t.version;
+  (Vec.get t.nets nid).wired <- t.version
 
 let version t = t.version
 
+let rewired_since t v nid = (Vec.get t.nets nid).wired > v
+
 let touched_since t v =
+  let stamps = t.stamps in
   let acc = ref [] in
   for nid = Vec.length t.nets - 1 downto 0 do
-    if (Vec.get t.nets nid).stamp > v then acc := nid :: !acc
+    if stamps.(nid) > v then acc := nid :: !acc
   done;
   !acc
 
@@ -104,17 +125,20 @@ let add_net ?(clock = false) t name =
       {
         net_name = name;
         driver = None;
-        n_is_pi = false;
-        n_is_po = false;
-        n_is_clock = clock;
+        flags = (if clock then clock_flag else 0);
         sinks = [];
         holder = None;
-        stamp = 0;
+        wired = 0;
       }
   in
+  if id >= Array.length t.stamps then begin
+    let grown = Array.make (id + (id / 2) + 16) 0 in
+    Array.blit t.stamps 0 grown 0 id;
+    t.stamps <- grown
+  end;
   Names.add t.net_index name id;
   if clock && t.clock = None then t.clock <- Some id;
-  touch t id;
+  rewire t id;
   id
 
 let fresh_net t stem =
@@ -127,36 +151,35 @@ let fresh_net t stem =
 
 let add_input ?(clock = false) t name =
   let id = add_net ~clock t name in
-  (Vec.get t.nets id).n_is_pi <- true;
+  set_flag (Vec.get t.nets id) pi_flag;
   t.ports_in <- (name, id) :: t.ports_in;
   id
 
 let add_output t name =
   let id = add_net t name in
-  (Vec.get t.nets id).n_is_po <- true;
+  set_flag (Vec.get t.nets id) po_flag;
   t.ports_out <- (name, id) :: t.ports_out;
   id
 
 let mark_output t nid =
   let n = Vec.get t.nets nid in
-  if not n.n_is_po then begin
-    n.n_is_po <- true;
+  if not (has n po_flag) then begin
+    set_flag n po_flag;
     t.ports_out <- (n.net_name, nid) :: t.ports_out;
-    touch t nid
+    rewire t nid
   end
 
 let mark_clock t nid =
-  let n = Vec.get t.nets nid in
-  n.n_is_clock <- true;
+  set_flag (Vec.get t.nets nid) clock_flag;
   if t.clock = None then t.clock <- Some nid;
-  touch t nid
+  rewire t nid
 
 let net_count t = Vec.length t.nets
 let net_name t nid = (Vec.get t.nets nid).net_name
 let find_net t name = Names.find_opt t.net_index name
-let is_pi t nid = (Vec.get t.nets nid).n_is_pi
-let is_po t nid = (Vec.get t.nets nid).n_is_po
-let is_clock_net t nid = (Vec.get t.nets nid).n_is_clock
+let is_pi t nid = has (Vec.get t.nets nid) pi_flag
+let is_po t nid = has (Vec.get t.nets nid) po_flag
+let is_clock_net t nid = has (Vec.get t.nets nid) clock_flag
 let driver t nid = (Vec.get t.nets nid).driver
 let sinks t nid = (Vec.get t.nets nid).sinks
 let holder_of t nid = (Vec.get t.nets nid).holder
@@ -239,14 +262,15 @@ let attach t iid pin_name nid =
         (Printf.sprintf "Netlist: net %s already driven by %s.%s" n.net_name
            (Vec.get t.insts p.inst).i_name p.pin_name)
     | Some _ | None ->
-      if n.n_is_pi then
+      if has n pi_flag then
         invalid_arg (Printf.sprintf "Netlist: net %s is a primary input" n.net_name);
       n.driver <- Some { inst = iid; pin_name };
-      touch t nid)
+      rewire t nid)
   | Dir_in ->
     n.sinks <- { inst = iid; pin_name } :: n.sinks;
-    touch t nid
+    rewire t nid
   | Dir_holder_z ->
+    (* a keeper adds load, not a driver or a sink *)
     n.holder <- Some iid;
     touch t nid
 
@@ -258,12 +282,12 @@ let detach t iid pin_name nid =
     match n.driver with
     | Some p when p.inst = iid && String.equal p.pin_name pin_name ->
       n.driver <- None;
-      touch t nid
+      rewire t nid
     | Some _ | None -> ())
   | Dir_in ->
     n.sinks <-
       List.filter (fun p -> not (p.inst = iid && String.equal p.pin_name pin_name)) n.sinks;
-    touch t nid
+    rewire t nid
   | Dir_holder_z ->
     (* the keeper leaves the wire even when the record names another *)
     if n.holder = Some iid then n.holder <- None;
@@ -335,9 +359,12 @@ let replace_cell t iid new_cell =
     invalid_arg
       (Printf.sprintf "Netlist.replace_cell: %s -> %s changes pin interface"
          inst.i_cell.Cell.name new_cell.Cell.name);
+  let same_kind = inst.i_cell.Cell.kind = new_cell.Cell.kind in
   inst.i_cell <- new_cell;
-  (* a style/strength swap can change the standby supply of every pin net *)
-  List.iter (fun (_, nid) -> touch t nid) inst.i_conns
+  (* a style/strength swap can change the standby supply of every pin net;
+     a swap within the kind keeps every pin's direction, so only a change
+     of kind is structural *)
+  List.iter (fun (_, nid) -> if same_kind then touch t nid else rewire t nid) inst.i_conns
 
 let connect t iid pin_name nid =
   let inst = Vec.get t.insts iid in

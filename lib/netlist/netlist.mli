@@ -151,7 +151,19 @@ val is_isolation : t -> inst_id -> bool
     Every mutator above (net creation, pin attach/detach, cell swap,
     switch or holder rewiring, domain assignment) advances the netlist's
     {!version} and stamps with it each net whose standby value or driver
-    load could have changed — a cell swap stamps every net the cell pins.
+    load could have changed.  A touch is of one of two kinds:
+    - a {e structural} touch changes the net's driver, its sinks, or its
+      clock or port status: net creation, {!mark_output}, {!mark_clock},
+      attaching or detaching a driver or sink pin (so {!add_inst},
+      {!connect}, {!disconnect}, {!move_sink}, {!remove_inst}), and a
+      {!replace_cell} that changes the cell's kind, on every net the cell
+      pins;
+    - a {e value} touch changes only what flows through the net: a
+      {!replace_cell} within one kind (it keeps every pin and each pin's
+      direction) on every net the cell pins, a holder attached to or
+      detached from the net it keeps, {!set_holder}, {!set_vgnd_switch}
+      and a removed switch's members, {!set_inst_domain},
+      {!set_isolation}, and {!add_domain} on its enable net.
     The journal is a read-only cursor: an incremental analysis remembers
     the version it last saw and asks for the nets touched after it, so
     any number of analyses ([Smt_sta.Sta.update],
@@ -162,8 +174,12 @@ val version : t -> int
 (** The current journal stamp; it grows with every touch. *)
 
 val touched_since : t -> int -> net_id list
-(** The nets touched after the given version, ascending.  Reading never
-    clears anything. *)
+(** The nets touched after the given version, of either kind, ascending.
+    Reading never clears anything. *)
+
+val rewired_since : t -> int -> net_id -> bool
+(** [rewired_since t v nid]: whether the net had a structural touch after
+    version [v].  O(1). *)
 
 (** {1 Traversal} *)
 

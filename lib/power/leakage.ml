@@ -15,14 +15,20 @@ type breakdown = {
   infrastructure : float;
 }
 
+(* [name] from index [i] on starts with [prefix] from [i] on.  A
+   top-level loop: [String.starts_with] allocates a closure per call. *)
+let rec has_prefix prefix name i =
+  i = String.length prefix
+  || i < String.length name
+     && Char.equal (String.unsafe_get prefix i) (String.unsafe_get name i)
+     && has_prefix prefix name (i + 1)
+
 (* Buffers inserted by CTS / MTE buffering / ECO are recognisable by name
    stem; they are ordinary cells, the classification is only for the
    report. *)
 let is_infrastructure_inst nl iid =
   let name = Netlist.inst_name nl iid in
-  String.starts_with ~prefix:"ctsbuf" name
-  || String.starts_with ~prefix:"mtebuf" name
-  || String.starts_with ~prefix:"ecobuf" name
+  has_prefix "ctsbuf" name 0 || has_prefix "mtebuf" name 0 || has_prefix "ecobuf" name 0
 
 let standby nl =
   let total = ref 0.0 and low_vth_logic = ref 0.0 and high_vth_logic = ref 0.0 in

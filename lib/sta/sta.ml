@@ -53,7 +53,8 @@ type endpoint = {
 (* A timing session: the netlist's timing graph compiled into flat
    arrays, and the values propagated over it.  Arrays indexed by net or
    instance id can be longer than [n_nets] / [n_insts]: they grow with
-   headroom as [update] and [reanalyze] follow a growing netlist. *)
+   headroom as [update] and [reanalyze] follow a growing netlist, and a
+   recompile refills them in place when they have room. *)
 type t = {
   mutable cfg : config;
   nl : Netlist.t;
@@ -69,26 +70,30 @@ type t = {
   mutable rat : float array;  (* setup-based required *)
   mutable from_net : int array;  (* worst predecessor net, -1 if source *)
   mutable via_inst : int array;  (* the gate or flip-flop that timed the net, -1 at sources *)
-  mutable readers : int array;  (* data-pin slots on the net *)
-  mutable net_mark : Bytes.t;  (* scratch: [touched] / [retimed], zero between calls *)
+  mutable first_reader : int array;  (* the first slot of the net's reader list, -1 if none *)
+  mutable net_mark : Bytes.t;  (* scratch: [touched] / [retimed] / [required], zero between calls *)
   (* per instance *)
   mutable inst_delay : float array;  (* the delay forward used *)
   mutable out : int array;  (* timed output net: Z (-1 on a clock net) or Q; -1 if none *)
-  mutable row : int array;  (* data-pin slots of instance i: row.(i) .. row.(i + 1) - 1 *)
-  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [seeded], zero between calls *)
+  mutable row : int array;  (* slots of instance i: row.(i) .. row.(i + 1) - 1 *)
+  mutable inst_kind : Bytes.t;  (* compiled as a [gate] (so in [order]) or a flip-flop [ff] *)
+  mutable inst_cell : Cell.t array;  (* a gate's or flip-flop's cell when its slot wires were read *)
+  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [queued] / [placing] / [placed], zero between calls *)
   (* the combinational instances, fanin first *)
   mutable order : int array;
   mutable n_order : int;
-  (* data-pin slots: each connected data input, in [Func.input_names]
-     order per instance *)
+  (* slots: each connected data input of a combinational instance, in
+     [Func.input_names] order per instance, and each flip-flop's D (on
+     net -1 while unconnected); the slots reading one net are linked
+     into its reader list *)
   mutable slot_net : int array;
   mutable slot_wire : float array;  (* wire delay from the net's driver to the pin *)
+  mutable next_reader : int array;  (* the next slot of the same reader list, -1 at its end *)
+  mutable slot_inst : int array;  (* the instance whose row holds the slot *)
   mutable n_slots : int;
   (* the flip-flops, ascending id (one removed since the last compile
      keeps its slot, inert: it has no D and no Q) *)
   mutable ffs : int array;
-  mutable ff_d : int array;  (* D net, -1 if unconnected *)
-  mutable ff_wire : float array;  (* wire delay into D *)
   mutable ff_slack : float array;  (* setup slack at D, infinity if unconnected *)
   mutable n_ffs : int;
   mutable eps : endpoint list;
@@ -100,11 +105,16 @@ let netlist t = t.nl
 let po_pin_cap = 4.0
 
 let load_of_net cfg nl nid =
-  let pin_caps =
-    List.fold_left
-      (fun acc (p : Netlist.pin) -> acc +. (Netlist.cell nl p.Netlist.inst).Cell.input_cap)
-      0.0 (Netlist.sinks nl nid)
-  in
+  (* a loop, not a fold: the accumulator stays unboxed *)
+  let pin_caps = ref 0.0 and sinks = ref (Netlist.sinks nl nid) in
+  while !sinks <> [] do
+    match !sinks with
+    | (p : Netlist.pin) :: rest ->
+      pin_caps := !pin_caps +. (Netlist.cell nl p.Netlist.inst).Cell.input_cap;
+      sinks := rest
+    | [] -> ()
+  done;
+  let pin_caps = !pin_caps in
   let holder_cap =
     match Netlist.holder_of nl nid with
     | Some h -> (Netlist.cell nl h).Cell.input_cap
@@ -118,6 +128,15 @@ let load_of_inst cfg nl iid =
   | Some out -> load_of_net cfg nl out
   | None -> 0.0
 
+let load t iid =
+  let o = if iid < t.n_insts then t.out.(iid) else -1 in
+  if o >= 0 then t.loads.(o)
+  else
+    match Netlist.output_net t.nl iid with
+    | Some o when o < t.n_nets -> t.loads.(o)
+    | Some _ -> invalid_arg "Sta.load: an output net the session has not timed"
+    | None -> 0.0
+
 let cell_delay cfg nl iid =
   Cell.delay_with_bounce
     (Smt_cell.Library.tech (Netlist.lib nl))
@@ -127,32 +146,66 @@ let cell_delay cfg nl iid =
 
 let touched = 1 (* net: stamped since [t.version] *)
 let retimed = 2 (* net: its arrival was recomputed by this update *)
+let required = 4 (* net: queued for its required time *)
 let checked = 1 (* instance: re-read by this update *)
-let seeded = 2 (* instance: drives a touched net *)
+let queued = 2 (* instance: queued to be timed *)
+let placing = 4 (* instance: a new gate being placed in the order *)
+let placed = 8 (* instance: a new gate placed in the order *)
+let slowed = 16 (* instance: timed by this update, its delay may have changed *)
+
+(* [inst_kind] entries; any other instance reads zero *)
+let gate = '\001'
+let ff = '\002'
 
 let marked b i bit = Char.code (Bytes.get b i) land bit <> 0
 let mark b i bit = Bytes.set b i (Char.unsafe_chr (Char.code (Bytes.get b i) lor bit))
 
 (* --- growth --- *)
 
-(* [a] with room for [n] entries: the first [len] kept, the rest [fill].
-   Grows by half again, so a netlist growing edit by edit reallocates
-   rarely. *)
+(* [a] with room for [n] entries: the first [len] kept, the next ones up
+   to [n] set to [fill].  Grows by half again, so a netlist growing edit
+   by edit reallocates rarely. *)
 let grow a ~len n fill =
-  if n <= Array.length a then a
+  if n <= Array.length a then begin
+    if n > len then Array.fill a len (n - len) fill;
+    a
+  end
   else begin
     let b = Array.make (max n (Array.length a + (Array.length a / 2) + 16)) fill in
     Array.blit a 0 b 0 len;
     b
   end
 
-let grow_bytes b n =
-  if n <= Bytes.length b then b
+let grow_bytes b ~len n =
+  if n <= Bytes.length b then begin
+    if n > len then Bytes.fill b len (n - len) '\000';
+    b
+  end
   else begin
     let c = Bytes.make (max n (Bytes.length b + (Bytes.length b / 2) + 16)) '\000' in
-    Bytes.blit b 0 c 0 (Bytes.length b);
+    Bytes.blit b 0 c 0 len;
     c
   end
+
+(* [a] with room for [n] entries, kept when it has it: a recompile
+   reuses the arrays it has.  A new one has a third to spare, so the
+   edits that grow the netlist after an analysis (switch and holder
+   insertion, the clock and enable trees, most of the hold ECO's
+   buffers) do not reallocate.  [refill] also sets the first [n] to
+   [fill]. *)
+let spare n = n + (n / 3)
+
+let room a n fill = if n <= Array.length a then a else Array.make (spare n) fill
+
+let refill a n fill =
+  let a = room a n fill in
+  Array.fill a 0 n fill;
+  a
+
+let refill_bytes b n =
+  let b = if n <= Bytes.length b then b else Bytes.create (spare n) in
+  Bytes.fill b 0 n '\000';
+  b
 
 let grow_nets t n =
   if n > t.n_nets then begin
@@ -164,8 +217,8 @@ let grow_nets t n =
     t.rat <- grow t.rat ~len n infinity;
     t.from_net <- grow t.from_net ~len n (-1);
     t.via_inst <- grow t.via_inst ~len n (-1);
-    t.readers <- grow t.readers ~len n 0;
-    t.net_mark <- grow_bytes t.net_mark n;
+    t.first_reader <- grow t.first_reader ~len n (-1);
+    t.net_mark <- grow_bytes t.net_mark ~len n;
     t.n_nets <- n
   end
 
@@ -175,7 +228,9 @@ let grow_insts t n =
     t.inst_delay <- grow t.inst_delay ~len n 0.0;
     t.out <- grow t.out ~len n (-1);
     t.row <- grow t.row ~len:(len + 1) (n + 1) 0;
-    t.inst_mark <- grow_bytes t.inst_mark n;
+    t.inst_kind <- grow_bytes t.inst_kind ~len n;
+    t.inst_cell <- grow t.inst_cell ~len n (Netlist.cell t.nl (n - 1));
+    t.inst_mark <- grow_bytes t.inst_mark ~len n;
     t.n_insts <- n
   end
 
@@ -192,53 +247,104 @@ let rec index_of names name i =
   else if String.equal names.(i) name then i
   else index_of names name (i + 1)
 
-(* Reads a combinational gate's or flip-flop's pins in one walk over its
-   connection list.  Returns the net its timing writes: a flip-flop's Q,
-   or a combinational output unless it is a clock net (which stays a
-   clock source); -1 if none.  Leaves in [t.pin_nets.(j)] the net on its
-   [j]th [Func.input_names] pin, -1 if unconnected (a flip-flop's one
-   input is D). *)
-let read_pins t iid (c : Cell.t) =
-  let nl = t.nl and kind = c.Cell.kind in
+(* Reads an instance's pins in one walk over its connection list.
+   Returns the net on its output pin, -1 if none, and leaves in
+   [t.pin_nets.(j)] the net on its [j]th [Func.input_names] pin, -1 if
+   unconnected (a flip-flop's one input is D). *)
+let read_pins t iid =
   Array.fill t.pin_nets 0 max_inputs (-1);
-  let out = Netlist.read_pins nl iid t.pin_nets in
-  if out >= 0 && (Func.is_sequential kind || not (Netlist.is_clock_net nl out)) then out else -1
+  Netlist.read_pins t.nl iid t.pin_nets
+
+(* The net a combinational gate's or flip-flop's timing writes, given
+   the net on its output pin: a flip-flop's Q, or a combinational output
+   unless it is a clock net (which stays a clock source); -1 if none. *)
+let timed_out t (c : Cell.t) out =
+  if out >= 0 && (Func.is_sequential c.Cell.kind || not (Netlist.is_clock_net t.nl out)) then out
+  else -1
 
 let pin_wire t iid nid pin_name = t.cfg.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name }
 
+(* The pin of instance [g] that slot [s] stands for: a row's slots follow
+   its connected data pins in [Func.input_names] order. *)
+let slot_pin t g s =
+  let c = Netlist.cell t.nl g in
+  let names = Func.input_names c.Cell.kind in
+  let k = s - t.row.(g) in
+  if t.row.(g + 1) - t.row.(g) = Array.length names then names.(k)
+  else begin
+    ignore (read_pins t g);
+    let rec nth j k =
+      if t.pin_nets.(j) < 0 then nth (j + 1) k else if k = 0 then names.(j) else nth (j + 1) (k - 1)
+    in
+    nth 0 k
+  end
+
+let link t s nid =
+  t.next_reader.(s) <- t.first_reader.(nid);
+  t.first_reader.(nid) <- s
+
+let unlink t s nid =
+  if t.first_reader.(nid) = s then t.first_reader.(nid) <- t.next_reader.(s)
+  else begin
+    let rec after p =
+      if t.next_reader.(p) = s then t.next_reader.(p) <- t.next_reader.(s)
+      else after t.next_reader.(p)
+    in
+    after t.first_reader.(nid)
+  end
+
 let push_slot t iid nid pin_name =
   let k = t.n_slots in
-  t.slot_net <- grow t.slot_net ~len:k (k + 1) 0;
-  t.slot_wire <- grow t.slot_wire ~len:k (k + 1) 0.0;
+  if k >= Array.length t.slot_net || k >= Array.length t.slot_wire
+     || k >= Array.length t.next_reader || k >= Array.length t.slot_inst
+  then begin
+    t.slot_net <- grow t.slot_net ~len:k (k + 1) (-1);
+    t.slot_wire <- grow t.slot_wire ~len:k (k + 1) 0.0;
+    t.next_reader <- grow t.next_reader ~len:k (k + 1) (-1);
+    t.slot_inst <- grow t.slot_inst ~len:k (k + 1) 0
+  end;
   t.slot_net.(k) <- nid;
-  t.slot_wire.(k) <- pin_wire t iid nid pin_name;
-  t.readers.(nid) <- t.readers.(nid) + 1;
-  t.n_slots <- k + 1
+  t.slot_inst.(k) <- iid;
+  t.n_slots <- k + 1;
+  if nid >= 0 then begin
+    t.slot_wire.(k) <- pin_wire t iid nid pin_name;
+    link t k nid
+  end
 
-let push_ff t iid d =
+let push_ff t iid =
   let k = t.n_ffs in
-  t.ffs <- grow t.ffs ~len:k (k + 1) 0;
-  t.ff_d <- grow t.ff_d ~len:k (k + 1) (-1);
-  t.ff_wire <- grow t.ff_wire ~len:k (k + 1) 0.0;
-  t.ff_slack <- grow t.ff_slack ~len:k (k + 1) infinity;
+  if k >= Array.length t.ffs || k >= Array.length t.ff_slack then begin
+    t.ffs <- grow t.ffs ~len:k (k + 1) 0;
+    t.ff_slack <- grow t.ff_slack ~len:k (k + 1) infinity
+  end;
   t.ffs.(k) <- iid;
-  t.ff_d.(k) <- d;
-  if d >= 0 then t.ff_wire.(k) <- pin_wire t iid d "D";
   t.n_ffs <- k + 1
 
+exception Stale
+
 (* Compiles instance [iid], the next id after those compiled: its timed
-   output, its data-pin row if combinational, its D slot if a flip-flop.
-   The caller places a combinational instance in [order]. *)
-let add_inst t iid =
+   output, and its slots: its data-pin row if combinational, its D if a
+   flip-flop.  The caller places a combinational instance in [order].
+   Raises [Stale] when its output pin is on a net below [nnets0]. *)
+let add_inst t ~nnets0 iid =
   let nl = t.nl in
   if not (Netlist.is_dead nl iid) then begin
     let c = Netlist.cell nl iid in
-    if Func.is_sequential c.Cell.kind then begin
-      t.out.(iid) <- read_pins t iid c;
-      push_ff t iid t.pin_nets.(0)
+    let seq = Func.is_sequential c.Cell.kind in
+    if seq || is_comb c then begin
+      let out = read_pins t iid in
+      if out >= 0 && out < nnets0 then raise_notrace Stale;
+      t.out.(iid) <- timed_out t c out
+    end;
+    if seq then begin
+      Bytes.set t.inst_kind iid ff;
+      t.inst_cell.(iid) <- c;
+      push_slot t iid t.pin_nets.(0) "D";
+      push_ff t iid
     end
     else if is_comb c then begin
-      t.out.(iid) <- read_pins t iid c;
+      Bytes.set t.inst_kind iid gate;
+      t.inst_cell.(iid) <- c;
       let ins = Func.input_names c.Cell.kind in
       for j = 0 to Array.length ins - 1 do
         if t.pin_nets.(j) >= 0 then push_slot t iid t.pin_nets.(j) ins.(j)
@@ -249,7 +355,7 @@ let add_inst t iid =
 
 let push_order t iid =
   let k = t.n_order in
-  t.order <- grow t.order ~len:k (k + 1) 0;
+  if k >= Array.length t.order then t.order <- grow t.order ~len:k (k + 1) 0;
   t.order.(k) <- iid;
   t.n_order <- k + 1
 
@@ -328,38 +434,23 @@ let time_gate t g out =
   t.from_net.(out) <- !worst_src;
   t.via_inst.(out) <- g
 
-let rec reads_retimed t s stop =
-  s < stop && (marked t.net_mark t.slot_net.(s) retimed || reads_retimed t (s + 1) stop)
+(* The setup requirement at flip-flop [ff]'s D pin. *)
+let ff_required t ff =
+  t.cfg.clock_period +. t.cfg.clock_latency ff -. (Netlist.cell t.nl ff).Cell.setup
 
-(* Times the combinational frame in order: every gate with [all], else
-   the cone of the seeded gates (a gate is retimed when seeded or when a
-   data pin reads a retimed net).  Returns the gates timed. *)
-let forward t ~all =
-  let timed = ref 0 in
-  for k = 0 to t.n_order - 1 do
-    let g = t.order.(k) in
-    let out = t.out.(g) in
-    if out >= 0
-       && (all || marked t.inst_mark g seeded || reads_retimed t t.row.(g) t.row.(g + 1))
-    then begin
-      time_gate t g out;
-      incr timed;
-      if not all then mark t.net_mark out retimed
-    end
-  done;
-  !timed
-
-(* Endpoint list plus seed of the required-time array; [ff_slack]
-   collects each flip-flop's D-endpoint slack for [inst_slack]. *)
-let time_endpoints t =
+(* The endpoint list, and each flip-flop's D-endpoint slack in [ff_slack]
+   for [inst_slack]; with [seed], also the endpoints' required times into
+   [rat], which the caller has filled with [infinity]. *)
+let time_endpoints t ~seed =
   let cfg = t.cfg and nl = t.nl in
-  Array.fill t.rat 0 t.n_nets infinity;
-  Array.fill t.ff_slack 0 t.n_ffs infinity;
   let eps = ref [] in
   for k = 0 to t.n_ffs - 1 do
-    let ff = t.ffs.(k) and d_net = t.ff_d.(k) in
-    if d_net >= 0 then begin
-      let cell = Netlist.cell nl ff and w = t.ff_wire.(k) in
+    let ff = t.ffs.(k) in
+    let s = t.row.(ff) in
+    let d_net = t.slot_net.(s) in
+    if d_net < 0 then t.ff_slack.(k) <- infinity
+    else begin
+      let cell = Netlist.cell nl ff and w = t.slot_wire.(s) in
       let a =
         (if t.at_max.(d_net) = neg_infinity then cfg.input_arrival else t.at_max.(d_net)) +. w
       in
@@ -370,7 +461,7 @@ let time_endpoints t =
       let req = cfg.clock_period +. lat -. cell.Cell.setup in
       let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
       let slack = req -. a in
-      t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
+      if seed then t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
       t.ff_slack.(k) <- slack;
       eps := { kind = Ff_data ff; net = d_net; arrival = a; required = req; slack; hold_slack }
              :: !eps
@@ -381,7 +472,7 @@ let time_endpoints t =
       if not (Netlist.is_clock_net nl nid) then begin
         let a = if t.at_max.(nid) = neg_infinity then cfg.input_arrival else t.at_max.(nid) in
         let req = cfg.clock_period -. cfg.output_margin in
-        t.rat.(nid) <- Float.min t.rat.(nid) req;
+        if seed then t.rat.(nid) <- Float.min t.rat.(nid) req;
         eps :=
           {
             kind = Primary_output name;
@@ -424,14 +515,23 @@ let time_all t =
       incr evals
     end
   done;
-  evals := !evals + forward t ~all:true;
+  for k = 0 to t.n_order - 1 do
+    let g = t.order.(k) in
+    let out = t.out.(g) in
+    if out >= 0 then begin
+      time_gate t g out;
+      incr evals
+    end
+  done;
   Metrics.incr ~by:!evals m_arrival_evals;
-  time_endpoints t;
+  Array.fill t.rat 0 t.n_nets infinity;
+  time_endpoints t ~seed:true;
   backward t
 
-(* Compiles the whole netlist into [t] and times it from scratch.  Until
-   it completes, [t.version] is -1: a session whose recompile raised has
-   nothing left to extend. *)
+(* Compiles the whole netlist into [t], in the arrays it already has
+   where they have room, and times it from scratch.  Until it completes,
+   [t.version] is -1: a session whose recompile raised has nothing left
+   to extend. *)
 let compile t =
   Metrics.incr m_analyses;
   let nl = t.nl in
@@ -447,31 +547,38 @@ let compile t =
       if Func.is_sequential (Netlist.cell nl iid).Cell.kind then incr n_ffs);
   t.n_nets <- nnets;
   t.n_insts <- ninsts;
-  t.loads <- Array.init nnets (load_of_net t.cfg nl);
-  t.at_max <- Array.make nnets neg_infinity;
-  t.at_min <- Array.make nnets infinity;
-  t.at_slew <- Array.make nnets 0.0;
-  t.rat <- Array.make nnets infinity;
-  t.from_net <- Array.make nnets (-1);
-  t.via_inst <- Array.make nnets (-1);
-  t.readers <- Array.make nnets 0;
-  t.net_mark <- Bytes.make nnets '\000';
-  t.inst_delay <- Array.make ninsts 0.0;
-  t.out <- Array.make ninsts (-1);
-  t.row <- Array.make (ninsts + 1) 0;
-  t.inst_mark <- Bytes.make ninsts '\000';
+  t.loads <- refill t.loads nnets 0.0;
+  for nid = 0 to nnets - 1 do
+    t.loads.(nid) <- load_of_net t.cfg nl nid
+  done;
+  (* [time_all] resets every net's arrivals, source and required time *)
+  t.at_max <- room t.at_max nnets neg_infinity;
+  t.at_min <- room t.at_min nnets infinity;
+  t.at_slew <- room t.at_slew nnets 0.0;
+  t.rat <- room t.rat nnets infinity;
+  t.from_net <- room t.from_net nnets (-1);
+  t.via_inst <- room t.via_inst nnets (-1);
+  t.first_reader <- refill t.first_reader nnets (-1);
+  t.net_mark <- refill_bytes t.net_mark nnets;
+  t.inst_delay <- refill t.inst_delay ninsts 0.0;
+  t.out <- refill t.out ninsts (-1);
+  t.row <- refill t.row (ninsts + 1) 0;
+  t.inst_kind <- refill_bytes t.inst_kind ninsts;
+  if ninsts > 0 then t.inst_cell <- room t.inst_cell ninsts (Netlist.cell nl 0);
+  t.inst_mark <- refill_bytes t.inst_mark ninsts;
   t.order <- order;
   t.n_order <- Array.length order;
-  t.slot_net <- Array.make !max_slots 0;
-  t.slot_wire <- Array.make !max_slots 0.0;
+  let n_slots = !max_slots + !n_ffs in
+  t.slot_net <- room t.slot_net n_slots (-1);
+  t.slot_wire <- room t.slot_wire n_slots 0.0;
+  t.next_reader <- room t.next_reader n_slots (-1);
+  t.slot_inst <- room t.slot_inst n_slots 0;
   t.n_slots <- 0;
-  t.ffs <- Array.make !n_ffs 0;
-  t.ff_d <- Array.make !n_ffs (-1);
-  t.ff_wire <- Array.make !n_ffs 0.0;
-  t.ff_slack <- Array.make !n_ffs infinity;
+  t.ffs <- room t.ffs !n_ffs 0;
+  t.ff_slack <- room t.ff_slack !n_ffs infinity;
   t.n_ffs <- 0;
   for iid = 0 to ninsts - 1 do
-    add_inst t iid
+    add_inst t ~nnets0:0 iid
   done;
   time_all t;
   t.version <- Netlist.version nl
@@ -492,20 +599,22 @@ let analyze cfg nl =
       rat = [||];
       from_net = [||];
       via_inst = [||];
-      readers = [||];
+      first_reader = [||];
       net_mark = Bytes.empty;
       inst_delay = [||];
       out = [||];
       row = [||];
+      inst_kind = Bytes.empty;
+      inst_cell = [||];
       inst_mark = Bytes.empty;
       order = [||];
       n_order = 0;
       slot_net = [||];
       slot_wire = [||];
+      next_reader = [||];
+      slot_inst = [||];
       n_slots = 0;
       ffs = [||];
-      ff_d = [||];
-      ff_wire = [||];
       ff_slack = [||];
       n_ffs = 0;
       eps = [];
@@ -515,26 +624,40 @@ let analyze cfg nl =
   compile t;
   t
 
-(* --- incremental update --- *)
-
-exception Stale
+(* --- the journal step --- *)
 
 (* Re-reads an old instance: its timed output must be the compiled one
    (a removed instance has none), and a combinational gate's data-pin
-   nets must be its compiled row; the wire delays of its pins on touched
-   nets are refreshed. *)
+   nets must be its compiled row, whose wire delays on touched nets are
+   refreshed.  A flip-flop's D may have moved: its slot follows it into
+   the new net's reader list. *)
 let recheck t g =
   if not (marked t.inst_mark g checked) then begin
     mark t.inst_mark g checked;
     let c = Netlist.cell t.nl g in
-    if not (Func.is_sequential c.Cell.kind || is_comb c) then begin
+    let seq = Func.is_sequential c.Cell.kind in
+    if not (seq || is_comb c) then begin
       if t.out.(g) >= 0 then raise_notrace Stale
     end
     else begin
-      if read_pins t g c <> t.out.(g) then raise_notrace Stale;
-      if is_comb c then begin
+      if timed_out t c (read_pins t g) <> t.out.(g) then raise_notrace Stale;
+      (* a swap touches every net the cell pins: each slot is refreshed *)
+      t.inst_cell.(g) <- c;
+      let s0 = t.row.(g) and stop = t.row.(g + 1) in
+      if seq then begin
+        if stop - s0 <> 1 then raise_notrace Stale;
+        let d = t.pin_nets.(0) and was = t.slot_net.(s0) in
+        if d <> was then begin
+          if was >= 0 then unlink t s0 was;
+          t.slot_net.(s0) <- d;
+          if d >= 0 then link t s0 d
+        end;
+        if d >= 0 && (d <> was || marked t.net_mark d touched) then
+          t.slot_wire.(s0) <- pin_wire t g d "D"
+      end
+      else begin
         let ins = Func.input_names c.Cell.kind in
-        let s = ref t.row.(g) and stop = t.row.(g + 1) in
+        let s = ref s0 in
         for j = 0 to Array.length ins - 1 do
           let nid = t.pin_nets.(j) in
           if nid >= 0 then begin
@@ -548,73 +671,133 @@ let recheck t g =
     end
   end
 
+(* Reads the wire delay into each of instance [g]'s slots again. *)
+let read_wires t g =
+  for s = t.row.(g) to t.row.(g + 1) - 1 do
+    let nid = t.slot_net.(s) in
+    if nid >= 0 then t.slot_wire.(s) <- pin_wire t g nid (slot_pin t g s)
+  done
+
+(* The wire delay into a pin follows its net and its instance's cell
+   (Parasitics' Elmore delay reads the sink's input capacitance): an
+   instance whose cell was swapped reads them all again. *)
+let refresh_row t g =
+  let c = Netlist.cell t.nl g in
+  if c != t.inst_cell.(g) then begin
+    t.inst_cell.(g) <- c;
+    read_wires t g
+  end
+
+(* A structurally touched net: its data-pin readers must be exactly its
+   compiled slots, each pin on the slot compiled for it, and the gate or
+   flip-flop that timed it must still drive it (a swapped one reads its
+   wires again).  A reader whose row holds every data pin of its kind
+   has pin [j] at slot [j]; any other instance involved re-reads its
+   pins.  A flip-flop whose D is here, or was at the last step, re-reads
+   it; one whose clock pin moved needs nothing.  A gate driving the net
+   into a gate's other input (an embedded MT-cell's MTE) orders the
+   levelization without being timed, so the edit could close a cycle
+   only [Netlist.topo_order] sees: that recompiles too. *)
+let check_net t nid =
+  let nl = t.nl in
+  let via = t.via_inst.(nid) in
+  let comb_driver =
+    match Netlist.driver nl nid with
+    | Some p ->
+      let d = p.Netlist.inst in
+      if d <> via || Netlist.is_clock_net nl nid then begin
+        if via >= 0 then recheck t via;
+        recheck t d
+      end
+      else refresh_row t via;
+      is_comb (Netlist.cell nl d)
+    | None ->
+      if via >= 0 then recheck t via;
+      false
+  in
+  let readers = ref 0 in
+  List.iter
+    (fun (p : Netlist.pin) ->
+      let g = p.Netlist.inst in
+      let c = Netlist.cell nl g in
+      if is_comb c then begin
+        let names = Func.input_names c.Cell.kind in
+        let j = index_of names p.Netlist.pin_name 0 in
+        if j >= 0 then begin
+          incr readers;
+          let r = t.row.(g) in
+          if not (t.row.(g + 1) - r = Array.length names && t.slot_net.(r + j) = nid) then
+            recheck t g
+        end
+        else if comb_driver then raise_notrace Stale
+      end
+      else if Func.is_sequential c.Cell.kind && String.equal p.Netlist.pin_name "D"
+              && t.slot_net.(t.row.(g)) <> nid
+      then recheck t g)
+    (Netlist.sinks nl nid);
+  let s = ref t.first_reader.(nid) and compiled = ref 0 in
+  while !s >= 0 do
+    let next = t.next_reader.(!s) in
+    let g = t.slot_inst.(!s) in
+    if Bytes.get t.inst_kind g = gate then incr compiled else recheck t g;
+    s := next
+  done;
+  if !readers <> !compiled then raise_notrace Stale
+
+(* A value-touched net keeps its connections, and so does every
+   instance on it.  A swap touches every net the cell pins, its output
+   among them, so a swapped gate or flip-flop is found as the timer of
+   its output.  One with no timed output is found elsewhere: a gate's
+   slots are then read by nothing, and a flip-flop without Q by
+   [refresh_qless]. *)
+let refresh_timer t nid =
+  let g = t.via_inst.(nid) in
+  if g >= 0 then refresh_row t g
+
+let refresh_qless t =
+  for k = 0 to t.n_ffs - 1 do
+    let ff = t.ffs.(k) in
+    if t.out.(ff) < 0 then refresh_row t ff
+  done
+
+(* Places new gate [g] in the order after the new gates it reads; a loop
+   among them raises [Stale]. *)
+let rec place t ~ninsts0 g =
+  if not (marked t.inst_mark g placed) then begin
+    if marked t.inst_mark g placing then raise_notrace Stale;
+    mark t.inst_mark g placing;
+    for s = t.row.(g) to t.row.(g + 1) - 1 do
+      match Netlist.driver t.nl t.slot_net.(s) with
+      | Some p when p.Netlist.inst >= ninsts0 && is_comb (Netlist.cell t.nl p.Netlist.inst) ->
+        place t ~ninsts0 p.Netlist.inst
+      | Some _ | None -> ()
+    done;
+    mark t.inst_mark g placed;
+    push_order t g
+  end
+
 (* Brings the compiled graph up to the netlist when the edits since
    [t.version] keep it valid (the splice rule in sta.mli); raises
    [Stale] when one breaks it.  [ninsts0] and [nnets0] are the sizes the
    graph was compiled for. *)
 let extend t ~ninsts0 ~nnets0 touched_nets =
   let nl = t.nl in
-  (* New instances append in id order.  A new gate reads nets driven
-     before it and drives a new net, so the order stays topological. *)
-  for iid = ninsts0 to Netlist.inst_count nl - 1 do
-    if not (Netlist.is_dead nl iid) then begin
-      (match Netlist.output_net nl iid with
-      | Some o when o < nnets0 -> raise_notrace Stale
-      | Some _ | None -> ());
-      let c = Netlist.cell nl iid in
-      if is_comb c then begin
-        Array.iter
-          (fun pin_name ->
-            match Netlist.pin_net nl iid pin_name with
-            | Some nid -> (
-              match Netlist.driver nl nid with
-              | Some p when p.Netlist.inst >= iid -> raise_notrace Stale
-              | Some _ | None -> ())
-            | None -> ())
-          (Func.input_names c.Cell.kind);
-        push_order t iid
-      end
-    end;
-    add_inst t iid
+  let ninsts = Netlist.inst_count nl in
+  (* New instances compile in id order; a new gate drives a new net. *)
+  for iid = ninsts0 to ninsts - 1 do
+    add_inst t ~nnets0 iid;
+    mark t.inst_mark iid checked
   done;
-  (* Old instances on a touched net re-read their pins: the net's
-     compiled driver and its driver now, and its data-pin readers, which
-     must be exactly its compiled slots.  A gate driving the net into a
-     gate's other input (an embedded MT-cell's MTE) orders the
-     levelization without being timed, so the edit could close a cycle
-     only [Netlist.topo_order] sees: that recompiles too. *)
+  (* ... and join the order after every gate they read, which keeps it
+     topological. *)
+  for iid = ninsts0 to ninsts - 1 do
+    if (not (Netlist.is_dead nl iid)) && is_comb (Netlist.cell nl iid) then place t ~ninsts0 iid
+  done;
   List.iter
     (fun nid ->
-      if t.via_inst.(nid) >= 0 then recheck t t.via_inst.(nid);
-      let comb_driver =
-        match Netlist.driver nl nid with
-        | Some p ->
-          if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst;
-          is_comb (Netlist.cell nl p.Netlist.inst)
-        | None -> false
-      in
-      let readers = ref 0 in
-      List.iter
-        (fun (p : Netlist.pin) ->
-          let c = Netlist.cell nl p.Netlist.inst in
-          if is_comb c then
-            if index_of (Func.input_names c.Cell.kind) p.Netlist.pin_name 0 >= 0 then begin
-              incr readers;
-              if p.Netlist.inst < ninsts0 then recheck t p.Netlist.inst
-            end
-            else if comb_driver then raise_notrace Stale)
-        (Netlist.sinks nl nid);
-      if !readers <> t.readers.(nid) then raise_notrace Stale)
+      if Netlist.rewired_since nl t.version nid then check_net t nid else refresh_timer t nid)
     touched_nets;
-  (* Flip-flops re-read D. *)
-  for k = 0 to t.n_ffs - 1 do
-    let ff = t.ffs.(k) in
-    match Netlist.pin_net nl ff "D" with
-    | Some d ->
-      if d <> t.ff_d.(k) || marked t.net_mark d touched then t.ff_wire.(k) <- pin_wire t ff d "D";
-      t.ff_d.(k) <- d
-    | None -> t.ff_d.(k) <- -1
-  done
+  if touched_nets <> [] then refresh_qless t
 
 let clear_marks t =
   Bytes.fill t.net_mark 0 t.n_nets '\000';
@@ -647,8 +830,26 @@ let sync t =
     None
   end
 
+(* --- incremental update --- *)
+
+let queue_gate t g =
+  if Bytes.get t.inst_kind g = gate && t.out.(g) >= 0 then mark t.inst_mark g queued
+
+(* Marks net [nid] retimed and queues the gates reading it. *)
+let retimed_net t nid =
+  if not (marked t.net_mark nid retimed) then begin
+    mark t.net_mark nid retimed;
+    let s = ref t.first_reader.(nid) in
+    while !s >= 0 do
+      queue_gate t t.slot_inst.(!s);
+      s := t.next_reader.(!s)
+    done
+  end
+
 (* Re-times the cone of the touched nets' drivers over the extended
-   graph.  Returns the arrival evaluations. *)
+   graph, in order: the touched nets' drivers, and every gate reading a
+   retimed net.  Marks [slowed] the gates whose delay may have changed.
+   Returns the arrival evaluations and how many gates it marked. *)
 let retime t touched_nets =
   let nl = t.nl in
   let evals = ref 0 in
@@ -659,7 +860,7 @@ let retime t touched_nets =
       (* a driverless net that became a clock net reads differently *)
       if not (Float.equal a t.at_max.(nid) && Float.equal e t.at_min.(nid)
               && Float.equal s t.at_slew.(nid))
-      then mark t.net_mark nid retimed)
+      then retimed_net t nid)
     touched_nets;
   List.iter
     (fun nid ->
@@ -669,38 +870,127 @@ let retime t touched_nets =
         if Func.is_sequential (Netlist.cell nl d).Cell.kind then begin
           time_ff t d nid;
           incr evals;
-          mark t.net_mark nid retimed
+          retimed_net t nid
         end
-        else mark t.inst_mark d seeded
+        else queue_gate t d
       | None -> ())
     touched_nets;
-  !evals + forward t ~all:false
+  (* a queued gate only queues gates later in the order *)
+  let changed = ref 0 in
+  for k = 0 to t.n_order - 1 do
+    let g = t.order.(k) in
+    if marked t.inst_mark g queued then begin
+      let out = t.out.(g) and d0 = t.inst_delay.(g) in
+      time_gate t g out;
+      incr evals;
+      (* a zero may have changed sign *)
+      if t.inst_delay.(g) <> d0 || d0 = 0.0 then begin
+        mark t.inst_mark g slowed;
+        incr changed
+      end;
+      retimed_net t out
+    end
+  done;
+  (!evals, !changed)
+
+(* Required time of net [nid] from its readers: the endpoint
+   requirements of the flip-flops whose D it is and of its output port,
+   and each timed gate reading it. *)
+let net_required t nid =
+  let cfg = t.cfg and nl = t.nl in
+  let r =
+    ref
+      (if Netlist.is_po nl nid && not (Netlist.is_clock_net nl nid) then
+         cfg.clock_period -. cfg.output_margin
+       else infinity)
+  in
+  let s = ref t.first_reader.(nid) in
+  while !s >= 0 do
+    let g = t.slot_inst.(!s) in
+    if Bytes.get t.inst_kind g = ff then r := Float.min !r (ff_required t g -. t.slot_wire.(!s))
+    else begin
+      let out = t.out.(g) in
+      if out >= 0 then r := Float.min !r (t.rat.(out) -. t.inst_delay.(g) -. t.slot_wire.(!s))
+    end;
+    s := t.next_reader.(!s)
+  done;
+  !r
+
+(* Re-derives required times behind the edit: at the touched nets, at
+   the inputs of the [slowed] gates, and at the inputs of every gate
+   whose output's required time changed, latest gate first.  Each is the
+   [min] of the same terms [backward] folds, so it is the same float.
+   Nets no timed gate drives come last. *)
+let update_required t touched_nets =
+  let sources = ref [] in
+  let queue nid =
+    if not (marked t.net_mark nid required) then begin
+      mark t.net_mark nid required;
+      let v = t.via_inst.(nid) in
+      if not (v >= 0 && Bytes.get t.inst_kind v = gate) then sources := nid :: !sources
+    end
+  in
+  let queue_inputs g =
+    for s = t.row.(g) to t.row.(g + 1) - 1 do
+      queue t.slot_net.(s)
+    done
+  in
+  List.iter queue touched_nets;
+  for k = t.n_order - 1 downto 0 do
+    let g = t.order.(k) in
+    let out = t.out.(g) in
+    if marked t.inst_mark g slowed then queue_inputs g;
+    if out >= 0 && marked t.net_mark out required then begin
+      let r = net_required t out in
+      let was = t.rat.(out) in
+      t.rat.(out) <- r;
+      if r <> was || r = 0.0 then queue_inputs g
+    end
+  done;
+  List.iter (fun nid -> t.rat.(nid) <- net_required t nid) !sources
 
 let update t =
   match sync t with
   | None -> ()
   | Some touched_nets ->
     Metrics.incr m_incremental;
-    let evals = retime t touched_nets in
-    clear_marks t;
+    let evals, changed = retime t touched_nets in
     Metrics.incr ~by:evals m_arrival_evals;
     Metrics.observe m_update_evals (float_of_int evals);
-    time_endpoints t;
-    backward t
+    (* when the edit reaches a quarter of the graph, one backward pass
+       is cheaper than the cone walk, and gives the same floats *)
+    if 4 * (List.length touched_nets + changed) > t.n_nets then begin
+      Array.fill t.rat 0 t.n_nets infinity;
+      time_endpoints t ~seed:true;
+      backward t
+    end
+    else begin
+      time_endpoints t ~seed:false;
+      update_required t touched_nets
+    end;
+    clear_marks t
 
-(* A wire model is kept only when it is the session's own: two models
-   cannot be compared, and the slot wire delays and loads came from it. *)
+(* Every slot's wire delay and every net's load under [t.cfg.wire]. *)
+let refresh_wires t =
+  for nid = 0 to t.n_nets - 1 do
+    t.loads.(nid) <- load_of_net t.cfg t.nl nid
+  done;
+  for g = 0 to t.n_insts - 1 do
+    read_wires t g
+  done
+
+(* Slot wire delays and loads are baked in from the wire model: a new
+   one (two models cannot be compared) refreshes them all. *)
 let reanalyze t cfg =
   let rewired = cfg.wire != t.cfg.wire in
   t.cfg <- cfg;
-  if rewired then compile t
-  else
-    match sync t with
-    | None -> ()
-    | Some _ ->
-      clear_marks t;
-      Metrics.incr m_analyses;
-      time_all t
+  match sync t with
+  | None -> ()
+  | Some _ ->
+    clear_marks t;
+    if rewired then refresh_wires t;
+    Metrics.incr m_analyses;
+    time_all t
 
 let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
 

@@ -65,14 +65,15 @@ val reanalyze : t -> config -> unit
     [sta.analyses] and the same [sta.arrival_evals], with no
     [sta.incremental_updates].  It brings the graph up to the netlist
     through the journal step {!update} uses (the touched nets, array
-    growth, then the graph extended under the splice rule with the
-    touched nets' loads re-folded, or else recompiled), and then re-times
-    every arrival, required time and endpoint from scratch under [cfg].
-    Only the wire model is baked into the graph (its pin wire delays and
-    its loads): a [cfg.wire] that is not physically [t]'s wire model
-    recompiles.  Every other field (period, margins, input arrival,
-    bounce, clock latency, slew model) is read while timing, so changing
-    it costs no compile.  Raises like {!update} on a cycle. *)
+    growth, then the graph extended under the splice rule, or else
+    recompiled), and then re-times every arrival, required time and
+    endpoint from scratch under [cfg].  Only the wire model is baked
+    into the graph (its pin wire delays and its loads): a [cfg.wire]
+    that is not physically [t]'s wire model keeps the graph and reads
+    every slot's wire delay and every net's load again, in the kept
+    arrays.  Every other field (period, margins, input arrival, bounce,
+    clock latency, slew model) is read while timing, so changing it
+    costs no compile.  Raises like {!update} on a cycle. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -111,6 +112,15 @@ val load_of_net : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id 
 
 val load_of_inst : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id -> float
 (** {!load_of_net} of the instance's output net; 0 when it has none. *)
+
+val load : t -> Smt_netlist.Netlist.inst_id -> float
+(** The load the session holds for the instance's output net, 0 when it
+    has none: [load_of_inst cfg nl iid] under the session's config as of
+    its last analysis, {!reanalyze} or {!update}, read without folding
+    the net's sinks again.  A proposal loop that reads it between
+    updates (the Vth assignment's, gate sizing's) sees exactly the loads
+    the timing used.  Raises [Invalid_argument] when the output net was
+    created after the session last synced with its netlist. *)
 
 val cell_delay : config -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.inst_id -> float
 (** The instance's gate delay into its current load, bounce included. *)
@@ -175,45 +185,74 @@ val endpoint_name : t -> endpoint -> string
 val update : t -> unit
 (** Refreshes the session in place after any edit to its netlist, so it
     equals [analyze cfg nl] on the edited netlist bit for bit, [cfg]
-    being the session's config.  The edits
-    come from the netlist's touched-net journal
-    ({!Smt_netlist.Netlist.touched_since} the version [t] last saw), so
-    nothing the caller forgot can be missed.
+    being the session's config.  The edits come from the netlist's
+    touched-net journal ({!Smt_netlist.Netlist.touched_since} the version
+    [t] last saw), so nothing the caller forgot can be missed.
 
     [analyze] compiles the timing graph once into [t]: the combinational
     instances in {!Smt_netlist.Netlist.topo_order} (its array, kept
     without a copy), each gate's data-pin nets with the wire delay of
-    each pin, and the flip-flops with their D pins.  Each live instance's
-    connection list is read once, for its output (Z or Q), its data pins
-    in [Func.input_names] order and its D pin; the slot and flip-flop
-    arrays are sized from counts taken before they are filled.
-    [update] keeps that graph when the edits are only
+    each pin, and the flip-flops with their D pins.  Each data pin and
+    each D is a slot, and the slots reading one net are linked into its
+    reader list.  Each live instance's connection list is read once, for
+    its output (Z or Q), its data pins in [Func.input_names] order and
+    its D pin; the slot and flip-flop arrays are sized from counts taken
+    before they are filled, with a third to spare.
+
+    {b The splice rule.}  The journal step keeps that graph when the
+    edits are only
     - cell swaps that keep the same pins (Vth/MT restyling, drive
       resizing, DFF/retention swaps);
+    - supply edits: VGND switches, domains, isolation marks, holders;
     - new nets;
-    - new instances whose combinational fanin drivers are older
-      instances (or new ones with a smaller id) and whose output, if
-      any, is a new net: they are appended to the order in id order,
-      which stays topological (the hold ECO's buffer splice);
+    - new instances whose output, if any, is a new net, and whose
+      combinational fanin drivers are older instances or new gates: each
+      new gate joins the order after every gate it reads, which keeps it
+      topological (the hold ECO's buffer splices in either creation
+      order, and a clock tree built bottom-up, where a parent buffer is
+      newer than the child it drives);
     - flip-flop D pins moved to other nets.
-    It checks this from the journal: every old instance that drove,
-    drives or reads a touched net re-reads its output and data-pin nets,
-    which must be the compiled ones (so no old gate gained a pin there
-    and every flip-flop keeps its Q), and each touched net must have
-    exactly its compiled number of data-pin readers.  Any other edit (a
-    gate input moved between existing nets, a removed gate, a moved Q, a
-    new gate driving an old net) recompiles [t] from scratch, which
-    counts as an analysis.  So does a touched net that a combinational
-    gate drives into a combinational gate's input that is not a data
-    pin (an embedded MT-cell's [MTE]): the levelization counts that edge
-    though timing does not, and the recompile raises
+    It checks this per kind of touch
+    ({!Smt_netlist.Netlist.rewired_since}):
+    - a structurally touched net must still be driven by the gate or
+      flip-flop that timed it, and have exactly its compiled data-pin
+      readers, each pin on the slot compiled for it (a reader whose row
+      holds every data pin of its kind is checked at that slot; any
+      other instance involved re-reads its pins, which must be the
+      compiled ones, so no old gate gained a pin there and every
+      flip-flop keeps its Q); a flip-flop whose D is there, now or at the
+      last step, re-reads D, and its D slot follows D into the new net's
+      reader list.  Flip-flops whose D net was not rewired are not read
+      again, nor are those whose clock pin moved;
+    - a value-touched net keeps every connection, so nothing is re-read
+      but its load, and the wire delays into the pins of its timer when
+      that gate's or flip-flop's cell was swapped (a swap touches every
+      net the cell pins, its output among them; a flip-flop without Q is
+      looked up among the flip-flops).
+    Any other edit (a gate input moved between existing nets, a removed
+    gate, a moved Q, a new gate driving an old net, a loop among new
+    gates) recompiles [t], which counts as an analysis, refilling the
+    kept arrays where they have room.  So does a touched net that a
+    combinational gate drives into a combinational gate's input that is
+    not a data pin (an embedded MT-cell's [MTE]): the levelization counts
+    that edge though timing does not, and the recompile raises
     [Combinational_cycle] on a loop closed through it, naming the same
     instance as [analyze].
 
-    Loads are re-folded and wire delays re-read for the touched nets;
-    the wire model must therefore give the same delay into a pin as long
-    as neither the net nor the pin's cell was touched.  Arrivals are
-    recomputed from the drivers of the touched nets through their
-    combinational fanout only: a flip-flop re-launches when it drives a
-    touched net, never because its D moved, since Q depends on the clock
-    and not on D.  Required times and endpoints are rebuilt. *)
+    Loads are re-folded for every touched net.  The wire model must give
+    the same delay into a pin as long as the pin stays on its net and its
+    instance keeps its cell (as [Smt_route.Parasitics.wire_model] does:
+    Elmore delay over the net's RC into the sink's input capacitance).
+
+    {b The cone.}  Arrivals are recomputed from the drivers of the
+    touched nets through their combinational fanout only, in [order]:
+    a gate is timed when it drives a touched net or reads a retimed one,
+    found through the retimed net's reader list.  A flip-flop re-launches
+    when it drives a touched net, never because its D moved, since Q
+    depends on the clock and not on D.  Required times are re-derived
+    only at the touched nets, at the inputs of the gates whose delay
+    changed, and behind every net whose required time changed, latest
+    gate first: each is the [min] of the same terms a full pass folds,
+    so it is the same float.  When the touched nets and re-delayed gates
+    reach a quarter of the graph, one backward pass is cheaper and gives
+    the same floats.  Endpoints are rebuilt. *)

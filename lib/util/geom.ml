@@ -86,6 +86,20 @@ let prim_length pts =
 
 module Sweep = Map.Make (Float)
 
+(* The rounding error of [s = a +. b] (Knuth's TwoSum): [a + b] is
+   exactly [s + two_sum_err a b s]. *)
+let two_sum_err a b s =
+  let b' = s -. a in
+  (a -. (s -. b')) +. (b -. b')
+
+(* The order of the exact sums [a1 + b1] and [a2 + b2]: rounding is
+   monotone, so only equal rounded sums need their errors compared. *)
+let compare_sums a1 b1 a2 b2 =
+  let s1 = a1 +. b1 and s2 = a2 +. b2 in
+  if s1 < s2 then -1
+  else if s1 > s2 then 1
+  else Float.compare (two_sum_err a1 b1 s1) (two_sum_err a2 b2 s2)
+
 (* Candidate edges for the rectilinear MST (Zhou, Shenoy and Nicholls,
    "Efficient minimum spanning tree construction without Delaunay
    triangulation", 2002): each point's nearest neighbour in each octant.
@@ -95,25 +109,33 @@ module Sweep = Map.Make (Float)
    yet; a visited point becomes that neighbour for every waiting point
    whose octant it lies in, and those stop waiting.  Between sweeps the
    plane is reflected so the next octant takes the current one's place.
-   At most 4(n-1) edges, in O(n log n). *)
+   The sweep order and the octant test compare exact sums, not rounded
+   differences: on inexact coordinates (multiples of 0.1, say) a rounded
+   comparison can drop an MST edge or split the graph.  At most 4(n-1)
+   edges, in O(n log n). *)
 let octant_edges pts =
   let n = Array.length pts in
   let xs = Array.map (fun p -> p.x) pts and ys = Array.map (fun p -> p.y) pts in
-  let key = Array.make n 0.0 in
+  let key = Array.make n 0.0 and err = Array.make n 0.0 in
   let order = Array.init n Fun.id in
   let eu = Array.make (4 * n) 0 and ev = Array.make (4 * n) 0 in
   let m = ref 0 in
   for octant = 0 to 3 do
     for i = 0 to n - 1 do
-      key.(i) <- xs.(i) +. ys.(i)
+      key.(i) <- xs.(i) +. ys.(i);
+      err.(i) <- two_sum_err xs.(i) ys.(i) key.(i)
     done;
-    Array.stable_sort (fun i j -> Float.compare key.(i) key.(j)) order;
+    Array.stable_sort
+      (fun i j ->
+        let c = Float.compare key.(i) key.(j) in
+        if c <> 0 then c else Float.compare err.(i) err.(j))
+      order;
     let waiting = ref Sweep.empty in
     Array.iter
       (fun i ->
         let rec link () =
           match Sweep.find_first_opt (fun k -> k >= -.ys.(i)) !waiting with
-          | Some (k, j) when ys.(i) -. ys.(j) <= xs.(i) -. xs.(j) ->
+          | Some (k, j) when compare_sums ys.(i) xs.(j) xs.(i) ys.(j) <= 0 ->
             eu.(!m) <- i;
             ev.(!m) <- j;
             incr m;

@@ -59,6 +59,10 @@ val spanning_length : point list -> float
     octant nearest-neighbour graph (Zhou, Shenoy and Nicholls, 2002) is
     built by a sweep and Kruskal runs over it, in O(n log n) time and O(n)
     memory; this serves the one-switch structure that spans every MT cell.
+    The sweep orders points by the exact [x + y] and tests octants on
+    exact sums ([y_i + x_j <= x_i + y_j]), breaking ties of the rounded
+    sums with their rounding errors, so inexact coordinates (multiples of
+    0.1, say) cannot make the graph miss an MST edge.
     Both paths take each edge weight from [manhattan] on the given points,
     and every minimum spanning tree has the same multiset of edge weights.
     So the two paths add the same weights, and only the order of the

@@ -750,6 +750,30 @@ let test_spanning_legalized () =
         [ ("u0", Suite.circuit_b lib); ("u1", Suite.circuit_b lib) ];
     ]
 
+let test_spanning_inexact () =
+  (* Eight points at multiples of 0.1, padded past the crossover with a
+     row of integer points from x = 1000: a sweep that compares rounded
+     differences drops an edge among the eight and pays a second bridge
+     to the row (3099.4 where Prim reads 2099.9).  Then square grids at
+     inexact steps, full of ties. *)
+  let eight =
+    List.map
+      (fun (a, b) -> Geom.point (0.1 *. float_of_int a) (0.1 *. float_of_int b))
+      [ (2, 2); (3, 2); (3, 0); (0, 0); (0, 4); (2, 0); (2, 3); (4, 1) ]
+  in
+  let row = List.init 1100 (fun k -> Geom.point (1000.0 +. float_of_int k) 0.0) in
+  Alcotest.(check bool) "padded 0.1 grid" true (spanning_matches_prim (eight @ row));
+  List.iter
+    (fun step ->
+      let side = 33 in
+      let grid =
+        List.init (side * side) (fun k ->
+            Geom.point (step *. float_of_int (k mod side)) (step *. float_of_int (k / side)))
+      in
+      Alcotest.(check bool) (Printf.sprintf "square grid, step %g" step) true
+        (spanning_matches_prim grid))
+    [ 0.1; 0.7; 1.3 ]
+
 (* --- compiled placement refinement vs the list-based placer --- *)
 
 module Metrics = Smt_obs.Metrics
@@ -1503,17 +1527,28 @@ let trade_inputs nl rng gates =
   end
 
 (* The edits of the incremental-STA properties on [nl], drawn from [rng]:
-   [edit k] for k in 0..12.  Cell swaps (0: Vth flips, drive steps, DFF
+   [edit k] for k in 0..15.  Cell swaps (0: Vth flips, drive steps, DFF
    <-> retention-DFF with a heavier D pin) and flip-flop D buffer
    splices, single (1) or a chain of two on one D (2), keep the stored
    graph.  The rest break it, so [Sta.update] must notice and recompile:
    a buffer spliced before a gate input (3), a gate input moved onto a
    net driven later in the order (4), a removed gate (5), a gate input
-   (6) or output (7) disconnected, two gates trading input nets (8), two
-   buffers spliced before a D pin in reverse creation order (9), a new
-   buffer driving a net left undriven (10), a driverless primary input
-   turned into a clock net (11), and a gate whose output was
-   disconnected driving a fresh net (12). *)
+   (6) or output (7, sometimes a flip-flop's Q, which leaves a D
+   endpoint no output leads to; later swaps always include such a
+   flip-flop) disconnected, two gates trading input
+   nets (8), a new buffer driving a net left undriven (10), a
+   driverless primary input turned into a clock net (11), and a gate
+   whose output was disconnected driving a fresh net (12).  Two buffers
+   spliced before a D pin in reverse creation order (9) keep it: new
+   gates join the order after the new gates they read.  The last three
+   mix the journal's two kinds of touch: same-kind swaps interleaved
+   with D splices, a swap of a new buffer and of the flip-flop it feeds,
+   and, every third time, a gate input rewired (13); supply-only edits,
+   which touch values and no connection: MT-cells re-hung on other
+   switches, a new domain over some cells, isolation marks and a holder
+   added to a gate's output (14); and a clock-tree insert built
+   bottom-up, as CTS builds it, so the parent buffer is newer than the
+   child it drives (15). *)
 let sta_editor nl rng =
   let module Cell = Smt_cell.Cell in
   let module Func = Smt_cell.Func in
@@ -1562,8 +1597,24 @@ let sta_editor nl rng =
          (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
          (Netlist.inputs nl))
   in
+  (* flip-flops whose Q was disconnected: swaps always include them *)
+  let qless = ref [] in
+  let swap_some p =
+    List.iter (fun iid -> if Rng.chance rng p then swap iid) (Netlist.live_insts nl);
+    List.iter swap !qless
+  in
+  let domains = ref 0 in
+  let clock_buffer a z =
+    Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "ctsbuf") (Library.clock_buffer lib)
+      [ ("A", a); ("Z", z) ]
+  in
+  let clock_net () =
+    let n = Netlist.fresh_net nl "clk" in
+    Netlist.mark_clock nl n;
+    n
+  in
   function
-  | 0 -> List.iter (fun iid -> if Rng.chance rng 0.2 then swap iid) (Netlist.live_insts nl)
+  | 0 -> swap_some 0.2
   | 1 -> Array.iter (fun ff -> if Rng.chance rng 0.3 then splice_buffer nl (d_pin ff)) (ffs ())
   | 2 ->
     with_one (ffs ()) (fun ff ->
@@ -1579,10 +1630,15 @@ let sta_editor nl rng =
         Netlist.remove_inst nl g)
   | 6 -> with_one (gates ()) (fun g -> with_pin g (Netlist.disconnect nl g))
   | 7 ->
-    with_one (gates ()) (fun g ->
-        orphan g;
-        outputless := g :: !outputless;
-        Netlist.disconnect nl g "Z")
+    if Rng.chance rng 0.25 then
+      with_one (ffs ()) (fun ff ->
+          qless := ff :: !qless;
+          Netlist.disconnect nl ff "Q")
+    else
+      with_one (gates ()) (fun g ->
+          orphan g;
+          outputless := g :: !outputless;
+          Netlist.disconnect nl g "Z")
   | 8 -> trade_inputs nl rng (gates ())
   | 9 ->
     with_one (ffs ()) (fun ff ->
@@ -1605,10 +1661,65 @@ let sta_editor nl rng =
                (Library.hold_buffer lib) [ ("A", pi); ("Z", o) ]))
     | [] -> ())
   | 11 -> with_one (data_inputs ()) (Netlist.mark_clock nl)
-  | _ -> (
+  | 12 -> (
     match List.filter (fun g -> Netlist.output_net nl g = None) !outputless with
     | g :: _ -> Netlist.connect nl g "Z" (Netlist.fresh_net nl "eco")
     | [] -> ())
+  | 13 ->
+    swap_some 0.1;
+    with_one (ffs ()) (fun ff ->
+        splice_buffer nl (d_pin ff);
+        let d_net = Option.get (Netlist.pin_net nl ff "D") in
+        Option.iter (fun (p : Netlist.pin) -> swap p.Netlist.inst) (Netlist.driver nl d_net);
+        swap ff);
+    swap_some 0.1;
+    if Rng.chance rng (1.0 /. 3.0) then move_input_later nl rng;
+    swap_some 0.1
+  | 14 ->
+    let insts = Netlist.live_insts nl in
+    (match Array.of_list (Netlist.switches nl) with
+    | [||] -> ()
+    | sws ->
+      List.iter
+        (fun iid ->
+          if Vth.style_equal (Netlist.cell nl iid).Cell.style Vth.Mt_vgnd && Rng.chance rng 0.3
+          then Netlist.set_vgnd_switch nl iid (if Rng.chance rng 0.2 then None else Some (Rng.pick rng sws)))
+        insts);
+    with_one (data_inputs ()) (fun mte ->
+        incr domains;
+        let name = Printf.sprintf "dom%d" !domains in
+        Netlist.add_domain nl ~name ~mte:(Some mte);
+        List.iter
+          (fun iid ->
+            if Rng.chance rng 0.2 then Netlist.set_inst_domain nl iid (Some name);
+            if Rng.chance rng 0.05 then Netlist.set_isolation nl iid true)
+          insts;
+        with_one (gates ()) (fun g ->
+            match Netlist.output_net nl g with
+            | Some o when Netlist.holder_of nl o = None ->
+              ignore
+                (Netlist.add_inst nl ~name:(Netlist.fresh_inst_name nl "holder") (Library.holder lib)
+                   [ ("MTE", mte); ("Z", o) ])
+            | Some _ | None -> ()))
+  | _ -> (
+    match Netlist.clock_net nl with
+    | None -> ()
+    | Some root -> (
+      match List.filter (fun (p : Netlist.pin) -> p.Netlist.pin_name = "CK") (Netlist.sinks nl root) with
+      | [] -> ()
+      | cks ->
+        let child_in = clock_net () and child_out = clock_net () in
+        let child = clock_buffer child_in child_out in
+        List.iter
+          (fun (p : Netlist.pin) ->
+            if Rng.chance rng 0.5 then Netlist.connect nl p.Netlist.inst "CK" child_out)
+          cks;
+        let parent_in = clock_net () and parent_out = clock_net () in
+        let parent = clock_buffer parent_in parent_out in
+        Netlist.move_sink nl ~from_net:child_in { Netlist.inst = child; pin_name = "A" }
+          ~to_net:parent_out;
+        Netlist.move_sink nl ~from_net:parent_in { Netlist.inst = parent; pin_name = "A" }
+          ~to_net:root))
 
 let prop_incremental_sta_exact =
   (* Chained rounds of edits, each followed by [Sta.update] (which reads
@@ -1626,10 +1737,10 @@ let prop_incremental_sta_exact =
         let sta = Sta.analyze cfg nl in
         List.for_all
           (fun round ->
-            edit ((seed + round) mod 13);
+            edit ((seed + round) mod 16);
             Sta.update sta;
             view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
-          (List.init 13 Fun.id))
+          (List.init 16 Fun.id))
 
 (* --- re-timing a session under a new config --- *)
 
@@ -1680,6 +1791,11 @@ let reanalyze_fixture seed =
   else
     Option.map (fun (nl, place) -> (nl, place, oracle_config ~seed nl place)) (oracle_fixture seed)
 
+(* A wire model extracted anew, at a random detour. *)
+let new_wire rng nl place (cfg : Sta.config) =
+  let detour = 1.0 +. (float_of_int (Rng.int rng 50) /. 100.0) in
+  { cfg with Sta.wire = Parasitics.wire_model (Parasitics.extract ~detour place) nl }
+
 (* One config change: the clock period, the margins and input arrival,
    the bounce, the clock latencies, the slew model, a new wire model, or
    none. *)
@@ -1702,19 +1818,19 @@ let change_config rng nl place (cfg : Sta.config) =
       cfg with
       Sta.slew_model = (match cfg.Sta.slew_model with Some _ -> None | None -> Some (Nldm.store ()));
     }
-  | 5 ->
-    let detour = 1.0 +. (float_of_int (Rng.int rng 50) /. 100.0) in
-    { cfg with Sta.wire = Parasitics.wire_model (Parasitics.extract ~detour place) nl }
+  | 5 -> new_wire rng nl place cfg
   | _ -> cfg
 
 let prop_reanalyze_exact =
   (* Rounds of an edit the stored graph keeps (a cell swap, a D-pin
-     splice, or a chain of two in id order), an edit it recompiles for (a
-     buffer added before its driver, a removed gate) or none, sometimes an
-     [update], and a config change, then [Sta.reanalyze] under the new
-     config.  The session equals a fresh analysis bit for bit, and the
-     re-time counts as exactly that analysis: one analysis, the same
-     arrival evaluations, no incremental update. *)
+     splice, a chain of two in either order, swaps mixed with splices,
+     supply-only edits), an edit it recompiles for (a removed gate), a
+     bottom-up clock-tree insert followed at once by a new wire model,
+     or none, sometimes an [update], and a config change, then
+     [Sta.reanalyze] under the new config.  The session equals a fresh
+     analysis bit for bit, and the re-time counts as exactly that
+     analysis: one analysis, the same arrival evaluations, no
+     incremental update. *)
   QCheck2.Test.make ~name:"reanalyze equals a fresh analysis" ~count:40 ~print:string_of_int
     seed_gen
     (fun seed ->
@@ -1727,12 +1843,16 @@ let prop_reanalyze_exact =
         let cfg = ref cfg in
         List.for_all
           (fun _ ->
-            (match Rng.int rng 3 with
-            | 0 -> edit (Rng.pick rng [| 0; 1; 2 |])
-            | 1 -> edit (Rng.pick rng [| 5; 9 |])
-            | _ -> ());
-            if Rng.chance rng 0.25 then Sta.update sta;
-            cfg := change_config rng nl place !cfg;
+            let clock_insert = Rng.int rng 4 = 0 in
+            if clock_insert then edit 15
+            else begin
+              match Rng.int rng 3 with
+              | 0 -> edit (Rng.pick rng [| 0; 1; 2; 9; 13; 14 |])
+              | 1 -> edit 5
+              | _ -> ()
+            end;
+            if (not clock_insert) && Rng.chance rng 0.25 then Sta.update sta;
+            cfg := (if clock_insert then new_wire rng nl place else change_config rng nl place) !cfg;
             let a0, e0, u0 = sta_counters () in
             Sta.reanalyze sta !cfg;
             let a1, e1, u1 = sta_counters () in
@@ -3634,6 +3754,8 @@ let () =
           qtest prop_spanning_row_grid;
           Alcotest.test_case "spanning length = dense Prim (legalized placements)" `Quick
             test_spanning_legalized;
+          Alcotest.test_case "spanning length = dense Prim (inexact coordinates)" `Quick
+            test_spanning_inexact;
           qtest prop_rng_int_uniformish;
         ] );
       ( "netlist",

@@ -412,6 +412,37 @@ let test_load_of_net () =
     (inv.Cell.input_cap +. buf.Cell.input_cap)
     (Sta.load_of_net cfg nl x_net)
 
+let test_session_load () =
+  (* [Sta.load] is [load_of_inst] under the session's config, kept by
+     [update] across a sink swap, and refused for an output net created
+     since the last update *)
+  let b = Builder.create ~name:"sload" ~lib in
+  let a = Builder.input b "a" in
+  let x = Builder.not_ b a in
+  let y = Builder.not_ b x in
+  let o = Builder.output b "o" in
+  Builder.gate_into b Func.Buf [ y ] o;
+  let nl = Builder.netlist b in
+  let cfg = Sta.config ~wire:(Wire.lumped ~cap_per_fanout:1.5 ~delay_per_fanout:2.0) ~clock_period:100.0 () in
+  let sta = Sta.analyze cfg nl in
+  let agree what =
+    Netlist.iter_insts nl (fun iid ->
+        Alcotest.(check (float 0.0)) (what ^ " " ^ Netlist.inst_name nl iid)
+          (Sta.load_of_inst cfg nl iid) (Sta.load sta iid))
+  in
+  agree "analyzed";
+  let sink = Option.get (Netlist.driver nl y) in
+  Netlist.replace_cell nl sink.Netlist.inst (Library.variant lib Func.Inv Vth.High Vth.Plain);
+  Sta.update sta;
+  agree "after a swap";
+  let z = Netlist.fresh_net nl "z" in
+  let g = Netlist.add_inst nl ~name:"extra" (Library.variant lib Func.Buf Vth.Low Vth.Plain) [ ("A", x); ("Z", z) ] in
+  Alcotest.check_raises "a net the session has not timed"
+    (Invalid_argument "Sta.load: an output net the session has not timed") (fun () ->
+      ignore (Sta.load sta g));
+  Sta.update sta;
+  agree "after an added gate"
+
 let () =
   Alcotest.run "smt_sta"
     [
@@ -421,6 +452,7 @@ let () =
           Alcotest.test_case "chain adds" `Quick test_chain_arrival_adds;
           Alcotest.test_case "max over paths" `Quick test_max_of_paths;
           Alcotest.test_case "load of net" `Quick test_load_of_net;
+          Alcotest.test_case "session load" `Quick test_session_load;
         ] );
       ( "constraints",
         [
