@@ -71,14 +71,14 @@ type t = {
   mutable from_net : int array;  (* worst predecessor net, -1 if source *)
   mutable via_inst : int array;  (* the gate or flip-flop that timed the net, -1 at sources *)
   mutable first_reader : int array;  (* the first slot of the net's reader list, -1 if none *)
-  mutable net_mark : Bytes.t;  (* scratch: [touched] / [retimed] / [required], zero between calls *)
+  mutable net_mark : Bytes.t;  (* scratch: [retimed] / [required], zero between calls *)
   (* per instance *)
   mutable inst_delay : float array;  (* the delay forward used *)
   mutable out : int array;  (* timed output net: Z (-1 on a clock net) or Q; -1 if none *)
   mutable row : int array;  (* slots of instance i: row.(i) .. row.(i + 1) - 1 *)
   mutable inst_kind : Bytes.t;  (* compiled as a [gate] (so in [order]) or a flip-flop [ff] *)
   mutable inst_cell : Cell.t array;  (* a gate's or flip-flop's cell when its slot wires were read *)
-  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [queued] / [placing] / [placed], zero between calls *)
+  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [queued] / [placing] / [placed] / [slowed], zero between calls *)
   (* the combinational instances, fanin first *)
   mutable order : int array;
   mutable n_order : int;
@@ -144,9 +144,8 @@ let cell_delay cfg nl iid =
 
 (* --- scratch marks --- *)
 
-let touched = 1 (* net: stamped since [t.version] *)
-let retimed = 2 (* net: its arrival was recomputed by this update *)
-let required = 4 (* net: queued for its required time *)
+let retimed = 1 (* net: its arrival was recomputed by this update *)
+let required = 2 (* net: queued for its required time *)
 let checked = 1 (* instance: re-read by this update *)
 let queued = 2 (* instance: queued to be timed *)
 let placing = 4 (* instance: a new gate being placed in the order *)
@@ -626,51 +625,6 @@ let analyze cfg nl =
 
 (* --- the journal step --- *)
 
-(* Re-reads an old instance: its timed output must be the compiled one
-   (a removed instance has none), and a combinational gate's data-pin
-   nets must be its compiled row, whose wire delays on touched nets are
-   refreshed.  A flip-flop's D may have moved: its slot follows it into
-   the new net's reader list. *)
-let recheck t g =
-  if not (marked t.inst_mark g checked) then begin
-    mark t.inst_mark g checked;
-    let c = Netlist.cell t.nl g in
-    let seq = Func.is_sequential c.Cell.kind in
-    if not (seq || is_comb c) then begin
-      if t.out.(g) >= 0 then raise_notrace Stale
-    end
-    else begin
-      if timed_out t c (read_pins t g) <> t.out.(g) then raise_notrace Stale;
-      (* a swap touches every net the cell pins: each slot is refreshed *)
-      t.inst_cell.(g) <- c;
-      let s0 = t.row.(g) and stop = t.row.(g + 1) in
-      if seq then begin
-        if stop - s0 <> 1 then raise_notrace Stale;
-        let d = t.pin_nets.(0) and was = t.slot_net.(s0) in
-        if d <> was then begin
-          if was >= 0 then unlink t s0 was;
-          t.slot_net.(s0) <- d;
-          if d >= 0 then link t s0 d
-        end;
-        if d >= 0 && (d <> was || marked t.net_mark d touched) then
-          t.slot_wire.(s0) <- pin_wire t g d "D"
-      end
-      else begin
-        let ins = Func.input_names c.Cell.kind in
-        let s = ref s0 in
-        for j = 0 to Array.length ins - 1 do
-          let nid = t.pin_nets.(j) in
-          if nid >= 0 then begin
-            if !s >= stop || t.slot_net.(!s) <> nid then raise_notrace Stale;
-            if marked t.net_mark nid touched then t.slot_wire.(!s) <- pin_wire t g nid ins.(j);
-            incr s
-          end
-        done;
-        if !s <> stop then raise_notrace Stale
-      end
-    end
-  end
-
 (* Reads the wire delay into each of instance [g]'s slots again. *)
 let read_wires t g =
   for s = t.row.(g) to t.row.(g + 1) - 1 do
@@ -686,6 +640,48 @@ let refresh_row t g =
   if c != t.inst_cell.(g) then begin
     t.inst_cell.(g) <- c;
     read_wires t g
+  end
+
+(* Re-reads an old instance: its timed output must be the compiled one
+   (a removed instance has none), and a combinational gate's data-pin
+   nets must be its compiled row.  A flip-flop's D may have moved: its
+   slot follows it into the new net's reader list and reads its wire.
+   A swapped instance reads its wires again. *)
+let recheck t g =
+  if not (marked t.inst_mark g checked) then begin
+    mark t.inst_mark g checked;
+    let c = Netlist.cell t.nl g in
+    let seq = Func.is_sequential c.Cell.kind in
+    if not (seq || is_comb c) then begin
+      if t.out.(g) >= 0 then raise_notrace Stale
+    end
+    else begin
+      if timed_out t c (read_pins t g) <> t.out.(g) then raise_notrace Stale;
+      let s0 = t.row.(g) and stop = t.row.(g + 1) in
+      if seq then begin
+        if stop - s0 <> 1 then raise_notrace Stale;
+        let d = t.pin_nets.(0) and was = t.slot_net.(s0) in
+        if d <> was then begin
+          if was >= 0 then unlink t s0 was;
+          t.slot_net.(s0) <- d;
+          if d >= 0 then link t s0 d
+        end;
+        if d >= 0 && d <> was then t.slot_wire.(s0) <- pin_wire t g d "D"
+      end
+      else begin
+        let ins = Func.input_names c.Cell.kind in
+        let s = ref s0 in
+        for j = 0 to Array.length ins - 1 do
+          let nid = t.pin_nets.(j) in
+          if nid >= 0 then begin
+            if !s >= stop || t.slot_net.(!s) <> nid then raise_notrace Stale;
+            incr s
+          end
+        done;
+        if !s <> stop then raise_notrace Stale
+      end;
+      refresh_row t g
+    end
   end
 
 (* A structurally touched net: its data-pin readers must be exactly its
@@ -807,15 +803,14 @@ let clear_marks t =
    since [t.version], grows the arrays for the new nets and instances,
    and extends the compiled graph over the edits when they keep it valid
    (re-folding the touched nets' loads), else recompiles, which times it.
-   Returns the touched nets, still marked [touched], when the graph was
-   extended; [None] when it was recompiled. *)
+   Returns the touched nets when the graph was extended; [None] when it
+   was recompiled. *)
 let sync t =
   let nl = t.nl in
   let ninsts0 = t.n_insts and nnets0 = t.n_nets in
   let touched_nets = Netlist.touched_since nl t.version in
   grow_nets t (Netlist.net_count nl);
   grow_insts t (Netlist.inst_count nl);
-  List.iter (fun nid -> mark t.net_mark nid touched) touched_nets;
   let extended =
     t.version >= 0
     && match extend t ~ninsts0 ~nnets0 touched_nets with () -> true | exception Stale -> false
