@@ -105,14 +105,14 @@ let netlist t = t.nl
 let po_pin_cap = 4.0
 
 let load_of_net cfg nl nid =
-  (* a loop, not a fold: the accumulator stays unboxed *)
-  let pin_caps = ref 0.0 and sinks = ref (Netlist.sinks nl nid) in
-  while !sinks <> [] do
+  (* a loop, not a fold: the fold boxes its accumulator once per sink *)
+  let pin_caps = ref 0.0 and sinks = ref (Netlist.sinks nl nid) and more = ref true in
+  while !more do
     match !sinks with
     | (p : Netlist.pin) :: rest ->
       pin_caps := !pin_caps +. (Netlist.cell nl p.Netlist.inst).Cell.input_cap;
       sinks := rest
-    | [] -> ()
+    | [] -> more := false
   done;
   let pin_caps = !pin_caps in
   let holder_cap =
@@ -952,8 +952,9 @@ let update t =
     let evals, changed = retime t touched_nets in
     Metrics.incr ~by:evals m_arrival_evals;
     Metrics.observe m_update_evals (float_of_int evals);
-    (* when the edit reaches a quarter of the graph, one backward pass
-       is cheaper than the cone walk, and gives the same floats *)
+    (* past a quarter of the graph, one backward pass is cheaper than
+       the cone walk (measured in EXPERIMENTS.md, "STA at the cost of the
+       edit"), and gives the same floats *)
     if 4 * (List.length touched_nets + changed) > t.n_nets then begin
       Array.fill t.rat 0 t.n_nets infinity;
       time_endpoints t ~seed:true;
