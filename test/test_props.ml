@@ -1721,26 +1721,41 @@ let sta_editor nl rng =
         Netlist.move_sink nl ~from_net:parent_in { Netlist.inst = parent; pin_name = "A" }
           ~to_net:root))
 
+(* Chained rounds of edits, each followed by [Sta.update] (which reads
+   the edits from the netlist's journal) and compared bit for bit with a
+   from-scratch analysis.  Each case runs every edit kind of [sta_editor]
+   once, in a seed-rotated order. *)
+let incremental_rounds seed nl place =
+  let cfg = oracle_config ~seed nl place in
+  let edit = sta_editor nl (Rng.create seed) in
+  let sta = Sta.analyze cfg nl in
+  List.for_all
+    (fun round ->
+      edit ((seed + round) mod 16);
+      Sta.update sta;
+      view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
+    (List.init 16 Fun.id)
+
 let prop_incremental_sta_exact =
-  (* Chained rounds of edits, each followed by [Sta.update] (which reads
-     the edits from the netlist's journal) and compared bit for bit with
-     a from-scratch analysis.  Each case runs every edit kind of
-     [sta_editor] once, in a seed-rotated order. *)
   QCheck2.Test.make ~name:"incremental STA equals full re-analysis" ~count:40
     ~print:string_of_int seed_gen
     (fun seed ->
       match oracle_fixture seed with
       | None -> true
-      | Some (nl, place) ->
-        let cfg = oracle_config ~seed nl place in
-        let edit = sta_editor nl (Rng.create seed) in
-        let sta = Sta.analyze cfg nl in
-        List.for_all
-          (fun round ->
-            edit ((seed + round) mod 16);
-            Sta.update sta;
-            view_of_sta sta = view_of_sta (Sta.analyze cfg nl))
-          (List.init 16 Fun.id))
+      | Some (nl, place) -> incremental_rounds seed nl place)
+
+(* The same rounds on a graph large enough that most single edits stay
+   under [Sta.update]'s quarter-of-the-graph switch, so their required
+   times come from the cone walk, not one backward pass. *)
+let prop_incremental_sta_exact_large =
+  QCheck2.Test.make ~name:"incremental STA equals full re-analysis (large graphs)" ~count:10
+    ~print:string_of_int seed_gen
+    (fun seed ->
+      let nl =
+        Generators.layered ~seed ~min_depth:4 ~name:(Printf.sprintf "big%d" seed) ~inputs:16
+          ~outputs:12 ~width:40 ~depth:10 lib
+      in
+      incremental_rounds seed nl (Placement.place ~seed nl))
 
 (* --- re-timing a session under a new config --- *)
 
@@ -3816,6 +3831,7 @@ let () =
           Alcotest.test_case "circuit_a/b flow timing = list-based analysis" `Quick
             test_sta_paper_products;
           qtest prop_incremental_sta_exact;
+          qtest prop_incremental_sta_exact_large;
           qtest prop_reanalyze_exact;
           qtest prop_cycles_named;
           Alcotest.test_case "hold ECO updates = re-analysis per iteration" `Quick
