@@ -361,14 +361,7 @@ let extensions buf =
   bline buf (Compare.render [ nldm_row ]);
   (* gate sizing on an X2-mapped netlist *)
   bline buf "\ngate sizing (X2-mapped mult8, Dual-Vth flow):";
-  let x2_mult () =
-    let nl = Generators.multiplier ~name:"m8x2" ~bits:8 lib in
-    Smt_netlist.Netlist.iter_insts nl (fun iid ->
-        let c = Smt_netlist.Netlist.cell nl iid in
-        if Library.has_variant ~drive:2 lib c.Cell.kind c.Cell.vth c.Cell.style then
-          Smt_netlist.Netlist.replace_cell nl iid (Library.resize lib c 2));
-    nl
-  in
+  let x2_mult () = Suite.x2_mapped lib (Generators.multiplier ~name:"m8x2" ~bits:8 lib) in
   let unsized = Flow.run Flow.Dual_vth (x2_mult ()) in
   let sized =
     Flow.run ~options:{ Flow.default_options with Flow.gate_sizing = true } Flow.Dual_vth
@@ -472,8 +465,8 @@ let system buf =
   (* multi-corner sign-off of the finished improved block *)
   bline buf "\nmulti-corner sign-off (improved mult8):";
   let nl_so = Generators.multiplier ~name:"m8so" ~bits:8 lib in
-  let _, art_so = Flow.run_with_artifacts Flow.Improved_smt nl_so in
-  let so = Smt_core.Signoff.run art_so.Flow.art_cfg nl_so in
+  let r_so, art_so = Flow.run_with_artifacts Flow.Improved_smt nl_so in
+  let so = Smt_core.Signoff.run ~clock_period:r_so.Flow.clock_period art_so.Flow.art_sta in
   bline buf (Smt_core.Signoff.render so);
   (* scalability of the flow infrastructure *)
   bline buf "\nflow scalability (improved flow on multipliers):";

@@ -301,7 +301,9 @@ let corners_cmd =
       report.Flow.circuit
       (Flow.technique_name report.Flow.technique)
       report.Flow.clock_period;
-    print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run art.Flow.art_cfg nl));
+    print_endline
+      (Smt_core.Signoff.render
+         (Smt_core.Signoff.run ~clock_period:report.Flow.clock_period art.Flow.art_sta));
     finish obs
   in
   Cmd.v (Cmd.info "corners" ~doc:"Multi-corner timing & leakage sign-off")

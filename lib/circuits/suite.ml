@@ -2,6 +2,7 @@ module Netlist = Smt_netlist.Netlist
 module Builder = Smt_netlist.Builder
 module Func = Smt_cell.Func
 module Library = Smt_cell.Library
+module Cell = Smt_cell.Cell
 module Vth = Smt_cell.Vth
 module Rng = Smt_util.Rng
 
@@ -82,6 +83,13 @@ let circuit_b lib =
   nl
 
 let tiny lib = Generators.ripple_adder ~registered:true ~name:"tiny_adder" ~bits:4 lib
+
+let x2_mapped lib nl =
+  Netlist.iter_insts nl (fun iid ->
+      let c = Netlist.cell nl iid in
+      if Library.has_variant ~drive:2 lib c.Cell.kind c.Cell.vth c.Cell.style then
+        Netlist.replace_cell nl iid (Library.resize lib c 2));
+  nl
 
 let fig23_example lib =
   let b = Builder.create ~name:"fig23" ~lib in
@@ -279,6 +287,7 @@ let all =
     ("domains2", fun lib -> multi_domain ~domains:2 ~name:"domains2" lib);
     ("domains3", fun lib -> multi_domain ~domains:3 ~name:"domains3" lib);
     ("domains4", fun lib -> multi_domain ~domains:4 ~name:"domains4" lib);
+    ("mult8x2", fun lib -> x2_mapped lib (Generators.multiplier ~name:"mult8x2" ~bits:8 lib));
   ]
 
 let is_multi_domain name = String.length name > 7 && String.sub name 0 7 = "domains"

@@ -23,6 +23,12 @@ val circuit_b : Smt_cell.Library.t -> Smt_netlist.Netlist.t
 val tiny : Smt_cell.Library.t -> Smt_netlist.Netlist.t
 (** A small registered block for fast tests (a ripple adder). *)
 
+val x2_mapped : Smt_cell.Library.t -> Smt_netlist.Netlist.t -> Smt_netlist.Netlist.t
+(** Upsizes, in place, every cell of the netlist that has an X2 variant
+    and returns the netlist: a block as if synthesis had mapped it to X2,
+    so gate sizing has weaker drives to pick.  The generators map every
+    cell to X1. *)
+
 val fig23_example : Smt_cell.Library.t -> Smt_netlist.Netlist.t
 (** A flip-flop-bounded fragment shaped like the paper's Fig. 2/3 example:
     a few critical gates between registers, with fanouts both inside and
@@ -39,7 +45,8 @@ val multi_domain :
     {!Smt_verify.Verify.analyze} directly, not to the flow. *)
 
 val all : (string * (Smt_cell.Library.t -> Smt_netlist.Netlist.t)) list
-(** Named generators, for the CLI. *)
+(** Named generators, for the CLI.  [mult8x2] is the 8-bit multiplier
+    {!x2_mapped}, the one circuit on which [--gate-sizing] resizes. *)
 
 val is_multi_domain : string -> bool
 (** Whether a [all] entry names a {!multi_domain} circuit (these are

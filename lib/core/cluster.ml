@@ -156,65 +156,41 @@ let build ?activity ?load_of ?params place ~mte_net =
   let ordered = sweep_order tech point cells in
   let em_tech = { tech with Tech.em_cell_limit = p.cell_limit } in
   let current_of members = Bounce.sizing_current table ~diversity:p.diversity members in
-  let feasible members =
+  (* A candidate's switch, priced oldest member first: its centroid, VGND
+     length and current, and a width that meets the bounce limit; [None]
+     when a constraint refuses it. *)
+  let price members =
     let n = List.length members in
-    if n > p.cell_limit then false
+    if n > p.cell_limit then None
     else if
       not (Em.cluster_ok em_tech ~cells:n ~sustained_ua:(Bounce.sustained table members))
-    then false
+    then None
     else begin
       let centroid = centroid point members in
       let length = line_length point centroid members in
-      if length > p.length_limit then false
+      if length > p.length_limit then None
       else
-        required_width tech p ~current_ua:(current_of members) ~wire_length:length <> None
+        let current = current_of members in
+        Option.map
+          (fun width -> (members, centroid, length, current, width))
+          (required_width tech p ~current_ua:current ~wire_length:length)
     end
   in
-  (* A group's switch is priced oldest member first: its centroid, VGND
-     length and current, and a width when one meets the bounce limit. *)
-  let price members =
-    let centroid = centroid point members in
-    let length = line_length point centroid members in
-    let current = current_of members in
-    Option.map
-      (fun width -> (members, centroid, length, current, width))
-      (required_width tech p ~current_ua:current ~wire_length:length)
-  in
-  (* Greedy packing along the sweep; a candidate is priced newest member
-     first.  Among members of equal peak current the other order can name
-     another worst member, so the switch's price can find no width where
-     the check found one: closing such a group hands its newest member
-     back to the pending cells until the rest prices. *)
-  let groups = ref [] in
-  let current = ref [] in
-  let rec close pending =
-    match !current with
-    | [] -> pending
-    | newest :: older -> (
-      match price (List.rev !current) with
-      | Some group ->
-        groups := group :: !groups;
-        current := [];
-        pending
-      | None ->
-        current := older;
-        close (newest :: pending))
-  in
-  let rec pack = function
-    | [] -> ( match close [] with [] -> () | back -> pack back)
-    | iid :: rest as pending ->
-      let candidate = iid :: !current in
-      if feasible candidate then begin
-        current := candidate;
-        pack rest
-      end
-      else if !current = [] then
+  (* Greedy packing along the sweep: a group grows while its next
+     candidate prices, and is built from its last price. *)
+  let rec pack groups group = function
+    | [] -> List.rev (Option.to_list group @ groups)
+    | iid :: rest as pending -> (
+      let members = match group with Some (m, _, _, _, _) -> m @ [ iid ] | None -> [ iid ] in
+      match (price members, group) with
+      | Some grown, _ -> pack groups (Some grown) rest
+      | None, Some g -> pack (g :: groups) None pending
+      | None, None ->
         invalid_arg
           (Printf.sprintf "Cluster.build: cell %s cannot satisfy constraints alone"
-             (Netlist.inst_name nl iid))
-      else pack (close pending)
+             (Netlist.inst_name nl iid)))
   in
-  pack ordered;
+  let groups = pack [] None ordered in
   (* Materialize one sized switch per group. *)
   let clusters =
     List.map
@@ -237,7 +213,7 @@ let build ?activity ?load_of ?params place ~mte_net =
           sustained_ua = Bounce.sustained table members;
           bounce;
         })
-      (List.rev !groups)
+      groups
   in
   let total_width = List.fold_left (fun acc c -> acc +. c.width) 0.0 clusters in
   let total_area =

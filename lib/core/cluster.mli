@@ -92,16 +92,15 @@ val build :
     [activity] and [load_of], made once the old structure is dissolved and
     read in full before the first new switch goes in; footers are sized
     for {!Smt_power.Bounce.sizing_current} under [diversity], and each
-    cell's placed point and sweep key are read once per build.  The folds
-    keep their order: a feasibility check prices its candidate newest
-    member first, while a built cluster's switch prices its members in
-    sweep order (oldest first), as [members] lists them — the two orders
-    can differ in the last bits of the centroid, the VGND length and the
-    currents, so the switch is never priced from the last feasibility
-    check.  The centroid divides by the member count whether or not each
-    member is placed; the VGND line spans the centroid, then the placed
-    members in list order; the worst member is the first strict maximum
-    of the peak currents, so among equal peaks the two orders can name
-    different worst members.  A group closes when its next candidate
-    fails; while its switch's price finds no width, its newest member
-    goes back to the cells still to pack. *)
+    cell's placed point and sweep key are read once per build.  Every
+    candidate is priced once, its members in sweep order (oldest first),
+    as [members] lists them: the cell cap, the EM current, then the
+    centroid and VGND length against the length cap, then the current
+    and a width that meets the bounce limit.  A group grows while its
+    next candidate prices and closes when one does not; its switch is
+    the last successful price, so a group the check admitted always has
+    a width.  The centroid divides by the member count whether or not
+    each member is placed; the VGND line spans the centroid, then the
+    placed members in list order; the worst member is the first strict
+    maximum of the peak currents, so it depends on the order among equal
+    peaks. *)

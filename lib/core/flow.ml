@@ -626,6 +626,8 @@ let pp_report fmt r =
     r.hold_slack r.hold_met r.worst_bounce r.bounce_violations r.n_mt_cells r.n_switches
     r.n_holders r.holders_avoided r.n_mte_buffers r.n_cts_buffers r.n_hold_buffers
     r.swapped_to_high_vth r.reopt_resized r.reopt_violations_repaired r.mt_area_fraction;
+  if r.cells_downsized > 0 || r.ffs_retained > 0 then
+    Format.fprintf fmt " downsized=%d retained=%d" r.cells_downsized r.ffs_retained;
   if r.check_violations > 0 || r.check_repairs > 0 then
     Format.fprintf fmt " check_viol=%d check_repairs=%d" r.check_violations
       r.check_repairs

@@ -214,3 +214,6 @@ val run_all :
     raised it. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** One line per run.  [downsized=N retained=M] follows when gate sizing
+    or retention changed a cell, and [check_viol=N check_repairs=M] last
+    when the guard recorded a warning or a repair. *)

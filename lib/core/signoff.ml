@@ -28,13 +28,12 @@ let default_corners tech =
     Corner.make ~process:Corner.Fast ~temperature_c:125.0 tech;
   ]
 
-let run ?corners cfg nl =
+let run ?corners ~clock_period sta =
+  let nl = Sta.netlist sta in
   let tech = Library.tech (Netlist.lib nl) in
   let corners = match corners with Some l -> l | None -> default_corners tech in
   if corners = [] then invalid_arg "Signoff.run: no corners";
-  let sta = Sta.analyze cfg nl in
   let wns = Sta.wns sta in
-  let period = cfg.Sta.clock_period in
   let base_leak = (Leakage.standby nl).Leakage.total in
   let entries =
     List.map
@@ -42,7 +41,7 @@ let run ?corners cfg nl =
         (* first-order derate: the whole launch-to-capture path (setup
            included) scales with the corner's delay factor *)
         let k = Corner.delay_factor tech corner in
-        let wns_c = period -. (k *. (period -. wns)) in
+        let wns_c = clock_period -. (k *. (clock_period -. wns)) in
         {
           corner;
           wns_ps = wns_c;

@@ -24,11 +24,9 @@ type summary = {
 val default_corners : Smt_cell.Tech.t -> Smt_cell.Corner.t list
 (** SS/125C, TT/25C, FF/125C, SS/-40C — the classic four. *)
 
-val run :
-  ?corners:Smt_cell.Corner.t list ->
-  Smt_sta.Sta.config ->
-  Smt_netlist.Netlist.t ->
-  summary
-(** Raises [Invalid_argument] on an empty corner list. *)
+val run : ?corners:Smt_cell.Corner.t list -> clock_period:float -> Smt_sta.Sta.t -> summary
+(** Derates a finished timing session, timed at [clock_period], and the
+    standby leakage of its netlist to each corner.  Raises
+    [Invalid_argument] on an empty corner list. *)
 
 val render : summary -> string

@@ -67,9 +67,9 @@ let rc_ps r_ohm c_ff = r_ohm *. c_ff *. 1e-3
 
 let wire_model t nl =
   let net_cap nid = net_cap t nid in
-  let net_delay nid (pin : Netlist.pin) =
+  let net_delay nid sink =
     let r = net_res t nid and c = net_cap nid in
-    let sink_cap = (Netlist.cell nl pin.Netlist.inst).Cell.input_cap in
+    let sink_cap = (Netlist.cell nl sink).Cell.input_cap in
     (* Elmore with the lumped-T approximation: the sink sees half the wire
        capacitance through the full wire resistance plus its own pin cap. *)
     rc_ps r ((0.5 *. c) +. sink_cap)

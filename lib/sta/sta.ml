@@ -21,8 +21,6 @@ type config = {
   wire : Wire.t;
   bounce_of : Netlist.inst_id -> float;
   clock_latency : Netlist.inst_id -> float;
-  input_arrival : float;
-  output_margin : float;
   hold_margin : float;
   slew_model : Nldm.store option;
 }
@@ -33,8 +31,6 @@ let config ?(wire = Wire.zero) ?(slew_aware = false) ~clock_period () =
     wire;
     bounce_of = (fun _ -> 0.0);
     clock_latency = (fun _ -> 0.0);
-    input_arrival = 0.0;
-    output_margin = 0.0;
     hold_margin = 0.0;
     slew_model = (if slew_aware then Some (Nldm.store ()) else None);
   }
@@ -261,23 +257,6 @@ let timed_out t (c : Cell.t) out =
   if out >= 0 && (Func.is_sequential c.Cell.kind || not (Netlist.is_clock_net t.nl out)) then out
   else -1
 
-let pin_wire t iid nid pin_name = t.cfg.wire.Wire.net_delay nid { Netlist.inst = iid; pin_name }
-
-(* The pin of instance [g] that slot [s] stands for: a row's slots follow
-   its connected data pins in [Func.input_names] order. *)
-let slot_pin t g s =
-  let c = Netlist.cell t.nl g in
-  let names = Func.input_names c.Cell.kind in
-  let k = s - t.row.(g) in
-  if t.row.(g + 1) - t.row.(g) = Array.length names then names.(k)
-  else begin
-    ignore (read_pins t g);
-    let rec nth j k =
-      if t.pin_nets.(j) < 0 then nth (j + 1) k else if k = 0 then names.(j) else nth (j + 1) (k - 1)
-    in
-    nth 0 k
-  end
-
 let link t s nid =
   t.next_reader.(s) <- t.first_reader.(nid);
   t.first_reader.(nid) <- s
@@ -292,7 +271,7 @@ let unlink t s nid =
     after t.first_reader.(nid)
   end
 
-let push_slot t iid nid pin_name =
+let push_slot t iid nid =
   let k = t.n_slots in
   if k >= Array.length t.slot_net || k >= Array.length t.slot_wire
      || k >= Array.length t.next_reader || k >= Array.length t.slot_inst
@@ -306,7 +285,7 @@ let push_slot t iid nid pin_name =
   t.slot_inst.(k) <- iid;
   t.n_slots <- k + 1;
   if nid >= 0 then begin
-    t.slot_wire.(k) <- pin_wire t iid nid pin_name;
+    t.slot_wire.(k) <- t.cfg.wire.Wire.net_delay nid iid;
     link t k nid
   end
 
@@ -338,15 +317,14 @@ let add_inst t ~nnets0 iid =
     if seq then begin
       Bytes.set t.inst_kind iid ff;
       t.inst_cell.(iid) <- c;
-      push_slot t iid t.pin_nets.(0) "D";
+      push_slot t iid t.pin_nets.(0);
       push_ff t iid
     end
     else if is_comb c then begin
       Bytes.set t.inst_kind iid gate;
       t.inst_cell.(iid) <- c;
-      let ins = Func.input_names c.Cell.kind in
-      for j = 0 to Array.length ins - 1 do
-        if t.pin_nets.(j) >= 0 then push_slot t iid t.pin_nets.(j) ins.(j)
+      for j = 0 to Array.length (Func.input_names c.Cell.kind) - 1 do
+        if t.pin_nets.(j) >= 0 then push_slot t iid t.pin_nets.(j)
       done
     end
   end;
@@ -360,16 +338,15 @@ let push_order t iid =
 
 (* --- propagation --- *)
 
-(* The analysis-start state of a net: clock nets at 0, primary inputs at
-   [input_arrival], anything else unreached until its driver is timed. *)
+(* The analysis-start state of a net: clock nets and primary inputs at 0,
+   anything else unreached until its driver is timed. *)
 let reset_net t nid =
   let nl = t.nl in
   t.from_net.(nid) <- -1;
   t.via_inst.(nid) <- -1;
   if Netlist.is_clock_net nl nid || Netlist.is_pi nl nid then begin
-    let a = if Netlist.is_clock_net nl nid then 0.0 else t.cfg.input_arrival in
-    t.at_max.(nid) <- a;
-    t.at_min.(nid) <- a;
+    t.at_max.(nid) <- 0.0;
+    t.at_min.(nid) <- 0.0;
     t.at_slew.(nid) <- Nldm.default_input_slew
   end
   else begin
@@ -405,28 +382,28 @@ let time_ff t ff q =
   t.via_inst.(q) <- ff
 
 (* A combinational gate from its data pins: worst (first-max) and
-   earliest arrival plus wire, and the worst input slew. *)
+   earliest arrival plus wire, and the worst input slew.  An unreached
+   net reads as launched at 0. *)
 let time_gate t g out =
-  let input_arrival = t.cfg.input_arrival in
   let worst = ref neg_infinity and worst_src = ref (-1) in
   let earliest = ref infinity in
   let worst_slew = ref 0.0 in
   for s = t.row.(g) to t.row.(g + 1) - 1 do
     let nid = t.slot_net.(s) and w = t.slot_wire.(s) in
-    let a = (if t.at_max.(nid) = neg_infinity then input_arrival else t.at_max.(nid)) +. w in
+    let a = (if t.at_max.(nid) = neg_infinity then 0.0 else t.at_max.(nid)) +. w in
     if a > !worst then begin
       worst := a;
       worst_src := nid
     end;
     let sl = if t.at_slew.(nid) > 0.0 then t.at_slew.(nid) else Nldm.default_input_slew in
     if sl > !worst_slew then worst_slew := sl;
-    let e = (if t.at_min.(nid) = infinity then input_arrival else t.at_min.(nid)) +. w in
+    let e = (if t.at_min.(nid) = infinity then 0.0 else t.at_min.(nid)) +. w in
     if e < !earliest then earliest := e
   done;
   let in_slew = if !worst_slew > 0.0 then !worst_slew else Nldm.default_input_slew in
   let d = gate_delay t g out ~in_slew in
-  let base_max = if !worst = neg_infinity then input_arrival else !worst in
-  let base_min = if !earliest = infinity then input_arrival else !earliest in
+  let base_max = if !worst = neg_infinity then 0.0 else !worst in
+  let base_min = if !earliest = infinity then 0.0 else !earliest in
   t.inst_delay.(g) <- d;
   t.at_max.(out) <- base_max +. d;
   t.at_min.(out) <- base_min +. (Netlist.cell t.nl g).Cell.intrinsic_delay;
@@ -450,12 +427,8 @@ let time_endpoints t ~seed =
     if d_net < 0 then t.ff_slack.(k) <- infinity
     else begin
       let cell = Netlist.cell nl ff and w = t.slot_wire.(s) in
-      let a =
-        (if t.at_max.(d_net) = neg_infinity then cfg.input_arrival else t.at_max.(d_net)) +. w
-      in
-      let a_min =
-        (if t.at_min.(d_net) = infinity then cfg.input_arrival else t.at_min.(d_net)) +. w
-      in
+      let a = (if t.at_max.(d_net) = neg_infinity then 0.0 else t.at_max.(d_net)) +. w in
+      let a_min = (if t.at_min.(d_net) = infinity then 0.0 else t.at_min.(d_net)) +. w in
       let lat = cfg.clock_latency ff in
       let req = cfg.clock_period +. lat -. cell.Cell.setup in
       let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
@@ -469,8 +442,8 @@ let time_endpoints t ~seed =
   List.iter
     (fun (name, nid) ->
       if not (Netlist.is_clock_net nl nid) then begin
-        let a = if t.at_max.(nid) = neg_infinity then cfg.input_arrival else t.at_max.(nid) in
-        let req = cfg.clock_period -. cfg.output_margin in
+        let a = if t.at_max.(nid) = neg_infinity then 0.0 else t.at_max.(nid) in
+        let req = cfg.clock_period in
         if seed then t.rat.(nid) <- Float.min t.rat.(nid) req;
         eps :=
           {
@@ -629,7 +602,7 @@ let analyze cfg nl =
 let read_wires t g =
   for s = t.row.(g) to t.row.(g + 1) - 1 do
     let nid = t.slot_net.(s) in
-    if nid >= 0 then t.slot_wire.(s) <- pin_wire t g nid (slot_pin t g s)
+    if nid >= 0 then t.slot_wire.(s) <- t.cfg.wire.Wire.net_delay nid g
   done
 
 (* The wire delay into a pin follows its net and its instance's cell
@@ -666,7 +639,7 @@ let recheck t g =
           t.slot_net.(s0) <- d;
           if d >= 0 then link t s0 d
         end;
-        if d >= 0 && d <> was then t.slot_wire.(s0) <- pin_wire t g d "D"
+        if d >= 0 && d <> was then t.slot_wire.(s0) <- t.cfg.wire.Wire.net_delay d g
       end
       else begin
         let ins = Func.input_names c.Cell.kind in
@@ -686,9 +659,9 @@ let recheck t g =
 
 (* A structurally touched net: its data-pin readers must be exactly its
    compiled slots, each pin on the slot compiled for it, and the gate or
-   flip-flop that timed it must still drive it (a swapped one reads its
-   wires again).  A reader whose row holds every data pin of its kind
-   has pin [j] at slot [j]; any other instance involved re-reads its
+   flip-flop that timed it must still drive it.  A reader whose row holds
+   every data pin of its kind has pin [j] at slot [j] (a swapped one
+   reads its wires again); any other instance involved re-reads its
    pins.  A flip-flop whose D is here, or was at the last step, re-reads
    it; one whose clock pin moved needs nothing.  A gate driving the net
    into a gate's other input (an embedded MT-cell's MTE) orders the
@@ -704,8 +677,7 @@ let check_net t nid =
       if d <> via || Netlist.is_clock_net nl nid then begin
         if via >= 0 then recheck t via;
         recheck t d
-      end
-      else refresh_row t via;
+      end;
       is_comb (Netlist.cell nl d)
     | None ->
       if via >= 0 then recheck t via;
@@ -722,8 +694,9 @@ let check_net t nid =
         if j >= 0 then begin
           incr readers;
           let r = t.row.(g) in
-          if not (t.row.(g + 1) - r = Array.length names && t.slot_net.(r + j) = nid) then
-            recheck t g
+          if t.row.(g + 1) - r = Array.length names && t.slot_net.(r + j) = nid then
+            refresh_row t g
+          else recheck t g
         end
         else if comb_driver then raise_notrace Stale
       end
@@ -741,19 +714,12 @@ let check_net t nid =
   if !readers <> !compiled then raise_notrace Stale
 
 (* A value-touched net keeps its connections, and so does every
-   instance on it.  A swap touches every net the cell pins, its output
-   among them, so a swapped gate or flip-flop is found as the timer of
-   its output.  One with no timed output is found elsewhere: a gate's
-   slots are then read by nothing, and a flip-flop without Q by
-   [refresh_qless]. *)
-let refresh_timer t nid =
-  let g = t.via_inst.(nid) in
-  if g >= 0 then refresh_row t g
-
-let refresh_qless t =
-  for k = 0 to t.n_ffs - 1 do
-    let ff = t.ffs.(k) in
-    if t.out.(ff) < 0 then refresh_row t ff
+   instance on it: only a swapped reader's wires change. *)
+let refresh_readers t nid =
+  let s = ref t.first_reader.(nid) in
+  while !s >= 0 do
+    refresh_row t t.slot_inst.(!s);
+    s := t.next_reader.(!s)
   done
 
 (* Places new gate [g] in the order after the new gates it reads; a loop
@@ -775,7 +741,10 @@ let rec place t ~ninsts0 g =
 (* Brings the compiled graph up to the netlist when the edits since
    [t.version] keep it valid (the splice rule in sta.mli); raises
    [Stale] when one breaks it.  [ninsts0] and [nnets0] are the sizes the
-   graph was compiled for. *)
+   graph was compiled for.  A swap touches every net the cell pins, and
+   each of its slots is in one of those nets' reader lists, so every
+   touched net refreshing its readers' rows reaches every swapped
+   instance whose wires were read. *)
 let extend t ~ninsts0 ~nnets0 touched_nets =
   let nl = t.nl in
   let ninsts = Netlist.inst_count nl in
@@ -791,9 +760,8 @@ let extend t ~ninsts0 ~nnets0 touched_nets =
   done;
   List.iter
     (fun nid ->
-      if Netlist.rewired_since nl t.version nid then check_net t nid else refresh_timer t nid)
-    touched_nets;
-  if touched_nets <> [] then refresh_qless t
+      if Netlist.rewired_since nl t.version nid then check_net t nid else refresh_readers t nid)
+    touched_nets
 
 let clear_marks t =
   Bytes.fill t.net_mark 0 t.n_nets '\000';
@@ -892,11 +860,10 @@ let retime t touched_nets =
    requirements of the flip-flops whose D it is and of its output port,
    and each timed gate reading it. *)
 let net_required t nid =
-  let cfg = t.cfg and nl = t.nl in
+  let nl = t.nl in
   let r =
     ref
-      (if Netlist.is_po nl nid && not (Netlist.is_clock_net nl nid) then
-         cfg.clock_period -. cfg.output_margin
+      (if Netlist.is_po nl nid && not (Netlist.is_clock_net nl nid) then t.cfg.clock_period
        else infinity)
   in
   let s = ref t.first_reader.(nid) in
@@ -988,7 +955,7 @@ let reanalyze t cfg =
     Metrics.incr m_analyses;
     time_all t
 
-let arrival t nid = if t.at_max.(nid) = neg_infinity then t.cfg.input_arrival else t.at_max.(nid)
+let arrival t nid = if t.at_max.(nid) = neg_infinity then 0.0 else t.at_max.(nid)
 
 let slew t nid =
   if t.at_slew.(nid) > 0.0 then t.at_slew.(nid) else Nldm.default_input_slew
@@ -1038,34 +1005,6 @@ let worst_hold_slack t =
 let meets_timing t = wns t >= 0.0
 let meets_hold t = worst_hold_slack t >= 0.0
 
-type path_step = {
-  step_inst : Netlist.inst_id option;
-  step_net : Netlist.net_id;
-  step_arrival : float;
-}
-
-let path_to t ep =
-  let rec backtrace nid acc =
-    let inst = if t.via_inst.(nid) >= 0 then Some t.via_inst.(nid) else None in
-    let step = { step_inst = inst; step_net = nid; step_arrival = arrival t nid } in
-    let prev = t.from_net.(nid) in
-    if prev >= 0 then backtrace prev (step :: acc) else step :: acc
-  in
-  backtrace ep.net []
-
-let critical_path t =
-  match List.fold_left (fun acc ep -> match acc with
-      | None -> Some ep
-      | Some best -> if ep.slack < best.slack then Some ep else Some best)
-      None t.eps
-  with
-  | None -> []
-  | Some ep -> path_to t ep
-
-let worst_endpoints t k =
-  let sorted = List.sort (fun a b -> compare a.slack b.slack) t.eps in
-  List.filteri (fun i _ -> i < k) sorted
-
 (* --- structured critical-path reports ------------------------------- *)
 
 type path_arc = {
@@ -1088,36 +1027,34 @@ let endpoint_name t ep =
   | Ff_data ff -> Netlist.inst_name t.nl ff ^ "/D"
   | Primary_output name -> name
 
+(* Walks the worst predecessors back from the endpoint's net, so the
+   arcs come out launch first.  An arc's residual over its cell delay is
+   the wire delay of the hop that fed its gate; on the launch arc it is
+   the clock latency of a flip-flop (a primary input launches at 0). *)
 let path_report t ep =
-  let steps = path_to t ep in
-  let arcs, _ =
-    List.fold_left
-      (fun (acc, prev_arrival) (s : path_step) ->
-        let cell_delay =
-          match s.step_inst with Some iid -> t.inst_delay.(iid) | None -> 0.0
-        in
-        (* The launch arc's residual over its cell delay is clock latency
-           (flip-flop sources) or the configured input arrival; later arcs'
-           residual is the wire delay of the hop that fed the gate. *)
-        let wire_delay = s.step_arrival -. prev_arrival -. cell_delay in
-        let arc =
-          {
-            arc_inst = s.step_inst;
-            arc_net = s.step_net;
-            arc_cell_delay = cell_delay;
-            arc_wire_delay = wire_delay;
-            arc_arrival = s.step_arrival;
-            arc_slew = slew t s.step_net;
-          }
-        in
-        (arc :: acc, s.step_arrival))
-      ([], 0.0) steps
+  let rec back nid arcs =
+    let via = t.via_inst.(nid) and prev = t.from_net.(nid) in
+    let cell_delay = if via >= 0 then t.inst_delay.(via) else 0.0 in
+    let a = arrival t nid in
+    let arc =
+      {
+        arc_inst = (if via >= 0 then Some via else None);
+        arc_net = nid;
+        arc_cell_delay = cell_delay;
+        arc_wire_delay = a -. (if prev >= 0 then arrival t prev else 0.0) -. cell_delay;
+        arc_arrival = a;
+        arc_slew = slew t nid;
+      }
+    in
+    if prev >= 0 then back prev (arc :: arcs) else arc :: arcs
   in
-  let last_arrival = match arcs with a :: _ -> a.arc_arrival | [] -> 0.0 in
   {
     path_endpoint = ep;
-    path_arcs = List.rev arcs;
-    path_capture_wire = ep.arrival -. last_arrival;
+    path_arcs = back ep.net [];
+    path_capture_wire = ep.arrival -. arrival t ep.net;
   }
 
-let worst_paths t k = List.map (path_report t) (worst_endpoints t k)
+let worst_paths t k =
+  List.sort (fun a b -> compare a.slack b.slack) t.eps
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map (path_report t)

@@ -1,10 +1,10 @@
 (** Block-based static timing analysis.
 
     Setup model: data launched at flip-flop clock pins (or primary inputs at
-    time [input_arrival]) must arrive at capturing flip-flop D pins by
+    time 0) must arrive at capturing flip-flop D pins by
     [clock_period - setup + clock_latency] and at primary outputs by
-    [clock_period - output_margin].  Hold model: the earliest arrival at a D
-    pin must exceed [clock_latency + hold + hold_margin].
+    [clock_period].  Hold model: the earliest arrival at a D pin must
+    exceed [clock_latency + hold + hold_margin].
 
     MT-cells are derated by the voltage bounce of their virtual-ground line
     ([bounce_of]), which is how the switch-sizing constraint ("bounce below
@@ -15,8 +15,6 @@ type config = {
   wire : Wire.t;
   bounce_of : Smt_netlist.Netlist.inst_id -> float;  (** volts on the cell's VGND *)
   clock_latency : Smt_netlist.Netlist.inst_id -> float;  (** ps to each FF clock pin *)
-  input_arrival : float;
-  output_margin : float;
   hold_margin : float;
   slew_model : Smt_cell.Nldm.store option;
       (** when set, delays come from NLDM tables and slew propagates;
@@ -24,8 +22,9 @@ type config = {
 }
 
 val config : ?wire:Wire.t -> ?slew_aware:bool -> clock_period:float -> unit -> config
-(** Defaults: ideal wires, zero bounce, zero clock latency and margins,
-    linear (slew-less) delays. [slew_aware:true] enables the NLDM path. *)
+(** Defaults: ideal wires, zero bounce, zero clock latency and hold
+    margin, linear (slew-less) delays. [slew_aware:true] enables the NLDM
+    path. *)
 
 type endpoint_kind =
   | Ff_data of Smt_netlist.Netlist.inst_id
@@ -71,9 +70,9 @@ val reanalyze : t -> config -> unit
     into the graph (its pin wire delays and its loads): a [cfg.wire]
     that is not physically [t]'s wire model keeps the graph and reads
     every slot's wire delay and every net's load again, in the kept
-    arrays.  Every other field (period, margins, input arrival, bounce,
-    clock latency, slew model) is read while timing, so changing it
-    costs no compile.  Raises like {!update} on a cycle. *)
+    arrays.  Every other field (period, hold margin, bounce, clock
+    latency, slew model) is read while timing, so changing it costs no
+    compile.  Raises like {!update} on a cycle. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -129,29 +128,14 @@ val used_delay : t -> Smt_netlist.Netlist.inst_id -> float
 (** The delay the analysis actually used for the instance (slew effects
     included under the NLDM model); 0 for instances with no output. *)
 
-type path_step = {
-  step_inst : Smt_netlist.Netlist.inst_id option;  (** [None] at a primary input *)
-  step_net : Smt_netlist.Netlist.net_id;
-  step_arrival : float;
-}
-
-val critical_path : t -> path_step list
-(** Worst setup path, launch to capture, empty if there are no endpoints. *)
-
-val path_to : t -> endpoint -> path_step list
-(** Backtrace of the worst path into the given endpoint. *)
-
-val worst_endpoints : t -> int -> endpoint list
-(** The [k] smallest-slack endpoints, ascending by slack. *)
-
 (** One hop of a critical path: the gate driving [arc_net] (or the launch
     point when [arc_inst] is [None]) together with how its arrival was
     built up.  Delay attribution: [arc_cell_delay] is the gate delay the
     analysis used for the driving instance (bounce derate and slew effects
     included); [arc_wire_delay] is the residual over the previous arc's
     arrival — the interconnect delay of the hop into the gate, and, on the
-    launch arc, the clock latency (flip-flop source) or configured input
-    arrival. *)
+    launch arc, the clock latency of a flip-flop source (0 at a primary
+    input). *)
 type path_arc = {
   arc_inst : Smt_netlist.Netlist.inst_id option;
   arc_net : Smt_netlist.Netlist.net_id;
@@ -171,12 +155,14 @@ type path = {
 }
 
 val worst_paths : t -> int -> path list
-(** Structured reports of the [k] worst setup paths, ascending by slack —
-    the first path's slack is {!wns}.  The "why" behind every WNS number
-    the flow prints. *)
+(** Structured reports of the [k] worst setup paths, ascending by slack
+    (ties keep the order of {!endpoints}) — the first path's slack is
+    {!wns}.  The "why" behind every WNS number the flow prints. *)
 
 val path_report : t -> endpoint -> path
-(** The structured worst path into one endpoint. *)
+(** The structured worst path into one endpoint: from the endpoint's net
+    back through each net's worst (first-max) input to its launch
+    point. *)
 
 val endpoint_name : t -> endpoint -> string
 (** [inst/D] for a flip-flop data pin, the port name for a primary
@@ -225,10 +211,14 @@ val update : t -> unit
       reader list.  Flip-flops whose D net was not rewired are not read
       again, nor are those whose clock pin moved;
     - a value-touched net keeps every connection, so nothing is re-read
-      but its load, and the wire delays into the pins of its timer when
-      that gate's or flip-flop's cell was swapped (a swap touches every
-      net the cell pins, its output among them; a flip-flop without Q is
-      looked up among the flip-flops).
+      but its load and, for each reader in its reader list whose cell
+      was swapped, that reader's wire delays.
+    A reader that passes a rewired net's slot check refreshes its wires
+    the same way, and an instance that re-reads its pins does too.  One
+    rule thus finds every swapped cell: a swap touches every net the
+    cell pins, its inputs among them, and each of its data pins and its
+    D is a slot in one of those nets' reader lists.  (A swapped instance
+    with no connected data pin or D has no wire to read.)
     Any other edit (a gate input moved between existing nets, a removed
     gate, a moved Q, a new gate driving an old net, a loop among new
     gates) recompiles [t], which counts as an analysis, refilling the
@@ -240,8 +230,8 @@ val update : t -> unit
     instance as [analyze].
 
     Loads are re-folded for every touched net.  The wire model must give
-    the same delay into a pin as long as the pin stays on its net and its
-    instance keeps its cell (as [Smt_route.Parasitics.wire_model] does:
+    the same delay into a sink as long as its pin stays on the net and
+    the sink keeps its cell (as [Smt_route.Parasitics.wire_model] does:
     Elmore delay over the net's RC into the sink's input capacitance).
 
     {b The cone.}  Arrivals are recomputed from the drivers of the

@@ -9,8 +9,12 @@
 type t = {
   net_cap : Smt_netlist.Netlist.net_id -> float;
       (** capacitance the net adds to its driver's load, fF *)
-  net_delay : Smt_netlist.Netlist.net_id -> Smt_netlist.Netlist.pin -> float;
-      (** wire delay from the net's driver to the given sink pin, ps *)
+  net_delay : Smt_netlist.Netlist.net_id -> Smt_netlist.Netlist.inst_id -> float;
+      (** wire delay from the net's driver to the given sink instance's
+          pin on the net, ps.  It may read the sink's cell (its input
+          capacitance) but not which of its pins is on the net: STA asks
+          once per pin and caches the answer until the pin leaves the net
+          or the sink's cell is swapped. *)
 }
 
 val zero : t

@@ -25,6 +25,7 @@ module Vth = Smt_cell.Vth
 module Corner = Smt_cell.Corner
 module Library = Smt_cell.Library
 module Generators = Smt_circuits.Generators
+module Suite = Smt_circuits.Suite
 
 let lib = Library.default ()
 let tech = Library.tech lib
@@ -71,12 +72,8 @@ let test_mt_variants_sized () =
     (mte2.Cell.switch_width > mte1.Cell.switch_width)
 
 let test_downsize_recovers_area () =
-  let nl = Generators.ripple_adder ~name:"ra" ~bits:8 lib in
   (* start everything at X2 so there is room to shrink *)
-  Netlist.iter_insts nl (fun iid ->
-      let c = Netlist.cell nl iid in
-      if Library.has_variant ~drive:2 lib c.Cell.kind c.Cell.vth c.Cell.style then
-        Netlist.replace_cell nl iid (Library.resize lib c 2));
+  let nl = Suite.x2_mapped lib (Generators.ripple_adder ~name:"ra" ~bits:8 lib) in
   let golden = Clone.copy nl in
   let area0 = Netlist.total_area nl in
   let cfg = Sta.config ~clock_period:(period_for nl 0.4) () in
@@ -89,14 +86,7 @@ let test_downsize_recovers_area () =
 let test_flow_gate_sizing_knob () =
   (* as if synthesis had mapped to X2 cells: the sizing knob recovers the
      excess drive off the critical paths *)
-  let gen () =
-    let nl = Generators.multiplier ~name:"m6" ~bits:6 lib in
-    Netlist.iter_insts nl (fun iid ->
-        let c = Netlist.cell nl iid in
-        if Library.has_variant ~drive:2 lib c.Cell.kind c.Cell.vth c.Cell.style then
-          Netlist.replace_cell nl iid (Library.resize lib c 2));
-    nl
-  in
+  let gen () = Suite.x2_mapped lib (Generators.multiplier ~name:"m6" ~bits:6 lib) in
   let base = Flow.run Flow.Dual_vth (gen ()) in
   let sized =
     Flow.run ~options:{ Flow.default_options with Flow.gate_sizing = true } Flow.Dual_vth

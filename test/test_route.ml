@@ -90,8 +90,8 @@ let test_wire_model () =
       let cap = wm.Wire.net_cap nid in
       Alcotest.(check bool) "cap >= 0" true (cap >= 0.0);
       List.iter
-        (fun pin ->
-          let d = wm.Wire.net_delay nid pin in
+        (fun (pin : Netlist.pin) ->
+          let d = wm.Wire.net_delay nid pin.Netlist.inst in
           Alcotest.(check bool) "delay >= 0" true (d >= 0.0))
         (Netlist.sinks nl nid))
 

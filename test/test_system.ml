@@ -259,13 +259,12 @@ let test_congested_length () =
 let test_signoff_typical_matches_base () =
   let nl, _ = Lazy.force flow_report in
   let tech = Library.tech lib in
-  let cfg = Sta.config ~clock_period:5000.0 () in
+  let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
   let s =
-    Smt_core.Signoff.run ~corners:[ Smt_cell.Corner.typical tech ] cfg nl
+    Smt_core.Signoff.run ~corners:[ Smt_cell.Corner.typical tech ] ~clock_period:5000.0 sta
   in
   (match s.Smt_core.Signoff.entries with
   | [ e ] ->
-    let sta = Sta.analyze cfg nl in
     Alcotest.(check (float 1e-6)) "wns matches plain STA" (Sta.wns sta)
       e.Smt_core.Signoff.wns_ps;
     Alcotest.(check bool) "met" true e.Smt_core.Signoff.timing_met
@@ -273,8 +272,8 @@ let test_signoff_typical_matches_base () =
 
 let test_signoff_corner_ordering () =
   let nl, _ = Lazy.force flow_report in
-  let cfg = Sta.config ~clock_period:5000.0 () in
-  let s = Smt_core.Signoff.run cfg nl in
+  let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
+  let s = Smt_core.Signoff.run ~clock_period:5000.0 sta in
   Alcotest.(check int) "four corners" 4 (List.length s.Smt_core.Signoff.entries);
   (* worst timing at a slow corner, worst leakage at fast/hot *)
   Alcotest.(check bool) "worst timing is slow" true
@@ -292,8 +291,8 @@ let test_signoff_detects_slow_corner_violation () =
   (* pick a period the typical corner barely meets: the slow corner fails *)
   let probe = Sta.analyze (Sta.config ~clock_period:1e6 ()) nl in
   let crit = 1e6 -. Sta.wns probe in
-  let cfg = Sta.config ~clock_period:(crit *. 1.02) () in
-  let s = Smt_core.Signoff.run cfg nl in
+  let clock_period = crit *. 1.02 in
+  let s = Smt_core.Signoff.run ~clock_period (Sta.analyze (Sta.config ~clock_period ()) nl) in
   Alcotest.(check bool) "not clean across corners" true (not s.Smt_core.Signoff.all_met);
   Alcotest.(check bool) "typical itself met" true
     (List.exists
