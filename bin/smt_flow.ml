@@ -157,11 +157,7 @@ let generator_of name =
       (Printf.sprintf "unknown circuit %s (try: %s)" name
          (String.concat ", " (List.map fst Suite.all)))
 
-let technique_of = function
-  | "dual" | "dual-vth" -> Ok Flow.Dual_vth
-  | "conventional" | "con" -> Ok Flow.Conventional_smt
-  | "improved" | "imp" -> Ok Flow.Improved_smt
-  | s -> Error (Printf.sprintf "unknown technique %s (dual|conventional|improved)" s)
+let technique_of s = or_usage (Flow.technique_of_string s)
 
 let fault_of name =
   Option.to_result (Fault.of_name name)
@@ -258,7 +254,7 @@ let print_diagnostics (report : Flow.report) =
 let run_cmd =
   let run obs circuit technique seed bounce length cells retention sizing emit guard =
     let gen = or_usage (generator_of circuit) in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     let guard = guard_of guard in
     let options =
       { (options_of ~retention ~sizing seed bounce length cells) with Flow.guard }
@@ -274,7 +270,7 @@ let run_cmd =
         Smt_netlist.Writer.to_file nl path;
         Printf.printf "netlist written to %s\n" path
       | None -> ());
-      let technique = Smt_core.Qor.technique_slug t in
+      let technique = Flow.technique_slug t in
       ledger_append obs ~kind:"run" ~circuit ~technique ~guard:(Flow.guard_name guard)
         [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/" ^ technique) ~before report ];
       finish obs;
@@ -293,7 +289,7 @@ let run_cmd =
 let corners_cmd =
   let run obs circuit technique seed =
     let gen = or_usage (generator_of circuit) in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     let options = { Flow.default_options with Flow.seed } in
     let nl = gen (lib ()) in
     let report, art = Flow.run_with_artifacts ~options t nl in
@@ -358,8 +354,9 @@ let stages_cmd =
         report.Flow.stages
     in
     print_endline (Smt_util.Text_table.render ~header rows);
-    ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
-      [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/improved") ~before report ];
+    let technique = Flow.technique_slug Flow.Improved_smt in
+    ledger_append obs ~kind:"run" ~circuit ~technique
+      [ Smt_core.Qor.workload_of_report ~name:(circuit ^ "/" ^ technique) ~before report ];
     finish obs
   in
   Cmd.v (Cmd.info "stages" ~doc:"Show per-stage metrics of the improved flow (the paper's Fig. 4)")
@@ -398,7 +395,7 @@ let table1_cmd =
 let report_cmd =
   let run obs circuit technique seed =
     let gen = or_usage (generator_of circuit) in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     let options = { Flow.default_options with Flow.seed } in
     let _, art = Flow.run_with_artifacts ~options t (gen (lib ())) in
     let sta = art.Flow.art_sta in
@@ -427,7 +424,7 @@ let explain_of ~k = function
 let explain_cmd =
   let run obs what circuit technique seed k json =
     let gen = or_usage (generator_of circuit) in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     if k < 1 then or_usage (Error (Printf.sprintf "--paths must be >= 1 (got %d)" k));
     let body = or_usage (explain_of ~k what) in
     let options = { Flow.default_options with Flow.seed } in
@@ -542,7 +539,7 @@ let check_cmd =
        synthesized netlist. *)
     Option.iter
       (fun t ->
-        let t = or_usage (technique_of t) in
+        let t = technique_of t in
         ignore (Flow.run ~options:{ Flow.default_options with Flow.seed } t nl))
       technique;
     Option.iter
@@ -605,7 +602,7 @@ let lint_cmd =
     let jobs = jobs_of jobs in
     let circuits = match circuits with [] -> List.map fst Suite.all | cs -> cs in
     let gens = List.map (fun name -> (name, or_usage (generator_of name))) circuits in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     let print =
       match format with
       | "text" -> fun wls -> print_string (Sarif.render_text wls)
@@ -641,7 +638,8 @@ let lint_cmd =
     (* Multi-domain circuits come out of their generator already
        MT-structured, so the flow never runs on them: they lint raw. *)
     let raw_for name = raw || Suite.is_multi_domain name in
-    let suffix_for name = if raw_for name then "raw" else technique in
+    let slug = Flow.technique_slug t in
+    let suffix_for name = if raw_for name then "raw" else slug in
     (* One workload per circuit; each job builds, runs the flow (unless
        --raw), optionally injects a fault, and analyzes.  Par.map keeps
        results — and therefore every output format — in input order, so
@@ -678,7 +676,7 @@ let lint_cmd =
       J.to_file path (Sarif.render workloads);
       Printf.eprintf "SARIF written to %s\n%!" path
     | None -> ());
-    ledger_append obs ~kind:"lint" ~technique:(if raw then "raw" else technique) ~jobs
+    ledger_append obs ~kind:"lint" ~technique:(if raw then "raw" else slug) ~jobs
       (List.map
          (fun (wl : Sarif.workload) ->
            Smt_obs.Snapshot.workload ~name:wl.Sarif.wl_name
@@ -806,7 +804,7 @@ let campaign_matrix circuits techniques guards seeds =
     match techniques with [] -> [ "dual"; "conventional"; "improved" ] | ts -> ts
   in
   let techniques =
-    List.map (fun s -> Smt_core.Qor.technique_slug (or_usage (technique_of s))) techniques
+    List.map (fun s -> Flow.technique_slug (technique_of s)) techniques
   in
   let guards = match guards with [] -> [ "off" ] | gs -> gs in
   let guards = List.map (fun s -> Flow.guard_name (guard_of s)) guards in
@@ -1085,12 +1083,12 @@ let campaign_merge_cmd =
 let campaign_worker_cmd =
   let run obs dir circuit technique guard seed attempt =
     let gen = or_usage (generator_of circuit) in
-    let t = or_usage (technique_of technique) in
+    let t = technique_of technique in
     let guard_mode = guard_of guard in
     let job =
       {
         Cjob.jb_circuit = circuit;
-        jb_technique = Smt_core.Qor.technique_slug t;
+        jb_technique = Flow.technique_slug t;
         jb_guard = Flow.guard_name guard_mode;
         jb_seed = seed;
       }

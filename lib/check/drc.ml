@@ -68,7 +68,7 @@ let check ?phase ?place ?(expect_buffered_mte = true) nl =
       (fun message -> out := { V.severity; code; loc; message; hint } :: !out)
       fmt
   in
-  let mte_net = Netlist.find_net nl "MTE" in
+  let mte_net = Walk.find_mte_net nl in
   (* --- net rules --- *)
   Netlist.iter_nets nl (fun nid ->
       let name = Netlist.net_name nl nid in

@@ -12,11 +12,6 @@ type result = {
   actions : string list;
 }
 
-let mte_net_of nl =
-  match Netlist.find_net nl "MTE" with
-  | Some nid -> nid
-  | None -> Netlist.add_input nl "MTE"
-
 let finite_nonneg x = Float.is_finite x && x >= 0.0
 
 let cell_is_sane (c : Cell.t) =
@@ -107,7 +102,7 @@ let repair ?place nl violations =
               && Netlist.pin_net nl iid "MTE" = None
             in
             if needs_mte then begin
-              Netlist.connect nl iid "MTE" (mte_net_of nl);
+              Netlist.connect nl iid "MTE" (Walk.mte_net_of nl);
               act "reconnected %s.MTE to the MTE net" (Netlist.inst_name nl iid)
             end)
       | _ -> ())
@@ -140,7 +135,7 @@ let repair ?place nl violations =
       else begin
         let sw_cell = Library.switch lib ~width:Library.initial_switch_width in
         let name = Netlist.fresh_inst_name nl "sw_repair" in
-        let sw = Netlist.add_inst nl ~name sw_cell [ ("MTE", mte_net_of nl) ] in
+        let sw = Netlist.add_inst nl ~name sw_cell [ ("MTE", Walk.mte_net_of nl) ] in
         (match place with
         | Some p -> Placement.place_inst p sw (Placement.centroid p orphans)
         | None -> ());
@@ -197,7 +192,7 @@ let repair ?place nl violations =
   Hashtbl.iter
     (fun nid () ->
       if Walk.holder_required nl nid && Netlist.holder_of nl nid = None then begin
-        let mte = mte_net_of nl in
+        let mte = Walk.mte_net_of nl in
         let name = Netlist.fresh_inst_name nl "holder_repair" in
         let h = Netlist.add_inst nl ~name (Library.holder lib) [ ("MTE", mte); ("Z", nid) ] in
         place_near place nl h

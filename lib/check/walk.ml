@@ -3,6 +3,13 @@ module Cell = Smt_cell.Cell
 module Func = Smt_cell.Func
 module Vth = Smt_cell.Vth
 
+let find_mte_net nl = Netlist.find_net nl "MTE"
+
+let mte_net_of nl =
+  match find_mte_net nl with
+  | Some nid -> nid
+  | None -> Netlist.add_input nl "MTE"
+
 type vgnd_state =
   | Ungated
   | Gated of Netlist.inst_id

@@ -3,12 +3,12 @@
     [Drc] (structural rules), [Repair] (fix-up candidates), and the
     semantic standby verifier ([Smt_verify]) all need the same questions
     answered: does an MT-cell's VGND reach a live switch, which switches
-    actually gate members, what a net's holder record points at, and
-    which nets need a holder.  The answers live here so the passes cannot
-    drift apart.  (The verifier keys holders by the net their Z pin is
-    wired to, which is what the silicon would do — a stale
-    [Netlist.holder_of] record is exactly the kind of bug the semantic
-    pass exists to catch.) *)
+    actually gate members, what a net's holder record points at, which
+    nets need a holder, and which net is the sleep enable.  The answers
+    live here so the passes cannot drift apart.  (The verifier keys
+    holders by the net their Z pin is wired to, which is what the silicon
+    would do — a stale [Netlist.holder_of] record is exactly the kind of
+    bug the semantic pass exists to catch.) *)
 
 module Netlist = Smt_netlist.Netlist
 
@@ -17,6 +17,15 @@ type vgnd_state =
   | Gated of Netlist.inst_id  (** hangs from this live sleep switch *)
   | Floating_vgnd  (** VGND port attached to nothing *)
   | Dead_switch of Netlist.inst_id  (** attached to a removed switch *)
+
+val find_mte_net : Netlist.t -> Netlist.net_id option
+(** The design's sleep-enable primary input, the net named [MTE], if
+    it has one. *)
+
+val mte_net_of : Netlist.t -> Netlist.net_id
+(** {!find_mte_net}, created as a primary input on first use: where the
+    MT transformations and the repair pass wire switches, holders and
+    embedded MT-cells. *)
 
 val vgnd_state : Netlist.t -> Netlist.inst_id -> vgnd_state
 (** Where the instance's virtual ground lands.  Only [Vth.Mt_vgnd] cells

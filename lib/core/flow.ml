@@ -35,6 +35,17 @@ let technique_name = function
   | Conventional_smt -> "Con.-SMT"
   | Improved_smt -> "Imp.-SMT"
 
+let technique_slug = function
+  | Dual_vth -> "dual"
+  | Conventional_smt -> "conventional"
+  | Improved_smt -> "improved"
+
+let technique_of_string = function
+  | "dual" | "dual-vth" -> Ok Dual_vth
+  | "conventional" | "con" -> Ok Conventional_smt
+  | "improved" | "imp" -> Ok Improved_smt
+  | s -> Error (Printf.sprintf "unknown technique %s (dual|conventional|improved)" s)
+
 type guard = Guard_off | Guard_warn | Guard_repair | Guard_strict
 
 let guard_name = function
@@ -496,7 +507,7 @@ let run_with_artifacts ?(options = default_options) technique nl =
     match technique with
     | Dual_vth -> 0
     | Conventional_smt | Improved_smt -> (
-      match Netlist.find_net nl "MTE" with
+      match Smt_check.Walk.find_mte_net nl with
       | Some mte ->
         let r = Mte.buffer_tree ?max_fanout:options.mte_max_fanout place ~mte_net:mte in
         r.Mte.buffers

@@ -48,6 +48,15 @@
 type technique = Dual_vth | Conventional_smt | Improved_smt
 
 val technique_name : technique -> string
+(** The paper's column heading: ["Dual-Vth"], ["Con.-SMT"], ["Imp.-SMT"]. *)
+
+val technique_slug : technique -> string
+(** ["dual"], ["conventional"], ["improved"]: the canonical spelling that
+    names workloads, ledger records and campaign jobs. *)
+
+val technique_of_string : string -> (technique, string) result
+(** A slug, or one of its aliases ["dual-vth"], ["con"], ["imp"]; an
+    unknown spelling is an [Error] naming the choices. *)
 
 (** Per-stage netlist validation policy; see the module preamble. *)
 type guard = Guard_off | Guard_warn | Guard_repair | Guard_strict

@@ -3,16 +3,11 @@ module Library = Smt_cell.Library
 module Metrics = Smt_obs.Metrics
 module Snapshot = Smt_obs.Snapshot
 
-let technique_slug = function
-  | Flow.Dual_vth -> "dual"
-  | Flow.Conventional_smt -> "conventional"
-  | Flow.Improved_smt -> "improved"
-
 let default_workloads =
   List.concat_map
     (fun (cname, gen) ->
       List.map
-        (fun t -> (Printf.sprintf "%s/%s" cname (technique_slug t), gen, t))
+        (fun t -> (Printf.sprintf "%s/%s" cname (Flow.technique_slug t), gen, t))
         [ Flow.Dual_vth; Flow.Conventional_smt; Flow.Improved_smt ])
     [ ("circuit_a", Suite.circuit_a); ("circuit_b", Suite.circuit_b) ]
 

@@ -13,9 +13,6 @@
     [Snapshot.compare] — the payload behind [smt_flow bench-snapshot] and
     the committed [BENCH_*.json] baselines. *)
 
-val technique_slug : Flow.technique -> string
-(** ["dual"], ["conventional"], ["improved"] — the CLI spellings. *)
-
 val default_workloads :
   (string * (Smt_cell.Library.t -> Smt_netlist.Netlist.t) * Flow.technique) list
 (** Circuits A and B under each technique, in that order. *)

@@ -40,7 +40,7 @@ let simulate ?(seed = 3) nl =
   Simulator.reset reference;
   let rng = Rng.create seed in
   let names = data_inputs nl in
-  let has_mte = Netlist.find_net nl "MTE" <> None in
+  let has_mte = Smt_check.Walk.find_mte_net nl <> None in
   let set_mte sim v = if has_mte then Simulator.set_inputs sim [ ("MTE", v) ] in
   let clock_inputs nl =
     Netlist.inputs nl
@@ -109,7 +109,7 @@ let simulate ?(seed = 3) nl =
   }
 
 let mte_tree_delay cfg nl =
-  match Netlist.find_net nl "MTE" with
+  match Smt_check.Walk.find_mte_net nl with
   | None -> 0.0
   | Some mte ->
     (* worst path through mtebuf stages, buffer delay at actual loads *)

@@ -13,10 +13,7 @@ type result = {
   mte_net : Netlist.net_id;
 }
 
-let mte_net_of nl =
-  match Netlist.find_net nl "MTE" with
-  | Some nid -> nid
-  | None -> Netlist.add_input nl "MTE"
+let mte_net_of = Smt_check.Walk.mte_net_of
 
 let connect_embedded_mte nl mte =
   Netlist.iter_insts nl (fun iid ->

@@ -27,7 +27,8 @@ val insert : ?minimize_holders:bool -> Smt_place.Placement.t -> result
     [Invalid_argument] if the netlist has no MT-cells awaiting ports. *)
 
 val mte_net_of : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id
-(** The design's MTE primary input, created on first use. *)
+(** {!Smt_check.Walk.mte_net_of}: the design's MTE primary input,
+    created on first use. *)
 
 val connect_embedded_mte : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> unit
 (** Wires the [MTE] pin of every embedded (conventional) MT-cell that has

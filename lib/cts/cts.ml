@@ -68,20 +68,26 @@ let synthesize ?(max_fanout = 8) place =
         and c = dist *. tech.Tech.wire_c_per_um in
         rc_ps r ((0.5 *. c) +. sink_cap)
       in
+      (* A clock buffer placed [here] between two fresh clock nets;
+         returns them, input first. *)
+      let add_buffer here =
+        let in_net = Netlist.fresh_net nl "clk" in
+        let out_net = Netlist.fresh_net nl "clk" in
+        Netlist.mark_clock nl in_net;
+        Netlist.mark_clock nl out_net;
+        let name = Netlist.fresh_inst_name nl "ctsbuf" in
+        let buf = Netlist.add_inst nl ~name buf_cell [ ("A", in_net); ("Z", out_net) ] in
+        Placement.place_inst place buf here;
+        buffers := buf :: !buffers;
+        area := !area +. buf_cell.Cell.area;
+        (in_net, out_net)
+      in
       let rec build node : Netlist.net_id * Geom.point * (Netlist.inst_id * float) list =
         match node with
         | Geom.Leaf group ->
           let pts = List.map (fun s -> s.at) group in
           let here = Geom.center (Geom.bbox_of_points pts) in
-          let in_net = Netlist.fresh_net nl "clk" in
-          let out_net = Netlist.fresh_net nl "clk" in
-          Netlist.mark_clock nl in_net;
-          Netlist.mark_clock nl out_net;
-          let name = Netlist.fresh_inst_name nl "ctsbuf" in
-          let buf = Netlist.add_inst nl ~name buf_cell [ ("A", in_net); ("Z", out_net) ] in
-          Placement.place_inst place buf here;
-          buffers := buf :: !buffers;
-          area := !area +. buf_cell.Cell.area;
+          let in_net, out_net = add_buffer here in
           (* Re-home each CK pin onto the leaf net. *)
           let load = ref 0.0 in
           List.iter
@@ -104,15 +110,7 @@ let synthesize ?(max_fanout = 8) place =
           let built = List.map build [ l; r ] in
           let pts = List.map (fun (_, p, _) -> p) built in
           let here = Geom.center (Geom.bbox_of_points pts) in
-          let in_net = Netlist.fresh_net nl "clk" in
-          let out_net = Netlist.fresh_net nl "clk" in
-          Netlist.mark_clock nl in_net;
-          Netlist.mark_clock nl out_net;
-          let name = Netlist.fresh_inst_name nl "ctsbuf" in
-          let buf = Netlist.add_inst nl ~name buf_cell [ ("A", in_net); ("Z", out_net) ] in
-          Placement.place_inst place buf here;
-          buffers := buf :: !buffers;
-          area := !area +. buf_cell.Cell.area;
+          let in_net, out_net = add_buffer here in
           let load = ref 0.0 in
           List.iter
             (fun (child_in, child_at, _) ->

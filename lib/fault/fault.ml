@@ -135,7 +135,7 @@ let inject ~seed nl fault =
       made (Netlist.inst_name nl iid)
         (Printf.sprintf "poisoned cell %s with NaN standby leakage" c.Cell.name))
   | Break_mte_fanout -> (
-    match Netlist.find_net nl "MTE" with
+    match Walk.find_mte_net nl with
     | None -> None
     | Some mte -> (
       match pick_opt rng (Netlist.sinks nl mte) with

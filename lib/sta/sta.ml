@@ -63,18 +63,19 @@ type t = {
   mutable at_max : float array;  (* at driver output *)
   mutable at_min : float array;
   mutable at_slew : float array;  (* output slew at the driver *)
-  mutable rat : float array;  (* setup-based required *)
+  mutable rat : float array;  (* setup-based required: the endpoints' only, until [backward] *)
+  mutable rat_ready : bool;  (* [backward] has run since the endpoints were rebuilt *)
   mutable from_net : int array;  (* worst predecessor net, -1 if source *)
   mutable via_inst : int array;  (* the gate or flip-flop that timed the net, -1 at sources *)
   mutable first_reader : int array;  (* the first slot of the net's reader list, -1 if none *)
-  mutable net_mark : Bytes.t;  (* scratch: [retimed] / [required], zero between calls *)
+  mutable net_mark : Bytes.t;  (* scratch: [retimed], zero between calls *)
   (* per instance *)
   mutable inst_delay : float array;  (* the delay forward used *)
   mutable out : int array;  (* timed output net: Z (-1 on a clock net) or Q; -1 if none *)
   mutable row : int array;  (* slots of instance i: row.(i) .. row.(i + 1) - 1 *)
   mutable inst_kind : Bytes.t;  (* compiled as a [gate] (so in [order]) or a flip-flop [ff] *)
   mutable inst_cell : Cell.t array;  (* a gate's or flip-flop's cell when its slot wires were read *)
-  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [queued] / [placing] / [placed] / [slowed], zero between calls *)
+  mutable inst_mark : Bytes.t;  (* scratch: [checked] / [queued] / [placing] / [placed], zero between calls *)
   (* the combinational instances, fanin first *)
   mutable order : int array;
   mutable n_order : int;
@@ -141,12 +142,10 @@ let cell_delay cfg nl iid =
 (* --- scratch marks --- *)
 
 let retimed = 1 (* net: its arrival was recomputed by this update *)
-let required = 2 (* net: queued for its required time *)
 let checked = 1 (* instance: re-read by this update *)
 let queued = 2 (* instance: queued to be timed *)
 let placing = 4 (* instance: a new gate being placed in the order *)
 let placed = 8 (* instance: a new gate placed in the order *)
-let slowed = 16 (* instance: timed by this update, its delay may have changed *)
 
 (* [inst_kind] entries; any other instance reads zero *)
 let gate = '\001'
@@ -410,15 +409,14 @@ let time_gate t g out =
   t.from_net.(out) <- !worst_src;
   t.via_inst.(out) <- g
 
-(* The setup requirement at flip-flop [ff]'s D pin. *)
-let ff_required t ff =
-  t.cfg.clock_period +. t.cfg.clock_latency ff -. (Netlist.cell t.nl ff).Cell.setup
-
-(* The endpoint list, and each flip-flop's D-endpoint slack in [ff_slack]
-   for [inst_slack]; with [seed], also the endpoints' required times into
-   [rat], which the caller has filled with [infinity]. *)
-let time_endpoints t ~seed =
+(* The endpoint list, each flip-flop's D-endpoint slack in [ff_slack]
+   for [inst_slack], and [rat] reset to the endpoints' required times:
+   the rest waits for [backward], which the first read of a required time
+   runs. *)
+let time_endpoints t =
   let cfg = t.cfg and nl = t.nl in
+  Array.fill t.rat 0 t.n_nets infinity;
+  t.rat_ready <- false;
   let eps = ref [] in
   for k = 0 to t.n_ffs - 1 do
     let ff = t.ffs.(k) in
@@ -433,7 +431,7 @@ let time_endpoints t ~seed =
       let req = cfg.clock_period +. lat -. cell.Cell.setup in
       let hold_slack = a_min -. (lat +. cell.Cell.hold +. cfg.hold_margin) in
       let slack = req -. a in
-      if seed then t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
+      t.rat.(d_net) <- Float.min t.rat.(d_net) (req -. w);
       t.ff_slack.(k) <- slack;
       eps := { kind = Ff_data ff; net = d_net; arrival = a; required = req; slack; hold_slack }
              :: !eps
@@ -444,7 +442,7 @@ let time_endpoints t ~seed =
       if not (Netlist.is_clock_net nl nid) then begin
         let a = if t.at_max.(nid) = neg_infinity then 0.0 else t.at_max.(nid) in
         let req = cfg.clock_period in
-        if seed then t.rat.(nid) <- Float.min t.rat.(nid) req;
+        t.rat.(nid) <- Float.min t.rat.(nid) req;
         eps :=
           {
             kind = Primary_output name;
@@ -459,6 +457,9 @@ let time_endpoints t ~seed =
     (Netlist.outputs nl);
   t.eps <- List.rev !eps
 
+(* Every net's required time, from the endpoints' back through the
+   order.  It reads only the session's arrays, which hold the graph and
+   delays of the last sync whatever was edited since. *)
 let backward t =
   for k = t.n_order - 1 downto 0 do
     let g = t.order.(k) in
@@ -470,11 +471,12 @@ let backward t =
         t.rat.(nid) <- Float.min t.rat.(nid) (r -. t.slot_wire.(s))
       done
     end
-  done
+  done;
+  t.rat_ready <- true
 
 (* Times the compiled graph from scratch under [t.cfg]: every net from
    its analysis-start state, every flip-flop launched, every gate in
-   order, then the endpoints and the required times. *)
+   order, then the endpoints. *)
 let time_all t =
   for nid = 0 to t.n_nets - 1 do
     reset_net t nid
@@ -496,9 +498,7 @@ let time_all t =
     end
   done;
   Metrics.incr ~by:!evals m_arrival_evals;
-  Array.fill t.rat 0 t.n_nets infinity;
-  time_endpoints t ~seed:true;
-  backward t
+  time_endpoints t
 
 (* Compiles the whole netlist into [t], in the arrays it already has
    where they have room, and times it from scratch.  Until it completes,
@@ -569,6 +569,7 @@ let analyze cfg nl =
       at_min = [||];
       at_slew = [||];
       rat = [||];
+      rat_ready = false;
       from_net = [||];
       via_inst = [||];
       first_reader = [||];
@@ -811,8 +812,7 @@ let retimed_net t nid =
 
 (* Re-times the cone of the touched nets' drivers over the extended
    graph, in order: the touched nets' drivers, and every gate reading a
-   retimed net.  Marks [slowed] the gates whose delay may have changed.
-   Returns the arrival evaluations and how many gates it marked. *)
+   retimed net.  Returns the arrival evaluations. *)
 let retime t touched_nets =
   let nl = t.nl in
   let evals = ref 0 in
@@ -839,98 +839,26 @@ let retime t touched_nets =
       | None -> ())
     touched_nets;
   (* a queued gate only queues gates later in the order *)
-  let changed = ref 0 in
   for k = 0 to t.n_order - 1 do
     let g = t.order.(k) in
     if marked t.inst_mark g queued then begin
-      let out = t.out.(g) and d0 = t.inst_delay.(g) in
+      let out = t.out.(g) in
       time_gate t g out;
       incr evals;
-      (* a zero may have changed sign *)
-      if t.inst_delay.(g) <> d0 || d0 = 0.0 then begin
-        mark t.inst_mark g slowed;
-        incr changed
-      end;
       retimed_net t out
     end
   done;
-  (!evals, !changed)
-
-(* Required time of net [nid] from its readers: the endpoint
-   requirements of the flip-flops whose D it is and of its output port,
-   and each timed gate reading it. *)
-let net_required t nid =
-  let nl = t.nl in
-  let r =
-    ref
-      (if Netlist.is_po nl nid && not (Netlist.is_clock_net nl nid) then t.cfg.clock_period
-       else infinity)
-  in
-  let s = ref t.first_reader.(nid) in
-  while !s >= 0 do
-    let g = t.slot_inst.(!s) in
-    if Bytes.get t.inst_kind g = ff then r := Float.min !r (ff_required t g -. t.slot_wire.(!s))
-    else begin
-      let out = t.out.(g) in
-      if out >= 0 then r := Float.min !r (t.rat.(out) -. t.inst_delay.(g) -. t.slot_wire.(!s))
-    end;
-    s := t.next_reader.(!s)
-  done;
-  !r
-
-(* Re-derives required times behind the edit: at the touched nets, at
-   the inputs of the [slowed] gates, and at the inputs of every gate
-   whose output's required time changed, latest gate first.  Each is the
-   [min] of the same terms [backward] folds, so it is the same float.
-   Nets no timed gate drives come last. *)
-let update_required t touched_nets =
-  let sources = ref [] in
-  let queue nid =
-    if not (marked t.net_mark nid required) then begin
-      mark t.net_mark nid required;
-      let v = t.via_inst.(nid) in
-      if not (v >= 0 && Bytes.get t.inst_kind v = gate) then sources := nid :: !sources
-    end
-  in
-  let queue_inputs g =
-    for s = t.row.(g) to t.row.(g + 1) - 1 do
-      queue t.slot_net.(s)
-    done
-  in
-  List.iter queue touched_nets;
-  for k = t.n_order - 1 downto 0 do
-    let g = t.order.(k) in
-    let out = t.out.(g) in
-    if marked t.inst_mark g slowed then queue_inputs g;
-    if out >= 0 && marked t.net_mark out required then begin
-      let r = net_required t out in
-      let was = t.rat.(out) in
-      t.rat.(out) <- r;
-      if r <> was || r = 0.0 then queue_inputs g
-    end
-  done;
-  List.iter (fun nid -> t.rat.(nid) <- net_required t nid) !sources
+  !evals
 
 let update t =
   match sync t with
   | None -> ()
   | Some touched_nets ->
     Metrics.incr m_incremental;
-    let evals, changed = retime t touched_nets in
+    let evals = retime t touched_nets in
     Metrics.incr ~by:evals m_arrival_evals;
     Metrics.observe m_update_evals (float_of_int evals);
-    (* past a quarter of the graph, one backward pass is cheaper than
-       the cone walk (measured in EXPERIMENTS.md, "STA at the cost of the
-       edit"), and gives the same floats *)
-    if 4 * (List.length touched_nets + changed) > t.n_nets then begin
-      Array.fill t.rat 0 t.n_nets infinity;
-      time_endpoints t ~seed:true;
-      backward t
-    end
-    else begin
-      time_endpoints t ~seed:false;
-      update_required t touched_nets
-    end;
+    time_endpoints t;
     clear_marks t
 
 (* Every slot's wire delay and every net's load under [t.cfg.wire]. *)
@@ -962,10 +890,14 @@ let slew t nid =
 
 let used_delay t iid =
   if iid >= 0 && iid < t.n_insts then t.inst_delay.(iid) else 0.0
-let required t nid = t.rat.(nid)
+
+let required t nid =
+  if not t.rat_ready then backward t;
+  t.rat.(nid)
 
 let net_slack t nid =
-  if t.rat.(nid) = infinity then infinity else t.rat.(nid) -. arrival t nid
+  let r = required t nid in
+  if r = infinity then infinity else r -. arrival t nid
 
 (* The slot of flip-flop [iid] in the ascending [t.ffs], -1 if none. *)
 let ff_slot t iid =

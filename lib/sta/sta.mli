@@ -65,14 +65,15 @@ val reanalyze : t -> config -> unit
     [sta.incremental_updates].  It brings the graph up to the netlist
     through the journal step {!update} uses (the touched nets, array
     growth, then the graph extended under the splice rule, or else
-    recompiled), and then re-times every arrival, required time and
-    endpoint from scratch under [cfg].  Only the wire model is baked
-    into the graph (its pin wire delays and its loads): a [cfg.wire]
-    that is not physically [t]'s wire model keeps the graph and reads
-    every slot's wire delay and every net's load again, in the kept
-    arrays.  Every other field (period, hold margin, bounce, clock
-    latency, slew model) is read while timing, so changing it costs no
-    compile.  Raises like {!update} on a cycle. *)
+    recompiled), and then re-times every arrival and endpoint from
+    scratch under [cfg], leaving the required times to the next
+    {!required}.  Only the wire model is baked into the graph (its pin
+    wire delays and its loads): a [cfg.wire] that is not physically
+    [t]'s wire model keeps the graph and reads every slot's wire delay
+    and every net's load again, in the kept arrays.  Every other field
+    (period, hold margin, bounce, clock latency, slew model) is read
+    while timing, so changing it costs no compile.  Raises like
+    {!update} on a cycle. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -84,11 +85,25 @@ val slew : t -> Smt_netlist.Netlist.net_id -> float
     linear model or at sources). *)
 
 val required : t -> Smt_netlist.Netlist.net_id -> float
+(** The net's setup required time at its driver, [infinity] when no
+    endpoint reads it.  Required times are computed when read: the first
+    read after {!analyze}, {!reanalyze} or {!update} runs one backward
+    pass over the graph, and later reads until the next of those cost
+    nothing.  The pass reads only the session's arrays, which hold the
+    graph and delays as of that call, so netlist edits made since do not
+    change what it returns.  A read can write the session, so a session
+    is not read from two domains at once. *)
+
 val net_slack : t -> Smt_netlist.Netlist.net_id -> float
+(** [required] minus {!arrival}; [infinity] when no endpoint reads the
+    net.  The first read after an analysis, {!reanalyze} or {!update}
+    runs the backward pass, as for {!required}. *)
 
 val inst_slack : t -> Smt_netlist.Netlist.inst_id -> float
 (** Setup slack of the instance's output net; [infinity] when it has none
     (flip-flops report the min of their D-endpoint and Q-net slacks).
+    Reads {!net_slack}, so the first read after an analysis,
+    {!reanalyze} or {!update} runs the backward pass.
     The D-endpoint slacks are recorded per flip-flop when the endpoints
     are built, in an array sized by the flip-flop count, and a flip-flop
     finds its own by binary search over the flip-flops (kept in id
@@ -239,10 +254,7 @@ val update : t -> unit
     a gate is timed when it drives a touched net or reads a retimed one,
     found through the retimed net's reader list.  A flip-flop re-launches
     when it drives a touched net, never because its D moved, since Q
-    depends on the clock and not on D.  Required times are re-derived
-    only at the touched nets, at the inputs of the gates whose delay
-    changed, and behind every net whose required time changed, latest
-    gate first: each is the [min] of the same terms a full pass folds,
-    so it is the same float.  When the touched nets and re-delayed gates
-    reach a quarter of the graph, one backward pass is cheaper and gives
-    the same floats.  Endpoints are rebuilt. *)
+    depends on the clock and not on D.  Endpoints are rebuilt, and
+    required times are reset to the endpoints': the backward pass that
+    fills in the rest waits for the next {!required}, {!net_slack} or
+    {!inst_slack}, as after an analysis. *)

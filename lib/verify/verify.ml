@@ -714,8 +714,7 @@ let cone_size nl = function All_nets -> Netlist.net_count nl | Cone nets -> List
 let seed st cone =
   let nl = st.nl in
   let mte_net =
-    if st.mode.m_name = "" then match Netlist.find_net nl "MTE" with Some n -> n | None -> -1
-    else -1
+    if st.mode.m_name = "" then Option.value (Walk.find_mte_net nl) ~default:(-1) else -1
   in
   let flops = ref [] in
   iter_cone nl

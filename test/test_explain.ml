@@ -258,10 +258,10 @@ let test_qor_workload_collection () =
     [ "area_um2"; "standby_nw"; "wns_ps"; "clusters"; "switches"; "total_switch_width" ]
 
 let test_qor_slugs () =
-  Alcotest.(check string) "dual" "dual" (Qor.technique_slug Flow.Dual_vth);
+  Alcotest.(check string) "dual" "dual" (Flow.technique_slug Flow.Dual_vth);
   Alcotest.(check string) "conventional" "conventional"
-    (Qor.technique_slug Flow.Conventional_smt);
-  Alcotest.(check string) "improved" "improved" (Qor.technique_slug Flow.Improved_smt);
+    (Flow.technique_slug Flow.Conventional_smt);
+  Alcotest.(check string) "improved" "improved" (Flow.technique_slug Flow.Improved_smt);
   Alcotest.(check int) "six default workloads" 6 (List.length Qor.default_workloads)
 
 let () =

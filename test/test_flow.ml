@@ -245,6 +245,29 @@ let test_flow_on_suite_circuits () =
       end)
     [ ("tiny", Suite.tiny); ("alu8", fun l -> Generators.alu ~name:"alu8" ~bits:8 l) ]
 
+(* Each technique reads back from its slug and from its alias. *)
+let spellings =
+  [ (Flow.Dual_vth, "dual-vth"); (Flow.Conventional_smt, "con"); (Flow.Improved_smt, "imp") ]
+
+let test_technique_spellings () =
+  List.iter
+    (fun (t, alias) ->
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (s ^ " reads back") true (Flow.technique_of_string s = Ok t))
+        [ Flow.technique_slug t; alias ])
+    spellings
+
+let test_unknown_technique () =
+  match Flow.technique_of_string "mtcmos" with
+  | Ok _ -> Alcotest.fail "mtcmos read as a technique"
+  | Error msg ->
+    List.iter
+      (fun (t, _) ->
+        let slug = Flow.technique_slug t in
+        Alcotest.(check bool) ("names " ^ slug) true (Json_input.contains ~needle:slug msg))
+      spellings
+
 let () =
   Alcotest.run "smt_flow"
     [
@@ -277,4 +300,9 @@ let () =
           Alcotest.test_case "holder minimization" `Quick test_ablation_holders;
         ] );
       ("table1", [ Alcotest.test_case "row shape" `Quick test_table1_row ]);
+      ( "techniques",
+        [
+          Alcotest.test_case "spellings round-trip" `Quick test_technique_spellings;
+          Alcotest.test_case "unknown spelling names the choices" `Quick test_unknown_technique;
+        ] );
     ]

@@ -1755,9 +1755,10 @@ let prop_incremental_sta_exact =
       | None -> true
       | Some (nl, place) -> incremental_rounds seed nl place)
 
-(* The same rounds on a graph large enough that most single edits stay
-   under [Sta.update]'s quarter-of-the-graph switch, so their required
-   times come from the cone walk, not one backward pass. *)
+(* The same rounds on layered graphs of up to 400 gates, where most
+   single edits re-time a cone that is a small part of the graph: the
+   arrivals outside it must be kept, and the required times outside it
+   still come out of the backward pass the next read runs. *)
 let prop_incremental_sta_exact_large =
   QCheck2.Test.make ~name:"incremental STA equals full re-analysis (large graphs)" ~count:10
     ~print:string_of_int seed_gen
